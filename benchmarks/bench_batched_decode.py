@@ -1,24 +1,21 @@
-"""Continuous batched decode — one forward pass across in-flight sessions.
+"""Continuous batched decode — one forward pass per round over the in-flight sessions.
 
-The PR-1 scheduler issued one ``model.decode_step()`` per in-flight request
-per round, so forward-pass cost grew linearly with concurrency even though
-every request shares the same weights.  This harness measures the two wins of
-the batched-decode refactor:
+Every scheduler round serves all decode-ready requests (one or many) with one
+``TransformerModel.decode_batch`` forward pass and one decode round.  This
+harness reports what the rows-per-round axis buys, and checks preemption:
 
-* **decode throughput** — 8 in-flight requests decoding through
-  ``TransformerModel.decode_batch`` (embedding / projections / MLP / LM head
-  stacked over the batch, attention routed per-session) vs the per-session
-  ``decode_step`` loop;
+* **decode throughput** — the same tiny-prompt requests decoded 1 and 8 at a
+  time (embedding / projections / MLP / LM head stacked over the batch,
+  attention routed per session);
 * **preemption** — with the ``slo`` policy and ``preemption`` enabled, an
   SLO-critical request arriving while long batch jobs occupy every slot
   meets a TTFT deadline it misses under plain in-flight occupancy (the
   victim with the most slack is paused and later resumed, losing nothing);
-* **cross-request sparse rounds** — N sessions decoding against one shared
-  stored context with every layer routed to flat DIPR scans: with
-  ``cross_request_sparse_batching`` the scheduler stacks the per-layer
-  retrieval into one gemm over the concatenated queries and merges the
-  partial-attention pieces in one engine call per layer, vs one retrieval +
-  merge round per session.  Outputs must stay token-identical at any size.
+* **sparse rounds** — N sessions decoding against one shared stored context
+  with every layer routed to flat DIPR scans, swept over N in flight: one
+  compatibility group of N stacks the per-layer retrieval into one gemm over
+  the concatenated queries and merges the partial-attention pieces in one
+  engine call per layer.  A request's tokens must not depend on N.
 
 ``BENCH_SMOKE=1`` shrinks the workload for CI sanity runs.
 """
@@ -37,35 +34,33 @@ from repro.simulator.slo import BATCH_SLO, SLO
 EXPERIMENT = "Batched decode (continuous batching + preemption)"
 
 SMOKE = smoke_mode()
-NUM_INFLIGHT = 8
+NUM_REQUESTS = 8
+DENSE_INFLIGHT = (1, 8)
 DECODE_TOKENS = 8 if SMOKE else 48
 LONG_JOB_TOKENS = 24 if SMOKE else 220
-MIN_SPEEDUP = 1.3
 
 SPARSE_INFLIGHT = (1, 8) if SMOKE else (1, 8, 16)
 SPARSE_DOC_TOKENS = 192 if SMOKE else 1024
 SPARSE_DECODE_TOKENS = 6 if SMOKE else 24
 SPARSE_REPEATS = 1 if SMOKE else 3
-MIN_SPARSE_SPEEDUP = 2.0
 
 
-def _throughput(model, decode_batching: bool):
-    """Decode tokens/sec with NUM_INFLIGHT tiny-prompt requests in flight."""
-    config = AlayaDBConfig(
-        decode_batching=decode_batching, max_inflight_requests=NUM_INFLIGHT
-    )
-    service = InferenceService(model, config)
-    for i in range(NUM_INFLIGHT):
+def _throughput(model, max_inflight: int):
+    """Decode tokens/sec of NUM_REQUESTS tiny-prompt requests, ``max_inflight`` at a time."""
+    service = InferenceService(model, AlayaDBConfig(max_inflight_requests=max_inflight))
+    for i in range(NUM_REQUESTS):
         service.submit(f"q{i}", max_new_tokens=DECODE_TOKENS)
     start = time.perf_counter()
     service.drain()
     seconds = time.perf_counter() - start
     generated = service.stats.total_generated_tokens
+    stats = service.scheduler.stats
     return {
         "tokens_per_second": generated / seconds,
         "serve_seconds": seconds,
         "generated": generated,
-        "batched_calls": service.scheduler.stats.batched_decode_calls,
+        "rows_per_round": stats.decode_steps / max(service.decode_timings.rounds, 1),
+        "batched_calls": stats.batched_decode_calls,
     }
 
 
@@ -101,17 +96,16 @@ def _slo_arrival(model, preemption: bool, ttft_deadline: float | None):
     }
 
 
-def _sparse_mix(model, num_inflight: int, cross: bool):
+def _sparse_mix(model, num_inflight: int):
     """Per-token decode latency of ``num_inflight`` sparse sessions sharing
     one ingested long context, with every layer routed to flat DIPR scans.
 
     All prompts prefix-match the stored document (plus a distinct suffix
-    token), so every session lands in one cross-request compatibility group.
-    The unscaled ``dipr_beta`` keeps retrieval selective (tens of critical
-    tokens per head, the paper's sparse regime) rather than near-dense.
+    token), so every session lands in one compatibility group.  The unscaled
+    ``dipr_beta`` keeps retrieval selective (tens of critical tokens per
+    head, the paper's sparse regime) rather than near-dense.
     """
     config = AlayaDBConfig(
-        cross_request_sparse_batching=cross,
         max_inflight_requests=num_inflight,
         short_context_threshold=64,
         window_initial_tokens=8,
@@ -139,39 +133,35 @@ def _sparse_mix(model, num_inflight: int, cross: bool):
             res.generated_tokens
             for res, _ in sorted(results, key=lambda pair: pair[1].request_id)
         ],
-        "retrieval_seconds": report["decode_retrieval_seconds"],
-        "merge_seconds": report["decode_merge_seconds"],
+        "retrieval_ms_per_token": report["decode_retrieval_seconds"] / max(generated, 1) * 1000,
+        "merge_ms_per_token": report["decode_merge_seconds"] / max(generated, 1) * 1000,
     }
 
 
 def _sparse_sweep(model):
-    """cross_request_sparse_batching on vs off across the in-flight sweep.
+    """The in-flight sweep: 1 vs 8 (vs 16) rows per sparse decode round.
 
-    Each arm runs ``SPARSE_REPEATS`` times and keeps its fastest run (the
-    min is the least noisy wall-clock estimator); outputs are compared on
-    every run — decode is deterministic, so all repeats must agree.
+    Each point runs ``SPARSE_REPEATS`` times and keeps its fastest run (the
+    min is the least noisy wall-clock estimator).  Request ``i`` has the same
+    prompt at every point, so its tokens must be the same at every point and
+    on every repeat — decode is deterministic and a session's output does
+    not depend on what else is stacked in its round.
     """
-    _sparse_mix(model, 1, cross=False)  # warm-up: the first run pays cold caches
+    _sparse_mix(model, 1)  # warm-up: the first run pays cold caches
     sweep = {}
     for n in SPARSE_INFLIGHT:
-        runs = {cross: [_sparse_mix(model, n, cross) for _ in range(SPARSE_REPEATS)] for cross in (False, True)}
-        per_session = min(runs[False], key=lambda r: r["ms_per_token"])
-        batched = min(runs[True], key=lambda r: r["ms_per_token"])
-        sweep[n] = {
-            "per_session": per_session,
-            "batched": batched,
-            "speedup": per_session["ms_per_token"] / batched["ms_per_token"],
-            "token_identical": all(
-                r["tokens"] == per_session["tokens"] for arm in runs.values() for r in arm
-            ),
-        }
+        runs = [_sparse_mix(model, n) for _ in range(SPARSE_REPEATS)]
+        sweep[n] = min(runs, key=lambda r: r["ms_per_token"])
+        sweep[n]["repeats_agree"] = all(r["tokens"] == runs[0]["tokens"] for r in runs)
+    widest = sweep[max(SPARSE_INFLIGHT)]["tokens"]
+    for n, point in sweep.items():
+        point["token_identical"] = point["repeats_agree"] and point["tokens"] == widest[:n]
     return sweep
 
 
 def _sweep():
     model = TransformerModel(ModelConfig.tiny(seed=103))
-    per_session = _throughput(model, decode_batching=False)
-    batched = _throughput(model, decode_batching=True)
+    dense = {n: _throughput(model, n) for n in DENSE_INFLIGHT}
 
     # calibrate the deadline between the two serving modes: without
     # preemption the critical arrival waits for a whole long job to finish
@@ -179,40 +169,38 @@ def _sweep():
     deadline = occupied["ttft_from_submit"] / 2
     preempted = _slo_arrival(model, preemption=True, ttft_deadline=deadline)
     sparse = _sparse_sweep(model)
-    return per_session, batched, occupied, preempted, deadline, sparse
+    return dense, occupied, preempted, deadline, sparse
 
 
 def test_batched_decode(benchmark):
-    per_session, batched, occupied, preempted, deadline, sparse = run_once(benchmark, _sweep)
+    dense, occupied, preempted, deadline, sparse = run_once(benchmark, _sweep)
 
-    speedup = batched["tokens_per_second"] / per_session["tokens_per_second"]
     rows = [
         [
-            name,
+            n,
             round(r["serve_seconds"], 3),
             r["generated"],
             round(r["tokens_per_second"], 1),
-            r["batched_calls"],
+            round(r["rows_per_round"], 2),
         ]
-        for name, r in (("per-session loop", per_session), ("batched decode", batched))
+        for n, r in dense.items()
     ]
     sparse_rows = [
         [
             n,
-            round(r["per_session"]["ms_per_token"], 2),
-            round(r["batched"]["ms_per_token"], 2),
-            f"{r['speedup']:.2f}x",
+            round(r["ms_per_token"], 2),
+            round(r["retrieval_ms_per_token"], 2),
+            round(r["merge_ms_per_token"], 2),
             "yes" if r["token_identical"] else "NO",
         ]
         for n, r in sparse.items()
     ]
     lines = [
         format_table(
-            ["decode mode", "serve (s)", "tokens", "tok/s", "batched calls"],
+            ["in-flight", "serve (s)", "tokens", "tok/s", "rows/round"],
             rows,
-            title=f"--- decode throughput, {NUM_INFLIGHT} in-flight requests ---",
+            title=f"--- dense decode throughput, {NUM_REQUESTS} requests ---",
         ),
-        f"batched decode speedup: {speedup:.2f}x",
         "",
         "--- SLO-critical arrival vs 2 slot-hogging long jobs ---",
         f"TTFT deadline (calibrated): {deadline * 1000:.1f} ms",
@@ -221,10 +209,10 @@ def test_batched_decode(benchmark):
         f"({preempted['preemptions']} preemption(s), {preempted['resumes']} resume(s))",
         "",
         format_table(
-            ["in-flight", "per-session ms/tok", "batched ms/tok", "speedup", "tokens match"],
+            ["in-flight", "ms/tok", "retrieval ms/tok", "merge ms/tok", "tokens match"],
             sparse_rows,
             title=(
-                f"--- cross-request sparse rounds, {SPARSE_DOC_TOKENS}-token shared "
+                f"--- sparse decode rounds, {SPARSE_DOC_TOKENS}-token shared "
                 f"context, flat DIPR plans ---"
             ),
         ),
@@ -234,22 +222,14 @@ def test_batched_decode(benchmark):
     write_bench_json(
         EXPERIMENT,
         metrics={
-            "dense_tokens_per_second_per_session": per_session["tokens_per_second"],
-            "dense_tokens_per_second_batched": batched["tokens_per_second"],
-            "dense_batched_speedup": speedup,
+            "dense_tokens_per_second": {str(n): r["tokens_per_second"] for n, r in dense.items()},
             "preemption_ttft_ms": preempted["ttft_from_submit"] * 1000,
             "occupied_ttft_ms": occupied["ttft_from_submit"] * 1000,
-            "sparse_ms_per_token": {
-                str(n): {
-                    "per_session": r["per_session"]["ms_per_token"],
-                    "batched": r["batched"]["ms_per_token"],
-                    "speedup": r["speedup"],
-                }
-                for n, r in sparse.items()
-            },
+            "sparse_ms_per_token": {str(n): r["ms_per_token"] for n, r in sparse.items()},
         },
         config={
-            "num_inflight": NUM_INFLIGHT,
+            "num_requests": NUM_REQUESTS,
+            "dense_inflight": list(DENSE_INFLIGHT),
             "decode_tokens": DECODE_TOKENS,
             "sparse_inflight": list(SPARSE_INFLIGHT),
             "sparse_doc_tokens": SPARSE_DOC_TOKENS,
@@ -260,37 +240,22 @@ def test_batched_decode(benchmark):
         },
     )
 
-    # structural wins hold at any size; wall-clock comparisons only run at
+    # structural facts hold at any size; wall-clock comparisons only run at
     # full size (smoke mode keeps CI fast and immune to noisy-runner timing)
-    assert batched["batched_calls"] > 0
-    assert per_session["batched_calls"] == 0
+    assert dense[8]["batched_calls"] > 0 and dense[8]["rows_per_round"] > 1
+    assert dense[1]["batched_calls"] == 0 and dense[1]["rows_per_round"] == 1
+    assert dense[1]["generated"] == dense[8]["generated"]
     assert preempted["preemptions"] >= 1
     assert preempted["resumes"] >= 1
     # the preempted victims still completed their full generations
     assert preempted["all_finished"]
-    # the cross-request round is a pure performance refactor: token-identical
-    # outputs at every size, and at 8 in-flight the stacked round must not be
-    # slower than one retrieval + merge round per session (asserted in smoke
-    # mode too, so CI catches the batching regressing into overhead)
     for n, r in sparse.items():
         assert r["token_identical"], (
-            f"sparse mix @ {n} in-flight: batched outputs diverged from the "
-            f"per-session path"
+            f"sparse mix @ {n} in-flight: a request's tokens depend on how many "
+            f"sessions share its round"
         )
-        assert r["batched"]["generated"] == r["per_session"]["generated"]
-    assert sparse[8]["batched"]["ms_per_token"] <= sparse[8]["per_session"]["ms_per_token"]
     if not SMOKE:
-        # batching the shared dense work beats one forward pass per session
-        assert speedup >= MIN_SPEEDUP
         # the critical arrival meets (with preemption) the deadline it
         # misses under plain in-flight occupancy
         assert occupied["ttft_from_submit"] > deadline
         assert preempted["ttft_from_submit"] <= deadline
-        # one retrieval + attention round per scheduler step: >= 2x per-token
-        # latency win at 8+ in-flight sparse sessions
-        for n in SPARSE_INFLIGHT:
-            if n >= 8:
-                assert sparse[n]["speedup"] >= MIN_SPARSE_SPEEDUP, (
-                    f"sparse mix @ {n} in-flight: {sparse[n]['speedup']:.2f}x "
-                    f"< {MIN_SPARSE_SPEEDUP}x"
-                )

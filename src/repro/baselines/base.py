@@ -73,7 +73,6 @@ class RetrievalCache:
         self.num_query_heads = num_query_heads
         self.engine = DataCentricAttentionEngine()
         self._local: dict[int, LayerKVCache] = {}
-        self._gqa_group_size: int | None = None
         self.total_selected = 0
         self.total_distance_computations = 0
         strategy.prepare(context, num_query_heads)
@@ -88,8 +87,6 @@ class RetrievalCache:
     def update_query(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, layer: int) -> None:
         k = np.asarray(k, dtype=np.float32)
         v = np.asarray(v, dtype=np.float32)
-        if self._gqa_group_size is None:
-            self._gqa_group_size = q.shape[0] // k.shape[0]
         cache = self._local.get(layer)
         if cache is None:
             cache = LayerKVCache(k.shape[0], k.shape[2])
@@ -121,31 +118,23 @@ class RetrievalCache:
         return full_attention(q, keys, values, causal=True)
 
     def _decode_attention(self, q: np.ndarray, layer: int) -> np.ndarray:
-        stored_keys = self.context.keys(layer)
-        stored_values = self.context.values(layer)
         local = self._local.get(layer)
-        local_keys = local.keys if local is not None else None
-        local_values = local.values if local is not None else None
         context_length = self.context.num_tokens
-        group = self._gqa_group_size or (self.num_query_heads // stored_keys.shape[0])
-        resident = self.strategy.resident_positions(context_length)
-
-        head_dim = q.shape[2]
-        outputs = np.zeros((q.shape[0], 1, head_dim), dtype=np.float32)
-        for head in range(q.shape[0]):
-            kv_head = head // group
-            query = q[head, 0, :]
-            outcome = self.strategy.select(layer, head, query, context_length)
+        queries = q[:, 0, :]
+        retrieved = []
+        for head in range(queries.shape[0]):
+            outcome = self.strategy.select(layer, head, queries[head], context_length)
             self.total_selected += outcome.num_selected
             self.total_distance_computations += outcome.num_distance_computations
-            output, _ = self.engine.head_output(
-                query,
-                stored_keys[kv_head],
-                stored_values[kv_head],
-                window_positions=resident,
-                retrieved_positions=outcome.positions,
-                local_keys=local_keys[kv_head] if local_keys is not None else None,
-                local_values=local_values[kv_head] if local_values is not None else None,
-            )
-            outputs[head, 0, :] = output
-        return outputs
+            # the engine wants duplicate-free rows; a strategy need not promise that
+            retrieved.append(np.unique(outcome.positions))
+        outputs, _ = self.engine.layer_output(
+            queries,
+            self.context.keys(layer),
+            self.context.values(layer),
+            window_positions=self.strategy.resident_positions(context_length),
+            retrieved_positions=retrieved,
+            local_keys=local.keys if local is not None else None,
+            local_values=local.values if local is not None else None,
+        )
+        return outputs[:, None, :]

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..llm.attention import (
-    PartialAttention,
-    combine_partial_attention,
-    merge_partial_attention,
-    partial_attention,
-)
+from ..llm.attention import PartialAttention, combine_partial_attention
 
 __all__ = ["AttentionBreakdown", "DataCentricAttentionEngine"]
 
@@ -43,77 +38,6 @@ class DataCentricAttentionEngine:
     def __init__(self, scale: float | None = None):
         self.scale = scale
 
-    def head_output(
-        self,
-        query: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        window_positions: np.ndarray,
-        retrieved_positions: np.ndarray,
-        local_keys: np.ndarray | None = None,
-        local_values: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, AttentionBreakdown]:
-        """Sparse attention output for one query head.
-
-        Parameters
-        ----------
-        query:
-            ``(head_dim,)`` query vector of this head.
-        keys / values:
-            ``(n, head_dim)`` KV of the head's KV group within the stored
-            context (conceptually CPU/disk resident).
-        window_positions:
-            Positions kept in the GPU window cache.
-        retrieved_positions:
-            Positions selected by the retrieval plan (deduplicated against the
-            window inside this method).
-        local_keys / local_values:
-            ``(m, head_dim)`` KV of tokens generated in this session that have
-            not been materialised into the index yet (always attended).
-        """
-        query = np.asarray(query, dtype=np.float32)
-        head_dim = query.shape[0]
-        query2 = query[None, :]
-
-        window_positions = np.asarray(window_positions, dtype=np.int64)
-        retrieved_positions = np.asarray(retrieved_positions, dtype=np.int64)
-        if window_positions.size and retrieved_positions.size:
-            retrieved_positions = np.setdiff1d(retrieved_positions, window_positions, assume_unique=False)
-
-        partials: list[PartialAttention] = []
-        breakdown = AttentionBreakdown()
-
-        if window_positions.size:
-            partials.append(
-                partial_attention(
-                    query2,
-                    keys[None, window_positions, :],
-                    values[None, window_positions, :],
-                    scale=self.scale,
-                )
-            )
-            breakdown.num_window_tokens = int(window_positions.size)
-        if retrieved_positions.size:
-            partials.append(
-                partial_attention(
-                    query2,
-                    keys[None, retrieved_positions, :],
-                    values[None, retrieved_positions, :],
-                    scale=self.scale,
-                )
-            )
-            breakdown.num_retrieved_tokens = int(retrieved_positions.size)
-        if local_keys is not None and local_keys.shape[0] > 0:
-            partials.append(
-                partial_attention(query2, local_keys[None, :, :], local_values[None, :, :], scale=self.scale)
-            )
-            breakdown.num_local_tokens = int(local_keys.shape[0])
-
-        if not partials:
-            return np.zeros(head_dim, dtype=np.float32), breakdown
-        merged = merge_partial_attention(partials)
-        return merged[0], breakdown
-
     def layer_output(
         self,
         queries: np.ndarray,
@@ -124,91 +48,24 @@ class DataCentricAttentionEngine:
         local_keys: np.ndarray | None = None,
         local_values: np.ndarray | None = None,
     ) -> tuple[np.ndarray, list[AttentionBreakdown]]:
-        """Sparse attention outputs for all query heads of one layer, batched.
+        """Sparse attention outputs for all query heads of one session's layer.
 
-        The batched sibling of :meth:`head_output`: the window and local
-        partials are computed with one ``partial_attention`` call each over
-        the full head dimension (GQA expansion included), the per-head
-        retrieved sets are padded into one ``(heads, m_max, d)`` gather, and a
-        single per-head merge replaces ``heads`` separate merges.  Row ``h``
-        of the output (and entry ``h`` of the breakdown list) matches
-        ``head_output`` for query head ``h``.
-
-        Parameters
-        ----------
-        queries:
-            ``(num_query_heads, head_dim)`` decode queries.
-        keys / values:
-            ``(num_kv_heads, n, head_dim)`` KV of the stored context.
-        window_positions:
-            Positions in the GPU window cache (shared by all heads).
-        retrieved_positions:
-            One position array per query head; each array must be
-            duplicate-free (retrieval outcomes are).  Deduplication against
-            the window happens inside this method.
-        local_keys / local_values:
-            ``(num_kv_heads, m, head_dim)`` unmaterialised local KV, or None.
+        The one-session view of :meth:`stacked_layer_output`: ``queries`` is
+        ``(num_query_heads, head_dim)``, ``local_keys``/``local_values`` the
+        session's ``(num_kv_heads, m, head_dim)`` unmaterialised KV or None.
+        Returns ``(num_query_heads, head_dim)`` outputs and one breakdown per
+        head.
         """
-        queries = np.asarray(queries, dtype=np.float32)
-        num_heads, head_dim = queries.shape
-        partials, breakdowns = self._layer_partials(
-            queries, keys, values, window_positions, retrieved_positions, local_keys, local_values
+        outputs, breakdowns = self.stacked_layer_output(
+            np.asarray(queries, dtype=np.float32)[None],
+            keys,
+            values,
+            window_positions,
+            retrieved_positions,
+            [local_keys],
+            [local_values],
         )
-        return self._merge_per_head(partials, num_heads, head_dim), breakdowns
-
-    def _layer_partials(
-        self,
-        queries: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        window_positions: np.ndarray,
-        retrieved_positions: list[np.ndarray],
-        local_keys: np.ndarray | None = None,
-        local_values: np.ndarray | None = None,
-    ) -> tuple[list[PartialAttention], list[AttentionBreakdown]]:
-        """The window/retrieved/local partials of :meth:`layer_output`, unmerged."""
-        queries = np.asarray(queries, dtype=np.float32)
-        num_heads = queries.shape[0]
-        window_positions = np.asarray(window_positions, dtype=np.int64)
-        num_kv_heads = keys.shape[0]
-        gqa_group_size = num_heads // num_kv_heads
-
-        in_window = None
-        if window_positions.size:
-            in_window = np.zeros(keys.shape[1], dtype=bool)
-            in_window[window_positions] = True
-        dedup = self._dedup_and_pad(retrieved_positions, in_window, num_heads, keys.shape[1])
-
-        breakdowns = [AttentionBreakdown() for _ in range(num_heads)]
-        partials: list[PartialAttention] = []
-        if window_positions.size:
-            partials.append(
-                partial_attention(
-                    queries,
-                    keys[:, window_positions, :],
-                    values[:, window_positions, :],
-                    scale=self.scale,
-                )
-            )
-            for breakdown in breakdowns:
-                breakdown.num_window_tokens = int(window_positions.size)
-        if dedup is not None:
-            padded, mask, counts = dedup
-            partials.append(
-                self._masked_retrieved_partial(
-                    queries, keys, values, padded, mask,
-                    np.arange(num_heads, dtype=np.int64) // gqa_group_size,
-                )
-            )
-            for head, breakdown in enumerate(breakdowns):
-                breakdown.num_retrieved_tokens = int(counts[head])
-        if local_keys is not None and local_keys.shape[1] > 0:
-            partials.append(
-                partial_attention(queries, local_keys, local_values, scale=self.scale)
-            )
-            for breakdown in breakdowns:
-                breakdown.num_local_tokens = int(local_keys.shape[1])
-        return partials, breakdowns
+        return outputs[0], breakdowns
 
     def shard_layer_partial(
         self,
@@ -220,39 +77,18 @@ class DataCentricAttentionEngine:
     ) -> tuple[PartialAttention, list[AttentionBreakdown]]:
         """One shard's contribution to a sharded decode step, as a single partial.
 
-        Shard-local sibling of :meth:`layer_output`: ``keys``/``values`` are a
-        shard's slice of the stored context and all positions are *shard-local*.
-        The window and retrieved partials are collapsed into one
+        ``keys``/``values`` are a shard's slice of the stored context and all
+        positions are *shard-local*; ``queries`` is ``(num_query_heads,
+        head_dim)``.  The window and retrieved partials are collapsed into one
         :class:`PartialAttention` that keeps its log-sum-exp statistics, so the
-        router can merge shard partials from every owner (plus the session's
-        local-KV partial) with :meth:`merge_sharded_partials` and obtain exactly
-        the unsharded result.  Heads for which this shard holds nothing come
-        back as the neutral element.
+        router can combine shard partials from every owner (plus the session's
+        local-KV partial) and obtain exactly the unsharded result.  Heads for
+        which this shard holds nothing come back as the neutral element.
         """
         queries = np.asarray(queries, dtype=np.float32)
-        num_heads, head_dim = queries.shape
-        partials, breakdowns = self._layer_partials(
-            queries, keys, values, window_positions, retrieved_positions
+        return self._stacked_partial(
+            queries[None], keys, values, window_positions, retrieved_positions, [None], [None]
         )
-        if not partials:
-            return PartialAttention.empty(num_heads, head_dim), breakdowns
-        return combine_partial_attention(partials), breakdowns
-
-    def merge_sharded_partials(
-        self,
-        partials: list[PartialAttention],
-        num_heads: int,
-        head_dim: int,
-    ) -> np.ndarray:
-        """Merge per-shard partial-attention outputs into the layer output.
-
-        The cross-shard merge of the data-centric engine: each entry is one
-        shard's combined partial (from :meth:`shard_layer_partial`) or the
-        session's local-KV partial, computed over disjoint position subsets.
-        Per-head-empty entries (a shard that held no tokens for some head) are
-        tolerated; heads empty in every shard fall back to zeros.
-        """
-        return self._merge_per_head(list(partials), num_heads, head_dim)
 
     def stacked_layer_output(
         self,
@@ -264,18 +100,14 @@ class DataCentricAttentionEngine:
         local_keys: list[np.ndarray | None],
         local_values: list[np.ndarray | None],
     ) -> tuple[np.ndarray, list[AttentionBreakdown]]:
-        """Sparse attention for several sessions stacked over one shared context.
+        """Sparse attention for ``S >= 1`` sessions stacked over one shared context.
 
-        The cross-request sibling of :meth:`layer_output`: every session in a
-        compatibility group reads the *same* stored-context KV with the same
-        window positions, so the window partial is one einsum over the
-        ``(sessions, kv_heads, group, d)`` query stack against the un-copied
-        ``(kv_heads, window, d)`` gather, the retrieved partial reuses the
-        padded per-head gather with a session-aware KV-head mapping, and the
-        per-session local KV (ragged — sessions have generated different
-        numbers of tokens) is padded/masked into one batch.  Row ``(s, h)``
-        of the output (and entry ``s * num_heads + h`` of the breakdown list)
-        matches ``layer_output`` run on session ``s`` alone.
+        Every session in a compatibility group reads the *same* stored-context
+        KV with the same window positions; their window, retrieved and local
+        partials merge with one log-sum-exp combine (:meth:`_stacked_partial`).
+        Row ``(s, h)`` of the output (and entry ``s * num_heads + h`` of the
+        breakdown list) does not depend on which other sessions are stacked;
+        heads that attend to nothing come back as zeros.
 
         Parameters
         ----------
@@ -288,12 +120,40 @@ class DataCentricAttentionEngine:
             compatibility key: same context, prefix and config).
         retrieved_positions:
             One position array per stacked head, session-major
-            (``num_sessions * num_query_heads`` entries, each duplicate-free).
+            (``num_sessions * num_query_heads`` entries, each duplicate-free —
+            retrieval outcomes are).  Deduplication against the window
+            happens here.
         local_keys / local_values:
             Per-session unmaterialised KV ``(num_kv_heads, m_s, head_dim)``
             or ``None``; lengths ``m_s`` may differ.
         """
         queries = np.asarray(queries, dtype=np.float32)
+        combined, breakdowns = self._stacked_partial(
+            queries, keys, values, window_positions, retrieved_positions, local_keys, local_values
+        )
+        return combined.output.reshape(queries.shape), breakdowns
+
+    def _stacked_partial(
+        self,
+        queries: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        window_positions: np.ndarray,
+        retrieved_positions: list[np.ndarray],
+        local_keys: list[np.ndarray | None],
+        local_values: list[np.ndarray | None],
+    ) -> tuple[PartialAttention, list[AttentionBreakdown]]:
+        """The window / retrieved / local partials of a stacked decode step, combined.
+
+        Computed where the data lives: the window partial is one einsum over
+        the ``(sessions, kv_heads, group, d)`` query stack against the
+        un-copied ``(kv_heads, window, d)`` gather, the retrieved partial
+        pads the per-head sets into one gather with a session-aware KV-head
+        mapping, and the ragged per-session local KV is padded/masked into
+        one batch.  The result is over ``sessions * heads`` rows,
+        session-major, with the log-sum-exp statistics of everything a row
+        attended to (the neutral element for a row that attended to nothing).
+        """
         num_sessions, num_heads, head_dim = queries.shape
         num_kv_heads = keys.shape[0]
         group = num_heads // num_kv_heads
@@ -373,9 +233,9 @@ class DataCentricAttentionEngine:
             for s, length in enumerate(local_lengths):
                 for head in range(num_heads):
                     breakdowns[s * num_heads + head].num_local_tokens = length
-
-        merged = self._merge_per_head(partials, total, head_dim)
-        return merged.reshape(num_sessions, num_heads, head_dim), breakdowns
+        if not partials:
+            return PartialAttention.empty(total, head_dim), breakdowns
+        return combine_partial_attention(partials), breakdowns
 
     @staticmethod
     def _dedup_and_pad(
@@ -388,8 +248,8 @@ class DataCentricAttentionEngine:
 
         One concatenated mask filter plus one composite-key argsort replace a
         per-row ``setdiff1d``: each row comes out sorted by position with
-        window overlap removed, matching the per-head path.  Rows must be
-        duplicate-free on input (retrieval outcomes are).  Returns
+        window overlap removed.  Rows must be duplicate-free on input
+        (retrieval outcomes are).  Returns
         ``(padded (rows, max_len), mask (rows, max_len), counts (rows,))``,
         or ``None`` when nothing survives the dedup.
         """
@@ -452,50 +312,3 @@ class DataCentricAttentionEngine:
             max_logit=max_logit.astype(np.float32),
             sum_exp=sum_exp.astype(np.float32),
         )
-
-    @staticmethod
-    def _merge_per_head(partials: list[PartialAttention], num_heads: int, head_dim: int) -> np.ndarray:
-        """Merge batched partials, tolerating per-head-empty statistics.
-
-        ``merge_partial_attention`` only drops partials that are empty for
-        *every* head; here a partial may be empty for some heads only (e.g. a
-        head that retrieved nothing), so the weights are formed against a
-        finite per-head maximum and all-empty heads fall back to zeros — the
-        same result the per-head path produces when a head has no partials.
-        """
-        partials = [p for p in partials if not p.is_empty()]
-        if not partials:
-            return np.zeros((num_heads, head_dim), dtype=np.float32)
-        if len(partials) == 1:
-            return partials[0].output.copy()
-        global_max = np.max(np.stack([p.max_logit for p in partials], axis=0), axis=0)
-        safe_max = np.where(np.isneginf(global_max), np.float32(0.0), global_max)
-        total_weight = np.zeros(num_heads, dtype=np.float32)
-        accumulated = np.zeros((num_heads, head_dim), dtype=np.float32)
-        for part in partials:
-            weight = part.sum_exp * np.exp(part.max_logit - safe_max)
-            accumulated += part.output * weight[:, None]
-            total_weight += weight
-        denom = np.where(total_weight == 0.0, np.float32(1.0), total_weight)
-        return (accumulated / denom[:, None]).astype(np.float32)
-
-    def full_output(
-        self,
-        query: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        local_keys: np.ndarray | None = None,
-        local_values: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Exact (full) attention for one head, still computed data-centrically."""
-        positions = np.arange(keys.shape[0], dtype=np.int64)
-        output, _ = self.head_output(
-            query,
-            keys,
-            values,
-            window_positions=positions,
-            retrieved_positions=np.empty(0, dtype=np.int64),
-            local_keys=local_keys,
-            local_values=local_values,
-        )
-        return output

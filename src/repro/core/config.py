@@ -58,25 +58,6 @@ class AlayaDBConfig:
     # retrieval safety valve
     max_retrieved_tokens: int | None = None
 
-    # sparse decode hot path
-    sparse_head_batching: bool = True
-    """Serve sparse decode attention with head-batched execution — per-GQA-group
-    shared flat/coarse scans, one batched window-seed matmul, and stacked
-    partial-attention merges — instead of one retrieval + merge per query
-    head.  Off falls back to the per-head path (same outputs and stats)."""
-
-    fine_frontier_batching: bool = True
-    """Walk the per-KV-head RoarGraph once per GQA group during fine (DIPRS)
-    retrieval: one shared visited set and frontier, fused hop scoring as a
-    single ``(g, d) @ (d, m)`` matmul, per-head thresholds and candidate
-    lists.  The frontier expands while *any* head finds a node critical, so
-    every head scores everything the group visits and per-head results are
-    the exact ``best - beta`` range over the shared visited set (typically a
-    superset of — and on clustered data equal to — the per-head walk's);
-    shared distance computations are counted once per group.  Off falls back
-    to one ``diprs_search`` walk per query head (the test oracle).  Only
-    takes effect inside the head-batched path (``sparse_head_batching``)."""
-
     # index construction
     index_build: IndexBuildConfig = field(default_factory=IndexBuildConfig)
 
@@ -100,23 +81,6 @@ class AlayaDBConfig:
     scheduler_policy: str = "fcfs"
     """Admission order: ``"fcfs"`` (arrival order) or ``"slo"`` (least TTFT
     slack first, then priority)."""
-
-    decode_batching: bool = True
-    """Serve all decode-ready in-flight requests with one batched forward
-    pass per step (shared embedding/projection/MLP/LM-head matmuls) instead
-    of one model call per request."""
-
-    cross_request_sparse_batching: bool = True
-    """Run one *sparse* decode round per scheduler step across decode-ready
-    sessions instead of re-entering each session's retrieval separately:
-    plan-compatible sessions (same stored context, reused prefix and
-    per-layer plan) stack their flat/coarse scans into a single gemm over the
-    concatenated query heads and merge window/retrieved/local partials with
-    one stacked attention-engine call per layer per group, while fine (DIPRS)
-    walks stay per session but run from one dispatch loop with shared
-    frontier scratch.  Off keeps one attention call per session inside the
-    batched forward pass (same outputs and stats — the test oracle).  Only
-    takes effect together with ``decode_batching``."""
 
     dynamic_attention_policy: bool = False
     """ALISA-style per-step dense/sparse switching: each decode round,

@@ -1,25 +1,22 @@
-"""Cross-request sparse decode rounds (scheduler-level batching).
+"""Decode rounds: one attention pass per layer over every decode-ready session.
 
-PRs 3/5 batched sparse decode *within* a session — across query heads of one
-layer.  This module batches *across sessions*: when the scheduler serves
-several decode-ready requests with one forward pass, a
-:class:`CrossRequestDecodeRound` executes each layer's attention stacked over
-all plan-compatible sessions instead of re-entering Python per request.
+The scheduler serves all decode-ready requests (one or many) with one
+forward pass; a :class:`CrossRequestDecodeRound` is that pass's attention
+hook.  Per layer it appends every session's KV, then
 
-* Sessions sharing a stored context, reused-prefix length and per-layer plan
-  form a **compatibility group**.  Their flat/coarse retrieval scans stack
-  into one gemm over the concatenated query heads
-  (``PlanExecutor.retrieve_heads`` with an explicit ``kv_head_of_query``
-  mapping), and their window/retrieved/local partials merge with one
-  ``DataCentricAttentionEngine.stacked_layer_output`` call per layer per
-  group.  Fine (DIPRS) graph walks stay per session — frontier expansion is
-  data-dependent — but run from one dispatch loop sharing the first
-  session's executor (and through it its reusable frontier scratch), their
-  outcomes flowing into a single stats sink.
-* Sessions whose layer runs dense attention, whose plan matches no one
-  else's, or whose config opted out keep the exact per-session path, so
-  outputs and integer :class:`~repro.core.session.DecodeStepStats` always
-  match the per-session fallback.
+* sessions whose layer runs **sparse** are grouped by compatibility key —
+  stored context, reused prefix, plan and window geometry — and each group of
+  ``S >= 1`` sessions runs through
+  :func:`~repro.core.session.sparse_group_attention`: flat/coarse scans stack
+  into one gemm over the concatenated query heads, window/retrieved/local
+  partials merge with one stacked engine call, fine (DIPRS) walks stay per
+  session (frontier expansion is data-dependent) but share one scratch;
+* sessions whose layer runs **dense** — not connected, a full-attention
+  plan, a missing index, or pinned dense by the policy below — take exact
+  attention through ``Session.attention``.
+
+A session's output and integer :class:`~repro.core.session.DecodeStepStats`
+do not depend on what else is in the round.
 
 :class:`DynamicAttentionPolicy` is the ALISA-style dense/sparse switcher:
 while admission budget pressure is low a session may run exact dense
@@ -30,13 +27,11 @@ hysteresis plus a minimum dwell keep sessions from thrashing between modes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..query.types import IndexKind
-from .session import Session, decode_stats_from
+from .session import Session, sparse_group_attention
 
 __all__ = [
     "StageTimings",
@@ -134,7 +129,7 @@ class DynamicAttentionPolicy:
 
 
 class CrossRequestDecodeRound:
-    """Executes one decode step's attention stacked across sessions.
+    """Executes one decode step's attention over ``S >= 1`` sessions.
 
     Plugged into ``TransformerModel.decode_batch`` as the ``attention_round``
     hook: the model calls :meth:`layer_attention` once per layer with the
@@ -159,46 +154,39 @@ class CrossRequestDecodeRound:
         ``q``/``k``/``v`` are ``(heads, batch, head_dim)`` — one token per
         request.  Every cache gets its KV appended first (sessions are
         independent, so batching the appends ahead of the attention leaves
-        each session's view unchanged), then sessions are classified into
-        compatibility groups and each group's retrieval + merge runs stacked.
+        each session's view unchanged), then the sparse sessions run group by
+        group and the dense ones one by one.
         """
         batch = len(caches)
         num_heads, _, head_dim = q.shape
         rows = np.empty((batch, num_heads * head_dim), dtype=np.float32)
-        per_q: list[np.ndarray] = []
         for i, cache in enumerate(caches):
-            qi = q[:, i : i + 1, :]
-            cache.update_query(qi, k[:, i : i + 1, :], v[:, i : i + 1, :], layer)
-            per_q.append(qi)
+            cache.update_query(q[:, i : i + 1, :], k[:, i : i + 1, :], v[:, i : i + 1, :], layer)
 
-        groups, singles = self._classify(layer)
-        for i in singles:
-            attn = caches[i].attention(per_q[i], layer)
-            rows[i] = attn[:, 0, :].reshape(-1)
-        for members in groups:
-            outputs = self._run_group(layer, members, per_q)
-            for (i, _session, _plan, _inputs), output in zip(members, outputs):
-                rows[i] = output.reshape(-1)
+        groups, dense = self._classify(layer)
+        for i in dense:
+            rows[i] = caches[i].attention(q[:, i : i + 1, :], layer)[:, 0, :].reshape(-1)
+        for indices, members in groups:
+            queries = q.transpose(1, 0, 2)[indices]  # (S, heads, head_dim), one copy
+            outputs = sparse_group_attention(layer, members, queries, self.timings)
+            rows[indices] = outputs.reshape(len(indices), -1)
         return rows
 
-    # ------------------------------------------------------------------
-    # grouping
-    # ------------------------------------------------------------------
     def _classify(self, layer: int):
-        """Split sessions into stacked groups and per-session singles.
+        """Split sessions into sparse compatibility groups and dense sessions.
 
         The compatibility key pins everything the stacked kernels assume is
         shared: the stored context's KV arrays (by identity), the reused
         prefix, the exact plan (frozen dataclass — hashable), and the window
-        geometry.  Everything else — dense layers, unbatched configs,
-        one-member groups — goes down the unchanged per-session path.
+        geometry.  Returns ``([(row indices, [(session, inputs), ...]), ...],
+        [dense row indices])``.
         """
-        singles: list[int] = []
-        by_key: dict[tuple, list] = {}
+        dense: list[int] = []
+        by_key: dict[tuple, tuple[list, list]] = {}
         for i, session in enumerate(self.sessions):
             plan = session.sparse_decode_plan(layer)
-            if plan is None or not session.config.sparse_head_batching:
-                singles.append(i)
+            if plan is None:
+                dense.append(i)
                 continue
             inputs = session.sparse_layer_inputs(layer)
             key = (
@@ -208,79 +196,7 @@ class CrossRequestDecodeRound:
                 session.config.window_initial_tokens,
                 session.config.window_last_tokens,
             )
-            by_key.setdefault(key, []).append((i, session, plan, inputs))
-        groups = []
-        for members in by_key.values():
-            if len(members) == 1:
-                singles.append(members[0][0])
-            else:
-                groups.append(members)
-        return groups, sorted(singles)
-
-    # ------------------------------------------------------------------
-    # stacked execution
-    # ------------------------------------------------------------------
-    def _run_group(self, layer: int, members: list, per_q: list[np.ndarray]) -> np.ndarray:
-        """One retrieval + one merge for a whole compatibility group.
-
-        Returns ``(len(members), num_query_heads, head_dim)`` attention
-        outputs in member order, and records each member session's
-        :class:`DecodeStepStats` exactly as the per-session path would.
-        """
-        first_session = members[0][1]
-        plan = members[0][2]
-        shared = members[0][3]
-        num_sessions = len(members)
-        queries = np.stack([per_q[i][:, 0, :] for i, *_ in members])
-        num_heads = queries.shape[1]
-        group_size = shared.data.gqa_group_size
-
-        timings = self.timings
-        started = time.perf_counter() if timings is not None else 0.0
-        if plan.index_kind == IndexKind.FINE:
-            # frontier walks are data-dependent per session; dispatch them
-            # from one loop through the first session's executor so every
-            # walk in the round reuses one visited-bitmap scratch
-            executor = first_session.executor
-            outcomes = []
-            for (i, session, _plan, inputs) in members:
-                session_queries = per_q[i][:, 0, :]
-                # retrieve_heads decides whether the plan consumes the seeds
-                seeds = session.fine_window_seeds(inputs, session_queries)
-                outcomes.extend(
-                    executor.retrieve_heads(
-                        plan, shared.data, session_queries, window_max_scores=seeds
-                    )
-                )
-        else:
-            stacked_queries = queries.reshape(num_sessions * num_heads, -1)
-            kv_head_of_query = np.tile(
-                np.arange(num_heads, dtype=np.int64) // group_size, num_sessions
-            )
-            outcomes = first_session.executor.retrieve_heads(
-                plan, shared.data, stacked_queries, kv_head_of_query=kv_head_of_query
-            )
-        retrieved = [outcome.positions[outcome.positions < shared.prefix] for outcome in outcomes]
-        if timings is not None:
-            now = time.perf_counter()
-            timings.retrieval_seconds += now - started
-            started = now
-
-        outputs, breakdowns = first_session.engine.stacked_layer_output(
-            queries,
-            shared.prefix_keys,
-            shared.prefix_values,
-            window_positions=shared.window_positions,
-            retrieved_positions=retrieved,
-            local_keys=[inp.local_keys if inp.has_local else None for *_, inp in members],
-            local_values=[inp.local_values if inp.has_local else None for *_, inp in members],
-        )
-        if timings is not None:
-            timings.merge_seconds += time.perf_counter() - started
-
-        for s, (_i, session, _plan, _inputs) in enumerate(members):
-            window = slice(s * num_heads, (s + 1) * num_heads)
-            session.record_decode_stats(
-                decode_stats_from(outcomes[window], breakdowns[window]), layer
-            )
-        return outputs
+            indices, members = by_key.setdefault(key, ([], []))
+            indices.append(i)
+            members.append((session, inputs))
+        return list(by_key.values()), dense

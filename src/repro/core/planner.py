@@ -133,36 +133,13 @@ class LayerIndexData:
 
 
 class PlanExecutor:
-    """Executes an :class:`ExecutionPlan` for one query head or a whole layer."""
+    """Executes an :class:`ExecutionPlan` for the stacked query heads of a layer."""
 
-    def __init__(self, coarse_num_blocks: int = 32, fine_frontier_batching: bool = True):
+    def __init__(self, coarse_num_blocks: int = 32):
         self.coarse_num_blocks = coarse_num_blocks
-        self.fine_frontier_batching = fine_frontier_batching
         #: reusable visited-bitmap scratch shared by every group-frontier walk
         #: this executor dispatches (one decode round may run many walks)
         self._scratch = FrontierScratch()
-
-    def retrieve(
-        self,
-        plan: ExecutionPlan,
-        data: LayerIndexData,
-        query_head: int,
-        query: np.ndarray,
-        window_max_score: float | None = None,
-    ) -> RetrievalOutcome:
-        """Run ``plan`` for one query head and return the selected positions."""
-        if plan.is_full_attention:
-            raise PlanningError("full-attention plans are executed by the attention engine, not retrieval")
-        kv_head = data.kv_head_for_query_head(query_head)
-        num_tokens = data.keys.shape[1]
-
-        if plan.index_kind == IndexKind.FLAT:
-            return self._retrieve_flat(plan, data, kv_head, query, num_tokens)
-        if plan.index_kind == IndexKind.FINE:
-            return self._retrieve_fine(plan, data, query_head, query, window_max_score, num_tokens)
-        if plan.index_kind == IndexKind.COARSE:
-            return self._retrieve_coarse(plan, data, kv_head, query)
-        raise UnsupportedQueryError(f"unknown index kind {plan.index_kind!r}")
 
     def retrieve_heads(
         self,
@@ -181,10 +158,10 @@ class PlanExecutor:
         ``g`` separate scans, and the coarse path shares the
         query-to-representative matmul the same way.  Fine DIPR retrieval over
         GQA-shared indexes walks each group's RoarGraph once with the
-        group-frontier search (``fine_frontier_batching``); other fine cases
-        fall back to one traversal per head, vectorized at the hop level
-        inside ``diprs_search``.  Entry ``h`` matches :meth:`retrieve` for
-        query head ``h``.
+        group-frontier search: one shared visited set and frontier, fused hop
+        scoring, per-head thresholds, shared distance computations counted
+        once per group.  The other fine cases — top-k queries, unshared
+        indexes, 1:1 groups — have nothing to share and walk once per head.
 
         ``kv_head_of_query`` is the multi-session entry point: when a decode
         round stacks several sessions' query heads over one shared context,
@@ -192,8 +169,8 @@ class PlanExecutor:
         gqa_group_size`` only holds for a single session's heads).  All rows
         probing one KV head — across every stacked session — then share a
         single scan, which is the cross-request retrieval gemm.  Only the
-        scan-based kinds accept the mapping; fine walks stay per session and
-        are dispatched by the round coordinator.
+        scan-based kinds accept the mapping; fine walks are data-dependent
+        per session and are dispatched one session at a time.
         """
         if plan.is_full_attention:
             raise PlanningError("full-attention plans are executed by the attention engine, not retrieval")
@@ -224,9 +201,8 @@ class PlanExecutor:
         if plan.index_kind == IndexKind.FINE:
             if kv_head_of_query is not None:
                 raise UnsupportedQueryError(
-                    "stacked fine retrieval is dispatched per session by the "
-                    "decode round; kv_head_of_query only applies to the "
-                    "scan-based index kinds"
+                    "stacked fine retrieval is dispatched per session; "
+                    "kv_head_of_query only applies to the scan-based index kinds"
                 )
             return self._retrieve_fine_heads(plan, data, queries, window_max_scores, num_tokens)
         raise UnsupportedQueryError(f"unknown index kind {plan.index_kind!r}")
@@ -240,12 +216,7 @@ class PlanExecutor:
         num_tokens: int,
     ) -> list[RetrievalOutcome]:
         num_heads = queries.shape[0]
-        use_group = (
-            self.fine_frontier_batching
-            and isinstance(plan.query, DIPRQuery)
-            and data.shared
-            and data.gqa_group_size > 1
-        )
+        use_group = isinstance(plan.query, DIPRQuery) and data.shared and data.gqa_group_size > 1
         if not use_group:
             outcomes = []
             for head in range(num_heads):
@@ -384,31 +355,6 @@ class PlanExecutor:
                 )
         return outcomes
 
-    # ------------------------------------------------------------------
-    # per-index-kind paths
-    # ------------------------------------------------------------------
-    def _retrieve_flat(
-        self,
-        plan: ExecutionPlan,
-        data: LayerIndexData,
-        kv_head: int,
-        query: np.ndarray,
-        num_tokens: int,
-    ) -> RetrievalOutcome:
-        index = data.flat_index_for_kv_head(kv_head)
-        allowed = predicate_mask(num_tokens, plan.predicate)
-        if isinstance(plan.query, DIPRQuery):
-            result = index.search_range(query, plan.query.beta, allowed=allowed)
-            if plan.query.max_tokens is not None:
-                result = result.top(plan.query.max_tokens)
-        elif isinstance(plan.query, TopKQuery):
-            result = index.search_topk(query, plan.query.k, allowed=allowed)
-        else:
-            raise UnsupportedQueryError(f"flat index cannot process {plan.query!r}")
-        return RetrievalOutcome(
-            data.to_global(result.indices), result.scores, result.num_distance_computations, len(result)
-        )
-
     def _retrieve_fine(
         self,
         plan: ExecutionPlan,
@@ -466,25 +412,3 @@ class PlanExecutor:
                 data.to_global(result.indices), result.scores, result.num_distance_computations, len(result)
             )
         raise UnsupportedQueryError(f"fine index cannot process {plan.query!r}")
-
-    def _retrieve_coarse(
-        self,
-        plan: ExecutionPlan,
-        data: LayerIndexData,
-        kv_head: int,
-        query: np.ndarray,
-    ) -> RetrievalOutcome:
-        if isinstance(plan.query, DIPRQuery):
-            raise UnsupportedQueryError("the coarse index does not support DIPR queries (Table 4)")
-        index = data.coarse_index_for_kv_head(kv_head)
-        if isinstance(plan.query, TopKQuery):
-            num_blocks = max(1, min(self.coarse_num_blocks, index.num_blocks))
-            positions = index.selected_positions(query, num_blocks)
-            if plan.predicate is not None:
-                positions = positions[positions < plan.predicate.max_position]
-            scores = index.vectors[positions] @ np.asarray(query, dtype=np.float32)
-            distance_computations = index.num_blocks * index.num_representatives
-            return RetrievalOutcome(
-                data.to_global(positions), scores.astype(np.float32), distance_computations, len(positions)
-            )
-        raise UnsupportedQueryError(f"coarse index cannot process {plan.query!r}")

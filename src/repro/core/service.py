@@ -10,7 +10,7 @@ module provides that serving stack on top of :class:`~repro.core.db.DB`:
 * ``step()`` runs one scheduler round: admission control against a global
   GPU-memory budget, then one unit of work per in-flight request — a prefill
   chunk, or one decode token with **all decode-ready requests batched into a
-  single forward pass** (``decode_batching``), so long prefills interleave
+  single forward pass and one decode round**, so long prefills interleave
   with other requests' decodes and decode cost is amortised across the batch;
 * under the ``slo`` policy with ``preemption`` enabled, an SLO-critical
   arrival that finds every slot taken pauses the in-flight request with the
@@ -192,7 +192,7 @@ class InferenceService:
     Also the scheduler's execution backend: the
     :class:`~repro.scheduler.RequestScheduler` calls back into
     ``estimate_request_bytes`` / ``begin_request`` / ``prefill_chunk`` /
-    ``decode_step`` / ``finish_request`` to run admitted requests.
+    ``decode_batch`` / ``finish_request`` to run admitted requests.
     """
 
     MAX_RETAINED_RESULTS = 1024
@@ -243,7 +243,6 @@ class InferenceService:
             admission=AdmissionController(self.config.scheduler_gpu_budget_bytes),
             max_inflight=self.config.max_inflight_requests,
             drain_index_builds=self.config.scheduler_drain_index_builds,
-            decode_batching=self.config.decode_batching,
             preemption=self.config.preemption,
             preemption_slack_seconds=self.config.preemption_slack_seconds,
             tenants=self.tenants,
@@ -445,7 +444,6 @@ class InferenceService:
         # an empty suffix (full prefix reuse) still needs one forward pass to
         # produce first-token logits, exactly like GenerationLoop.run_tokens
         pending = list(truncated) if truncated else [self.loop.tokenizer.bos_id]
-        session.timing_sink = self.decode_timings
         inflight = InFlightRequest(
             request=request,
             session=session,
@@ -495,41 +493,28 @@ class InferenceService:
             policy.apply(inflight.request.request_id, inflight.session, pressure)
 
     def decode_step(self, inflight: InFlightRequest) -> None:
-        self._apply_attention_policy([inflight])
-        sparse_before = self.decode_timings.sparse_seconds
-        start = time.perf_counter()
-        logits = self.model.decode_step(inflight.generated[-1], inflight.session)
-        wall = time.perf_counter() - start
-        self.decode_timings.dense_seconds += max(
-            wall - (self.decode_timings.sparse_seconds - sparse_before), 0.0
-        )
-        self.decode_timings.rounds += 1
-        inflight.decode_seconds.append(wall)
-        self._append_token(inflight, sample_token(logits, self.loop.sampling, inflight.rng))
+        """One decode token for one request: a :meth:`decode_batch` of one."""
+        self.decode_batch([inflight])
 
     def decode_batch(self, inflights: Sequence[InFlightRequest]) -> None:
-        """One batched forward pass over every decode-ready request.
+        """One forward pass over the decode-ready requests (one or many).
 
         The shared dense work (embedding, projections, MLP, LM head) runs
-        once over the stacked batch; with ``cross_request_sparse_batching``
-        a :class:`~repro.core.decode_round.CrossRequestDecodeRound` also
-        stacks plan-compatible sessions' retrieval and partial-attention
-        merges per layer, so the whole round is one retrieval + attention
-        pass rather than one per request.  The wall time is split evenly
-        across the batch for per-request TPOT accounting.
+        once over the stacked batch, and a
+        :class:`~repro.core.decode_round.CrossRequestDecodeRound` runs each
+        layer's attention: plan-compatible sessions' retrieval and
+        partial-attention merges stack per group, so the whole round is one
+        retrieval + attention pass rather than one per request.  The wall
+        time is split evenly across the batch for per-request TPOT accounting.
         """
         self._apply_attention_policy(inflights)
-        attention_round = None
-        if self.config.cross_request_sparse_batching and len(inflights) > 1:
-            attention_round = CrossRequestDecodeRound(
-                [fl.session for fl in inflights], timings=self.decode_timings
-            )
+        sessions = [fl.session for fl in inflights]
         sparse_before = self.decode_timings.sparse_seconds
         start = time.perf_counter()
         logits = self.model.decode_batch(
             [fl.generated[-1] for fl in inflights],
-            [fl.session for fl in inflights],
-            attention_round=attention_round,
+            sessions,
+            attention_round=CrossRequestDecodeRound(sessions, timings=self.decode_timings),
         )
         wall = time.perf_counter() - start
         self.decode_timings.dense_seconds += max(

@@ -15,7 +15,8 @@ and asks it for attention outputs.  Unlike ``DynamicCache`` the session
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,16 @@ from ..query.types import IndexKind
 from .planner import ExecutionPlan, LayerIndexData, PlanExecutor
 from .window_cache import WindowCache
 
-__all__ = ["DecodeStepStats", "SparseLayerInputs", "Session", "decode_stats_from"]
+if TYPE_CHECKING:
+    from .decode_round import StageTimings
+
+__all__ = [
+    "DecodeStepStats",
+    "SparseLayerInputs",
+    "Session",
+    "decode_stats_from",
+    "sparse_group_attention",
+]
 
 
 @dataclass
@@ -63,9 +73,9 @@ class DecodeStepStats:
 class SparseLayerInputs:
     """Everything one layer's sparse decode needs, resolved once per step.
 
-    Produced by :meth:`Session.sparse_layer_inputs` so that an external round
-    coordinator (cross-request batching) and the session's own hot path build
-    their retrieval + merge calls from the same resolved state.
+    Produced by :meth:`Session.sparse_layer_inputs`; a decode round reads the
+    compatibility key off it before handing the group to
+    :func:`sparse_group_attention`.
     """
 
     plan: ExecutionPlan
@@ -140,10 +150,7 @@ class Session:
 
         self.window = WindowCache(self.config.window_initial_tokens, self.config.window_last_tokens)
         self.engine = DataCentricAttentionEngine()
-        self.executor = PlanExecutor(
-            coarse_num_blocks=self.config.coarse_num_blocks,
-            fine_frontier_batching=self.config.fine_frontier_batching,
-        )
+        self.executor = PlanExecutor(coarse_num_blocks=self.config.coarse_num_blocks)
         self.optimizer = RuleBasedOptimizer(self.config)
         self.last_decode_stats = DecodeStepStats()
         self.total_decode_stats = DecodeStepStats()
@@ -152,10 +159,6 @@ class Session:
         """``"dense"`` forces exact attention for decode steps (set per step
         by the dynamic attention policy); ``None`` leaves routing to the
         optimizer's plan."""
-        self.timing_sink = None
-        """Optional object with ``retrieval_seconds`` / ``merge_seconds``
-        accumulators (a :class:`~repro.core.decode_round.StageTimings`); when
-        set, the sparse decode path reports its per-stage wall time there."""
 
     # ------------------------------------------------------------------
     # lifecycle and introspection
@@ -422,12 +425,13 @@ class Session:
         return full_attention(q, keys, values, causal=True)
 
     def _sparse_attention(self, q: np.ndarray, layer: int) -> np.ndarray:
-        if self.config.sparse_head_batching:
-            return self._sparse_attention_batched(q, layer)
-        return self._sparse_attention_per_head(q, layer)
+        """Single-token sparse attention for a session stepped on its own:
+        a group of one (the hook a sharded session overrides)."""
+        members = [(self, self.sparse_layer_inputs(layer))]
+        return sparse_group_attention(layer, members, q[:, 0, :][None])[0][:, None, :]
 
     # ------------------------------------------------------------------
-    # externally-driven sparse stepping (cross-request decode rounds)
+    # the pieces a decode round assembles (S >= 1 sessions per group)
     # ------------------------------------------------------------------
     def sparse_decode_plan(self, layer: int) -> ExecutionPlan | None:
         """The plan a single-token decode at ``layer`` would execute.
@@ -467,10 +471,10 @@ class Session:
     def fine_window_seeds(self, inputs: SparseLayerInputs, queries: np.ndarray) -> np.ndarray:
         """Per-head window seeds for a fine (DIPRS) retrieval at this step.
 
-        One batched matmul over the window plus — when local KV exists — the
-        same per-head matvec the per-head fallback computes: the seed must be
-        bit-identical across execution modes because it drives DIPRS pruning
-        (and through it the integer work stats).
+        The window maxima plus — when local KV exists — one matvec per head
+        over it: the seed must not depend on what else is stacked in the
+        round, because it drives DIPRS pruning (and through it the integer
+        work stats).
         """
         dims = self._dims
         window_max = self.window.max_window_scores(
@@ -487,113 +491,80 @@ class Session:
     def record_decode_stats(self, stats: DecodeStepStats, layer: int) -> None:
         """Account one layer's decode work (steps counted on the last layer).
 
-        Public so a cross-request round coordinator can attribute the work it
-        executed on this session's behalf.
+        Called by :func:`sparse_group_attention` (and the sharded fan-out)
+        for the work executed on this session's behalf.
         """
         self.last_decode_stats = stats
         self.total_decode_stats.merge(stats)
         if layer == self.num_layers - 1:
             self.num_decode_steps += 1
 
-    def _sparse_attention_batched(self, q: np.ndarray, layer: int) -> np.ndarray:
-        """The head-batched sparse decode hot path.
 
-        One decode step of one layer used to cost ``num_query_heads``
-        retrieval calls and ``num_query_heads`` partial-attention merges; here
-        the window seeds come from a single batched matmul
-        (``WindowCache.max_window_scores``), the scan-based retrieval kinds
-        share their per-KV-head work across each GQA group
-        (``PlanExecutor.retrieve_heads``), and the window/retrieved/local
-        partials are stacked into one per-layer merge
-        (``DataCentricAttentionEngine.layer_output``).  Outputs and
-        :class:`DecodeStepStats` match the per-head fallback.
-        """
-        inputs = self.sparse_layer_inputs(layer)
-        queries = q[:, 0, :]
-        # only the fine (DIPRS) path consumes the window seeds; skip the
-        # batched seed matmuls for flat/coarse plans
-        window_max = None
-        if inputs.plan.index_kind == IndexKind.FINE:
-            window_max = self.fine_window_seeds(inputs, queries)
+def sparse_group_attention(
+    layer: int,
+    members: list[tuple[Session, SparseLayerInputs]],
+    queries: np.ndarray,
+    timings: StageTimings | None = None,
+) -> np.ndarray:
+    """One layer's single-token sparse attention for ``S >= 1`` sessions.
 
-        sink = self.timing_sink
-        started = time.perf_counter() if sink is not None else 0.0
-        outcomes = self.executor.retrieve_heads(
-            inputs.plan, inputs.data, queries, window_max_scores=window_max
-        )
-        retrieved = [outcome.positions[outcome.positions < inputs.prefix] for outcome in outcomes]
-        if sink is not None:
-            now = time.perf_counter()
-            sink.retrieval_seconds += now - started
-            started = now
+    The one execution of the paper's query-processing procedure: window
+    seeds → ``PlanExecutor.retrieve_heads`` → one stacked partial-attention
+    merge → per-session :class:`DecodeStepStats`.  ``members`` share a stored
+    context, reused prefix, plan and window geometry (the decode round's
+    compatibility key; a session stepped alone is a group of one) and
+    ``queries`` is ``(S, num_query_heads, head_dim)`` in member order.
+    Flat/coarse scans stack every member's query heads into one gemm per KV
+    head; fine (DIPRS) walks are data-dependent, so they run per member —
+    through the first member's executor, sharing its frontier scratch.
+    ``timings`` accumulates the retrieval / merge wall-time split.  Returns
+    ``(S, num_query_heads, head_dim)`` attention outputs.
+    """
+    first_session, shared = members[0]
+    plan = shared.plan
+    executor = first_session.executor
+    num_sessions, num_heads, head_dim = queries.shape
 
-        head_outputs, breakdowns = self.engine.layer_output(
-            queries,
-            inputs.prefix_keys,
-            inputs.prefix_values,
-            window_positions=inputs.window_positions,
-            retrieved_positions=retrieved,
-            local_keys=inputs.local_keys if inputs.has_local else None,
-            local_values=inputs.local_values if inputs.has_local else None,
-        )
-        if sink is not None:
-            sink.merge_seconds += time.perf_counter() - started
-
-        self.record_decode_stats(decode_stats_from(outcomes, breakdowns), layer)
-        return head_outputs[:, None, :]
-
-    def _sparse_attention_per_head(self, q: np.ndarray, layer: int) -> np.ndarray:
-        """The original per-head path, kept as the ``sparse_head_batching=False``
-        fallback (and the reference the batched path is tested against)."""
-        dims = self._dims
-        plan = self._plans_for_context()[layer]
-        data = self._layer_index_data(layer)
-        local_keys, local_values = self.local_snapshot(layer)
-        stored_keys = self.context.keys(layer)
-        stored_values = self.context.values(layer)
-        prefix = self.reused_prefix_length
-        window_positions = self.window.positions(prefix)
-
-        sink = self.timing_sink
-        outputs = np.zeros((dims.num_query_heads, 1, dims.head_dim), dtype=np.float32)
-        stats = DecodeStepStats()
-        for head in range(dims.num_query_heads):
-            kv_head = head // dims.gqa_group_size
-            query = q[head, 0, :]
-            head_keys = stored_keys[kv_head, :prefix, :]
-            head_values = stored_values[kv_head, :prefix, :]
-            local_k = local_keys[kv_head] if local_keys.shape[1] else None
-            local_v = local_values[kv_head] if local_values.shape[1] else None
-
-            started = time.perf_counter() if sink is not None else 0.0
-            window_max = self.window.max_window_score(query, head_keys, window_positions)
-            if local_k is not None and local_k.shape[0] > 0:
-                window_max = max(window_max, float((local_k @ query).max()))
-            outcome = self.executor.retrieve(plan, data, head, query, window_max_score=window_max)
-            retrieved = outcome.positions[outcome.positions < prefix]
-            if sink is not None:
-                now = time.perf_counter()
-                sink.retrieval_seconds += now - started
-                started = now
-
-            output, breakdown = self.engine.head_output(
-                query,
-                head_keys,
-                head_values,
-                window_positions=window_positions,
-                retrieved_positions=retrieved,
-                local_keys=local_k,
-                local_values=local_v,
+    started = time.perf_counter() if timings is not None else 0.0
+    if plan.index_kind == IndexKind.FINE:
+        outcomes = []
+        for (session, inputs), session_queries in zip(members, queries):
+            # retrieve_heads decides whether the plan consumes the seeds
+            seeds = session.fine_window_seeds(inputs, session_queries)
+            outcomes.extend(
+                executor.retrieve_heads(
+                    plan, shared.data, session_queries, window_max_scores=seeds
+                )
             )
-            if sink is not None:
-                sink.merge_seconds += time.perf_counter() - started
-            outputs[head, 0, :] = output
-            stats.num_selected_tokens += breakdown.num_retrieved_tokens
-            stats.num_distance_computations += outcome.num_distance_computations
-            stats.num_graph_hops += outcome.num_hops
-            stats.num_window_tokens += breakdown.num_window_tokens
-            stats.num_local_tokens += breakdown.num_local_tokens
-            stats.num_heads += 1
+    else:
+        kv_head_of_query = np.tile(
+            np.arange(num_heads, dtype=np.int64) // shared.data.gqa_group_size, num_sessions
+        )
+        outcomes = executor.retrieve_heads(
+            plan,
+            shared.data,
+            queries.reshape(num_sessions * num_heads, head_dim),
+            kv_head_of_query=kv_head_of_query,
+        )
+    retrieved = [outcome.positions[outcome.positions < shared.prefix] for outcome in outcomes]
+    if timings is not None:
+        now = time.perf_counter()
+        timings.retrieval_seconds += now - started
+        started = now
 
-        self.record_decode_stats(stats, layer)
-        return outputs
+    outputs, breakdowns = first_session.engine.stacked_layer_output(
+        queries,
+        shared.prefix_keys,
+        shared.prefix_values,
+        window_positions=shared.window_positions,
+        retrieved_positions=retrieved,
+        local_keys=[inputs.local_keys if inputs.has_local else None for _, inputs in members],
+        local_values=[inputs.local_values if inputs.has_local else None for _, inputs in members],
+    )
+    if timings is not None:
+        timings.merge_seconds += time.perf_counter() - started
+
+    for s, (session, _inputs) in enumerate(members):
+        rows = slice(s * num_heads, (s + 1) * num_heads)
+        session.record_decode_stats(decode_stats_from(outcomes[rows], breakdowns[rows]), layer)
+    return outputs

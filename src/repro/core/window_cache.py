@@ -61,29 +61,17 @@ class WindowCache:
         tokens = self.num_positions(context_length)
         return 2 * tokens * num_kv_heads * head_dim * num_layers * bytes_per_value
 
-    def max_window_score(self, query: np.ndarray, keys: np.ndarray, positions: np.ndarray) -> float:
-        """Maximum inner product between ``query`` and the window keys.
-
-        ``keys`` is the full ``(n, d)`` key matrix of one head; ``positions``
-        the window positions (so callers can reuse a precomputed window).
-        Returns ``-inf`` for an empty window.
-        """
-        if positions.shape[0] == 0:
-            return float("-inf")
-        scores = keys[positions] @ np.asarray(query, dtype=np.float32)
-        return float(scores.max())
-
     def max_window_scores(self, queries: np.ndarray, keys: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Per-head maximum inner products with the window keys.
 
         ``queries`` is ``(num_query_heads, d)``; ``keys`` is the full
         ``(num_kv_heads, n, d)`` key tensor of one layer (each KV head serves
         a GQA group of query heads).  The window gather is shared per KV head;
-        each head's score is then the same matvec :meth:`max_window_score`
-        computes, so row ``h`` is *bit-identical* to the per-head call (the
+        each head's score is then its own ``window_keys @ query`` matvec, so
+        row ``h`` does not depend on which other heads are in the call (the
         seed feeds DIPRS pruning decisions, where a ULP-level difference could
-        flip a boundary node between modes).  Returns ``(num_query_heads,)``;
-        ``-inf`` rows for an empty window.
+        flip a boundary node).  Returns ``(num_query_heads,)``; ``-inf`` rows
+        for an empty window.
         """
         queries = np.asarray(queries, dtype=np.float32)
         num_heads = queries.shape[0]

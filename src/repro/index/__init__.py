@@ -5,7 +5,6 @@ from .builder import BuildReport, ContextIndexBuilder, IndexBuildConfig, LayerIn
 from .coarse import BlockSummary, CoarseBlockIndex
 from .flat import FlatIndex
 from .graph import BeamSearchStats, NeighborGraph, beam_search
-from .hnsw import HNSWIndex
 from .knn_graph import cross_knn, exact_knn, nn_descent_knn
 from .roargraph import RoarGraphConfig, RoarGraphIndex
 from .serialization import (
@@ -25,7 +24,6 @@ __all__ = [
     "CoarseBlockIndex",
     "ContextIndexBuilder",
     "FlatIndex",
-    "HNSWIndex",
     "INDEX_FORMAT_VERSION",
     "IndexBuildConfig",
     "LayerIndexes",

@@ -6,7 +6,7 @@ pre-softmax attention logit).  Three index families exist, matching Table 4 of
 the paper:
 
 * flat — a scan over all keys (`repro.index.flat`),
-* fine-grained — graph indexes over individual keys (`hnsw`, `roargraph`),
+* fine-grained — graph indexes over individual keys (`roargraph`),
 * coarse-grained — block indexes over groups of adjacent tokens (`coarse`).
 """
 

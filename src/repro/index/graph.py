@@ -1,6 +1,6 @@
 """Compact adjacency storage and beam search shared by the graph indexes.
 
-Graph indexes (HNSW layer 0, RoarGraph) and the DIPRS query algorithm all
+The graph index (RoarGraph) and the DIPRS query algorithm both
 traverse a directed neighbour graph over the key vectors.  ``NeighborGraph``
 stores that graph in CSR form (one int32 array of neighbour ids plus an
 offsets array) so neighbour lookups are a cheap slice and the whole structure

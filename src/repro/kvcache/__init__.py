@@ -9,7 +9,6 @@ from .compression import (
     dequantize_tensor,
     quantize_tensor,
 )
-from .paged import PagedKVCache, PagedLayerCache, PageTable
 from .serialization import (
     KVSnapshot,
     load_snapshot,
@@ -26,9 +25,6 @@ __all__ = [
     "KVSnapshot",
     "LayerKVCache",
     "NativeAttentionCache",
-    "PageTable",
-    "PagedKVCache",
-    "PagedLayerCache",
     "QuantizedTensor",
     "compress_kv",
     "decompress_kv",

@@ -147,7 +147,7 @@ class PartialAttention:
     ``output`` is the *normalised* attention output over the subset,
     ``max_logit`` the per-head maximum pre-softmax logit and ``sum_exp`` the
     per-head sum of ``exp(logit - max_logit)``.  Two partials can be merged
-    exactly with :func:`merge_partial_attention` — the same decomposition
+    exactly with :func:`combine_partial_attention` — the same decomposition
     flash-attention uses across KV blocks.
     """
 
@@ -200,61 +200,47 @@ def partial_attention(
 
 
 def merge_partial_attention(parts: list[PartialAttention]) -> np.ndarray:
-    """Merge partial attentions computed over disjoint KV subsets.
+    """Exact attention output ``(h, d)`` over the union of disjoint KV subsets.
 
-    Returns the exact attention output ``(h, d)`` as if a single softmax had
-    been computed over the union of the subsets.  Raises ``ValueError`` when
-    no non-empty partial is supplied.
+    The output-only view of :func:`combine_partial_attention`, as if a single
+    softmax had been computed over all subsets; heads that are empty in every
+    partial come back as zeros.
     """
-    parts = [p for p in parts if not p.is_empty()]
-    if not parts:
-        raise ValueError("cannot merge an empty list of partial attentions")
-    if len(parts) == 1:
-        return parts[0].output.copy()
-
-    global_max = np.max(np.stack([p.max_logit for p in parts], axis=0), axis=0)
-    total_weight = np.zeros_like(parts[0].sum_exp)
-    accumulated = np.zeros_like(parts[0].output)
-    for part in parts:
-        correction = np.exp(part.max_logit - global_max)
-        weight = part.sum_exp * correction
-        accumulated += part.output * weight[:, None]
-        total_weight += weight
-    return (accumulated / total_weight[:, None]).astype(np.float32)
+    return combine_partial_attention(parts).output
 
 
 def combine_partial_attention(parts: list[PartialAttention]) -> PartialAttention:
-    """Merge partials into one :class:`PartialAttention`, keeping the statistics.
+    """Merge partials computed over disjoint KV subsets, keeping the statistics.
 
-    The statistics-preserving sibling of :func:`merge_partial_attention`: the
-    result carries the (``max_logit``, ``sum_exp``) of the union subset, so a
-    shard can collapse its window/retrieved partials into a single partial and
-    ship only that across the (simulated) wire — the receiver merges shard
-    partials with other shards' exactly, as if one softmax had run over all
-    subsets.  Heads that are empty in every input stay the neutral element
-    (``max_logit=-inf``, ``sum_exp=0``), so per-head-empty inputs are safe.
+    The one log-sum-exp merge: window/retrieved/local partials of a decode
+    step, the partials of several shards, and a shard's own partials collapsed
+    into a single one to ship across the (simulated) wire all go through it —
+    the result carries the (``max_logit``, ``sum_exp``) of the union subset,
+    so it can itself be merged again exactly.  A partial may be empty for
+    some heads only (a head that retrieved nothing, a shard holding nothing
+    for it); heads that are empty in every input stay the neutral element
+    (zero output, ``max_logit=-inf``, ``sum_exp=0``).
     """
     if not parts:
         raise ValueError("cannot combine an empty list of partial attentions")
-    if len(parts) == 1:
-        part = parts[0]
+    live = [p for p in parts if not p.is_empty()]
+    if not live:
+        return PartialAttention.empty(*parts[0].output.shape)
+    if len(live) == 1:
+        part = live[0]
         return PartialAttention(
             output=part.output.copy(),
             max_logit=part.max_logit.copy(),
             sum_exp=part.sum_exp.copy(),
         )
-    global_max = np.max(np.stack([p.max_logit for p in parts], axis=0), axis=0)
+    global_max = np.max(np.stack([p.max_logit for p in live], axis=0), axis=0)
     safe_max = np.where(np.isneginf(global_max), np.float32(0.0), global_max)
-    total_weight = np.zeros_like(parts[0].sum_exp)
-    accumulated = np.zeros_like(parts[0].output)
-    for part in parts:
-        # exp(-inf - finite) underflows to 0, so all-empty inputs contribute
-        # nothing; np.where keeps -inf inputs from producing exp(-inf - -inf)
-        weight = np.where(
-            np.isneginf(part.max_logit),
-            np.float32(0.0),
-            part.sum_exp * np.exp(part.max_logit - safe_max),
-        )
+    total_weight = np.zeros_like(live[0].sum_exp)
+    accumulated = np.zeros_like(live[0].output)
+    for part in live:
+        # a head empty in this partial has sum_exp == 0 and max_logit == -inf:
+        # against the finite safe_max its weight is 0 * exp(-inf) == 0
+        weight = part.sum_exp * np.exp(part.max_logit - safe_max)
         accumulated += part.output * weight[:, None]
         total_weight += weight
     denom = np.where(total_weight == 0.0, np.float32(1.0), total_weight)

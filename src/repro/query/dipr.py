@@ -432,7 +432,7 @@ def diprs_search(
     vectors:
         Key vectors ``(n, d)`` the graph is built over.
     graph:
-        Neighbour graph (RoarGraph / HNSW bottom layer) in CSR form.
+        Neighbour graph (RoarGraph) in CSR form.
     query:
         Query vector ``(d,)``.
     beta:

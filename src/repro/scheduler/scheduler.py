@@ -4,8 +4,8 @@ Each :meth:`RequestScheduler.step` (1) preempts an in-flight request when an
 SLO-critical arrival is starving and every slot is taken, (2) admits queued
 requests while slots and the memory budget allow, (3) resumes preempted
 requests into leftover slots, (4) gives every in-flight request one unit of
-work — a prefill chunk or one decode step, with all decode-ready requests
-batched into a single forward pass when the backend supports it — and
+work — a prefill chunk or one decode token, with all decode-ready requests
+(one or many) served by a single ``decode_batch`` call — and
 (5) retires finished requests, releasing their admission reservations.
 
 The scheduler knows nothing about models or databases: a
@@ -15,7 +15,6 @@ The scheduler knows nothing about models or databases: a
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -30,10 +29,9 @@ __all__ = ["SchedulerBackend", "SchedulerStats", "RequestScheduler"]
 class SchedulerBackend(Protocol):
     """What the scheduler needs from the serving layer.
 
-    ``decode_batch``, ``fail_request``, ``cancel_request``,
-    ``preempt_request`` and ``resume_request`` are optional: the scheduler
-    probes for them and falls back to per-request decodes /
-    ``reject_request`` / no-ops when absent.
+    ``fail_request``, ``cancel_request``, ``preempt_request`` and
+    ``resume_request`` are optional: the scheduler probes for them and falls
+    back to ``reject_request`` / no-ops when absent.
     """
 
     def estimate_request_bytes(self, request: Request) -> int:
@@ -45,11 +43,8 @@ class SchedulerBackend(Protocol):
     def prefill_chunk(self, inflight: InFlightRequest) -> None:
         """Prefill the next chunk of the pending prompt suffix."""
 
-    def decode_step(self, inflight: InFlightRequest) -> None:
-        """Generate one token."""
-
     def decode_batch(self, inflights: Sequence[InFlightRequest]) -> None:
-        """Generate one token for every request in one batched forward pass."""
+        """Generate one token for each of the ``>= 1`` decode-ready requests."""
 
     def finish_request(self, inflight: InFlightRequest) -> None:
         """Record results and release per-request resources."""
@@ -111,7 +106,6 @@ class RequestScheduler:
         admission: AdmissionController | None = None,
         max_inflight: int = 8,
         drain_index_builds: bool = False,
-        decode_batching: bool = True,
         preemption: bool = False,
         preemption_slack_seconds: float = 0.5,
         tenants: TenantGovernor | None = None,
@@ -128,20 +122,8 @@ class RequestScheduler:
         self.admission = admission or AdmissionController()
         self.max_inflight = max_inflight
         self.drain_index_builds = drain_index_builds
-        self.decode_batching = decode_batching
         self.preemption = preemption
         self.preemption_slack_seconds = preemption_slack_seconds
-        # resolve the optional decode_batch hook once: re-probing getattr in
-        # every step hid backend mismatches as a silent per-request fallback
-        self._decode_batch = getattr(backend, "decode_batch", None)
-        if decode_batching and self._decode_batch is None:
-            warnings.warn(
-                f"decode_batching is enabled but backend "
-                f"{type(backend).__name__} has no decode_batch hook; decode "
-                f"steps will run per request",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         self._queue: list[Request] = []
         self._inflight: list[InFlightRequest] = []
         self._preempted: list[InFlightRequest] = []
@@ -385,13 +367,9 @@ class RequestScheduler:
             else:
                 decode_ready.append(inflight)
         if decode_ready:
-            batch = self._decode_batch
-            if self.decode_batching and len(decode_ready) > 1 and batch is not None:
-                batch(decode_ready)
+            self.backend.decode_batch(decode_ready)
+            if len(decode_ready) > 1:
                 self.stats.batched_decode_calls += 1
-            else:
-                for inflight in decode_ready:
-                    self.backend.decode_step(inflight)
             self.stats.decode_steps += len(decode_ready)
         finished = [fl for fl in self._inflight if fl.is_finished]
         for inflight in finished:

@@ -19,8 +19,8 @@ catalog, and the per-decode-step protocol:
    :class:`~repro.llm.attention.PartialAttention` over its slice of the
    window plus its assigned retrieved positions; the router merges the shard
    partials and the session's local-KV partial by log-sum-exp
-   (:meth:`~repro.core.attention_engine.DataCentricAttentionEngine.merge_sharded_partials`),
-   which equals the unsharded softmax exactly.
+   (:func:`~repro.llm.attention.combine_partial_attention` — the unsharded
+   merge is its 1-shard case), which equals the unsharded softmax exactly.
 
 Cross-shard merge exactness per index kind:
 
@@ -56,7 +56,7 @@ from ..core.service import InferenceService
 from ..core.session import DecodeStepStats
 from ..errors import AdmissionRejectedError, ContextNotFoundError, ReproError
 from ..index.coarse import CoarseBlockIndex
-from ..llm.attention import PartialAttention, partial_attention
+from ..llm.attention import PartialAttention, combine_partial_attention, partial_attention
 from ..llm.generation import GenerationLoop, GenerationResult
 from ..llm.model import TransformerModel
 from ..llm.sampling import sample_token
@@ -86,10 +86,7 @@ class ShardWorker:
         self.service = service
         self.owned: dict[str, ShardRange] = {}
         self.engine = DataCentricAttentionEngine()
-        self.executor = PlanExecutor(
-            coarse_num_blocks=service.config.coarse_num_blocks,
-            fine_frontier_batching=service.config.fine_frontier_batching,
-        )
+        self.executor = PlanExecutor(coarse_num_blocks=service.config.coarse_num_blocks)
         # per-(shard, layer) retrieval views; invalidated when a spill/reload
         # replaces the shard's snapshot arrays
         self._layer_cache: dict[tuple[str, int], LayerIndexData] = {}
@@ -547,7 +544,7 @@ class ShardedContextRouter:
         plan = session.plan_for_layer(layer)
         prefix = session.reused_prefix_length
         gqa_group_size = self.model.config.gqa_group_size
-        num_heads, head_dim = queries.shape
+        num_heads = queries.shape[0]
         window_global = session.window.positions(prefix)
         local_keys, local_values = session.local_snapshot(layer)
         local_len = int(local_keys.shape[1])
@@ -593,13 +590,12 @@ class ShardedContextRouter:
             for breakdown in breakdowns:
                 stats.num_window_tokens += breakdown.num_window_tokens
                 stats.num_selected_tokens += breakdown.num_retrieved_tokens
-        if local_len:
-            partials.append(
-                partial_attention(queries, local_keys, local_values, scale=self.engine.scale)
-            )
-            stats.num_local_tokens += local_len * num_heads
-        outputs = self.engine.merge_sharded_partials(partials, num_heads, head_dim)
-        return outputs, stats
+        # the neutral element when no local KV exists yet
+        partials.append(
+            partial_attention(queries, local_keys, local_values, scale=self.engine.scale)
+        )
+        stats.num_local_tokens += local_len * num_heads
+        return combine_partial_attention(partials).output, stats
 
     def _fanout_window_seeds(
         self, ref, owners, shard_cids, layer, queries, window_global
@@ -753,19 +749,16 @@ class ShardedContextRouter:
         outputs = np.zeros((num_heads, seq, head_dim), dtype=np.float32)
         for row in range(seq):
             partials = [rows[row] for rows in shard_rows]
-            visible_local = local_len - seq + row + 1
-            if visible_local > 0:
-                partials.append(
-                    partial_attention(
-                        q[:, row, :],
-                        local_keys[:, :visible_local, :],
-                        local_values[:, :visible_local, :],
-                        scale=self.engine.scale,
-                    )
+            visible_local = max(local_len - seq + row + 1, 0)
+            partials.append(
+                partial_attention(
+                    q[:, row, :],
+                    local_keys[:, :visible_local, :],
+                    local_values[:, :visible_local, :],
+                    scale=self.engine.scale,
                 )
-            outputs[:, row, :] = self.engine.merge_sharded_partials(
-                partials, num_heads, head_dim
             )
+            outputs[:, row, :] = combine_partial_attention(partials).output
         return outputs
 
     # ------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.kvcache.serialization import KVSnapshot
 from repro.llm.attention import decode_attention
 from repro.query.types import DIPRQuery, IndexKind, QueryKind, TopKQuery
 from tests.conftest import make_context
+from tests.reference_attention import reference_retrieve
 
 
 class TestAlayaDBConfig:
@@ -62,15 +63,6 @@ class TestWindowCache:
         nbytes = window.memory_bytes(100, num_kv_heads=2, head_dim=8, num_layers=3)
         assert nbytes == 2 * 4 * 2 * 8 * 3 * 4
 
-    def test_max_window_score(self):
-        window = WindowCache(2, 2)
-        keys = np.eye(8, dtype=np.float32)[:8]
-        query = np.zeros(8, dtype=np.float32)
-        query[7] = 3.0
-        positions = window.positions(8)
-        assert window.max_window_score(query, keys, positions) == pytest.approx(3.0)
-        assert window.max_window_score(query, keys, np.empty(0, dtype=np.int64)) == float("-inf")
-
     def test_max_window_scores_batches_all_heads(self):
         window = WindowCache(4, 4)
         rng = np.random.default_rng(3)
@@ -81,7 +73,7 @@ class TestWindowCache:
         batched = window.max_window_scores(queries, keys, positions)
         assert batched.shape == (num_kv_heads * group_size,)
         for head in range(queries.shape[0]):
-            expected = window.max_window_score(queries[head], keys[head // group_size], positions)
+            expected = (keys[head // group_size][positions] @ queries[head]).max()
             assert batched[head] == pytest.approx(expected)
         empty = window.max_window_scores(queries, keys, np.empty(0, dtype=np.int64))
         assert np.all(np.isneginf(empty))
@@ -90,58 +82,56 @@ class TestWindowCache:
 class TestAttentionEngine:
     def test_merged_output_matches_exact(self):
         rng = np.random.default_rng(0)
-        keys = rng.normal(size=(60, 8)).astype(np.float32)
-        values = rng.normal(size=(60, 8)).astype(np.float32)
-        local_k = rng.normal(size=(5, 8)).astype(np.float32)
-        local_v = rng.normal(size=(5, 8)).astype(np.float32)
-        query = rng.normal(size=8).astype(np.float32)
+        keys = rng.normal(size=(1, 60, 8)).astype(np.float32)
+        values = rng.normal(size=(1, 60, 8)).astype(np.float32)
+        local_k = rng.normal(size=(1, 5, 8)).astype(np.float32)
+        local_v = rng.normal(size=(1, 5, 8)).astype(np.float32)
+        queries = rng.normal(size=(1, 8)).astype(np.float32)
         engine = DataCentricAttentionEngine()
         window = np.arange(0, 10)
         retrieved = np.arange(30, 45)
-        output, breakdown = engine.head_output(query, keys, values, window, retrieved, local_k, local_v)
+        outputs, breakdowns = engine.layer_output(queries, keys, values, window, [retrieved], local_k, local_v)
         # exact attention over the union of attended tokens
         attended = np.concatenate([window, retrieved])
-        all_k = np.concatenate([keys[attended], local_k])[None, :, :]
-        all_v = np.concatenate([values[attended], local_v])[None, :, :]
-        expected = decode_attention(query[None, :], all_k, all_v)[0]
-        np.testing.assert_allclose(output, expected, atol=1e-5)
-        assert breakdown.total_tokens == 10 + 15 + 5
+        all_k = np.concatenate([keys[:, attended], local_k], axis=1)
+        all_v = np.concatenate([values[:, attended], local_v], axis=1)
+        np.testing.assert_allclose(outputs, decode_attention(queries, all_k, all_v), atol=1e-5)
+        assert breakdowns[0].total_tokens == 10 + 15 + 5
 
     def test_overlapping_positions_not_double_counted(self):
         rng = np.random.default_rng(1)
-        keys = rng.normal(size=(40, 8)).astype(np.float32)
-        values = rng.normal(size=(40, 8)).astype(np.float32)
-        query = rng.normal(size=8).astype(np.float32)
+        keys = rng.normal(size=(1, 40, 8)).astype(np.float32)
+        values = rng.normal(size=(1, 40, 8)).astype(np.float32)
+        queries = rng.normal(size=(1, 8)).astype(np.float32)
         engine = DataCentricAttentionEngine()
         window = np.arange(0, 20)
         retrieved = np.arange(10, 30)  # overlaps the window
-        output, breakdown = engine.head_output(query, keys, values, window, retrieved)
-        attended = np.arange(0, 30)
-        expected = decode_attention(query[None, :], keys[None, attended], values[None, attended])[0]
-        np.testing.assert_allclose(output, expected, atol=1e-5)
-        assert breakdown.num_retrieved_tokens == 10
+        outputs, breakdowns = engine.layer_output(queries, keys, values, window, [retrieved])
+        expected = decode_attention(queries, keys[:, :30], values[:, :30])
+        np.testing.assert_allclose(outputs, expected, atol=1e-5)
+        assert breakdowns[0].num_retrieved_tokens == 10
 
     def test_empty_everything_returns_zeros(self):
         engine = DataCentricAttentionEngine()
-        output, breakdown = engine.head_output(
-            np.ones(4, dtype=np.float32),
-            np.zeros((0, 4), dtype=np.float32),
-            np.zeros((0, 4), dtype=np.float32),
+        outputs, breakdowns = engine.layer_output(
+            np.ones((2, 4), dtype=np.float32),
+            np.zeros((1, 0, 4), dtype=np.float32),
+            np.zeros((1, 0, 4), dtype=np.float32),
             np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
+            [np.empty(0, dtype=np.int64)] * 2,
         )
-        assert np.allclose(output, 0.0)
-        assert breakdown.total_tokens == 0
+        assert outputs.shape == (2, 4) and np.allclose(outputs, 0.0)
+        assert all(breakdown.total_tokens == 0 for breakdown in breakdowns)
 
-    def test_full_output_matches_decode_attention(self):
+    def test_whole_context_window_matches_decode_attention(self):
         rng = np.random.default_rng(2)
-        keys = rng.normal(size=(30, 8)).astype(np.float32)
-        values = rng.normal(size=(30, 8)).astype(np.float32)
-        query = rng.normal(size=8).astype(np.float32)
+        keys = rng.normal(size=(2, 30, 8)).astype(np.float32)
+        values = rng.normal(size=(2, 30, 8)).astype(np.float32)
+        queries = rng.normal(size=(4, 8)).astype(np.float32)
         engine = DataCentricAttentionEngine()
-        output = engine.full_output(query, keys, values)
-        expected = decode_attention(query[None, :], keys[None], values[None])[0]
-        np.testing.assert_allclose(output, expected, atol=1e-5)
+        nothing = [np.empty(0, dtype=np.int64)] * 4
+        outputs, _ = engine.layer_output(queries, keys, values, np.arange(30), nothing)
+        np.testing.assert_allclose(outputs, decode_attention(queries, keys, values), atol=1e-5)
 
 
 class TestContextStore:
@@ -326,37 +316,42 @@ class TestPlanExecutor:
         data, keys = self._layer_data()
         executor = PlanExecutor()
         plan = ExecutionPlan(QueryKind.DIPR, IndexKind.FLAT, query=DIPRQuery(beta=5.0))
-        query = np.random.default_rng(1).normal(size=16).astype(np.float32)
-        outcome = executor.retrieve(plan, data, query_head=0, query=query)
-        scores = keys[0] @ query
-        assert np.all(scores[outcome.positions] >= scores.max() - 5.0 - 1e-4)
+        queries = np.random.default_rng(1).normal(size=(4, 16)).astype(np.float32)
+        outcomes = executor.retrieve_heads(plan, data, queries)
+        for head, outcome in enumerate(outcomes):
+            scores = keys[head // 2] @ queries[head]
+            assert np.all(scores[outcome.positions] >= scores.max() - 5.0 - 1e-4)
 
     def test_fine_topk_path(self):
         data, _ = self._layer_data()
         executor = PlanExecutor()
         plan = ExecutionPlan(QueryKind.TOP_K, IndexKind.FINE, query=TopKQuery(k=10))
-        query = np.random.default_rng(2).normal(size=16).astype(np.float32)
-        outcome = executor.retrieve(plan, data, query_head=3, query=query)
-        assert outcome.num_selected == 10
+        queries = np.random.default_rng(2).normal(size=(4, 16)).astype(np.float32)
+        outcomes = executor.retrieve_heads(plan, data, queries)
+        assert [outcome.num_selected for outcome in outcomes] == [10] * 4
 
     def test_coarse_topk_path(self):
         data, _ = self._layer_data()
         executor = PlanExecutor(coarse_num_blocks=2)
         plan = ExecutionPlan(QueryKind.TOP_K, IndexKind.COARSE, query=TopKQuery(k=10))
-        query = np.random.default_rng(3).normal(size=16).astype(np.float32)
-        outcome = executor.retrieve(plan, data, query_head=0, query=query)
-        assert outcome.num_selected == 128  # 2 blocks of 64 tokens
+        queries = np.random.default_rng(3).normal(size=(4, 16)).astype(np.float32)
+        outcomes = executor.retrieve_heads(plan, data, queries)
+        # 2 blocks of 64 tokens, or the 16-token tail block of the 400-token context plus a full one
+        assert outcomes[0].num_selected == 128
+        assert {outcome.num_selected for outcome in outcomes} <= {128, 80}
 
     def test_coarse_rejects_dipr(self):
         data, _ = self._layer_data()
         executor = PlanExecutor()
         plan = ExecutionPlan(QueryKind.DIPR, IndexKind.COARSE, query=DIPRQuery(beta=5.0))
         with pytest.raises(UnsupportedQueryError):
-            executor.retrieve(plan, data, 0, np.zeros(16, dtype=np.float32))
+            executor.retrieve_heads(plan, data, np.zeros((4, 16), dtype=np.float32))
 
     def test_query_head_maps_to_kv_head(self):
         data, _ = self._layer_data()
         assert data.kv_head_for_query_head(0) == 0
+        assert data.kv_head_for_query_head(3) == 1
+        assert data.fine_index_for_query_head(0) is data.fine_index_for_query_head(1)
 
     @pytest.mark.parametrize(
         "plan",
@@ -364,26 +359,34 @@ class TestPlanExecutor:
             ExecutionPlan(QueryKind.DIPR, IndexKind.FLAT, query=DIPRQuery(beta=5.0)),
             ExecutionPlan(QueryKind.TOP_K, IndexKind.FLAT, query=TopKQuery(k=12)),
             ExecutionPlan(QueryKind.DIPR, IndexKind.FINE, query=DIPRQuery(beta=5.0)),
+            ExecutionPlan(QueryKind.TOP_K, IndexKind.FINE, query=TopKQuery(k=10)),
             ExecutionPlan(QueryKind.TOP_K, IndexKind.COARSE, query=TopKQuery(k=10)),
         ],
-        ids=["flat-dipr", "flat-topk", "fine-dipr", "coarse-topk"],
+        ids=["flat-dipr", "flat-topk", "fine-dipr", "fine-topk", "coarse-topk"],
     )
-    def test_retrieve_heads_matches_per_head_retrieve(self, plan):
-        data, _ = self._layer_data()
-        batched_data, _ = self._layer_data()
-        # fine_frontier_batching off: retrieve_heads must reproduce the
-        # per-head oracle exactly here; the group-frontier walk is covered by
-        # tests/query/test_group_frontier.py
-        executor = PlanExecutor(coarse_num_blocks=2, fine_frontier_batching=False)
+    def test_retrieve_heads_matches_reference(self, plan):
+        """The executor against the public index/query primitives called head by head
+        (one shared group walk per KV head for fine DIPR)."""
+        data, keys = self._layer_data()
+        executor = PlanExecutor(coarse_num_blocks=2)
         rng = np.random.default_rng(7)
         queries = rng.normal(size=(4, 16)).astype(np.float32)
         seeds = np.full(4, -np.inf, dtype=np.float32)
-        outcomes = executor.retrieve_heads(plan, batched_data, queries, window_max_scores=seeds)
+        outcomes = executor.retrieve_heads(plan, data, queries, window_max_scores=seeds)
         assert len(outcomes) == 4
-        for head in range(4):
-            expected = executor.retrieve(plan, data, head, queries[head], window_max_score=float(seeds[head]))
-            np.testing.assert_array_equal(outcomes[head].positions, expected.positions)
-            np.testing.assert_allclose(outcomes[head].scores, expected.scores, atol=1e-5)
-            assert outcomes[head].num_distance_computations == expected.num_distance_computations
-        assert data.kv_head_for_query_head(3) == 1
-        assert data.fine_index_for_query_head(0) is data.fine_index_for_query_head(1)
+        for kv_head in range(2):
+            heads = [2 * kv_head, 2 * kv_head + 1]
+            expected = reference_retrieve(
+                plan,
+                keys[kv_head],
+                data.fine_indexes[kv_head],
+                data.coarse_indexes[kv_head],
+                queries[heads],
+                seeds[heads],
+                coarse_num_blocks=2,
+                shared_walk=True,
+            )
+            for head, (positions, distance_computations, hops) in zip(heads, expected):
+                np.testing.assert_array_equal(outcomes[head].positions, positions)
+                assert outcomes[head].num_distance_computations == distance_computations
+                assert outcomes[head].num_hops == hops

@@ -1,11 +1,12 @@
-"""Cross-request decode rounds: equivalence grid, policy properties, timings.
+"""Decode rounds: equivalence grid, policy properties, timings.
 
-The cross-request round (``cross_request_sparse_batching``) is a pure
-performance refactor — every grid point here runs the same workload with the
-round coordinator on and off and requires token-identical generations plus
-honest per-request modeled stats.  The ALISA-style dense/sparse policy is a
-pure transition function, so its hysteresis/dwell/monotonicity guarantees
-are checked property-style with hypothesis.
+What a request generates must not depend on who else is in its decode round:
+every grid point here serves the same requests N at a time and one at a time
+(``max_inflight_requests=1``, every round a group of one) and requires
+token-identical generations plus identical per-request modeled stats.  The
+ALISA-style dense/sparse policy is a pure transition function, so its
+hysteresis/dwell/monotonicity guarantees are checked property-style with
+hypothesis.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ def model():
     return TransformerModel(ModelConfig.tiny(seed=7))
 
 
-def _service(model, mix: str, cross: bool, **overrides) -> InferenceService:
+def _service(model, mix: str, **overrides) -> InferenceService:
     config = AlayaDBConfig(
-        cross_request_sparse_batching=cross,
         **BASE_CONFIG,
         **PLAN_MIXES[mix],
         **overrides,
@@ -80,8 +80,17 @@ def _drain_outputs(service: InferenceService, prompts, max_new) -> dict[int, lis
     return outputs
 
 
+def _solo_tokens(model, mix: str, prompts, max_new, **overrides) -> list[list[int]]:
+    """Each request served alone (no scheduling interference), in order."""
+    service = _service(model, mix, max_inflight_requests=1, **overrides)
+    return [
+        service.submit(p, max_new_tokens=m).result()[0].generated_tokens
+        for p, m in zip(prompts, max_new)
+    ]
+
+
 class TestEquivalenceGrid:
-    """Batched rounds must match the per-session fallback token for token."""
+    """N sessions per round must match one session per round token for token."""
 
     @pytest.mark.parametrize("mix", sorted(PLAN_MIXES))
     @pytest.mark.parametrize("num_sessions", [1, 2, 4, 8])
@@ -90,23 +99,19 @@ class TestEquivalenceGrid:
         # generation lengths (sessions finish mid-round while others decode)
         prompts = [DOC + [210 + i] * (1 + i % 3) for i in range(num_sessions)]
         max_new = [3 + i % 3 for i in range(num_sessions)]
-        per_session = _drain_outputs(
-            _service(model, mix, cross=False, max_inflight_requests=num_sessions),
-            prompts,
-            max_new,
+        one_at_a_time = _drain_outputs(
+            _service(model, mix, max_inflight_requests=1), prompts, max_new
         )
-        batched = _drain_outputs(
-            _service(model, mix, cross=True, max_inflight_requests=num_sessions),
-            prompts,
-            max_new,
+        together = _drain_outputs(
+            _service(model, mix, max_inflight_requests=num_sessions), prompts, max_new
         )
-        assert batched == per_session
+        assert together == one_at_a_time
 
     def test_mixed_plan_kinds_in_one_round(self, model):
-        """Sessions on different contexts split into singles, still identical."""
+        """Sessions on different contexts form two groups, still identical."""
 
-        def run(cross):
-            service = _service(model, "flat", cross=cross, max_inflight_requests=4)
+        def run(max_inflight):
+            service = _service(model, "flat", max_inflight_requests=max_inflight)
             # a second ingested context: two compatibility groups in flight
             other = [5 + (i % 240) for i in range(130)]
             service.db.prefill_and_import(
@@ -115,62 +120,40 @@ class TestEquivalenceGrid:
             prompts = [DOC + [211], DOC + [212], other + [213], other + [214]]
             return _drain_outputs(service, prompts, [4, 4, 4, 4])
 
-        assert run(True) == run(False)
+        assert run(4) == run(1)
 
     def test_mid_round_cancel(self, model):
-        def run(cross):
-            service = _service(model, "flat", cross=cross, max_inflight_requests=4)
-            prompts = [DOC + [220 + i] for i in range(4)]
-            handles = [service.submit(p, max_new_tokens=6) for p in prompts]
-            service.step()
-            service.step()
-            assert service.cancel(handles[1].request_id)
-            service.drain()
-            return {
-                h.request_id: service.result(h)[0].generated_tokens
-                for h in handles
-                if service.result(h) is not None
-            }
-
-        per_session = run(False)
-        batched = run(True)
-        assert batched == per_session
-        assert len(batched) == 3  # the cancelled request produced no result
+        prompts = [DOC + [220 + i] for i in range(4)]
+        service = _service(model, "flat", max_inflight_requests=4)
+        handles = [service.submit(p, max_new_tokens=6) for p in prompts]
+        service.step()
+        service.step()
+        assert service.cancel(handles[1].request_id)
+        service.drain()
+        assert service.result(handles[1]) is None  # the cancelled request produced no result
+        solo = _solo_tokens(model, "flat", prompts, [6] * 4)
+        for i in (0, 2, 3):
+            assert service.result(handles[i])[0].generated_tokens == solo[i]
 
     def test_mid_round_preemption(self, model):
-        def run(cross):
-            service = _service(
-                model,
-                "flat",
-                cross=cross,
-                max_inflight_requests=2,
-                scheduler_policy="slo",
-                preemption=True,
-            )
-            long_handles = [
-                service.submit(DOC + [230 + i], max_new_tokens=24, slo=BATCH_SLO)
-                for i in range(2)
-            ]
-            for _ in range(3):
-                service.step()
-            critical = service.submit(
-                DOC + [240], max_new_tokens=2, slo=SLO(ttft_seconds=0.001)
-            )
-            service.drain()
-            preemptions = service.scheduler.stats.preemptions
-            return preemptions, {
-                h.request_id: service.result(h)[0].generated_tokens
-                for h in long_handles + [critical]
-            }
-
-        per_preempt, per_session = run(False)
-        bat_preempt, batched = run(True)
-        assert per_preempt >= 1 and bat_preempt >= 1
-        assert batched == per_session
+        service = _service(
+            model, "flat", max_inflight_requests=2, scheduler_policy="slo", preemption=True
+        )
+        prompts = [DOC + [230], DOC + [231], DOC + [240]]
+        long_handles = [
+            service.submit(prompt, max_new_tokens=24, slo=BATCH_SLO) for prompt in prompts[:2]
+        ]
+        for _ in range(3):
+            service.step()
+        critical = service.submit(prompts[2], max_new_tokens=2, slo=SLO(ttft_seconds=0.001))
+        service.drain()
+        assert service.scheduler.stats.preemptions >= 1
+        together = [service.result(h)[0].generated_tokens for h in long_handles + [critical]]
+        assert together == _solo_tokens(model, "flat", prompts, [24, 24, 2])
 
 
 class TestDecodeStepStatsHonesty:
-    """The coordinator must attribute exactly the per-session path's stats."""
+    """A round of three must attribute exactly what three sessions stepped alone record."""
 
     def _sessions(self, model, db, n):
         sessions = []
@@ -308,7 +291,6 @@ class TestDynamicAttentionPolicy:
         service = _service(
             model,
             "flat",
-            cross=True,
             max_inflight_requests=2,
             dynamic_attention_policy=True,
             scheduler_gpu_budget_bytes=10**15,
@@ -325,7 +307,7 @@ class TestDynamicAttentionPolicy:
 
 class TestStageTimings:
     def test_memory_report_exposes_decode_split(self, model):
-        service = _service(model, "flat", cross=True, max_inflight_requests=4)
+        service = _service(model, "flat", max_inflight_requests=4)
         for i in range(4):
             service.submit(DOC + [210 + i], max_new_tokens=4)
         service.drain()
@@ -341,11 +323,12 @@ class TestStageTimings:
             + service.decode_timings.merge_seconds
         )
 
-    def test_timings_accrue_in_per_session_path_too(self, model):
-        service = _service(model, "flat", cross=False, max_inflight_requests=2)
+    def test_timings_accrue_in_rounds_of_one_too(self, model):
+        service = _service(model, "flat", max_inflight_requests=1)
         for i in range(2):
             service.submit(DOC + [210 + i], max_new_tokens=3)
         service.drain()
+        assert service.scheduler.stats.batched_decode_calls == 0
         assert service.decode_timings.retrieval_seconds > 0.0
         assert service.decode_timings.merge_seconds > 0.0
 

@@ -9,8 +9,6 @@ accounting never loses tokens.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,32 +23,7 @@ from repro.index.coarse import CoarseBlockIndex
 from repro.index.roargraph import RoarGraphIndex
 from repro.kvcache.serialization import KVSnapshot
 from repro.llm.attention import decode_attention
-
-
-@settings(deadline=None, max_examples=25)
-@given(
-    num_tokens=st.integers(min_value=1, max_value=64),
-    num_window=st.integers(min_value=0, max_value=16),
-    num_retrieved=st.integers(min_value=0, max_value=32),
-    seed=st.integers(min_value=0, max_value=500),
-)
-def test_head_output_is_exact_over_attended_union(num_tokens, num_window, num_retrieved, seed):
-    """Merging partials over any window/retrieved split equals one softmax."""
-    rng = np.random.default_rng(seed)
-    dim = 8
-    keys = rng.normal(size=(num_tokens, dim)).astype(np.float32)
-    values = rng.normal(size=(num_tokens, dim)).astype(np.float32)
-    query = rng.normal(size=dim).astype(np.float32)
-    window = rng.choice(num_tokens, size=min(num_window, num_tokens), replace=False)
-    retrieved = rng.choice(num_tokens, size=min(num_retrieved, num_tokens), replace=False)
-    engine = DataCentricAttentionEngine()
-    output, _ = engine.head_output(query, keys, values, window, retrieved)
-    attended = np.union1d(window, retrieved).astype(np.int64)
-    if attended.size == 0:
-        assert np.allclose(output, 0.0)
-        return
-    expected = decode_attention(query[None, :], keys[None, attended], values[None, attended])[0]
-    np.testing.assert_allclose(output, expected, atol=1e-4)
+from tests.reference_attention import reference_sparse_attention
 
 
 @settings(deadline=None, max_examples=25)
@@ -62,8 +35,9 @@ def test_head_output_is_exact_over_attended_union(num_tokens, num_window, num_re
     num_local=st.integers(min_value=0, max_value=4),
     seed=st.integers(min_value=0, max_value=500),
 )
-def test_layer_output_matches_per_head_output(num_tokens, num_kv_heads, group_size, num_window, num_local, seed):
-    """The batched layer merge equals head_output head by head, ragged sets included."""
+def test_layer_output_is_exact_over_attended_union(num_tokens, num_kv_heads, group_size, num_window, num_local, seed):
+    """Merging partials over any window/retrieved/local split equals one softmax per head
+    (ragged and empty retrieved sets included; a head attending to nothing is zeros)."""
     rng = np.random.default_rng(seed)
     dim = 8
     num_heads = num_kv_heads * group_size
@@ -75,30 +49,72 @@ def test_layer_output_matches_per_head_output(num_tokens, num_kv_heads, group_si
         rng.choice(num_tokens, size=rng.integers(0, num_tokens + 1), replace=False).astype(np.int64)
         for _ in range(num_heads)
     ]
-    local_keys = local_values = None
-    if num_local:
-        local_keys = rng.normal(size=(num_kv_heads, num_local, dim)).astype(np.float32)
-        local_values = rng.normal(size=(num_kv_heads, num_local, dim)).astype(np.float32)
+    local_keys = rng.normal(size=(num_kv_heads, num_local, dim)).astype(np.float32)
+    local_values = rng.normal(size=(num_kv_heads, num_local, dim)).astype(np.float32)
 
-    engine = DataCentricAttentionEngine()
-    batched, breakdowns = engine.layer_output(
-        queries, keys, values, window, retrieved, local_keys=local_keys, local_values=local_values
+    outputs, breakdowns = DataCentricAttentionEngine().layer_output(
+        queries,
+        keys,
+        values,
+        window,
+        retrieved,
+        local_keys=local_keys if num_local else None,
+        local_values=local_values if num_local else None,
     )
     for head in range(num_heads):
         kv_head = head // group_size
-        expected, expected_breakdown = engine.head_output(
-            queries[head],
-            keys[kv_head],
-            values[kv_head],
-            window_positions=window,
-            retrieved_positions=retrieved[head],
-            local_keys=local_keys[kv_head] if local_keys is not None else None,
-            local_values=local_values[kv_head] if local_values is not None else None,
+        attended = np.union1d(window, retrieved[head]).astype(np.int64)
+        k = np.concatenate([keys[kv_head][attended], local_keys[kv_head]])
+        v = np.concatenate([values[kv_head][attended], local_values[kv_head]])
+        if k.shape[0] == 0:
+            assert np.allclose(outputs[head], 0.0)
+        else:
+            expected = decode_attention(queries[head][None], k[None], v[None])[0]
+            np.testing.assert_allclose(outputs[head], expected, atol=1e-4)
+        assert breakdowns[head].num_window_tokens == window.size
+        assert breakdowns[head].num_retrieved_tokens == attended.size - window.size
+        assert breakdowns[head].num_local_tokens == num_local
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    num_sessions=st.integers(min_value=1, max_value=4),
+    group_size=st.sampled_from([1, 2, 4]),
+    num_window=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=500),
+)
+def test_stacked_rows_do_not_depend_on_the_rest_of_the_stack(num_sessions, group_size, num_window, seed):
+    """S-invariance: row (s, h) of an S-stack equals the S = 1 call on session s alone
+    (ragged local KV, sessions without local KV and heads that retrieve nothing included)."""
+    rng = np.random.default_rng(seed)
+    num_kv_heads, num_tokens, dim = 2, 40, 8
+    num_heads = num_kv_heads * group_size
+    keys = rng.normal(size=(num_kv_heads, num_tokens, dim)).astype(np.float32)
+    values = rng.normal(size=(num_kv_heads, num_tokens, dim)).astype(np.float32)
+    queries = rng.normal(size=(num_sessions, num_heads, dim)).astype(np.float32)
+    window = rng.choice(num_tokens, size=num_window, replace=False).astype(np.int64)
+    retrieved = [
+        rng.choice(num_tokens, size=rng.integers(0, 12), replace=False).astype(np.int64)
+        for _ in range(num_sessions * num_heads)
+    ]
+    local_keys, local_values = [], []
+    for _ in range(num_sessions):
+        length = int(rng.integers(0, 5))
+        local_keys.append(rng.normal(size=(num_kv_heads, length, dim)).astype(np.float32) if length else None)
+        local_values.append(rng.normal(size=(num_kv_heads, length, dim)).astype(np.float32) if length else None)
+
+    engine = DataCentricAttentionEngine()
+    stacked, stacked_breakdowns = engine.stacked_layer_output(
+        queries, keys, values, window, retrieved, local_keys, local_values
+    )
+    assert stacked.shape == queries.shape
+    for s in range(num_sessions):
+        rows = slice(s * num_heads, (s + 1) * num_heads)
+        alone, alone_breakdowns = engine.layer_output(
+            queries[s], keys, values, window, retrieved[rows], local_keys[s], local_values[s]
         )
-        np.testing.assert_allclose(batched[head], expected, atol=1e-4)
-        assert breakdowns[head].num_window_tokens == expected_breakdown.num_window_tokens
-        assert breakdowns[head].num_retrieved_tokens == expected_breakdown.num_retrieved_tokens
-        assert breakdowns[head].num_local_tokens == expected_breakdown.num_local_tokens
+        np.testing.assert_allclose(stacked[s], alone, atol=1e-5)
+        assert stacked_breakdowns[rows] == alone_breakdowns
 
 
 def _sparse_context(rng, *, num_kv_heads, num_tokens, head_dim, group_size, kinds=("fine", "coarse")):
@@ -151,8 +167,9 @@ _VARIANTS = {
 
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))
 @pytest.mark.parametrize("plan_kind", sorted(_PLAN_CONFIGS))
-def test_head_batched_decode_matches_per_head_path(plan_kind, variant):
-    """sparse_head_batching=True must be output- and stats-identical to the fallback."""
+def test_session_decode_matches_reference(plan_kind, variant):
+    """Every plan kind x GQA / window / local / reuse variant: the session's output and integer
+    DecodeStepStats equal the scalar per-head oracle's, step by step."""
     options = _VARIANTS[variant]
     group_size = options.get("group_size", 2)
     window_initial, window_last = options.get("window", (4, 8))
@@ -168,7 +185,6 @@ def test_head_batched_decode_matches_per_head_path(plan_kind, variant):
         dipr_capacity_threshold=32,
     )
     config_kwargs.update(_PLAN_CONFIGS[plan_kind])
-    config = AlayaDBConfig(**config_kwargs)
     # stable per-combo seed (builtin hash() is randomized per process)
     rng = np.random.default_rng(sum(ord(c) * i for i, c in enumerate(plan_kind + "/" + variant, start=1)))
     context = _sparse_context(
@@ -178,41 +194,28 @@ def test_head_batched_decode_matches_per_head_path(plan_kind, variant):
         head_dim=head_dim,
         group_size=group_size,
     )
-
-    def run(batched: bool):
-        # fine_frontier_batching off: this test pins the head-batching
-        # refactor against the per-head walk bit for bit; the group-frontier
-        # walk (which shares distance computations across the GQA group by
-        # design) is covered by tests/query/test_group_frontier.py
-        session = Session(
-            replace(config, sparse_head_batching=batched, fine_frontier_batching=False),
-            context=context,
-            reused_prefix_length=num_tokens - reuse_offset,
-            num_layers=1,
-        )
-        step_rng = np.random.default_rng(9000)
-        outputs = []
-        for _ in range(local_steps + 1):
-            q = step_rng.normal(size=(num_heads, 1, head_dim)).astype(np.float32)
-            k = step_rng.normal(size=(num_kv_heads, 1, head_dim)).astype(np.float32)
-            v = step_rng.normal(size=(num_kv_heads, 1, head_dim)).astype(np.float32)
-            session.update_query(q, k, v, layer=0)
-            outputs.append(session.attention(q, layer=0))
-        return outputs, session.last_decode_stats, session.plan_for_layer(0)
-
-    batched_outputs, batched_stats, plan = run(batched=True)
-    per_head_outputs, per_head_stats, fallback_plan = run(batched=False)
-
-    assert plan.query_kind == fallback_plan.query_kind
-    if plan_kind != "full":
-        assert not plan.is_full_attention
-    for batched_output, per_head_output in zip(batched_outputs, per_head_outputs):
-        np.testing.assert_allclose(batched_output, per_head_output, atol=1e-4)
-    assert batched_stats.num_selected_tokens == per_head_stats.num_selected_tokens
-    assert batched_stats.num_distance_computations == per_head_stats.num_distance_computations
-    assert batched_stats.num_window_tokens == per_head_stats.num_window_tokens
-    assert batched_stats.num_local_tokens == per_head_stats.num_local_tokens
-    assert batched_stats.num_heads == per_head_stats.num_heads
+    session = Session(
+        AlayaDBConfig(**config_kwargs),
+        context=context,
+        reused_prefix_length=num_tokens - reuse_offset,
+        num_layers=1,
+    )
+    step_rng = np.random.default_rng(9000)
+    for _ in range(local_steps + 1):
+        q = step_rng.normal(size=(num_heads, 1, head_dim)).astype(np.float32)
+        k = step_rng.normal(size=(num_kv_heads, 1, head_dim)).astype(np.float32)
+        v = step_rng.normal(size=(num_kv_heads, 1, head_dim)).astype(np.float32)
+        session.update_query(q, k, v, layer=0)
+        output = session.attention(q, layer=0)
+        if plan_kind == "full":
+            assert session.plan_for_layer(0).is_full_attention
+            keys, values = session.materialized_kv(0)
+            np.testing.assert_allclose(output[:, 0, :], decode_attention(q[:, 0, :], keys, values), atol=1e-4)
+            continue
+        assert session.plan_for_layer(0).index_kind == plan_kind
+        expected, expected_stats = reference_sparse_attention(session, q[:, 0, :], 0)
+        np.testing.assert_allclose(output[:, 0, :], expected, atol=1e-4)
+        assert session.last_decode_stats == expected_stats
 
 
 @settings(deadline=None, max_examples=20)

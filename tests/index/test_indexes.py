@@ -1,4 +1,4 @@
-"""Tests of the vector indexes: flat, graph, HNSW, RoarGraph, coarse, builder."""
+"""Tests of the vector indexes: flat, graph, RoarGraph, coarse, builder."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.flat import FlatIndex
 from repro.index.graph import NeighborGraph, beam_search
-from repro.index.hnsw import HNSWIndex
 from repro.index.knn_graph import cross_knn, exact_knn, nn_descent_knn
 from repro.index.roargraph import RoarGraphConfig, RoarGraphIndex
 
@@ -161,26 +160,6 @@ class TestFlatIndex:
         excluded = np.setdiff1d(np.arange(128), result.indices)
         if excluded.size:
             assert np.all(scores[excluded] < scores.max() - beta + 1e-5)
-
-
-class TestHNSW:
-    def test_recall_against_brute_force(self):
-        vectors = _vectors(400, 16)
-        index = HNSWIndex(max_degree=12, ef_construction=48, seed=0)
-        index.build(vectors)
-        queries = _vectors(20, 16, seed=7)
-        hits, total = 0, 0
-        for query in queries:
-            truth = set(index.exact_topk(query, 10).indices.tolist())
-            found = set(index.search_topk(query, 10, ef=64).indices.tolist())
-            hits += len(truth & found)
-            total += 10
-        assert hits / total > 0.7
-
-    def test_memory_accounting(self):
-        index = HNSWIndex()
-        index.build(_vectors(100))
-        assert index.memory_bytes > _vectors(100).nbytes
 
 
 class TestRoarGraph:

@@ -6,13 +6,10 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ContextLoadError, StorageError
 from repro.kvcache.cache import DynamicCache, LayerKVCache
 from repro.kvcache.compression import compress_kv, decompress_kv, dequantize_tensor, quantize_tensor
-from repro.kvcache.paged import PagedKVCache, PagedLayerCache
 from repro.kvcache.serialization import (
     KVSnapshot,
     load_snapshot,
@@ -97,67 +94,6 @@ class TestDynamicCache:
         k, v = _kv(n=4)
         cache.update(k, v, layer=0)
         assert cache.nbytes == k.nbytes + v.nbytes
-
-
-class TestPagedCache:
-    def test_matches_contiguous_cache(self):
-        paged = PagedLayerCache(2, 8, page_size=3)
-        k, v = _kv(n=10)
-        paged.append(k, v)
-        mk, mv = paged.materialize()
-        np.testing.assert_array_equal(mk, k)
-        np.testing.assert_array_equal(mv, v)
-
-    def test_page_count(self):
-        paged = PagedLayerCache(1, 4, page_size=4, initial_pages=0)
-        k, v = _kv(num_heads=1, n=10, dim=4)
-        paged.append(k, v)
-        assert paged.num_pages_in_use == 3
-
-    def test_release_recycles_pages(self):
-        paged = PagedLayerCache(1, 4, page_size=4, initial_pages=0)
-        k, v = _kv(num_heads=1, n=8, dim=4)
-        paged.append(k, v)
-        total_before = paged.num_pages_total
-        paged.release()
-        paged.append(k, v)
-        assert paged.num_pages_total == total_before
-
-    def test_gather(self):
-        paged = PagedLayerCache(2, 8, page_size=3)
-        k, v = _kv(n=7)
-        paged.append(k, v)
-        gk, gv = paged.gather(np.asarray([6, 0, 3]))
-        np.testing.assert_array_equal(gk, k[:, [6, 0, 3], :])
-
-    def test_multi_layer_protocol(self):
-        cache = PagedKVCache(page_size=4)
-        k, v = _kv(n=5)
-        keys, values = cache.update(k, v, layer=0)
-        np.testing.assert_allclose(keys, k, atol=1e-6)
-        assert cache.sequence_length(0) == 5
-
-    @settings(deadline=None, max_examples=25)
-    @given(
-        n=st.integers(min_value=1, max_value=40),
-        page_size=st.integers(min_value=1, max_value=16),
-        seed=st.integers(min_value=0, max_value=100),
-    )
-    def test_property_paged_equals_contiguous(self, n, page_size, seed):
-        paged = PagedLayerCache(1, 4, page_size=page_size)
-        flat = LayerKVCache(1, 4)
-        rng = np.random.default_rng(seed)
-        remaining = n
-        while remaining > 0:
-            chunk = int(rng.integers(1, remaining + 1))
-            k = rng.normal(size=(1, chunk, 4)).astype(np.float32)
-            v = rng.normal(size=(1, chunk, 4)).astype(np.float32)
-            paged.append(k, v)
-            flat.append(k, v)
-            remaining -= chunk
-        pk, pv = paged.materialize()
-        np.testing.assert_allclose(pk, flat.keys, atol=1e-6)
-        np.testing.assert_allclose(pv, flat.values, atol=1e-6)
 
 
 class TestCompression:

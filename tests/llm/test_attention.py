@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.llm.attention import (
     PartialAttention,
     attention_weights,
+    combine_partial_attention,
     decode_attention,
     full_attention,
     merge_partial_attention,
@@ -138,9 +139,60 @@ class TestPartialAttentionMerge:
         ]
         np.testing.assert_allclose(merge_partial_attention(parts), full, atol=1e-5)
 
-    def test_all_empty_raises(self):
+    def test_all_empty_is_zeros_and_stays_neutral(self):
+        combined = combine_partial_attention([PartialAttention.empty(2, 4), PartialAttention.empty(2, 4)])
+        assert combined.is_empty() and not combined.sum_exp.any() and not combined.output.any()
+        assert not merge_partial_attention([PartialAttention.empty(2, 4)]).any()
         with pytest.raises(ValueError):
-            merge_partial_attention([PartialAttention.empty(2, 4)])
+            combine_partial_attention([])  # no shape to return zeros of
+
+    def test_head_empty_in_every_partial_is_zeros_not_nan(self):
+        """Regression: ``exp(-inf - (-inf))`` made such a head NaN while its neighbour was fine."""
+        q, k, v = _random_qkv(num_heads=2, num_kv_heads=2, seq=12, seed=8)
+        parts = [partial_attention(q, k[:, :5], v[:, :5]), partial_attention(q, k[:, 5:], v[:, 5:])]
+        for part in parts:  # head 1 attends to nothing anywhere
+            part.output[1], part.max_logit[1], part.sum_exp[1] = 0.0, -np.inf, 0.0
+        merged = merge_partial_attention(parts)
+        np.testing.assert_allclose(merged[0], decode_attention(q, k, v)[0], atol=1e-5)
+        assert not merged[1].any()
+        combined = combine_partial_attention(parts)
+        assert np.isneginf(combined.max_logit[1]) and combined.sum_exp[1] == 0.0
+
+    def test_head_empty_in_some_partials_only(self):
+        q, k, v = _random_qkv(num_heads=2, num_kv_heads=2, seq=12, seed=9)
+        parts = [partial_attention(q, k[:, :5], v[:, :5]), partial_attention(q, k[:, 5:], v[:, 5:])]
+        parts[0].output[1], parts[0].max_logit[1], parts[0].sum_exp[1] = 0.0, -np.inf, 0.0
+        merged = merge_partial_attention(parts)
+        np.testing.assert_allclose(merged[0], decode_attention(q, k, v)[0], atol=1e-5)
+        np.testing.assert_allclose(merged[1], parts[1].output[1], atol=1e-6)
+
+    @pytest.mark.parametrize("magnitude", [1e4, 3e37])
+    def test_large_logits_of_either_sign_stay_finite(self, magnitude):
+        rng = np.random.default_rng(10)
+        parts = [
+            PartialAttention(
+                output=rng.normal(size=(2, 4)).astype(np.float32),
+                max_logit=np.array([sign * magnitude, -sign * magnitude], dtype=np.float32),
+                sum_exp=np.array([3.0, 5.0], dtype=np.float32),
+            )
+            for sign in (1.0, -1.0)
+        ]
+        combined = combine_partial_attention(parts)
+        assert np.isfinite(combined.output).all() and np.isfinite(combined.sum_exp).all()
+        # the partial holding a head's far larger logit decides that head
+        np.testing.assert_allclose(combined.output[0], parts[0].output[0], atol=1e-6)
+        np.testing.assert_allclose(combined.output[1], parts[1].output[1], atol=1e-6)
+
+    def test_combined_statistics_merge_again_exactly(self):
+        """A shard's collapsed partial merges with the others as its pieces would have."""
+        q, k, v = _random_qkv(seq=30, seed=11)
+        a, b, c = (partial_attention(q, k[:, i : i + 10], v[:, i : i + 10]) for i in (0, 10, 20))
+        nested = combine_partial_attention([combine_partial_attention([a, b]), c])
+        flat = combine_partial_attention([a, b, c])
+        np.testing.assert_allclose(nested.output, flat.output, atol=1e-5)
+        np.testing.assert_allclose(nested.max_logit, flat.max_logit)
+        np.testing.assert_allclose(nested.sum_exp, flat.sum_exp, rtol=1e-5)
+        np.testing.assert_allclose(flat.output, decode_attention(q, k, v), atol=1e-5)
 
     def test_single_part_is_copied(self):
         q, k, v = _random_qkv(seq=10, seed=6)

@@ -20,7 +20,6 @@ components, all-masked) and the executor/session wiring.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +30,7 @@ from hypothesis import strategies as st
 from repro.core.config import AlayaDBConfig
 from repro.core.context_store import StoredContext
 from repro.core.planner import ExecutionPlan, LayerIndexData, PlanExecutor
-from repro.core.session import Session
+from repro.core.session import DecodeStepStats, Session
 from repro.index.builder import LayerIndexes
 from repro.index.graph import NeighborGraph
 from repro.index.roargraph import RoarGraphIndex
@@ -39,6 +38,7 @@ from repro.kvcache.serialization import KVSnapshot
 from repro.query.dipr import diprs_search, diprs_search_group
 from repro.query.filtered import filtered_diprs_search, filtered_diprs_search_group
 from repro.query.types import DIPRQuery, FilterPredicate, IndexKind, QueryKind
+from tests.reference_attention import reference_sparse_attention
 
 MAX_GROUP = 8
 
@@ -324,23 +324,32 @@ class TestExecutorGroupWiring:
         )
         return data, queries
 
-    def test_group_path_matches_per_head_path(self):
+    @staticmethod
+    def _per_head_walks(data, queries, beta=6.0):
+        """One solo ``diprs_search`` per query head over its own index."""
+        walks = []
+        for head, query in enumerate(queries):
+            index = data.fine_index_for_query_head(head)
+            walks.append(diprs_search(index.vectors, index.graph, query, beta, [index.entry_point]))
+        return walks
+
+    def test_group_path_matches_per_head_walks(self):
         data, queries = self._layer_data()
         plan = ExecutionPlan(QueryKind.DIPR, IndexKind.FINE, query=DIPRQuery(beta=6.0))
-        grouped = PlanExecutor(fine_frontier_batching=True).retrieve_heads(plan, data, queries)
-        per_head = PlanExecutor(fine_frontier_batching=False).retrieve_heads(plan, data, queries)
+        grouped = PlanExecutor().retrieve_heads(plan, data, queries)
+        per_head = self._per_head_walks(data, queries)
         assert sum(o.num_distance_computations for o in grouped) < sum(
-            o.num_distance_computations for o in per_head
+            stats.num_distance_computations for _, stats in per_head
         )
-        for group_outcome, head_outcome in zip(grouped, per_head):
+        for group_outcome, (result, _) in zip(grouped, per_head):
             np.testing.assert_array_equal(
-                np.sort(group_outcome.positions), np.sort(head_outcome.positions)
+                np.sort(group_outcome.positions), np.sort(result.indices)
             )
 
     def test_group_path_threads_window_seeds(self):
         data, queries = self._layer_data()
         plan = ExecutionPlan(QueryKind.DIPR, IndexKind.FINE, query=DIPRQuery(beta=6.0))
-        executor = PlanExecutor(fine_frontier_batching=True)
+        executor = PlanExecutor()
         num_heads = queries.shape[0]
         # a seed far above every score prunes everything, proving delivery
         huge = np.full(num_heads, 1e9, dtype=np.float32)
@@ -353,19 +362,18 @@ class TestExecutorGroupWiring:
         data.gqa_group_size = 1
         data.fine_indexes = [data.fine_indexes[0], data.fine_indexes[0]]
         plan = ExecutionPlan(QueryKind.DIPR, IndexKind.FINE, query=DIPRQuery(beta=6.0))
-        executor = PlanExecutor(fine_frontier_batching=True)
-        outcomes = executor.retrieve_heads(plan, data, queries)
-        oracle = PlanExecutor(fine_frontier_batching=False).retrieve_heads(plan, data, queries)
-        for outcome, expected in zip(outcomes, oracle):
-            np.testing.assert_array_equal(outcome.positions, expected.positions)
-            assert outcome.num_distance_computations == expected.num_distance_computations
+        outcomes = PlanExecutor().retrieve_heads(plan, data, queries)
+        for outcome, (result, stats) in zip(outcomes, self._per_head_walks(data, queries)):
+            np.testing.assert_array_equal(outcome.positions, result.indices)
+            assert outcome.num_distance_computations == stats.num_distance_computations
+            assert outcome.num_hops == stats.num_hops
 
     @pytest.mark.parametrize("bad_shape", [(4, 1), (1, 4), (5,), ()], ids=str)
     def test_window_max_scores_shape_is_validated(self, bad_shape):
         """Regression: a (g, 1) seed array used to index as 1-element rows."""
         data, queries = self._layer_data()
         plan = ExecutionPlan(QueryKind.DIPR, IndexKind.FINE, query=DIPRQuery(beta=6.0))
-        executor = PlanExecutor(fine_frontier_batching=False)
+        executor = PlanExecutor()
         heads = queries[:4]
         seeds = np.zeros(bad_shape, dtype=np.float32)
         with pytest.raises(ValueError, match="window_max_scores"):
@@ -397,7 +405,7 @@ class TestSessionGroupFrontier:
         )
         return context, directions
 
-    def test_session_outputs_match_per_head_fallback(self):
+    def test_session_outputs_match_per_head_walks(self):
         """End-to-end decode: the group walk changes work counters, not outputs."""
         rng = np.random.default_rng(17)
         group_size, num_kv_heads, head_dim = 4, 2, 8
@@ -413,35 +421,30 @@ class TestSessionGroupFrontier:
             gpu_memory_budget_bytes=1,
             flat_index_layers=(),
         )
-
-        def run(fine_frontier_batching: bool):
-            session = Session(
-                replace(config, fine_frontier_batching=fine_frontier_batching),
-                context=context,
-                reused_prefix_length=context.num_tokens,
-                num_layers=1,
+        session = Session(
+            config, context=context, reused_prefix_length=context.num_tokens, num_layers=1
+        )
+        assert session.plan_for_layer(0).index_kind == IndexKind.FINE
+        step_rng = np.random.default_rng(29)
+        per_head_stats = DecodeStepStats()
+        for _ in range(3):
+            q = np.stack(
+                [
+                    directions[head // group_size] * 3.0 + step_rng.normal(0, 0.4, head_dim)
+                    for head in range(num_heads)
+                ]
+            ).astype(np.float32)[:, None, :]
+            k = step_rng.normal(0, 0.35, size=(num_kv_heads, 1, head_dim)).astype(np.float32)
+            v = step_rng.normal(size=(num_kv_heads, 1, head_dim)).astype(np.float32)
+            session.update_query(q, k, v, layer=0)
+            group_output = session.attention(q, layer=0)
+            # the scalar oracle with one solo diprs_search walk per query head
+            per_head_output, step_stats = reference_sparse_attention(
+                session, q[:, 0, :], 0, shared_walk=False
             )
-            step_rng = np.random.default_rng(29)
-            outputs = []
-            for _ in range(3):
-                q = np.stack(
-                    [
-                        directions[head // group_size] * 3.0
-                        + step_rng.normal(0, 0.4, head_dim)
-                        for head in range(num_heads)
-                    ]
-                ).astype(np.float32)[:, None, :]
-                k = step_rng.normal(0, 0.35, size=(num_kv_heads, 1, head_dim)).astype(np.float32)
-                v = step_rng.normal(size=(num_kv_heads, 1, head_dim)).astype(np.float32)
-                session.update_query(q, k, v, layer=0)
-                outputs.append(session.attention(q, layer=0))
-            return outputs, session.total_decode_stats, session.plan_for_layer(0)
-
-        group_outputs, group_stats, plan = run(fine_frontier_batching=True)
-        per_head_outputs, per_head_stats, _ = run(fine_frontier_batching=False)
-        assert plan.index_kind == IndexKind.FINE
-        for group_output, per_head_output in zip(group_outputs, per_head_outputs):
-            np.testing.assert_allclose(group_output, per_head_output, atol=1e-4)
+            np.testing.assert_allclose(group_output[:, 0, :], per_head_output, atol=1e-4)
+            per_head_stats.merge(step_stats)
+        group_stats = session.total_decode_stats
         assert group_stats.num_selected_tokens == per_head_stats.num_selected_tokens
         assert group_stats.num_distance_computations < per_head_stats.num_distance_computations
         assert group_stats.num_graph_hops <= per_head_stats.num_graph_hops

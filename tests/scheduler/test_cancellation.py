@@ -48,9 +48,6 @@ class FakeBackend:
         if not inflight.pending_tokens and inflight.request.max_new_tokens > 0:
             inflight.generated.append(1)
 
-    def decode_step(self, inflight):
-        inflight.generated.append(1)
-
     def decode_batch(self, inflights):
         for inflight in inflights:
             inflight.generated.append(1)

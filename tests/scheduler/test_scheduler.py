@@ -3,7 +3,6 @@ and the InferenceService serving path built on top of them."""
 
 from __future__ import annotations
 
-import warnings
 
 import pytest
 
@@ -65,9 +64,6 @@ class FakeBackend:
         del inflight.pending_tokens[: self.chunk_tokens]
         if not inflight.pending_tokens and inflight.request.max_new_tokens > 0:
             inflight.generated.append(1)
-
-    def decode_step(self, inflight):
-        inflight.generated.append(1)
 
     def decode_batch(self, inflights):
         self.batch_sizes.append(len(inflights))
@@ -260,36 +256,15 @@ class TestBatchedDecode:
         assert scheduler.stats.decode_steps == 6
         assert sorted(backend.finished) == [1, 2, 3]
 
-    def test_single_decode_request_skips_batching(self):
+    def test_lone_decode_request_is_a_batch_of_one(self):
         backend = FakeBackend()
         scheduler = RequestScheduler(backend, max_inflight=4)
         scheduler.submit(_request(1, num_tokens=4, max_new_tokens=3))
         scheduler.drain()
-        assert backend.batch_sizes == []
+        assert backend.batch_sizes == [1, 1]
+        # batched_decode_calls keeps its meaning: rounds with >= 2 rows
         assert scheduler.stats.batched_decode_calls == 0
         assert scheduler.stats.decode_steps == 2
-
-    def test_batching_disabled_falls_back_to_per_request(self):
-        backend = FakeBackend()
-        scheduler = RequestScheduler(backend, max_inflight=4, decode_batching=False)
-        for i in range(3):
-            scheduler.submit(_request(i + 1, num_tokens=4, max_new_tokens=3))
-        scheduler.drain()
-        assert backend.batch_sizes == []
-        assert scheduler.stats.decode_steps == 6
-        assert sorted(backend.finished) == [1, 2, 3]
-
-    def test_backend_without_decode_batch_still_works(self):
-        backend = FakeBackend()
-        del FakeBackend.decode_batch  # simulate a legacy backend
-        try:
-            scheduler = RequestScheduler(backend, max_inflight=4)
-            for i in range(2):
-                scheduler.submit(_request(i + 1, num_tokens=4, max_new_tokens=2))
-            scheduler.drain()
-            assert sorted(backend.finished) == [1, 2]
-        finally:
-            FakeBackend.decode_batch = _FAKE_DECODE_BATCH
 
     def test_mixed_prefill_and_decode_round(self):
         """Prefilling requests keep chunking while the rest decode as a batch."""
@@ -302,47 +277,6 @@ class TestBatchedDecode:
         scheduler.step()  # 1 and 2 decode as a batch of 2, 3 keeps prefilling
         assert backend.batch_sizes == [2]
         assert scheduler.stats.prefill_chunks == 4
-
-
-class TestDecodeBatchHookResolution:
-    """The decode_batch hook is resolved once, at construction (not re-probed
-    with getattr every step, which hid backend mismatches as a silent
-    per-request fallback)."""
-
-    def test_missing_hook_warns_at_construction(self):
-        backend = FakeBackend()
-        del FakeBackend.decode_batch
-        try:
-            with pytest.warns(RuntimeWarning, match="no decode_batch hook"):
-                scheduler = RequestScheduler(backend, max_inflight=4)
-            assert scheduler._decode_batch is None
-        finally:
-            FakeBackend.decode_batch = _FAKE_DECODE_BATCH
-
-    def test_missing_hook_is_silent_when_batching_disabled(self):
-        backend = FakeBackend()
-        del FakeBackend.decode_batch
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                scheduler = RequestScheduler(
-                    backend, max_inflight=4, decode_batching=False
-                )
-            assert scheduler._decode_batch is None
-        finally:
-            FakeBackend.decode_batch = _FAKE_DECODE_BATCH
-
-    def test_hook_resolved_once_not_per_step(self):
-        backend = FakeBackend()
-        scheduler = RequestScheduler(backend, max_inflight=4)
-        del FakeBackend.decode_batch  # vanishing after construction is ignored
-        try:
-            for i in range(2):
-                scheduler.submit(_request(i + 1, num_tokens=4, max_new_tokens=2))
-            scheduler.drain()
-            assert backend.batch_sizes == [2]  # still served by the bound hook
-        finally:
-            FakeBackend.decode_batch = _FAKE_DECODE_BATCH
 
 
 class TestZeroTokenRequests:
@@ -561,7 +495,6 @@ class TestPreemption:
         assert sorted(backend.finished) == [1, 2]
 
 
-_FAKE_DECODE_BATCH = FakeBackend.decode_batch
 _FAKE_FAIL_REQUEST = FakeBackend.fail_request
 
 

@@ -141,14 +141,16 @@ class TestResultRetention:
 
 
 class TestBatchedDecodeThroughService:
-    def test_batched_and_unbatched_generations_match(self):
+    def test_batched_and_one_at_a_time_generations_match(self):
         prompts = [f"shared weights, request {i}, distinct suffix" for i in range(3)]
         outputs = []
-        for batching in (True, False):
-            service = _make_service(decode_batching=batching, max_inflight_requests=4)
+        for max_inflight in (4, 1):
+            service = _make_service(max_inflight_requests=max_inflight)
             ids = [service.submit(p, max_new_tokens=4) for p in prompts]
             service.drain()
             outputs.append([service.result(i)[0].generated_tokens for i in ids])
+            batched = service.scheduler.stats.batched_decode_calls
+            assert batched > 0 if max_inflight > 1 else batched == 0
         assert outputs[0] == outputs[1]
 
     def test_batched_calls_counted(self):
