@@ -113,7 +113,7 @@ def _per_head_walk_work(session: Session, layer: int, queries: np.ndarray) -> tu
     seeds = session.fine_window_seeds(inputs, queries)
     distance = hops = 0
     for head in range(NUM_HEADS):
-        index = inputs.data.fine_index_for_query_head(head)
+        index = inputs.ranges[0].fine_index_for_query_head(head)
         _, stats = diprs_search(
             index.vectors,
             index.graph,

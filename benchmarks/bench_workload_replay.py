@@ -3,13 +3,14 @@
 One seeded trace from the workload engine — diurnal/bursty arrivals,
 heavy-tailed context lengths, two tenants mixing chat sessions, RAG over a
 shared Zipf document library, agent tool loops with mid-stream
-cancellations — replayed against the full stack at all three entry points:
+cancellations — replayed against the full stack through both replay drivers:
 
 * **scheduler**: ``InferenceService.submit`` + virtual-clock stepping;
 * **http**: the asyncio SSE frontend over real TCP (cancels arrive as
   DELETEs and TCP aborts; shutdown verifies the drain invariants);
-* **router**: the sharded context router (sequential, cancellations as
-  client-side consumption caps).
+* **router**: the scheduler driver again, over a sharded router's front
+  service — the library documents live on two shard owners and every RAG
+  request is a scheduler-served session over their ranges.
 
 Each replay reports TTFT/TPOT p50/p95/p99, SLO attainment, eviction/
 preemption/throttle (429) rates, prefix-reuse hit ratio, and per-tenant
@@ -36,7 +37,6 @@ from repro.workloads.engine import (
     WorkloadEngineSpec,
     generate_replay_trace,
     replay_http,
-    replay_router,
     replay_scheduler,
     score_quality_gate,
     tenant_specs,
@@ -84,8 +84,12 @@ def _model() -> TransformerModel:
     return TransformerModel(ModelConfig.tiny(seed=97))
 
 
+def _config() -> AlayaDBConfig:
+    return AlayaDBConfig(tenants=tenant_specs(SPEC))
+
+
 def _service(model: TransformerModel) -> InferenceService:
-    return InferenceService(model, AlayaDBConfig(tenants=tenant_specs(SPEC)))
+    return InferenceService(model, _config())
 
 
 def _sweep():
@@ -94,7 +98,9 @@ def _sweep():
     reports = {
         "scheduler": replay_scheduler(trace, _service(model)),
         "http": replay_http(trace, _service(model), time_scale=HTTP_TIME_SCALE),
-        "router": replay_router(trace, ShardedContextRouter(model, num_workers=2)),
+        "router": replay_scheduler(
+            trace, ShardedContextRouter(model, num_workers=2, config=_config()).service
+        ),
     }
     gate = score_quality_gate(
         trace.kinds_present(),
@@ -109,17 +115,19 @@ def test_workload_replay(benchmark):
 
     for name, report in reports.items():
         assert report.num_events == trace.num_events, name
-        if name == "router":
-            assert report.completed + report.rejected == report.submitted, name
-        else:
-            assert (
-                report.completed + report.cancelled + report.failed == report.submitted
-            ), name
+        assert (
+            report.completed + report.cancelled + report.failed == report.submitted
+        ), name
         assert report.reuse_hit_requests > 0, name
     # the scheduler replay paces on a virtual clock: cancellations are
-    # deterministic, every event lands
+    # deterministic, every event lands — and sharding the library changes
+    # none of the counts
     assert reports["scheduler"].submitted == trace.num_events
     assert reports["scheduler"].cancelled > 0
+    assert (
+        reports["router"].deterministic_summary()
+        == reports["scheduler"].deterministic_summary()
+    )
     # the quality gate is the hard floor: sparse within 0.95x of dense on
     # every task of this trace's mix, in smoke and full mode alike
     assert gate.passes(GATE_THRESHOLD), gate.to_dict()
@@ -155,7 +163,7 @@ def test_workload_replay(benchmark):
              "TTFT p50 (ms)", "TTFT p99 (ms)", "TPOT p99 (ms)",
              "SLO", "reuse", "wall (s)"],
             rows,
-            title="--- one trace, three entry points ---",
+            title="--- one trace, two drivers (scheduler also over a sharded router) ---",
         ),
         "",
         format_table(

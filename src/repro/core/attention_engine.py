@@ -50,16 +50,15 @@ class DataCentricAttentionEngine:
     ) -> tuple[np.ndarray, list[AttentionBreakdown]]:
         """Sparse attention outputs for all query heads of one session's layer.
 
-        The one-session view of :meth:`stacked_layer_output`: ``queries`` is
-        ``(num_query_heads, head_dim)``, ``local_keys``/``local_values`` the
-        session's ``(num_kv_heads, m, head_dim)`` unmaterialised KV or None.
-        Returns ``(num_query_heads, head_dim)`` outputs and one breakdown per
-        head.
+        The one-session, one-range view of :meth:`stacked_layer_output`:
+        ``queries`` is ``(num_query_heads, head_dim)``, ``keys``/``values`` the
+        whole stored context, ``local_keys``/``local_values`` the session's
+        ``(num_kv_heads, m, head_dim)`` unmaterialised KV or None.  Returns
+        ``(num_query_heads, head_dim)`` outputs and one breakdown per head.
         """
         outputs, breakdowns = self.stacked_layer_output(
             np.asarray(queries, dtype=np.float32)[None],
-            keys,
-            values,
+            [(0, keys, values)],
             window_positions,
             retrieved_positions,
             [local_keys],
@@ -67,59 +66,41 @@ class DataCentricAttentionEngine:
         )
         return outputs[0], breakdowns
 
-    def shard_layer_partial(
-        self,
-        queries: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        window_positions: np.ndarray,
-        retrieved_positions: list[np.ndarray],
-    ) -> tuple[PartialAttention, list[AttentionBreakdown]]:
-        """One shard's contribution to a sharded decode step, as a single partial.
-
-        ``keys``/``values`` are a shard's slice of the stored context and all
-        positions are *shard-local*; ``queries`` is ``(num_query_heads,
-        head_dim)``.  The window and retrieved partials are collapsed into one
-        :class:`PartialAttention` that keeps its log-sum-exp statistics, so the
-        router can combine shard partials from every owner (plus the session's
-        local-KV partial) and obtain exactly the unsharded result.  Heads for
-        which this shard holds nothing come back as the neutral element.
-        """
-        queries = np.asarray(queries, dtype=np.float32)
-        return self._stacked_partial(
-            queries[None], keys, values, window_positions, retrieved_positions, [None], [None]
-        )
-
     def stacked_layer_output(
         self,
         queries: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
+        ranges: list[tuple[int, np.ndarray, np.ndarray]],
         window_positions: np.ndarray,
         retrieved_positions: list[np.ndarray],
         local_keys: list[np.ndarray | None],
         local_values: list[np.ndarray | None],
     ) -> tuple[np.ndarray, list[AttentionBreakdown]]:
-        """Sparse attention for ``S >= 1`` sessions stacked over one shared context.
+        """Sparse attention for ``S >= 1`` sessions over ``R >= 1`` stored-KV ranges.
 
-        Every session in a compatibility group reads the *same* stored-context
-        KV with the same window positions; their window, retrieved and local
-        partials merge with one log-sum-exp combine (:meth:`_stacked_partial`).
-        Row ``(s, h)`` of the output (and entry ``s * num_heads + h`` of the
-        breakdown list) does not depend on which other sessions are stacked;
-        heads that attend to nothing come back as zeros.
+        Every session in a compatibility group reads the *same* stored
+        context with the same window positions.  Partials are computed where
+        the data lives — per range one over its slice of the window and one
+        over its slice of the retrieved tokens, per session one over its
+        local KV — and merge with one log-sum-exp combine, which equals a
+        single softmax over everything attended.  Row ``(s, h)`` of the
+        output (and entry ``s * num_heads + h`` of the breakdown list) does
+        not depend on which other sessions are stacked; heads that attend to
+        nothing come back as zeros.
 
         Parameters
         ----------
         queries:
             ``(num_sessions, num_query_heads, head_dim)`` decode queries.
-        keys / values:
-            ``(num_kv_heads, n, head_dim)`` KV of the shared stored context.
+        ranges:
+            ``(start, keys, values)`` per token range of the stored context:
+            ``keys``/``values`` are ``(num_kv_heads, n_r, head_dim)`` and hold
+            global tokens ``[start, start + n_r)``.  A single-owner context is
+            the one range ``(0, keys, values)``.
         window_positions:
-            Window-cache positions (identical across the group by the
-            compatibility key: same context, prefix and config).
+            Window-cache positions in global token space (identical across
+            the group by the compatibility key).
         retrieved_positions:
-            One position array per stacked head, session-major
+            One global position array per stacked head, session-major
             (``num_sessions * num_query_heads`` entries, each duplicate-free —
             retrieval outcomes are).  Deduplication against the window
             happens here.
@@ -128,77 +109,25 @@ class DataCentricAttentionEngine:
             or ``None``; lengths ``m_s`` may differ.
         """
         queries = np.asarray(queries, dtype=np.float32)
-        combined, breakdowns = self._stacked_partial(
-            queries, keys, values, window_positions, retrieved_positions, local_keys, local_values
-        )
-        return combined.output.reshape(queries.shape), breakdowns
-
-    def _stacked_partial(
-        self,
-        queries: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        window_positions: np.ndarray,
-        retrieved_positions: list[np.ndarray],
-        local_keys: list[np.ndarray | None],
-        local_values: list[np.ndarray | None],
-    ) -> tuple[PartialAttention, list[AttentionBreakdown]]:
-        """The window / retrieved / local partials of a stacked decode step, combined.
-
-        Computed where the data lives: the window partial is one einsum over
-        the ``(sessions, kv_heads, group, d)`` query stack against the
-        un-copied ``(kv_heads, window, d)`` gather, the retrieved partial
-        pads the per-head sets into one gather with a session-aware KV-head
-        mapping, and the ragged per-session local KV is padded/masked into
-        one batch.  The result is over ``sessions * heads`` rows,
-        session-major, with the log-sum-exp statistics of everything a row
-        attended to (the neutral element for a row that attended to nothing).
-        """
         num_sessions, num_heads, head_dim = queries.shape
-        num_kv_heads = keys.shape[0]
-        group = num_heads // num_kv_heads
+        num_kv_heads = ranges[0][1].shape[0]
         total = num_sessions * num_heads
-        window_positions = np.asarray(window_positions, dtype=np.int64)
         scale = np.float32(self.scale if self.scale is not None else 1.0 / np.sqrt(head_dim))
-        grouped_q = queries.reshape(num_sessions, num_kv_heads, group, head_dim)
-
-        in_window = None
-        if window_positions.size:
-            in_window = np.zeros(keys.shape[1], dtype=bool)
-            in_window[window_positions] = True
-        dedup = self._dedup_and_pad(retrieved_positions, in_window, total, keys.shape[1])
+        grouped_q = queries.reshape(num_sessions, num_kv_heads, num_heads // num_kv_heads, head_dim)
+        window_positions = np.asarray(window_positions, dtype=np.int64)
+        num_positions = max(start + keys.shape[1] for start, keys, _ in ranges)
+        in_window = np.zeros(num_positions, dtype=bool)
+        in_window[window_positions] = True
 
         breakdowns = [AttentionBreakdown() for _ in range(total)]
         partials: list[PartialAttention] = []
-
-        if window_positions.size:
-            window_keys = keys[:, window_positions, :]
-            window_values = values[:, window_positions, :]
-            logits = np.einsum("skgd,kmd->skgm", grouped_q, window_keys) * scale
-            max_logit = logits.max(axis=3)
-            exps = np.exp(logits - max_logit[..., None])
-            sum_exp = exps.sum(axis=3)
-            output = np.einsum("skgm,kmd->skgd", exps, window_values) / sum_exp[..., None]
-            partials.append(
-                PartialAttention(
-                    output=output.reshape(total, head_dim).astype(np.float32),
-                    max_logit=max_logit.reshape(total).astype(np.float32),
-                    sum_exp=sum_exp.reshape(total).astype(np.float32),
+        for start, keys, values in ranges:
+            partials.extend(
+                self._range_partials(
+                    grouped_q, scale, start, keys, values, window_positions, in_window,
+                    retrieved_positions, breakdowns,
                 )
             )
-            for breakdown in breakdowns:
-                breakdown.num_window_tokens = int(window_positions.size)
-
-        if dedup is not None:
-            padded, mask, counts = dedup
-            kv_of_head = np.tile(np.arange(num_heads, dtype=np.int64) // group, num_sessions)
-            partials.append(
-                self._masked_retrieved_partial(
-                    queries.reshape(total, head_dim), keys, values, padded, mask, kv_of_head
-                )
-            )
-            for row, breakdown in enumerate(breakdowns):
-                breakdown.num_retrieved_tokens = int(counts[row])
 
         local_lengths = [0 if lk is None else int(lk.shape[1]) for lk in local_keys]
         max_local = max(local_lengths, default=0)
@@ -234,24 +163,96 @@ class DataCentricAttentionEngine:
                 for head in range(num_heads):
                     breakdowns[s * num_heads + head].num_local_tokens = length
         if not partials:
-            return PartialAttention.empty(total, head_dim), breakdowns
-        return combine_partial_attention(partials), breakdowns
+            return np.zeros_like(queries), breakdowns
+        return combine_partial_attention(partials).output.reshape(queries.shape), breakdowns
+
+    def _range_partials(
+        self,
+        grouped_q: np.ndarray,
+        scale: np.float32,
+        start: int,
+        keys: np.ndarray,
+        values: np.ndarray,
+        window_positions: np.ndarray,
+        in_window: np.ndarray,
+        retrieved_positions: list[np.ndarray],
+        breakdowns: list[AttentionBreakdown],
+    ) -> list[PartialAttention]:
+        """The window and retrieved partials of one stored-KV range.
+
+        ``grouped_q`` is the ``(sessions, kv_heads, group, d)`` query stack.
+        The window partial is one einsum against the un-copied ``(kv_heads,
+        window, d)`` gather of the range's slice of the window; the retrieved
+        partial pads the per-head sets (minus the window, minus what other
+        ranges hold) into one gather with a session-aware KV-head mapping.
+        Each is over ``sessions * heads`` rows, session-major, and is left
+        out when the range holds nothing of its kind; ``breakdowns``
+        accumulate the token counts.
+        """
+        num_sessions, num_kv_heads, group, head_dim = grouped_q.shape
+        num_heads = num_kv_heads * group
+        total = num_sessions * num_heads
+        stop = start + keys.shape[1]
+        partials: list[PartialAttention] = []
+
+        window_local = window_positions[(window_positions >= start) & (window_positions < stop)] - start
+        if window_local.size:
+            window_keys = keys[:, window_local, :]
+            window_values = values[:, window_local, :]
+            logits = np.einsum("skgd,kmd->skgm", grouped_q, window_keys) * scale
+            max_logit = logits.max(axis=3)
+            exps = np.exp(logits - max_logit[..., None])
+            sum_exp = exps.sum(axis=3)
+            output = np.einsum("skgm,kmd->skgd", exps, window_values) / sum_exp[..., None]
+            partials.append(
+                PartialAttention(
+                    output=output.reshape(total, head_dim).astype(np.float32),
+                    max_logit=max_logit.reshape(total).astype(np.float32),
+                    sum_exp=sum_exp.reshape(total).astype(np.float32),
+                )
+            )
+            for breakdown in breakdowns:
+                breakdown.num_window_tokens += int(window_local.size)
+
+        # a retrieved token belongs to this range's partial when it lies in
+        # the range and outside the window
+        excluded = np.ones(in_window.shape[0], dtype=bool)
+        excluded[start:stop] = in_window[start:stop]
+        dedup = self._dedup_and_pad(retrieved_positions, excluded, total, start)
+        if dedup is not None:
+            padded, mask, counts = dedup
+            kv_of_head = np.tile(np.arange(num_heads, dtype=np.int64) // group, num_sessions)
+            partials.append(
+                self._masked_retrieved_partial(
+                    grouped_q.reshape(total, head_dim),
+                    keys,
+                    values,
+                    padded,
+                    mask,
+                    kv_of_head,
+                )
+            )
+            for row, breakdown in enumerate(breakdowns):
+                breakdown.num_retrieved_tokens += int(counts[row])
+        return partials
 
     @staticmethod
     def _dedup_and_pad(
         positions_per_row: list[np.ndarray],
-        in_window: np.ndarray | None,
+        excluded: np.ndarray,
         num_rows: int,
-        num_positions: int,
+        offset: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Window-dedup the per-row retrieved sets and pad them to one batch.
+        """Filter the per-row retrieved sets and pad them to one batch.
 
-        One concatenated mask filter plus one composite-key argsort replace a
-        per-row ``setdiff1d``: each row comes out sorted by position with
-        window overlap removed.  Rows must be duplicate-free on input
-        (retrieval outcomes are).  Returns
-        ``(padded (rows, max_len), mask (rows, max_len), counts (rows,))``,
-        or ``None`` when nothing survives the dedup.
+        ``excluded`` marks the positions to drop (the window, and whatever
+        another range holds).  One concatenated mask filter plus one
+        composite-key argsort replace a per-row ``setdiff1d``: each row comes
+        out sorted by position with the excluded positions removed.  Rows
+        must be duplicate-free on input (retrieval outcomes are).  Returns
+        ``(padded (rows, max_len), mask (rows, max_len), counts (rows,))``
+        with the surviving positions shifted down by ``offset`` (a range's
+        start: global in, range-local out), or ``None`` when nothing survives.
         """
         lengths = np.fromiter(
             (p.size for p in positions_per_row), dtype=np.int64, count=num_rows
@@ -260,12 +261,11 @@ class DataCentricAttentionEngine:
             return None
         cat = np.concatenate([np.asarray(p, dtype=np.int64) for p in positions_per_row])
         row_ids = np.repeat(np.arange(num_rows, dtype=np.int64), lengths)
-        if in_window is not None:
-            keep = ~in_window[cat]
-            cat, row_ids = cat[keep], row_ids[keep]
-            if cat.size == 0:
-                return None
-        order = np.argsort(row_ids * np.int64(num_positions) + cat)
+        keep = ~excluded[cat]
+        cat, row_ids = cat[keep], row_ids[keep]
+        if cat.size == 0:
+            return None
+        order = np.argsort(row_ids * np.int64(excluded.shape[0]) + cat)
         cat, row_ids = cat[order], row_ids[order]
         counts = np.bincount(row_ids, minlength=num_rows)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -273,7 +273,7 @@ class DataCentricAttentionEngine:
         max_len = int(counts.max())
         padded = np.zeros((num_rows, max_len), dtype=np.int64)
         mask = np.zeros((num_rows, max_len), dtype=bool)
-        padded[row_ids, cols] = cat
+        padded[row_ids, cols] = cat - np.int64(offset)
         mask[row_ids, cols] = True
         return padded, mask, counts
 

@@ -195,11 +195,6 @@ class AlayaDBConfig:
     coarse blocks coincide with the full-context blocks and the cross-shard
     block merge stays exact."""
 
-    shard_router_policy: str = "round_robin"
-    """How the sharded router assigns shard ownership to workers:
-    ``"round_robin"`` deals shards out in shard-id order (shard ``i`` goes to
-    worker ``i mod num_workers``)."""
-
     def __post_init__(self) -> None:
         if self.window_initial_tokens < 0 or self.window_last_tokens < 0:
             raise ConfigError("window sizes must be non-negative")
@@ -278,10 +273,6 @@ class AlayaDBConfig:
         if self.shard_token_range is not None and self.shard_token_range <= 0:
             raise ConfigError(
                 f"shard_token_range must be positive when set, got {self.shard_token_range}"
-            )
-        if self.shard_router_policy not in ("round_robin",):
-            raise ConfigError(
-                f"shard_router_policy must be 'round_robin', got {self.shard_router_policy!r}"
             )
 
     @property

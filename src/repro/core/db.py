@@ -66,9 +66,15 @@ class DB:
         tokenizer: ByteTokenizer | None = None,
         storage_dir: str | Path | None = None,
         backend: StorageBackend | None = None,
+        shard_catalog=None,
     ):
         self.config = config or AlayaDBConfig()
         self.tokenizer = tokenizer or ByteTokenizer()
+        self.shard_catalog = shard_catalog
+        """Catalog of sharded contexts (a
+        :class:`~repro.sharding.router.ShardedContextRouter`) that
+        :meth:`create_session` consults; ``None`` when every context has a
+        single owner."""
         budget = self.config.context_store_budget_bytes
         effective_dir = storage_dir if storage_dir is not None else self.config.context_db_path
         # ``context_db_path`` (or an explicit backend) makes the store a
@@ -228,11 +234,19 @@ class DB:
         reused through the session; only the remaining suffix is returned and
         must be prefilled by the caller's model.  A matched context that was
         spilled to disk is transparently reloaded, and it stays pinned in
-        memory until the session is closed.
+        memory until the session is closed.  A matched context in the shard
+        catalog is neither reloaded nor pinned here: the session that comes
+        back reads it where it lives, on the shard owners.
         """
         tokens = self._tokenize(prompts)
         match = self.store_registry.find_longest_prefix(tokens)
         useful = match.is_hit and match.prefix_length >= self.config.min_reuse_tokens
+        if useful and self.shard_catalog is not None:
+            sharded = self.shard_catalog.open_session(
+                match.context.context_id, match.prefix_length, gpu_memory_budget_bytes
+            )
+            if sharded is not None:
+                return sharded, tokens[match.prefix_length :]
         context: StoredContext | None = None
         reused = 0
         index_provider = None
@@ -333,7 +347,7 @@ class DB:
             values[layer] = np.ascontiguousarray(layer_values)
         total_tokens = keys[0].shape[1] if keys else 0
         if tokens is None:
-            prefix_tokens = session.context.tokens[: session.reused_prefix_length] if session.context else []
+            prefix_tokens = session.reused_tokens
             padding = [self.tokenizer.pad_id] * (total_tokens - len(prefix_tokens))
             tokens = list(prefix_tokens) + padding
         samples = self._merged_query_samples(session)

@@ -176,9 +176,9 @@ class CrossRequestDecodeRound:
         """Split sessions into sparse compatibility groups and dense sessions.
 
         The compatibility key pins everything the stacked kernels assume is
-        shared: the stored context's KV arrays (by identity), the reused
-        prefix, the exact plan (frozen dataclass — hashable), and the window
-        geometry.  Returns ``([(row indices, [(session, inputs), ...]), ...],
+        shared: the stored KV arrays of every range holding the context (by
+        identity), the reused prefix, the exact plan (frozen dataclass —
+        hashable), and the window geometry.  Returns ``([(row indices, [(session, inputs), ...]), ...],
         [dense row indices])``.
         """
         dense: list[int] = []
@@ -190,7 +190,7 @@ class CrossRequestDecodeRound:
                 continue
             inputs = session.sparse_layer_inputs(layer)
             key = (
-                id(inputs.data.keys),
+                inputs.kv_identity,
                 inputs.prefix,
                 plan,
                 session.config.window_initial_tokens,

@@ -10,7 +10,7 @@ work statistics, which the latency model converts into modelled seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class RetrievalOutcome:
     """Graph hops the retrieval walked (0 for the scan-based index kinds).
     Group-frontier retrieval attributes its shared walk to the group's first
     head, so summing over heads never double-counts shared work."""
+    block_scores: np.ndarray | None = None
+    """Coarse retrieval only: this head's relevance score of every block of
+    the searched range, ``(num_blocks,)`` — what a cross-range re-selection
+    concatenates to reproduce the single-range block choice."""
 
     @property
     def num_selected(self) -> int:
@@ -74,15 +78,20 @@ class RetrievalOutcome:
 
 @dataclass
 class LayerIndexData:
-    """Everything the executor may need about one layer of a stored context.
+    """One layer of one stored-KV token range: its KV and range-local indexes.
 
-    Not every field is populated: the flat path only needs ``keys``; the fine
-    path needs the per-KV-head RoarGraph indexes; the coarse path needs the
-    block indexes.
+    A single-owner context is one range starting at token 0; a sharded
+    context is several, each resolved through its owner.  Not every field is
+    populated: the flat path only needs ``keys``; the fine path needs the
+    per-KV-head RoarGraph indexes; the coarse path needs the block indexes.
     """
 
     keys: np.ndarray
-    """Key vectors ``(num_kv_heads, n, head_dim)`` of the stored context."""
+    """Key vectors ``(num_kv_heads, n, head_dim)`` of the range."""
+
+    values: np.ndarray | None = None
+    """Value vectors, same shape as ``keys`` (attention needs them; pure
+    retrieval callers may leave them out)."""
 
     fine_indexes: list[RoarGraphIndex] | None = None
     """One RoarGraph per KV head (GQA-shared) or per query head."""
@@ -97,16 +106,20 @@ class LayerIndexData:
     gqa_group_size: int = 1
 
     position_offset: int = 0
-    """Global position of this data's first token.  A shard of a context
-    carries its token-range start here so every retrieval outcome reports
-    positions in the *global* token space of the full context; predicates,
-    window seeds and the index structures themselves stay shard-local."""
+    """Global position of this range's first token.  Every retrieval outcome
+    reports positions in the *global* token space of the full context; window
+    seeds and the index structures themselves stay range-local."""
 
     def to_global(self, positions: np.ndarray) -> np.ndarray:
         """Map local retrieval positions into global token space."""
         if self.position_offset == 0:
             return positions
         return positions + np.int64(self.position_offset)
+
+    def to_local(self, positions: np.ndarray) -> np.ndarray:
+        """The global ``positions`` that fall inside this range, range-local."""
+        local = np.asarray(positions, dtype=np.int64) - np.int64(self.position_offset)
+        return local[(local >= 0) & (local < self.keys.shape[1])]
 
     def fine_index_for_query_head(self, query_head: int) -> RoarGraphIndex:
         if not self.fine_indexes:
@@ -206,6 +219,90 @@ class PlanExecutor:
                 )
             return self._retrieve_fine_heads(plan, data, queries, window_max_scores, num_tokens)
         raise UnsupportedQueryError(f"unknown index kind {plan.index_kind!r}")
+
+    def retrieve_ranges(
+        self,
+        plan: ExecutionPlan,
+        ranges: list[LayerIndexData],
+        queries: np.ndarray,
+        window_max_scores: np.ndarray | None = None,
+        kv_head_of_query: np.ndarray | None = None,
+    ) -> list[RetrievalOutcome]:
+        """Run ``plan`` over the ``R >= 1`` token ranges holding one stored context.
+
+        Every range answers :meth:`retrieve_heads` against its own range-local
+        indexes, with ``plan``'s (global) predicate rewritten into its token
+        space; the plan's selection rule is then re-applied over the union so
+        the outcome is what a single index over the whole context returns:
+
+        * **DIPR** (flat, fine) keeps what scores within ``beta`` of the
+          *global* best — exact for the flat scan; for fine walks (a range's
+          graph only connects its own tokens) the standard distributed-ANN
+          merge;
+        * **top-k** (flat, fine) keeps the ``k`` best of the union;
+        * **coarse** concatenates the per-range block-score rows — ranges
+          start on block boundaries, so range-local blocks are the global
+          index's blocks — and reruns the shared top-block selection.
+
+        A single range has nothing to re-select: its outcomes are returned
+        as they are.
+        """
+        per_range = [
+            self.retrieve_heads(range_plan, data, queries, window_max_scores, kv_head_of_query)
+            for data in ranges
+            if (range_plan := _plan_for_range(plan, data)) is not None
+        ]
+        if len(per_range) == 1:
+            return per_range[0]
+
+        top_blocks = None
+        if plan.index_kind == IndexKind.COARSE:
+            block_scores = np.concatenate(
+                [np.stack([o.block_scores for o in outcomes]) for outcomes in per_range], axis=1
+            )
+            num_blocks = max(1, min(self.coarse_num_blocks, block_scores.shape[1]))
+            top_blocks = CoarseBlockIndex.top_blocks_from_scores(block_scores, num_blocks)
+            blocks_per_range = [outcomes[0].block_scores.shape[0] for outcomes in per_range]
+            first_block = np.cumsum([0] + blocks_per_range[:-1])
+            block_size = ranges[0].coarse_index_for_kv_head(0).block_size
+
+        merged = []
+        for row in range(len(per_range[0])):
+            parts = [outcomes[row] for outcomes in per_range]
+            positions = np.concatenate([part.positions for part in parts])
+            scores = np.concatenate([part.scores for part in parts])
+            limit = None
+            if top_blocks is not None:
+                # coarse plans search every range, so parts align with ranges
+                block_of = np.concatenate(
+                    [
+                        first + (part.positions - data.position_offset) // block_size
+                        for first, data, part in zip(first_block, ranges, parts)
+                    ]
+                )
+                keep = np.isin(block_of, top_blocks[row])
+                positions, scores = positions[keep], scores[keep]
+            elif isinstance(plan.query, DIPRQuery):
+                if positions.shape[0]:
+                    # the global best replaces each range's local best
+                    keep = scores >= scores.max() - plan.query.beta
+                    positions, scores = positions[keep], scores[keep]
+                limit = plan.query.max_tokens
+            else:
+                limit = int(plan.query.k)
+            if limit is not None and positions.shape[0] > limit:
+                order = np.argsort(-scores)[:limit]
+                positions, scores = positions[order], scores[order]
+            merged.append(
+                RetrievalOutcome(
+                    positions,
+                    scores,
+                    sum(part.num_distance_computations for part in parts),
+                    int(positions.shape[0]),
+                    num_hops=sum(part.num_hops for part in parts),
+                )
+            )
+        return merged
 
     def _retrieve_fine_heads(
         self,
@@ -329,12 +426,16 @@ class PlanExecutor:
         for kv_head, heads in self._heads_by_kv_head(data, queries.shape[0], kv_head_of_query).items():
             index = data.coarse_index_for_kv_head(kv_head)
             num_blocks = max(1, min(self.coarse_num_blocks, index.num_blocks))
-            per_head_positions = index.selected_positions_batch(queries[heads], num_blocks)
+            block_scores = index.block_scores_batch(queries[heads])
+            top_blocks = index.top_blocks_from_scores(block_scores, num_blocks)
+            per_head_positions = [index.positions_of_blocks(row) for row in top_blocks]
             distance_computations = index.num_blocks * index.num_representatives
             if plan.predicate is not None:
+                # the predicate is global and filters *after* selection:
+                # hidden blocks still compete for the selection slots
+                visible = plan.predicate.max_position - data.position_offset
                 per_head_positions = [
-                    positions[positions < plan.predicate.max_position]
-                    for positions in per_head_positions
+                    positions[positions < visible] for positions in per_head_positions
                 ]
             lengths = {positions.shape[0] for positions in per_head_positions}
             if len(lengths) == 1 and next(iter(lengths)) > 0:
@@ -351,7 +452,11 @@ class PlanExecutor:
                 ]
             for slot, (head, positions) in enumerate(zip(heads, per_head_positions)):
                 outcomes[head] = RetrievalOutcome(
-                    data.to_global(positions), group_scores[slot], distance_computations, len(positions)
+                    data.to_global(positions),
+                    group_scores[slot],
+                    distance_computations,
+                    len(positions),
+                    block_scores=block_scores[slot],
                 )
         return outcomes
 
@@ -412,3 +517,18 @@ class PlanExecutor:
                 data.to_global(result.indices), result.scores, result.num_distance_computations, len(result)
             )
         raise UnsupportedQueryError(f"fine index cannot process {plan.query!r}")
+
+
+def _plan_for_range(plan: ExecutionPlan, data: LayerIndexData) -> ExecutionPlan | None:
+    """``plan`` with its global predicate rewritten into ``data``'s token space.
+
+    ``None`` when the predicate hides the whole range.  Coarse plans pass
+    through unchanged: their predicate filters the selected positions, not
+    the candidates, and the executor applies it in global space.
+    """
+    if plan.predicate is None or data.position_offset == 0 or plan.index_kind == IndexKind.COARSE:
+        return plan
+    visible = plan.predicate.max_position - data.position_offset
+    if visible <= 0:
+        return None
+    return replace(plan, predicate=FilterPredicate(max_position=visible))

@@ -208,10 +208,13 @@ class InferenceService:
         store_conversations: bool = False,
         storage_dir=None,
         backend: StorageBackend | None = None,
+        shard_catalog=None,
     ):
         self.model = model
         self.config = config or AlayaDBConfig()
-        self.db = DB(self.config, storage_dir=storage_dir, backend=backend)
+        self.db = DB(
+            self.config, storage_dir=storage_dir, backend=backend, shard_catalog=shard_catalog
+        )
         self.loop = GenerationLoop(model)
         self.cost_model = cost_model or CostModel()
         self.store_conversations = store_conversations
@@ -271,8 +274,11 @@ class InferenceService:
         """Import a document (prefill + index construction) for later reuse.
 
         With ``lazy_index_build`` configured, fine indexes are deferred to the
-        first sparse use, cutting ingest latency.
+        first sparse use, cutting ingest latency.  A service fronting a shard
+        catalog shards the document and places it on the shard owners.
         """
+        if self.db.shard_catalog is not None:
+            return self.db.shard_catalog.ingest(document, context_id=context_id).context_id
         context = self.db.prefill_and_import(self.model, document, context_id=context_id)
         return context.context_id
 

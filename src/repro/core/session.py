@@ -79,10 +79,10 @@ class SparseLayerInputs:
     """
 
     plan: ExecutionPlan
-    data: LayerIndexData
+    ranges: list[LayerIndexData]
+    """The ``R >= 1`` token ranges holding the stored context, in token
+    order: one for a single-owner context, one per shard for a sharded one."""
     prefix: int
-    prefix_keys: np.ndarray
-    prefix_values: np.ndarray
     window_positions: np.ndarray
     local_keys: np.ndarray
     local_values: np.ndarray
@@ -90,6 +90,11 @@ class SparseLayerInputs:
     @property
     def has_local(self) -> bool:
         return self.local_keys.shape[1] > 0
+
+    @property
+    def kv_identity(self) -> tuple[int, ...]:
+        """Identity of the stored KV arrays: sessions stack only over the same ones."""
+        return tuple(id(data.keys) for data in self.ranges)
 
 
 def decode_stats_from(outcomes, breakdowns) -> DecodeStepStats:
@@ -203,6 +208,13 @@ class Session:
     def is_connected(self) -> bool:
         """True when the session reuses a stored context."""
         return self.context is not None and self.reused_prefix_length > 0
+
+    @property
+    def reused_tokens(self) -> list[int]:
+        """Token ids of the reused prefix (empty when nothing is reused)."""
+        if self.context is None:
+            return []
+        return self.context.tokens[: self.reused_prefix_length]
 
     @property
     def num_layers(self) -> int:
@@ -410,6 +422,7 @@ class Session:
         # a reload fall back to key-vector query samples)
         data = LayerIndexData(
             keys=context.keys(layer),
+            values=context.values(layer),
             fine_indexes=fine.indexes if fine is not None else None,
             coarse_indexes=coarse,
             shared=fine.shared if fine is not None else True,
@@ -426,7 +439,7 @@ class Session:
 
     def _sparse_attention(self, q: np.ndarray, layer: int) -> np.ndarray:
         """Single-token sparse attention for a session stepped on its own:
-        a group of one (the hook a sharded session overrides)."""
+        a group of one."""
         members = [(self, self.sparse_layer_inputs(layer))]
         return sparse_group_attention(layer, members, q[:, 0, :][None])[0][:, None, :]
 
@@ -453,33 +466,41 @@ class Session:
         snapshot reflects KV appended so far, so call this *after*
         ``update_query`` for the step's token.
         """
-        plan = self._plans_for_context()[layer]
-        data = self._layer_index_data(layer)
         local_keys, local_values = self.local_snapshot(layer)
         prefix = self.reused_prefix_length
         return SparseLayerInputs(
-            plan=plan,
-            data=data,
+            plan=self._plans_for_context()[layer],
+            ranges=self._stored_ranges(layer),
             prefix=prefix,
-            prefix_keys=self.context.keys(layer)[:, :prefix, :],
-            prefix_values=self.context.values(layer)[:, :prefix, :],
             window_positions=self.window.positions(prefix),
             local_keys=local_keys,
             local_values=local_values,
         )
 
+    def _stored_ranges(self, layer: int) -> list[LayerIndexData]:
+        """The token ranges holding the reused context's ``layer``: the one
+        stored context (the hook a sharded session overrides)."""
+        return [self._layer_index_data(layer)]
+
     def fine_window_seeds(self, inputs: SparseLayerInputs, queries: np.ndarray) -> np.ndarray:
         """Per-head window seeds for a fine (DIPRS) retrieval at this step.
 
-        The window maxima plus — when local KV exists — one matvec per head
-        over it: the seed must not depend on what else is stacked in the
-        round, because it drives DIPRS pruning (and through it the integer
-        work stats).
+        The window maxima — the max over every range's slice of the window —
+        floored by one matvec per head over the local KV when there is any:
+        the seed must not depend on what else is stacked in the round,
+        because it drives DIPRS pruning (and through it the integer work
+        stats).
         """
         dims = self._dims
-        window_max = self.window.max_window_scores(
-            queries, inputs.prefix_keys, inputs.window_positions
-        )
+        window_max = np.full(dims.num_query_heads, -np.inf, dtype=np.float32)
+        for data in inputs.ranges:
+            np.maximum(
+                window_max,
+                self.window.max_window_scores(
+                    queries, data.keys, data.to_local(inputs.window_positions)
+                ),
+                out=window_max,
+            )
         if inputs.has_local:
             for head in range(dims.num_query_heads):
                 local_best = float(
@@ -491,8 +512,8 @@ class Session:
     def record_decode_stats(self, stats: DecodeStepStats, layer: int) -> None:
         """Account one layer's decode work (steps counted on the last layer).
 
-        Called by :func:`sparse_group_attention` (and the sharded fan-out)
-        for the work executed on this session's behalf.
+        Called by :func:`sparse_group_attention` for the work executed on
+        this session's behalf.
         """
         self.last_decode_stats = stats
         self.total_decode_stats.merge(stats)
@@ -506,22 +527,25 @@ def sparse_group_attention(
     queries: np.ndarray,
     timings: StageTimings | None = None,
 ) -> np.ndarray:
-    """One layer's single-token sparse attention for ``S >= 1`` sessions.
+    """One layer's single-token sparse attention for ``S >= 1`` sessions
+    over the ``R >= 1`` token ranges holding their stored context.
 
     The one execution of the paper's query-processing procedure: window
-    seeds → ``PlanExecutor.retrieve_heads`` → one stacked partial-attention
-    merge → per-session :class:`DecodeStepStats`.  ``members`` share a stored
+    seeds → ``PlanExecutor.retrieve_ranges`` (per-range ``retrieve_heads`` +
+    one cross-range re-selection) → one stacked partial-attention merge →
+    per-session :class:`DecodeStepStats`.  ``members`` share a stored
     context, reused prefix, plan and window geometry (the decode round's
     compatibility key; a session stepped alone is a group of one) and
     ``queries`` is ``(S, num_query_heads, head_dim)`` in member order.
     Flat/coarse scans stack every member's query heads into one gemm per KV
-    head; fine (DIPRS) walks are data-dependent, so they run per member —
-    through the first member's executor, sharing its frontier scratch.
-    ``timings`` accumulates the retrieval / merge wall-time split.  Returns
-    ``(S, num_query_heads, head_dim)`` attention outputs.
+    head and range; fine (DIPRS) walks are data-dependent, so they run per
+    member — through the first member's executor, sharing its frontier
+    scratch.  ``timings`` accumulates the retrieval / merge wall-time split.
+    Returns ``(S, num_query_heads, head_dim)`` attention outputs.
     """
     first_session, shared = members[0]
     plan = shared.plan
+    ranges = shared.ranges
     executor = first_session.executor
     num_sessions, num_heads, head_dim = queries.shape
 
@@ -532,17 +556,15 @@ def sparse_group_attention(
             # retrieve_heads decides whether the plan consumes the seeds
             seeds = session.fine_window_seeds(inputs, session_queries)
             outcomes.extend(
-                executor.retrieve_heads(
-                    plan, shared.data, session_queries, window_max_scores=seeds
-                )
+                executor.retrieve_ranges(plan, ranges, session_queries, window_max_scores=seeds)
             )
     else:
         kv_head_of_query = np.tile(
-            np.arange(num_heads, dtype=np.int64) // shared.data.gqa_group_size, num_sessions
+            np.arange(num_heads, dtype=np.int64) // ranges[0].gqa_group_size, num_sessions
         )
-        outcomes = executor.retrieve_heads(
+        outcomes = executor.retrieve_ranges(
             plan,
-            shared.data,
+            ranges,
             queries.reshape(num_sessions * num_heads, head_dim),
             kv_head_of_query=kv_head_of_query,
         )
@@ -554,8 +576,7 @@ def sparse_group_attention(
 
     outputs, breakdowns = first_session.engine.stacked_layer_output(
         queries,
-        shared.prefix_keys,
-        shared.prefix_values,
+        [(data.position_offset, data.keys, data.values) for data in ranges],
         window_positions=shared.window_positions,
         retrieved_positions=retrieved,
         local_keys=[inputs.local_keys if inputs.has_local else None for _, inputs in members],

@@ -227,9 +227,10 @@ class CoarseBlockIndex(VectorIndex):
     def selected_positions_batch(self, queries: np.ndarray, num_blocks: int) -> list[np.ndarray]:
         """Per-query selected positions with one shared representative scan."""
         top = self._top_block_ids_batch(queries, num_blocks)
-        return [self._block_range_positions(row) for row in top]
+        return [self.positions_of_blocks(row) for row in top]
 
-    def _block_range_positions(self, block_ids: np.ndarray) -> np.ndarray:
+    def positions_of_blocks(self, block_ids: np.ndarray) -> np.ndarray:
+        """All token positions of the blocks ``block_ids``, in the given block order."""
         if block_ids.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(

@@ -1,14 +1,17 @@
 """A session connected to a *sharded* context instead of a single stored one.
 
-:class:`ShardedSession` plays the role :class:`~repro.core.session.Session`
-plays for a single-owner context, but the KV cache and indexes it reuses are
-range-partitioned across shard owners.  The session keeps everything that is
-request-local — the window bookkeeping, the local (late-materialized) KV, the
-optimizer plans, decode statistics — and delegates everything that touches
-the stored prefix to a *fan-out* object (the
-:class:`~repro.sharding.router.ShardedContextRouter`), which fans retrieval
-and partial attention out to the shard owners and merges their
-:class:`~repro.llm.attention.PartialAttention` results by log-sum-exp.
+:class:`ShardedSession` is the session kind :meth:`DB.create_session
+<repro.core.db.DB.create_session>` returns when the prompt's prefix match
+lands on a context in the shard catalog.  It is scheduled, batched,
+preempted, cancelled and stored like any other session; the one difference
+is where the reused prefix lives — on the shard owners, as ``R`` token
+ranges — so the session keeps everything request-local (window bookkeeping,
+local KV, optimizer plans, decode statistics) and resolves the stored ranges
+through a *fan-out* object (the
+:class:`~repro.sharding.router.ShardedContextRouter`).  Sparse decode is the
+one execution every session runs (:func:`~repro.core.session.sparse_group_attention`
+over ``R`` ranges instead of one); only the dense path — multi-token prefill
+and dense decode layers — still fans out on its own.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.planner import LayerIndexData
 from ..core.session import Session
 from ..query.types import IndexKind
 from .plan import ShardPlan, shard_context_id
@@ -29,15 +33,15 @@ class ShardedContextRef:
     """Catalog entry for one sharded context.
 
     Holds what the router and its sessions need *without* touching any KV
-    data: the shard plan, the token sequence (for prefix matching against
-    incoming prompts), and which layers carry which index kinds (so plan
+    data: the shard plan and which layers carry which index kinds (so plan
     routing works exactly like :meth:`Session._use_sparse_path` does against
-    a resident :class:`~repro.core.context_store.StoredContext`).
+    a resident :class:`~repro.core.context_store.StoredContext`).  The token
+    sequence stays where prompts are matched — in the store's trie, under
+    the (spilled) base context of the same id.
     """
 
     context_id: str
     plan: ShardPlan
-    tokens: tuple[int, ...]
     num_layers: int
     layers: frozenset[int]
     fine_layers: frozenset[int]
@@ -59,18 +63,21 @@ class ShardedContextRef:
 class ShardedSession(Session):
     """A running request whose reused prefix lives on N shard owners.
 
-    The dense path (multi-token prefill of the non-reused suffix) and the
-    sparse decode path both route through ``fanout`` — an object providing
+    ``fanout`` provides
 
-    * ``sparse_attention(session, queries, layer) -> (outputs, stats)`` for a
-      single-token decode (``queries`` is ``(num_query_heads, head_dim)``),
+    * ``context_tokens(ref) -> list[int]`` — the sharded context's token ids,
+    * ``layer_ranges(ref, layer, gqa_group_size) -> list[LayerIndexData]`` —
+      the shard owners' KV and range-local indexes for one layer, in token
+      order (what sparse decode and late materialization read),
     * ``dense_attention(session, q, layer) -> outputs`` for exact causal
       attention over the sharded prefix plus the session's local KV
       (``q`` is ``(num_query_heads, seq, head_dim)``).
 
-    Everything else — window positions, local KV, plan selection, stats — is
-    inherited from :class:`Session` unchanged, so the optimizer's routing
-    rules apply identically to sharded and single-owner serving.
+    Nothing is reloaded or pinned locally: the owners hold the shards
+    resident for as long as they own them.  Everything else — window
+    positions, local KV, plan selection, stats — is inherited from
+    :class:`Session` unchanged, so the optimizer's routing rules apply
+    identically to sharded and single-owner serving.
     """
 
     def __init__(
@@ -80,14 +87,12 @@ class ShardedSession(Session):
         config=None,
         reused_prefix_length: int | None = None,
         gpu_memory_budget_bytes: int | None = None,
-        on_close=None,
     ):
         super().__init__(
             config=config,
             context=None,
             num_layers=ref.num_layers,
             gpu_memory_budget_bytes=gpu_memory_budget_bytes,
-            on_close=on_close,
         )
         self.sharded_ref = ref
         self._fanout = fanout
@@ -103,6 +108,10 @@ class ShardedSession(Session):
     @property
     def is_connected(self) -> bool:
         return self.sharded_ref is not None and self.reused_prefix_length > 0
+
+    @property
+    def reused_tokens(self) -> list[int]:
+        return self._fanout.context_tokens(self.sharded_ref)[: self.reused_prefix_length]
 
     def _use_sparse_path(self, layer: int) -> bool:
         if self.decode_mode_override == "dense":
@@ -124,14 +133,29 @@ class ShardedSession(Session):
         return True
 
     # ------------------------------------------------------------------
-    # attention paths (both fan out to the shard owners)
+    # the stored prefix (resolved through the shard owners)
     # ------------------------------------------------------------------
+    def _stored_ranges(self, layer: int) -> list[LayerIndexData]:
+        gqa_group_size = self._dims.gqa_group_size if self._dims is not None else 1
+        return self._fanout.layer_ranges(self.sharded_ref, layer, gqa_group_size)
+
+    def _materialized_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """The owners' slices ``[:reused_prefix_length]`` + the local KV."""
+        local_keys, local_values = self.local_snapshot(layer)
+        if not self.is_connected or layer not in self.sharded_ref.layers:
+            return local_keys, local_values
+        ranges = self._stored_ranges(layer)
+        prefix = self.reused_prefix_length
+        keys = np.concatenate([data.keys for data in ranges], axis=1)[:, :prefix, :]
+        values = np.concatenate([data.values for data in ranges], axis=1)[:, :prefix, :]
+        if local_keys.shape[1] == 0:
+            return keys, values
+        return (
+            np.concatenate([keys, local_keys], axis=1),
+            np.concatenate([values, local_values], axis=1),
+        )
+
     def _full_attention(self, q: np.ndarray, layer: int) -> np.ndarray:
         if self.is_connected and layer in self.sharded_ref.layers:
             return self._fanout.dense_attention(self, q, layer)
         return super()._full_attention(q, layer)
-
-    def _sparse_attention(self, q: np.ndarray, layer: int) -> np.ndarray:
-        outputs, stats = self._fanout.sparse_attention(self, q[:, 0, :], layer)
-        self.record_decode_stats(stats, layer)
-        return outputs[:, None, :]

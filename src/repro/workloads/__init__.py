@@ -9,7 +9,6 @@ from .engine import (
     WorkloadEngineSpec,
     generate_replay_trace,
     replay_http,
-    replay_router,
     replay_scheduler,
     score_quality_gate,
     tenant_specs,
@@ -59,7 +58,6 @@ __all__ = [
     "needle_hit",
     "recovery_ratio",
     "replay_http",
-    "replay_router",
     "replay_scheduler",
     "sample_arrival_times",
     "score_quality_gate",

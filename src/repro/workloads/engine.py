@@ -18,11 +18,12 @@ under realistic long-context traffic.  This module closes that gap:
     mid-stream cancellations and client disconnects,
   - **fresh** — one-shot requests with no reuse opportunity;
 
-* three replay entry points run the same trace against the real stack:
+* two replay entry points run the same trace against the real stack:
   :func:`replay_scheduler` (``InferenceService.submit`` + ``step``, virtual
-  clock), :func:`replay_http` (the asyncio HTTP/SSE frontend over real TCP,
-  with DELETE-cancellations and TCP aborts), and :func:`replay_router` (the
-  sharded context router);
+  clock) and :func:`replay_http` (the asyncio HTTP/SSE frontend over real
+  TCP, with DELETE-cancellations and TCP aborts); either takes any
+  ``InferenceService`` — including a sharded router's front service, whose
+  library documents then live on the shard owners;
 
 * every replay aggregates one :class:`ReplayReport` — TTFT/TPOT p50/p95/p99,
   SLO attainment, eviction/preemption/throttle (429) rates, prefix-reuse hit
@@ -52,7 +53,7 @@ import numpy as np
 from ..baselines.base import SelectionStrategy
 from ..baselines.diprs import DIPRSStrategy
 from ..baselines.full_attention import FullAttentionStrategy
-from ..errors import AdmissionRejectedError, TenantThrottledError
+from ..errors import TenantThrottledError
 from ..query.types import beta_from_alpha
 from ..scheduler import TenantSpec
 from ..simulator.slo import BATCH_SLO, INTERACTIVE_SLO, SLO
@@ -72,7 +73,6 @@ __all__ = [
     "generate_replay_trace",
     "replay_scheduler",
     "replay_http",
-    "replay_router",
     "score_quality_gate",
     "tenant_specs",
     "KIND_TASKS",
@@ -919,114 +919,6 @@ def replay_http(
         )
 
     return asyncio.run(scenario())
-
-
-# ----------------------------------------------------------------------
-# entry point 3: the sharded context router
-# ----------------------------------------------------------------------
-def replay_router(trace: ReplayTrace, router) -> ReplayReport:
-    """Replay the trace through a :class:`~repro.sharding.router.ShardedContextRouter`.
-
-    The router serves one generation at a time (no scheduler), so events run
-    sequentially in arrival order.  RAG events reuse the sharded library
-    documents; session events shard their first turn's context and later
-    turns prefix-match against it.  Mid-stream cancellations are modelled as
-    the client capping consumption (``max_new_tokens`` truncation) — the
-    router has no cancel protocol.
-    """
-    start = time.perf_counter()
-    for document_id, text in trace.documents.items():
-        router.ingest(text, context_id=document_id)
-
-    session_roots: set[str] = set()
-    ttfts: list[float] = []
-    tpots: list[float] = []
-    submitted = 0
-    completed = 0
-    rejected = 0
-    slo_attained = 0
-    slo_checked = 0
-    generated = 0
-    prompt_tokens = 0
-    reused_tokens = 0
-    reuse_hits = 0
-    per_kind: dict[str, dict] = {
-        kind: {"events": 0, "completed": 0, "generated_tokens": 0, "reused_tokens": 0}
-        for kind in EVENT_KINDS
-    }
-
-    for event in sorted(trace.events, key=lambda e: (e.arrival_seconds, e.event_id)):
-        per_kind[event.kind]["events"] += 1
-        max_new = event.max_new_tokens
-        if event.cancel_after_tokens is not None:
-            max_new = min(max_new, event.cancel_after_tokens)
-        try:
-            if event.kind == "rag":
-                context_id = event.document_id
-            elif event.session_id is not None:
-                context_id = event.session_id
-                if event.session_id not in session_roots:
-                    # first turn: shard the session's opening context once;
-                    # later turns prefix-match their extended prompt against it
-                    router.ingest(event.prompt, context_id=event.session_id)
-                    session_roots.add(event.session_id)
-            else:
-                context_id = f"fresh-{event.event_id:05d}"
-                router.ingest(event.prompt, context_id=context_id)
-            submitted += 1
-            result = router.generate(context_id, prompt=event.prompt, max_new_tokens=max_new)
-        except AdmissionRejectedError:
-            rejected += 1
-            continue
-        completed += 1
-        num_generated = len(result.generated_tokens)
-        total_prompt = len(router.db.tokenize(event.prompt))
-        reused = total_prompt - len(result.prompt_tokens)
-        ttft = result.ttft_seconds
-        tpot = (
-            float(np.mean(result.decode_seconds)) if result.decode_seconds else 0.0
-        )
-        ttfts.append(ttft)
-        tpots.append(tpot)
-        slo_checked += 1
-        if _slo_outcome(event, ttft, tpot):
-            slo_attained += 1
-        generated += num_generated
-        prompt_tokens += total_prompt
-        reused_tokens += reused
-        if reused > 0:
-            reuse_hits += 1
-        row = per_kind[event.kind]
-        row["completed"] += 1
-        row["generated_tokens"] += num_generated
-        row["reused_tokens"] += reused
-
-    evictions = router.db.store_registry.spill_count + sum(
-        worker.db.store_registry.spill_count for worker in router.workers
-    )
-    return ReplayReport(
-        entrypoint="router",
-        num_events=trace.num_events,
-        submitted=submitted,
-        completed=completed,
-        cancelled=0,
-        failed=0,
-        rejected=rejected,
-        throttled_429=0,
-        generated_tokens=generated,
-        prompt_tokens=prompt_tokens,
-        reused_tokens=reused_tokens,
-        reuse_hit_requests=reuse_hits,
-        ttft_seconds=_percentiles(ttfts),
-        tpot_seconds=_percentiles(tpots),
-        slo_attained=slo_attained,
-        slo_checked=slo_checked,
-        preemptions=0,
-        evictions=evictions,
-        per_tenant={},
-        per_kind=per_kind,
-        wall_seconds=time.perf_counter() - start,
-    )
 
 
 # ----------------------------------------------------------------------

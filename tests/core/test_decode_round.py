@@ -26,6 +26,7 @@ from repro.core.decode_round import (
 )
 from repro.core.service import InferenceService
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.sharding import ShardedContextRouter, ShardedSession
 from repro.simulator.slo import BATCH_SLO, SLO
 
 DOC = [2 + (i % 250) for i in range(158)]
@@ -163,48 +164,71 @@ class TestDecodeStepStatsHonesty:
             sessions.append(session)
         return sessions
 
+    @staticmethod
+    def _random_steps(model, num_sessions, num_steps=3):
+        dims = model.config
+        rng = np.random.default_rng(11)
+        return [
+            tuple(
+                rng.normal(size=(heads, num_sessions, dims.head_dim)).astype(np.float32)
+                for heads in (dims.num_query_heads, dims.num_kv_heads, dims.num_kv_heads)
+            )
+            for _ in range(num_steps * dims.num_layers)
+        ]
+
+    @staticmethod
+    def _assert_round_equals_solo(model, steps, solo, grouped):
+        """Feed ``steps`` to ``solo`` one session at a time and to ``grouped``
+        through one decode round; every row and every stat must agree."""
+        dims = model.config
+        round_ = CrossRequestDecodeRound(grouped)
+        for layer_step, (q, k, v) in enumerate(steps):
+            layer = layer_step % dims.num_layers
+            rows = round_.layer_attention(layer, q, k, v, grouped)
+            for i, session in enumerate(solo):
+                session.update_query(
+                    q[:, i : i + 1, :], k[:, i : i + 1, :], v[:, i : i + 1, :], layer
+                )
+                solo_row = session.attention(q[:, i : i + 1, :], layer)[:, 0, :]
+                round_row = rows[i].reshape(dims.num_query_heads, dims.head_dim)
+                np.testing.assert_allclose(round_row, solo_row, atol=1e-5)
+        for a, b in zip(solo, grouped):
+            assert a.total_decode_stats == b.total_decode_stats
+            assert a.num_decode_steps == b.num_decode_steps == len(steps) // dims.num_layers
+
     def test_round_matches_per_session_outputs_and_stats(self, model):
         config = AlayaDBConfig(**BASE_CONFIG, **PLAN_MIXES["flat"])
         db = DB(config)
         db.prefill_and_import(model, DOC, build_fine_indexes=False)
-        dims = model.config
-        rng = np.random.default_rng(11)
-        steps = [
-            (
-                rng.normal(size=(dims.num_query_heads, 3, dims.head_dim)).astype(np.float32),
-                rng.normal(size=(dims.num_kv_heads, 3, dims.head_dim)).astype(np.float32),
-                rng.normal(size=(dims.num_kv_heads, 3, dims.head_dim)).astype(np.float32),
-            )
-            for _ in range(3 * dims.num_layers)
-        ]
+        self._assert_round_equals_solo(
+            model,
+            self._random_steps(model, 3),
+            solo=self._sessions(model, db, 3),
+            grouped=self._sessions(model, db, 3),
+        )
 
-        solo = self._sessions(model, db, 3)
-        solo_rows = []
-        for t in range(3):
-            for layer in range(dims.num_layers):
-                q, k, v = steps[t * dims.num_layers + layer]
-                for i, session in enumerate(solo):
-                    session.update_query(
-                        q[:, i : i + 1, :], k[:, i : i + 1, :], v[:, i : i + 1, :], layer
-                    )
-                    solo_rows.append(session.attention(q[:, i : i + 1, :], layer)[:, 0, :])
+    @pytest.mark.parametrize("mix", sorted(PLAN_MIXES))
+    def test_sharded_and_single_owner_sessions_share_a_round(self, model, mix):
+        """One round over a sharded session (R = 2 ranges) and a single-owner
+        one (R = 1): each row equals its solo run.  (A sharded session in a
+        round used to raise ``AttributeError: 'NoneType' object has no
+        attribute 'fine_indexes'``.)"""
+        # 32-token blocks: shard boundaries are block-aligned, 158 tokens cut in two
+        config = AlayaDBConfig(**BASE_CONFIG, **PLAN_MIXES[mix], coarse_block_size=32)
+        db = DB(config)
+        db.prefill_and_import(model, DOC)
+        router = ShardedContextRouter(model, num_workers=2, config=config)
+        ref = router.ingest(DOC, num_shards=2)
+        assert ref.num_shards == 2
 
-        grouped = self._sessions(model, db, 3)
-        round_ = CrossRequestDecodeRound(grouped)
-        round_rows = []
-        for t in range(3):
-            for layer in range(dims.num_layers):
-                q, k, v = steps[t * dims.num_layers + layer]
-                rows = round_.layer_attention(layer, q, k, v, grouped)
-                round_rows.extend(
-                    rows[i].reshape(dims.num_query_heads, dims.head_dim) for i in range(3)
-                )
+        def pair():
+            sharded = ShardedSession(ref, router, config=config, reused_prefix_length=len(DOC))
+            plain, _ = db.create_session(DOC + [211])
+            return [sharded, plain]
 
-        for solo_row, round_row in zip(solo_rows, round_rows):
-            np.testing.assert_allclose(round_row, solo_row, atol=1e-5)
-        for a, b in zip(solo, grouped):
-            assert a.total_decode_stats == b.total_decode_stats
-            assert a.num_decode_steps == b.num_decode_steps == 3
+        solo, grouped = pair(), pair()
+        self._assert_round_equals_solo(model, self._random_steps(model, 2), solo, grouped)
+        assert grouped[0].total_decode_stats.num_selected_tokens > 0
 
 
 # --------------------------------------------------------------------------

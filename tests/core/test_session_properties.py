@@ -79,13 +79,17 @@ def test_layer_output_is_exact_over_attended_union(num_tokens, num_kv_heads, gro
 @settings(deadline=None, max_examples=25)
 @given(
     num_sessions=st.integers(min_value=1, max_value=4),
+    num_ranges=st.integers(min_value=1, max_value=4),
     group_size=st.sampled_from([1, 2, 4]),
     num_window=st.integers(min_value=0, max_value=8),
     seed=st.integers(min_value=0, max_value=500),
 )
-def test_stacked_rows_do_not_depend_on_the_rest_of_the_stack(num_sessions, group_size, num_window, seed):
-    """S-invariance: row (s, h) of an S-stack equals the S = 1 call on session s alone
-    (ragged local KV, sessions without local KV and heads that retrieve nothing included)."""
+def test_stacked_rows_do_not_depend_on_the_rest_of_the_stack(
+    num_sessions, num_ranges, group_size, num_window, seed
+):
+    """S- and R-invariance: row (s, h) of an S-stack over the context cut into R token
+    ranges equals the S = 1, R = 1 call on session s alone (ragged local KV, sessions
+    without local KV, heads that retrieve nothing and ranges holding nothing included)."""
     rng = np.random.default_rng(seed)
     num_kv_heads, num_tokens, dim = 2, 40, 8
     num_heads = num_kv_heads * group_size
@@ -103,9 +107,15 @@ def test_stacked_rows_do_not_depend_on_the_rest_of_the_stack(num_sessions, group
         local_keys.append(rng.normal(size=(num_kv_heads, length, dim)).astype(np.float32) if length else None)
         local_values.append(rng.normal(size=(num_kv_heads, length, dim)).astype(np.float32) if length else None)
 
+    cuts = sorted(rng.choice(np.arange(1, num_tokens), size=num_ranges - 1, replace=False))
+    bounds = [0, *(int(c) for c in cuts), num_tokens]
+    ranges = [
+        (start, keys[:, start:stop], values[:, start:stop])
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
     engine = DataCentricAttentionEngine()
     stacked, stacked_breakdowns = engine.stacked_layer_output(
-        queries, keys, values, window, retrieved, local_keys, local_values
+        queries, ranges, window, retrieved, local_keys, local_values
     )
     assert stacked.shape == queries.shape
     for s in range(num_sessions):

@@ -7,11 +7,12 @@ executes with ``-m workloads``:
 * a mixed multi-tenant trace — chat sessions, RAG over a shared Zipf
   library, agent loops with mid-stream cancellations and disconnects —
   replayed through the scheduler, over real TCP through the HTTP frontend
-  (which must drain clean), and through the sharded router;
+  (which must drain clean), and through the scheduler of a sharded router's
+  front service (library documents living on the shard owners);
 * cross-entry-point determinism: on a cancellation-free trace the
-  scheduler and HTTP replays must agree on every deterministic-summary
-  count (greedy decoding, token-identical batching), and the router must
-  generate the same number of tokens;
+  scheduler and HTTP replays — and the scheduler replay over the
+  router-backed service — must agree on every deterministic-summary count
+  (greedy decoding, token-identical batching, exact cross-shard merge);
 * the quality gate scored on the same trace's task mix.
 """
 
@@ -27,7 +28,6 @@ from repro.workloads.engine import (
     WorkloadEngineSpec,
     generate_replay_trace,
     replay_http,
-    replay_router,
     replay_scheduler,
     score_quality_gate,
     tenant_specs,
@@ -69,6 +69,14 @@ def make_service(spec, tiny_model, **config_overrides) -> InferenceService:
     )
 
 
+def make_router(spec, tiny_model) -> ShardedContextRouter:
+    """A 2-worker sharded router; its front ``service`` has the same config
+    and tenants as :func:`make_service`, but shards what it ingests."""
+    return ShardedContextRouter(
+        tiny_model, num_workers=2, config=AlayaDBConfig(tenants=tenant_specs(spec))
+    )
+
+
 class TestMixedTraceSoak:
     @pytest.fixture(scope="class")
     def trace(self):
@@ -105,10 +113,18 @@ class TestMixedTraceSoak:
         assert report.reuse_hit_requests > 0
 
     def test_router_replay_soak(self, trace, tiny_model):
-        report = replay_router(trace, ShardedContextRouter(tiny_model, num_workers=2))
-        assert report.completed + report.rejected == report.submitted
+        router = make_router(trace.spec, tiny_model)
+        report = replay_scheduler(trace, router.service)
+        assert (
+            report.completed + report.cancelled + report.failed + report.rejected
+            == report.submitted
+        )
         assert report.completed > 0
         assert report.reuse_hit_requests > 0
+        # the library really is served off the shard owners
+        for document_id in trace.documents:
+            assert router.ref(document_id).num_shards >= 1
+        assert router.memory_report()["router"]["admission_committed_bytes"] == 0
 
     def test_quality_gate_on_trace_mix(self, trace):
         gate = score_quality_gate(
@@ -136,6 +152,7 @@ class TestCrossEntryDeterminism:
 
     def test_router_generates_identical_token_counts(self, trace, tiny_model):
         sched = replay_scheduler(trace, make_service(trace.spec, tiny_model))
-        router = replay_router(trace, ShardedContextRouter(tiny_model, num_workers=2))
-        assert router.completed == sched.completed
-        assert router.generated_tokens == sched.generated_tokens
+        sharded = replay_scheduler(trace, make_router(trace.spec, tiny_model).service)
+        assert sharded.completed == sched.completed
+        assert sharded.generated_tokens == sched.generated_tokens
+        assert sharded.deterministic_summary() == sched.deterministic_summary()

@@ -5,9 +5,10 @@ Shards × plan kinds × GQA ratios, asserting two things:
 * *decode outputs allclose* — the merged per-layer logits trajectory of a
   :class:`ShardedSession` matches an unsharded :class:`Session` over the
   same stored context, token for token;
-* *generated tokens identical end-to-end* — a full request through the
-  router/worker harness produces exactly the token stream the single-owner
-  :class:`InferenceService` produces.
+* *generated tokens identical end-to-end* — a request submitted to the
+  router's front service (admitted, prefilled and decoded by the one
+  scheduler over the shard owners' ranges) produces exactly the token stream
+  the single-owner :class:`InferenceService` produces.
 
 The flat and coarse cross-shard merges are exact by construction (global-best
 re-filter and block-score concatenation respectively); the fine (DIPRS) merge
@@ -24,8 +25,7 @@ from repro.core.config import AlayaDBConfig
 from repro.core.db import DB
 from repro.core.service import InferenceService
 from repro.llm.model import ModelConfig, TransformerModel
-from repro.sharding import ShardedContextRouter
-from repro.sharding.session import ShardedSession
+from repro.sharding import ShardedContextRouter, ShardedSession
 
 pytestmark = pytest.mark.sharded
 
@@ -97,8 +97,9 @@ def test_generated_tokens_identical_end_to_end(num_shards, plan_kind, heads):
     router = ShardedContextRouter(sharded_model, num_workers=2, config=make_config(plan_kind))
     ref = router.ingest(DOC, context_id="ctx", num_shards=num_shards)
     assert ref.num_shards == num_shards
-    result = router.generate("ctx", prompt=PROMPT, max_new_tokens=8)
+    result, record = router.service.submit(PROMPT, max_new_tokens=8).result()
 
+    assert record.reused_tokens == ref.num_tokens  # served off the shards
     assert result.generated_tokens == expected.generated_tokens
     assert result.text == expected.text
     assert result.prompt_tokens == expected.prompt_tokens  # same truncation
@@ -124,14 +125,12 @@ def test_decode_logits_allclose(num_shards, plan_kind):
     router = ShardedContextRouter(sharded_model, num_workers=2, config=make_config(plan_kind))
     ref = router.ingest(DOC, context_id="ctx", num_shards=num_shards)
     reused = ref.num_tokens
-    assert prompt_tokens[:reused] == list(ref.tokens)
-    sharded_session = ShardedSession(
-        ref=ref, fanout=router, config=router.config, reused_prefix_length=reused
-    )
+    assert prompt_tokens[:reused] == router.db.get_context("ctx").tokens
+    sharded_session, sharded_suffix = router.db.create_session(prompt_tokens)
+    assert isinstance(sharded_session, ShardedSession)
+    assert sharded_suffix == prompt_tokens[reused:] == truncated
     assert sharded_session.plan_for_layer(0).index_kind == plan_kind
-    sharded = logits_trajectory(
-        sharded_model, sharded_session, prompt_tokens[reused:], DECODE_FEED
-    )
+    sharded = logits_trajectory(sharded_model, sharded_session, sharded_suffix, DECODE_FEED)
     sharded_session.close()
 
     # absolute tolerance carries the comparison: the suffix-prefill dense
@@ -151,5 +150,5 @@ def test_full_reuse_prompt_matches_service(num_shards):
     sharded_model = make_model((4, 2))
     router = ShardedContextRouter(sharded_model, num_workers=2, config=make_config("coarse"))
     router.ingest(DOC, context_id="ctx", num_shards=num_shards)
-    result = router.generate("ctx", max_new_tokens=6)
+    result, _ = router.service.submit(DOC, max_new_tokens=6).result()
     assert result.generated_tokens == expected.generated_tokens

@@ -1,11 +1,12 @@
 """Sharded-serving soak: a seeded schedule of requests, rebalances and spills.
 
 Drives the router/worker harness through the operations a rebalancing
-deployment would see — generation against two sharded contexts, shard
-reassignment to a cold spare worker, forced spills on shard owners, manifest
-refreshes — and checks after every operation that generation still produces
-exactly the token stream an unsharded :class:`InferenceService` produces for
-the same prompt, and at the end that:
+deployment would see — requests against two sharded contexts (submitted to
+the router's front service like any other request), shard reassignment to a
+cold spare worker, forced spills on shard owners, manifest refreshes — and
+checks after every operation that generation still produces exactly the
+token stream an unsharded :class:`InferenceService` produces for the same
+prompt, and at the end that:
 
 * every shard has exactly one owner, and the owner holds it resident;
 * admission reservations sum to zero;
@@ -23,6 +24,7 @@ import pytest
 from repro.core.config import AlayaDBConfig
 from repro.core.service import InferenceService
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.server import check_drained
 from repro.sharding import ShardedContextRouter, WorkerGroup
 
 pytestmark = [pytest.mark.slow, pytest.mark.sharded]
@@ -86,14 +88,16 @@ def test_sharded_soak():
 
         prompt = DOCS[cid] + SUFFIXES[int(rng.integers(0, len(SUFFIXES)))]
         expected, _ = baseline.serve(prompt, max_new_tokens=5)
-        result = router.generate(cid, prompt=prompt, max_new_tokens=5)
+        result, record = router.service.submit(prompt, max_new_tokens=5).result()
+        assert record.reused_tokens == ref.num_tokens
         assert result.generated_tokens == expected.generated_tokens, (
             f"round {round_id}: sharded tokens diverged for {cid}"
         )
         served += 1
 
     assert served == NUM_ROUNDS
-    assert router.admission.committed_bytes == 0
+    assert router.service.scheduler.admission.committed_bytes == 0
+    check_drained(router.service)
 
     report = router.memory_report()
     shards = report["shards"]
