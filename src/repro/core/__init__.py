@@ -9,7 +9,7 @@ from .handles import ChatSession, ChatTurn, RequestHandle
 from .optimizer import QueryContext, RuleBasedOptimizer
 from .planner import ExecutionPlan, LayerIndexData, PlanExecutor, RetrievalOutcome
 from .service import InferenceService, RequestRecord, ServiceStats
-from .session import DecodeStepStats, Session, SparseLayerInputs
+from .session import DecodeStepStats, LayerInputs, Session
 from .window_cache import WindowCache
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "DB",
     "DynamicAttentionPolicy",
     "PolicyState",
-    "SparseLayerInputs",
+    "LayerInputs",
     "StageTimings",
     "RequestHandle",
     "DataCentricAttentionEngine",

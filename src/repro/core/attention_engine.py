@@ -1,11 +1,12 @@
 """Data-centric attention engine (Section 7.2 of the paper).
 
-Instead of gathering every retrieved key/value onto one device and running a
+Instead of gathering every attended key/value onto one device and running a
 single kernel, AlayaDB computes *partial attention where the data lives* —
-one partial over the GPU-resident window, one over the CPU-resident retrieved
-tokens — and merges the partials with the exact flash-attention
-decomposition.  Only the per-partial outputs and their log-sum-exp statistics
-cross devices, never the KV tensors themselves.
+one partial per stored-KV range, one over the session's local KV — and merges
+the partials with the exact flash-attention decomposition.  Only the
+per-partial outputs and their log-sum-exp statistics cross devices, never the
+KV tensors themselves.  Full attention is the plan whose partials cover every
+stored token: it takes the same route as the sparse plans, minus retrieval.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..llm.attention import PartialAttention, combine_partial_attention
+from ..llm.attention import PartialAttention, combine_partial_attention, partial_attention
 
 __all__ = ["AttentionBreakdown", "DataCentricAttentionEngine"]
 
@@ -25,6 +26,8 @@ class AttentionBreakdown:
 
     num_window_tokens: int = 0
     num_retrieved_tokens: int = 0
+    """Stored tokens attended outside the window: the retrieved set, or the
+    whole visible range under a full-attention plan."""
     num_local_tokens: int = 0
 
     @property
@@ -33,7 +36,7 @@ class AttentionBreakdown:
 
 
 class DataCentricAttentionEngine:
-    """Computes sparse attention outputs by merging per-location partials."""
+    """Computes attention outputs by merging per-location partials."""
 
     def __init__(self, scale: float | None = None):
         self.scale = scale
@@ -71,21 +74,23 @@ class DataCentricAttentionEngine:
         queries: np.ndarray,
         ranges: list[tuple[int, np.ndarray, np.ndarray]],
         window_positions: np.ndarray,
-        retrieved_positions: list[np.ndarray],
+        retrieved_positions: list[np.ndarray] | None,
         local_keys: list[np.ndarray | None],
         local_values: list[np.ndarray | None],
     ) -> tuple[np.ndarray, list[AttentionBreakdown]]:
-        """Sparse attention for ``S >= 1`` sessions over ``R >= 1`` stored-KV ranges.
+        """One decode token's attention for ``S >= 1`` sessions over ``R >= 0``
+        stored-KV ranges.
 
         Every session in a compatibility group reads the *same* stored
-        context with the same window positions.  Partials are computed where
-        the data lives — per range one over its slice of the window and one
-        over its slice of the retrieved tokens, per session one over its
-        local KV — and merge with one log-sum-exp combine, which equals a
-        single softmax over everything attended.  Row ``(s, h)`` of the
-        output (and entry ``s * num_heads + h`` of the breakdown list) does
-        not depend on which other sessions are stacked; heads that attend to
-        nothing come back as zeros.
+        context under the same plan.  Partials are computed where the data
+        lives — per range one over everything it holds (a full-attention
+        plan) or one over its slice of the window and one over its slice of
+        the retrieved tokens (a sparse plan), per session one over its local
+        KV — and merge with one log-sum-exp combine, which equals a single
+        softmax over everything attended.  Row ``(s, h)`` of the output (and
+        entry ``s * num_heads + h`` of the breakdown list) is bit-for-bit
+        independent of which other sessions are stacked; heads that attend
+        to nothing come back as zeros.
 
         Parameters
         ----------
@@ -94,100 +99,114 @@ class DataCentricAttentionEngine:
         ranges:
             ``(start, keys, values)`` per token range of the stored context:
             ``keys``/``values`` are ``(num_kv_heads, n_r, head_dim)`` and hold
-            global tokens ``[start, start + n_r)``.  A single-owner context is
-            the one range ``(0, keys, values)``.
+            global tokens ``[start, start + n_r)`` — only what the sessions
+            may see (the caller cuts a range at the reused prefix).  A
+            single-owner context is the one range ``(0, keys, values)``; an
+            unconnected session has none.
         window_positions:
             Window-cache positions in global token space (identical across
-            the group by the compatibility key).
+            the group by the compatibility key); unread under a
+            full-attention plan.
         retrieved_positions:
-            One global position array per stacked head, session-major
-            (``num_sessions * num_query_heads`` entries, each duplicate-free —
-            retrieval outcomes are).  Deduplication against the window
-            happens here.
+            ``None`` for a full-attention plan: every token of every range is
+            attended, un-gathered.  Otherwise one global position array per
+            stacked head, session-major (``num_sessions * num_query_heads``
+            entries, each duplicate-free — retrieval outcomes are);
+            deduplication against the window happens here.
         local_keys / local_values:
             Per-session unmaterialised KV ``(num_kv_heads, m_s, head_dim)``
-            or ``None``; lengths ``m_s`` may differ.
+            or ``None``; lengths ``m_s`` may differ.  Each session's local
+            partial is computed on its own arrays — padding them to a common
+            length would change the summation order with the group.
         """
         queries = np.asarray(queries, dtype=np.float32)
         num_sessions, num_heads, head_dim = queries.shape
-        num_kv_heads = ranges[0][1].shape[0]
-        total = num_sessions * num_heads
-        scale = np.float32(self.scale if self.scale is not None else 1.0 / np.sqrt(head_dim))
+        # window / retrieved / local tokens attended per stacked row
+        counts = np.zeros((3, num_sessions * num_heads), dtype=np.int64)
+        window_counts, retrieved_counts, local_counts = counts
+        slabs = [keys for _, keys, _ in ranges] + [lk for lk in local_keys if lk is not None]
+        if not slabs:
+            return np.zeros_like(queries), [AttentionBreakdown() for _ in counts.T]
+        num_kv_heads = slabs[0].shape[0]
         grouped_q = queries.reshape(num_sessions, num_kv_heads, num_heads // num_kv_heads, head_dim)
-        window_positions = np.asarray(window_positions, dtype=np.int64)
-        num_positions = max(start + keys.shape[1] for start, keys, _ in ranges)
-        in_window = np.zeros(num_positions, dtype=bool)
-        in_window[window_positions] = True
 
-        breakdowns = [AttentionBreakdown() for _ in range(total)]
         partials: list[PartialAttention] = []
-        for start, keys, values in ranges:
-            partials.extend(
-                self._range_partials(
-                    grouped_q, scale, start, keys, values, window_positions, in_window,
-                    retrieved_positions, breakdowns,
+        if retrieved_positions is None:
+            for _, keys, values in ranges:
+                partials.append(partial_attention(grouped_q, keys, values, self.scale))
+                retrieved_counts += keys.shape[1]
+        elif ranges:
+            window_positions = np.asarray(window_positions, dtype=np.int64)
+            num_positions = max(start + keys.shape[1] for start, keys, _ in ranges)
+            in_window = np.zeros(num_positions, dtype=bool)
+            in_window[window_positions] = True
+            for start, keys, values in ranges:
+                partials.extend(
+                    self._sparse_range_partials(
+                        grouped_q, start, keys, values, window_positions, in_window,
+                        retrieved_positions, window_counts, retrieved_counts,
+                    )
                 )
-            )
 
-        local_lengths = [0 if lk is None else int(lk.shape[1]) for lk in local_keys]
-        max_local = max(local_lengths, default=0)
-        if max_local > 0:
-            padded_keys = np.zeros((num_sessions, num_kv_heads, max_local, head_dim), dtype=np.float32)
-            padded_values = np.zeros_like(padded_keys)
-            local_mask = np.zeros((num_sessions, max_local), dtype=bool)
-            for s, (lk, lv, length) in enumerate(zip(local_keys, local_values, local_lengths)):
-                if length:
-                    padded_keys[s, :, :length, :] = lk
-                    padded_values[s, :, :length, :] = lv
-                    local_mask[s, :length] = True
-            logits = np.einsum("skgd,skmd->skgm", grouped_q, padded_keys) * scale
-            logits = np.where(local_mask[:, None, None, :], logits, np.float32(-np.inf))
-            max_logit = logits.max(axis=3)
-            safe_max = np.where(np.isneginf(max_logit), np.float32(0.0), max_logit)
-            exps = np.where(
-                local_mask[:, None, None, :],
-                np.exp(logits - safe_max[..., None]),
-                np.float32(0.0),
-            )
-            sum_exp = exps.sum(axis=3)
-            denom = np.where(sum_exp == 0.0, np.float32(1.0), sum_exp)
-            output = np.einsum("skgm,skmd->skgd", exps, padded_values) / denom[..., None]
-            partials.append(
-                PartialAttention(
-                    output=output.reshape(total, head_dim).astype(np.float32),
-                    max_logit=max_logit.reshape(total).astype(np.float32),
-                    sum_exp=sum_exp.reshape(total).astype(np.float32),
-                )
-            )
-            for s, length in enumerate(local_lengths):
-                for head in range(num_heads):
-                    breakdowns[s * num_heads + head].num_local_tokens = length
-        if not partials:
-            return np.zeros_like(queries), breakdowns
+        local = []
+        for s, (lk, lv) in enumerate(zip(local_keys, local_values)):
+            if lk is None:
+                local.append(PartialAttention.empty(num_heads, head_dim))
+                continue
+            local.append(partial_attention(grouped_q[s], lk, lv, self.scale))
+            local_counts[s * num_heads : (s + 1) * num_heads] = lk.shape[1]
+        partials.append(PartialAttention.concatenate(local))
+        breakdowns = [AttentionBreakdown(*row) for row in counts.T.tolist()]
         return combine_partial_attention(partials).output.reshape(queries.shape), breakdowns
 
-    def _range_partials(
+    def causal_output(
+        self,
+        queries: np.ndarray,
+        ranges: list[tuple[int, np.ndarray, np.ndarray]],
+        local_keys: np.ndarray,
+        local_values: np.ndarray,
+    ) -> np.ndarray:
+        """Exact causal attention for a multi-token chunk (prefill of a suffix).
+
+        The same merge as a full-attention decode step with rows in place of
+        sessions: ``queries`` is ``(num_query_heads, seq, head_dim)``, the
+        chunk's tokens are the last ``seq`` entries of ``local_keys``.  Every
+        stored token precedes the chunk, so each of the ``ranges`` (as in
+        :meth:`stacked_layer_output`) contributes one unmasked partial for
+        all ``seq`` rows; causality only bites inside the local KV.
+        """
+        queries = np.asarray(queries, dtype=np.float32)
+        num_heads, seq, head_dim = queries.shape
+        num_kv_heads, num_local, _ = local_keys.shape
+        group = num_heads // num_kv_heads
+        rows = queries.reshape(num_kv_heads, group * seq, head_dim)
+        partials = [partial_attention(rows, keys, values, self.scale) for _, keys, values in ranges]
+        visible = np.tile(np.tri(seq, num_local, num_local - seq, dtype=bool), (group, 1))
+        partials.append(partial_attention(rows, local_keys, local_values, self.scale, mask=visible))
+        return combine_partial_attention(partials).output.reshape(queries.shape)
+
+    def _sparse_range_partials(
         self,
         grouped_q: np.ndarray,
-        scale: np.float32,
         start: int,
         keys: np.ndarray,
         values: np.ndarray,
         window_positions: np.ndarray,
         in_window: np.ndarray,
         retrieved_positions: list[np.ndarray],
-        breakdowns: list[AttentionBreakdown],
+        window_counts: np.ndarray,
+        retrieved_counts: np.ndarray,
     ) -> list[PartialAttention]:
         """The window and retrieved partials of one stored-KV range.
 
         ``grouped_q`` is the ``(sessions, kv_heads, group, d)`` query stack.
-        The window partial is one einsum against the un-copied ``(kv_heads,
+        The window partial is the slab primitive over the ``(kv_heads,
         window, d)`` gather of the range's slice of the window; the retrieved
-        partial pads the per-head sets (minus the window, minus what other
-        ranges hold) into one gather with a session-aware KV-head mapping.
-        Each is over ``sessions * heads`` rows, session-major, and is left
-        out when the range holds nothing of its kind; ``breakdowns``
-        accumulate the token counts.
+        partial dedups the per-head sets (minus the window, minus what other
+        ranges hold) in one batch and gathers them session by session.  Each
+        is over ``sessions * heads`` rows, session-major, and is left out
+        when the range holds nothing of its kind; the per-row ``*_counts``
+        accumulate the tokens attended.
         """
         num_sessions, num_kv_heads, group, head_dim = grouped_q.shape
         num_heads = num_kv_heads * group
@@ -197,22 +216,12 @@ class DataCentricAttentionEngine:
 
         window_local = window_positions[(window_positions >= start) & (window_positions < stop)] - start
         if window_local.size:
-            window_keys = keys[:, window_local, :]
-            window_values = values[:, window_local, :]
-            logits = np.einsum("skgd,kmd->skgm", grouped_q, window_keys) * scale
-            max_logit = logits.max(axis=3)
-            exps = np.exp(logits - max_logit[..., None])
-            sum_exp = exps.sum(axis=3)
-            output = np.einsum("skgm,kmd->skgd", exps, window_values) / sum_exp[..., None]
             partials.append(
-                PartialAttention(
-                    output=output.reshape(total, head_dim).astype(np.float32),
-                    max_logit=max_logit.reshape(total).astype(np.float32),
-                    sum_exp=sum_exp.reshape(total).astype(np.float32),
+                partial_attention(
+                    grouped_q, keys[:, window_local, :], values[:, window_local, :], self.scale
                 )
             )
-            for breakdown in breakdowns:
-                breakdown.num_window_tokens += int(window_local.size)
+            window_counts += window_local.size
 
         # a retrieved token belongs to this range's partial when it lies in
         # the range and outside the window
@@ -221,19 +230,23 @@ class DataCentricAttentionEngine:
         dedup = self._dedup_and_pad(retrieved_positions, excluded, total, start)
         if dedup is not None:
             padded, mask, counts = dedup
-            kv_of_head = np.tile(np.arange(num_heads, dtype=np.int64) // group, num_sessions)
-            partials.append(
-                self._masked_retrieved_partial(
-                    grouped_q.reshape(total, head_dim),
-                    keys,
-                    values,
-                    padded,
-                    mask,
-                    kv_of_head,
+            kv_of_head = np.arange(num_heads, dtype=np.int64) // group
+            session_q = grouped_q.reshape(num_sessions, num_heads, head_dim)
+            retrieved = []
+            for s in range(num_sessions):
+                # cut the padding at the session's own longest set: a row
+                # padded to the stack's longest would sum in another order
+                rows = slice(s * num_heads, (s + 1) * num_heads)
+                longest = int(counts[rows].max())
+                retrieved.append(
+                    self._masked_retrieved_partial(
+                        session_q[s], keys, values, padded[rows, :longest], mask[rows, :longest], kv_of_head
+                    )
+                    if longest
+                    else PartialAttention.empty(num_heads, head_dim)
                 )
-            )
-            for row, breakdown in enumerate(breakdowns):
-                breakdown.num_retrieved_tokens += int(counts[row])
+            partials.append(PartialAttention.concatenate(retrieved))
+            retrieved_counts += counts
         return partials
 
     @staticmethod
@@ -288,11 +301,10 @@ class DataCentricAttentionEngine:
     ) -> PartialAttention:
         """Partial attention over padded per-row retrieved sets.
 
-        ``padded``/``mask`` come from :meth:`_dedup_and_pad`; ``kv_of_head``
-        maps each row to its KV head (session-major when rows stack several
-        sessions over one shared context).  Rows with nothing retrieved come
-        back as the per-head neutral element (``max_logit=-inf``,
-        ``sum_exp=0``).
+        ``padded``/``mask`` are one session's rows of :meth:`_dedup_and_pad`'s
+        batch; ``kv_of_head`` maps each row to its KV head.  Rows with
+        nothing retrieved come back as the per-head neutral element
+        (``max_logit=-inf``, ``sum_exp=0``).
         """
         num_heads, head_dim = queries.shape
         gathered_keys = keys[kv_of_head[:, None], padded, :]

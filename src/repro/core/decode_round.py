@@ -2,18 +2,16 @@
 
 The scheduler serves all decode-ready requests (one or many) with one
 forward pass; a :class:`CrossRequestDecodeRound` is that pass's attention
-hook.  Per layer it appends every session's KV, then
-
-* sessions whose layer runs **sparse** are grouped by compatibility key —
-  stored context, reused prefix, plan and window geometry — and each group of
-  ``S >= 1`` sessions runs through
-  :func:`~repro.core.session.sparse_group_attention`: flat/coarse scans stack
-  into one gemm over the concatenated query heads, window/retrieved/local
-  partials merge with one stacked engine call, fine (DIPRS) walks stay per
-  session (frontier expansion is data-dependent) but share one scratch;
-* sessions whose layer runs **dense** — not connected, a full-attention
-  plan, a missing index, or pinned dense by the policy below — take exact
-  attention through ``Session.attention``.
+hook.  Per layer it appends every session's KV, groups the sessions by
+compatibility key — stored context, reused prefix, plan and window geometry
+— and runs each group of ``S >= 1`` sessions through
+:func:`~repro.core.session.group_attention`: under a sparse plan flat/coarse
+scans stack into one gemm over the concatenated query heads and fine (DIPRS)
+walks stay per session (frontier expansion is data-dependent) but share one
+scratch; under a full-attention plan — nothing reused, a short context, a
+missing index, or pinned dense by the policy below — retrieval is skipped.
+Either way the per-range and local partials merge with one stacked engine
+call.
 
 A session's output and integer :class:`~repro.core.session.DecodeStepStats`
 do not depend on what else is in the round.
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .session import Session, sparse_group_attention
+from .session import Session, group_attention
 
 __all__ = [
     "StageTimings",
@@ -47,9 +45,10 @@ class StageTimings:
 
     ``retrieval_seconds`` covers index scans/walks (and their seeds),
     ``merge_seconds`` the partial-attention computation and merge,
+    whatever the plan (a full-attention plan spends nothing on retrieval),
     ``dense_seconds`` everything else in the forward pass (embedding,
-    projections, MLP, LM head, full-attention sessions), and ``rounds`` the
-    number of decode rounds the split was measured over.
+    projections, MLP, LM head), and ``rounds`` the number of decode rounds
+    the split was measured over.
     """
 
     retrieval_seconds: float = 0.0
@@ -154,8 +153,7 @@ class CrossRequestDecodeRound:
         ``q``/``k``/``v`` are ``(heads, batch, head_dim)`` — one token per
         request.  Every cache gets its KV appended first (sessions are
         independent, so batching the appends ahead of the attention leaves
-        each session's view unchanged), then the sparse sessions run group by
-        group and the dense ones one by one.
+        each session's view unchanged), then the sessions run group by group.
         """
         batch = len(caches)
         num_heads, _, head_dim = q.shape
@@ -163,40 +161,32 @@ class CrossRequestDecodeRound:
         for i, cache in enumerate(caches):
             cache.update_query(q[:, i : i + 1, :], k[:, i : i + 1, :], v[:, i : i + 1, :], layer)
 
-        groups, dense = self._classify(layer)
-        for i in dense:
-            rows[i] = caches[i].attention(q[:, i : i + 1, :], layer)[:, 0, :].reshape(-1)
-        for indices, members in groups:
+        for indices, members in self._classify(layer):
             queries = q.transpose(1, 0, 2)[indices]  # (S, heads, head_dim), one copy
-            outputs = sparse_group_attention(layer, members, queries, self.timings)
+            outputs = group_attention(layer, members, queries, self.timings)
             rows[indices] = outputs.reshape(len(indices), -1)
         return rows
 
     def _classify(self, layer: int):
-        """Split sessions into sparse compatibility groups and dense sessions.
+        """Split sessions into compatibility groups.
 
         The compatibility key pins everything the stacked kernels assume is
         shared: the stored KV arrays of every range holding the context (by
-        identity), the reused prefix, the exact plan (frozen dataclass —
-        hashable), and the window geometry.  Returns ``([(row indices, [(session, inputs), ...]), ...],
-        [dense row indices])``.
+        identity; none for a session that reuses nothing), the reused prefix,
+        the exact plan (frozen dataclass — hashable), and the window geometry.
+        Returns ``[(row indices, [(session, inputs), ...]), ...]``.
         """
-        dense: list[int] = []
         by_key: dict[tuple, tuple[list, list]] = {}
         for i, session in enumerate(self.sessions):
-            plan = session.sparse_decode_plan(layer)
-            if plan is None:
-                dense.append(i)
-                continue
-            inputs = session.sparse_layer_inputs(layer)
+            inputs = session.layer_inputs(layer)
             key = (
                 inputs.kv_identity,
                 inputs.prefix,
-                plan,
+                inputs.plan,
                 session.config.window_initial_tokens,
                 session.config.window_last_tokens,
             )
             indices, members = by_key.setdefault(key, ([], []))
             indices.append(i)
             members.append((session, inputs))
-        return list(by_key.values()), dense
+        return list(by_key.values())

@@ -26,7 +26,7 @@ from typing import Callable
 
 from ..query.types import DIPRQuery, FilterPredicate, IndexKind, QueryKind, TopKQuery
 from .config import AlayaDBConfig
-from .planner import ExecutionPlan
+from .planner import FULL_ATTENTION_PLAN, ExecutionPlan
 
 __all__ = ["QueryContext", "RuleBasedOptimizer", "OptimizerRule"]
 
@@ -81,7 +81,7 @@ class RuleBasedOptimizer:
             if plan is not None:
                 return plan
         # unreachable with the default rules, but a safe fallback regardless
-        return ExecutionPlan(query_kind=QueryKind.FULL, index_kind=None)
+        return FULL_ATTENTION_PLAN
 
     def plan_all_layers(self, query_context: QueryContext) -> dict[int, ExecutionPlan]:
         """Plans for every layer of the model serving this context.
@@ -115,7 +115,7 @@ class RuleBasedOptimizer:
     # ------------------------------------------------------------------
     def _rule_short_context(self, query_context: QueryContext, config: AlayaDBConfig) -> ExecutionPlan | None:
         if query_context.context_length <= config.short_context_threshold:
-            return ExecutionPlan(query_kind=QueryKind.FULL, index_kind=None)
+            return FULL_ATTENTION_PLAN
         return None
 
     def _rule_coarse_when_budget_allows(self, query_context: QueryContext, config: AlayaDBConfig) -> ExecutionPlan | None:

@@ -23,7 +23,7 @@ from ..query.filtered import filtered_diprs_search, filtered_diprs_search_group,
 from ..query.topk import graph_topk_search
 from ..query.types import DIPRQuery, FilterPredicate, IndexKind, QueryKind, TopKQuery
 
-__all__ = ["ExecutionPlan", "RetrievalOutcome", "LayerIndexData", "PlanExecutor"]
+__all__ = ["ExecutionPlan", "FULL_ATTENTION_PLAN", "RetrievalOutcome", "LayerIndexData", "PlanExecutor"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,11 @@ class ExecutionPlan:
         if self.predicate is not None:
             parts.append(f"filter<{self.predicate.max_position}")
         return ", ".join(parts)
+
+
+FULL_ATTENTION_PLAN = ExecutionPlan(query_kind=QueryKind.FULL, index_kind=None)
+"""Attend every visible stored token: no retrieval, one un-gathered partial
+per range."""
 
 
 @dataclass
@@ -121,6 +126,15 @@ class LayerIndexData:
         local = np.asarray(positions, dtype=np.int64) - np.int64(self.position_offset)
         return local[(local >= 0) & (local < self.keys.shape[1])]
 
+    def has_index(self, index_kind: str | None) -> bool:
+        """Whether the range carries the index a plan of ``index_kind`` reads
+        (a flat scan or full attention needs only the keys)."""
+        if index_kind == IndexKind.FINE:
+            return self.fine_indexes is not None
+        if index_kind == IndexKind.COARSE:
+            return self.coarse_indexes is not None
+        return True
+
     def fine_index_for_query_head(self, query_head: int) -> RoarGraphIndex:
         if not self.fine_indexes:
             raise PlanningError("fine-grained indexes are not available for this layer")
@@ -186,7 +200,7 @@ class PlanExecutor:
         per session and are dispatched one session at a time.
         """
         if plan.is_full_attention:
-            raise PlanningError("full-attention plans are executed by the attention engine, not retrieval")
+            raise PlanningError("full-attention plans attend every token: there is nothing to retrieve")
         queries = np.asarray(queries, dtype=np.float32)
         num_heads = queries.shape[0]
         num_tokens = data.keys.shape[1]

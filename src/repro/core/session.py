@@ -8,8 +8,9 @@ and asks it for attention outputs.  Unlike ``DynamicCache`` the session
   reused instead of recomputed (prefix reuse),
 * keeps newly generated KV in a small **local cache** rather than inserting it
   into the index immediately (late materialization, Section 7.2),
-* answers decode-time attention with the **sparse** data-centric engine,
-  retrieving critical tokens through the plan selected by the optimizer.
+* answers every attention call with the data-centric engine — per-range
+  partials plus a local partial, merged once — retrieving critical tokens
+  first when the optimizer's plan for the layer is a sparse one.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import numpy as np
 
 from ..errors import SessionClosedError
 from ..kvcache.cache import LayerKVCache
-from ..llm.attention import full_attention
 from .attention_engine import DataCentricAttentionEngine
 from .config import AlayaDBConfig
 from .context_store import StoredContext
 from .optimizer import QueryContext, RuleBasedOptimizer
 from ..query.types import IndexKind
-from .planner import ExecutionPlan, LayerIndexData, PlanExecutor
+from .planner import FULL_ATTENTION_PLAN, ExecutionPlan, LayerIndexData, PlanExecutor
 from .window_cache import WindowCache
 
 if TYPE_CHECKING:
@@ -36,10 +36,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DecodeStepStats",
-    "SparseLayerInputs",
+    "LayerInputs",
     "Session",
     "decode_stats_from",
-    "sparse_group_attention",
+    "group_attention",
 ]
 
 
@@ -48,6 +48,8 @@ class DecodeStepStats:
     """Work performed by the last decode step (summed over layers and heads)."""
 
     num_selected_tokens: int = 0
+    """Stored tokens attended outside the window, summed over heads: the
+    retrieved sets, or every visible stored token under a full-attention plan."""
     num_distance_computations: int = 0
     num_graph_hops: int = 0
     """Fine-index traversal hops; shared group-frontier walks count once per
@@ -70,26 +72,24 @@ class DecodeStepStats:
 
 
 @dataclass
-class SparseLayerInputs:
-    """Everything one layer's sparse decode needs, resolved once per step.
+class LayerInputs:
+    """Everything one layer's attention reads, resolved once per step.
 
-    Produced by :meth:`Session.sparse_layer_inputs`; a decode round reads the
+    Produced by :meth:`Session.layer_inputs`; a decode round reads the
     compatibility key off it before handing the group to
-    :func:`sparse_group_attention`.
+    :func:`group_attention`.
     """
 
     plan: ExecutionPlan
+    """What a single-token step executes (see :meth:`Session.decode_plan`)."""
     ranges: list[LayerIndexData]
-    """The ``R >= 1`` token ranges holding the stored context, in token
-    order: one for a single-owner context, one per shard for a sharded one."""
+    """The ``R >= 0`` token ranges holding the stored context, in token
+    order: none for an unconnected session, one for a single-owner context,
+    one per shard for a sharded one."""
     prefix: int
     window_positions: np.ndarray
     local_keys: np.ndarray
     local_values: np.ndarray
-
-    @property
-    def has_local(self) -> bool:
-        return self.local_keys.shape[1] > 0
 
     @property
     def kv_identity(self) -> tuple[int, ...]:
@@ -97,16 +97,31 @@ class SparseLayerInputs:
         return tuple(id(data.keys) for data in self.ranges)
 
 
+def _visible_slabs(
+    ranges: list[LayerIndexData], prefix: int
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """``(start, keys, values)`` of each range cut at the reused prefix —
+    views of the tokens ``[start, min(stop, prefix))``; ranges wholly past
+    the prefix drop out."""
+    slabs = []
+    for data in ranges:
+        visible = prefix - data.position_offset
+        if visible > 0:
+            slabs.append((data.position_offset, data.keys[:, :visible], data.values[:, :visible]))
+    return slabs
+
+
 def decode_stats_from(outcomes, breakdowns) -> DecodeStepStats:
-    """Fold per-head retrieval outcomes + attention breakdowns into step stats."""
-    stats = DecodeStepStats()
-    for outcome, breakdown in zip(outcomes, breakdowns):
+    """Fold per-head attention breakdowns + retrieval outcomes (none under a
+    full-attention plan) into step stats."""
+    stats = DecodeStepStats(num_heads=len(breakdowns))
+    for breakdown in breakdowns:
         stats.num_selected_tokens += breakdown.num_retrieved_tokens
-        stats.num_distance_computations += outcome.num_distance_computations
-        stats.num_graph_hops += outcome.num_hops
         stats.num_window_tokens += breakdown.num_window_tokens
         stats.num_local_tokens += breakdown.num_local_tokens
-        stats.num_heads += 1
+    for outcome in outcomes:
+        stats.num_distance_computations += outcome.num_distance_computations
+        stats.num_graph_hops += outcome.num_hops
     return stats
 
 
@@ -328,15 +343,21 @@ class Session:
 
         ``q`` has shape ``(num_query_heads, seq, head_dim)``.  Multi-token
         queries (the prefill of the non-reused suffix) run exact causal
-        attention; single-token queries (decode) run the sparse plan.
+        attention; single-token queries (decode) run the layer's plan as a
+        group of one.  Either way the output is one merge of per-range
+        partials and a local partial.
         """
         self._require_open()
         q = np.asarray(q, dtype=np.float32)
         if q.ndim != 3:
             raise ValueError(f"expected q of shape (heads, seq, head_dim), got {q.shape}")
-        if q.shape[1] > 1 or not self._use_sparse_path(layer):
-            return self._full_attention(q, layer)
-        return self._sparse_attention(q, layer)
+        if q.shape[1] > 1:
+            # no plan is consulted: the optimizer sizes its plans on the
+            # context length at the first decode step, after the whole suffix
+            slabs = _visible_slabs(self._stored_ranges(layer), self.reused_prefix_length)
+            return self.engine.causal_output(q, slabs, *self.local_snapshot(layer))
+        members = [(self, self.layer_inputs(layer))]
+        return group_attention(layer, members, q[:, 0, :][None])[0][:, None, :]
 
     def materialized_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Full KV visible at ``layer``: stored prefix + locally appended.
@@ -350,18 +371,17 @@ class Session:
     # internals
     # ------------------------------------------------------------------
     def _materialized_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stored-prefix KV concatenated with the local KV for ``layer``."""
+        """The visible stored ranges' KV concatenated with the local KV."""
         local_keys, local_values = self.local_snapshot(layer)
-        if self.context is not None and self.reused_prefix_length > 0 and layer in self.context.snapshot.keys:
-            stored_keys = self.context.keys(layer)[:, : self.reused_prefix_length, :]
-            stored_values = self.context.values(layer)[:, : self.reused_prefix_length, :]
-            if local_keys.shape[1] == 0:
-                return stored_keys, stored_values
-            return (
-                np.concatenate([stored_keys, local_keys], axis=1),
-                np.concatenate([stored_values, local_values], axis=1),
-            )
-        return local_keys, local_values
+        slabs = _visible_slabs(self._stored_ranges(layer), self.reused_prefix_length)
+        keys = [slab_keys for _, slab_keys, _ in slabs]
+        values = [slab_values for _, _, slab_values in slabs]
+        if local_keys.shape[1] > 0 or not slabs:
+            keys.append(local_keys)
+            values.append(local_values)
+        if len(keys) == 1:
+            return keys[0], values[0]
+        return np.concatenate(keys, axis=1), np.concatenate(values, axis=1)
 
     def _plans_for_context(self) -> dict[int, ExecutionPlan]:
         if self._plans is not None:
@@ -387,102 +407,76 @@ class Session:
         """The optimizer's plan for ``layer`` (public for inspection/benchmarks)."""
         return self._plans_for_context()[layer]
 
-    def _use_sparse_path(self, layer: int) -> bool:
-        if self.decode_mode_override == "dense":
-            return False
-        if not self.is_connected:
-            return False
-        if layer not in self.context.snapshot.keys:
-            return False
-        plan = self._plans_for_context().get(layer)
-        if plan is None or plan.is_full_attention:
-            return False
-        if plan.index_kind == "fine" and layer not in self.context.fine_indexes:
-            # lazy build mode: the first sparse use pays for index
-            # construction instead of the ingest path
-            if self._index_provider is not None:
-                provider, self._index_provider = self._index_provider, None
-                provider()
-            if layer not in self.context.fine_indexes:
-                return False
-        if plan.index_kind == "coarse" and layer not in self.context.coarse_indexes:
-            return False
-        return True
-
     def _layer_index_data(self, layer: int) -> LayerIndexData:
-        data = self._layer_data.get(layer)
-        if data is not None:
-            return data
         context = self.context
         fine = context.fine_indexes.get(layer)
-        coarse = context.coarse_indexes.get(layer)
-        dims = self._dims
-        # the query-head → index mapping must use the model's GQA group size;
-        # the builder's own group size can differ (e.g. indexes rebuilt after
-        # a reload fall back to key-vector query samples)
-        data = LayerIndexData(
-            keys=context.keys(layer),
-            values=context.values(layer),
-            fine_indexes=fine.indexes if fine is not None else None,
-            coarse_indexes=coarse,
-            shared=fine.shared if fine is not None else True,
-            gqa_group_size=(dims.gqa_group_size if dims is not None else (fine.gqa_group_size if fine is not None else 1)),
-        )
-        self._layer_data[layer] = data
+        data = self._layer_data.get(layer)
+        if data is None:
+            dims = self._dims
+            # the query-head → index mapping must use the model's GQA group size;
+            # the builder's own group size can differ (e.g. indexes rebuilt after
+            # a reload fall back to key-vector query samples)
+            data = self._layer_data[layer] = LayerIndexData(
+                keys=context.keys(layer),
+                values=context.values(layer),
+                gqa_group_size=(dims.gqa_group_size if dims is not None else (fine.gqa_group_size if fine is not None else 1)),
+            )
+        # a deferred build may add the indexes after the layer's first use
+        data.fine_indexes = fine.indexes if fine is not None else None
+        data.shared = fine.shared if fine is not None else True
+        data.coarse_indexes = context.coarse_indexes.get(layer)
         return data
-
-    def _full_attention(self, q: np.ndarray, layer: int) -> np.ndarray:
-        keys, values = self._materialized_kv(layer)
-        if keys.shape[1] == 0:
-            return np.zeros_like(q)
-        return full_attention(q, keys, values, causal=True)
-
-    def _sparse_attention(self, q: np.ndarray, layer: int) -> np.ndarray:
-        """Single-token sparse attention for a session stepped on its own:
-        a group of one."""
-        members = [(self, self.sparse_layer_inputs(layer))]
-        return sparse_group_attention(layer, members, q[:, 0, :][None])[0][:, None, :]
 
     # ------------------------------------------------------------------
     # the pieces a decode round assembles (S >= 1 sessions per group)
     # ------------------------------------------------------------------
-    def sparse_decode_plan(self, layer: int) -> ExecutionPlan | None:
-        """The plan a single-token decode at ``layer`` would execute.
+    def _stored_ranges(self, layer: int) -> list[LayerIndexData]:
+        """The token ranges holding the reused context's ``layer``: the one
+        stored context, or none when nothing is reused (the hook a sharded
+        session overrides)."""
+        if not self.is_connected or layer not in self.context.snapshot.keys:
+            return []
+        return [self._layer_index_data(layer)]
 
-        ``None`` means the dense path serves this layer — the session is not
-        connected, the plan is full attention, a needed index is missing, or
-        the dynamic attention policy pinned the session dense.  A round
-        coordinator uses this to classify sessions before stacking work.
+    def decode_plan(self, layer: int) -> ExecutionPlan:
+        """The plan a single-token decode at ``layer`` executes.
+
+        Full attention when the session reuses nothing, the optimizer says
+        so, a range lacks the index the plan needs, or the dynamic attention
+        policy pinned the session dense — a different group key for the
+        decode round, not a different code path.
         """
-        self._require_open()
-        if not self._use_sparse_path(layer):
-            return None
-        return self._plans_for_context()[layer]
+        return self.layer_inputs(layer).plan
 
-    def sparse_layer_inputs(self, layer: int) -> SparseLayerInputs:
-        """Resolve the state one sparse decode step of ``layer`` reads.
+    def layer_inputs(self, layer: int) -> LayerInputs:
+        """Resolve the state one attention call at ``layer`` reads.
 
-        Only valid when :meth:`sparse_decode_plan` returned a plan; the local
-        snapshot reflects KV appended so far, so call this *after*
-        ``update_query`` for the step's token.
+        The local snapshot reflects KV appended so far, so call this *after*
+        ``update_query`` for the step's tokens.
         """
+        plan = FULL_ATTENTION_PLAN
+        if self.is_connected and self.decode_mode_override != "dense":
+            plan = self._plans_for_context()[layer]
+            if plan.index_kind == IndexKind.FINE and self._index_provider is not None:
+                # lazy build mode: the first fine-planned use pays for index
+                # construction instead of the ingest path
+                provider, self._index_provider = self._index_provider, None
+                provider()
+        ranges = self._stored_ranges(layer)
+        if not ranges or not all(data.has_index(plan.index_kind) for data in ranges):
+            plan = FULL_ATTENTION_PLAN
         local_keys, local_values = self.local_snapshot(layer)
         prefix = self.reused_prefix_length
-        return SparseLayerInputs(
-            plan=self._plans_for_context()[layer],
-            ranges=self._stored_ranges(layer),
+        return LayerInputs(
+            plan=plan,
+            ranges=ranges,
             prefix=prefix,
             window_positions=self.window.positions(prefix),
             local_keys=local_keys,
             local_values=local_values,
         )
 
-    def _stored_ranges(self, layer: int) -> list[LayerIndexData]:
-        """The token ranges holding the reused context's ``layer``: the one
-        stored context (the hook a sharded session overrides)."""
-        return [self._layer_index_data(layer)]
-
-    def fine_window_seeds(self, inputs: SparseLayerInputs, queries: np.ndarray) -> np.ndarray:
+    def fine_window_seeds(self, inputs: LayerInputs, queries: np.ndarray) -> np.ndarray:
         """Per-head window seeds for a fine (DIPRS) retrieval at this step.
 
         The window maxima — the max over every range's slice of the window —
@@ -501,7 +495,7 @@ class Session:
                 ),
                 out=window_max,
             )
-        if inputs.has_local:
+        if inputs.local_keys.shape[1] > 0:
             for head in range(dims.num_query_heads):
                 local_best = float(
                     (inputs.local_keys[head // dims.gqa_group_size] @ queries[head]).max()
@@ -512,8 +506,8 @@ class Session:
     def record_decode_stats(self, stats: DecodeStepStats, layer: int) -> None:
         """Account one layer's decode work (steps counted on the last layer).
 
-        Called by :func:`sparse_group_attention` for the work executed on
-        this session's behalf.
+        Called by :func:`group_attention` for the work executed on this
+        session's behalf, whatever the plan.
         """
         self.last_decode_stats = stats
         self.total_decode_stats.merge(stats)
@@ -521,27 +515,28 @@ class Session:
             self.num_decode_steps += 1
 
 
-def sparse_group_attention(
+def group_attention(
     layer: int,
-    members: list[tuple[Session, SparseLayerInputs]],
+    members: list[tuple[Session, LayerInputs]],
     queries: np.ndarray,
     timings: StageTimings | None = None,
 ) -> np.ndarray:
-    """One layer's single-token sparse attention for ``S >= 1`` sessions
-    over the ``R >= 1`` token ranges holding their stored context.
+    """One layer's single-token attention for ``S >= 1`` sessions over the
+    ``R >= 0`` token ranges holding their stored context.
 
-    The one execution of the paper's query-processing procedure: window
+    The one execution of the paper's query-processing procedure: [window
     seeds → ``PlanExecutor.retrieve_ranges`` (per-range ``retrieve_heads`` +
-    one cross-range re-selection) → one stacked partial-attention merge →
-    per-session :class:`DecodeStepStats`.  ``members`` share a stored
-    context, reused prefix, plan and window geometry (the decode round's
-    compatibility key; a session stepped alone is a group of one) and
-    ``queries`` is ``(S, num_query_heads, head_dim)`` in member order.
-    Flat/coarse scans stack every member's query heads into one gemm per KV
-    head and range; fine (DIPRS) walks are data-dependent, so they run per
-    member — through the first member's executor, sharing its frontier
-    scratch.  ``timings`` accumulates the retrieval / merge wall-time split.
-    Returns ``(S, num_query_heads, head_dim)`` attention outputs.
+    one cross-range re-selection), skipped by a full-attention plan] → one
+    stacked partial-attention merge → per-session :class:`DecodeStepStats`.
+    ``members`` share a stored context, reused prefix, plan and window
+    geometry (the decode round's compatibility key; a session stepped alone
+    is a group of one) and ``queries`` is ``(S, num_query_heads, head_dim)``
+    in member order.  Flat/coarse scans stack every member's query heads
+    into one gemm per KV head and range; fine (DIPRS) walks are
+    data-dependent, so they run per member — through the first member's
+    executor, sharing its frontier scratch.  ``timings`` accumulates the
+    retrieval / merge wall-time split.  Returns ``(S, num_query_heads,
+    head_dim)`` attention outputs.
     """
     first_session, shared = members[0]
     plan = shared.plan
@@ -550,25 +545,28 @@ def sparse_group_attention(
     num_sessions, num_heads, head_dim = queries.shape
 
     started = time.perf_counter() if timings is not None else 0.0
-    if plan.index_kind == IndexKind.FINE:
-        outcomes = []
-        for (session, inputs), session_queries in zip(members, queries):
-            # retrieve_heads decides whether the plan consumes the seeds
-            seeds = session.fine_window_seeds(inputs, session_queries)
-            outcomes.extend(
-                executor.retrieve_ranges(plan, ranges, session_queries, window_max_scores=seeds)
-            )
+    outcomes = []
+    if plan.is_full_attention:
+        retrieved = None  # every visible stored token is attended as it lies
     else:
-        kv_head_of_query = np.tile(
-            np.arange(num_heads, dtype=np.int64) // ranges[0].gqa_group_size, num_sessions
-        )
-        outcomes = executor.retrieve_ranges(
-            plan,
-            ranges,
-            queries.reshape(num_sessions * num_heads, head_dim),
-            kv_head_of_query=kv_head_of_query,
-        )
-    retrieved = [outcome.positions[outcome.positions < shared.prefix] for outcome in outcomes]
+        if plan.index_kind == IndexKind.FINE:
+            for (session, inputs), session_queries in zip(members, queries):
+                # retrieve_heads decides whether the plan consumes the seeds
+                seeds = session.fine_window_seeds(inputs, session_queries)
+                outcomes.extend(
+                    executor.retrieve_ranges(plan, ranges, session_queries, window_max_scores=seeds)
+                )
+        else:
+            kv_head_of_query = np.tile(
+                np.arange(num_heads, dtype=np.int64) // ranges[0].gqa_group_size, num_sessions
+            )
+            outcomes = executor.retrieve_ranges(
+                plan,
+                ranges,
+                queries.reshape(num_sessions * num_heads, head_dim),
+                kv_head_of_query=kv_head_of_query,
+            )
+        retrieved = [outcome.positions[outcome.positions < shared.prefix] for outcome in outcomes]
     if timings is not None:
         now = time.perf_counter()
         timings.retrieval_seconds += now - started
@@ -576,11 +574,11 @@ def sparse_group_attention(
 
     outputs, breakdowns = first_session.engine.stacked_layer_output(
         queries,
-        [(data.position_offset, data.keys, data.values) for data in ranges],
+        _visible_slabs(ranges, shared.prefix),
         window_positions=shared.window_positions,
         retrieved_positions=retrieved,
-        local_keys=[inputs.local_keys if inputs.has_local else None for _, inputs in members],
-        local_values=[inputs.local_values if inputs.has_local else None for _, inputs in members],
+        local_keys=[inputs.local_keys for _, inputs in members],
+        local_values=[inputs.local_values for _, inputs in members],
     )
     if timings is not None:
         timings.merge_seconds += time.perf_counter() - started

@@ -11,11 +11,9 @@ from .attention import (
     attention_weights,
     decode_attention,
     full_attention,
-    merge_partial_attention,
     partial_attention,
     repeat_kv,
     softmax,
-    sparse_attention,
 )
 from .generation import GenerationLoop, GenerationResult, generate
 from .layers import Embedding, Linear, RMSNorm, SwiGLU
@@ -46,10 +44,8 @@ __all__ = [
     "full_attention",
     "generate",
     "greedy",
-    "merge_partial_attention",
     "partial_attention",
     "repeat_kv",
     "sample_token",
     "softmax",
-    "sparse_attention",
 ]

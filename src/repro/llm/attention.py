@@ -9,8 +9,7 @@ the paper.  It provides:
   together with its log-sum-exp statistics so that several partial results
   computed on different devices (GPU window cache vs CPU-resident index
   blocks) can be merged exactly — the "data-centric attention engine" of
-  Section 7.2 of the paper,
-* sparse attention over an explicit list of selected token indices.
+  Section 7.2 of the paper.
 
 All kernels operate on ``float32`` arrays.  Shapes follow the convention
 ``(num_heads, seq_len, head_dim)`` for K/V and ``(num_heads, head_dim)`` or
@@ -29,13 +28,20 @@ __all__ = [
     "attention_weights",
     "full_attention",
     "decode_attention",
-    "sparse_attention",
     "PartialAttention",
     "partial_attention",
-    "merge_partial_attention",
     "combine_partial_attention",
     "repeat_kv",
 ]
+
+
+_FLOAT32_MIN = np.finfo(np.float32).min
+_FLOAT32_TINY = np.finfo(np.float32).tiny
+"""Guards for rows that attend to nothing: a max logit of ``-inf`` is floored
+to the most negative finite value before it is subtracted, a zero softmax
+denominator is raised to the smallest normal value before it divides.  No
+row that attends to anything is changed — its max logit is finite and its
+sum of exponentials at least 1."""
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -124,22 +130,6 @@ def decode_attention(
     return out[:, 0, :]
 
 
-def sparse_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    selected: np.ndarray,
-    scale: float | None = None,
-) -> np.ndarray:
-    """Decode attention restricted to ``selected`` token indices.
-
-    ``selected`` is a 1-D integer array of token positions; the same subset is
-    used for every head.  Returns ``(h, d)``.
-    """
-    selected = np.asarray(selected, dtype=np.int64)
-    return decode_attention(q, k[:, selected, :], v[:, selected, :], scale=scale)
-
-
 @dataclass
 class PartialAttention:
     """Attention over a subset of keys plus its softmax statistics.
@@ -168,8 +158,16 @@ class PartialAttention:
             sum_exp=np.zeros((num_heads,), dtype=np.float32),
         )
 
-    def is_empty(self) -> bool:
-        return bool(np.all(np.isneginf(self.max_logit)))
+    @classmethod
+    def concatenate(cls, parts: list["PartialAttention"]) -> "PartialAttention":
+        """Stack partials over disjoint row sets (one per session) into one."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            output=np.concatenate([part.output for part in parts]),
+            max_logit=np.concatenate([part.max_logit for part in parts]),
+            sum_exp=np.concatenate([part.sum_exp for part in parts]),
+        )
 
 
 def partial_attention(
@@ -177,75 +175,78 @@ def partial_attention(
     k: np.ndarray,
     v: np.ndarray,
     scale: float | None = None,
+    mask: np.ndarray | None = None,
 ) -> PartialAttention:
-    """Compute decode attention over a KV subset, keeping merge statistics.
+    """Softmax statistics of GQA-grouped query rows over one KV slab.
 
-    ``q``: ``(h, d)``; ``k``/``v``: ``(h_kv, m, d)``.  An empty subset
-    (``m == 0``) yields the neutral element.
+    The one "attention over a contiguous KV array" primitive: a stored
+    range's visible slice, the gathered window, a session's local KV and a
+    prefill chunk's causal block all go through it.  ``q`` is
+    ``(..., num_kv_heads, rows, d)`` — the rows each KV head serves (a GQA
+    group's query heads for one decode token; ``group * seq`` rows for a
+    prefill chunk), any leading axes (stacked sessions) riding matmul's batch
+    dimension; ``k``/``v`` are ``(num_kv_heads, m, d)``, never repeated per
+    query head.  ``mask`` is an optional boolean ``(rows, m)``: True where the
+    row may attend.  The result's rows are ``q``'s leading axes flattened; a
+    row that attends to nothing (``m == 0``, or masked out everywhere) is the
+    merge's neutral element.
+
+    Each ``(..., kv_head)`` batch entry is its own gemm, so a row's bits do
+    not depend on how many sessions are stacked ahead of it — a single
+    ``(sessions * rows, m)`` gemm would not keep that promise.
     """
     q = np.asarray(q, dtype=np.float32)
-    num_heads, head_dim = q.shape
+    head_dim = q.shape[-1]
+    num_rows = q.size // head_dim
     if k.shape[1] == 0:
-        return PartialAttention.empty(num_heads, head_dim)
+        return PartialAttention.empty(num_rows, head_dim)
     if scale is None:
         scale = 1.0 / np.sqrt(head_dim)
-    k = repeat_kv(np.asarray(k, dtype=np.float32), num_heads)
-    v = repeat_kv(np.asarray(v, dtype=np.float32), num_heads)
-    logits = np.einsum("hd,hmd->hm", q, k) * np.float32(scale)
-    max_logit = logits.max(axis=1)
-    exps = np.exp(logits - max_logit[:, None])
-    sum_exp = exps.sum(axis=1)
-    output = np.einsum("hm,hmd->hd", exps, v) / sum_exp[:, None]
-    return PartialAttention(output=output.astype(np.float32), max_logit=max_logit, sum_exp=sum_exp)
-
-
-def merge_partial_attention(parts: list[PartialAttention]) -> np.ndarray:
-    """Exact attention output ``(h, d)`` over the union of disjoint KV subsets.
-
-    The output-only view of :func:`combine_partial_attention`, as if a single
-    softmax had been computed over all subsets; heads that are empty in every
-    partial come back as zeros.
-    """
-    return combine_partial_attention(parts).output
+    logits = np.matmul(q, np.swapaxes(k, 1, 2))
+    logits *= np.float32(scale)
+    if mask is not None:
+        np.copyto(logits, np.float32(-np.inf), where=~mask)
+    max_logit = logits.max(axis=-1)
+    # a row masked out everywhere has max -inf: the finite floor makes its
+    # exps and sum 0 instead of nan and leaves every other row's bits alone
+    logits -= np.maximum(max_logit, _FLOAT32_MIN)[..., None]
+    exps = np.exp(logits, out=logits)
+    sum_exp = exps.sum(axis=-1)
+    output = np.matmul(exps, v)
+    output /= np.maximum(sum_exp, _FLOAT32_TINY)[..., None]
+    return PartialAttention(
+        output=output.reshape(num_rows, head_dim),
+        max_logit=max_logit.reshape(num_rows),
+        sum_exp=sum_exp.reshape(num_rows),
+    )
 
 
 def combine_partial_attention(parts: list[PartialAttention]) -> PartialAttention:
     """Merge partials computed over disjoint KV subsets, keeping the statistics.
 
-    The one log-sum-exp merge: window/retrieved/local partials of a decode
-    step, the partials of several shards, and a shard's own partials collapsed
-    into a single one to ship across the (simulated) wire all go through it —
-    the result carries the (``max_logit``, ``sum_exp``) of the union subset,
-    so it can itself be merged again exactly.  A partial may be empty for
-    some heads only (a head that retrieved nothing, a shard holding nothing
-    for it); heads that are empty in every input stay the neutral element
-    (zero output, ``max_logit=-inf``, ``sum_exp=0``).
+    The one log-sum-exp merge: the per-range and local partials of a decode
+    step or a prefill chunk, whatever the plan and however many ranges hold
+    the context, all go through it — the result carries the (``max_logit``,
+    ``sum_exp``) of the union subset, so it can itself be merged again
+    exactly.  A partial may be empty for some rows only (a head that
+    retrieved nothing, a session without local KV); rows that are empty in
+    every input stay the neutral element (zero output, ``max_logit=-inf``,
+    ``sum_exp=0``).  Every row is merged by the same arithmetic whatever the
+    other rows hold, so stacking sessions never changes a row's bits.
     """
     if not parts:
         raise ValueError("cannot combine an empty list of partial attentions")
-    live = [p for p in parts if not p.is_empty()]
-    if not live:
-        return PartialAttention.empty(*parts[0].output.shape)
-    if len(live) == 1:
-        part = live[0]
-        return PartialAttention(
-            output=part.output.copy(),
-            max_logit=part.max_logit.copy(),
-            sum_exp=part.sum_exp.copy(),
-        )
-    global_max = np.max(np.stack([p.max_logit for p in live], axis=0), axis=0)
-    safe_max = np.where(np.isneginf(global_max), np.float32(0.0), global_max)
-    total_weight = np.zeros_like(live[0].sum_exp)
-    accumulated = np.zeros_like(live[0].output)
-    for part in live:
-        # a head empty in this partial has sum_exp == 0 and max_logit == -inf:
-        # against the finite safe_max its weight is 0 * exp(-inf) == 0
-        weight = part.sum_exp * np.exp(part.max_logit - safe_max)
-        accumulated += part.output * weight[:, None]
-        total_weight += weight
-    denom = np.where(total_weight == 0.0, np.float32(1.0), total_weight)
+    global_max = np.maximum.reduce([part.max_logit for part in parts])
+    # a row empty in one partial has sum_exp == 0 and max_logit == -inf:
+    # against the finite shift its weight is 0 * exp(-inf) == 0
+    shift = np.maximum(global_max, _FLOAT32_MIN)
+    total_weight = accumulated = np.float32(0.0)
+    for part in parts:
+        weight = part.sum_exp * np.exp(part.max_logit - shift)
+        accumulated = accumulated + part.output * weight[:, None]
+        total_weight = total_weight + weight
     return PartialAttention(
-        output=(accumulated / denom[:, None]).astype(np.float32),
-        max_logit=global_max.astype(np.float32),
-        sum_exp=total_weight.astype(np.float32),
+        output=accumulated / np.maximum(total_weight, _FLOAT32_TINY)[:, None],
+        max_logit=global_max,
+        sum_exp=total_weight,
     )

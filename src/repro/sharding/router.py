@@ -13,9 +13,11 @@ front :attr:`~ShardedContextRouter.service` like any other request, and
 match lands on a catalogued context — from there the one scheduler admits,
 prefills, batches, preempts, cancels and stores it.
 
-Sparse decode is the one execution
-(:func:`~repro.core.session.sparse_group_attention`) iterated over the
-ranges :meth:`ShardedContextRouter.layer_ranges` returns:
+Attention is the one execution (:func:`~repro.core.session.group_attention`
+for a decode token, the same partials with rows in place of sessions for a
+prefill chunk) iterated over the ranges
+:meth:`ShardedContextRouter.layer_ranges` returns — no KV is gathered at the
+router.  Under a sparse plan:
 
 1. *(fine plans only)* *window seeds* — the max window score over each
    range's slice of the attention window, maxed across ranges and floored by
@@ -34,8 +36,8 @@ ranges :meth:`ShardedContextRouter.layer_ranges` returns:
    (:func:`~repro.llm.attention.combine_partial_attention`), which equals
    the unsharded softmax exactly.
 
-The dense path (multi-token prefill of the suffix, dense decode layers)
-still fans out on its own through :meth:`ShardedContextRouter.dense_attention`.
+Under a full-attention plan, and for every prefill chunk, steps 1–2 drop out
+and each range contributes one partial over its slice of the reused prefix.
 
 A worker that owns no replica of a shard cold-loads it from the shared
 backend (manifest refresh + touch), which is how rebalancing and failover
@@ -44,14 +46,11 @@ are modelled.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.config import AlayaDBConfig
 from ..core.db import DB
 from ..core.planner import LayerIndexData
 from ..core.service import InferenceService
 from ..errors import ContextNotFoundError, ReproError
-from ..llm.attention import PartialAttention, combine_partial_attention, partial_attention
 from ..llm.model import TransformerModel
 from ..storage.backend import InMemoryBackend, StorageBackend
 from .plan import ShardRange, parse_shard_id
@@ -66,8 +65,7 @@ class ShardWorker:
     Wraps an :class:`InferenceService` (its DB rides on the group's shared
     backend, so every worker sees one durable manifest) and adds the
     shard-owner protocol the router fans out to: a shard layer's KV and
-    range-local indexes, and dense partial attention over the shard's KV
-    slice.
+    range-local indexes.
     """
 
     def __init__(self, worker_id: int, service: InferenceService):
@@ -150,27 +148,6 @@ class ShardWorker:
             self._layer_cache[key] = data
         data.gqa_group_size = gqa_group_size
         return data
-
-    # ------------------------------------------------------------------
-    # shard-owner protocol (what the router fans out to)
-    # ------------------------------------------------------------------
-    def attend_dense(
-        self, shard_cid: str, layer: int, queries: np.ndarray, visible: int
-    ) -> list[PartialAttention]:
-        """Exact partials over the first ``visible`` shard tokens, per query row.
-
-        ``queries`` is ``(num_query_heads, seq, head_dim)``; every prefill row
-        sees the same stored-prefix slice (causality only bites on the
-        session-local suffix, which the router handles), so the result is one
-        partial per row.
-        """
-        context = self.ensure_loaded(shard_cid)
-        keys = context.keys(layer)[:, :visible, :]
-        values = context.values(layer)[:, :visible, :]
-        return [
-            partial_attention(queries[:, row, :], keys, values)
-            for row in range(queries.shape[1])
-        ]
 
     # ------------------------------------------------------------------
     # introspection
@@ -344,8 +321,6 @@ class ShardedContextRouter:
             plan=plan,
             num_layers=context.num_layers,
             layers=frozenset(context.snapshot.keys),
-            fine_layers=frozenset(context.fine_indexes),
-            coarse_layers=frozenset(context.coarse_indexes),
         )
         self._catalog[base_id] = ref
         # persist-then-free on the ingest side: spill keeps the durable
@@ -383,7 +358,7 @@ class ShardedContextRouter:
         return self._owners[self.ref(context_id).shard_id_of(shard_id)]
 
     # ------------------------------------------------------------------
-    # fan-out: the ranges sparse decode and late materialization read
+    # fan-out: the ranges attention and late materialization read
     # ------------------------------------------------------------------
     def context_tokens(self, ref: ShardedContextRef) -> list[int]:
         """Token ids of a sharded context (kept by its spilled base context)."""
@@ -399,47 +374,6 @@ class ShardedContextRouter:
             shard_cid = ref.shard_id_of(token_range.shard_id)
             ranges.append(self._owners[shard_cid].layer_data(shard_cid, layer, gqa_group_size))
         return ranges
-
-    # ------------------------------------------------------------------
-    # fan-out: dense (prefill) attention
-    # ------------------------------------------------------------------
-    def dense_attention(self, session: ShardedSession, q: np.ndarray, layer: int) -> np.ndarray:
-        """Exact causal attention over the sharded prefix + local suffix.
-
-        ``q`` is ``(num_query_heads, seq, head_dim)``.  Every prefill row sees
-        the full stored prefix (the suffix starts after it), so the per-shard
-        partials are causal-free; causality applies only to the session-local
-        KV, whose visible length grows by one per row.
-        """
-        ref = session.sharded_ref
-        prefix = session.reused_prefix_length
-        num_heads, seq, head_dim = q.shape
-        local_keys, local_values = session.local_snapshot(layer)
-        local_len = int(local_keys.shape[1])
-
-        shard_rows: list[list[PartialAttention]] = []
-        for rng in ref.plan.ranges:
-            visible = min(rng.stop, prefix) - rng.start
-            if visible <= 0:
-                continue
-            shard_cid = ref.shard_id_of(rng.shard_id)
-            shard_rows.append(
-                self._owners[shard_cid].attend_dense(shard_cid, layer, q, visible)
-            )
-
-        outputs = np.zeros((num_heads, seq, head_dim), dtype=np.float32)
-        for row in range(seq):
-            partials = [rows[row] for rows in shard_rows]
-            visible_local = max(local_len - seq + row + 1, 0)
-            partials.append(
-                partial_attention(
-                    q[:, row, :],
-                    local_keys[:, :visible_local, :],
-                    local_values[:, :visible_local, :],
-                )
-            )
-            outputs[:, row, :] = combine_partial_attention(partials).output
-        return outputs
 
     # ------------------------------------------------------------------
     # introspection

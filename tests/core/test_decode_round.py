@@ -25,6 +25,7 @@ from repro.core.decode_round import (
     StageTimings,
 )
 from repro.core.service import InferenceService
+from repro.core.session import Session
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.sharding import ShardedContextRouter, ShardedSession
 from repro.simulator.slo import BATCH_SLO, SLO
@@ -37,6 +38,8 @@ PLAN_MIXES = {
     "flat": dict(gpu_memory_budget_bytes=1, flat_index_layers=(0, 1)),
     "fine": dict(gpu_memory_budget_bytes=1, flat_index_layers=(0,)),
     "coarse": dict(gpu_memory_budget_bytes=10**18, topk_k=64, coarse_num_blocks=4),
+    # every context is "short": full attention, the plan that skips retrieval
+    "full": dict(short_context_threshold=10**6),
 }
 
 BASE_CONFIG = dict(
@@ -53,11 +56,7 @@ def model():
 
 
 def _service(model, mix: str, **overrides) -> InferenceService:
-    config = AlayaDBConfig(
-        **BASE_CONFIG,
-        **PLAN_MIXES[mix],
-        **overrides,
-    )
+    config = AlayaDBConfig(**{**BASE_CONFIG, **PLAN_MIXES[mix], **overrides})
     service = InferenceService(model, config)
     service.db.prefill_and_import(
         model, DOC, build_fine_indexes=(mix == "fine"), context_id="shared"
@@ -214,7 +213,7 @@ class TestDecodeStepStatsHonesty:
         round used to raise ``AttributeError: 'NoneType' object has no
         attribute 'fine_indexes'``.)"""
         # 32-token blocks: shard boundaries are block-aligned, 158 tokens cut in two
-        config = AlayaDBConfig(**BASE_CONFIG, **PLAN_MIXES[mix], coarse_block_size=32)
+        config = AlayaDBConfig(**{**BASE_CONFIG, **PLAN_MIXES[mix]}, coarse_block_size=32)
         db = DB(config)
         db.prefill_and_import(model, DOC)
         router = ShardedContextRouter(model, num_workers=2, config=config)
@@ -229,6 +228,36 @@ class TestDecodeStepStatsHonesty:
         solo, grouped = pair(), pair()
         self._assert_round_equals_solo(model, self._random_steps(model, 2), solo, grouped)
         assert grouped[0].total_decode_stats.num_selected_tokens > 0
+
+    def test_full_plan_round_over_two_ranges_one_range_and_none(self, model):
+        """One round over a sharded session (R = 2), a single-owner one (R = 1) and an
+        unconnected one (R = 0), all planned full attention: three groups through the one
+        execution, each row and every integer stat equal to the session stepped alone."""
+        config = AlayaDBConfig(**{**BASE_CONFIG, **PLAN_MIXES["full"]}, coarse_block_size=32)
+        db = DB(config)
+        db.prefill_and_import(model, DOC)
+        router = ShardedContextRouter(model, num_workers=2, config=config)
+        ref = router.ingest(DOC, num_shards=2)
+
+        def trio():
+            sharded = ShardedSession(ref, router, config=config, reused_prefix_length=len(DOC))
+            plain, _ = db.create_session(DOC + [211])
+            return [sharded, plain, Session(config, num_layers=model.config.num_layers)]
+
+        solo, grouped = trio(), trio()
+        num_steps = 3
+        self._assert_round_equals_solo(model, self._random_steps(model, 3, num_steps), solo, grouped)
+        for session, num_ranges in zip(grouped, (2, 1, 0)):
+            inputs = session.layer_inputs(0)
+            assert inputs.plan.is_full_attention and len(inputs.ranges) == num_ranges
+        sharded, plain, unconnected = (session.total_decode_stats for session in grouped)
+        calls = num_steps * model.config.num_layers
+        assert sharded.num_selected_tokens == plain.num_selected_tokens
+        assert plain.num_selected_tokens == calls * model.config.num_query_heads * len(DOC)
+        assert unconnected.num_selected_tokens == 0 < unconnected.num_local_tokens
+        for stats in (sharded, plain, unconnected):
+            assert stats.num_distance_computations == stats.num_graph_hops == stats.num_window_tokens == 0
+            assert stats.num_heads == calls * model.config.num_query_heads
 
 
 # --------------------------------------------------------------------------
@@ -327,6 +356,66 @@ class TestDynamicAttentionPolicy:
         assert len(service._attention_policy._states) == 2
         service.drain()
         assert not service._attention_policy._states
+
+
+    def test_policy_flip_changes_the_group_key_not_the_code_path(self, model, monkeypatch):
+        """Pressure swings mid-request: two requests on one context go dense -> sparse -> dense
+        together.  Every round is one S = 2 ``group_attention`` call whose plan flips with the
+        policy, and the tokens equal the same requests with the override pinned by hand to the
+        modes the policy chose, step for step."""
+        from repro.core import decode_round
+
+        groups = []
+        real = decode_round.group_attention
+
+        def spy(layer, members, queries, timings=None):
+            if layer == 0:
+                groups.append((len(members), members[0][1].plan.is_full_attention))
+            return real(layer, members, queries, timings)
+
+        monkeypatch.setattr(decode_round, "group_attention", spy)
+        prompts = [DOC + [250 + i] for i in range(2)]
+
+        def run(choose_modes, **overrides):
+            service = _service(model, "flat", max_inflight_requests=2, **overrides)
+            service._apply_attention_policy = choose_modes(service)
+            handles = [service.submit(prompt, max_new_tokens=9) for prompt in prompts]
+            service.drain()
+            return [service.result(handle)[0].generated_tokens for handle in handles]
+
+        chosen = []
+
+        def policy_under_swinging_pressure(service):
+            apply_policy, admission = service._apply_attention_policy, service.scheduler.admission
+
+            def choose(inflights):
+                # rounds 2..4 run at pressure 1.0, the others at ~0
+                admission.budget_bytes = admission.committed_bytes if 2 <= len(chosen) < 5 else 10**15
+                apply_policy(inflights)
+                chosen.append({fl.request.request_id: fl.session.decode_mode_override for fl in inflights})
+
+            return choose
+
+        flipped = run(
+            policy_under_swinging_pressure,
+            dynamic_attention_policy=True,
+            scheduler_gpu_budget_bytes=10**15,
+            attention_policy_min_dwell_steps=2,
+        )
+        modes = [set(round_.values()) for round_ in chosen]
+        assert modes == [{"dense"}] * 2 + [{None}] * 3 + [{"dense"}] * 3
+        assert groups == [(2, True)] * 2 + [(2, False)] * 3 + [(2, True)] * 3
+
+        def pinned_by_hand(service):
+            replay = iter(chosen)
+
+            def choose(inflights):
+                for fl, mode in zip(inflights, next(replay).values()):
+                    fl.session.decode_mode_override = mode
+
+            return choose
+
+        assert run(pinned_by_hand) == flipped
 
 
 class TestStageTimings:

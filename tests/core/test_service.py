@@ -82,6 +82,28 @@ class TestInferenceService:
         assert report.num_requests == service.stats.num_requests
         assert report.tpot_mean >= 0.0
 
+    def test_full_attention_requests_are_priced_and_counted(self):
+        """Regression: full-attention decode steps recorded no ``DecodeStepStats``, so such a
+        request was priced at the zero-token (MLP-only) cost — meeting any TPOT SLO — and its
+        session counted no decode steps."""
+        model = TransformerModel(ModelConfig.tiny(seed=41))
+        svc = InferenceService(model, AlayaDBConfig(short_context_threshold=4096))
+        floor = svc.cost_model.sparse_decode_seconds(num_selected_tokens=0, num_distance_computations=0)
+        modeled = []
+        for repeats in (7, 14):  # ~300 and ~600 byte-level tokens, both planned full attention
+            document = "shared reference document about databases. " * repeats
+            svc.ingest(document, context_id=f"doc-{repeats}")
+            handle = svc.submit(document + " what is stored?", max_new_tokens=4)
+            svc.step()
+            session = svc._live[handle.request_id].session
+            assert session.plan_for_layer(0).is_full_attention
+            _, record = handle.result()
+            assert record.reused_tokens >= 300 * (repeats // 7)
+            assert session.num_decode_steps == record.generated_tokens - 1 == 3
+            assert session.last_decode_stats.num_distance_computations == 0
+            modeled.append(record.modeled_tpot_seconds)
+        assert floor < modeled[0] < modeled[1]
+
     def test_store_conversations_option(self):
         model = TransformerModel(ModelConfig.tiny(seed=43))
         svc = InferenceService(

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.attention_engine import DataCentricAttentionEngine
 from repro.core.config import AlayaDBConfig
 from repro.core.context_store import ContextStore, StoredContext
-from repro.core.session import Session
+from repro.core.session import DecodeStepStats, Session
 from repro.index.builder import LayerIndexes
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.roargraph import RoarGraphIndex
@@ -127,6 +127,50 @@ def test_stacked_rows_do_not_depend_on_the_rest_of_the_stack(
         assert stacked_breakdowns[rows] == alone_breakdowns
 
 
+@pytest.mark.parametrize("num_tokens", [600, 1250, 1600])
+@pytest.mark.parametrize("plan", ["full", "retrieved"])
+def test_stacked_rows_are_bitwise_independent_of_the_stack_at_serving_sizes(plan, num_tokens):
+    """The contract batched == solo token identity leans on: at serving sizes, row (s, h) of an
+    S-stack is *bit for bit* the S = 1 call, for S = 1..12 with ragged local KV (none .. 300
+    tokens) — under full attention and under a retrieved plan with ragged per-head sets.
+    (A stacked ``(S * g, n) @ (n, d)`` gemm, or padding the local KV or the retrieved sets to
+    the stack's longest, breaks this in the last bits.)"""
+    rng = np.random.default_rng(num_tokens)
+    num_kv_heads, group_size, dim, max_sessions = 2, 4, 16, 12
+    num_heads = num_kv_heads * group_size
+    keys = rng.normal(size=(num_kv_heads, num_tokens, dim)).astype(np.float32)
+    values = rng.normal(size=(num_kv_heads, num_tokens, dim)).astype(np.float32)
+    queries = rng.normal(size=(max_sessions, num_heads, dim)).astype(np.float32)
+    lengths = [0, 300, *(int(m) for m in rng.integers(0, 301, size=max_sessions - 2))]
+    local_keys = [rng.normal(size=(num_kv_heads, m, dim)).astype(np.float32) for m in lengths]
+    local_values = [rng.normal(size=(num_kv_heads, m, dim)).astype(np.float32) for m in lengths]
+    window = np.concatenate([np.arange(32), np.arange(num_tokens - 96, num_tokens)])
+    retrieved = None
+    if plan == "retrieved":
+        retrieved = [
+            rng.choice(num_tokens, size=int(rng.integers(0, 200)), replace=False).astype(np.int64)
+            for _ in range(max_sessions * num_heads)
+        ]
+    engine = DataCentricAttentionEngine()
+
+    def stack(first, stop):
+        rows = slice(first * num_heads, stop * num_heads)
+        return engine.stacked_layer_output(
+            queries[first:stop],
+            [(0, keys, values)],
+            window,
+            None if retrieved is None else retrieved[rows],
+            local_keys[first:stop],
+            local_values[first:stop],
+        )[0]
+
+    alone = [stack(s, s + 1)[0] for s in range(max_sessions)]
+    for num_sessions in range(1, max_sessions + 1):
+        stacked = stack(0, num_sessions)
+        for s in range(num_sessions):
+            np.testing.assert_array_equal(stacked[s], alone[s])
+
+
 def _sparse_context(rng, *, num_kv_heads, num_tokens, head_dim, group_size, kinds=("fine", "coarse")):
     """A stored context with fine + coarse indexes over random keys."""
     keys = rng.normal(size=(num_kv_heads, num_tokens, head_dim)).astype(np.float32)
@@ -221,6 +265,11 @@ def test_session_decode_matches_reference(plan_kind, variant):
             assert session.plan_for_layer(0).is_full_attention
             keys, values = session.materialized_kv(0)
             np.testing.assert_allclose(output[:, 0, :], decode_attention(q[:, 0, :], keys, values), atol=1e-4)
+            assert session.last_decode_stats == DecodeStepStats(
+                num_selected_tokens=num_heads * session.reused_prefix_length,
+                num_local_tokens=num_heads * session.local_length(0),
+                num_heads=num_heads,
+            )
             continue
         assert session.plan_for_layer(0).index_kind == plan_kind
         expected, expected_stats = reference_sparse_attention(session, q[:, 0, :], 0)

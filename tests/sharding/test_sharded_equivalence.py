@@ -1,6 +1,6 @@
 """Sharded-vs-unsharded equivalence grid.
 
-Shards × plan kinds × GQA ratios, asserting two things:
+Shards × plan kinds (full attention included) × GQA ratios, asserting two things:
 
 * *decode outputs allclose* — the merged per-layer logits trajectory of a
   :class:`ShardedSession` matches an unsharded :class:`Session` over the
@@ -34,7 +34,9 @@ PROMPT = DOC + "what did the fox do?"
 DECODE_FEED = [5, 17, 42, 7, 101]
 
 NUM_SHARDS = [1, 2, 4]
-PLAN_KINDS = ["flat", "coarse", "fine"]
+PLAN_KINDS = ["flat", "coarse", "fine", "full"]
+LONG_QUESTION = "and then, what did the lazy dog do about the fox? " * 4
+"""A suffix of ~200 tokens: more than three ``prefill_chunk_tokens``."""
 GQA_SHAPES = [(4, 2), (8, 2)]
 
 
@@ -56,6 +58,8 @@ def make_config(plan_kind: str) -> AlayaDBConfig:
         kwargs.update(gpu_memory_budget_bytes=1024, flat_index_layers=(0, 1))
     elif plan_kind == "fine":
         kwargs.update(gpu_memory_budget_bytes=1024, flat_index_layers=())
+    elif plan_kind == "full":
+        kwargs.update(short_context_threshold=10**6)
     # "coarse": the default 16 GiB budget keeps the coarse rule winning
     return AlayaDBConfig(**kwargs)
 
@@ -105,6 +109,27 @@ def test_generated_tokens_identical_end_to_end(num_shards, plan_kind, heads):
     assert result.prompt_tokens == expected.prompt_tokens  # same truncation
 
 
+@pytest.mark.parametrize("plan_kind", ["flat", "full"])
+@pytest.mark.parametrize("num_shards", NUM_SHARDS)
+def test_prefill_heavy_suffix_identical_end_to_end(num_shards, plan_kind):
+    """A suffix prefilled in several chunks: every chunk attends the shard owners' ranges
+    plus the chunks before it, and the tokens match the single-owner service."""
+    prompt = DOC + LONG_QUESTION
+    model = make_model((4, 2))
+    config = make_config(plan_kind)
+    service = InferenceService(model, config)
+    service.db.prefill_and_import(model, DOC, context_id="ctx")
+    expected, expected_record = service.serve(prompt, max_new_tokens=6)
+    suffix_tokens = expected_record.prompt_tokens - expected_record.reused_tokens
+    assert suffix_tokens > 3 * config.prefill_chunk_tokens
+
+    router = ShardedContextRouter(make_model((4, 2)), num_workers=2, config=make_config(plan_kind))
+    ref = router.ingest(DOC, context_id="ctx", num_shards=num_shards)
+    result, record = router.service.submit(prompt, max_new_tokens=6).result()
+    assert record.reused_tokens == ref.num_tokens == expected_record.reused_tokens
+    assert result.generated_tokens == expected.generated_tokens
+
+
 @pytest.mark.parametrize("plan_kind", PLAN_KINDS)
 @pytest.mark.parametrize("num_shards", NUM_SHARDS)
 def test_decode_logits_allclose(num_shards, plan_kind):
@@ -117,7 +142,8 @@ def test_decode_logits_allclose(num_shards, plan_kind):
     prompt_tokens = db.tokenize(PROMPT)
     session, truncated = db.create_session(prompt_tokens)
     assert session.is_connected, "baseline must reuse the stored context"
-    assert session.plan_for_layer(0).index_kind == plan_kind
+    index_kind = None if plan_kind == "full" else plan_kind
+    assert session.plan_for_layer(0).index_kind == index_kind
     baseline = logits_trajectory(model, session, truncated, DECODE_FEED)
     session.close()
 
@@ -129,13 +155,12 @@ def test_decode_logits_allclose(num_shards, plan_kind):
     sharded_session, sharded_suffix = router.db.create_session(prompt_tokens)
     assert isinstance(sharded_session, ShardedSession)
     assert sharded_suffix == prompt_tokens[reused:] == truncated
-    assert sharded_session.plan_for_layer(0).index_kind == plan_kind
+    assert sharded_session.plan_for_layer(0).index_kind == index_kind
     sharded = logits_trajectory(sharded_model, sharded_session, sharded_suffix, DECODE_FEED)
     sharded_session.close()
 
-    # absolute tolerance carries the comparison: the suffix-prefill dense
-    # path merges by log-sum-exp (vs the baseline's one concatenated
-    # softmax), which reorders float32 ops even at one shard
+    # absolute tolerance carries the comparison: cutting the stored range
+    # into R partials reorders the float32 sums of the log-sum-exp merge
     np.testing.assert_allclose(sharded, baseline, rtol=0, atol=1e-5)
 
 

@@ -231,13 +231,13 @@ class TestSchedulerLifecycle:
         from repro.core import decode_round
 
         group_sizes = []
-        real = decode_round.sparse_group_attention
+        real = decode_round.group_attention
 
         def spy(layer, members, queries, timings=None):
             group_sizes.append(len(members))
             return real(layer, members, queries, timings)
 
-        monkeypatch.setattr(decode_round, "sparse_group_attention", spy)
+        monkeypatch.setattr(decode_round, "group_attention", spy)
         router.ingest(DOC, context_id="ctx", num_shards=2)
         prompts = [PROMPT, DOC + "who packed the box, and why?"]
         handles = [router.service.submit(p, max_new_tokens=6) for p in prompts]
