@@ -14,9 +14,9 @@ This harness measures what that buys on a restart:
 * **restart / deserialize** — a fresh DB over the same directory recovers
   the manifest and reloads every context, indexes attached by
   deserialization;
-* **restart / rebuild** — the same restart with ``persist_fine_indexes``
-  off: snapshots reload but every fine index is rebuilt from the keys (the
-  pre-subsystem behavior);
+* **restart / rebuild** — the same restart with every index blob deleted
+  from the database: snapshots reload but every fine index is rebuilt from
+  the keys (the pre-subsystem behavior);
 * **end-to-end** — a restarted ``InferenceService`` answers a question
   against a recovered document vs. a cold service that must prefill the
   whole document.
@@ -56,14 +56,8 @@ def _documents() -> list[str]:
     ]
 
 
-def _db_config(path, persist_fine_indexes=True) -> AlayaDBConfig:
-    return AlayaDBConfig(
-        context_db_path=str(path), persist_fine_indexes=persist_fine_indexes
-    )
-
-
-def _populate(model, path, persist_fine_indexes=True):
-    db = DB(_db_config(path, persist_fine_indexes))
+def _populate(model, path):
+    db = DB(AlayaDBConfig(context_db_path=str(path)))
     start = time.perf_counter()
     ids = []
     for i, document in enumerate(_documents()):
@@ -71,10 +65,10 @@ def _populate(model, path, persist_fine_indexes=True):
     return db, ids, time.perf_counter() - start
 
 
-def _restart_and_reload(path, ids, persist_fine_indexes=True):
+def _restart_and_reload(path, ids):
     """Open a fresh DB over the directory; reload (and index) every context."""
     start = time.perf_counter()
-    db = DB(_db_config(path, persist_fine_indexes))
+    db = DB(AlayaDBConfig(context_db_path=str(path)))
     for context_id in ids:
         db.store_registry.ensure_resident(context_id)
     while db.build_pending():  # drain any queued fine rebuilds
@@ -115,12 +109,13 @@ def _sweep(tmp_path):
     rebuild_dir = tmp_path / "rebuild"
 
     _, ids, populate_seconds = _populate(model, durable_dir)
-    _populate(model, rebuild_dir, persist_fine_indexes=False)
+    rebuild_source, _, _ = _populate(model, rebuild_dir)
+    for context_id in ids:
+        # a missing blob is the rebuild path's trigger
+        rebuild_source.store_registry.backend.delete(f"{context_id}.indexes.npz")
 
     deser_db, deserialize_seconds = _restart_and_reload(durable_dir, ids)
-    rebuild_db, rebuild_seconds = _restart_and_reload(
-        rebuild_dir, ids, persist_fine_indexes=False
-    )
+    rebuild_db, rebuild_seconds = _restart_and_reload(rebuild_dir, ids)
     assert deser_db.store_registry.reload_deserialized_count == len(ids)
     assert rebuild_db.store_registry.reload_rebuilt_count == len(ids)
 

@@ -174,8 +174,9 @@ def test_scheduler_throughput(benchmark, tmp_path):
         "",
         "--- memory-governed store (budget = half the library) ---",
         f"resident/total KV bytes: {memory['resident_kv_bytes']}/{memory['total_kv_bytes']}",
-        f"context spills: {memory['context_spills']}, reloads: {memory['context_reloads']}",
-        f"buffer hit ratio: {memory['buffer_hit_ratio']:.2f}, "
+        f"context spills: {memory['context_spills']}, hits: {memory['context_hits']}, "
+        f"reloads: {memory['context_reloads']}",
+        f"context hit ratio: {memory['context_hit_ratio']:.2f}, "
         f"mean reuse ratio: {memory['mean_reuse_ratio']:.2f}, "
         f"SLO met: {memory['meets_slo']}",
     ]

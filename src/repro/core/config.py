@@ -176,12 +176,6 @@ class AlayaDBConfig:
     """Durable-tier backend: ``"filesystem"`` (one file per object under the
     database directory) or ``"memory"`` (dict-backed; tests and scratch)."""
 
-    persist_fine_indexes: bool = True
-    """Persist serialized fine/coarse indexes next to each spilled or durably
-    stored snapshot, so a reload re-attaches them by deserialization (bit-
-    identical retrieval) instead of rebuilding from the keys.  Off keeps only
-    snapshots on disk; reloads fall back to index rebuilds."""
-
     # sharded context serving (context parallelism)
     num_shards: int = 1
     """Default shard count for ``DB.shard_context`` / the sharded router: a

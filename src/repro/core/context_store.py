@@ -10,12 +10,16 @@ Serving-scale features:
 
 * prefix matching runs over a **token trie**, so a lookup costs
   ``O(len(prompt))`` instead of ``O(num_contexts x len(prompt))``;
-* the store enforces an optional **byte budget** on resident KV snapshots:
-  cold contexts are spilled through a :class:`~repro.storage.backend.StorageBackend`
-  (their tokens stay in memory so prefix matching keeps working) and
-  transparently reloaded on the next hit;
-* spilled contexts round-trip their **fine and coarse indexes** too
-  (``persist_indexes``): reload is a deserialize, not a rebuild-from-keys;
+* the store is the **buffer manager** of the paper's §7.3 at context
+  granularity: an LRU with an optional **byte budget** on resident KV
+  snapshots, pins, and hit/miss counts.  Cold contexts are spilled through a
+  :class:`~repro.storage.backend.StorageBackend` (their tokens stay in
+  memory so prefix matching keeps working) and transparently reloaded on the
+  next hit.  The LRU is the one residency ledger: resident byte totals are
+  computed from it when read, never kept in a second counter;
+* spilled contexts round-trip their **fine and coarse indexes** too: reload
+  is a deserialize, not a rebuild-from-keys (a missing or torn index blob
+  degrades to the rebuild);
 * in **durable** mode the store is a real context database: every stored
   context is persisted (snapshot + indexes) and cataloged in a crash-safe,
   generation-stamped manifest, so :meth:`ContextStore.open` on the same
@@ -150,9 +154,9 @@ class StoredContext:
         self.snapshot = None
         # indexes reference the key arrays; dropping them is what frees the
         # memory.  Query samples go too — they were persisted inside the
-        # snapshot on disk, so :meth:`restore` brings them back, and with
-        # index persistence enabled the indexes themselves come back as a
-        # deserialize instead of a rebuild.
+        # snapshot on disk, so :meth:`restore` brings them back, and the
+        # indexes themselves come back as a deserialize of their persisted
+        # blob instead of a rebuild.
         self.fine_indexes = {}
         self.coarse_indexes = {}
         self.query_samples = {}
@@ -205,9 +209,11 @@ class ContextStore:
     ``kv_budget_bytes`` caps the total bytes of KV snapshots kept in memory;
     exceeding it spills the least-recently-used unpinned context through the
     store's backend (so a budget requires either ``storage_dir`` or
-    ``backend``).  ``on_spill`` / ``on_reload`` let the owning DB react to
-    residency changes (dropping buffer-pool accounting, re-scheduling index
-    builds).
+    ``backend``).  ``on_spill`` / ``on_reload`` / ``on_remove`` let the
+    owning DB react to residency changes (re-scheduling index builds).
+
+    Every :meth:`ensure_resident` call is one access: a hit (``hit_count``)
+    when the context is resident, a miss (``reload_count``) when it reloads.
 
     ``durable=True`` turns the store into a context database over its
     backend: every added context is persisted immediately and recorded in
@@ -224,7 +230,6 @@ class ContextStore:
         on_remove: Callable[[StoredContext], None] | None = None,
         backend: StorageBackend | None = None,
         durable: bool = False,
-        persist_indexes: bool = True,
     ):
         if backend is None and storage_dir is not None:
             backend = FilesystemBackend(storage_dir)
@@ -242,10 +247,8 @@ class ContextStore:
         )
         self.kv_budget_bytes = kv_budget_bytes
         self.durable = durable
-        self._persist_indexes = persist_indexes
         self._root = _TrieNode(holder="")  # the root's holder is never read
         self._lru: OrderedDict[str, None] = OrderedDict()  # resident ids, oldest first
-        self._resident_bytes = 0
         self._pins: dict[str, int] = {}
         self._persisted: set[str] = set()
         self._indexed_on_disk: set[str] = set()
@@ -253,7 +256,10 @@ class ContextStore:
         self._on_reload = on_reload
         self._on_remove = on_remove
         self.spill_count = 0
+        self.hit_count = 0
+        """Accesses (``ensure_resident`` calls) that found the context resident."""
         self.reload_count = 0
+        """Accesses that reloaded a spilled context: the misses."""
         self.reload_deserialized_count = 0
         """Reloads whose fine/coarse indexes came back by deserialization."""
         self.reload_rebuilt_count = 0
@@ -333,11 +339,6 @@ class ContextStore:
         return f"{context_id}.indexes.npz"
 
     @property
-    def persists_indexes(self) -> bool:
-        """Whether spilled/stored contexts keep their indexes on disk."""
-        return self.backend is not None and self._persist_indexes
-
-    @property
     def manifest_generation(self) -> int:
         """Generation stamp of the last manifest write (0 when non-durable)."""
         return self._manifest.generation
@@ -369,11 +370,10 @@ class ContextStore:
             self._trie_insert(context.tokens, context_id)
         if context.is_resident:
             self._lru[context_id] = None
-            self._resident_bytes += context.kv_bytes
         if self.durable and context.is_resident:
             # the database property: a stored context survives this process
             self._persist_snapshot(context)
-            if self.persists_indexes and (context.fine_indexes or context.coarse_indexes):
+            if context.fine_indexes or context.coarse_indexes:
                 self._persist_index_blob(context)
             self._manifest.upsert(self._manifest_entry(context))
             self._manifest.save(self.backend)
@@ -394,11 +394,13 @@ class ContextStore:
             raise ContextNotFoundError(f"context {context_id!r} not found")
         self._forget(context)
         del self._contexts[context_id]
-        if self.durable:
+        if self.backend is not None:
+            # spill files of a non-durable store go too, or ingest/remove
+            # churn grows the disk tier without bound
             self.backend.delete(self._snapshot_key(context_id))
             self.backend.delete(self._index_key(context_id))
-            if self._manifest.remove(context_id):
-                self._manifest.save(self.backend)
+        if self.durable and self._manifest.remove(context_id):
+            self._manifest.save(self.backend)
         if self._on_remove is not None:
             self._on_remove(context)
 
@@ -421,7 +423,20 @@ class ContextStore:
     @property
     def resident_kv_bytes(self) -> int:
         """KV bytes currently held in memory (governed by the budget)."""
-        return self._resident_bytes
+        return sum(self._contexts[cid].kv_bytes for cid in self._lru)
+
+    @property
+    def resident_bytes(self) -> int:
+        """KV plus fine-index bytes currently held in memory."""
+        return sum(
+            self._contexts[cid].kv_bytes + self._contexts[cid].index_bytes for cid in self._lru
+        )
+
+    @property
+    def hit_ratio(self) -> float:
+        """Share of accesses served without a reload (0.0 before any access)."""
+        accesses = self.hit_count + self.reload_count
+        return self.hit_count / accesses if accesses else 0.0
 
     @property
     def spilled_kv_bytes(self) -> int:
@@ -560,6 +575,7 @@ class ContextStore:
         if context is None:
             raise ContextNotFoundError(f"context {context_id!r} not found")
         if context.is_resident:
+            self.hit_count += 1
             self._touch(context_id)
             return context
         if self.backend is None:
@@ -573,8 +589,6 @@ class ContextStore:
         else:
             self.reload_rebuilt_count += 1
         self._lru[context_id] = None
-        self._lru.move_to_end(context_id)
-        self._resident_bytes += context.kv_bytes
         self.reload_count += 1
         if self._on_reload is not None:
             self._on_reload(context)
@@ -601,7 +615,8 @@ class ContextStore:
     def _enforce_budget(self, protect: str | None = None) -> None:
         if self.kv_budget_bytes is None:
             return
-        while self._resident_bytes > self.kv_budget_bytes:
+        resident = self.resident_kv_bytes
+        while resident > self.kv_budget_bytes:
             victim = next(
                 (
                     cid
@@ -612,22 +627,20 @@ class ContextStore:
             )
             if victim is None:
                 break  # everything else is pinned or protected; stay over budget
+            resident -= self._contexts[victim].kv_bytes
             self._spill_one(victim)
 
     def _spill_one(self, context_id: str) -> None:
         context = self._contexts[context_id]
         if context_id not in self._persisted:
             self._persist_snapshot(context)
-        if (
-            self.persists_indexes
-            and context_id not in self._indexed_on_disk
-            and (context.fine_indexes or context.coarse_indexes)
+        if context_id not in self._indexed_on_disk and (
+            context.fine_indexes or context.coarse_indexes
         ):
             self._persist_index_blob(context)
             if self.durable:
                 self._manifest.upsert(self._manifest_entry(context))
                 self._manifest.save(self.backend)
-        self._resident_bytes -= context.kv_bytes
         self._lru.pop(context_id, None)
         context.spill()
         self.spill_count += 1
@@ -639,8 +652,6 @@ class ContextStore:
         context_id = context.context_id
         if context.prefix_matchable:
             self._trie_remove(context.tokens, context_id)
-        if context.is_resident:
-            self._resident_bytes -= context.kv_bytes
         self._lru.pop(context_id, None)
         self._pins.pop(context_id, None)
         self._persisted.discard(context_id)
@@ -669,11 +680,12 @@ class ContextStore:
     def _attach_persisted_indexes(self, context: StoredContext) -> bool:
         """Re-attach a reloaded context's serialized indexes, if any.
 
-        Returns True when at least one index class came back; a corrupted
-        blob degrades to the rebuild path instead of failing the reload.
+        Returns True when at least one index class came back; a missing or
+        corrupted blob degrades to the rebuild path instead of failing the
+        reload.
         """
         context_id = context.context_id
-        if not self.persists_indexes or context_id not in self._indexed_on_disk:
+        if context_id not in self._indexed_on_disk:
             return False
         try:
             fine, coarse, samples = deserialize_context_indexes(
@@ -708,13 +720,13 @@ class ContextStore:
         )
 
     def persist(self, context_id: str) -> Path | str:
-        """Write a context's snapshot (and indexes, when enabled) to the backend."""
+        """Write a context's snapshot (and indexes, if any) to the backend."""
         if self.backend is None:
             raise ValueError("this ContextStore was created without a storage_dir")
         context = self.get(context_id)
         context._require_resident()
         self._persist_snapshot(context)
-        if self.persists_indexes and (context.fine_indexes or context.coarse_indexes):
+        if context.fine_indexes or context.coarse_indexes:
             self._persist_index_blob(context)
         if self.durable:
             self._manifest.upsert(self._manifest_entry(context))
@@ -727,10 +739,10 @@ class ContextStore:
 
         Called after deferred (lazy) index builds so contexts indexed *after*
         their snapshot was persisted still reload as deserialize-not-rebuild.
-        Returns False (a no-op) when index persistence is off, the context is
+        Returns False (a no-op) when the store has no backend, the context is
         not resident, or it has no indexes yet.
         """
-        if not self.persists_indexes:
+        if self.backend is None:
             return False
         context = self._contexts.get(context_id)
         if context is None:

@@ -13,13 +13,12 @@ with it through three calls:
   prefix + locally generated KV) as a new reusable context; this is the late
   materialization point where the local KV finally enters a physical index.
 
-Memory governance: the DB mirrors context KV/index residency into a
-:class:`~repro.storage.buffer_manager.BufferManager` so hit ratios over the
-hot set are observable, and — when the config sets a
-``context_store_budget_bytes`` — the underlying :class:`ContextStore` spills
-cold contexts to ``storage_dir`` and reloads them on prefix hits.  Fine index
-construction can be deferred (``lazy_index_build``) to the first
-sparse-attention use or drained explicitly through :meth:`build_pending`.
+Memory governance belongs to the underlying :class:`ContextStore`, the one
+residency ledger: it counts hits and reloads per access and — when the
+config sets a ``context_store_budget_bytes`` — spills cold contexts to
+``storage_dir`` and reloads them on prefix hits.  Fine index construction
+can be deferred (``lazy_index_build``) to the first sparse-attention use or
+drained explicitly through :meth:`build_pending`.
 """
 
 from __future__ import annotations
@@ -38,10 +37,8 @@ from ..kvcache.cache import DynamicCache
 from ..kvcache.serialization import KVSnapshot, snapshot_from_bytes, snapshot_to_bytes
 from ..llm.model import TransformerModel
 from ..llm.tokenizer import ByteTokenizer
-from ..errors import BufferPoolExhaustedError, ContextLoadError
+from ..errors import ContextLoadError
 from ..storage.backend import FilesystemBackend, StorageBackend, make_backend
-from ..storage.blocks import BlockType, ResidencyBlock
-from ..storage.buffer_manager import BufferManager, BufferStats
 from ..storage.manifest import ManifestEntry
 from ..sharding.plan import ShardPlan, shard_context_id, slice_snapshot
 from .config import AlayaDBConfig
@@ -52,9 +49,6 @@ __all__ = ["DB"]
 
 BUNDLE_FORMAT_VERSION = 1
 """Format of the portable single-context bundle (``bundle.json``)."""
-
-_UNBOUNDED_POOL_BYTES = 1 << 60
-"""Buffer-pool capacity used when no context budget is configured."""
 
 
 class DB:
@@ -90,13 +84,9 @@ class DB:
             kv_budget_bytes=budget,
             on_spill=self._context_spilled,
             on_reload=self._context_reloaded,
-            on_remove=self._context_spilled,  # same cleanup: drop mirrors
+            on_remove=self._context_spilled,  # same cleanup: drop a pending build
             backend=backend,
             durable=durable,
-            persist_indexes=self.config.persist_fine_indexes,
-        )
-        self.buffer_manager = BufferManager(
-            capacity_bytes=budget if budget is not None else _UNBOUNDED_POOL_BYTES
         )
         self._builder = ContextIndexBuilder(self.config.index_build)
         # recovered contexts keep their ids; continue the sequence after them
@@ -131,72 +121,19 @@ class DB:
         return self.store_registry.get(context_id)
 
     @property
-    def buffer_stats(self) -> BufferStats:
-        """Hit/miss/eviction counters of the context residency pool."""
-        return self.buffer_manager.stats
-
-    @property
     def num_pending_index_builds(self) -> int:
         return len(self._pending_fine)
 
     # ------------------------------------------------------------------
-    # residency accounting (buffer-manager mirror of the context store)
+    # store callbacks: pending fine-index bookkeeping
     # ------------------------------------------------------------------
-    def _kv_block_key(self, context_id: str) -> str:
-        return f"kv/{context_id}"
-
-    def _index_block_key(self, context_id: str) -> str:
-        return f"index/{context_id}"
-
-    def _mirror_block(self, key: str, nbytes: int, block_type: str) -> None:
-        """Record an access to one mirrored block, refreshing a stale size.
-
-        A context re-stored under the same id (a chat turn growing its
-        transcript) changes size without leaving residency; the hit still
-        counts, but the frame is swapped for one with the current byte count
-        so ``used_bytes`` keeps matching what is actually resident.
-        """
-        try:
-            block = self.buffer_manager.get(
-                key, loader=lambda: ResidencyBlock(key, nbytes, block_type)
-            )
-        except BufferPoolExhaustedError:
-            return
-        if block.nbytes != nbytes:
-            try:
-                # put replaces the stale frame, crediting its bytes back (a
-                # failed put still drops it — no stale size may linger)
-                self.buffer_manager.put(ResidencyBlock(key, nbytes, block_type))
-            except BufferPoolExhaustedError:
-                pass
-
-    def _account_residency(self, context: StoredContext) -> None:
-        """Record an access to a context's hot data in the buffer pool.
-
-        A resident context counts as a hit; a freshly added or reloaded one
-        as a miss.  The pool is an accounting mirror — residency itself is
-        governed by the ContextStore — so pool-capacity pressure is absorbed
-        rather than raised.
-        """
-        self._mirror_block(self._kv_block_key(context.context_id), context.kv_bytes, BlockType.DATA)
-        index_key = self._index_block_key(context.context_id)
-        if context.fine_indexes:
-            self._mirror_block(index_key, context.index_bytes, BlockType.INDEX)
-        else:
-            # an overwrite may have replaced an indexed context with an
-            # index-less one (per-turn chat stores defer fine builds); drop
-            # the stale mirror so used_bytes matches the resident reality
-            self.buffer_manager.remove(index_key)
-
     def _context_spilled(self, context: StoredContext) -> None:
-        self.buffer_manager.remove(self._kv_block_key(context.context_id))
-        self.buffer_manager.remove(self._index_block_key(context.context_id))
         self._pending_fine.discard(context.context_id)
 
     def _context_reloaded(self, context: StoredContext) -> None:
-        # with index persistence on, the store re-attached the serialized
-        # indexes during the reload (bit-identical retrieval, nothing to do
-        # here); anything that did *not* come back is rebuilt — coarse
+        # the store re-attached the persisted indexes during the reload
+        # (bit-identical retrieval, nothing to do here); anything that did
+        # *not* come back (no blob, or a torn one) is rebuilt — coarse
         # immediately (cheap), fine lazily (first sparse use or
         # build_pending).  Query samples travel inside the persisted
         # snapshot, so a rebuild keeps the OOD query-sample benefit.
@@ -206,19 +143,6 @@ class DB:
             self._build_coarse_indexes(context)
         if context.wants_fine_indexes and not context.has_fine_indexes:
             self._pending_fine.add(context.context_id)
-
-    def touch_context(self, context_id: str) -> StoredContext:
-        """Reload (if spilled) and account one access to a context's hot data.
-
-        The access-accounting entry point for paths outside
-        :meth:`create_session` — e.g. a preempted request resuming — so the
-        residency mirror stays in step with what is actually resident: a
-        spilled context records a miss when the reload repopulates the pool,
-        an already-resident one a hit.
-        """
-        context = self.store_registry.ensure_resident(context_id)
-        self._account_residency(context)
-        return context
 
     # ------------------------------------------------------------------
     # Table 2: DB.create_session(prompts) -> Session, prompts
@@ -253,7 +177,7 @@ class DB:
         on_close = None
         if useful:
             context_id = match.context.context_id
-            context = self.touch_context(context_id)
+            context = self.store_registry.ensure_resident(context_id)
             reused = match.prefix_length
             self.store_registry.pin(context_id)
             index_provider = lambda ctx=context: self._ensure_fine_indexes(ctx)
@@ -415,7 +339,6 @@ class DB:
         self.store_registry.add(context, overwrite=overwrite)
         if build_fine_indexes and lazy:
             self._pending_fine.add(context.context_id)
-        self._account_residency(context)
 
     # ------------------------------------------------------------------
     # convenience: prefill a prompt with a model and import the result
@@ -476,7 +399,7 @@ class DB:
         indexes are built, keeping shard-local blocks identical to the
         full-context blocks so the router's cross-shard block merge is exact.
         """
-        context = self.touch_context(context_id)
+        context = self.store_registry.ensure_resident(context_id)
         build_fine = context.wants_fine_indexes
         build_coarse = context.wants_coarse_indexes
         if plan is None:
@@ -549,8 +472,6 @@ class DB:
             return False
         self._build_fine_indexes(context)
         self._pending_fine.discard(context_id)
-        # refresh the residency mirror with the new index footprint
-        self._mirror_block(self._index_block_key(context_id), context.index_bytes, BlockType.INDEX)
         # a durable store re-persists so the deferred build still reloads as
         # a deserialize, not another rebuild
         if self.store_registry.durable:
@@ -585,12 +506,10 @@ class DB:
         A one-off ``index_build`` applies only to this rebuild; the DB's
         configured builder is untouched.
         """
-        context = self.touch_context(context_id)
+        context = self.store_registry.ensure_resident(context_id)
         builder = self._builder if index_build is None else ContextIndexBuilder(index_build)
         self._build_fine_indexes(context, builder=builder)
         self._pending_fine.discard(context_id)
-        # the rebuild changed the index footprint; keep the mirror exact
-        self._mirror_block(self._index_block_key(context_id), context.index_bytes, BlockType.INDEX)
         if self.store_registry.durable:
             self.store_registry.persist_indexes(context_id)
         return next(iter(context.fine_indexes.values()), None)
@@ -607,7 +526,7 @@ class DB:
         :meth:`import_context_bundle` on another DB to serve the context
         without re-prefilling or re-indexing.
         """
-        context = self.touch_context(context_id)
+        context = self.store_registry.ensure_resident(context_id)
         if context.wants_fine_indexes:
             self._ensure_fine_indexes(context)
         dest = Path(dest_dir)
@@ -693,5 +612,4 @@ class DB:
         self.store_registry.add(context, overwrite=overwrite)
         if context.wants_fine_indexes and not context.has_fine_indexes:
             self._pending_fine.add(context.context_id)
-        self._account_residency(context)
         return context

@@ -28,7 +28,7 @@ module provides that serving stack on top of :class:`~repro.core.db.DB`:
 
 The substrate is single-threaded NumPy, so "concurrency" means interleaving
 work across in-flight sessions rather than parallel threads — but the
-accounting (per-request stats, queue/TTFT/TPOT, admission decisions, buffer
+accounting (per-request stats, queue/TTFT/TPOT, admission decisions, context
 hit ratios, peak resident bytes) mirrors what a production deployment would
 export.
 """
@@ -59,7 +59,6 @@ from ..scheduler import (
 from ..simulator.cost_model import CostModel
 from ..simulator.slo import SLO, SLOReport, SLOTracker
 from ..storage.backend import StorageBackend
-from ..storage.buffer_manager import BufferStats
 from .config import AlayaDBConfig
 from .context_store import ContextStore
 from .db import DB
@@ -105,14 +104,13 @@ class ServiceStats:
     """Requests whose session setup raised (queryable via ``result()``)."""
     cancelled: int = 0
     """Requests the client cancelled before they finished."""
-    buffer: BufferStats | None = None
-    """Live view of the DB's context-residency pool counters."""
     decode_timings: StageTimings | None = None
     """Live per-stage decode wall-time split (retrieval vs. partial-attention
     merge vs. dense model math) summed over every decode round served."""
     store: ContextStore | None = None
-    """Live view of the context store, exposing the disk tier: spilled and
-    on-disk byte totals plus reload counts split deserialize vs. rebuild."""
+    """Live view of the context store: context hits and reloads, plus the
+    disk tier (spilled and on-disk byte totals, reloads split deserialize
+    vs. rebuild)."""
     tenants: TenantGovernor | None = None
     """Live view of the tenant governor (``None`` without tenant governance):
     per-tenant in-flight/queued/deferred/429/tokens-served counters."""
@@ -142,8 +140,14 @@ class ServiceStats:
         return sum(r.generated_tokens for r in self.records)
 
     @property
-    def buffer_hit_ratio(self) -> float:
-        return self.buffer.hit_ratio if self.buffer is not None else 0.0
+    def context_hits(self) -> int:
+        """Context accesses served without a reload."""
+        return self.store.hit_count if self.store is not None else 0
+
+    @property
+    def context_hit_ratio(self) -> float:
+        """Share of context accesses served without a reload."""
+        return self.store.hit_ratio if self.store is not None else 0.0
 
     @property
     def spilled_kv_bytes(self) -> int:
@@ -234,7 +238,6 @@ class InferenceService:
             else None
         )
         self.stats = ServiceStats(
-            buffer=self.db.buffer_stats,
             decode_timings=self.decode_timings,
             store=self.db.store_registry,
             tenants=self.tenants,
@@ -642,9 +645,7 @@ class InferenceService:
         session = inflight.session
         if session.context is not None:
             context_id = session.context.context_id
-            # touch (not just ensure_resident) so a reload re-enters the
-            # buffer-pool residency mirror like any other access path
-            self.db.touch_context(context_id)
+            self.db.store_registry.ensure_resident(context_id)
             self.db.store_registry.pin(context_id)
             session.attach_on_close(lambda: self.db.store_registry.unpin(context_id))
             session.invalidate_context_caches()
@@ -694,7 +695,7 @@ class InferenceService:
         self.config.slo.require_tpot(report.tpot_mean, context="(service aggregate)")
 
     def memory_report(self, per_context: bool = False) -> dict:
-        """Residency and buffer-pool accounting across the serving stack.
+        """Residency, disk-tier and admission accounting across the serving stack.
 
         With ``per_context=True`` a ``"contexts"`` map is added: one row per
         stored context (residency, KV footprint, pins, trie matchability) —
@@ -702,7 +703,6 @@ class InferenceService:
         placement views.
         """
         store = self.db.store_registry
-        buffer = self.db.buffer_stats
         report = {
             "resident_kv_bytes": store.resident_kv_bytes,
             "total_kv_bytes": store.total_kv_bytes,
@@ -710,13 +710,12 @@ class InferenceService:
             "disk_kv_bytes": store.disk_kv_bytes,
             "disk_index_bytes": store.disk_index_bytes,
             "context_spills": store.spill_count,
+            "context_hits": store.hit_count,
             "context_reloads": store.reload_count,
+            "context_hit_ratio": store.hit_ratio,
             "context_reloads_deserialized": store.reload_deserialized_count,
             "context_reloads_rebuilt": store.reload_rebuilt_count,
             "manifest_generation": store.manifest_generation,
-            "buffer_hits": buffer.hits,
-            "buffer_misses": buffer.misses,
-            "buffer_hit_ratio": buffer.hit_ratio,
             "pending_index_builds": self.db.num_pending_index_builds,
             "admission_committed_bytes": self.scheduler.admission.committed_bytes,
             "decode_retrieval_seconds": self.decode_timings.retrieval_seconds,

@@ -105,20 +105,12 @@ class DimensionMismatchError(IndexError_):
 
 
 class StorageError(ReproError):
-    """Base class for vector-file-system and buffer-manager errors."""
-
-
-class BlockNotFoundError(StorageError):
-    """A block id was requested that is not present in the vector file."""
+    """Base class for storage-backend and persisted-format errors."""
 
 
 class ContextLoadError(StorageError):
     """Persisted context data (snapshot, index file, or manifest) is missing,
     truncated, corrupted, or written by an incompatible format version."""
-
-
-class BufferPoolExhaustedError(StorageError):
-    """The buffer pool cannot evict enough blocks to satisfy a pin request."""
 
 
 class SimulatorError(ReproError):

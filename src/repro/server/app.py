@@ -87,9 +87,11 @@ def check_drained(service: InferenceService) -> None:
 
     After a drain nothing may linger: no scheduler work, no non-terminal
     request, zero admission reservations, zero pinned contexts, no live
-    execution state, and an exact buffer-manager residency mirror.  Raises
-    ``AssertionError`` naming every violated invariant (so a failing
-    shutdown reports all of them, not just the first).
+    execution state, and a consistent residency ledger: the store's LRU
+    lists exactly the resident contexts, and with nothing pinned the byte
+    budget holds (unless a single context alone exceeds it).  Raises ``AssertionError`` naming every violated
+    invariant (so a failing shutdown reports all of them, not just the
+    first).
     """
     problems: list[str] = []
     scheduler = service.scheduler
@@ -107,24 +109,18 @@ def check_drained(service: InferenceService) -> None:
         problems.append(f"pinned contexts leaked: {registry.pinned_ids()}")
     if service._live:
         problems.append(f"live execution state leaked: {sorted(service._live)}")
-    buffer = service.db.buffer_manager
-    blocks = buffer.resident_blocks()
-    if buffer.used_bytes != sum(blocks.values()):
+    # the store sums its resident byte totals over the LRU, so an LRU that
+    # names exactly the resident contexts makes those totals exact too
+    resident = sorted(cid for cid, context in registry.items() if context.is_resident)
+    ledger = sorted(registry.resident_ids())
+    if ledger != resident:
+        problems.append(f"residency ledger drift: LRU={ledger} resident={resident}")
+    budget = registry.kv_budget_bytes
+    over_budget = budget is not None and registry.resident_kv_bytes > budget
+    if over_budget and registry.num_pinned == 0 and len(resident) > 1:
         problems.append(
-            f"buffer mirror drift: used_bytes={buffer.used_bytes} "
-            f"!= mirrored={sum(blocks.values())}"
+            f"byte budget exceeded with nothing pinned: {registry.resident_kv_bytes} > {budget}"
         )
-    for key, nbytes in blocks.items():
-        kind, context_id = key.split("/", 1)
-        context = registry.get(context_id)
-        if not context.is_resident:
-            problems.append(f"stale mirror block {key} for a spilled context")
-            continue
-        expected = context.kv_bytes if kind == "kv" else context.index_bytes
-        if nbytes != expected:
-            problems.append(
-                f"mirror block {key} holds {nbytes} bytes but the context has {expected}"
-            )
     if problems:
         raise AssertionError("drain invariants violated:\n  " + "\n  ".join(problems))
 

@@ -40,7 +40,7 @@ Under a full-attention plan, and for every prefill chunk, steps 1–2 drop out
 and each range contributes one partial over its slice of the reused prefix.
 
 A worker that owns no replica of a shard cold-loads it from the shared
-backend (manifest refresh + touch), which is how rebalancing and failover
+backend (manifest refresh + reload), which is how rebalancing and failover
 are modelled.
 """
 
@@ -117,11 +117,12 @@ class ShardWorker:
         manifest first — that is the failover/rebalance path: any worker can
         begin serving any shard straight off the durable backend.
         """
+        store = self.db.store_registry
         try:
-            context = self.db.touch_context(shard_cid)
+            context = store.ensure_resident(shard_cid)
         except ContextNotFoundError:
-            self.db.store_registry.refresh_from_manifest()
-            context = self.db.touch_context(shard_cid)
+            store.refresh_from_manifest()
+            context = store.ensure_resident(shard_cid)
         if self._cache_snapshots.get(shard_cid) is not context.snapshot:
             self._drop_cache(shard_cid)
             self._cache_snapshots[shard_cid] = context.snapshot
@@ -155,7 +156,7 @@ class ShardWorker:
     def residency_report(self) -> dict:
         store = self.db.store_registry
         return {
-            "used_bytes": int(self.db.buffer_manager.used_bytes),
+            "resident_bytes": int(store.resident_bytes),
             "resident_kv_bytes": int(store.resident_kv_bytes),
             "total_kv_bytes": int(store.total_kv_bytes),
             "num_owned_shards": len(self.owned),

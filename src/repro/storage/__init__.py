@@ -1,35 +1,16 @@
-"""Vector storage engine: block layout, vector files, buffer manager, and the
-durable-tier storage backends + manifest of the context database."""
+"""The context database's file system: pluggable storage backends and the
+generation-stamped manifest that catalogs what they hold."""
 
 from .backend import FilesystemBackend, InMemoryBackend, StorageBackend, make_backend
-from .blocks import BlockId, BlockType, DataBlock, IndexBlock, ResidencyBlock
-from .buffer_manager import BufferFrame, BufferManager, BufferStats
-from .filesystem import VectorFileKey, VectorFileSystem
-from .io_model import IOModel, IOStats
 from .manifest import MANIFEST_FORMAT_VERSION, MANIFEST_KEY, ContextManifest, ManifestEntry
-from .vector_file import VectorFile, VectorFileMeta
 
 __all__ = [
-    "BlockId",
-    "BlockType",
-    "BufferFrame",
-    "BufferManager",
-    "BufferStats",
     "ContextManifest",
-    "DataBlock",
     "FilesystemBackend",
-    "IOModel",
-    "IOStats",
     "InMemoryBackend",
-    "IndexBlock",
     "MANIFEST_FORMAT_VERSION",
     "MANIFEST_KEY",
     "ManifestEntry",
-    "ResidencyBlock",
     "StorageBackend",
-    "VectorFile",
-    "VectorFileKey",
-    "VectorFileMeta",
-    "VectorFileSystem",
     "make_backend",
 ]

@@ -83,7 +83,7 @@ class TestLazyImport:
         db.store_registry.remove("doomed")
         assert db.num_pending_index_builds == 0
         assert db.build_pending() == 0  # no ContextNotFoundError
-        assert db.buffer_manager.used_bytes == 0  # residency mirror purged
+        assert db.store_registry.resident_bytes == 0  # nothing left resident
 
     def test_rebuild_indexes_uses_temporary_builder(self, lazy_model):
         """A one-off IndexBuildConfig must not replace the DB's builder."""

@@ -168,12 +168,12 @@ class TestDBRestart:
         assert first.context_id != second.context_id
         assert first.context_id in db2.store_registry
 
-    def test_persist_fine_indexes_off_falls_back_to_rebuild(self, tmp_path):
+    def test_missing_index_blob_falls_back_to_rebuild(self, tmp_path):
         model = TransformerModel(ModelConfig.tiny(seed=41))
-        config = AlayaDBConfig(
-            context_db_path=str(tmp_path / "db"), persist_fine_indexes=False
-        )
-        DB(config).prefill_and_import(model, DOC, context_id="doc")
+        config = AlayaDBConfig(context_db_path=str(tmp_path / "db"))
+        db = DB(config)
+        db.prefill_and_import(model, DOC, context_id="doc")
+        assert db.store_registry.backend.delete("doc.indexes.npz")
         db2 = DB(config)
         db2.store_registry.ensure_resident("doc")
         assert db2.store_registry.reload_rebuilt_count == 1
@@ -294,6 +294,11 @@ class TestServiceRestart:
         assert report["manifest_generation"] >= 1
         assert service.stats.disk_kv_bytes == report["disk_kv_bytes"]
         assert service.stats.spilled_kv_bytes == report["spilled_kv_bytes"]
-        service.db.touch_context("doc")
+        service.db.store_registry.ensure_resident("doc")
+        service.db.store_registry.ensure_resident("doc")
         assert service.stats.context_reloads_deserialized == 1
-        assert service.memory_report()["spilled_kv_bytes"] == 0
+        report = service.memory_report()
+        assert report["spilled_kv_bytes"] == 0
+        assert (report["context_hits"], report["context_reloads"]) == (1, 1)
+        assert report["context_hit_ratio"] == service.stats.context_hit_ratio == 0.5
+        assert service.stats.context_hits == 1

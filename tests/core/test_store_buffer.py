@@ -1,0 +1,302 @@
+"""The context store as the paper's §7.3 buffer manager.
+
+``ContextStore`` decides what stays in memory: a byte-budgeted LRU of whole
+contexts with pins, spill through a :class:`StorageBackend` and reload on the
+next access.  These tests pin down the buffer-manager contract at context
+granularity — access counting, victim choice, pins, over-budget behaviour,
+failed loads — and the backend round trip that serves as its file system.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.context_store import ContextStore, StoredContext
+from repro.errors import ContextEvictedError, ContextLoadError, ContextNotFoundError, StorageError
+from repro.index.builder import ContextIndexBuilder
+from repro.storage.backend import make_backend
+from repro.storage.manifest import MANIFEST_KEY
+from tests.conftest import make_context
+
+BACKENDS = ["filesystem", "memory"]
+
+
+def _context(context_id: str, num_tokens: int = 32, seed: int = 0) -> StoredContext:
+    return make_context(
+        num_layers=1, num_kv_heads=1, num_tokens=num_tokens, seed=seed, context_id=context_id
+    )
+
+
+def _indexed(context_id: str, num_tokens: int = 32, seed: int = 0) -> StoredContext:
+    context = _context(context_id, num_tokens, seed)
+    keys = context.keys(0)
+    context.fine_indexes, _ = ContextIndexBuilder().build_context({0: keys}, {0: keys})
+    return context
+
+
+KV_BYTES = _context("probe").kv_bytes
+"""KV bytes of one default-sized test context."""
+
+
+def _store(tmp_path, budget_contexts: float | None = None, kind="filesystem", **kwargs):
+    budget = int(KV_BYTES * budget_contexts) if budget_contexts is not None else None
+    return ContextStore(backend=make_backend(kind, tmp_path), kv_budget_bytes=budget, **kwargs)
+
+
+def _recount(store: ContextStore) -> tuple[int, int]:
+    resident = [context for _, context in store.items() if context.is_resident]
+    return (
+        sum(c.kv_bytes for c in resident),
+        sum(c.kv_bytes + c.index_bytes for c in resident),
+    )
+
+
+class TestAccessCounting:
+    def test_hit_miss_accounting(self, tmp_path):
+        store = _store(tmp_path)
+        store.add(_context("a"))
+        assert (store.hit_count, store.reload_count) == (0, 0)  # adding is not an access
+        store.ensure_resident("a")
+        store.spill("a")
+        store.ensure_resident("a")
+        assert (store.hit_count, store.reload_count) == (1, 1)
+
+    def test_hit_ratio_is_zero_before_any_access(self, tmp_path):
+        store = _store(tmp_path)
+        store.add(_context("a"))
+        assert store.hit_ratio == 0.0
+        store.ensure_resident("a")
+        store.ensure_resident("a")
+        assert store.hit_ratio == 1.0
+
+    def test_get_and_prefix_match_are_not_accesses(self, tmp_path):
+        store = _store(tmp_path)
+        context = _context("a")
+        store.add(context)
+        store.get("a")
+        assert store.find_longest_prefix(context.tokens).is_full_reuse
+        assert (store.hit_count, store.reload_count) == (0, 0)
+
+    def test_reload_counts_deserialized_indexes(self, tmp_path):
+        store = _store(tmp_path)
+        store.add(_indexed("indexed"))
+        store.add(_context("plain", seed=1))
+        for context_id in ("indexed", "plain"):
+            store.spill(context_id)
+            store.ensure_resident(context_id)
+        assert store.reload_count == 2
+        assert store.reload_deserialized_count == 1
+        assert store.reload_rebuilt_count == 1
+
+
+class TestVictimChoice:
+    def test_budget_spills_least_recently_used(self, tmp_path):
+        store = _store(tmp_path, budget_contexts=2.5)
+        store.add(_context("a"))
+        store.add(_context("b", seed=1))
+        store.ensure_resident("a")  # "b" is now the coldest
+        store.add(_context("c", seed=2))
+        assert sorted(store.resident_ids()) == ["a", "c"]
+        assert store.spill_count == 1
+
+    def test_get_promotes_a_resident_context(self, tmp_path):
+        store = _store(tmp_path, budget_contexts=2.5)
+        store.add(_context("a"))
+        store.add(_context("b", seed=1))
+        store.get("a")
+        store.add(_context("c", seed=2))
+        assert not store.get("b").is_resident
+        assert store.get("a").is_resident
+
+    def test_reload_protects_the_reloaded_context(self, tmp_path):
+        store = _store(tmp_path, budget_contexts=1)
+        store.add(_context("a"))
+        store.add(_context("b", seed=1))  # spills "a"
+        store.ensure_resident("a")  # spills "b", never "a" itself
+        assert store.resident_ids() == ["a"]
+        assert store.spill_count == 2
+
+
+class TestPins:
+    def test_pinned_context_never_spilled_by_budget(self, tmp_path):
+        store = _store(tmp_path, budget_contexts=2)
+        store.add(_context("a"))
+        store.pin("a")
+        for i in range(5):
+            store.add(_context(f"x{i}", seed=i + 1))
+        assert store.get("a").is_resident
+        assert store.spill_count == 4
+
+    def test_all_pinned_store_stays_over_budget(self, tmp_path):
+        store = _store(tmp_path, budget_contexts=1)
+        store.add(_context("a"))
+        store.pin("a")
+        store.add(_context("b", seed=1))  # protected as the incoming context
+        store.pin("b")
+        store.add(_context("c", seed=2))
+        assert sorted(store.resident_ids()) == ["a", "b", "c"]
+        assert store.resident_kv_bytes > store.kv_budget_bytes
+        assert store.spill_count == 0
+
+    def test_last_unpin_resolves_deferred_overrun(self, tmp_path):
+        store = _store(tmp_path, budget_contexts=1)
+        store.add(_context("a"))
+        store.pin("a")
+        store.pin("a")
+        store.add(_context("b", seed=1))
+        store.unpin("a")
+        assert store.get("a").is_resident  # one pin is still held
+        store.unpin("a")
+        assert store.pin_count("a") == 0
+        assert store.resident_kv_bytes <= store.kv_budget_bytes
+
+    def test_oversized_context_is_kept_until_the_next_arrival(self, tmp_path):
+        store = _store(tmp_path, budget_contexts=1)
+        store.add(_context("small"))
+        store.add(_context("big", num_tokens=64, seed=1))
+        assert store.resident_ids() == ["big"]  # over budget, yet protected
+        store.add(_context("next", seed=2))
+        assert store.resident_ids() == ["next"]
+
+
+class TestMissingAndFailedLoads:
+    def test_unknown_context_raises(self, tmp_path):
+        store = _store(tmp_path)
+        for operation in (store.ensure_resident, store.get, store.pin, store.remove):
+            with pytest.raises(ContextNotFoundError):
+                operation("nope")
+        assert (store.hit_count, store.reload_count) == (0, 0)
+
+    def test_spilled_context_without_backend_raises(self):
+        store = ContextStore()
+        cold = StoredContext(context_id="cold", snapshot=None)
+        store.add(cold)
+        with pytest.raises(ContextEvictedError):
+            store.ensure_resident("cold")
+        assert store.resident_ids() == []
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_failed_reload_leaves_ledger_unchanged_and_retry_succeeds(self, tmp_path, kind):
+        store = _store(tmp_path, kind=kind)
+        context = _context("a")
+        keys = context.keys(0).copy()
+        store.add(context)
+        store.spill("a")
+        blob = store.backend.read_bytes("a.npz")
+        store.backend.write_bytes("a.npz", blob[: len(blob) // 2])
+        with pytest.raises(ContextLoadError):
+            store.ensure_resident("a")
+        assert store.resident_ids() == []
+        assert (store.hit_count, store.reload_count) == (0, 0)
+        store.backend.write_bytes("a.npz", blob)
+        np.testing.assert_array_equal(store.ensure_resident("a").keys(0), keys)
+        assert store.reload_count == 1
+
+    def test_load_errors_are_storage_errors(self, tmp_path):
+        store = _store(tmp_path)
+        store.add(_context("a"))
+        store.spill("a")
+        assert store.backend.delete("a.npz")
+        with pytest.raises(StorageError):
+            store.ensure_resident("a")
+
+
+class TestResidentBytes:
+    @settings(deadline=None, max_examples=20)
+    @given(
+        budget_contexts=st.integers(min_value=1, max_value=4),
+        sizes=st.lists(st.sampled_from([16, 24, 32]), min_size=1, max_size=12),
+    )
+    def test_resident_kv_never_exceeds_budget_when_unpinned(self, tmp_path_factory, budget_contexts, sizes):
+        """Every size fits the budget on its own (an oversized arrival is
+        protected; see ``test_oversized_context_is_kept_until_the_next_arrival``)."""
+        store = _store(tmp_path_factory.mktemp("pool"), budget_contexts=budget_contexts)
+        for i, num_tokens in enumerate(sizes):
+            store.add(_context(f"c{i}", num_tokens=num_tokens, seed=i))
+            assert store.resident_kv_bytes <= store.kv_budget_bytes
+
+    def test_resident_bytes_match_a_recount_after_every_operation(self, tmp_path):
+        store = _store(tmp_path, budget_contexts=2.5)
+        operations = [
+            lambda: store.add(_indexed("a")),
+            lambda: store.add(_context("b", seed=1)),
+            lambda: store.add(_indexed("c", seed=2)),  # spills "a"
+            lambda: store.add(_context("c", num_tokens=16, seed=3), overwrite=True),
+            lambda: store.ensure_resident("a"),
+            lambda: store.spill("b"),
+            lambda: store.remove("a"),
+        ]
+        for operation in operations:
+            operation()
+            assert (store.resident_kv_bytes, store.resident_bytes) == _recount(store)
+        for context_id in store.list_ids():
+            store.remove(context_id)
+        assert (store.resident_kv_bytes, store.resident_bytes) == (0, 0)
+
+    def test_resident_bytes_include_fine_indexes(self, tmp_path):
+        store = _store(tmp_path)
+        context = _indexed("a")
+        store.add(context)
+        assert context.index_bytes > 0
+        assert store.resident_bytes == store.resident_kv_bytes + context.index_bytes
+        store.spill("a")
+        assert store.resident_bytes == 0
+        assert store.spilled_kv_bytes == context.kv_bytes
+
+
+class TestBackendRoundTrip:
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_spill_reload_is_bit_identical(self, tmp_path, kind):
+        store = _store(tmp_path, kind=kind)
+        context = make_context(num_layers=2, num_tokens=40, seed=5, context_id="a")
+        keys = {layer: context.keys(layer).copy() for layer in range(2)}
+        values = {layer: context.values(layer).copy() for layer in range(2)}
+        store.add(context)
+        store.spill("a")
+        reloaded = store.ensure_resident("a")
+        for layer in range(2):
+            np.testing.assert_array_equal(reloaded.keys(layer), keys[layer])
+            np.testing.assert_array_equal(reloaded.values(layer), values[layer])
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_reloaded_fine_index_searches_identically(self, tmp_path, kind):
+        store = _store(tmp_path, kind=kind)
+        store.add(_indexed("a", num_tokens=48))
+        query = np.random.default_rng(9).normal(size=8).astype(np.float32)
+        before = store.get("a").fine_indexes[0].index_for_kv_head(0).search_topk(query, 5)
+        store.spill("a")
+        after = store.ensure_resident("a").fine_indexes[0].index_for_kv_head(0).search_topk(query, 5)
+        np.testing.assert_array_equal(after.indices, before.indices)
+
+    def test_disk_bytes_follow_the_backend(self, tmp_path):
+        store = _store(tmp_path)
+        store.add(_indexed("a"))
+        assert (store.disk_kv_bytes, store.disk_index_bytes) == (0, 0)
+        store.spill("a")
+        assert store.disk_kv_bytes == store.backend.size_bytes("a.npz") > 0
+        assert store.disk_index_bytes == store.backend.size_bytes("a.indexes.npz") > 0
+        store.remove("a")
+        assert (store.disk_kv_bytes, store.disk_index_bytes) == (0, 0)
+
+    def test_reopened_database_recovers_cold_and_counts_one_miss(self, tmp_path):
+        store = _store(tmp_path, durable=True)
+        context = _context("a")
+        store.add(context)
+        reopened = ContextStore.open(tmp_path)
+        assert reopened.resident_ids() == []
+        assert reopened.find_longest_prefix(context.tokens).is_full_reuse
+        reopened.ensure_resident("a")
+        reopened.ensure_resident("a")
+        assert (reopened.hit_count, reopened.reload_count) == (1, 1)
+
+    def test_durable_remove_leaves_only_the_manifest(self, tmp_path):
+        store = _store(tmp_path, durable=True)
+        store.add(_indexed("a"))
+        store.add(_context("b", seed=1))
+        store.remove("a")
+        store.remove("b")
+        assert store.backend.list_keys() == [MANIFEST_KEY]
+        assert ContextStore.open(tmp_path).list_ids() == []

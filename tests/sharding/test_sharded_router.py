@@ -179,7 +179,7 @@ class TestMemoryReport:
         for row in workers.values():
             assert row["num_owned_shards"] == 2
             assert row["resident_kv_bytes"] > 0
-            assert row["used_bytes"] >= row["resident_kv_bytes"]
+            assert row["resident_bytes"] >= row["resident_kv_bytes"]
 
         shards = report["shards"]
         assert set(shards) == {ref.shard_id_of(i) for i in range(4)}
@@ -344,8 +344,9 @@ class TestStore:
 
 class TestMemoryBound:
     def test_busiest_worker_holds_a_quarter_of_the_unsharded_peak(self):
-        """At N = 4 the busiest worker's peak ``BufferManager.used_bytes`` stays
-        within (1/N + slack) of one unsharded server's, with identical token
+        """At N = 4 the busiest worker's peak ``ContextStore.resident_bytes``
+        (KV + fine indexes) stays within (1/N + slack) of one unsharded
+        server's, with identical token
         streams.  The slack covers block-aligned shard boundaries (the last
         shard absorbs the remainder) and per-shard index overhead."""
         num_shards, slack = 4, 0.18
@@ -356,19 +357,19 @@ class TestMemoryBound:
         model = make_model()
         unsharded = InferenceService(model, make_config(**overrides))
         unsharded.db.prefill_and_import(model, document, context_id="ctx")
-        unsharded_peak, expected = unsharded.db.buffer_manager.used_bytes, []
+        unsharded_peak, expected = unsharded.db.store_registry.resident_bytes, []
         for prompt in prompts:
             expected.append(unsharded.serve(prompt, max_new_tokens=3)[0].generated_tokens)
-            unsharded_peak = max(unsharded_peak, unsharded.db.buffer_manager.used_bytes)
+            unsharded_peak = max(unsharded_peak, unsharded.db.store_registry.resident_bytes)
 
         group = WorkerGroup(make_model(), config=make_config(**overrides), num_workers=num_shards)
         router = ShardedContextRouter(group.model, group=group)
         router.ingest(document, context_id="ctx", num_shards=num_shards)
-        peaks = [worker.db.buffer_manager.used_bytes for worker in group.workers]
+        peaks = [worker.db.store_registry.resident_bytes for worker in group.workers]
         for prompt, tokens in zip(prompts, expected):
             assert generate(router, prompt, 3) == tokens
             peaks = [
-                max(peak, worker.db.buffer_manager.used_bytes)
+                max(peak, worker.db.store_registry.resident_bytes)
                 for peak, worker in zip(peaks, group.workers)
             ]
         assert all(peak > 0 for peak in peaks)  # the fleet served, not one box

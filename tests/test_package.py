@@ -53,7 +53,7 @@ class TestErrorHierarchy:
 
     def test_subsystem_groups(self):
         assert issubclass(errors.SessionClosedError, errors.DatabaseError)
-        assert issubclass(errors.BlockNotFoundError, errors.StorageError)
+        assert issubclass(errors.ContextLoadError, errors.StorageError)
         assert issubclass(errors.OutOfDeviceMemoryError, errors.SimulatorError)
         assert issubclass(errors.UnsupportedQueryError, errors.QueryError)
         assert issubclass(errors.IndexNotBuiltError, errors.IndexError_)
