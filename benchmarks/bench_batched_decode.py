@@ -1,7 +1,7 @@
 """Continuous batched decode — one forward pass per round over the in-flight sessions.
 
-Every scheduler round serves all decode-ready requests (one or many) with one
-``TransformerModel.decode_batch`` forward pass and one decode round.  This
+Every scheduler round serves all in-flight requests (one or many) with one
+``TransformerModel.forward_rows`` pass and one attention round.  This
 harness reports what the rows-per-round axis buys, and checks preemption:
 
 * **decode throughput** — the same tiny-prompt requests decoded 1 and 8 at a

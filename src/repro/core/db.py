@@ -262,24 +262,7 @@ class DB:
         the reused context's tokens are extended with placeholder ids so the
         KV snapshot stays consistent.
         """
-        num_layers = session.num_layers
-        keys: dict[int, np.ndarray] = {}
-        values: dict[int, np.ndarray] = {}
-        for layer in range(num_layers):
-            layer_keys, layer_values = session.materialized_kv(layer)
-            keys[layer] = np.ascontiguousarray(layer_keys)
-            values[layer] = np.ascontiguousarray(layer_values)
-        total_tokens = keys[0].shape[1] if keys else 0
-        if tokens is None:
-            prefix_tokens = session.reused_tokens
-            padding = [self.tokenizer.pad_id] * (total_tokens - len(prefix_tokens))
-            tokens = list(prefix_tokens) + padding
-        samples = self._merged_query_samples(session)
-        snapshot = KVSnapshot(
-            tokens=list(tokens), keys=keys, values=values, query_samples=samples
-        )
-        snapshot.validate()
-
+        snapshot = self._session_snapshot(session, tokens)
         context_id = context_id or self._next_context_id()
         context = StoredContext(context_id=context_id, snapshot=snapshot)
         self._register_context(
@@ -290,6 +273,28 @@ class DB:
             overwrite=True,
         )
         return context
+
+    def _session_snapshot(self, session: Session, tokens: list[int] | None) -> KVSnapshot:
+        """The KV snapshot of everything ``session`` represents (see :meth:`store`)."""
+        keys: dict[int, np.ndarray] = {}
+        values: dict[int, np.ndarray] = {}
+        for layer in range(session.num_layers):
+            layer_keys, layer_values = session.materialized_kv(layer)
+            keys[layer] = np.ascontiguousarray(layer_keys)
+            values[layer] = np.ascontiguousarray(layer_values)
+        if tokens is None:
+            total_tokens = keys[0].shape[1] if keys else 0
+            prefix_tokens = session.reused_tokens
+            padding = [self.tokenizer.pad_id] * (total_tokens - len(prefix_tokens))
+            tokens = list(prefix_tokens) + padding
+        snapshot = KVSnapshot(
+            tokens=list(tokens),
+            keys=keys,
+            values=values,
+            query_samples=self._merged_query_samples(session),
+        )
+        snapshot.validate()
+        return snapshot
 
     def _merged_query_samples(self, session: Session) -> dict[int, np.ndarray]:
         """Query samples covering everything a stored session represents.
@@ -352,19 +357,22 @@ class DB:
         build_coarse_indexes: bool = True,
         lazy_fine_indexes: bool | None = None,
     ) -> StoredContext:
-        """Run a full prefill of ``prompts`` and import the resulting context.
+        """Prefill ``prompts`` and import the resulting context.
 
-        Captures the per-layer query vectors of the prefill pass so RoarGraph
-        construction can use real (OOD) query samples.
+        The prefill is an unconnected session's (no stored range is read),
+        ``prefill_chunk_tokens`` at a time — exactly what serving the same
+        tokens as a prompt computes, in memory linear in their number.  The
+        session's sampled queries become the RoarGraph's real (OOD) query
+        samples.
         """
         tokens = self._tokenize(prompts)
-        cache = DynamicCache()
-        _, activations = model.forward(np.asarray(tokens, dtype=np.int64), cache, capture_activations=True)
-        query_samples = {act.layer: act.queries for act in activations}
+        session = Session(self.config)
+        chunk = self.config.prefill_chunk_tokens
+        for start in range(0, len(tokens), chunk):
+            model.prefill(np.asarray(tokens[start : start + chunk], dtype=np.int64), session)
         return self.import_context(
             tokens,
-            cache,
-            query_samples=query_samples,
+            self._session_snapshot(session, tokens),
             context_id=context_id,
             build_fine_indexes=build_fine_indexes,
             build_coarse_indexes=build_coarse_indexes,

@@ -1,11 +1,13 @@
-"""Decode rounds: one attention pass per layer over every decode-ready session.
+"""Scheduler rounds: one attention pass per layer over every in-flight session.
 
-The scheduler serves all decode-ready requests (one or many) with one
-forward pass; a :class:`CrossRequestDecodeRound` is that pass's attention
-hook.  Per layer it appends every session's KV, groups the sessions by
-compatibility key — stored context, reused prefix, plan and window geometry
-— and runs each group of ``S >= 1`` sessions through
-:func:`~repro.core.session.group_attention`: under a sparse plan flat/coarse
+The scheduler serves every in-flight request — its next prefill chunk or its
+next decode token — with one ragged forward pass; a
+:class:`CrossRequestDecodeRound` is that pass's attention hook.  Per layer it
+appends every session's KV, answers a session with several rows (a prefill
+chunk) with its causal :meth:`~repro.core.session.Session.attention`, groups
+the one-row sessions by compatibility key — stored context, reused prefix,
+plan and window geometry — and runs each group of ``S >= 1`` sessions
+through :func:`~repro.core.session.group_attention`: under a sparse plan flat/coarse
 scans stack into one gemm over the concatenated query heads and fine (DIPRS)
 walks stay per session (frontier expansion is data-dependent) but share one
 scratch; under a full-attention plan — nothing reused, a short context, a
@@ -128,12 +130,12 @@ class DynamicAttentionPolicy:
 
 
 class CrossRequestDecodeRound:
-    """Executes one decode step's attention over ``S >= 1`` sessions.
+    """Executes one scheduler round's attention over ``S >= 1`` sessions.
 
-    Plugged into ``TransformerModel.decode_batch`` as the ``attention_round``
+    Plugged into ``TransformerModel.forward_rows`` as the ``attention_round``
     hook: the model calls :meth:`layer_attention` once per layer with the
-    projected Q/K/V of every request, and receives the per-request attention
-    rows back.  ``sessions`` must align with the ``caches`` the model passes.
+    projected Q/K/V of every row, and receives the attention rows back.
+    ``sessions`` must align with the ``caches`` the model passes.
     """
 
     def __init__(self, sessions: list[Session], timings: StageTimings | None = None):
@@ -147,37 +149,50 @@ class CrossRequestDecodeRound:
         k: np.ndarray,
         v: np.ndarray,
         caches: list,
+        rows: list[int],
     ) -> np.ndarray:
-        """Attention rows ``(batch, num_query_heads * head_dim)`` for one layer.
+        """Attention rows ``(sum(rows), num_query_heads * head_dim)`` for one layer.
 
-        ``q``/``k``/``v`` are ``(heads, batch, head_dim)`` — one token per
-        request.  Every cache gets its KV appended first (sessions are
-        independent, so batching the appends ahead of the attention leaves
-        each session's view unchanged), then the sessions run group by group.
+        ``q``/``k``/``v`` are ``(heads, sum(rows), head_dim)``; ``rows[i]``
+        consecutive rows belong to session ``i``.  Every session appends its
+        KV first; a session with several rows (a prefill chunk) answers them
+        with its own causal :meth:`Session.attention`, and the one-row
+        sessions run group by group (sessions are independent, so the order
+        leaves each one's view unchanged).
         """
-        batch = len(caches)
-        num_heads, _, head_dim = q.shape
-        rows = np.empty((batch, num_heads * head_dim), dtype=np.float32)
-        for i, cache in enumerate(caches):
-            cache.update_query(q[:, i : i + 1, :], k[:, i : i + 1, :], v[:, i : i + 1, :], layer)
+        num_heads, total, head_dim = q.shape
+        attn = np.empty((total, num_heads * head_dim), dtype=np.float32)
+        starts, singles = [], []
+        start = 0
+        for i, (cache, n) in enumerate(zip(caches, rows)):
+            span = slice(start, start + n)
+            cache.update_query(q[:, span], k[:, span], v[:, span], layer)
+            if n == 1:
+                singles.append(i)
+            else:
+                attn[span] = np.transpose(cache.attention(q[:, span], layer), (1, 0, 2)).reshape(n, -1)
+            starts.append(start)
+            start += n
 
-        for indices, members in self._classify(layer):
-            queries = q.transpose(1, 0, 2)[indices]  # (S, heads, head_dim), one copy
+        for indices, members in self._classify(layer, singles):
+            positions = [starts[i] for i in indices]
+            queries = q.transpose(1, 0, 2)[positions]  # (S, heads, head_dim), one copy
             outputs = group_attention(layer, members, queries, self.timings)
-            rows[indices] = outputs.reshape(len(indices), -1)
-        return rows
+            attn[positions] = outputs.reshape(len(indices), -1)
+        return attn
 
-    def _classify(self, layer: int):
-        """Split sessions into compatibility groups.
+    def _classify(self, layer: int, indices: list[int]):
+        """Split the sessions at ``indices`` into compatibility groups.
 
         The compatibility key pins everything the stacked kernels assume is
         shared: the stored KV arrays of every range holding the context (by
         identity; none for a session that reuses nothing), the reused prefix,
         the exact plan (frozen dataclass — hashable), and the window geometry.
-        Returns ``[(row indices, [(session, inputs), ...]), ...]``.
+        Returns ``[(session indices, [(session, inputs), ...]), ...]``.
         """
         by_key: dict[tuple, tuple[list, list]] = {}
-        for i, session in enumerate(self.sessions):
+        for i in indices:
+            session = self.sessions[i]
             inputs = session.layer_inputs(layer)
             key = (
                 inputs.kv_identity,

@@ -37,12 +37,12 @@ class ExecutionPlan:
     use_window_seed: bool = True
 
     @property
-    def is_full_attention(self) -> bool:
+    def is_full(self) -> bool:
         return self.query_kind == QueryKind.FULL
 
     def describe(self) -> str:
         """Human-readable one-liner (shown by the examples and benchmarks)."""
-        if self.is_full_attention:
+        if self.is_full:
             return "full attention"
         parts = [f"{self.query_kind} over {self.index_kind} index"]
         if isinstance(self.query, DIPRQuery):
@@ -199,7 +199,7 @@ class PlanExecutor:
         scan-based kinds accept the mapping; fine walks are data-dependent
         per session and are dispatched one session at a time.
         """
-        if plan.is_full_attention:
+        if plan.is_full:
             raise PlanningError("full-attention plans attend every token: there is nothing to retrieve")
         queries = np.asarray(queries, dtype=np.float32)
         num_heads = queries.shape[0]

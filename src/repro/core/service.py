@@ -8,10 +8,10 @@ module provides that serving stack on top of :class:`~repro.core.db.DB`:
   returns a :class:`~repro.core.handles.RequestHandle` — live ``status``, an
   incremental ``tokens()`` stream, a blocking ``result()``, and ``cancel()``;
 * ``step()`` runs one scheduler round: admission control against a global
-  GPU-memory budget, then one unit of work per in-flight request — a prefill
-  chunk, or one decode token with **all decode-ready requests batched into a
-  single forward pass and one decode round**, so long prefills interleave
-  with other requests' decodes and decode cost is amortised across the batch;
+  GPU-memory budget, then one unit of work per in-flight request — its next
+  prefill chunk or its next decode token — **all of them rows of one ragged
+  forward pass**, so long prefills interleave with other requests' decodes
+  and the dense model math is amortised across every row of the round;
 * under the ``slo`` policy with ``preemption`` enabled, an SLO-critical
   arrival that finds every slot taken pauses the in-flight request with the
   most TTFT slack (its reservation released, its stored context spillable)
@@ -195,8 +195,8 @@ class InferenceService:
 
     Also the scheduler's execution backend: the
     :class:`~repro.scheduler.RequestScheduler` calls back into
-    ``estimate_request_bytes`` / ``begin_request`` / ``prefill_chunk`` /
-    ``decode_batch`` / ``finish_request`` to run admitted requests.
+    ``estimate_request_bytes`` / ``begin_request`` / ``run_round`` /
+    ``finish_request`` to run admitted requests.
     """
 
     MAX_RETAINED_RESULTS = 1024
@@ -276,6 +276,8 @@ class InferenceService:
     def ingest(self, document: str | list[int], context_id: str | None = None) -> str:
         """Import a document (prefill + index construction) for later reuse.
 
+        The prefill is an unconnected session's, chunk by chunk, so the
+        stored KV is what a request with the document as its prompt computes.
         With ``lazy_index_build`` configured, fine indexes are deferred to the
         first sparse use, cutting ingest latency.  A service fronting a shard
         catalog shards the document and places it on the shard owners.
@@ -463,24 +465,67 @@ class InferenceService:
         self._live[request.request_id] = inflight
         return inflight
 
-    def prefill_chunk(self, inflight: InFlightRequest) -> None:
-        chunk_tokens = (
-            inflight.request.prefill_chunk_tokens or self.config.prefill_chunk_tokens
-        )
-        chunk = inflight.pending_tokens[:chunk_tokens]
-        del inflight.pending_tokens[: len(chunk)]
-        start = time.perf_counter()
-        logits, _ = self.model.prefill(np.asarray(chunk, dtype=np.int64), inflight.session)
-        inflight.prefill_seconds += time.perf_counter() - start
-        if not inflight.pending_tokens:
-            if inflight.request.max_new_tokens > 0:
-                self._append_token(
-                    inflight, sample_token(logits, self.loop.sampling, inflight.rng)
-                )
+    def run_round(self, inflights: Sequence[InFlightRequest]) -> None:
+        """One forward pass for the in-flight requests: each contributes its
+        next prefill chunk or its next decode token as rows of one ragged batch.
+
+        The dense work (embedding, projections, MLP, LM head) runs once over
+        every row, and a
+        :class:`~repro.core.decode_round.CrossRequestDecodeRound` runs each
+        layer's attention: a prefill chunk as its session's causal attention,
+        one-row sessions stacked per plan-compatible group.  The round's wall
+        time is split across the requests in proportion to their rows.
+        """
+        prefilling = [fl.needs_prefill for fl in inflights]
+        decoding = [fl for fl, prefill in zip(inflights, prefilling) if not prefill]
+        if decoding:
+            self._apply_attention_policy(decoding)
+        tokens: list[int] = []
+        rows: list[int] = []
+        last_rows: list[int] = []
+        for inflight, prefill in zip(inflights, prefilling):
+            if prefill:
+                size = inflight.request.prefill_chunk_tokens or self.config.prefill_chunk_tokens
+                chunk = inflight.pending_tokens[:size]
+                del inflight.pending_tokens[:size]
             else:
-                # zero tokens requested: the request is served by prefill
-                # alone; its first-token latency is the prefill completion
-                inflight.first_token_seconds = time.monotonic() - inflight.admitted_at
+                chunk = inflight.generated[-1:]
+            tokens += chunk
+            rows.append(len(chunk))
+            last_rows.append(len(tokens) - 1)
+        sessions = [fl.session for fl in inflights]
+        sparse_before = self.decode_timings.sparse_seconds
+        start = time.perf_counter()
+        logits = self.model.forward_rows(
+            tokens,
+            sessions,
+            rows,
+            attention_round=CrossRequestDecodeRound(sessions, timings=self.decode_timings),
+        )
+        wall = time.perf_counter() - start
+        per_row = wall / len(tokens)
+        if decoding:
+            self.decode_timings.dense_seconds += max(
+                per_row * len(decoding) - (self.decode_timings.sparse_seconds - sparse_before), 0.0
+            )
+            self.decode_timings.rounds += 1
+        for inflight, prefill, n, row in zip(inflights, prefilling, rows, logits[last_rows]):
+            if prefill:
+                inflight.prefill_seconds += per_row * n
+                if inflight.pending_tokens:
+                    continue
+                if inflight.request.max_new_tokens == 0:
+                    # zero tokens requested: the request is served by prefill
+                    # alone; its first-token latency is the prefill completion
+                    inflight.first_token_seconds = time.monotonic() - inflight.admitted_at
+                    continue
+            else:
+                inflight.decode_seconds.append(per_row)
+            self._append_token(inflight, sample_token(row, self.loop.sampling, inflight.rng))
+
+    def prefill_chunk(self, inflight: InFlightRequest) -> None:
+        """One prefill chunk for one request: a :meth:`run_round` of one."""
+        self.run_round([inflight])
 
     def _apply_attention_policy(self, inflights: Sequence[InFlightRequest]) -> None:
         """Advance the dynamic dense/sparse policy for every decoding session.
@@ -502,38 +547,12 @@ class InferenceService:
             policy.apply(inflight.request.request_id, inflight.session, pressure)
 
     def decode_step(self, inflight: InFlightRequest) -> None:
-        """One decode token for one request: a :meth:`decode_batch` of one."""
-        self.decode_batch([inflight])
+        """One decode token for one request: a :meth:`run_round` of one."""
+        self.run_round([inflight])
 
     def decode_batch(self, inflights: Sequence[InFlightRequest]) -> None:
-        """One forward pass over the decode-ready requests (one or many).
-
-        The shared dense work (embedding, projections, MLP, LM head) runs
-        once over the stacked batch, and a
-        :class:`~repro.core.decode_round.CrossRequestDecodeRound` runs each
-        layer's attention: plan-compatible sessions' retrieval and
-        partial-attention merges stack per group, so the whole round is one
-        retrieval + attention pass rather than one per request.  The wall
-        time is split evenly across the batch for per-request TPOT accounting.
-        """
-        self._apply_attention_policy(inflights)
-        sessions = [fl.session for fl in inflights]
-        sparse_before = self.decode_timings.sparse_seconds
-        start = time.perf_counter()
-        logits = self.model.decode_batch(
-            [fl.generated[-1] for fl in inflights],
-            sessions,
-            attention_round=CrossRequestDecodeRound(sessions, timings=self.decode_timings),
-        )
-        wall = time.perf_counter() - start
-        self.decode_timings.dense_seconds += max(
-            wall - (self.decode_timings.sparse_seconds - sparse_before), 0.0
-        )
-        self.decode_timings.rounds += 1
-        per_request = wall / len(inflights)
-        for inflight, row in zip(inflights, logits):
-            inflight.decode_seconds.append(per_request)
-            self._append_token(inflight, sample_token(row, self.loop.sampling, inflight.rng))
+        """One decode token for each request: a :meth:`run_round`."""
+        self.run_round(inflights)
 
     def _append_token(self, inflight: InFlightRequest, token: int) -> None:
         if inflight.first_token_seconds is None:

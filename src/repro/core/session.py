@@ -315,26 +315,6 @@ class Session:
         cache.append(k, v)
         self._query_samples.setdefault(layer, []).append(q.copy())
 
-    def update(self, k: np.ndarray, v: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """DynamicCache-compatible update: append and return the *full* KV.
-
-        Provided for manual management (Table 2); the decoupled path uses
-        :meth:`update_query` + :meth:`attention` instead and never
-        materialises the full tensors.
-        """
-        self._require_open()
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        num_query_heads = k.shape[0] * (self._dims.gqa_group_size if self._dims else 1)
-        if self._dims is None:
-            self._dims = _ModelDims(num_query_heads=num_query_heads, num_kv_heads=k.shape[0], head_dim=k.shape[2])
-        cache = self._local.get(layer)
-        if cache is None:
-            cache = LayerKVCache(k.shape[0], k.shape[2])
-            self._local[layer] = cache
-        cache.append(k, v)
-        return self._materialized_kv(layer)
-
     # ------------------------------------------------------------------
     # attention
     # ------------------------------------------------------------------
@@ -546,7 +526,7 @@ def group_attention(
 
     started = time.perf_counter() if timings is not None else 0.0
     outcomes = []
-    if plan.is_full_attention:
+    if plan.is_full:
         retrieved = None  # every visible stored token is attended as it lies
     else:
         if plan.index_kind == IndexKind.FINE:

@@ -1,6 +1,6 @@
 """KV cache management substrate (Section 2/3 of the paper)."""
 
-from .cache import DynamicCache, KVCacheProtocol, LayerKVCache, NativeAttentionCache
+from .cache import DynamicCache, LayerKVCache, NativeAttentionCache
 from .compression import (
     CompressedKV,
     QuantizedTensor,
@@ -21,7 +21,6 @@ from .serialization import (
 __all__ = [
     "CompressedKV",
     "DynamicCache",
-    "KVCacheProtocol",
     "KVSnapshot",
     "LayerKVCache",
     "NativeAttentionCache",

@@ -1,14 +1,14 @@
 """KV cache abstractions.
 
-``KVCacheProtocol`` is the contract the transformer substrate expects from a
-cache object — intentionally shaped like HuggingFace's ``DynamicCache`` so
-that an AlayaDB ``Session`` (which implements the same ``update`` signature
-plus a native ``attention``) can replace it with a one-line change, exactly as
-Figure 4 of the paper shows.
+``NativeAttentionCache`` is the one contract the transformer substrate
+expects from a cache object: the model pushes each layer's Q/K/V into it and
+gets the attention output back (Figure 4 of the paper).  An AlayaDB
+``Session``, the baselines' ``RetrievalCache`` and ``DynamicCache`` all
+implement it, so swapping one for another is a one-line change.
 
 ``DynamicCache`` is the coupled-architecture cache: it concatenates new keys
-and values per layer and hands the full tensors back to the model, which then
-runs full attention on them.
+and values per layer and answers with exact causal attention over all of
+them — the baseline and the test oracle.
 """
 
 from __future__ import annotations
@@ -17,31 +17,13 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["KVCacheProtocol", "NativeAttentionCache", "LayerKVCache", "DynamicCache"]
-
-
-@runtime_checkable
-class KVCacheProtocol(Protocol):
-    """Minimal cache interface consumed by the transformer substrate."""
-
-    def update(
-        self, k: np.ndarray, v: np.ndarray, layer: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Append new keys/values for ``layer`` and return the full cache."""
-        ...
-
-    def sequence_length(self, layer: int = 0) -> int:
-        """Number of cached token positions for ``layer``."""
-        ...
+__all__ = ["NativeAttentionCache", "LayerKVCache", "DynamicCache"]
 
 
 @runtime_checkable
 class NativeAttentionCache(Protocol):
-    """A cache that computes attention itself (AlayaDB Session, baselines).
-
-    When a cache object exposes this interface the model delegates the whole
-    attention computation to it instead of materialising the full KV tensors.
-    """
+    """A cache that computes attention itself (AlayaDB Session, baselines,
+    the coupled ``DynamicCache``): the model never touches the KV tensors."""
 
     def update_query(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray, layer: int
@@ -134,7 +116,11 @@ class LayerKVCache:
 
 
 class DynamicCache:
-    """The coupled-architecture KV cache (HuggingFace ``DynamicCache`` analogue)."""
+    """The coupled-architecture KV cache (HuggingFace ``DynamicCache`` analogue).
+
+    Keeps every layer's full K/V and answers each attention call with exact
+    causal attention over all of it.
+    """
 
     def __init__(self, initial_capacity: int = 256):
         self._layers: dict[int, LayerKVCache] = {}
@@ -143,15 +129,23 @@ class DynamicCache:
     def layer(self, layer: int) -> LayerKVCache | None:
         return self._layers.get(layer)
 
-    def update(self, k: np.ndarray, v: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Append ``k``/``v`` for ``layer`` and return the full cached tensors."""
+    def update_query(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, layer: int) -> None:
+        """Append ``k``/``v`` for ``layer`` (the queries are not kept)."""
         k = np.asarray(k, dtype=np.float32)
         store = self._layers.get(layer)
         if store is None:
             store = LayerKVCache(k.shape[0], k.shape[2], self._initial_capacity)
             self._layers[layer] = store
         store.append(k, v)
-        return store.keys, store.values
+
+    def attention(self, q: np.ndarray, layer: int) -> np.ndarray:
+        """Causal attention of ``q`` — the layer's last ``seq`` tokens — over
+        every cached token."""
+        # imported here: repro.llm imports this module
+        from ..llm.attention import full_attention
+
+        store = self._layers[layer]
+        return full_attention(q, store.keys, store.values, causal=True)
 
     def sequence_length(self, layer: int = 0) -> int:
         store = self._layers.get(layer)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kvcache.cache import DynamicCache, KVCacheProtocol
+from ..kvcache.cache import DynamicCache, NativeAttentionCache
 from .model import TransformerModel
 from .sampling import SamplingConfig, sample_token
 from .tokenizer import ByteTokenizer
@@ -65,7 +65,7 @@ class GenerationLoop:
     def run_tokens(
         self,
         prompt_tokens: list[int] | np.ndarray,
-        cache: KVCacheProtocol | None = None,
+        cache: NativeAttentionCache | None = None,
         max_new_tokens: int = 16,
         stop_on_eos: bool = True,
     ) -> GenerationResult:
@@ -118,7 +118,7 @@ class GenerationLoop:
     def run(
         self,
         prompt: str,
-        cache: KVCacheProtocol | None = None,
+        cache: NativeAttentionCache | None = None,
         max_new_tokens: int = 16,
     ) -> GenerationResult:
         """Generate from a text prompt."""
@@ -129,7 +129,7 @@ class GenerationLoop:
 def generate(
     model: TransformerModel,
     prompt: str,
-    cache: KVCacheProtocol | None = None,
+    cache: NativeAttentionCache | None = None,
     max_new_tokens: int = 16,
     sampling: SamplingConfig | None = None,
 ) -> GenerationResult:

@@ -6,24 +6,23 @@ Llama: RMSNorm → GQA self-attention with RoPE → RMSNorm → SwiGLU, residual
 connections around both, tied to a byte-level vocabulary.  Weights are drawn
 from a seeded RNG so runs are deterministic.
 
-The attention layer supports two cache styles:
-
-* a plain :class:`~repro.kvcache.cache.DynamicCache` — the model materialises
-  the full K/V tensors and runs exact attention (coupled architecture);
-* a :class:`~repro.kvcache.cache.NativeAttentionCache` such as an AlayaDB
-  ``Session`` — the model hands Q/K/V to the cache and receives the attention
-  output back, never touching the KV tensors (decoupled architecture).
+The model runs no attention kernel.  Every forward pass is
+:meth:`TransformerModel.forward_rows` over a ragged batch — a prefill chunk
+is many rows of one cache, a decode round one row of each — and each layer
+hands its Q/K/V to a :class:`~repro.kvcache.cache.NativeAttentionCache` (an
+AlayaDB ``Session``, a baseline's ``RetrievalCache``, or the coupled
+``DynamicCache``) or to a round hook, and receives the attention output
+back (Figure 4 of the paper).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..kvcache.cache import DynamicCache, KVCacheProtocol
-from .attention import full_attention
+from ..kvcache.cache import DynamicCache, NativeAttentionCache
 from .layers import Embedding, Linear, RMSNorm, SwiGLU
 from .rope import RotaryEmbedding
 
@@ -93,14 +92,29 @@ class ModelConfig:
         )
 
 
-@dataclass
-class LayerActivations:
-    """Per-layer Q/K/V captured during a forward pass (for analysis)."""
+def cache_attention(
+    layer: int,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    caches: list[NativeAttentionCache],
+    rows: list[int],
+) -> np.ndarray:
+    """The default attention hook: every cache appends its rows' K/V and
+    answers its rows' queries.
 
-    layer: int
-    queries: np.ndarray  # (num_query_heads, seq, head_dim)
-    keys: np.ndarray  # (num_kv_heads, seq, head_dim)
-    values: np.ndarray  # (num_kv_heads, seq, head_dim)
+    ``q``/``k``/``v`` are ``(heads, sum(rows), head_dim)``; returns the
+    attention rows ``(sum(rows), num_query_heads * head_dim)``.
+    """
+    num_heads, total, head_dim = q.shape
+    attn = np.empty((total, num_heads * head_dim), dtype=np.float32)
+    start = 0
+    for cache, n in zip(caches, rows):
+        span = slice(start, start + n)
+        cache.update_query(q[:, span], k[:, span], v[:, span], layer)
+        attn[span] = np.transpose(cache.attention(q[:, span], layer), (1, 0, 2)).reshape(n, -1)
+        start += n
+    return attn
 
 
 class TransformerLayer:
@@ -139,79 +153,29 @@ class TransformerLayer:
         k = rope.rotate(k, positions)
         return q.astype(np.float32), k.astype(np.float32), v.astype(np.float32)
 
-    def __call__(
+    def forward(
         self,
         hidden: np.ndarray,
-        cache: KVCacheProtocol,
-        rope: RotaryEmbedding,
-        positions: np.ndarray,
-        capture: list[LayerActivations] | None = None,
-    ) -> np.ndarray:
-        """Run the block over ``hidden`` of shape ``(seq, dim)``."""
-        config = self.config
-        normed = self.input_norm(hidden)
-        q, k, v = self.project_qkv(normed, rope, positions)
-        if capture is not None:
-            capture.append(LayerActivations(self.layer_index, q.copy(), k.copy(), v.copy()))
-
-        if hasattr(cache, "attention"):
-            # Decoupled path: the cache (AlayaDB Session or a baseline) owns
-            # the KV data and returns the attention output directly.
-            cache.update_query(q, k, v, self.layer_index)
-            attn = cache.attention(q, self.layer_index)
-        else:
-            full_k, full_v = cache.update(k, v, self.layer_index)
-            attn = full_attention(q, full_k, full_v, causal=True)
-
-        seq_len = hidden.shape[0]
-        attn = np.transpose(attn, (1, 0, 2)).reshape(seq_len, config.num_query_heads * config.head_dim)
-        hidden = hidden + self.o_proj(attn)
-        hidden = hidden + self.mlp(self.post_attention_norm(hidden))
-        return hidden
-
-    def forward_batch(
-        self,
-        hidden: np.ndarray,
-        caches: list[KVCacheProtocol],
+        caches: list[NativeAttentionCache],
+        rows: list[int],
         rope: RotaryEmbedding,
         positions: np.ndarray,
         attention_round=None,
     ) -> np.ndarray:
-        """Run the block over one token from each of ``len(caches)`` requests.
+        """Run the block over a ragged batch of ``sum(rows)`` token rows.
 
-        ``hidden``: ``(batch, dim)``, one row per request; ``positions``: the
-        per-request cache position of that token.  The dense work (norms,
-        Q/K/V/O projections, MLP) runs as single stacked matmuls across the
-        batch; attention and KV appends route through each request's own
-        cache, which keeps per-request state (sparse plans, stored prefixes,
-        window caches) untouched — unless an ``attention_round`` coordinator
-        is supplied, in which case it receives the whole layer's Q/K/V at
-        once and may stack compatible requests' sparse attention (appending
-        KV to each cache itself).
+        ``hidden`` is ``(sum(rows), dim)``: ``rows[i]`` consecutive rows
+        belong to ``caches[i]``, ``positions`` holds each row's cache
+        position.  Norms, Q/K/V/O projections and the MLP run once over every
+        row; attention goes to the ``attention_round`` hook
+        (``layer_attention(layer, q, k, v, caches, rows)``) when one is given,
+        else to each cache's own ``update_query`` + ``attention``.
         """
-        config = self.config
-        batch, head_dim = hidden.shape[0], config.head_dim
         normed = self.input_norm(hidden)
-        # the batch rides project_qkv's seq axis, so rope rotates request i
-        # by its own cache position positions[i]
         q, k, v = self.project_qkv(normed, rope, positions)
-
-        if attention_round is not None:
-            attn_rows = attention_round.layer_attention(self.layer_index, q, k, v, caches)
-        else:
-            attn_rows = np.empty((batch, config.num_query_heads * head_dim), dtype=np.float32)
-            for i, cache in enumerate(caches):
-                qi = q[:, i : i + 1, :]
-                ki = k[:, i : i + 1, :]
-                vi = v[:, i : i + 1, :]
-                if hasattr(cache, "attention"):
-                    cache.update_query(qi, ki, vi, self.layer_index)
-                    attn = cache.attention(qi, self.layer_index)
-                else:
-                    full_k, full_v = cache.update(ki, vi, self.layer_index)
-                    attn = full_attention(qi, full_k, full_v, causal=True)
-                attn_rows[i] = attn[:, 0, :].reshape(-1)
-        hidden = hidden + self.o_proj(attn_rows)
+        attend = cache_attention if attention_round is None else attention_round.layer_attention
+        attn = attend(self.layer_index, q, k, v, caches, rows)
+        hidden = hidden + self.o_proj(attn)
         hidden = hidden + self.mlp(self.post_attention_norm(hidden))
         return hidden
 
@@ -255,86 +219,74 @@ class TransformerModel:
     # ------------------------------------------------------------------
     # forward passes
     # ------------------------------------------------------------------
-    def forward(
+    def forward_rows(
         self,
         token_ids: np.ndarray | list[int],
-        cache: KVCacheProtocol | None = None,
-        capture_activations: bool = False,
-    ) -> np.ndarray | tuple[np.ndarray, list[LayerActivations]]:
-        """Run a forward pass over ``token_ids`` using/extending ``cache``.
+        caches: list[NativeAttentionCache],
+        rows: list[int],
+        attention_round=None,
+    ) -> np.ndarray:
+        """One forward pass over a ragged batch: ``rows[i]`` consecutive
+        tokens of ``token_ids`` extend ``caches[i]``.
 
-        Returns logits of shape ``(seq, vocab_size)``; when
-        ``capture_activations`` is set, also returns the per-layer Q/K/V of
-        this pass (used by the analysis tooling to study attention sparsity).
+        Each cache's tokens take the positions that continue it.  Embedding,
+        every layer's projections and MLP, and the LM head run once over all
+        ``sum(rows)`` rows; attention goes through the caches or the
+        ``attention_round`` hook (see :meth:`TransformerLayer.forward`), so a
+        prefill chunk and a decode token are the same thing with a different
+        row count.  Returns logits ``(sum(rows), vocab_size)``.
+
+        A row's logits equal those of the same tokens run alone up to the
+        float32 rounding of the dense matmuls, whose bits depend on how many
+        rows they multiply (numpy/OpenBLAS sgemm for up to ~9 rows): about
+        1e-5 absolute on this substrate, which leaves greedy tokens in
+        place.  Attention rows are bit-identical either way.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 1:
             raise ValueError(f"token_ids must be 1-D, got shape {token_ids.shape}")
-        if cache is None:
-            cache = DynamicCache()
-        start = cache.sequence_length(0)
-        positions = np.arange(start, start + token_ids.shape[0], dtype=np.int64)
-
+        rows = [int(n) for n in rows]
+        if len(rows) != len(caches) or sum(rows) != token_ids.shape[0] or min(rows, default=1) < 1:
+            raise ValueError(
+                f"rows {rows} must give each of {len(caches)} caches >= 1 of "
+                f"the {token_ids.shape[0]} tokens"
+            )
+        if not rows:
+            return np.empty((0, self.config.vocab_size), dtype=np.float32)
+        positions = np.concatenate([cache.sequence_length(0) + np.arange(n) for cache, n in zip(caches, rows)])
         hidden = self.embedding(token_ids)
-        captured: list[LayerActivations] = []
-        capture = captured if capture_activations else None
         for layer in self.layers:
-            hidden = layer(hidden, cache, self.rope, positions, capture)
+            hidden = layer.forward(hidden, caches, rows, self.rope, positions, attention_round)
         hidden = self.final_norm(hidden)
-        logits = self.lm_head(hidden)
-        if capture_activations:
-            return logits, captured
-        return logits
+        return self.lm_head(hidden)
+
+    def forward(
+        self, token_ids: np.ndarray | list[int], cache: NativeAttentionCache | None = None
+    ) -> np.ndarray:
+        """Logits ``(seq, vocab_size)`` of ``token_ids`` extending ``cache``
+        (a fresh :class:`DynamicCache` when omitted)."""
+        token_ids = np.asarray(token_ids, dtype=np.int64)
+        return self.forward_rows(token_ids, [cache if cache is not None else DynamicCache()], [token_ids.size])
 
     def prefill(
-        self, token_ids: np.ndarray | list[int], cache: KVCacheProtocol | None = None
-    ) -> tuple[np.ndarray, KVCacheProtocol]:
+        self, token_ids: np.ndarray | list[int], cache: NativeAttentionCache | None = None
+    ) -> tuple[np.ndarray, NativeAttentionCache]:
         """Process a prompt, filling ``cache``; returns (last-token logits, cache)."""
-        if cache is None:
-            cache = DynamicCache()
-        logits = self.forward(token_ids, cache)
-        return logits[-1], cache
+        cache = cache if cache is not None else DynamicCache()
+        return self.forward(token_ids, cache)[-1], cache
 
-    def decode_step(self, token_id: int, cache: KVCacheProtocol) -> np.ndarray:
-        """Generate logits for a single new token appended to ``cache``."""
-        logits = self.forward(np.asarray([token_id], dtype=np.int64), cache)
-        return logits[-1]
+    def decode_step(self, token_id: int, cache: NativeAttentionCache) -> np.ndarray:
+        """Logits for a single new token appended to ``cache``."""
+        return self.forward([token_id], cache)[-1]
 
     def decode_batch(
         self,
         token_ids: np.ndarray | list[int],
-        caches: list[KVCacheProtocol],
+        caches: list[NativeAttentionCache],
         attention_round=None,
     ) -> np.ndarray:
-        """One decode step for several independent requests in one forward pass.
-
-        ``token_ids[i]`` is appended to ``caches[i]``.  The embedding, every
-        layer's projections and MLP, and the LM head run once over the stacked
-        ``(batch, dim)`` activations — the continuous-batching win when many
-        in-flight requests share the weights — while attention/KV-append go
-        through each request's own cache, so each request keeps its own
-        positions, stored prefix, and sparse plan.  An ``attention_round``
-        coordinator (``layer_attention(layer, q, k, v, caches)``) additionally
-        stacks compatible requests' *sparse* attention per layer — one
-        retrieval + merge round per scheduler step.  Returns logits of shape
-        ``(batch, vocab_size)``; row ``i`` equals ``decode_step(token_ids[i],
-        caches[i])``.
-        """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 1:
-            raise ValueError(f"token_ids must be 1-D, got shape {token_ids.shape}")
-        if token_ids.shape[0] != len(caches):
-            raise ValueError(
-                f"got {token_ids.shape[0]} tokens for {len(caches)} caches"
-            )
-        if token_ids.shape[0] == 0:
-            return np.empty((0, self.config.vocab_size), dtype=np.float32)
-        positions = np.asarray([cache.sequence_length(0) for cache in caches], dtype=np.int64)
-        hidden = self.embedding(token_ids)
-        for layer in self.layers:
-            hidden = layer.forward_batch(hidden, caches, self.rope, positions, attention_round)
-        hidden = self.final_norm(hidden)
-        return self.lm_head(hidden)
+        """One decode token per cache: :meth:`forward_rows` with one row each."""
+        return self.forward_rows(token_ids, caches, [1] * len(caches), attention_round)
 
     # ------------------------------------------------------------------
     # introspection helpers

@@ -4,9 +4,8 @@ Each :meth:`RequestScheduler.step` (1) preempts an in-flight request when an
 SLO-critical arrival is starving and every slot is taken, (2) admits queued
 requests while slots and the memory budget allow, (3) resumes preempted
 requests into leftover slots, (4) gives every in-flight request one unit of
-work — a prefill chunk or one decode token, with all decode-ready requests
-(one or many) served by a single ``decode_batch`` call — and
-(5) retires finished requests, releasing their admission reservations.
+work — a prefill chunk or one decode token — in a single ``run_round`` call,
+and (5) retires finished requests, releasing their admission reservations.
 
 The scheduler knows nothing about models or databases: a
 :class:`SchedulerBackend` supplies the actual work.
@@ -40,11 +39,10 @@ class SchedulerBackend(Protocol):
     def begin_request(self, request: Request) -> InFlightRequest:
         """Create the session / execution state for an admitted request."""
 
-    def prefill_chunk(self, inflight: InFlightRequest) -> None:
-        """Prefill the next chunk of the pending prompt suffix."""
-
-    def decode_batch(self, inflights: Sequence[InFlightRequest]) -> None:
-        """Generate one token for each of the ``>= 1`` decode-ready requests."""
+    def run_round(self, inflights: Sequence[InFlightRequest]) -> None:
+        """Advance each of the ``>= 1`` in-flight requests by one unit of work
+        — the next chunk of its pending prompt suffix, or one generated token
+        — in one pass."""
 
     def finish_request(self, inflight: InFlightRequest) -> None:
         """Record results and release per-request resources."""
@@ -79,10 +77,12 @@ class SchedulerStats:
 
     steps: int = 0
     prefill_chunks: int = 0
+    """Prefill chunks run (one per prefilling request per round)."""
     decode_steps: int = 0
+    """Decode tokens run (one per decode-ready request per round)."""
     batched_decode_calls: int = 0
-    """Scheduler rounds that served ≥2 decode-ready requests with one
-    ``decode_batch`` forward pass."""
+    """Scheduler rounds that served ≥2 decode-ready requests in their one
+    forward pass."""
     admitted: int = 0
     rejected: int = 0
     failed: int = 0
@@ -359,18 +359,14 @@ class RequestScheduler:
         self._preempt_for_critical()
         self._admit()
         self._resume_preempted()
-        decode_ready: list[InFlightRequest] = []
-        for inflight in list(self._inflight):
-            if inflight.needs_prefill:
-                self.backend.prefill_chunk(inflight)
-                self.stats.prefill_chunks += 1
-            else:
-                decode_ready.append(inflight)
-        if decode_ready:
-            self.backend.decode_batch(decode_ready)
-            if len(decode_ready) > 1:
+        if self._inflight:
+            prefilling = sum(1 for inflight in self._inflight if inflight.needs_prefill)
+            decoding = len(self._inflight) - prefilling
+            self.backend.run_round(list(self._inflight))
+            self.stats.prefill_chunks += prefilling
+            self.stats.decode_steps += decoding
+            if decoding > 1:
                 self.stats.batched_decode_calls += 1
-            self.stats.decode_steps += len(decode_ready)
         finished = [fl for fl in self._inflight if fl.is_finished]
         for inflight in finished:
             self._inflight.remove(inflight)

@@ -108,10 +108,11 @@ async def read_request(
 ) -> HttpRequest | None:
     """Parse one request off the stream; ``None`` on clean EOF (no bytes).
 
-    Raises :class:`HttpError` for malformed framing, missing
-    ``Content-Length`` on a body-bearing method, or a body beyond
-    ``max_body_bytes`` (413 — the body is not read in that case, so the
-    connection must close afterwards).
+    Raises :class:`HttpError` for malformed framing (any
+    ``Transfer-Encoding``, more than one ``Content-Length``, or one that is
+    not plain ASCII digits), missing ``Content-Length`` on a body-bearing
+    method, or a body beyond ``max_body_bytes`` (413 — the body is not read
+    in that case, so the connection must close afterwards).
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -137,17 +138,22 @@ async def read_request(
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, "malformed_request", f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        # the body must be framed one way only: a proxy that reads another
+        # framing than ours would take the rest of the bytes for a new request
+        if name == "content-length" and name in headers:
+            raise HttpError(400, "malformed_request", "more than one Content-Length header")
+        headers[name] = value.strip()
+    if "transfer-encoding" in headers:
+        raise HttpError(400, "malformed_request", "Transfer-Encoding is not supported; send Content-Length")
     parts = urlsplit(target)
     query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
     body = b""
     if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise HttpError(400, "malformed_request", "non-numeric Content-Length")
-        if length < 0:
-            raise HttpError(400, "malformed_request", "negative Content-Length")
+        raw_length = headers["content-length"]
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise HttpError(400, "malformed_request", f"Content-Length {raw_length!r} is not a decimal number")
+        length = int(raw_length)
         if length > max_body_bytes:
             raise HttpError(
                 413,

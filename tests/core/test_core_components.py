@@ -209,7 +209,7 @@ class TestOptimizer:
     def test_short_context_full_attention(self):
         optimizer = RuleBasedOptimizer(AlayaDBConfig(short_context_threshold=1024))
         plan = optimizer.plan(self._query_context(context_length=512))
-        assert plan.is_full_attention
+        assert plan.is_full
 
     def test_large_budget_selects_coarse_topk(self):
         optimizer = RuleBasedOptimizer()

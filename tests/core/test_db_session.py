@@ -148,15 +148,20 @@ class TestSessionLifecycle:
         out = session.attention(q, layer=0)
         assert out.shape == (2, 3, 4)
 
-    def test_dynamic_cache_compatible_update(self):
+    def test_update_query_accumulates_materialized_kv(self):
         session = Session()
         rng = np.random.default_rng(1)
+        q = rng.normal(size=(4, 4, 8)).astype(np.float32)
         k = rng.normal(size=(2, 4, 8)).astype(np.float32)
         v = rng.normal(size=(2, 4, 8)).astype(np.float32)
-        keys, values = session.update(k, v, layer=0)
+        session.update_query(q, k, v, layer=0)
+        keys, values = session.materialized_kv(0)
         assert keys.shape == (2, 4, 8)
-        keys, values = session.update(k, v, layer=0)
+        session.update_query(q, k, v, layer=0)
+        keys, values = session.materialized_kv(0)
         assert keys.shape == (2, 8, 8)
+        np.testing.assert_array_equal(values, np.concatenate([v, v], axis=1))
+        assert session.query_samples[0].shape == (4, 8, 8)
 
 
 class TestDBStore:

@@ -183,7 +183,7 @@ class TestDecodeStepStatsHonesty:
         round_ = CrossRequestDecodeRound(grouped)
         for layer_step, (q, k, v) in enumerate(steps):
             layer = layer_step % dims.num_layers
-            rows = round_.layer_attention(layer, q, k, v, grouped)
+            rows = round_.layer_attention(layer, q, k, v, grouped, [1] * len(grouped))
             for i, session in enumerate(solo):
                 session.update_query(
                     q[:, i : i + 1, :], k[:, i : i + 1, :], v[:, i : i + 1, :], layer
@@ -249,7 +249,7 @@ class TestDecodeStepStatsHonesty:
         self._assert_round_equals_solo(model, self._random_steps(model, 3, num_steps), solo, grouped)
         for session, num_ranges in zip(grouped, (2, 1, 0)):
             inputs = session.layer_inputs(0)
-            assert inputs.plan.is_full_attention and len(inputs.ranges) == num_ranges
+            assert inputs.plan.is_full and len(inputs.ranges) == num_ranges
         sharded, plain, unconnected = (session.total_decode_stats for session in grouped)
         calls = num_steps * model.config.num_layers
         assert sharded.num_selected_tokens == plain.num_selected_tokens
@@ -370,7 +370,7 @@ class TestDynamicAttentionPolicy:
 
         def spy(layer, members, queries, timings=None):
             if layer == 0:
-                groups.append((len(members), members[0][1].plan.is_full_attention))
+                groups.append((len(members), members[0][1].plan.is_full))
             return real(layer, members, queries, timings)
 
         monkeypatch.setattr(decode_round, "group_attention", spy)
@@ -404,7 +404,9 @@ class TestDynamicAttentionPolicy:
         )
         modes = [set(round_.values()) for round_ in chosen]
         assert modes == [{"dense"}] * 2 + [{None}] * 3 + [{"dense"}] * 3
-        assert groups == [(2, True)] * 2 + [(2, False)] * 3 + [(2, True)] * 3
+        # the first round is both requests' one-token prefill: a group of two
+        # under the optimizer's plan (the policy steers decode rows only)
+        assert groups == [(2, False)] + [(2, True)] * 2 + [(2, False)] * 3 + [(2, True)] * 3
 
         def pinned_by_hand(service):
             replay = iter(chosen)

@@ -96,7 +96,7 @@ class TestInferenceService:
             handle = svc.submit(document + " what is stored?", max_new_tokens=4)
             svc.step()
             session = svc._live[handle.request_id].session
-            assert session.plan_for_layer(0).is_full_attention
+            assert session.plan_for_layer(0).is_full
             _, record = handle.result()
             assert record.reused_tokens >= 300 * (repeats // 7)
             assert session.num_decode_steps == record.generated_tokens - 1 == 3

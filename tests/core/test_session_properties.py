@@ -262,7 +262,7 @@ def test_session_decode_matches_reference(plan_kind, variant):
         session.update_query(q, k, v, layer=0)
         output = session.attention(q, layer=0)
         if plan_kind == "full":
-            assert session.plan_for_layer(0).is_full_attention
+            assert session.plan_for_layer(0).is_full
             keys, values = session.materialized_kv(0)
             np.testing.assert_allclose(output[:, 0, :], decode_attention(q[:, 0, :], keys, values), atol=1e-4)
             assert session.last_decode_stats == DecodeStepStats(

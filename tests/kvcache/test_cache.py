@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ContextLoadError, StorageError
 from repro.kvcache.cache import DynamicCache, LayerKVCache
 from repro.kvcache.compression import compress_kv, decompress_kv, dequantize_tensor, quantize_tensor
+from repro.llm.attention import full_attention
 from repro.kvcache.serialization import (
     KVSnapshot,
     load_snapshot,
@@ -70,21 +71,43 @@ class TestLayerKVCache:
         assert cache.nbytes == 2 * 2 * 4 * 4
 
 
+def _q(n, num_heads=4, dim=8, seed=2):
+    return np.random.default_rng(seed).normal(size=(num_heads, n, dim)).astype(np.float32)
+
+
 class TestDynamicCache:
-    def test_update_returns_full_kv(self):
+    def test_update_query_accumulates_full_kv(self):
         cache = DynamicCache()
         k1, v1 = _kv(n=3)
-        keys, values = cache.update(k1, v1, layer=0)
-        assert keys.shape == (2, 3, 8)
+        cache.update_query(_q(3), k1, v1, layer=0)
+        assert cache.keys(0).shape == (2, 3, 8)
         k2, v2 = _kv(n=2, seed=1)
-        keys, values = cache.update(k2, v2, layer=0)
-        assert keys.shape == (2, 5, 8)
+        cache.update_query(_q(2), k2, v2, layer=0)
+        assert cache.keys(0).shape == (2, 5, 8)
+        np.testing.assert_array_equal(cache.values(0), np.concatenate([v1, v2], axis=1))
+
+    def test_attention_is_causal_over_everything_cached(self):
+        cache = DynamicCache()
+        k1, v1 = _kv(n=3)
+        cache.update_query(_q(3), k1, v1, layer=0)
+        k2, v2 = _kv(n=2, seed=1)
+        q = _q(2)
+        cache.update_query(q, k2, v2, layer=0)
+        out = cache.attention(q, layer=0)
+        assert out.shape == (4, 2, 8)
+        np.testing.assert_array_equal(
+            out, full_attention(q, cache.keys(0), cache.values(0), causal=True)
+        )
+        # the chunk's last row attends every cached token
+        np.testing.assert_allclose(
+            out[:, 1], full_attention(q[:, 1:], cache.keys(0), cache.values(0), causal=False)[:, 0], atol=1e-6
+        )
 
     def test_layers_are_independent(self):
         cache = DynamicCache()
         k, v = _kv(n=3)
-        cache.update(k, v, layer=0)
-        cache.update(k, v, layer=2)
+        cache.update_query(_q(3), k, v, layer=0)
+        cache.update_query(_q(3), k, v, layer=2)
         assert cache.sequence_length(0) == 3
         assert cache.sequence_length(1) == 0
         assert cache.sequence_length(2) == 3
@@ -92,7 +115,7 @@ class TestDynamicCache:
     def test_nbytes(self):
         cache = DynamicCache()
         k, v = _kv(n=4)
-        cache.update(k, v, layer=0)
+        cache.update_query(_q(4), k, v, layer=0)
         assert cache.nbytes == k.nbytes + v.nbytes
 
 
@@ -140,8 +163,8 @@ class TestSerialization:
     def test_snapshot_from_cache(self):
         cache = DynamicCache()
         k, v = _kv(n=4)
-        cache.update(k, v, layer=0)
-        cache.update(k, v, layer=1)
+        cache.update_query(_q(4), k, v, layer=0)
+        cache.update_query(_q(4), k, v, layer=1)
         snapshot = snapshot_from_cache(list(range(4)), cache)
         assert snapshot.num_layers == 2
         assert snapshot.num_tokens == 4

@@ -143,12 +143,6 @@ class TestTransformerModel:
         np.testing.assert_allclose(l4, full_logits[3], atol=1e-4)
         np.testing.assert_allclose(l5, full_logits[4], atol=1e-4)
 
-    def test_capture_activations(self, tiny_model):
-        _, acts = tiny_model.forward([1, 2, 3], capture_activations=True)
-        assert len(acts) == tiny_model.config.num_layers
-        assert acts[0].queries.shape == (4, 3, tiny_model.config.head_dim)
-        assert acts[0].keys.shape == (2, 3, tiny_model.config.head_dim)
-
     def test_rejects_2d_input(self, tiny_model):
         with pytest.raises(ValueError):
             tiny_model.forward(np.zeros((2, 3), dtype=np.int64))
@@ -165,7 +159,8 @@ class TestTransformerModel:
 
 class TestBatchedDecode:
     def test_matches_per_request_decode(self, tiny_model):
-        """decode_batch row i must equal decode_step on request i's own cache."""
+        """decode_batch row i matches decode_step on request i's own cache
+        (up to the row-count-dependent rounding of the dense matmuls)."""
         prompts = [[1, 2, 3, 4], [5, 6, 7], [8, 9, 10, 11, 12], [1, 2]]
         next_tokens = [20, 21, 22, 23]
         sequential, seq_caches = [], []
@@ -205,6 +200,48 @@ class TestBatchedDecode:
         np.testing.assert_allclose(batched[1], reference, atol=1e-4)
         assert short.sequence_length(0) == 3
         assert long.sequence_length(0) == 9
+
+    def test_ragged_rows_match_each_cache_alone(self, tiny_model):
+        """A prefill chunk, a first prefill and a decode token in one pass:
+        each cache's rows match the same tokens run on it alone."""
+        histories = [[1, 2, 3], [], [4, 5, 6, 7, 8]]
+        new_tokens = [[9, 10, 11, 12], [13, 14], [15]]
+
+        def caches():
+            made = []
+            for history in histories:
+                cache = DynamicCache()
+                if history:
+                    tiny_model.prefill(history, cache)
+                made.append(cache)
+            return made
+
+        solo_caches = caches()
+        solo = [tiny_model.forward(tokens, cache) for tokens, cache in zip(new_tokens, solo_caches)]
+        ragged_caches = caches()
+        logits = tiny_model.forward_rows(
+            sum(new_tokens, []), ragged_caches, [len(tokens) for tokens in new_tokens]
+        )
+        assert logits.shape == (7, tiny_model.config.vocab_size)
+        np.testing.assert_allclose(logits, np.concatenate(solo), atol=1e-4)
+        for ragged, alone in zip(ragged_caches, solo_caches):
+            assert ragged.sequence_length(0) == alone.sequence_length(0)
+            np.testing.assert_allclose(ragged.keys(1), alone.keys(1), atol=1e-5)
+
+    def test_one_cache_is_forward(self, tiny_model):
+        """forward is forward_rows over one cache, bit for bit."""
+        a, b = DynamicCache(), DynamicCache()
+        np.testing.assert_array_equal(
+            tiny_model.forward_rows([5, 6, 7], [a], [3]), tiny_model.forward([5, 6, 7], b)
+        )
+
+    def test_rows_must_split_the_tokens(self, tiny_model):
+        with pytest.raises(ValueError):
+            tiny_model.forward_rows([1, 2, 3], [DynamicCache(), DynamicCache()], [1, 1])
+        with pytest.raises(ValueError):
+            tiny_model.forward_rows([1, 2], [DynamicCache(), DynamicCache()], [2, 0])
+        with pytest.raises(ValueError):
+            tiny_model.forward_rows([1, 2], [DynamicCache()], [1, 1])
 
     def test_empty_batch(self, tiny_model):
         logits = tiny_model.decode_batch([], [])

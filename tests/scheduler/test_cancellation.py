@@ -43,14 +43,14 @@ class FakeBackend:
             request=request, session=None, pending_tokens=list(request.prompt_tokens)
         )
 
-    def prefill_chunk(self, inflight):
-        del inflight.pending_tokens[: self.chunk_tokens]
-        if not inflight.pending_tokens and inflight.request.max_new_tokens > 0:
-            inflight.generated.append(1)
-
-    def decode_batch(self, inflights):
+    def run_round(self, inflights):
         for inflight in inflights:
-            inflight.generated.append(1)
+            if inflight.needs_prefill:
+                del inflight.pending_tokens[: self.chunk_tokens]
+                if not inflight.pending_tokens and inflight.request.max_new_tokens > 0:
+                    inflight.generated.append(1)
+            else:
+                inflight.generated.append(1)
 
     def finish_request(self, inflight):
         self.finished.append(inflight.request.request_id)

@@ -42,8 +42,10 @@ class FakeBackend:
         self.resumed: list[int] = []
         self.fail_request_ids: set[int] = set()
         """Requests whose ``begin_request`` raises (for failure-path tests)."""
+        self.rounds: list[list[int]] = []
+        """Request ids of every ``run_round`` call the scheduler issued."""
         self.batch_sizes: list[int] = []
-        """Size of every ``decode_batch`` call the scheduler issued."""
+        """Decode-ready requests in every round that had any."""
         self.between_steps_calls = 0
 
     def estimate_request_bytes(self, request):
@@ -60,15 +62,18 @@ class FakeBackend:
             request=request, session=None, pending_tokens=list(request.prompt_tokens)
         )
 
-    def prefill_chunk(self, inflight):
-        del inflight.pending_tokens[: self.chunk_tokens]
-        if not inflight.pending_tokens and inflight.request.max_new_tokens > 0:
-            inflight.generated.append(1)
-
-    def decode_batch(self, inflights):
-        self.batch_sizes.append(len(inflights))
+    def run_round(self, inflights):
+        self.rounds.append([inflight.request.request_id for inflight in inflights])
+        decoding = [inflight for inflight in inflights if not inflight.needs_prefill]
+        if decoding:
+            self.batch_sizes.append(len(decoding))
         for inflight in inflights:
-            inflight.generated.append(1)
+            if inflight.needs_prefill:
+                del inflight.pending_tokens[: self.chunk_tokens]
+                if not inflight.pending_tokens and inflight.request.max_new_tokens > 0:
+                    inflight.generated.append(1)
+            else:
+                inflight.generated.append(1)
 
     def finish_request(self, inflight):
         self.finished.append(inflight.request.request_id)
@@ -277,6 +282,23 @@ class TestBatchedDecode:
         scheduler.step()  # 1 and 2 decode as a batch of 2, 3 keeps prefilling
         assert backend.batch_sizes == [2]
         assert scheduler.stats.prefill_chunks == 4
+
+    def test_one_work_call_per_round(self):
+        """Every step hands all in-flight requests — prefilling or decoding —
+        to one backend call."""
+        backend = FakeBackend(chunk_tokens=2)
+        scheduler = RequestScheduler(backend, max_inflight=3)
+        scheduler.submit(_request(1, num_tokens=2, max_new_tokens=4))
+        scheduler.submit(_request(2, num_tokens=2, max_new_tokens=4))
+        scheduler.submit(_request(3, num_tokens=12, max_new_tokens=1))
+        steps = 0
+        while scheduler.has_work:
+            scheduler.step()
+            steps += 1
+        assert len(backend.rounds) == steps == scheduler.stats.steps
+        assert backend.rounds[:2] == [[1, 2, 3], [1, 2, 3]]
+        assert scheduler.stats.prefill_chunks == 1 + 1 + 6
+        assert scheduler.stats.decode_steps == 3 + 3
 
 
 class TestZeroTokenRequests:
