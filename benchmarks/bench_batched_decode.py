@@ -29,7 +29,7 @@ from repro.analysis.reporting import format_table
 from repro.core.config import AlayaDBConfig
 from repro.core.service import InferenceService
 from repro.llm.model import ModelConfig, TransformerModel
-from repro.simulator.slo import BATCH_SLO, SLO
+from repro.scheduler import BATCH_SLO, SLO
 
 EXPERIMENT = "Batched decode (continuous batching + preemption)"
 

@@ -23,9 +23,9 @@ from repro.baselines import (
 )
 from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.query.types import beta_from_alpha
+from repro.scheduler import SLO
 from repro.simulator.cost_model import CostModel
 from repro.simulator.device import GIB
-from repro.simulator.slo import SLO
 from repro.workloads.evaluation import evaluate_strategy
 from repro.workloads.generator import generate_workload
 from repro.workloads.infinite_bench import infinite_bench_task

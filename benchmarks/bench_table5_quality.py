@@ -32,8 +32,8 @@ from repro.baselines import (
 from repro.baselines.base import SelectionOutcome, SelectionStrategy
 from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.query.types import beta_from_alpha
+from repro.scheduler import SLO
 from repro.simulator.cost_model import CostModel
-from repro.simulator.slo import SLO
 from repro.workloads.evaluation import evaluate_strategy
 from repro.workloads.infinite_bench import infinite_bench_names, infinite_bench_task
 from repro.workloads.generator import generate_workload

@@ -16,8 +16,8 @@ package re-exports the pieces most applications need:
 * :mod:`repro.baselines` — the systems AlayaDB is compared with,
 * :mod:`repro.workloads` — synthetic ∞-Bench / LongBench-style tasks.
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See ARCHITECTURE.md for the module → paper-component map and the full
+serving stack.
 """
 
 from .core.config import AlayaDBConfig

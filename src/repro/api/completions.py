@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.handles import RequestHandle
     from ..core.service import InferenceService
-    from ..simulator.slo import SLO
+    from ..scheduler.slo import SLO
 
 __all__ = ["CompletionUsage", "CompletionChoice", "Completion", "CompletionChunk", "Completions"]
 

@@ -6,9 +6,8 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 from ..index.builder import IndexBuildConfig
+from ..scheduler.slo import SLO
 from ..scheduler.tenancy import TenantSpec
-from ..simulator.device import GIB
-from ..simulator.slo import SLO
 
 __all__ = ["AlayaDBConfig"]
 
@@ -43,7 +42,7 @@ class AlayaDBConfig:
     # optimizer thresholds (Figure 8)
     short_context_threshold: int = 1024
     """Contexts at or below this length are served with full attention."""
-    gpu_memory_budget_bytes: int = 16 * GIB
+    gpu_memory_budget_bytes: int = 16 << 30
     """Budget available for cached KV blocks; "high" budgets route to the
     coarse index, "low" budgets to DIPR."""
     flat_index_layers: tuple[int, ...] = (0,)

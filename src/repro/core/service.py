@@ -52,19 +52,19 @@ from ..scheduler import (
     InFlightRequest,
     Request,
     RequestScheduler,
+    SLO,
+    SLOReport,
     TenantGovernor,
     TenantSpec,
     make_policy,
 )
-from ..simulator.cost_model import CostModel
-from ..simulator.slo import SLO, SLOReport, SLOTracker
+from ..scheduler.slo import percentiles
 from ..storage.backend import StorageBackend
 from .config import AlayaDBConfig
 from .context_store import ContextStore
 from .db import DB
 from .decode_round import CrossRequestDecodeRound, DynamicAttentionPolicy, StageTimings
 from .handles import ChatSession, RequestHandle
-from .session import Session
 
 __all__ = ["RequestRecord", "ServiceStats", "InferenceService"]
 
@@ -81,8 +81,10 @@ class RequestRecord:
     """Wall-clock first-token latency: admission → first sampled token,
     including time parked between interleaved prefill chunks."""
     tpot_seconds: float
-    modeled_tpot_seconds: float
     gpu_resident_bytes: int
+    slo_attained: bool
+    """The request's own SLO (else the service default) held for its
+    measured client-seen TTFT and TPOT (see :meth:`SLO.attained`)."""
     prefill_compute_seconds: float = 0.0
     """Prefill compute only (the old TTFT figure); excludes parked time."""
     queue_seconds: float = 0.0
@@ -92,6 +94,11 @@ class RequestRecord:
     @property
     def reuse_ratio(self) -> float:
         return self.reused_tokens / max(self.prompt_tokens, 1)
+
+    @property
+    def client_ttft_seconds(self) -> float:
+        """First-token latency as the client saw it: queue wait + TTFT."""
+        return self.queue_seconds + self.ttft_seconds
 
 
 @dataclass
@@ -128,12 +135,6 @@ class ServiceStats:
     @property
     def peak_gpu_resident_bytes(self) -> int:
         return max((r.gpu_resident_bytes for r in self.records), default=0)
-
-    @property
-    def mean_modeled_tpot(self) -> float:
-        if not self.records:
-            return 0.0
-        return float(np.mean([r.modeled_tpot_seconds for r in self.records]))
 
     @property
     def total_generated_tokens(self) -> int:
@@ -208,7 +209,6 @@ class InferenceService:
         self,
         model: TransformerModel,
         config: AlayaDBConfig | None = None,
-        cost_model: CostModel | None = None,
         store_conversations: bool = False,
         storage_dir=None,
         backend: StorageBackend | None = None,
@@ -220,7 +220,6 @@ class InferenceService:
             self.config, storage_dir=storage_dir, backend=backend, shard_catalog=shard_catalog
         )
         self.loop = GenerationLoop(model)
-        self.cost_model = cost_model or CostModel()
         self.store_conversations = store_conversations
         self.decode_timings = StageTimings()
         """Per-stage decode wall time (retrieval / merge / dense) across all
@@ -242,7 +241,6 @@ class InferenceService:
             store=self.db.store_registry,
             tenants=self.tenants,
         )
-        self.slo_tracker = SLOTracker(self.config.slo)
         self.scheduler = RequestScheduler(
             backend=self,
             policy=make_policy(self.config.scheduler_policy),
@@ -579,10 +577,7 @@ class InferenceService:
             decode_seconds=inflight.decode_seconds,
             finished_by_eos=inflight.finished_by_eos,
         )
-        record = self._record(request.request_id, request.prompt_tokens, inflight.session, result)
-        record.prefill_compute_seconds = inflight.prefill_seconds
-        record.queue_seconds = inflight.queue_seconds
-        record.preemptions = inflight.preemptions
+        record = self._record(inflight, result)
         if request.store_context_id is not None:
             stored = self._store_session_context(inflight, request.store_context_id)
             record.stored_context_id = stored.context_id
@@ -676,42 +671,37 @@ class InferenceService:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def _record(
-        self,
-        request_id: int,
-        prompt_tokens: list[int],
-        session: Session,
-        result: GenerationResult,
-    ) -> RequestRecord:
-        stats = session.last_decode_stats
-        per_head_distance = stats.num_distance_computations / max(stats.num_heads, 1)
-        modeled_tpot = self.cost_model.sparse_decode_seconds(
-            num_selected_tokens=int(stats.mean_selected_per_head) + stats.num_window_tokens // max(stats.num_heads, 1),
-            num_distance_computations=int(per_head_distance),
-        )
-        self.slo_tracker.record(tpot_seconds=modeled_tpot, ttft_seconds=result.ttft_seconds)
+    def _record(self, inflight: InFlightRequest, result: GenerationResult) -> RequestRecord:
+        """The finished request's row, judged once against its own SLO (or
+        ``config.slo``) on what was measured."""
+        request, session = inflight.request, inflight.session
+        slo = request.slo or self.config.slo
         return RequestRecord(
-            request_id=request_id,
-            prompt_tokens=len(prompt_tokens),
+            request_id=request.request_id,
+            prompt_tokens=len(request.prompt_tokens),
             reused_tokens=session.reused_prefix_length,
             generated_tokens=result.num_generated,
             ttft_seconds=result.ttft_seconds,
             tpot_seconds=result.tpot_seconds,
-            modeled_tpot_seconds=modeled_tpot,
             gpu_resident_bytes=session.gpu_memory_bytes(),
+            slo_attained=slo.attained(inflight.queue_seconds + result.ttft_seconds, result.tpot_seconds),
+            prefill_compute_seconds=inflight.prefill_seconds,
+            queue_seconds=inflight.queue_seconds,
+            preemptions=inflight.preemptions,
         )
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def slo_report(self) -> SLOReport:
-        """Aggregate SLO compliance of every served request."""
-        return self.slo_tracker.report()
-
-    def require_slo(self) -> None:
-        """Raise when the aggregate modelled TPOT misses the configured SLO."""
-        report = self.slo_report()
-        self.config.slo.require_tpot(report.tpot_mean, context="(service aggregate)")
+        """SLO attainment and measured latency percentiles of every served request."""
+        records = self.stats.records
+        return SLOReport(
+            num_requests=len(records),
+            attained=sum(r.slo_attained for r in records),
+            ttft_seconds=percentiles([r.client_ttft_seconds for r in records]),
+            tpot_seconds=percentiles([r.tpot_seconds for r in records]),
+        )
 
     def memory_report(self, per_context: bool = False) -> dict:
         """Residency, disk-tier and admission accounting across the serving stack.

@@ -2,8 +2,8 @@
 
 All library errors derive from :class:`ReproError` so callers can catch a
 single base class.  Sub-classes are grouped by subsystem (database interface,
-query processing, index, storage, simulator) mirroring the components in
-DESIGN.md.
+query processing, index, storage, simulator) mirroring the layer map in
+ARCHITECTURE.md.
 """
 
 from __future__ import annotations
@@ -119,7 +119,3 @@ class SimulatorError(ReproError):
 
 class OutOfDeviceMemoryError(SimulatorError):
     """An allocation exceeded the simulated device memory capacity."""
-
-
-class SLOViolationError(SimulatorError):
-    """Raised when an operation is required to meet an SLO but does not."""

@@ -1,19 +1,18 @@
 """Context index construction (Section 7.2 of the paper).
 
 ``ContextIndexBuilder`` turns the KV cache of a long context into the set of
-fine-grained RoarGraph indexes AlayaDB searches at decode time.  It implements
-the paper's two construction optimizations:
+fine-grained RoarGraph indexes AlayaDB searches at decode time, with the
+paper's **GQA-based index sharing**: with grouped-query attention, the query
+heads in one group all attend to the same KV head, so one RoarGraph per *KV
+head* (built from query vectors sampled across the whole group) replaces one
+RoarGraph per *query head*, reducing both build time and index memory by
+``num_query_heads / num_kv_heads`` (4x for Llama-3-8B).
 
-* **GQA-based index sharing** — with grouped-query attention, the query heads
-  in one group all attend to the same KV head, so one RoarGraph per *KV head*
-  (built from query vectors sampled across the whole group) replaces one
-  RoarGraph per *query head*, reducing both build time and index memory by
-  ``num_query_heads / num_kv_heads`` (4x for Llama-3-8B).
-* **GPU-accelerated kNN construction** — the q→k kNN stage is offloaded to a
-  simulated GPU (cuVS in the paper) and overlapped layer-by-layer with the
-  CPU→GPU transfer.  The builder reports both the *measured* wall-clock time
-  of the Python build and the *modelled* time from the cost model, which is
-  what the Figure 11 benchmark plots.
+The paper's other construction optimization, the GPU (cuVS) kNN stage, is
+not executed here: the kNN stage runs on the CPU
+(:mod:`repro.index.knn_graph`), and a :class:`BuildReport` carries only what
+was measured — wall-clock time and index memory.  The Figure 11 benchmark
+prices the GPU speedup at paper scale on its own.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..simulator.cost_model import CostModel
 from .roargraph import RoarGraphConfig, RoarGraphIndex
 
 __all__ = ["IndexBuildConfig", "BuildReport", "LayerIndexes", "ContextIndexBuilder"]
@@ -33,9 +31,6 @@ __all__ = ["IndexBuildConfig", "BuildReport", "LayerIndexes", "ContextIndexBuild
 class IndexBuildConfig:
     """Options controlling index construction."""
 
-    backend: str = "cpu"
-    """Where the kNN stage runs: ``"cpu"`` or ``"gpu"`` (simulated cuVS)."""
-
     gqa_share: bool = True
     """Share one index per KV-head group instead of one per query head."""
 
@@ -43,15 +38,10 @@ class IndexBuildConfig:
     """Fraction of query vectors (relative to the number of keys) sampled for
     the bipartite stage — the paper uses 40%."""
 
-    pipeline_overlap: bool = True
-    """Overlap CPU→GPU transfer with per-layer computation (GPU backend)."""
-
     roargraph: RoarGraphConfig = field(default_factory=RoarGraphConfig)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.backend not in ("cpu", "gpu"):
-            raise ValueError(f"backend must be 'cpu' or 'gpu', got {self.backend!r}")
         if not 0.0 < self.query_sample_ratio <= 1.0:
             raise ValueError(f"query_sample_ratio must be in (0, 1], got {self.query_sample_ratio}")
 
@@ -63,10 +53,8 @@ class BuildReport:
     num_indexes: int
     num_keys: int
     num_query_samples: int
-    backend: str
     gqa_share: bool
     wall_clock_seconds: float
-    modeled_seconds: float
     index_memory_bytes: int
 
 
@@ -101,9 +89,8 @@ class LayerIndexes:
 class ContextIndexBuilder:
     """Builds fine-grained indexes over the key vectors of a context."""
 
-    def __init__(self, config: IndexBuildConfig | None = None, cost_model: CostModel | None = None):
+    def __init__(self, config: IndexBuildConfig | None = None):
         self.config = config or IndexBuildConfig()
-        self.cost_model = cost_model or CostModel()
 
     # ------------------------------------------------------------------
     # sampling
@@ -169,23 +156,13 @@ class ContextIndexBuilder:
                 indexes.append(index)
         wall_clock = time.perf_counter() - start
 
-        num_indexes = len(indexes)
-        modeled = self.cost_model.index_build_seconds(
-            num_keys=num_keys,
-            num_queries=max(1, total_query_samples // num_indexes),
-            num_indexes=num_indexes,
-            on_gpu=self.config.backend == "gpu",
-            pipeline_overlap=self.config.pipeline_overlap,
-        )
         layer_indexes = LayerIndexes(layer=layer, indexes=indexes, shared=self.config.gqa_share, gqa_group_size=group_size)
         report = BuildReport(
-            num_indexes=num_indexes,
+            num_indexes=len(indexes),
             num_keys=num_keys,
             num_query_samples=total_query_samples,
-            backend=self.config.backend,
             gqa_share=self.config.gqa_share,
             wall_clock_seconds=wall_clock,
-            modeled_seconds=modeled,
             index_memory_bytes=layer_indexes.memory_bytes,
         )
         return layer_indexes, report
@@ -208,10 +185,8 @@ class ContextIndexBuilder:
             num_indexes=sum(r.num_indexes for r in reports),
             num_keys=reports[0].num_keys if reports else 0,
             num_query_samples=sum(r.num_query_samples for r in reports),
-            backend=self.config.backend,
             gqa_share=self.config.gqa_share,
             wall_clock_seconds=sum(r.wall_clock_seconds for r in reports),
-            modeled_seconds=sum(r.modeled_seconds for r in reports),
             index_memory_bytes=sum(r.index_memory_bytes for r in reports),
         )
         return layer_indexes, aggregate

@@ -3,8 +3,9 @@
 RoarGraph construction (Section 7.2 of the paper) starts from a
 query-to-key exact kNN graph.  The paper accelerates this stage with NVIDIA
 cuVS on GPU; here the exact construction is a blocked matrix multiplication
-and an approximate NN-descent variant is provided for large inputs.  The
-device simulator models the GPU speedup on top of either routine.
+and an approximate NN-descent variant is provided for large inputs.  Both
+run on the CPU; the GPU speedup appears only in the Figure 11 benchmark's
+paper-scale cost-model table.
 """
 
 from __future__ import annotations

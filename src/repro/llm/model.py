@@ -1,7 +1,7 @@
 """A from-scratch NumPy decoder-only transformer with GQA.
 
 This is the substrate that replaces Llama-3-8B-Instruct-262k in the paper's
-experiments (see DESIGN.md, substitution table).  Architecturally it mirrors
+experiments (see ARCHITECTURE.md, layer map).  Architecturally it mirrors
 Llama: RMSNorm → GQA self-attention with RoPE → RMSNorm → SwiGLU, residual
 connections around both, tied to a byte-level vocabulary.  Weights are drawn
 from a seeded RNG so runs are deterministic.

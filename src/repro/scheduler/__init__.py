@@ -4,7 +4,7 @@ The scheduler turns the one-request-at-a-time serving loop into a
 step-driven, memory-governed pipeline:
 
 * :class:`~repro.scheduler.request.Request` — a queued generation request
-  with priority and (optional) SLO class;
+  with priority and (optional) :class:`~repro.scheduler.slo.SLO` class;
 * :class:`~repro.scheduler.policy.SchedulerPolicy` — the admission order
   (FCFS or SLO-aware least-slack-first);
 * :class:`~repro.scheduler.admission.AdmissionController` — global
@@ -28,14 +28,18 @@ from .admission import AdmissionController, AdmissionDecision, AdmissionStats
 from .policy import FCFSPolicy, SchedulerPolicy, SLOAwarePolicy, make_policy
 from .request import InFlightRequest, Request, RequestState
 from .scheduler import RequestScheduler, SchedulerBackend, SchedulerStats
+from .slo import BATCH_SLO, HUMAN_READING_TPOT, INTERACTIVE_SLO, SLO, SLOReport
 from .tenancy import DEFAULT_TENANT, TenantGovernor, TenantSpec, TenantStats
 
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionStats",
+    "BATCH_SLO",
     "DEFAULT_TENANT",
     "FCFSPolicy",
+    "HUMAN_READING_TPOT",
+    "INTERACTIVE_SLO",
     "InFlightRequest",
     "Request",
     "RequestScheduler",
@@ -43,7 +47,9 @@ __all__ = [
     "SchedulerBackend",
     "SchedulerPolicy",
     "SchedulerStats",
+    "SLO",
     "SLOAwarePolicy",
+    "SLOReport",
     "TenantGovernor",
     "TenantSpec",
     "TenantStats",

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..simulator.slo import SLO
+from .slo import SLO
 
 __all__ = ["RequestState", "Request", "InFlightRequest"]
 

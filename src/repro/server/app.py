@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 from ..core.service import InferenceService
 from ..errors import TenantThrottledError, UnknownTenantError
 from ..scheduler.request import RequestState
-from ..simulator.slo import SLO
+from ..scheduler.slo import SLO
 from .http import (
     HttpError,
     HttpRequest,

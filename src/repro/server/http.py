@@ -108,11 +108,13 @@ async def read_request(
 ) -> HttpRequest | None:
     """Parse one request off the stream; ``None`` on clean EOF (no bytes).
 
-    Raises :class:`HttpError` for malformed framing (any
-    ``Transfer-Encoding``, more than one ``Content-Length``, or one that is
-    not plain ASCII digits), missing ``Content-Length`` on a body-bearing
-    method, or a body beyond ``max_body_bytes`` (413 — the body is not read
-    in that case, so the connection must close afterwards).
+    Raises :class:`HttpError` for an unparseable request line or target,
+    malformed framing (any ``Transfer-Encoding``, more than one
+    ``Content-Length``, or one that is not plain ASCII digits), missing
+    ``Content-Length`` on a body-bearing method, or a body beyond
+    ``max_body_bytes`` (413 — the body is not read in that case, so the
+    connection must close afterwards).  A body cut short by EOF raises
+    :class:`asyncio.IncompleteReadError`.
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -146,7 +148,10 @@ async def read_request(
         headers[name] = value.strip()
     if "transfer-encoding" in headers:
         raise HttpError(400, "malformed_request", "Transfer-Encoding is not supported; send Content-Length")
-    parts = urlsplit(target)
+    try:
+        parts = urlsplit(target)
+    except ValueError:  # e.g. an unbalanced or invalid bracketed host
+        raise HttpError(400, "malformed_request", f"unparseable request target {target!r}")
     query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
     body = b""
     if "content-length" in headers:

@@ -1,22 +1,15 @@
-"""Device, cost and SLO simulation (experimental-setup substrate)."""
+"""Device and cost simulation (the paper-figure layer's experimental substrate)."""
 
 from .cost_model import CostModel, ModelShape
 from .device import Allocation, Device, DeviceKind, DeviceSet, DeviceSpec, GIB
-from .slo import BATCH_SLO, HUMAN_READING_TPOT, INTERACTIVE_SLO, SLO, SLOReport, SLOTracker
 
 __all__ = [
     "Allocation",
-    "BATCH_SLO",
     "CostModel",
     "Device",
     "DeviceKind",
     "DeviceSet",
     "DeviceSpec",
     "GIB",
-    "HUMAN_READING_TPOT",
-    "INTERACTIVE_SLO",
     "ModelShape",
-    "SLO",
-    "SLOReport",
-    "SLOTracker",
 ]

@@ -55,8 +55,8 @@ from ..baselines.diprs import DIPRSStrategy
 from ..baselines.full_attention import FullAttentionStrategy
 from ..errors import TenantThrottledError
 from ..query.types import beta_from_alpha
-from ..scheduler import TenantSpec
-from ..simulator.slo import BATCH_SLO, INTERACTIVE_SLO, SLO
+from ..scheduler import BATCH_SLO, INTERACTIVE_SLO, SLO, TenantSpec
+from ..scheduler.slo import percentiles
 from .evaluation import evaluate_strategy
 from .generator import generate_workload
 from .infinite_bench import INFINITE_BENCH_TASKS
@@ -505,17 +505,6 @@ def generate_replay_trace(spec: WorkloadEngineSpec | None = None) -> ReplayTrace
 # ----------------------------------------------------------------------
 # the replay report
 # ----------------------------------------------------------------------
-def _percentiles(values: list[float]) -> dict[str, float]:
-    if not values:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    arr = np.asarray(values, dtype=np.float64)
-    return {
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-    }
-
-
 @dataclass
 class ReplayReport:
     """Aggregated outcome of replaying one trace at one entry point."""
@@ -585,11 +574,6 @@ class ReplayReport:
         }
 
 
-def _slo_outcome(event: ReplayEvent, ttft: float, tpot: float) -> bool:
-    slo = event.slo
-    return slo.check_ttft(ttft) and (tpot == 0.0 or slo.check_tpot(tpot))
-
-
 def _ingest_documents(service, trace: ReplayTrace) -> float:
     start = time.perf_counter()
     for document_id, text in trace.documents.items():
@@ -638,12 +622,10 @@ def _build_service_report(
             continue  # cancelled / failed / rejected: no finished record
         event = events_by_id[event_id]
         completed += 1
-        ttft = record.queue_seconds + record.ttft_seconds
-        ttfts.append(ttft)
+        ttfts.append(record.client_ttft_seconds)
         tpots.append(record.tpot_seconds)
         slo_checked += 1
-        if _slo_outcome(event, ttft, record.tpot_seconds):
-            slo_attained += 1
+        slo_attained += record.slo_attained
         generated += record.generated_tokens
         prompt_tokens += record.prompt_tokens
         reused_tokens += record.reused_tokens
@@ -670,8 +652,8 @@ def _build_service_report(
         prompt_tokens=prompt_tokens,
         reused_tokens=reused_tokens,
         reuse_hit_requests=reuse_hits,
-        ttft_seconds=_percentiles(ttfts),
-        tpot_seconds=_percentiles(tpots),
+        ttft_seconds=percentiles(ttfts),
+        tpot_seconds=percentiles(tpots),
         slo_attained=slo_attained,
         slo_checked=slo_checked,
         preemptions=service.scheduler.stats.preemptions,

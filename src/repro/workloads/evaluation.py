@@ -20,7 +20,7 @@ import numpy as np
 
 from ..baselines.base import SelectionStrategy
 from ..simulator.cost_model import CostModel
-from ..simulator.slo import SLO
+from ..scheduler.slo import SLO
 from .generator import ScoringMode, SyntheticWorkload
 from .scoring import needle_hit, recovery_ratio
 

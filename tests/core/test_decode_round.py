@@ -3,13 +3,16 @@
 What a request generates must not depend on who else is in its decode round:
 every grid point here serves the same requests N at a time and one at a time
 (``max_inflight_requests=1``, every round a group of one) and requires
-token-identical generations plus identical per-request modeled stats.  The
+token-identical generations plus identical per-request integer
+``DecodeStepStats`` totals.  The
 ALISA-style dense/sparse policy is a pure transition function, so its
 hysteresis/dwell/monotonicity guarantees are checked property-style with
 hypothesis.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,8 +30,8 @@ from repro.core.decode_round import (
 from repro.core.service import InferenceService
 from repro.core.session import Session
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.scheduler import BATCH_SLO, SLO
 from repro.sharding import ShardedContextRouter, ShardedSession
-from repro.simulator.slo import BATCH_SLO, SLO
 
 DOC = [2 + (i % 250) for i in range(158)]
 
@@ -64,7 +67,22 @@ def _service(model, mix: str, **overrides) -> InferenceService:
     return service
 
 
-def _drain_outputs(service: InferenceService, prompts, max_new) -> dict[int, list[int]]:
+def _drain_outputs(service: InferenceService, prompts, max_new) -> dict[int, tuple]:
+    """Each request's tokens plus its session's decode-step count and
+    summed/last-step ``DecodeStepStats``, captured as the request finishes."""
+    work = {}
+    finish = service.finish_request
+
+    def capture(inflight):
+        session = inflight.session
+        work[inflight.request.request_id] = (
+            session.num_decode_steps,
+            asdict(session.total_decode_stats),
+            asdict(session.last_decode_stats),
+        )
+        finish(inflight)
+
+    service.finish_request = capture
     handles = [
         service.submit(p, max_new_tokens=m) for p, m in zip(prompts, max_new)
     ]
@@ -75,7 +93,7 @@ def _drain_outputs(service: InferenceService, prompts, max_new) -> dict[int, lis
         outputs[handle.request_id] = (
             result.generated_tokens,
             record.generated_tokens,
-            round(record.modeled_tpot_seconds, 12),
+            work[handle.request_id],
         )
     return outputs
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import time
+
+import numpy as np
 import pytest
 
 from repro.core.config import AlayaDBConfig
 from repro.core.service import InferenceService
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.scheduler import SLO
 from repro.workloads.trace import RequestTrace, TraceSpec, generate_trace
 
 
@@ -79,17 +83,20 @@ class TestInferenceService:
 
     def test_slo_report(self, service):
         report = service.slo_report()
+        records = service.stats.records
         assert report.num_requests == service.stats.num_requests
-        assert report.tpot_mean >= 0.0
+        assert report.attained == sum(r.slo_attained for r in records)
+        assert report.tpot_seconds["p50"] == pytest.approx(
+            float(np.median([r.tpot_seconds for r in records]))
+        )
+        assert report.ttft_seconds["p99"] <= max(r.client_ttft_seconds for r in records)
 
-    def test_full_attention_requests_are_priced_and_counted(self):
+    def test_full_attention_requests_are_counted(self):
         """Regression: full-attention decode steps recorded no ``DecodeStepStats``, so such a
-        request was priced at the zero-token (MLP-only) cost — meeting any TPOT SLO — and its
-        session counted no decode steps."""
+        request's session counted no decode steps."""
         model = TransformerModel(ModelConfig.tiny(seed=41))
         svc = InferenceService(model, AlayaDBConfig(short_context_threshold=4096))
-        floor = svc.cost_model.sparse_decode_seconds(num_selected_tokens=0, num_distance_computations=0)
-        modeled = []
+        selected = []
         for repeats in (7, 14):  # ~300 and ~600 byte-level tokens, both planned full attention
             document = "shared reference document about databases. " * repeats
             svc.ingest(document, context_id=f"doc-{repeats}")
@@ -101,8 +108,9 @@ class TestInferenceService:
             assert record.reused_tokens >= 300 * (repeats // 7)
             assert session.num_decode_steps == record.generated_tokens - 1 == 3
             assert session.last_decode_stats.num_distance_computations == 0
-            modeled.append(record.modeled_tpot_seconds)
-        assert floor < modeled[0] < modeled[1]
+            selected.append(session.last_decode_stats.num_selected_tokens)
+        # full attention attends every stored token: a longer context selects more
+        assert 0 < selected[0] < selected[1]
 
     def test_store_conversations_option(self):
         model = TransformerModel(ModelConfig.tiny(seed=43))
@@ -139,3 +147,54 @@ class TestInferenceService:
             if request.uses_library_document
         ]
         assert all(record.reused_tokens > 0 for record in library_records)
+
+
+class TestMeasuredSLO:
+    """Each finished request is judged once, on its measured latencies,
+    against its own SLO (or ``config.slo`` when it has none)."""
+
+    PROMPT = "a question about stored databases " * 4
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return TransformerModel(ModelConfig.tiny(seed=41))
+
+    def test_own_slo_that_cannot_be_met_is_not_attained(self, model):
+        svc = InferenceService(model, AlayaDBConfig())
+        tight = svc.submit(self.PROMPT, max_new_tokens=3, slo=SLO(tpot_seconds=1e-9, ttft_seconds=1e-9))
+        loose = svc.submit(self.PROMPT, max_new_tokens=3, slo=SLO(tpot_seconds=60.0, ttft_seconds=60.0))
+        svc.drain()
+        assert not svc.result(tight)[1].slo_attained
+        assert svc.result(loose)[1].slo_attained
+        report = svc.slo_report()
+        assert (report.num_requests, report.attained, report.attainment) == (2, 1, 0.5)
+
+    def test_request_without_slo_is_judged_against_config(self, model):
+        svc = InferenceService(model, AlayaDBConfig(slo=SLO(tpot_seconds=1e-9)))
+        default = svc.submit(self.PROMPT, max_new_tokens=3)
+        own = svc.submit(self.PROMPT, max_new_tokens=3, slo=SLO(tpot_seconds=60.0))
+        svc.drain()
+        assert not svc.result(default)[1].slo_attained
+        assert svc.result(own)[1].slo_attained
+
+    def test_one_token_request_is_judged_on_ttft_only(self, model):
+        svc = InferenceService(model, AlayaDBConfig(slo=SLO(tpot_seconds=1e-9, ttft_seconds=60.0)))
+        _, record = svc.submit(self.PROMPT, max_new_tokens=1).result()
+        assert record.tpot_seconds == 0.0
+        assert record.slo_attained
+
+    def test_ttft_includes_queue_wait(self, model):
+        """The queued request's own first-token latency is well inside its
+        TTFT limit; only its wait for the single slot exceeds it."""
+        limit = 0.2
+        svc = InferenceService(model, AlayaDBConfig(max_inflight_requests=1))
+        first = svc.submit(self.PROMPT, max_new_tokens=4)
+        second = svc.submit("queued behind the first", max_new_tokens=1, slo=SLO(ttft_seconds=limit))
+        while not first.is_done:
+            svc.step()
+            time.sleep(0.1)  # every step of the first request lengthens the second's queue wait
+        _, record = second.result()
+        assert record.ttft_seconds < limit < record.queue_seconds
+        assert record.client_ttft_seconds == record.queue_seconds + record.ttft_seconds
+        assert not record.slo_attained
+        assert svc.slo_report().ttft_seconds["p99"] > limit

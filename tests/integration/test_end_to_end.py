@@ -25,8 +25,8 @@ from repro.llm.attention import decode_attention
 from repro.llm.generation import GenerationLoop
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.query.types import beta_from_alpha
+from repro.scheduler import SLO
 from repro.simulator.cost_model import CostModel
-from repro.simulator.slo import SLO
 from repro.workloads.evaluation import evaluate_strategy
 from repro.workloads.generator import WorkloadSpec, generate_workload
 from repro.workloads.infinite_bench import infinite_bench_task

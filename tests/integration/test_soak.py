@@ -34,9 +34,9 @@ from repro.errors import (
     RequestFailedError,
 )
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.scheduler import SLO
 from repro.scheduler.request import RequestState
 from repro.server.app import check_drained
-from repro.simulator.slo import SLO
 
 pytestmark = pytest.mark.slow
 

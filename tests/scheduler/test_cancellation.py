@@ -11,6 +11,8 @@ from repro.core.service import InferenceService
 from repro.errors import RequestCancelledError
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.scheduler import (
+    BATCH_SLO,
+    SLO,
     AdmissionController,
     InFlightRequest,
     Request,
@@ -18,7 +20,6 @@ from repro.scheduler import (
     RequestState,
     SLOAwarePolicy,
 )
-from repro.simulator.slo import BATCH_SLO, SLO
 
 
 class FakeBackend:

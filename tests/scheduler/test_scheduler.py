@@ -11,6 +11,9 @@ from repro.core.service import InferenceService
 from repro.errors import AdmissionRejectedError
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.scheduler import (
+    BATCH_SLO,
+    INTERACTIVE_SLO,
+    SLO,
     AdmissionController,
     AdmissionDecision,
     FCFSPolicy,
@@ -21,7 +24,6 @@ from repro.scheduler import (
     SLOAwarePolicy,
     make_policy,
 )
-from repro.simulator.slo import BATCH_SLO, INTERACTIVE_SLO, SLO
 
 
 class FakeBackend:

@@ -11,8 +11,7 @@ from repro.core.service import InferenceService
 from repro.errors import ConfigError, RequestFailedError
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.llm.tokenizer import ByteTokenizer, SpecialTokens
-from repro.scheduler import RequestState
-from repro.simulator.slo import BATCH_SLO, SLO
+from repro.scheduler import BATCH_SLO, SLO, RequestState
 
 SPARSE_CONFIG = dict(
     window_initial_tokens=8,

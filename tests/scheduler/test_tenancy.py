@@ -16,6 +16,7 @@ from repro.errors import ConfigError, TenantThrottledError, UnknownTenantError
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.scheduler import (
     DEFAULT_TENANT,
+    SLO,
     AdmissionController,
     FCFSPolicy,
     Request,
@@ -25,7 +26,6 @@ from repro.scheduler import (
     TenantGovernor,
     TenantSpec,
 )
-from repro.simulator.slo import SLO
 
 from test_scheduler import FakeBackend
 

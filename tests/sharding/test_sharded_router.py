@@ -13,10 +13,9 @@ from repro.core.config import AlayaDBConfig
 from repro.core.service import InferenceService
 from repro.errors import AdmissionRejectedError, ContextNotFoundError
 from repro.llm.model import ModelConfig, TransformerModel
-from repro.scheduler import RequestState
+from repro.scheduler import BATCH_SLO, SLO, RequestState
 from repro.server import AlayaDBServer, ServerClient, check_drained
 from repro.sharding import ShardedContextRouter, ShardedSession, WorkerGroup
-from repro.simulator.slo import BATCH_SLO, SLO
 from repro.storage.backend import InMemoryBackend
 
 DOC = "the quick brown fox jumps over the lazy dog. " * 6

@@ -1,14 +1,13 @@
-"""Tests of the device simulator, cost model and SLO tracking."""
+"""Tests of the device simulator and cost model."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import OutOfDeviceMemoryError, SLOViolationError
+from repro.errors import OutOfDeviceMemoryError
 from repro.simulator.cost_model import CostModel, ModelShape
 from repro.simulator.device import Device, DeviceSet, DeviceSpec, GIB
-from repro.simulator.slo import HUMAN_READING_TPOT, SLO, SLOTracker
 
 
 class TestDevice:
@@ -101,38 +100,3 @@ class TestCostModel:
         cost = CostModel()
         assert cost.disk_read_seconds(4096, use_spdk=True) < cost.disk_read_seconds(4096, use_spdk=False)
 
-
-class TestSLO:
-    def test_default_slo_is_human_reading_speed(self):
-        assert SLO().tpot_seconds == HUMAN_READING_TPOT
-
-    def test_check_and_require(self):
-        slo = SLO(tpot_seconds=0.24)
-        assert slo.check_tpot(0.2)
-        assert not slo.check_tpot(0.3)
-        with pytest.raises(SLOViolationError):
-            slo.require_tpot(0.3)
-
-    def test_ttft_optional(self):
-        assert SLO().check_ttft(100.0)
-        assert not SLO(ttft_seconds=1.0).check_ttft(2.0)
-
-    def test_tracker_report(self):
-        tracker = SLOTracker(SLO(tpot_seconds=0.24))
-        for value in (0.1, 0.2, 0.15):
-            tracker.record(tpot_seconds=value, ttft_seconds=1.0)
-        report = tracker.report()
-        assert report.num_requests == 3
-        assert report.meets_tpot
-        assert report.tpot_mean == pytest.approx(0.15)
-
-    def test_tracker_detects_violation(self):
-        tracker = SLOTracker(SLO(tpot_seconds=0.24))
-        tracker.record(tpot_seconds=1.0)
-        assert not tracker.report().meets_tpot
-
-    def test_tracker_reset(self):
-        tracker = SLOTracker()
-        tracker.record(tpot_seconds=0.1)
-        tracker.reset()
-        assert tracker.num_samples == 0

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.config import AlayaDBConfig
 from repro.core.service import InferenceService
+from repro.scheduler import SLO
+from repro.workloads import engine
 from repro.workloads.engine import (
     TenantMixSpec,
     WorkloadEngineSpec,
@@ -241,6 +244,24 @@ class TestSchedulerReplay:
         assert 0.0 <= report.slo_attainment <= 1.0
         assert report.ttft_seconds["p50"] <= report.ttft_seconds["p99"]
         json.dumps(report.to_dict())
+
+    def test_service_slo_report_equals_replay_report(self, tiny_model, monkeypatch):
+        """One verdict per request: the service's SLO report and the replay
+        report read the same records.  Every other event carries an SLO no
+        request can meet, so attainment lands strictly between 0 and 1."""
+        monkeypatch.setitem(engine._SLO_CLASSES, "tight", SLO(tpot_seconds=1e-9, ttft_seconds=1e-9))
+        trace = generate_replay_trace(small_spec())
+        trace.events = [
+            replace(event, slo_class="tight") if event.event_id % 2 else event
+            for event in trace.events
+        ]
+        service = InferenceService(tiny_model, AlayaDBConfig(tenants=tenant_specs(trace.spec)))
+        report = replay_scheduler(trace, service)
+        slo = service.slo_report()
+        assert slo.num_requests == report.completed
+        assert slo.attainment == report.slo_attainment
+        assert 0.0 < report.slo_attainment < 1.0
+        assert slo.ttft_seconds == report.ttft_seconds
 
     def test_replay_deterministic_across_runs(self, trace, tiny_model):
         first = self.replay(trace, tiny_model)

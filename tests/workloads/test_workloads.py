@@ -146,8 +146,8 @@ class TestEvaluation:
         assert result.mean_selected_per_head == small_workload.spec.context_length
 
     def test_modeled_metrics(self, small_workload):
+        from repro.scheduler import SLO
         from repro.simulator.cost_model import CostModel
-        from repro.simulator.slo import SLO
 
         result = evaluate_strategy(FullAttentionStrategy(), small_workload)
         cost = CostModel()
