@@ -193,6 +193,16 @@ class AlayaDBConfig:
             raise ConfigError("window sizes must be non-negative")
         if self.dipr_beta < 0:
             raise ConfigError(f"dipr_beta must be non-negative, got {self.dipr_beta}")
+        if self.dipr_capacity_threshold <= 0:
+            raise ConfigError(
+                f"dipr_capacity_threshold must be positive, got {self.dipr_capacity_threshold}"
+            )
+        if self.reference_head_dim <= 0:
+            raise ConfigError(f"reference_head_dim must be positive, got {self.reference_head_dim}")
+        if self.max_retrieved_tokens is not None and self.max_retrieved_tokens <= 0:
+            raise ConfigError(
+                f"max_retrieved_tokens must be positive when set, got {self.max_retrieved_tokens}"
+            )
         if self.topk_k <= 0:
             raise ConfigError(f"topk_k must be positive, got {self.topk_k}")
         if self.short_context_threshold < 0:

@@ -18,8 +18,8 @@ from ..errors import PlanningError, UnsupportedQueryError
 from ..index.coarse import CoarseBlockIndex
 from ..index.flat import FlatIndex
 from ..index.roargraph import RoarGraphIndex
-from ..query.dipr import FrontierScratch, diprs_search, diprs_search_group, exact_dipr
-from ..query.filtered import filtered_diprs_search, filtered_diprs_search_group, predicate_mask
+from ..query.dipr import FrontierScratch, diprs_search_group
+from ..query.filtered import filtered_diprs_search_group, predicate_mask
 from ..query.topk import graph_topk_search
 from ..query.types import DIPRQuery, FilterPredicate, IndexKind, QueryKind, TopKQuery
 
@@ -183,12 +183,14 @@ class PlanExecutor:
         kinds share their per-KV-head work across the GQA group: the flat path
         computes one ``(g, d) @ (d, n)`` score matrix per group instead of
         ``g`` separate scans, and the coarse path shares the
-        query-to-representative matmul the same way.  Fine DIPR retrieval over
-        GQA-shared indexes walks each group's RoarGraph once with the
-        group-frontier search: one shared visited set and frontier, fused hop
-        scoring, per-head thresholds, shared distance computations counted
-        once per group.  The other fine cases — top-k queries, unshared
-        indexes, 1:1 groups — have nothing to share and walk once per head.
+        query-to-representative matmul the same way.  Fine DIPR retrieval
+        groups the query heads by the RoarGraph they read — per KV head over
+        GQA-shared indexes, one head per group over per-query-head indexes or
+        1:1 groups — and walks each graph once with the group-frontier search:
+        one shared visited set and frontier, fused hop scoring, per-head
+        thresholds, shared distance computations counted once per group.  Fine
+        top-k is a different query (a fixed-size beam search) and runs once
+        per head.
 
         ``kv_head_of_query`` is the multi-session entry point: when a decode
         round stacks several sessions' query heads over one shared context,
@@ -327,47 +329,39 @@ class PlanExecutor:
         num_tokens: int,
     ) -> list[RetrievalOutcome]:
         num_heads = queries.shape[0]
-        use_group = isinstance(plan.query, DIPRQuery) and data.shared and data.gqa_group_size > 1
-        if not use_group:
-            outcomes = []
-            for head in range(num_heads):
-                seed = None if window_max_scores is None else float(window_max_scores[head])
-                outcomes.append(
-                    self._retrieve_fine(plan, data, head, queries[head], seed, num_tokens)
-                )
-            return outcomes
-
+        if isinstance(plan.query, TopKQuery):
+            return [
+                self._retrieve_fine(plan, data, head, queries[head], num_tokens)
+                for head in range(num_heads)
+            ]
+        if not isinstance(plan.query, DIPRQuery):
+            raise UnsupportedQueryError(f"fine index cannot process {plan.query!r}")
+        # one walk per index read: a GQA-shared index serves its KV head's
+        # query heads together, a per-query-head index serves one head
+        if data.shared:
+            groups = list(self._heads_by_kv_head(data, num_heads).values())
+        else:
+            groups = [[head] for head in range(num_heads)]
+        filtered = () if plan.predicate is None else (plan.predicate,)
+        search = filtered_diprs_search_group if filtered else diprs_search_group
         outcomes: list[RetrievalOutcome | None] = [None] * num_heads
-        for kv_head, heads in self._heads_by_kv_head(data, num_heads).items():
+        for heads in groups:
             index = data.fine_index_for_query_head(heads[0])
             seeds = None
             if plan.use_window_seed and window_max_scores is not None:
                 seeds = window_max_scores[heads]
-            if plan.predicate is not None:
-                results, stats = filtered_diprs_search_group(
-                    index.vectors,
-                    index.graph,
-                    queries[heads],
-                    plan.query.beta,
-                    [index.entry_point],
-                    plan.predicate,
-                    capacity_threshold=plan.query.capacity_threshold,
-                    window_max_scores=seeds,
-                    max_tokens=plan.query.max_tokens,
-                    scratch=self._scratch,
-                )
-            else:
-                results, stats = diprs_search_group(
-                    index.vectors,
-                    index.graph,
-                    queries[heads],
-                    plan.query.beta,
-                    [index.entry_point],
-                    capacity_threshold=plan.query.capacity_threshold,
-                    window_max_scores=seeds,
-                    max_tokens=plan.query.max_tokens,
-                    scratch=self._scratch,
-                )
+            results, stats = search(
+                index.vectors,
+                index.graph,
+                queries[heads],
+                plan.query.beta,
+                [index.entry_point],
+                *filtered,
+                capacity_threshold=plan.query.capacity_threshold,
+                window_max_scores=seeds,
+                max_tokens=plan.query.max_tokens,
+                scratch=self._scratch,
+            )
             for slot, (head, result) in enumerate(zip(heads, results)):
                 # the walk is shared: attribute its distance computations and
                 # hops to the group's first head so per-head outcomes sum to
@@ -480,57 +474,23 @@ class PlanExecutor:
         data: LayerIndexData,
         query_head: int,
         query: np.ndarray,
-        window_max_score: float | None,
         num_tokens: int,
     ) -> RetrievalOutcome:
+        """Top-k over one query head's RoarGraph (a fixed-size beam search)."""
         index = data.fine_index_for_query_head(query_head)
-        seed = window_max_score if plan.use_window_seed else None
-        if isinstance(plan.query, DIPRQuery):
-            if plan.predicate is not None:
-                result, stats = filtered_diprs_search(
-                    index.vectors,
-                    index.graph,
-                    query,
-                    plan.query.beta,
-                    [index.entry_point],
-                    plan.predicate,
-                    capacity_threshold=plan.query.capacity_threshold,
-                    window_max_score=seed,
-                    max_tokens=plan.query.max_tokens,
-                )
-            else:
-                result, stats = diprs_search(
-                    index.vectors,
-                    index.graph,
-                    query,
-                    plan.query.beta,
-                    [index.entry_point],
-                    capacity_threshold=plan.query.capacity_threshold,
-                    window_max_score=seed,
-                    max_tokens=plan.query.max_tokens,
-                )
-            return RetrievalOutcome(
-                data.to_global(result.indices),
-                result.scores,
-                stats.num_distance_computations,
-                len(result),
-                num_hops=stats.num_hops,
-            )
-        if isinstance(plan.query, TopKQuery):
-            allowed = predicate_mask(num_tokens, plan.predicate)
-            result = graph_topk_search(
-                index.vectors,
-                index.graph,
-                query,
-                plan.query.k,
-                [index.entry_point],
-                ef=plan.query.ef,
-                allowed=allowed,
-            )
-            return RetrievalOutcome(
-                data.to_global(result.indices), result.scores, result.num_distance_computations, len(result)
-            )
-        raise UnsupportedQueryError(f"fine index cannot process {plan.query!r}")
+        allowed = predicate_mask(num_tokens, plan.predicate)
+        result = graph_topk_search(
+            index.vectors,
+            index.graph,
+            query,
+            plan.query.k,
+            [index.entry_point],
+            ef=plan.query.ef,
+            allowed=allowed,
+        )
+        return RetrievalOutcome(
+            data.to_global(result.indices), result.scores, result.num_distance_computations, len(result)
+        )
 
 
 def _plan_for_range(plan: ExecutionPlan, data: LayerIndexData) -> ExecutionPlan | None:

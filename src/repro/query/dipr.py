@@ -16,6 +16,12 @@ variable capacity** and prunes exploration against the best-so-far maximum:
 The *window-cache enhancement* of Section 7.1 seeds the best-so-far maximum
 with the largest inner product found in the GPU-resident token window, which
 tightens the pruning bound from the first hop.
+
+One walk answers every graph DIPR query: :func:`group_frontier_search`
+serves the ``g`` query heads of a GQA group that read one RoarGraph (Section
+7.2) with a single traversal, and Algorithm 1 for one query is its ``g = 1``
+case.  :func:`diprs_search_group`, :func:`diprs_search` and the filtered
+variants in :mod:`repro.query.filtered` are views of it.
 """
 
 from __future__ import annotations
@@ -92,58 +98,6 @@ class GroupDIPRSearchStats:
         return len(self.per_head)
 
 
-def append_hop_candidates(
-    nodes: np.ndarray,
-    scores: np.ndarray,
-    *,
-    beta: float,
-    capacity_threshold: int,
-    allowed: np.ndarray | None,
-    candidate_ids: list[int],
-    candidate_scores: list[float],
-    best_score: float,
-    stats: DIPRSearchStats,
-) -> float:
-    """Append one hop's freshly scored nodes against the running threshold.
-
-    Vectorized equivalent of calling the scalar ``try_append`` on each
-    ``(node, score)`` pair in order: element ``i`` is checked against the
-    best-so-far score produced by elements ``< i`` (carried by a prefix
-    cummax instead of a Python loop), and the capacity grant covers exactly
-    the slots left open when the hop starts.  Disallowed nodes are scored for
-    connectivity but may neither join the candidate list nor raise the
-    best-so-far maximum — the DIPR maximum is defined over the allowed tokens
-    only.  Returns the updated best-so-far score.
-    """
-    stats.num_distance_computations += int(nodes.shape[0])
-    if allowed is not None:
-        keep = allowed[nodes]
-        num_disallowed = int(nodes.shape[0] - keep.sum())
-        if num_disallowed:
-            stats.num_pruned += num_disallowed
-            nodes = nodes[keep]
-            scores = scores[keep]
-    if nodes.shape[0] == 0:
-        return best_score
-    scores64 = scores.astype(np.float64)
-    # best-so-far visible to element i = max(incoming best, max(scores[:i]))
-    prefix_best = np.empty(scores64.shape[0], dtype=np.float64)
-    prefix_best[0] = best_score
-    if scores64.shape[0] > 1:
-        np.maximum(best_score, np.maximum.accumulate(scores64[:-1]), out=prefix_best[1:])
-    free_slots = max(0, capacity_threshold - len(candidate_ids))
-    below_capacity = np.arange(scores64.shape[0]) < free_slots
-    critical = scores64 >= prefix_best - beta
-    append = below_capacity | critical
-    num_appended = int(append.sum())
-    stats.num_appended += num_appended
-    stats.num_pruned += int(nodes.shape[0] - num_appended)
-    if num_appended:
-        candidate_ids.extend(int(node) for node in nodes[append])
-        candidate_scores.extend(float(score) for score in scores[append])
-    return max(best_score, float(scores64.max()))
-
-
 def append_hop_candidates_group(
     nodes: np.ndarray,
     scores: np.ndarray,
@@ -156,20 +110,22 @@ def append_hop_candidates_group(
     best_scores: np.ndarray,
     stats: list[DIPRSearchStats],
 ) -> np.ndarray:
-    """Group generalization of :func:`append_hop_candidates`.
+    """Append one hop's freshly scored nodes against each head's running threshold.
 
-    ``scores`` is the ``(g, m)`` matrix of one hop's fused scoring; each row
-    runs the same prefix-cummax append rule the scalar helper applies —
-    per-head capacity grants, per-head running best-so-far — over the shared
-    node set.  ``best_scores`` (``(g,)`` float64) is updated in place.
-    Returns a boolean mask over ``nodes`` marking the ones appended by at
-    least one head, which is the group frontier's expansion condition: a node
-    any head finds critical keeps the shared walk going.
+    ``scores`` is the ``(g, m)`` matrix of one hop's fused scoring.  Each row
+    is the vectorized form of Algorithm 1's per-node ``try_append`` in visit
+    order: element ``i`` is checked against the best-so-far score produced by
+    elements ``< i`` (a prefix cummax instead of a Python loop), and the
+    capacity grant covers exactly the slots that head had open when the hop
+    started.  Disallowed nodes are scored for connectivity but may neither
+    join a candidate list nor raise a best-so-far maximum — the DIPR maximum
+    is defined over the allowed tokens only.  ``best_scores`` (``(g,)``
+    float64) is updated in place and ``stats`` receives each head's
+    appended/pruned counts (the walk owns the shared ones).  Returns a boolean mask over ``nodes``
+    marking the ones appended by at least one head, which is the frontier's
+    expansion condition: a node any head finds critical keeps the walk going.
     """
     num_nodes = int(nodes.shape[0])
-    num_heads = scores.shape[0]
-    for head_stats in stats:
-        head_stats.num_distance_computations += num_nodes
     keep_positions = None
     if allowed is not None:
         keep = allowed[nodes]
@@ -183,30 +139,22 @@ def append_hop_candidates_group(
     if nodes.shape[0] == 0:
         return np.zeros(num_nodes, dtype=bool)
     scores64 = scores.astype(np.float64)
-    # best-so-far visible to element (h, i) = max(incoming best_h, max(scores[h, :i]))
-    prefix_best = np.empty_like(scores64)
-    prefix_best[:, 0] = best_scores
-    if scores64.shape[1] > 1:
-        np.maximum(
-            best_scores[:, None],
-            np.maximum.accumulate(scores64[:, :-1], axis=1),
-            out=prefix_best[:, 1:],
-        )
-    free_slots = np.array(
-        [max(0, capacity_threshold - len(ids)) for ids in candidate_ids], dtype=np.int64
+    # column i of running_best is max(incoming best_h, max(scores[h, :i])): the
+    # best-so-far element (h, i) is checked against; the last column is the new best
+    running_best = np.maximum.accumulate(
+        np.concatenate([best_scores[:, None], scores64], axis=1), axis=1
     )
-    below_capacity = np.arange(scores64.shape[1])[None, :] < free_slots[:, None]
-    critical = scores64 >= prefix_best - beta
-    append = below_capacity | critical
-    for head in range(num_heads):
-        selected = append[head]
-        num_appended = int(selected.sum())
+    num_candidates = np.array([len(ids) for ids in candidate_ids])
+    below_capacity = np.arange(scores64.shape[1]) < (capacity_threshold - num_candidates)[:, None]
+    append = below_capacity | (scores64 >= running_best[:, :-1] - beta)
+    best_scores[:] = running_best[:, -1]
+    for head, selected in enumerate(append):
+        num_appended = int(np.count_nonzero(selected))
         stats[head].num_appended += num_appended
         stats[head].num_pruned += int(nodes.shape[0] - num_appended)
         if num_appended:
-            candidate_ids[head].extend(int(node) for node in nodes[selected])
-            candidate_scores[head].extend(float(score) for score in scores[head, selected])
-    np.maximum(best_scores, scores64.max(axis=1), out=best_scores)
+            candidate_ids[head].extend(nodes[selected].tolist())
+            candidate_scores[head].extend(scores[head, selected].tolist())
     appended_any = append.any(axis=0)
     if keep_positions is None:
         return appended_any
@@ -230,23 +178,23 @@ def group_frontier_search(
     entry_fallback: Callable[[], np.ndarray] | None = None,
     scratch: FrontierScratch | None = None,
 ) -> tuple[list[SearchResult], GroupDIPRSearchStats]:
-    """The shared group-frontier walk behind :func:`diprs_search_group`.
+    """The DIPRS walk: Algorithm 1 for the ``g >= 1`` rows of ``queries``.
 
-    One visited set and one frontier serve every head of the group: each hop
-    gathers the fresh neighbours once, scores them for all heads with a
-    single ``(g, d) @ (d, m)`` matmul, and runs the per-head append rule on
-    the resulting score matrix.  A node joins the frontier when *any* head
+    One visited set and one frontier serve every head: each hop gathers the
+    fresh neighbours once, scores them for all heads with a single
+    ``(g, d) @ (d, m)`` matmul, and runs the per-head append rule on the
+    resulting score matrix.  A node joins the frontier when *any* head
     appends it — a head whose own prune condition would stop keeps receiving
     (and scoring) the nodes the rest of the group explores.  Each head's
     result is therefore the exact ``best - beta`` range over the *shared*
     visited set (a scored node within ``beta`` of a head's final best always
     passes the critical check, because the running threshold never exceeds
-    the final one); since the union walk typically visits a superset of any
-    solo walk's nodes, per-head results typically grow relative to
-    :func:`diprs_search` — like the solo walk, the traversal itself stays
-    approximate, so this is an empirical (grid-pinned) property, not a
-    theorem.  The ``max_tokens`` cap and the final threshold remain
-    per-head.
+    the final one).  At ``g = 1`` the frontier is the candidate list itself
+    and the walk is Algorithm 1; at ``g > 1`` the union walk typically
+    visits a superset of each head's own ``g = 1`` walk, so per-head results
+    typically grow — the traversal stays approximate, so this is an
+    empirical (grid-pinned) property, not a theorem.  The ``max_tokens`` cap
+    and the final threshold remain per-head.
 
     ``expand`` maps an expanded node to its exploration neighbourhood (1-hop
     for plain DIPRS, 2-hop for the filtered variant) and ``entry_fallback``
@@ -290,8 +238,7 @@ def group_frontier_search(
             best_scores=best_scores,
             stats=stats.per_head,
         )
-        if appended.any():
-            frontier.extend(int(node) for node in fresh[appended])
+        frontier.extend(fresh[appended].tolist())
 
     entry_points = np.atleast_1d(np.asarray(entry_points, dtype=np.int64))
     fresh_entries = []
@@ -314,8 +261,6 @@ def group_frontier_search(
         node = frontier[cursor]
         cursor += 1
         stats.num_hops += 1
-        for head_stats in stats.per_head:
-            head_stats.num_hops += 1
         neighbors = expand(node)
         fresh = neighbors[~visited[neighbors]]
         if fresh.shape[0] == 0:
@@ -324,7 +269,10 @@ def group_frontier_search(
         score_fresh(fresh)
 
     results = []
-    for head in range(num_heads):
+    for head, head_stats in enumerate(stats.per_head):
+        # a head's view of the shared walk scored and hopped exactly what it did
+        head_stats.num_distance_computations = stats.num_distance_computations
+        head_stats.num_hops = stats.num_hops
         indices = np.asarray(candidate_ids[head], dtype=np.int64)
         scores = np.asarray(candidate_scores[head], dtype=np.float32)
         threshold = best_scores[head] - beta
@@ -355,29 +303,26 @@ def diprs_search_group(
     max_tokens: int | None = None,
     scratch: FrontierScratch | None = None,
 ) -> tuple[list[SearchResult], GroupDIPRSearchStats]:
-    """Group-frontier DIPRS: one shared walk for a whole GQA group.
+    """Group-frontier DIPRS: one shared 1-hop walk for a whole GQA group.
 
     GQA query heads probing the same KV head share the RoarGraph their keys
-    were indexed into, so ``g`` separate :func:`diprs_search` walks revisit
-    largely the same nodes ``g`` times.  This variant walks the graph once
-    for all of them: one visited set, one frontier, and fused hop scoring
-    (one ``(g, d) @ (d, m)`` matmul per hop) against per-head best-score /
-    ``beta`` thresholds.  Expansion follows the *union* policy — a node is
-    explored while any head finds it critical (or has capacity slots open) —
-    so every head scores every node the group visits, and the returned
-    per-head results are threshold-filtered at that head's own
-    ``best - beta`` exactly like the scalar search, with ``allowed`` masks
-    and the ``max_tokens`` cap applied per head.  On attention-like
-    clustered data the group and solo walks find the same maxima and the
-    per-head top sets match the solo results exactly, typically as (equal)
-    supersets — the equivalence grid in ``tests/query/test_group_frontier``
-    pins this.
+    were indexed into, so ``g`` separate walks would revisit largely the same
+    nodes ``g`` times.  This walks the graph once for all of them: one
+    visited set, one frontier, and fused hop scoring (one ``(g, d) @ (d, m)``
+    matmul per hop) against per-head best-score / ``beta`` thresholds.
+    Expansion follows the *union* policy — a node is explored while any head
+    finds it critical (or has capacity slots open) — so every head scores
+    every node the group visits, and the returned per-head results are
+    threshold-filtered at that head's own ``best - beta``, with ``allowed``
+    masks and the ``max_tokens`` cap applied per head.  On attention-like
+    clustered data the per-head top sets match each head's own ``g = 1``
+    walk exactly, typically as (equal) supersets — the equivalence grid in
+    ``tests/query/test_group_frontier`` pins this against a scalar oracle.
 
     Returns one :class:`~repro.index.base.SearchResult` per row of
-    ``queries`` (entry ``h`` matching ``diprs_search(queries[h], ...)`` on
-    aligned traversals) plus the :class:`GroupDIPRSearchStats` of the shared
-    walk, whose distance computations count each visited node once for the
-    whole group.
+    ``queries`` plus the :class:`GroupDIPRSearchStats` of the shared walk,
+    whose distance computations count each visited node once for the whole
+    group.
     """
     return group_frontier_search(
         vectors,
@@ -425,100 +370,14 @@ def diprs_search(
     allowed: np.ndarray | None = None,
     max_tokens: int | None = None,
 ) -> tuple[SearchResult, DIPRSearchStats]:
-    """Algorithm 1 of the paper: graph-based approximate DIPR search.
+    """Algorithm 1 of the paper for one ``(d,)`` query: the ``g = 1`` walk.
 
-    Parameters
-    ----------
-    vectors:
-        Key vectors ``(n, d)`` the graph is built over.
-    graph:
-        Neighbour graph (RoarGraph) in CSR form.
-    query:
-        Query vector ``(d,)``.
-    beta:
-        The DIPR slack; only keys with ``q·k >= best - beta`` are critical.
-    entry_points:
-        Start nodes (``k0`` in the pseudocode).
-    capacity_threshold:
-        ``l0``: exploration is unrestricted until this many candidates exist.
-    window_max_score:
-        Maximum inner product observed in the cached window (Section 7.1);
-        used to tighten pruning, and counted as a candidate for the final
-        threshold.
-    allowed:
-        Optional boolean mask; disallowed nodes are explored for connectivity
-        but never appended and never raise the best-so-far maximum — the DIPR
-        threshold is defined over the allowed tokens only (see
-        :mod:`repro.query.filtered` for 2-hop filtering built on top of this).
-    max_tokens:
-        Optional hard cap on the number of returned tokens (a safety valve the
-        execution engine uses to bound worst-case latency).
+    ``capacity_threshold`` is ``l0``, ``window_max_score`` the Section 7.1
+    window seed, ``allowed`` a mask of the tokens that may be returned (and
+    set the maximum) and ``max_tokens`` a hard cap on the result size.
     """
-    vectors = np.asarray(vectors, dtype=np.float32)
-    query = np.asarray(query, dtype=np.float32)
-    stats = DIPRSearchStats()
-
-    entry_points = np.atleast_1d(np.asarray(entry_points, dtype=np.int64))
-    num_nodes = graph.num_nodes
-    visited = np.zeros(num_nodes, dtype=bool)
-
-    candidate_ids: list[int] = []
-    candidate_scores: list[float] = []
-    best_score = -np.inf if window_max_score is None else float(window_max_score)
-
-    fresh_entries = []
-    for entry in entry_points:
-        entry = int(entry)
-        if not visited[entry]:
-            visited[entry] = True
-            fresh_entries.append(entry)
-    if fresh_entries:
-        entry_nodes = np.asarray(fresh_entries, dtype=np.int64)
-        best_score = append_hop_candidates(
-            entry_nodes,
-            vectors[entry_nodes] @ query,
-            beta=beta,
-            capacity_threshold=capacity_threshold,
-            allowed=allowed,
-            candidate_ids=candidate_ids,
-            candidate_scores=candidate_scores,
-            best_score=best_score,
-            stats=stats,
-        )
-
-    cursor = 0
-    while cursor < len(candidate_ids):
-        node = candidate_ids[cursor]
-        cursor += 1
-        stats.num_hops += 1
-        neighbors = graph.neighbors(int(node))
-        fresh = neighbors[~visited[neighbors]]
-        if fresh.shape[0] == 0:
-            continue
-        visited[fresh] = True
-        best_score = append_hop_candidates(
-            fresh,
-            vectors[fresh] @ query,
-            beta=beta,
-            capacity_threshold=capacity_threshold,
-            allowed=allowed,
-            candidate_ids=candidate_ids,
-            candidate_scores=candidate_scores,
-            best_score=best_score,
-            stats=stats,
-        )
-
-    indices = np.asarray(candidate_ids, dtype=np.int64)
-    scores = np.asarray(candidate_scores, dtype=np.float32)
-    threshold = best_score - beta
-    keep = scores >= threshold
-    indices, scores = indices[keep], scores[keep]
-    order = np.argsort(-scores)
-    if max_tokens is not None:
-        order = order[:max_tokens]
-    result = SearchResult(
-        indices=indices[order],
-        scores=scores[order],
-        num_distance_computations=stats.num_distance_computations,
+    seeds = None if window_max_score is None else [window_max_score]
+    results, stats = diprs_search_group(
+        vectors, graph, query, beta, entry_points, capacity_threshold, seeds, allowed, max_tokens
     )
-    return result, stats
+    return results[0], stats.per_head[0]

@@ -19,7 +19,7 @@ from .dipr import (
     DIPRSearchStats,
     FrontierScratch,
     GroupDIPRSearchStats,
-    append_hop_candidates,
+    diprs_search,
     group_frontier_search,
 )
 from .types import FilterPredicate
@@ -63,79 +63,12 @@ def filtered_diprs_search(
     window_max_score: float | None = None,
     max_tokens: int | None = None,
 ) -> tuple[SearchResult, DIPRSearchStats]:
-    """DIPRS with 2-hop expansion and attribute filtering.
-
-    The candidate list only ever contains tokens satisfying ``predicate``;
-    exploration, however, ranges over the unfiltered 2-hop neighbourhood so
-    the search can cross regions of the graph dominated by filtered-out
-    tokens (e.g. the stored context's own conversation suffix).
-    """
-    vectors = np.asarray(vectors, dtype=np.float32)
-    query = np.asarray(query, dtype=np.float32)
-    allowed = predicate_mask(graph.num_nodes, predicate)
-    stats = DIPRSearchStats()
-
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    candidate_ids: list[int] = []
-    candidate_scores: list[float] = []
-    best_score = -np.inf if window_max_score is None else float(window_max_score)
-
-    def append_batch(nodes: np.ndarray) -> None:
-        # filtered-out tokens may not become candidates nor set the max: the
-        # DIPR maximum is defined over the *reusable* tokens only.
-        nonlocal best_score
-        best_score = append_hop_candidates(
-            nodes,
-            vectors[nodes] @ query,
-            beta=beta,
-            capacity_threshold=capacity_threshold,
-            allowed=allowed,
-            candidate_ids=candidate_ids,
-            candidate_scores=candidate_scores,
-            best_score=best_score,
-            stats=stats,
-        )
-
-    entry_points = np.atleast_1d(np.asarray(entry_points, dtype=np.int64))
-    fresh_entries = []
-    for entry in entry_points:
-        entry = int(entry)
-        if not visited[entry]:
-            visited[entry] = True
-            fresh_entries.append(entry)
-    if fresh_entries:
-        append_batch(np.asarray(fresh_entries, dtype=np.int64))
-    if not candidate_ids:
-        # every entry point was filtered out: fall back to the first allowed
-        # positions so the traversal has somewhere to start.
-        seeds = np.flatnonzero(allowed)[: max(1, capacity_threshold // 4)]
-        seeds = seeds[~visited[seeds]]
-        if seeds.shape[0]:
-            visited[seeds] = True
-            append_batch(seeds)
-
-    cursor = 0
-    while cursor < len(candidate_ids):
-        node = candidate_ids[cursor]
-        cursor += 1
-        stats.num_hops += 1
-        expansion = _two_hop_neighbors(graph, int(node))
-        fresh = expansion[~visited[expansion]]
-        if fresh.shape[0] == 0:
-            continue
-        visited[fresh] = True
-        append_batch(fresh)
-
-    indices = np.asarray(candidate_ids, dtype=np.int64)
-    scores = np.asarray(candidate_scores, dtype=np.float32)
-    threshold = best_score - beta
-    keep = scores >= threshold
-    indices, scores = indices[keep], scores[keep]
-    order = np.argsort(-scores)
-    if max_tokens is not None:
-        order = order[:max_tokens]
-    result = SearchResult(indices=indices[order], scores=scores[order], num_distance_computations=stats.num_distance_computations)
-    return result, stats
+    """Filtered DIPRS for one ``(d,)`` query: the ``g = 1`` filtered walk."""
+    seeds = None if window_max_score is None else [window_max_score]
+    results, stats = filtered_diprs_search_group(
+        vectors, graph, query, beta, entry_points, predicate, capacity_threshold, seeds, max_tokens
+    )
+    return results[0], stats.per_head[0]
 
 
 def filtered_diprs_search_group(
@@ -150,15 +83,17 @@ def filtered_diprs_search_group(
     max_tokens: int | None = None,
     scratch: FrontierScratch | None = None,
 ) -> tuple[list[SearchResult], GroupDIPRSearchStats]:
-    """Group-frontier variant of :func:`filtered_diprs_search`.
+    """DIPRS with 2-hop expansion and attribute filtering, for ``g >= 1`` heads.
 
-    One shared 2-hop-expanded walk serves every head of a GQA group (see
-    :func:`repro.query.dipr.diprs_search_group` for the frontier policy);
-    candidate lists, thresholds and the ``max_tokens`` cap stay per head, and
-    only predicate-satisfying tokens may enter a candidate list or raise a
-    head's best-so-far maximum.  When no head appends any entry point the
-    walk reseeds from the first allowed positions, exactly like the scalar
-    search.
+    The one DIPRS walk (:func:`repro.query.dipr.group_frontier_search`, whose
+    docstring gives the frontier policy) with each expanded node's
+    neighbourhood widened to its unfiltered 2-hop neighbours, so the search
+    can cross regions of the graph dominated by filtered-out tokens (e.g. the
+    stored context's own conversation suffix).  Candidate lists, thresholds
+    and the ``max_tokens`` cap stay per head, and only predicate-satisfying
+    tokens may enter a candidate list or raise a head's best-so-far maximum.
+    When no head appends any entry point the walk reseeds from the first
+    allowed positions.
     """
     allowed = predicate_mask(graph.num_nodes, predicate)
 
@@ -197,8 +132,6 @@ def naive_filtered_diprs_search(
     needed — pruning nodes from the walk disconnects the graph and recall
     collapses as the reuse ratio drops.
     """
-    from .dipr import diprs_search
-
     allowed = predicate_mask(graph.num_nodes, predicate)
     # restrict the adjacency to allowed→allowed edges
     lists = []

@@ -97,6 +97,8 @@ class DIPRQuery:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         if self.capacity_threshold <= 0:
             raise ValueError(f"capacity_threshold must be positive, got {self.capacity_threshold}")
+        if self.max_tokens is not None and self.max_tokens <= 0:
+            raise ValueError(f"max_tokens must be positive when set, got {self.max_tokens}")
 
     @property
     def kind(self) -> str:

@@ -35,6 +35,23 @@ class TestAlayaDBConfig:
         with pytest.raises(ConfigError):
             AlayaDBConfig(topk_k=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_retrieved_tokens", -1),
+            ("max_retrieved_tokens", 0),
+            ("dipr_capacity_threshold", 0),
+            ("reference_head_dim", 0),
+        ],
+        ids=str,
+    )
+    def test_retrieval_knobs_rejected_at_construction(self, field, value):
+        """Regression: these used to pass construction — a negative cap sliced
+        ``order[:-1]`` and silently dropped a token, the other two failed only
+        when the first plan was made."""
+        with pytest.raises(ConfigError, match=field):
+            AlayaDBConfig(**{field: value})
+
     def test_beta_scaling(self):
         config = AlayaDBConfig(dipr_beta=50.0, reference_head_dim=128)
         assert config.scaled_beta(128) == pytest.approx(50.0)

@@ -171,23 +171,26 @@ def test_stacked_rows_are_bitwise_independent_of_the_stack_at_serving_sizes(plan
             np.testing.assert_array_equal(stacked[s], alone[s])
 
 
-def _sparse_context(rng, *, num_kv_heads, num_tokens, head_dim, group_size, kinds=("fine", "coarse")):
-    """A stored context with fine + coarse indexes over random keys."""
+def _sparse_context(
+    rng, *, num_kv_heads, num_tokens, head_dim, group_size, kinds=("fine", "coarse"), shared=True
+):
+    """A stored context with fine + coarse indexes over random keys: one RoarGraph per KV head
+    (GQA-shared) or, unshared, one per query head, each built from its own query sample."""
     keys = rng.normal(size=(num_kv_heads, num_tokens, head_dim)).astype(np.float32)
     values = rng.normal(size=(num_kv_heads, num_tokens, head_dim)).astype(np.float32)
     snapshot = KVSnapshot(tokens=list(range(num_tokens)), keys={0: keys}, values={0: values})
     context = StoredContext(context_id="sparse", snapshot=snapshot)
     if "fine" in kinds:
         indexes = []
-        for kv_head in range(num_kv_heads):
+        for head in range(num_kv_heads if shared else num_kv_heads * group_size):
             index = RoarGraphIndex()
             index.build(
-                keys[kv_head],
+                keys[head if shared else head // group_size],
                 query_sample=rng.normal(size=(64, head_dim)).astype(np.float32),
             )
             indexes.append(index)
         context.fine_indexes[0] = LayerIndexes(
-            layer=0, indexes=indexes, shared=True, gqa_group_size=group_size
+            layer=0, indexes=indexes, shared=shared, gqa_group_size=group_size
         )
     if "coarse" in kinds:
         coarse = []
@@ -213,6 +216,9 @@ _PLAN_CONFIGS = {
 _VARIANTS = {
     "plain": dict(),
     "gqa4": dict(group_size=4),
+    "gqa1": dict(group_size=1),
+    # one RoarGraph per query head: every head walks its own index alone
+    "unshared": dict(shared=False),
     "empty-window": dict(window=(0, 0)),
     "no-local": dict(local_steps=0),
     "partial-reuse": dict(reuse_offset=40),
@@ -229,6 +235,7 @@ def test_session_decode_matches_reference(plan_kind, variant):
     window_initial, window_last = options.get("window", (4, 8))
     local_steps = options.get("local_steps", 2)
     reuse_offset = options.get("reuse_offset", 0)
+    shared = options.get("shared", True)
     num_kv_heads, head_dim, num_tokens = 2, 8, 160
     num_heads = num_kv_heads * group_size
 
@@ -247,6 +254,7 @@ def test_session_decode_matches_reference(plan_kind, variant):
         num_tokens=num_tokens,
         head_dim=head_dim,
         group_size=group_size,
+        shared=shared,
     )
     session = Session(
         AlayaDBConfig(**config_kwargs),

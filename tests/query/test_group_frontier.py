@@ -2,11 +2,13 @@
 
 ``diprs_search_group`` walks one shared frontier for a whole GQA group while
 keeping per-head candidate lists, thresholds and masks.  Its contract against
-the per-head ``diprs_search`` oracle:
+the scalar oracle ``tests.reference_attention.reference_diprs``:
 
+* the walk **is** the oracle's group walk, bit for bit — ranked indices,
+  scores and the four work counters of every head;
 * each head's returned (threshold-filtered) set is a **superset** of the
-  per-head result — the union expansion policy means a head scores at least
-  every node its solo walk would have scored;
+  head's own ``g = 1`` walk — the union expansion policy means a head scores
+  at least every node its own walk would have scored;
 * on clustered attention-like data the traversals align and the filtered top
   sets match **exactly** (ids, and scores up to gemm-vs-matvec rounding);
 * the shared walk's distance computations are counted once per group, so at
@@ -38,7 +40,7 @@ from repro.kvcache.serialization import KVSnapshot
 from repro.query.dipr import diprs_search, diprs_search_group
 from repro.query.filtered import filtered_diprs_search, filtered_diprs_search_group
 from repro.query.types import DIPRQuery, FilterPredicate, IndexKind, QueryKind
-from tests.reference_attention import reference_sparse_attention
+from tests.reference_attention import reference_diprs, reference_sparse_attention
 
 MAX_GROUP = 8
 
@@ -81,6 +83,23 @@ def _window_seeds(keys, queries, allowed, beta):
     return (scores.max(axis=1) - beta / 2).astype(np.float32)
 
 
+def _solo_oracle(vectors, graph, query, beta, entry_points, seed=None, **kwargs):
+    """The scalar oracle's ``(SearchResult, DIPRSearchStats)`` for one query head walking alone."""
+    seeds = None if seed is None else [seed]
+    return reference_diprs(vectors, graph, query[None], beta, entry_points, window_max_scores=seeds, **kwargs)[0]
+
+
+def _assert_walk_is_oracle(results, stats, oracle):
+    """Bit for bit: every head's ranked result and its four work counters."""
+    assert len(results) == len(oracle) == stats.num_heads
+    for result, head_stats, (expected, expected_stats) in zip(results, stats.per_head, oracle):
+        np.testing.assert_array_equal(result.indices, expected.indices)
+        np.testing.assert_array_equal(result.scores, expected.scores)
+        assert head_stats == expected_stats
+    assert stats.num_distance_computations == oracle[0][1].num_distance_computations
+    assert stats.num_hops == oracle[0][1].num_hops
+
+
 def _assert_head_matches(group_result, per_head_result):
     np.testing.assert_array_equal(
         np.sort(group_result.indices), np.sort(per_head_result.indices)
@@ -91,7 +110,8 @@ def _assert_head_matches(group_result, per_head_result):
 
 
 class TestGroupFrontierGrid:
-    """The headline grid: group-frontier vs per-head oracle, exact top sets."""
+    """The headline grid: the walk is the oracle's group walk, and its top sets equal each
+    head's own walk."""
 
     @pytest.mark.parametrize("capacity", [8, 64])
     @pytest.mark.parametrize("seeded", [False, True], ids=["no-seed", "per-head-seed"])
@@ -114,17 +134,21 @@ class TestGroupFrontierGrid:
             window_max_scores=seeds,
             allowed=allowed,
         )
-        assert len(group_results) == gqa
+        oracle = reference_diprs(
+            keys, index.graph, queries, beta, [index.entry_point],
+            capacity_threshold=capacity, window_max_scores=seeds, allowed=allowed,
+        )
+        _assert_walk_is_oracle(group_results, group_stats, oracle)
         per_head_distance = 0
         for head in range(gqa):
-            per_head_result, per_head_stats = diprs_search(
+            per_head_result, per_head_stats = _solo_oracle(
                 keys,
                 index.graph,
                 queries[head],
                 beta,
                 [index.entry_point],
+                None if seeds is None else float(seeds[head]),
                 capacity_threshold=capacity,
-                window_max_score=None if seeds is None else float(seeds[head]),
                 allowed=allowed,
             )
             per_head_distance += per_head_stats.num_distance_computations
@@ -165,8 +189,9 @@ class TestGroupFrontierDegenerate:
         graph = NeighborGraph.from_lists([[]])
         queries = np.asarray([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]], dtype=np.float32)
         results, stats = diprs_search_group(vectors, graph, queries, 2.0, [0])
+        _assert_walk_is_oracle(results, stats, reference_diprs(vectors, graph, queries, 2.0, [0]))
         for head, result in enumerate(results):
-            per_head, _ = diprs_search(vectors, graph, queries[head], 2.0, [0])
+            per_head, _ = _solo_oracle(vectors, graph, queries[head], 2.0, [0])
             _assert_head_matches(result, per_head)
         assert stats.num_distance_computations == 1
 
@@ -179,9 +204,10 @@ class TestGroupFrontierDegenerate:
         graph = NeighborGraph.from_lists(adjacency)
         queries = rng.normal(size=(4, 8)).astype(np.float32)
         results, stats = diprs_search_group(vectors, graph, queries, 50.0, [0])
+        _assert_walk_is_oracle(results, stats, reference_diprs(vectors, graph, queries, 50.0, [0]))
         for head, result in enumerate(results):
             assert np.all(result.indices < 3)
-            per_head, _ = diprs_search(vectors, graph, queries[head], 50.0, [0])
+            per_head, _ = _solo_oracle(vectors, graph, queries[head], 50.0, [0])
             _assert_head_matches(result, per_head)
         assert stats.num_distance_computations <= 3
 
@@ -194,20 +220,33 @@ class TestGroupFrontierDegenerate:
         for result in results:
             assert len(result) == 0
 
-    def test_one_to_one_group_is_the_scalar_walk(self):
-        """g=1 shares nothing: traversal, stats and results equal the scalar."""
+    @pytest.mark.parametrize("seeded", [False, True], ids=["no-seed", "seed"])
+    @pytest.mark.parametrize("walk", ["plain", "filtered", "filtered-fallback"])
+    def test_one_to_one_group_is_the_scalar_walk(self, walk, seeded):
+        """g=1 shares nothing: the walk and its one-query views are the scalar Algorithm 1 —
+        ranked indices, scores and all four work counters (the fallback case filters its
+        entry point out, so the walk restarts from the first allowed positions)."""
         keys, index, queries = _group_data()
-        results, stats = diprs_search_group(
-            keys, index.graph, queries[:1], 8.0, [index.entry_point], capacity_threshold=16
+        query, beta = queries[0], 8.0
+        seed = float((keys @ query).max()) - beta / 2 if seeded else None
+        seeds = None if seed is None else [seed]
+        entry = [keys.shape[0] - 1] if walk == "filtered-fallback" else [index.entry_point]
+        predicate = None if walk == "plain" else FilterPredicate(max_position=450 if walk == "filtered" else 50)
+        if predicate is None:
+            group = diprs_search_group(keys, index.graph, query[None], beta, entry, 16, seeds)
+            view = diprs_search(keys, index.graph, query, beta, entry, 16, seed)
+        else:
+            group = filtered_diprs_search_group(keys, index.graph, query[None], beta, entry, predicate, 16, seeds)
+            view = filtered_diprs_search(keys, index.graph, query, beta, entry, predicate, 16, seed)
+        expected, expected_stats = _solo_oracle(
+            keys, index.graph, query, beta, entry, seed, capacity_threshold=16, predicate=predicate
         )
-        per_head, per_head_stats = diprs_search(
-            keys, index.graph, queries[0], 8.0, [index.entry_point], capacity_threshold=16
-        )
-        _assert_head_matches(results[0], per_head)
-        assert stats.num_distance_computations == per_head_stats.num_distance_computations
-        assert stats.num_hops == per_head_stats.num_hops
-        assert stats.per_head[0].num_appended == per_head_stats.num_appended
-        assert stats.per_head[0].num_pruned == per_head_stats.num_pruned
+        assert len(expected) > 0
+        _assert_walk_is_oracle(*group, [(expected, expected_stats)])
+        result, stats = view
+        np.testing.assert_array_equal(result.indices, expected.indices)
+        np.testing.assert_array_equal(result.scores, expected.scores)
+        assert stats == expected_stats
 
     def test_rejects_mismatched_seed_count(self):
         keys, index, queries = _group_data()
@@ -228,7 +267,7 @@ class TestGroupFrontierDegenerate:
     seeded=st.booleans(),
 )
 def test_group_frontier_properties(seed, gqa, beta, capacity, mask_kind, seeded):
-    """Property suite: superset, threshold respect, mask respect, shared work."""
+    """Property suite: the oracle's walk, superset, threshold respect, mask respect, shared work."""
     keys, index, all_queries = _group_data(seed=seed % 4)
     rng = np.random.default_rng(seed)
     queries = all_queries[:gqa] + rng.normal(0, 0.05, size=(gqa, keys.shape[1])).astype(np.float32)
@@ -245,16 +284,21 @@ def test_group_frontier_properties(seed, gqa, beta, capacity, mask_kind, seeded)
         window_max_scores=seeds,
         allowed=allowed,
     )
+    oracle = reference_diprs(
+        keys, index.graph, queries, beta, [index.entry_point],
+        capacity_threshold=capacity, window_max_scores=seeds, allowed=allowed,
+    )
+    _assert_walk_is_oracle(results, stats, oracle)
     per_head_distance = 0
     for head in range(gqa):
-        per_head_result, per_head_stats = diprs_search(
+        per_head_result, per_head_stats = _solo_oracle(
             keys,
             index.graph,
             queries[head],
             beta,
             [index.entry_point],
+            None if seeds is None else float(seeds[head]),
             capacity_threshold=capacity,
-            window_max_score=None if seeds is None else float(seeds[head]),
             allowed=allowed,
         )
         per_head_distance += per_head_stats.num_distance_computations
@@ -276,12 +320,16 @@ class TestFilteredGroupFrontier:
             keys, index.graph, queries[:4], 8.0, [index.entry_point], predicate,
             capacity_threshold=32,
         )
+        oracle = reference_diprs(
+            keys, index.graph, queries[:4], 8.0, [index.entry_point], 32, predicate=predicate
+        )
+        _assert_walk_is_oracle(results, stats, oracle)
         per_head_distance = 0
         for head, result in enumerate(results):
             assert np.all(result.indices < 450)
-            per_head, per_head_stats = filtered_diprs_search(
-                keys, index.graph, queries[head], 8.0, [index.entry_point], predicate,
-                capacity_threshold=32,
+            per_head, per_head_stats = _solo_oracle(
+                keys, index.graph, queries[head], 8.0, [index.entry_point],
+                capacity_threshold=32, predicate=predicate,
             )
             per_head_distance += per_head_stats.num_distance_computations
             assert set(per_head.indices.tolist()) <= set(result.indices.tolist())
@@ -291,9 +339,11 @@ class TestFilteredGroupFrontier:
     def test_filtered_out_entry_point_falls_back(self):
         keys, index, queries = _group_data()
         predicate = FilterPredicate(max_position=50)
-        results, _ = filtered_diprs_search_group(
+        results, stats = filtered_diprs_search_group(
             keys, index.graph, queries[:4], 10.0, [keys.shape[0] - 1], predicate
         )
+        oracle = reference_diprs(keys, index.graph, queries[:4], 10.0, [keys.shape[0] - 1], predicate=predicate)
+        _assert_walk_is_oracle(results, stats, oracle)
         for result in results:
             assert np.all(result.indices < 50)
 
@@ -326,11 +376,11 @@ class TestExecutorGroupWiring:
 
     @staticmethod
     def _per_head_walks(data, queries, beta=6.0):
-        """One solo ``diprs_search`` per query head over its own index."""
+        """The scalar oracle's walk per query head over its own index."""
         walks = []
         for head, query in enumerate(queries):
             index = data.fine_index_for_query_head(head)
-            walks.append(diprs_search(index.vectors, index.graph, query, beta, [index.entry_point]))
+            walks.append(_solo_oracle(index.vectors, index.graph, query, beta, [index.entry_point]))
         return walks
 
     def test_group_path_matches_per_head_walks(self):
@@ -356,7 +406,9 @@ class TestExecutorGroupWiring:
         outcomes = executor.retrieve_heads(plan, data, queries, window_max_scores=huge)
         assert all(outcome.num_selected == 0 for outcome in outcomes)
 
-    def test_per_query_head_indexes_fall_back_to_per_head_walks(self):
+    def test_per_query_head_indexes_walk_one_head_per_group(self):
+        """Unshared indexes: each query head reads its own index, so each is a group of one
+        whose walk is that head's scalar Algorithm 1, its work counted on the head itself."""
         data, queries = self._layer_data(num_kv_heads=1, group_size=2)
         data.shared = False
         data.gqa_group_size = 1
@@ -438,7 +490,7 @@ class TestSessionGroupFrontier:
             v = step_rng.normal(size=(num_kv_heads, 1, head_dim)).astype(np.float32)
             session.update_query(q, k, v, layer=0)
             group_output = session.attention(q, layer=0)
-            # the scalar oracle with one solo diprs_search walk per query head
+            # the scalar oracle with one walk per query head
             per_head_output, step_stats = reference_sparse_attention(
                 session, q[:, 0, :], 0, shared_walk=False
             )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.index.flat import FlatIndex
 from repro.index.roargraph import RoarGraphIndex
-from repro.query.dipr import DIPRSearchStats, diprs_search, exact_dipr
+from repro.query.dipr import diprs_search, exact_dipr
 from repro.query.filtered import filtered_diprs_search, naive_filtered_diprs_search, predicate_mask
 from repro.query.topk import flat_topk_search, graph_topk_search
 from repro.query.types import (
@@ -22,6 +22,7 @@ from repro.query.types import (
     alpha_from_beta,
     beta_from_alpha,
 )
+from tests.reference_attention import reference_diprs
 
 
 def _clustered_keys(n=1200, dim=16, num_critical=60, seed=0):
@@ -60,6 +61,9 @@ class TestQueryTypes:
             TopKQuery(k=0)
         with pytest.raises(ValueError):
             DIPRQuery(beta=-1.0)
+        for cap in (-1, 0):  # a negative cap used to slice order[:-1]
+            with pytest.raises(ValueError, match="max_tokens"):
+                DIPRQuery(beta=1.0, max_tokens=cap)
         with pytest.raises(ValueError):
             FilterPredicate(max_position=0)
 
@@ -213,80 +217,6 @@ def _legacy_masked_diprs(vectors, graph, query, beta, entry_points, capacity_thr
     return indices[keep]
 
 
-def _reference_diprs(
-    vectors,
-    graph,
-    query,
-    beta,
-    entry_points,
-    capacity_threshold=32,
-    window_max_score=None,
-    allowed=None,
-):
-    """Scalar Algorithm-1 reference (correct ``allowed`` semantics).
-
-    Kept as an executable spec for the hop-vectorized ``diprs_search``: one
-    ``try_append`` per explored node, running best-so-far threshold, capacity
-    grant, and disallowed nodes neither appended nor raising the maximum.
-    Hops are scored with the same block matmul as the implementation so the
-    float comparison is bit-identical.
-    """
-    vectors = np.asarray(vectors, dtype=np.float32)
-    query = np.asarray(query, dtype=np.float32)
-    stats = DIPRSearchStats()
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    candidate_ids: list[int] = []
-    candidate_scores: list[float] = []
-    best_score = -np.inf if window_max_score is None else float(window_max_score)
-
-    def try_append(node, score):
-        nonlocal best_score
-        stats.num_distance_computations += 1
-        if allowed is not None and not allowed[node]:
-            stats.num_pruned += 1
-            return
-        below_capacity = len(candidate_ids) < capacity_threshold
-        critical = score >= best_score - beta
-        if below_capacity or critical:
-            candidate_ids.append(int(node))
-            candidate_scores.append(float(score))
-            stats.num_appended += 1
-            best_score = max(best_score, score)
-        else:
-            stats.num_pruned += 1
-
-    fresh_entries = []
-    for entry in np.atleast_1d(np.asarray(entry_points, dtype=np.int64)):
-        entry = int(entry)
-        if not visited[entry]:
-            visited[entry] = True
-            fresh_entries.append(entry)
-    if fresh_entries:
-        entry_nodes = np.asarray(fresh_entries, dtype=np.int64)
-        for node, score in zip(entry_nodes, vectors[entry_nodes] @ query):
-            try_append(node, float(score))
-
-    cursor = 0
-    while cursor < len(candidate_ids):
-        node = candidate_ids[cursor]
-        cursor += 1
-        stats.num_hops += 1
-        neighbors = graph.neighbors(int(node))
-        fresh = neighbors[~visited[neighbors]]
-        if fresh.shape[0] == 0:
-            continue
-        visited[fresh] = True
-        for neighbor, score in zip(fresh, vectors[fresh] @ query):
-            try_append(int(neighbor), float(score))
-
-    indices = np.asarray(candidate_ids, dtype=np.int64)
-    scores = np.asarray(candidate_scores, dtype=np.float32)
-    keep = scores >= best_score - beta
-    indices, scores = indices[keep], scores[keep]
-    order = np.argsort(-scores)
-    return indices[order], scores[order], stats
-
-
 class TestDIPRSMaskedThreshold:
     """Regression: disallowed nodes must not tighten the DIPRS prune threshold.
 
@@ -335,33 +265,35 @@ class TestDIPRSMaskedThreshold:
         seed=st.integers(0, 30),
         beta=st.floats(min_value=2.0, max_value=20.0),
         capacity=st.integers(min_value=4, max_value=64),
-        masked=st.booleans(),
+        mask=st.sampled_from(["none", "allowed", "predicate"]),
         seeded=st.booleans(),
     )
-    def test_hop_vectorization_matches_scalar_reference(self, seed, beta, capacity, masked, seeded):
-        """The vectorized hop appends reproduce the scalar loop exactly."""
+    def test_hop_vectorization_matches_scalar_reference(self, seed, beta, capacity, mask, seeded):
+        """The vectorized hop appends reproduce the scalar loop exactly, for the plain walk
+        (masked or not) and the filtered 2-hop walk."""
         keys, query, queries, _ = _clustered_keys(n=400, num_critical=25, seed=seed)
         index = RoarGraphIndex()
         index.build(keys, query_sample=queries[:80])
-        allowed = None
-        if masked:
+        allowed = predicate = None
+        if mask == "allowed":
             allowed = np.zeros(keys.shape[0], dtype=bool)
             allowed[: keys.shape[0] // 2] = True
+        elif mask == "predicate":
+            predicate = FilterPredicate(max_position=keys.shape[0] // 2)
         window_max = float((keys @ query).max()) * 0.9 if seeded else None
-        result, stats = diprs_search(
-            keys, index.graph, query, beta, [index.entry_point],
-            capacity_threshold=capacity, window_max_score=window_max, allowed=allowed,
+        walk = (keys, index.graph, query, beta, [index.entry_point])
+        if predicate is None:
+            result, stats = diprs_search(*walk, capacity, window_max, allowed)
+        else:
+            result, stats = filtered_diprs_search(*walk, predicate, capacity, window_max)
+        [(expected, expected_stats)] = reference_diprs(
+            keys, index.graph, query[None], beta, [index.entry_point],
+            capacity_threshold=capacity, window_max_scores=None if window_max is None else [window_max],
+            allowed=allowed, predicate=predicate,
         )
-        ref_indices, ref_scores, ref_stats = _reference_diprs(
-            keys, index.graph, query, beta, [index.entry_point],
-            capacity_threshold=capacity, window_max_score=window_max, allowed=allowed,
-        )
-        np.testing.assert_array_equal(result.indices, ref_indices)
-        np.testing.assert_array_equal(result.scores, ref_scores)
-        assert stats.num_distance_computations == ref_stats.num_distance_computations
-        assert stats.num_hops == ref_stats.num_hops
-        assert stats.num_appended == ref_stats.num_appended
-        assert stats.num_pruned == ref_stats.num_pruned
+        np.testing.assert_array_equal(result.indices, expected.indices)
+        np.testing.assert_array_equal(result.scores, expected.scores)
+        assert stats == expected_stats
 
 
 class TestTopKSearch:
