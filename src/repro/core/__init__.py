@@ -4,7 +4,7 @@ from .attention_engine import AttentionBreakdown, DataCentricAttentionEngine
 from .config import AlayaDBConfig
 from .context_store import ContextStore, PrefixMatch, StoredContext
 from .db import DB
-from .decode_round import CrossRequestDecodeRound, DynamicAttentionPolicy, PolicyState, StageTimings
+from .decode_round import CrossRequestDecodeRound, StageTimings
 from .handles import ChatSession, ChatTurn, RequestHandle
 from .optimizer import QueryContext, RuleBasedOptimizer
 from .planner import ExecutionPlan, LayerIndexData, PlanExecutor, RetrievalOutcome
@@ -20,8 +20,6 @@ __all__ = [
     "ContextStore",
     "CrossRequestDecodeRound",
     "DB",
-    "DynamicAttentionPolicy",
-    "PolicyState",
     "LayerInputs",
     "StageTimings",
     "RequestHandle",

@@ -43,8 +43,10 @@ class AlayaDBConfig:
     short_context_threshold: int = 1024
     """Contexts at or below this length are served with full attention."""
     gpu_memory_budget_bytes: int = 16 << 30
-    """Budget available for cached KV blocks; "high" budgets route to the
-    coarse index, "low" budgets to DIPR."""
+    """The optimizer's budget, the only one its plan reads: a context whose
+    whole KV (K + V, float32, every layer) fits routes to the coarse index,
+    a larger one to DIPR.  Admission control has its own budget,
+    ``scheduler_gpu_budget_bytes``."""
     flat_index_layers: tuple[int, ...] = (0,)
     """Layers whose DIPR queries go to the flat index (the first layer needs
     a large number of critical tokens, see Figure 5)."""
@@ -80,27 +82,6 @@ class AlayaDBConfig:
     scheduler_policy: str = "fcfs"
     """Admission order: ``"fcfs"`` (arrival order) or ``"slo"`` (least TTFT
     slack first, then priority)."""
-
-    dynamic_attention_policy: bool = False
-    """ALISA-style per-step dense/sparse switching: each decode round,
-    a session flips to exact dense attention while admission budget pressure
-    (committed / budget bytes) sits at or below the dense watermark —
-    accuracy costs nothing when memory is plentiful — and back to sparse
-    retrieval once pressure reaches the sparse watermark.  The watermark gap
-    plus a minimum dwell give hysteresis so sessions don't thrash.  Inactive
-    without ``scheduler_gpu_budget_bytes`` (pressure is undefined)."""
-
-    attention_policy_dense_watermark: float = 0.35
-    """Budget pressure at or below which a session may switch to dense
-    attention."""
-
-    attention_policy_sparse_watermark: float = 0.75
-    """Budget pressure at or above which a session may switch back to sparse
-    attention."""
-
-    attention_policy_min_dwell_steps: int = 4
-    """Decode steps a session must spend in its current attention mode
-    before the policy may switch it again."""
 
     preemption: bool = False
     """Under the ``"slo"`` policy: when a queued request's TTFT slack goes
@@ -179,11 +160,7 @@ class AlayaDBConfig:
     num_shards: int = 1
     """Default shard count for ``DB.shard_context`` / the sharded router: a
     context's KV blocks and per-layer indexes are range-partitioned into this
-    many token-range shards.  1 keeps the single-owner layout."""
-
-    shard_token_range: int | None = None
-    """Alternative shard sizing: target tokens per shard (the shard count
-    then grows with the context).  Overrides ``num_shards`` when set.  Shard
+    many token-range shards.  1 keeps the single-owner layout.  Shard
     boundaries are aligned down to ``coarse_block_size`` so shard-local
     coarse blocks coincide with the full-context blocks and the cross-shard
     block merge stays exact."""
@@ -205,6 +182,10 @@ class AlayaDBConfig:
             )
         if self.topk_k <= 0:
             raise ConfigError(f"topk_k must be positive, got {self.topk_k}")
+        if self.coarse_block_size <= 0:
+            raise ConfigError(f"coarse_block_size must be positive, got {self.coarse_block_size}")
+        if self.coarse_num_blocks <= 0:
+            raise ConfigError(f"coarse_num_blocks must be positive, got {self.coarse_num_blocks}")
         if self.short_context_threshold < 0:
             raise ConfigError("short_context_threshold must be non-negative")
         if self.max_inflight_requests <= 0:
@@ -229,17 +210,10 @@ class AlayaDBConfig:
                 f"preemption_slack_seconds must be non-negative, "
                 f"got {self.preemption_slack_seconds}"
             )
-        if not 0.0 <= self.attention_policy_dense_watermark <= self.attention_policy_sparse_watermark:
+        if self.scheduler_gpu_budget_bytes is not None and self.scheduler_gpu_budget_bytes <= 0:
             raise ConfigError(
-                "attention policy watermarks must satisfy "
-                "0 <= dense_watermark <= sparse_watermark, got "
-                f"dense={self.attention_policy_dense_watermark} "
-                f"sparse={self.attention_policy_sparse_watermark}"
-            )
-        if self.attention_policy_min_dwell_steps < 0:
-            raise ConfigError(
-                f"attention_policy_min_dwell_steps must be non-negative, "
-                f"got {self.attention_policy_min_dwell_steps}"
+                f"scheduler_gpu_budget_bytes must be positive when set, "
+                f"got {self.scheduler_gpu_budget_bytes}"
             )
         if self.context_store_budget_bytes is not None and self.context_store_budget_bytes <= 0:
             raise ConfigError("context_store_budget_bytes must be positive when set")
@@ -273,10 +247,6 @@ class AlayaDBConfig:
             )
         if self.num_shards < 1:
             raise ConfigError(f"num_shards must be at least 1, got {self.num_shards}")
-        if self.shard_token_range is not None and self.shard_token_range <= 0:
-            raise ConfigError(
-                f"shard_token_range must be positive when set, got {self.shard_token_range}"
-            )
 
     @property
     def window_total_tokens(self) -> int:

@@ -147,11 +147,7 @@ class DB:
     # ------------------------------------------------------------------
     # Table 2: DB.create_session(prompts) -> Session, prompts
     # ------------------------------------------------------------------
-    def create_session(
-        self,
-        prompts: str | list[int] | np.ndarray,
-        gpu_memory_budget_bytes: int | None = None,
-    ) -> tuple[Session, list[int]]:
+    def create_session(self, prompts: str | list[int] | np.ndarray) -> tuple[Session, list[int]]:
         """Create a session for ``prompts``; returns it plus the truncated prompt.
 
         The longest common prefix between the prompt and any stored context is
@@ -166,9 +162,7 @@ class DB:
         match = self.store_registry.find_longest_prefix(tokens)
         useful = match.is_hit and match.prefix_length >= self.config.min_reuse_tokens
         if useful and self.shard_catalog is not None:
-            sharded = self.shard_catalog.open_session(
-                match.context.context_id, match.prefix_length, gpu_memory_budget_bytes
-            )
+            sharded = self.shard_catalog.open_session(match.context.context_id, match.prefix_length)
             if sharded is not None:
                 return sharded, tokens[match.prefix_length :]
         context: StoredContext | None = None
@@ -187,7 +181,6 @@ class DB:
             context=context,
             reused_prefix_length=reused,
             num_layers=context.num_layers if context is not None else None,
-            gpu_memory_budget_bytes=gpu_memory_budget_bytes,
             index_provider=index_provider,
             on_close=on_close,
         )
@@ -386,7 +379,6 @@ class DB:
         self,
         context_id: str,
         num_shards: int | None = None,
-        shard_token_range: int | None = None,
         plan: ShardPlan | None = None,
     ) -> tuple[ShardPlan, list[StoredContext]]:
         """Range-partition a stored context into per-shard stored contexts.
@@ -401,8 +393,8 @@ class DB:
         durable store every shard persists under its own keys plus a manifest
         row, so any worker over the shared backend can cold-load it.
 
-        Sizing: an explicit ``plan`` wins; else ``num_shards`` /
-        ``shard_token_range`` (argument, falling back to the config knobs).
+        Sizing: an explicit ``plan`` wins; else ``num_shards`` (argument,
+        falling back to the config knob).
         Boundaries are aligned down to ``coarse_block_size`` whenever coarse
         indexes are built, keeping shard-local blocks identical to the
         full-context blocks so the router's cross-shard block merge is exact.
@@ -412,15 +404,8 @@ class DB:
         build_coarse = context.wants_coarse_indexes
         if plan is None:
             align = self.config.coarse_block_size if build_coarse else 1
-            token_range = (
-                shard_token_range if shard_token_range is not None else self.config.shard_token_range
-            )
-            if num_shards is not None:
-                plan = ShardPlan.even(context.num_tokens, num_shards, align=align)
-            elif token_range is not None:
-                plan = ShardPlan.by_token_range(context.num_tokens, token_range, align=align)
-            else:
-                plan = ShardPlan.even(context.num_tokens, self.config.num_shards, align=align)
+            count = num_shards if num_shards is not None else self.config.num_shards
+            plan = ShardPlan.even(context.num_tokens, count, align=align)
         elif plan.num_tokens != context.num_tokens:
             raise ContextLoadError(
                 f"shard plan covers {plan.num_tokens} tokens but context "

@@ -10,19 +10,15 @@ plan and window geometry — and runs each group of ``S >= 1`` sessions
 through :func:`~repro.core.session.group_attention`: under a sparse plan flat/coarse
 scans stack into one gemm over the concatenated query heads and fine (DIPRS)
 walks stay per session (frontier expansion is data-dependent) but share one
-scratch; under a full-attention plan — nothing reused, a short context, a
-missing index, or pinned dense by the policy below — retrieval is skipped.
-Either way the per-range and local partials merge with one stacked engine
-call.
+scratch; under a full-attention plan — nothing reused, a short context or a
+missing index — retrieval is skipped.  Either way the per-range and local
+partials merge with one stacked engine call.
 
 A session's output and integer :class:`~repro.core.session.DecodeStepStats`
-do not depend on what else is in the round.
-
-:class:`DynamicAttentionPolicy` is the ALISA-style dense/sparse switcher:
-while admission budget pressure is low a session may run exact dense
-attention (accuracy costs nothing when memory is plentiful); as pressure
-rises past the sparse watermark it flips back to retrieval.  Watermark
-hysteresis plus a minimum dwell keep sessions from thrashing between modes.
+do not depend on what else is in the round.  The round makes no dense/sparse
+decision of its own: each session's optimizer plan (see
+:meth:`~repro.core.session.Session.decode_plan`) is the only one, and a plan
+difference changes a session's group key, not the code path.
 """
 
 from __future__ import annotations
@@ -33,12 +29,7 @@ import numpy as np
 
 from .session import Session, group_attention
 
-__all__ = [
-    "StageTimings",
-    "PolicyState",
-    "DynamicAttentionPolicy",
-    "CrossRequestDecodeRound",
-]
+__all__ = ["StageTimings", "CrossRequestDecodeRound"]
 
 
 @dataclass
@@ -61,72 +52,6 @@ class StageTimings:
     @property
     def sparse_seconds(self) -> float:
         return self.retrieval_seconds + self.merge_seconds
-
-
-@dataclass(frozen=True)
-class PolicyState:
-    """One session's position in the dense/sparse hysteresis loop."""
-
-    mode: str = "sparse"
-    steps_in_mode: int = 0
-
-
-class DynamicAttentionPolicy:
-    """Per-session dense/sparse switching under budget pressure (ALISA-style).
-
-    The transition function is deliberately pure (``step``) so its
-    properties — monotonicity in pressure, the hysteresis band, the dwell
-    bound — are directly testable: pressure at or above
-    ``sparse_watermark`` targets sparse, at or below ``dense_watermark``
-    targets dense, anything between keeps the current mode, and a switch is
-    only taken after ``min_dwell_steps`` steps in the current mode.
-    """
-
-    def __init__(
-        self,
-        dense_watermark: float = 0.35,
-        sparse_watermark: float = 0.75,
-        min_dwell_steps: int = 4,
-    ):
-        if not 0.0 <= dense_watermark <= sparse_watermark:
-            raise ValueError(
-                f"watermarks must satisfy 0 <= dense <= sparse, "
-                f"got dense={dense_watermark} sparse={sparse_watermark}"
-            )
-        if min_dwell_steps < 0:
-            raise ValueError(f"min_dwell_steps must be non-negative, got {min_dwell_steps}")
-        self.dense_watermark = dense_watermark
-        self.sparse_watermark = sparse_watermark
-        self.min_dwell_steps = min_dwell_steps
-        self._states: dict[int, PolicyState] = {}
-
-    def initial(self) -> PolicyState:
-        """A fresh session starts sparse with its dwell already served, so
-        the first decode step may take the dense mode if pressure is low."""
-        return PolicyState(mode="sparse", steps_in_mode=self.min_dwell_steps)
-
-    def step(self, state: PolicyState, pressure: float) -> PolicyState:
-        """Advance one decode step under ``pressure`` (pure transition)."""
-        target = state.mode
-        if pressure >= self.sparse_watermark:
-            target = "sparse"
-        elif pressure <= self.dense_watermark:
-            target = "dense"
-        if target != state.mode and state.steps_in_mode >= self.min_dwell_steps:
-            return PolicyState(mode=target, steps_in_mode=1)
-        return PolicyState(mode=state.mode, steps_in_mode=state.steps_in_mode + 1)
-
-    def apply(self, key: int, session: Session, pressure: float) -> str:
-        """Advance the tracked state for ``key`` and set the session's
-        decode-mode override accordingly; returns the mode chosen."""
-        state = self.step(self._states.get(key) or self.initial(), pressure)
-        self._states[key] = state
-        session.decode_mode_override = "dense" if state.mode == "dense" else None
-        return state.mode
-
-    def forget(self, key: int) -> None:
-        """Drop a finished/cancelled request's state."""
-        self._states.pop(key, None)
 
 
 class CrossRequestDecodeRound:

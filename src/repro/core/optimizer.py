@@ -41,8 +41,6 @@ class QueryContext:
     num_kv_heads: int
     num_layers: int
     reused_prefix_length: int | None = None
-    gpu_memory_budget_bytes: int | None = None
-    kv_bytes_per_token: int = 0
 
     @property
     def is_partial_reuse(self) -> bool:
@@ -119,20 +117,11 @@ class RuleBasedOptimizer:
         return None
 
     def _rule_coarse_when_budget_allows(self, query_context: QueryContext, config: AlayaDBConfig) -> ExecutionPlan | None:
-        budget = query_context.gpu_memory_budget_bytes
-        if budget is None:
-            budget = config.gpu_memory_budget_bytes
-        bytes_per_token = query_context.kv_bytes_per_token
-        if bytes_per_token <= 0:
-            # derive from the model shape (K + V, float32, every layer): the
-            # unset-field default used to degenerate to 1 byte/token, which
-            # made any context look within budget and the DIPR rule
-            # unreachable for direct QueryContext users
-            bytes_per_token = (
-                2 * query_context.num_kv_heads * query_context.head_dim * 4 * query_context.num_layers
-            )
-        required = query_context.context_length * bytes_per_token
-        if required > budget:
+        # the context's KV footprint: K + V, float32, every layer
+        bytes_per_token = (
+            2 * query_context.num_kv_heads * query_context.head_dim * 4 * query_context.num_layers
+        )
+        if query_context.context_length * bytes_per_token > config.gpu_memory_budget_bytes:
             return None
         return ExecutionPlan(
             query_kind=QueryKind.TOP_K,

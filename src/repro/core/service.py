@@ -63,7 +63,7 @@ from ..storage.backend import StorageBackend
 from .config import AlayaDBConfig
 from .context_store import ContextStore
 from .db import DB
-from .decode_round import CrossRequestDecodeRound, DynamicAttentionPolicy, StageTimings
+from .decode_round import CrossRequestDecodeRound, StageTimings
 from .handles import ChatSession, RequestHandle
 
 __all__ = ["RequestRecord", "ServiceStats", "InferenceService"]
@@ -251,15 +251,6 @@ class InferenceService:
             preemption_slack_seconds=self.config.preemption_slack_seconds,
             tenants=self.tenants,
         )
-        self._attention_policy = (
-            DynamicAttentionPolicy(
-                dense_watermark=self.config.attention_policy_dense_watermark,
-                sparse_watermark=self.config.attention_policy_sparse_watermark,
-                min_dwell_steps=self.config.attention_policy_min_dwell_steps,
-            )
-            if self.config.dynamic_attention_policy
-            else None
-        )
         self._results: OrderedDict[int, tuple[GenerationResult, RequestRecord]] = OrderedDict()
         self._failures: OrderedDict[int, str] = OrderedDict()
         self._live: dict[int, InFlightRequest] = {}
@@ -298,7 +289,6 @@ class InferenceService:
         max_new_tokens: int = 16,
         priority: int = 0,
         slo: SLO | None = None,
-        gpu_memory_budget_bytes: int | None = None,
         prefill_chunk_tokens: int | None = None,
         store_context_id: str | None = None,
         tenant: str | None = None,
@@ -335,7 +325,6 @@ class InferenceService:
             max_new_tokens=max_new_tokens,
             priority=priority,
             slo=slo,
-            gpu_memory_budget_bytes=gpu_memory_budget_bytes,
             prefill_chunk_tokens=prefill_chunk_tokens,
             store_context_id=store_context_id,
             tenant=tenant_name,
@@ -423,12 +412,9 @@ class InferenceService:
         self,
         prompt: str | list[int],
         max_new_tokens: int = 16,
-        gpu_memory_budget_bytes: int | None = None,
     ) -> tuple[GenerationResult, RequestRecord]:
         """Serve one request end to end (a thin ``submit().result()``)."""
-        return self.submit(
-            prompt, max_new_tokens=max_new_tokens, gpu_memory_budget_bytes=gpu_memory_budget_bytes
-        ).result()
+        return self.submit(prompt, max_new_tokens=max_new_tokens).result()
 
     # ------------------------------------------------------------------
     # scheduler backend protocol
@@ -447,9 +433,7 @@ class InferenceService:
         return (appended_tokens + window_tokens) * per_token
 
     def begin_request(self, request: Request) -> InFlightRequest:
-        session, truncated = self.db.create_session(
-            request.prompt_tokens, gpu_memory_budget_bytes=request.gpu_memory_budget_bytes
-        )
+        session, truncated = self.db.create_session(request.prompt_tokens)
         # an empty suffix (full prefix reuse) still needs one forward pass to
         # produce first-token logits, exactly like GenerationLoop.run_tokens
         pending = list(truncated) if truncated else [self.loop.tokenizer.bos_id]
@@ -475,9 +459,7 @@ class InferenceService:
         time is split across the requests in proportion to their rows.
         """
         prefilling = [fl.needs_prefill for fl in inflights]
-        decoding = [fl for fl, prefill in zip(inflights, prefilling) if not prefill]
-        if decoding:
-            self._apply_attention_policy(decoding)
+        num_decoding = prefilling.count(False)
         tokens: list[int] = []
         rows: list[int] = []
         last_rows: list[int] = []
@@ -502,9 +484,9 @@ class InferenceService:
         )
         wall = time.perf_counter() - start
         per_row = wall / len(tokens)
-        if decoding:
+        if num_decoding:
             self.decode_timings.dense_seconds += max(
-                per_row * len(decoding) - (self.decode_timings.sparse_seconds - sparse_before), 0.0
+                per_row * num_decoding - (self.decode_timings.sparse_seconds - sparse_before), 0.0
             )
             self.decode_timings.rounds += 1
         for inflight, prefill, n, row in zip(inflights, prefilling, rows, logits[last_rows]):
@@ -525,25 +507,6 @@ class InferenceService:
         """One prefill chunk for one request: a :meth:`run_round` of one."""
         self.run_round([inflight])
 
-    def _apply_attention_policy(self, inflights: Sequence[InFlightRequest]) -> None:
-        """Advance the dynamic dense/sparse policy for every decoding session.
-
-        Pressure is the admission controller's committed-to-budget ratio;
-        without a budget the policy has nothing to react to and stays off
-        (overrides cleared so sessions keep their planned sparse routing).
-        """
-        policy = self._attention_policy
-        if policy is None:
-            return
-        budget = self.scheduler.admission.budget_bytes
-        if not budget:
-            for inflight in inflights:
-                inflight.session.decode_mode_override = None
-            return
-        pressure = self.scheduler.admission.committed_bytes / budget
-        for inflight in inflights:
-            policy.apply(inflight.request.request_id, inflight.session, pressure)
-
     def decode_step(self, inflight: InFlightRequest) -> None:
         """One decode token for one request: a :meth:`run_round` of one."""
         self.run_round([inflight])
@@ -562,8 +525,6 @@ class InferenceService:
     def finish_request(self, inflight: InFlightRequest) -> None:
         request = inflight.request
         self._live.pop(request.request_id, None)
-        if self._attention_policy is not None:
-            self._attention_policy.forget(request.request_id)
         ttft = (
             inflight.first_token_seconds
             if inflight.first_token_seconds is not None
@@ -624,8 +585,6 @@ class InferenceService:
         detached — at preemption time, so its close here unpins nothing.)
         """
         self._live.pop(inflight.request.request_id, None)
-        if self._attention_policy is not None:
-            self._attention_policy.forget(inflight.request.request_id)
         inflight.session.close()
 
     def fail_request(self, request: Request, error: Exception) -> None:

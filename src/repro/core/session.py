@@ -147,7 +147,6 @@ class Session:
         context: StoredContext | None = None,
         reused_prefix_length: int = 0,
         num_layers: int | None = None,
-        gpu_memory_budget_bytes: int | None = None,
         index_provider=None,
         on_close=None,
     ):
@@ -157,7 +156,6 @@ class Session:
         if context is not None and self.reused_prefix_length <= 0:
             self.reused_prefix_length = context.num_tokens
         self._num_layers = num_layers or (context.num_layers if context is not None else None)
-        self.gpu_memory_budget_bytes = gpu_memory_budget_bytes
         self._index_provider = index_provider
         self._on_close = on_close
 
@@ -175,10 +173,6 @@ class Session:
         self.last_decode_stats = DecodeStepStats()
         self.total_decode_stats = DecodeStepStats()
         self.num_decode_steps = 0
-        self.decode_mode_override: str | None = None
-        """``"dense"`` forces exact attention for decode steps (set per step
-        by the dynamic attention policy); ``None`` leaves routing to the
-        optimizer's plan."""
 
     # ------------------------------------------------------------------
     # lifecycle and introspection
@@ -367,9 +361,6 @@ class Session:
         if self._plans is not None:
             return self._plans
         dims = self._dims
-        kv_bytes_per_token = 0
-        if dims is not None:
-            kv_bytes_per_token = 2 * dims.num_kv_heads * dims.head_dim * 4 * max(self.num_layers, 1)
         query_context = QueryContext(
             context_length=self.sequence_length(0),
             layer=0,
@@ -377,8 +368,6 @@ class Session:
             num_kv_heads=dims.num_kv_heads if dims else 1,
             num_layers=max(self.num_layers, 1),
             reused_prefix_length=self.reused_prefix_length if self.is_connected else None,
-            gpu_memory_budget_bytes=self.gpu_memory_budget_bytes,
-            kv_bytes_per_token=kv_bytes_per_token,
         )
         self._plans = self.optimizer.plan_all_layers(query_context)
         return self._plans
@@ -421,10 +410,10 @@ class Session:
     def decode_plan(self, layer: int) -> ExecutionPlan:
         """The plan a single-token decode at ``layer`` executes.
 
-        Full attention when the session reuses nothing, the optimizer says
-        so, a range lacks the index the plan needs, or the dynamic attention
-        policy pinned the session dense — a different group key for the
-        decode round, not a different code path.
+        The optimizer's per-session plan is the only dense/sparse decision:
+        full attention when the session reuses nothing, the optimizer says so
+        (a short context), or a range lacks the index the plan needs — a
+        different group key for the decode round, not a different code path.
         """
         return self.layer_inputs(layer).plan
 
@@ -435,7 +424,7 @@ class Session:
         ``update_query`` for the step's tokens.
         """
         plan = FULL_ATTENTION_PLAN
-        if self.is_connected and self.decode_mode_override != "dense":
+        if self.is_connected:
             plan = self._plans_for_context()[layer]
             if plan.index_kind == IndexKind.FINE and self._index_provider is not None:
                 # lazy build mode: the first fine-planned use pays for index

@@ -45,8 +45,6 @@ class Request:
     """Higher values are scheduled first by the SLO-aware policy."""
     slo: SLO | None = None
     """Per-request latency class; its TTFT deadline drives SLO-aware order."""
-    gpu_memory_budget_bytes: int | None = None
-    """Per-session budget forwarded to the optimizer (not admission control)."""
     prefill_chunk_tokens: int | None = None
     """Per-request override of the backend's prefill chunk size; ``None``
     uses the configured default."""

@@ -148,14 +148,6 @@ class ShardPlan:
         )
         return cls(num_tokens=num_tokens, ranges=ranges)
 
-    @classmethod
-    def by_token_range(cls, num_tokens: int, shard_token_range: int, align: int = 1) -> "ShardPlan":
-        """Split into shards of about ``shard_token_range`` tokens each."""
-        if shard_token_range <= 0:
-            raise ReproError(f"shard_token_range must be positive, got {shard_token_range}")
-        num_shards = max(1, round(num_tokens / shard_token_range))
-        return cls.even(num_tokens, num_shards, align=align)
-
 
 def shard_context_id(context_id: str, shard_id: int) -> str:
     """The storage/catalog id of one shard of ``context_id``."""

@@ -286,7 +286,6 @@ class ShardedContextRouter:
         self,
         context_id: str,
         reused_prefix_length: int,
-        gpu_memory_budget_bytes: int | None = None,
     ) -> ShardedSession | None:
         """A session over the catalogued context ``context_id``, or ``None``
         when the context is not sharded (what ``DB.create_session`` asks)."""
@@ -298,7 +297,6 @@ class ShardedContextRouter:
             fanout=self,
             config=self.config,
             reused_prefix_length=reused_prefix_length,
-            gpu_memory_budget_bytes=gpu_memory_budget_bytes,
         )
 
     # ------------------------------------------------------------------
@@ -309,14 +307,11 @@ class ShardedContextRouter:
         document: str | list[int],
         context_id: str | None = None,
         num_shards: int | None = None,
-        shard_token_range: int | None = None,
     ) -> ShardedContextRef:
         """Prefill, shard, persist, place; returns the catalog entry."""
         context = self.db.prefill_and_import(self.model, document, context_id=context_id)
         base_id = context.context_id
-        plan, shards = self.db.shard_context(
-            base_id, num_shards=num_shards, shard_token_range=shard_token_range
-        )
+        plan, shards = self.db.shard_context(base_id, num_shards=num_shards)
         ref = ShardedContextRef(
             context_id=base_id,
             plan=plan,

@@ -77,14 +77,8 @@ class ShardedSession(Session):
         fanout,
         config=None,
         reused_prefix_length: int | None = None,
-        gpu_memory_budget_bytes: int | None = None,
     ):
-        super().__init__(
-            config=config,
-            context=None,
-            num_layers=ref.num_layers,
-            gpu_memory_budget_bytes=gpu_memory_budget_bytes,
-        )
+        super().__init__(config=config, context=None, num_layers=ref.num_layers)
         self.sharded_ref = ref
         self._fanout = fanout
         # Session.__init__ zeroes the reused prefix when no StoredContext is

@@ -42,13 +42,38 @@ class TestAlayaDBConfig:
             ("max_retrieved_tokens", 0),
             ("dipr_capacity_threshold", 0),
             ("reference_head_dim", 0),
+            ("coarse_block_size", 0),
+            ("coarse_num_blocks", 0),
+            ("scheduler_gpu_budget_bytes", 0),
         ],
         ids=str,
     )
     def test_retrieval_knobs_rejected_at_construction(self, field, value):
         """Regression: these used to pass construction — a negative cap sliced
-        ``order[:-1]`` and silently dropped a token, the other two failed only
-        when the first plan was made."""
+        ``order[:-1]`` and silently dropped a token, a zero block count was
+        clamped to one block, and the others failed only later (at the first
+        plan, at ingest, or when the service built its admission control)."""
+        with pytest.raises(ConfigError, match=field):
+            AlayaDBConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("short_context_threshold", -1),
+            ("max_inflight_requests", 0),
+            ("prefill_chunk_tokens", 0),
+            ("scheduler_policy", "lifo"),
+            ("preemption_slack_seconds", -1.0),
+            ("http_port", 65536),
+            ("http_max_body_bytes", 0),
+            ("storage_backend", "no-such-backend"),
+            ("num_shards", 0),
+        ],
+        ids=str,
+    )
+    def test_serving_knobs_rejected_at_construction(self, field, value):
+        """Each serving, storage and sharding knob is checked where the config
+        is built, and the error names the offending field."""
         with pytest.raises(ConfigError, match=field):
             AlayaDBConfig(**{field: value})
 
@@ -218,10 +243,13 @@ class TestOptimizer:
             head_dim=128,
             num_kv_heads=8,
             num_layers=32,
-            kv_bytes_per_token=131072,
         )
         defaults.update(kwargs)
         return QueryContext(**defaults)
+
+    @staticmethod
+    def _optimizer(budget: int, **kwargs) -> RuleBasedOptimizer:
+        return RuleBasedOptimizer(AlayaDBConfig(gpu_memory_budget_bytes=budget, **kwargs))
 
     def test_short_context_full_attention(self):
         optimizer = RuleBasedOptimizer(AlayaDBConfig(short_context_threshold=1024))
@@ -229,38 +257,30 @@ class TestOptimizer:
         assert plan.is_full
 
     def test_large_budget_selects_coarse_topk(self):
-        optimizer = RuleBasedOptimizer()
-        plan = optimizer.plan(self._query_context(gpu_memory_budget_bytes=10**15))
+        plan = self._optimizer(10**15).plan(self._query_context())
         assert plan.query_kind == QueryKind.TOP_K
         assert plan.index_kind == IndexKind.COARSE
 
     def test_small_budget_selects_dipr(self):
-        optimizer = RuleBasedOptimizer()
-        plan = optimizer.plan(self._query_context(gpu_memory_budget_bytes=1))
+        plan = self._optimizer(1).plan(self._query_context())
         assert plan.query_kind == QueryKind.DIPR
         assert plan.index_kind == IndexKind.FINE
 
     def test_first_layer_uses_flat_index(self):
-        optimizer = RuleBasedOptimizer()
-        plan = optimizer.plan(self._query_context(layer=0, gpu_memory_budget_bytes=1))
+        plan = self._optimizer(1).plan(self._query_context(layer=0))
         assert plan.index_kind == IndexKind.FLAT
 
     def test_partial_reuse_adds_predicate(self):
-        optimizer = RuleBasedOptimizer()
-        plan = optimizer.plan(
-            self._query_context(gpu_memory_budget_bytes=1, reused_prefix_length=40_000)
-        )
+        plan = self._optimizer(1).plan(self._query_context(reused_prefix_length=40_000))
         assert plan.predicate is not None
         assert plan.predicate.max_position == 40_000
 
     def test_beta_scaled_to_head_dim(self):
-        optimizer = RuleBasedOptimizer(AlayaDBConfig(dipr_beta=50.0))
-        plan = optimizer.plan(self._query_context(head_dim=32, gpu_memory_budget_bytes=1))
+        plan = self._optimizer(1, dipr_beta=50.0).plan(self._query_context(head_dim=32))
         assert plan.query.beta == pytest.approx(25.0)
 
     def test_plan_all_layers(self):
-        optimizer = RuleBasedOptimizer()
-        plans = optimizer.plan_all_layers(self._query_context(num_layers=4, gpu_memory_budget_bytes=1))
+        plans = self._optimizer(1).plan_all_layers(self._query_context(num_layers=4))
         assert set(plans) == {0, 1, 2, 3}
         assert plans[0].index_kind == IndexKind.FLAT
         assert plans[3].index_kind == IndexKind.FINE
@@ -268,37 +288,21 @@ class TestOptimizer:
     def test_plan_all_layers_carries_every_field(self):
         # per-layer contexts are dataclasses.replace copies: non-layer fields
         # (here the partial-reuse prefix driving the predicate) must survive
-        optimizer = RuleBasedOptimizer()
-        plans = optimizer.plan_all_layers(
-            self._query_context(num_layers=3, gpu_memory_budget_bytes=1, reused_prefix_length=40_000)
+        plans = self._optimizer(1).plan_all_layers(
+            self._query_context(num_layers=3, reused_prefix_length=40_000)
         )
         for plan in plans.values():
             assert plan.predicate is not None
             assert plan.predicate.max_position == 40_000
 
-    def test_zero_kv_bytes_derives_bytes_from_model_shape(self):
+    def test_derives_bytes_from_model_shape(self):
         # 100k tokens x (2 * 8 kv heads * 128 dim * 4 bytes * 32 layers) =
-        # ~13 GB of KV: far beyond a 2 GiB budget, so the unset field must
-        # route to DIPR instead of degenerating to 1 byte/token (which made
-        # every context look within budget and DIPR unreachable)
-        optimizer = RuleBasedOptimizer()
-        plan = optimizer.plan(
-            self._query_context(kv_bytes_per_token=0, gpu_memory_budget_bytes=2 * 2**30)
-        )
-        assert plan.query_kind == QueryKind.DIPR
-
-    def test_zero_kv_bytes_matches_explicit_model_bytes(self):
-        optimizer = RuleBasedOptimizer()
-        explicit_bytes = 2 * 8 * 128 * 4 * 32  # matches _query_context's shape
-        for budget in (2 * 2**30, 10**15):
-            derived = optimizer.plan(
-                self._query_context(kv_bytes_per_token=0, gpu_memory_budget_bytes=budget)
-            )
-            explicit = optimizer.plan(
-                self._query_context(kv_bytes_per_token=explicit_bytes, gpu_memory_budget_bytes=budget)
-            )
-            assert derived.query_kind == explicit.query_kind
-            assert derived.index_kind == explicit.index_kind
+        # ~13 GB of KV: far beyond a 2 GiB budget, so the plan is DIPR; the
+        # coarse index is chosen exactly when the derived footprint fits
+        required = 100_000 * 2 * 8 * 128 * 4 * 32
+        cases = [(2 * 2**30, QueryKind.DIPR), (required - 1, QueryKind.DIPR), (required, QueryKind.TOP_K)]
+        for budget, kind in cases:
+            assert self._optimizer(budget).plan(self._query_context()).query_kind == kind
 
     def test_custom_rule_takes_priority(self):
         optimizer = RuleBasedOptimizer()

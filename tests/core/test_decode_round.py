@@ -1,32 +1,23 @@
-"""Decode rounds: equivalence grid, policy properties, timings.
+"""Decode rounds: equivalence grid, stats honesty, timings.
 
 What a request generates must not depend on who else is in its decode round:
 every grid point here serves the same requests N at a time and one at a time
 (``max_inflight_requests=1``, every round a group of one) and requires
 token-identical generations plus identical per-request integer
-``DecodeStepStats`` totals.  The
-ALISA-style dense/sparse policy is a pure transition function, so its
-hysteresis/dwell/monotonicity guarantees are checked property-style with
-hypothesis.
+``DecodeStepStats`` totals.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
+from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.config import AlayaDBConfig
 from repro.core.db import DB
-from repro.core.decode_round import (
-    CrossRequestDecodeRound,
-    DynamicAttentionPolicy,
-    PolicyState,
-    StageTimings,
-)
+from repro.core.decode_round import CrossRequestDecodeRound, StageTimings
 from repro.core.service import InferenceService
 from repro.core.session import Session
 from repro.llm.model import ModelConfig, TransformerModel
@@ -125,20 +116,43 @@ class TestEquivalenceGrid:
         )
         assert together == one_at_a_time
 
-    def test_mixed_plan_kinds_in_one_round(self, model):
-        """Sessions on different contexts form two groups, still identical."""
+    def test_mixed_plan_kinds_in_one_round(self, model, monkeypatch):
+        """Three sessions whose plans differ share decode rounds: full reuse
+        under a DIPR plan, partial reuse short enough for full attention over
+        the one range, and no reuse (full attention over no range).  A plan
+        difference changes the group key, not the code path: every round runs
+        three ``group_attention`` groups, and each request's tokens and
+        integer stats equal its solo run."""
+        from repro.core import decode_round
+
+        calls = []
+        real = decode_round.group_attention
+
+        def spy(layer, members, queries, timings=None):
+            inputs = members[0][1]
+            key = (inputs.plan.query_kind, inputs.plan.index_kind, len(inputs.ranges), inputs.prefix)
+            calls.append((layer, key))
+            return real(layer, members, queries, timings)
+
+        monkeypatch.setattr(decode_round, "group_attention", spy)
+        prompts = [DOC + [211], DOC[:40] + [230, 231], [7, 8, 9, 10, 11]]
 
         def run(max_inflight):
-            service = _service(model, "flat", max_inflight_requests=max_inflight)
-            # a second ingested context: two compatibility groups in flight
-            other = [5 + (i % 240) for i in range(130)]
-            service.db.prefill_and_import(
-                model, other, build_fine_indexes=False, context_id="other"
-            )
-            prompts = [DOC + [211], DOC + [212], other + [213], other + [214]]
-            return _drain_outputs(service, prompts, [4, 4, 4, 4])
+            service = _service(model, "fine", max_inflight_requests=max_inflight)
+            return _drain_outputs(service, prompts, [4, 4, 4])
 
-        assert run(4) == run(1)
+        together = run(3)
+        rounds = [
+            (layer, {key for _, key in group})
+            for layer, group in groupby(calls, key=lambda call: call[0])
+        ]
+        expected = {
+            ("dipr", "fine", 1, len(DOC)),
+            ("full", None, 1, 40),
+            ("full", None, 0, 0),
+        }
+        assert sum(1 for layer, keys in rounds if layer == 1 and keys == expected) == 3
+        assert together == run(1)
 
     def test_mid_round_cancel(self, model):
         prompts = [DOC + [220 + i] for i in range(4)]
@@ -276,166 +290,6 @@ class TestDecodeStepStatsHonesty:
         for stats in (sharded, plain, unconnected):
             assert stats.num_distance_computations == stats.num_graph_hops == stats.num_window_tokens == 0
             assert stats.num_heads == calls * model.config.num_query_heads
-
-
-# --------------------------------------------------------------------------
-# dynamic attention policy
-# --------------------------------------------------------------------------
-
-policies = st.builds(
-    DynamicAttentionPolicy,
-    dense_watermark=st.floats(min_value=0.0, max_value=0.8),
-    sparse_watermark=st.floats(min_value=0.8, max_value=2.0),
-    min_dwell_steps=st.integers(min_value=0, max_value=6),
-)
-states = st.builds(
-    PolicyState,
-    mode=st.sampled_from(["sparse", "dense"]),
-    steps_in_mode=st.integers(min_value=0, max_value=12),
-)
-pressures = st.floats(min_value=0.0, max_value=3.0)
-
-
-class TestDynamicAttentionPolicy:
-    @settings(deadline=None, max_examples=80)
-    @given(policy=policies, state=states, pressure=pressures)
-    def test_step_is_pure_and_total(self, policy, state, pressure):
-        first = policy.step(state, pressure)
-        assert policy.step(state, pressure) == first
-        assert first.mode in ("sparse", "dense")
-
-    @settings(deadline=None, max_examples=80)
-    @given(policy=policies, state=states, pressure=pressures)
-    def test_hysteresis_band_keeps_mode(self, policy, state, pressure):
-        if policy.dense_watermark < pressure < policy.sparse_watermark:
-            assert policy.step(state, pressure).mode == state.mode
-
-    @settings(deadline=None, max_examples=80)
-    @given(policy=policies, state=states, p1=pressures, p2=pressures)
-    def test_monotone_in_pressure(self, policy, state, p1, p2):
-        """Higher pressure never flips the decision toward dense."""
-        low, high = sorted((p1, p2))
-        if policy.step(state, low).mode == "sparse":
-            assert policy.step(state, high).mode == "sparse"
-
-    @settings(deadline=None, max_examples=60)
-    @given(
-        policy=policies,
-        seq=st.lists(pressures, min_size=1, max_size=40),
-    )
-    def test_dwell_bounds_switch_frequency(self, policy, seq):
-        state = policy.initial()
-        last_switch = None
-        for i, pressure in enumerate(seq):
-            nxt = policy.step(state, pressure)
-            if nxt.mode != state.mode:
-                if last_switch is not None:
-                    assert i - last_switch >= policy.min_dwell_steps
-                last_switch = i
-            state = nxt
-
-    @settings(deadline=None, max_examples=60)
-    @given(policy=policies, state=states)
-    def test_sustained_pressure_converges_to_sparse(self, policy, state):
-        pressure = policy.sparse_watermark
-        for _ in range(policy.min_dwell_steps + 1):
-            state = policy.step(state, pressure)
-        assert state.mode == "sparse"
-
-    def test_invalid_watermarks_rejected(self):
-        with pytest.raises(ValueError):
-            DynamicAttentionPolicy(dense_watermark=0.8, sparse_watermark=0.5)
-        with pytest.raises(ValueError):
-            DynamicAttentionPolicy(min_dwell_steps=-1)
-
-    def test_config_validation(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            AlayaDBConfig(
-                attention_policy_dense_watermark=0.9,
-                attention_policy_sparse_watermark=0.5,
-            )
-
-    def test_policy_pins_low_pressure_sessions_dense(self, model):
-        """Plentiful budget → dense override; forget() clears state on finish."""
-        service = _service(
-            model,
-            "flat",
-            max_inflight_requests=2,
-            dynamic_attention_policy=True,
-            scheduler_gpu_budget_bytes=10**15,
-        )
-        handles = [service.submit(DOC + [250 + i], max_new_tokens=3) for i in range(2)]
-        service.step()
-        service.step()
-        live = [service._live[h.request_id].session for h in handles]
-        assert all(s.decode_mode_override == "dense" for s in live)
-        assert len(service._attention_policy._states) == 2
-        service.drain()
-        assert not service._attention_policy._states
-
-
-    def test_policy_flip_changes_the_group_key_not_the_code_path(self, model, monkeypatch):
-        """Pressure swings mid-request: two requests on one context go dense -> sparse -> dense
-        together.  Every round is one S = 2 ``group_attention`` call whose plan flips with the
-        policy, and the tokens equal the same requests with the override pinned by hand to the
-        modes the policy chose, step for step."""
-        from repro.core import decode_round
-
-        groups = []
-        real = decode_round.group_attention
-
-        def spy(layer, members, queries, timings=None):
-            if layer == 0:
-                groups.append((len(members), members[0][1].plan.is_full))
-            return real(layer, members, queries, timings)
-
-        monkeypatch.setattr(decode_round, "group_attention", spy)
-        prompts = [DOC + [250 + i] for i in range(2)]
-
-        def run(choose_modes, **overrides):
-            service = _service(model, "flat", max_inflight_requests=2, **overrides)
-            service._apply_attention_policy = choose_modes(service)
-            handles = [service.submit(prompt, max_new_tokens=9) for prompt in prompts]
-            service.drain()
-            return [service.result(handle)[0].generated_tokens for handle in handles]
-
-        chosen = []
-
-        def policy_under_swinging_pressure(service):
-            apply_policy, admission = service._apply_attention_policy, service.scheduler.admission
-
-            def choose(inflights):
-                # rounds 2..4 run at pressure 1.0, the others at ~0
-                admission.budget_bytes = admission.committed_bytes if 2 <= len(chosen) < 5 else 10**15
-                apply_policy(inflights)
-                chosen.append({fl.request.request_id: fl.session.decode_mode_override for fl in inflights})
-
-            return choose
-
-        flipped = run(
-            policy_under_swinging_pressure,
-            dynamic_attention_policy=True,
-            scheduler_gpu_budget_bytes=10**15,
-            attention_policy_min_dwell_steps=2,
-        )
-        modes = [set(round_.values()) for round_ in chosen]
-        assert modes == [{"dense"}] * 2 + [{None}] * 3 + [{"dense"}] * 3
-        # the first round is both requests' one-token prefill: a group of two
-        # under the optimizer's plan (the policy steers decode rows only)
-        assert groups == [(2, False)] + [(2, True)] * 2 + [(2, False)] * 3 + [(2, True)] * 3
-
-        def pinned_by_hand(service):
-            replay = iter(chosen)
-
-            def choose(inflights):
-                for fl, mode in zip(inflights, next(replay).values()):
-                    fl.session.decode_mode_override = mode
-
-            return choose
-
-        assert run(pinned_by_hand) == flipped
 
 
 class TestStageTimings:

@@ -60,10 +60,6 @@ class TestShardPlan:
         plan = ShardPlan.even(100, 3, align=32)
         assert all(r.num_tokens > 0 for r in plan.ranges)
 
-    def test_by_token_range(self):
-        plan = ShardPlan.by_token_range(256, 64)
-        assert plan.num_shards == 4
-
     def test_shard_of_position_and_split(self):
         plan = ShardPlan.even(100, 4)
         for rng in plan.ranges:

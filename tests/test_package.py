@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro
-from repro import errors
+from repro import AlayaDBConfig, errors
+
+
+def test_config_field_count():
+    """A ratchet on the configuration surface: a new knob must show up in review."""
+    count = len(dataclasses.fields(AlayaDBConfig))
+    assert count <= 36, (
+        f"AlayaDBConfig has {count} fields, above the ratchet of 36: ROADMAP aim 2 ranks "
+        "deleting a knob as highly as a speedup, so justify the new one there (or delete "
+        "another) before raising this bound"
+    )
 
 
 class TestPublicSurface:
