@@ -2,76 +2,15 @@
 
 Every harness regenerates one table or figure of the paper.  Results are
 (1) printed, (2) appended to the terminal summary shown after the pytest run
-(so they survive output capturing), (3) written to
-``benchmarks/results/<experiment>.txt`` for later inspection, and (4) — for
-headline metrics — snapshotted as machine-readable
-``benchmarks/results/BENCH_<experiment>.json`` files
-(:func:`write_bench_json`) so the perf trajectory is trackable across PRs.
+(so they survive output capturing), and (3) written to
+``benchmarks/results/<experiment>.txt`` for later inspection.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import subprocess
-import time
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def git_revision() -> str | None:
-    """The current git commit hash, or ``None`` outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return out.stdout.strip() if out.returncode == 0 else None
-
-
-def write_bench_json(
-    experiment: str,
-    metrics: dict,
-    config: dict | None = None,
-) -> Path:
-    """Snapshot one bench's headline metrics as ``BENCH_<experiment>.json``.
-
-    ``metrics`` carries the headline numbers (latencies, speedups, counts);
-    ``config`` whatever knobs shaped the run (sizes, modes, model dims).  A
-    provenance block (git revision, timestamp, python/platform, smoke flag)
-    is added so a snapshot is interpretable on its own.  Returns the path
-    written.
-    """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    safe_name = experiment.lower().replace(" ", "_").replace("/", "-")
-    path = RESULTS_DIR / f"BENCH_{safe_name}.json"
-    payload = {
-        "experiment": experiment,
-        "metrics": metrics,
-        "config": config or {},
-        "provenance": {
-            "git_revision": git_revision(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "smoke": smoke_mode(),
-        },
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
-    return path
-
-
-def smoke_mode() -> bool:
-    """True when ``BENCH_SMOKE=1``: harnesses shrink their workloads (and relax
-    perf-ratio assertions) so CI can sanity-run them in seconds."""
-    return os.environ.get("BENCH_SMOKE", "").lower() in ("1", "true", "yes")
 
 #: lines queued for the pytest terminal summary (see benchmarks/conftest.py)
 SUMMARY_LINES: list[str] = []

@@ -6,7 +6,8 @@
 * :mod:`repro.server.http` — the dependency-free HTTP/1.1 + SSE wire
   primitives;
 * :mod:`repro.server.client` — a minimal asyncio client (used by the
-  network soak, the serving benchmark, and ``examples/http_client.py``).
+  network soak, the workload engine's HTTP transport, and
+  ``examples/http_client.py``).
 """
 
 from .app import AlayaDBServer, ServerStats, check_drained

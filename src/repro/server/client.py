@@ -1,6 +1,6 @@
 """A minimal asyncio client for the serving frontend.
 
-Used by the network soak test, the HTTP serving benchmark, and
+Used by the network soak test, the workload engine's HTTP transport, and
 ``examples/http_client.py``.  It speaks exactly the subset of HTTP/1.1 the
 server does — ``Content-Length``-framed JSON exchanges and connection-close
 server-sent-event streams — and exposes the disconnect path explicitly:

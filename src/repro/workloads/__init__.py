@@ -1,6 +1,8 @@
 """Synthetic long-context workloads and their evaluation harness."""
 
 from .engine import (
+    HttpTransport,
+    InProcessTransport,
     QualityGateResult,
     ReplayEvent,
     ReplayReport,
@@ -8,8 +10,7 @@ from .engine import (
     TenantMixSpec,
     WorkloadEngineSpec,
     generate_replay_trace,
-    replay_http,
-    replay_scheduler,
+    replay,
     score_quality_gate,
     tenant_specs,
 )
@@ -31,6 +32,8 @@ from .trace import (
 __all__ = [
     "INFINITE_BENCH_TASKS",
     "LONGBENCH_TASKS",
+    "HttpTransport",
+    "InProcessTransport",
     "LongBenchTask",
     "MethodEvaluation",
     "QualityGateResult",
@@ -57,8 +60,7 @@ __all__ = [
     "longbench_task",
     "needle_hit",
     "recovery_ratio",
-    "replay_http",
-    "replay_scheduler",
+    "replay",
     "sample_arrival_times",
     "score_quality_gate",
     "softmax_weights",

@@ -1,9 +1,8 @@
 """Trace-driven workload engine: generate mixed serving traces, replay them
 against the real stack, and gate every run on generation quality.
 
-The benches elsewhere in ``benchmarks/`` are single-scenario panels; the
-paper's headline claim is end-to-end — serving quality *and* latency SLOs
-under realistic long-context traffic.  This module closes that gap:
+The paper's use cases are MaaS traffic mixes under latency SLOs.  This
+module turns such a mix into a seeded trace, replays it, and scores it:
 
 * :func:`generate_replay_trace` builds a large seeded trace from a
   :class:`WorkloadEngineSpec`: diurnal/bursty arrival curves
@@ -18,17 +17,20 @@ under realistic long-context traffic.  This module closes that gap:
     mid-stream cancellations and client disconnects,
   - **fresh** — one-shot requests with no reuse opportunity;
 
-* two replay entry points run the same trace against the real stack:
-  :func:`replay_scheduler` (``InferenceService.submit`` + ``step``, virtual
-  clock) and :func:`replay_http` (the asyncio HTTP/SSE frontend over real
-  TCP, with DELETE-cancellations and TCP aborts); either takes any
+* one driver, :func:`replay`, runs a trace over one of two transports —
+  :class:`InProcessTransport` (``InferenceService.submit`` on a virtual
+  clock advanced one tick per scheduler round) or :class:`HttpTransport`
+  (the asyncio HTTP/SSE frontend over real TCP, cancels as DELETEs or TCP
+  aborts).  The driver alone paces arrivals and think time, chains session
+  turns, retries 429s and fires cancellations; a transport only submits,
+  streams tokens, cancels and sleeps.  Either takes any
   ``InferenceService`` — including a sharded router's front service, whose
   library documents then live on the shard owners;
 
 * every replay aggregates one :class:`ReplayReport` — TTFT/TPOT p50/p95/p99,
   SLO attainment, eviction/preemption/throttle (429) rates, prefix-reuse hit
   ratio, per-tenant fairness rows — whose :meth:`~ReplayReport.deterministic_summary`
-  is reproducible for a given seed (and identical across entry points for
+  is reproducible for a given seed (and identical across transports for
   cancellation-free traces, since decoding is greedy and batching is
   token-identical);
 
@@ -42,6 +44,7 @@ under realistic long-context traffic.  This module closes that gap:
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import heapq
 import json
@@ -71,8 +74,9 @@ __all__ = [
     "ReplayReport",
     "QualityGateResult",
     "generate_replay_trace",
-    "replay_scheduler",
-    "replay_http",
+    "replay",
+    "InProcessTransport",
+    "HttpTransport",
     "score_quality_gate",
     "tenant_specs",
     "KIND_TASKS",
@@ -507,7 +511,7 @@ def generate_replay_trace(spec: WorkloadEngineSpec | None = None) -> ReplayTrace
 # ----------------------------------------------------------------------
 @dataclass
 class ReplayReport:
-    """Aggregated outcome of replaying one trace at one entry point."""
+    """Aggregated outcome of replaying one trace over one transport."""
 
     entrypoint: str
     num_events: int
@@ -557,8 +561,8 @@ class ReplayReport:
 
     def deterministic_summary(self) -> dict:
         """The seed-reproducible slice of the report: counts and token totals,
-        no wall-clock quantities.  Identical across repeat runs of the same
-        entry point, and across entry points for cancellation-free traces
+        no wall-clock quantities.  Identical across repeat runs over the same
+        transport, and across transports for cancellation-free traces
         (greedy decoding; batched decode is token-identical)."""
         return {
             "num_events": self.num_events,
@@ -572,13 +576,6 @@ class ReplayReport:
             "reuse_hit_requests": self.reuse_hit_requests,
             "per_kind": self.per_kind,
         }
-
-
-def _ingest_documents(service, trace: ReplayTrace) -> float:
-    start = time.perf_counter()
-    for document_id, text in trace.documents.items():
-        service.ingest(text, context_id=document_id)
-    return time.perf_counter() - start
 
 
 def _build_service_report(
@@ -603,7 +600,6 @@ def _build_service_report(
     ttfts: list[float] = []
     tpots: list[float] = []
     slo_attained = 0
-    slo_checked = 0
     generated = 0
     prompt_tokens = 0
     reused_tokens = 0
@@ -624,7 +620,6 @@ def _build_service_report(
         completed += 1
         ttfts.append(record.client_ttft_seconds)
         tpots.append(record.tpot_seconds)
-        slo_checked += 1
         slo_attained += record.slo_attained
         generated += record.generated_tokens
         prompt_tokens += record.prompt_tokens
@@ -655,7 +650,7 @@ def _build_service_report(
         ttft_seconds=percentiles(ttfts),
         tpot_seconds=percentiles(tpots),
         slo_attained=slo_attained,
-        slo_checked=slo_checked,
+        slo_checked=completed,
         preemptions=service.scheduler.stats.preemptions,
         evictions=store.spill_count,
         per_tenant=per_tenant,
@@ -665,242 +660,239 @@ def _build_service_report(
 
 
 # ----------------------------------------------------------------------
-# entry point 1: the scheduler (virtual-clock replay)
+# replay: one driver over two transports
 # ----------------------------------------------------------------------
-def replay_scheduler(
-    trace: ReplayTrace,
-    service,
-    *,
-    steps_per_second: float = 200.0,
-    max_steps: int = 2_000_000,
-    throttle_retries: int = 100,
-) -> ReplayReport:
-    """Replay the trace through ``InferenceService.submit`` + ``step``.
+TICK_SECONDS = 1.0 / 200.0
+"""Virtual seconds one in-process scheduler round advances the clock."""
 
-    Arrival pacing uses a virtual clock advanced ``1/steps_per_second`` per
-    scheduler round, so the replay is deterministic regardless of host speed.
-    Session turns are chained: turn *k+1* is submitted only after turn *k*
-    reached a terminal state (its stored context must exist for reuse).
-    Mid-stream cancellations fire once the target token count has streamed;
-    tenant backpressure (429) is retried after the advertised delay.
+MAX_STEPS = 2_000_000
+"""Stall guard: an in-process replay that needs more rounds raises."""
+
+THROTTLE_RETRIES = 200
+"""429 answers one event absorbs before the driver gives it up."""
+
+MAX_RETRY_WAIT_SECONDS = 1.0
+"""Cap on the virtual wait the driver honours from a 429's retry-after."""
+
+HTTP_TIME_SCALE = 0.004
+"""Real seconds per virtual second over HTTP (arrival, think and retry waits)."""
+
+DRAIN_SECONDS = 120.0
+"""How long the HTTP server's shutdown may take to settle in-flight work."""
+
+
+async def replay(trace: ReplayTrace, transport) -> ReplayReport:
+    """Replay ``trace`` through ``transport`` and report on the service.
+
+    The library is ingested first.  Then one task per session chain (or
+    single event) sleeps to its arrival and submits; turn *k+1* waits for
+    turn *k*'s stream to end (its stored context must exist for reuse) plus
+    the trace's think time.  A 429 is retried after its retry-after, and a
+    cancellation fires once ``cancel_after_tokens`` tokens have streamed —
+    as a disconnect for ``disconnect`` events.  The transport only moves
+    bytes: :class:`InProcessTransport` or :class:`HttpTransport`.
     """
     start = time.perf_counter()
-    _ingest_documents(service, trace)
+    service = transport.service
+    for document_id, text in trace.documents.items():
+        service.ingest(text, context_id=document_id)
 
-    successors: dict[tuple[str, int], ReplayEvent] = {}
-    roots: list[ReplayEvent] = []
+    chains: dict[str | int, list[ReplayEvent]] = {}
     for event in trace.events:
-        if event.session_id is not None and event.turn > 0:
-            successors[(event.session_id, event.turn - 1)] = event
-        else:
-            roots.append(event)
+        key = event.session_id if event.session_id is not None else event.event_id
+        chains.setdefault(key, []).append(event)
 
-    ready: list[tuple[float, int, ReplayEvent, int]] = []  # (when, seq, event, retries)
-    seq = 0
-    for event in roots:
-        heapq.heappush(ready, (event.arrival_seconds, seq, event, 0))
-        seq += 1
-
-    clock = 0.0
-    tick = 1.0 / steps_per_second
     submitted = 0
     throttled = 0
     event_records: dict[int, int] = {}
-    active: dict[int, tuple[ReplayEvent, object]] = {}  # request_id -> (event, handle)
-    steps = 0
 
-    def release_successor(event: ReplayEvent, at: float) -> None:
-        nonlocal seq
-        if event.session_id is None:
-            return
-        successor = successors.pop((event.session_id, event.turn), None)
-        if successor is not None:
-            think = successor.arrival_seconds - event.arrival_seconds
-            heapq.heappush(ready, (max(successor.arrival_seconds, at + max(think, 0.0)), seq, successor, 0))
-            seq += 1
-
-    while ready or service.scheduler.has_work:
-        # submit everything whose (virtual) arrival has passed
-        while ready and ready[0][0] <= clock:
-            _, _, event, retries = heapq.heappop(ready)
+    async def submit(event: ReplayEvent):
+        """The event's stream, or ``None`` once its 429 retries run out."""
+        nonlocal throttled
+        for attempt in range(THROTTLE_RETRIES):
             try:
-                handle = service.submit(
-                    event.prompt,
-                    max_new_tokens=event.max_new_tokens,
-                    slo=event.slo,
-                    store_context_id=event.session_id,
-                    tenant=event.tenant,
-                )
+                return await transport.submit(event)
             except TenantThrottledError as exc:
                 throttled += 1
-                if retries + 1 >= throttle_retries:
-                    release_successor(event, clock)  # give up; free the chain
-                    continue
-                delay = min(max(exc.retry_after_seconds, tick), 1.0)
-                heapq.heappush(ready, (clock + delay, seq, event, retries + 1))
-                seq += 1
-                continue
-            submitted += 1
-            event_records[event.event_id] = handle.request_id
-            active[handle.request_id] = (event, handle)
+                if attempt + 1 < THROTTLE_RETRIES:
+                    await transport.sleep(min(exc.retry_after_seconds, MAX_RETRY_WAIT_SECONDS))
+        return None
 
-        if service.scheduler.has_work:
-            service.step()
-            steps += 1
-            if steps > max_steps:
-                raise RuntimeError(f"replay exceeded {max_steps} scheduler steps")
-        elif ready:
-            clock = max(clock, ready[0][0])
-            continue
+    async def run_event(event: ReplayEvent) -> None:
+        nonlocal submitted
+        stream = await submit(event)
+        if stream is None:
+            return
+        submitted += 1
+        event_records[event.event_id] = stream.request_id
+        seen = 0
+        async for _token in transport.tokens(stream):
+            seen += 1
+            if event.cancel_after_tokens is not None and seen >= event.cancel_after_tokens:
+                await transport.cancel(stream, disconnect=event.disconnect)
+                return
 
-        # fire due cancellations, retire terminal requests, release chains
-        for request_id in list(active):
-            event, handle = active[request_id]
-            if (
-                event.cancel_after_tokens is not None
-                and not handle.is_done
-                and len(service.generated_tokens(request_id)) >= event.cancel_after_tokens
-            ):
-                service.cancel(request_id)
-            if handle.is_done:
-                del active[request_id]
-                release_successor(event, clock)
-        clock += tick
+    async def run_chain(chain: list[ReplayEvent]) -> None:
+        previous_arrival = 0.0
+        for event in chain:
+            # the arrival for the first turn, the think time after the last
+            await transport.sleep(max(event.arrival_seconds - previous_arrival, 0.0))
+            previous_arrival = event.arrival_seconds
+            await run_event(event)
 
-    wall = time.perf_counter() - start
+    await transport.run(asyncio.gather(*(run_chain(chain) for chain in chains.values())))
     return _build_service_report(
-        "scheduler",
+        transport.entrypoint,
         trace,
         service,
         submitted=submitted,
         throttled=throttled,
         event_records=event_records,
-        wall_seconds=wall,
+        wall_seconds=time.perf_counter() - start,
     )
 
 
-# ----------------------------------------------------------------------
-# entry point 2: the HTTP frontend (real TCP, SSE, disconnects)
-# ----------------------------------------------------------------------
-def replay_http(
-    trace: ReplayTrace,
-    service,
-    *,
-    time_scale: float = 0.01,
-    throttle_retries: int = 200,
-    drain_seconds: float = 120.0,
-) -> ReplayReport:
-    """Replay the trace over the asyncio HTTP/SSE frontend.
+class InProcessTransport:
+    """``InferenceService.submit`` on a virtual clock.
 
-    Arrivals are compressed by ``time_scale`` (virtual second → real
-    seconds); session turns run sequentially per session.  Mid-stream
-    cancellations arrive as ``DELETE /v1/requests/{id}`` — or, for
-    ``disconnect`` events, as a TCP abort the server must detect and turn
-    into a cancellation.  429 backpressure is retried after ``Retry-After``.
-    The server is drained and :func:`~repro.server.app.check_drained`
-    verified on shutdown.
+    A pump task runs ``service.step()`` and advances the clock one
+    :data:`TICK_SECONDS` per round; with the scheduler idle the clock jumps
+    to the earliest sleeper.  Sleepers due at a tick wake (earliest first)
+    and submit before that tick's round; streams read each round's tokens
+    after it.  The replay is deterministic regardless of host speed.
     """
-    import asyncio
 
-    from ..server import AlayaDBServer, ServerClient
+    entrypoint = "scheduler"
 
-    async def scenario() -> ReplayReport:
-        start = time.perf_counter()
-        _ingest_documents(service, trace)
-        server = AlayaDBServer(service, port=0)
-        await server.start()
-        client = ServerClient(*server.address)
+    def __init__(self, service):
+        self.service = service
+        self.clock = 0.0
+        self._sleepers: list[tuple[float, int, asyncio.Future]] = []
+        self._sleeps = 0
+        self._stepped: asyncio.Future | None = None
 
-        sessions: dict[str, list[ReplayEvent]] = {}
-        singles: list[ReplayEvent] = []
-        for event in trace.events:
-            if event.session_id is not None:
-                sessions.setdefault(event.session_id, []).append(event)
+    async def run(self, load) -> None:
+        self._stepped = asyncio.get_running_loop().create_future()
+        await asyncio.gather(load, self._pump())
+
+    async def _pump(self) -> None:
+        loop = asyncio.get_running_loop()
+        steps = 0
+        while True:
+            while self._sleepers and self._sleepers[0][0] <= self.clock:
+                heapq.heappop(self._sleepers)[2].set_result(None)
+            await asyncio.sleep(0)  # woken tasks run until they park again
+            if self.service.scheduler.has_work:
+                self.service.step()
+                steps += 1
+                if steps > MAX_STEPS:
+                    raise RuntimeError(f"replay exceeded {MAX_STEPS} scheduler steps")
+            elif self._sleepers:
+                self.clock = max(self.clock, self._sleepers[0][0])
+                continue
             else:
-                singles.append(event)
-        for chain in sessions.values():
-            chain.sort(key=lambda e: e.turn)
+                return  # no work, nobody sleeping: every chain has ended
+            stepped, self._stepped = self._stepped, loop.create_future()
+            stepped.set_result(None)
+            await asyncio.sleep(0)  # streams read the round's tokens
+            self.clock += TICK_SECONDS
 
-        submitted = 0
-        throttled = 0
-        event_records: dict[int, int] = {}
-
-        async def run_event(event: ReplayEvent) -> None:
-            nonlocal submitted, throttled
-            payload = dict(
-                prompt=event.prompt,
-                max_new_tokens=event.max_new_tokens,
-                tenant=event.tenant,
-                store_context_id=event.session_id,
-                slo={"tpot_seconds": event.slo.tpot_seconds}
-                | (
-                    {"ttft_seconds": event.slo.ttft_seconds}
-                    if event.slo.ttft_seconds is not None
-                    else {}
-                ),
-            )
-            for _attempt in range(throttle_retries):
-                stream = await client.stream_completion(**payload)
-                if stream.status == 429:
-                    throttled += 1
-                    retry_after = float(stream.headers.get("retry-after", 1))
-                    length = int(stream.headers.get("content-length", 0))
-                    if length:
-                        await stream.reader.readexactly(length)
-                    await stream.close()
-                    await asyncio.sleep(min(retry_after * time_scale, 0.05))
-                    continue
-                if stream.status != 200:
-                    await stream.close()
-                    return
-                submitted += 1
-                if stream.request_id is not None:
-                    event_records[event.event_id] = stream.request_id
-                tokens_seen = 0
-                async for item in stream.events():
-                    if "token_id" in item:
-                        tokens_seen += 1
-                        if (
-                            event.cancel_after_tokens is not None
-                            and tokens_seen >= event.cancel_after_tokens
-                        ):
-                            if event.disconnect:
-                                stream.abort()
-                                return
-                            await client.cancel(stream.request_id)
-                await stream.close()
-                return
-
-        async def run_single(event: ReplayEvent) -> None:
-            await asyncio.sleep(event.arrival_seconds * time_scale)
-            await run_event(event)
-
-        async def run_session(chain: list[ReplayEvent]) -> None:
-            await asyncio.sleep(chain[0].arrival_seconds * time_scale)
-            previous_arrival = chain[0].arrival_seconds
-            for turn, event in enumerate(chain):
-                if turn > 0:
-                    think = max(event.arrival_seconds - previous_arrival, 0.0)
-                    await asyncio.sleep(think * time_scale)
-                previous_arrival = event.arrival_seconds
-                await run_event(event)
-
-        tasks = [asyncio.create_task(run_single(e)) for e in singles]
-        tasks += [asyncio.create_task(run_session(chain)) for chain in sessions.values()]
-        await asyncio.gather(*tasks)
-        await server.shutdown(drain=True, max_seconds=drain_seconds)
-        wall = time.perf_counter() - start
-        return _build_service_report(
-            "http",
-            trace,
-            service,
-            submitted=submitted,
-            throttled=throttled,
-            event_records=event_records,
-            wall_seconds=wall,
+    async def submit(self, event: ReplayEvent):
+        return self.service.submit(
+            event.prompt,
+            max_new_tokens=event.max_new_tokens,
+            slo=event.slo,
+            store_context_id=event.session_id,
+            tenant=event.tenant,
         )
 
-    return asyncio.run(scenario())
+    async def tokens(self, handle):
+        seen = 0
+        while True:
+            tokens = self.service.generated_tokens(handle.request_id)
+            for token in tokens[seen:]:
+                yield token
+            seen = len(tokens)
+            if handle.is_done:
+                return
+            await self._stepped
+
+    async def cancel(self, handle, disconnect: bool) -> None:
+        self.service.cancel(handle.request_id)
+
+    async def sleep(self, seconds: float) -> None:
+        wake = asyncio.get_running_loop().create_future()
+        heapq.heappush(self._sleepers, (self.clock + seconds, self._sleeps, wake))
+        self._sleeps += 1
+        await wake
+
+
+class HttpTransport:
+    """The asyncio HTTP/SSE frontend over real TCP.
+
+    :meth:`run` hosts the load on an ``AlayaDBServer`` and always shuts it
+    down drained, which runs :func:`~repro.server.app.check_drained`.  A
+    cancel is ``DELETE /v1/requests/{id}``, a disconnect a TCP abort the
+    server must turn into a cancellation; virtual seconds sleep
+    :data:`HTTP_TIME_SCALE` real seconds each.
+    """
+
+    entrypoint = "http"
+
+    def __init__(self, service):
+        self.service = service
+        self._client = None
+
+    async def run(self, load) -> None:
+        from ..server import AlayaDBServer, ServerClient
+
+        server = AlayaDBServer(self.service, port=0)
+        await server.start()
+        self._client = ServerClient(*server.address)
+        try:
+            await load
+        finally:
+            await server.shutdown(drain=True, max_seconds=DRAIN_SECONDS)
+
+    async def submit(self, event: ReplayEvent):
+        slo = {"tpot_seconds": event.slo.tpot_seconds}
+        if event.slo.ttft_seconds is not None:
+            slo["ttft_seconds"] = event.slo.ttft_seconds
+        stream = await self._client.stream_completion(
+            prompt=event.prompt,
+            max_new_tokens=event.max_new_tokens,
+            tenant=event.tenant,
+            store_context_id=event.session_id,
+            slo=slo,
+        )
+        if stream.status == 200:
+            return stream
+        length = int(stream.headers.get("content-length", 0))
+        body = (await stream.reader.readexactly(length)).decode() if length else ""
+        await stream.close()
+        if stream.status == 429:
+            raise TenantThrottledError(
+                body,
+                tenant=event.tenant,
+                retry_after_seconds=float(stream.headers.get("retry-after", 1)),
+            )
+        raise RuntimeError(f"completion refused with HTTP {stream.status}: {body}")
+
+    async def tokens(self, stream):
+        async for item in stream.events():
+            if "token_id" in item:
+                yield item["token_id"]
+        await stream.close()
+
+    async def cancel(self, stream, disconnect: bool) -> None:
+        if disconnect:
+            stream.abort()
+            return
+        await self._client.cancel(stream.request_id)
+        await stream.close()
+
+    async def sleep(self, seconds: float) -> None:
+        await asyncio.sleep(seconds * HTTP_TIME_SCALE)
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,19 @@ class TestLazyImport:
         assert session.num_decode_steps >= 1
         assert session.last_decode_stats.num_heads > 0
 
+    def test_only_queried_contexts_pay_for_index_builds(self, lazy_model):
+        """Serving sparse requests over one of two lazily ingested documents
+        builds that document's fine indexes and leaves the other's pending."""
+        service = InferenceService(lazy_model, _lazy_config(max_inflight_requests=4))
+        service.ingest(DOCUMENT, context_id="queried")
+        service.ingest("an unrelated document nobody asks about. " * 20, context_id="idle")
+        for i in range(4):
+            service.submit(DOCUMENT + f" question {i}?", max_new_tokens=2)
+        service.drain()
+        assert service.db.get_context("queried").has_fine_indexes
+        assert not service.db.get_context("idle").has_fine_indexes
+        assert service.db.num_pending_index_builds == 1
+
     def test_build_pending_drains_explicitly(self, lazy_model):
         db = DB(_lazy_config())
         db.prefill_and_import(lazy_model, DOCUMENT, context_id="one")

@@ -44,7 +44,7 @@ NUM_EVENTS = 200
 
 
 def _make_service(tmp_path) -> InferenceService:
-    """A BENCH_SMOKE-sized service with every governance feature enabled."""
+    """A tiny-model service with every governance feature enabled."""
     model = TransformerModel(ModelConfig.tiny())
     config = AlayaDBConfig(
         short_context_threshold=8,

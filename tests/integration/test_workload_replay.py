@@ -6,11 +6,12 @@ executes with ``-m workloads``:
 
 * a mixed multi-tenant trace — chat sessions, RAG over a shared Zipf
   library, agent loops with mid-stream cancellations and disconnects —
-  replayed through the scheduler, over real TCP through the HTTP frontend
-  (which must drain clean), and through the scheduler of a sharded router's
-  front service (library documents living on the shard owners);
-* cross-entry-point determinism: on a cancellation-free trace the
-  scheduler and HTTP replays — and the scheduler replay over the
+  replayed by the one driver over the in-process transport, over real TCP
+  through the HTTP frontend (which must drain clean), and in-process
+  against a sharded router's front service (library documents living on
+  the shard owners);
+* cross-transport determinism: on a cancellation-free trace the
+  in-process and HTTP replays — and the in-process replay over the
   router-backed service — must agree on every deterministic-summary count
   (greedy decoding, token-identical batching, exact cross-shard merge);
 * the quality gate scored on the same trace's task mix.
@@ -18,17 +19,20 @@ executes with ``-m workloads``:
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.core.config import AlayaDBConfig
 from repro.core.service import InferenceService
 from repro.sharding.router import ShardedContextRouter
 from repro.workloads.engine import (
+    HttpTransport,
+    InProcessTransport,
     TenantMixSpec,
     WorkloadEngineSpec,
     generate_replay_trace,
-    replay_http,
-    replay_scheduler,
+    replay,
     score_quality_gate,
     tenant_specs,
 )
@@ -69,6 +73,14 @@ def make_service(spec, tiny_model, **config_overrides) -> InferenceService:
     )
 
 
+def replay_in_process(trace, service):
+    return asyncio.run(replay(trace, InProcessTransport(service)))
+
+
+def replay_over_http(trace, service):
+    return asyncio.run(replay(trace, HttpTransport(service)))
+
+
 def make_router(spec, tiny_model) -> ShardedContextRouter:
     """A 2-worker sharded router; its front ``service`` has the same config
     and tenants as :func:`make_service`, but shards what it ingests."""
@@ -92,7 +104,7 @@ class TestMixedTraceSoak:
         assert any(e.disconnect for e in trace.events)
 
     def test_scheduler_replay_soak(self, trace, tiny_model):
-        report = replay_scheduler(trace, make_service(trace.spec, tiny_model))
+        report = replay_in_process(trace, make_service(trace.spec, tiny_model))
         assert report.submitted == trace.num_events
         assert report.completed + report.cancelled + report.failed == report.submitted
         assert report.cancelled > 0  # virtual-clock cancels fire deterministically
@@ -102,11 +114,9 @@ class TestMixedTraceSoak:
         assert report.per_tenant["legal"]["tokens_served"] > 0
 
     def test_http_replay_soak_drains_clean(self, trace, tiny_model):
-        # shutdown(drain=True) inside replay_http runs check_drained: any
-        # leaked pin/reservation/non-terminal request fails the test
-        report = replay_http(
-            trace, make_service(trace.spec, tiny_model), time_scale=0.004
-        )
+        # the transport's drained shutdown runs check_drained: any leaked
+        # pin/reservation/non-terminal request fails the test
+        report = replay_over_http(trace, make_service(trace.spec, tiny_model))
         assert report.entrypoint == "http"
         assert report.submitted > 0
         assert report.completed + report.cancelled + report.failed == report.submitted
@@ -114,7 +124,7 @@ class TestMixedTraceSoak:
 
     def test_router_replay_soak(self, trace, tiny_model):
         router = make_router(trace.spec, tiny_model)
-        report = replay_scheduler(trace, router.service)
+        report = replay_in_process(trace, router.service)
         assert (
             report.completed + report.cancelled + report.failed + report.rejected
             == report.submitted
@@ -138,21 +148,19 @@ class TestCrossEntryDeterminism:
     @pytest.fixture(scope="class")
     def trace(self):
         # no cancellations: cancel timing is wall-clock under HTTP, so only
-        # cancel-free traces replay identically across entry points
+        # cancel-free traces replay identically across transports
         return generate_replay_trace(
             soak_spec(duration_seconds=25.0, cancel_fraction=0.0, seed=13)
         )
 
     def test_scheduler_and_http_agree(self, trace, tiny_model):
-        sched = replay_scheduler(trace, make_service(trace.spec, tiny_model))
-        http = replay_http(
-            trace, make_service(trace.spec, tiny_model), time_scale=0.004
-        )
+        sched = replay_in_process(trace, make_service(trace.spec, tiny_model))
+        http = replay_over_http(trace, make_service(trace.spec, tiny_model))
         assert sched.deterministic_summary() == http.deterministic_summary()
 
     def test_router_generates_identical_token_counts(self, trace, tiny_model):
-        sched = replay_scheduler(trace, make_service(trace.spec, tiny_model))
-        sharded = replay_scheduler(trace, make_router(trace.spec, tiny_model).service)
+        sched = replay_in_process(trace, make_service(trace.spec, tiny_model))
+        sharded = replay_in_process(trace, make_router(trace.spec, tiny_model).service)
         assert sharded.completed == sched.completed
         assert sharded.generated_tokens == sched.generated_tokens
         assert sharded.deterministic_summary() == sched.deterministic_summary()

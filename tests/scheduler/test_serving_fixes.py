@@ -165,6 +165,34 @@ class TestPreemptionThroughService:
         with pytest.raises(ConfigError):
             AlayaDBConfig(preemption=True, scheduler_policy="fcfs")
 
+    @pytest.mark.parametrize("preemption", [True, False])
+    def test_critical_first_token_precedes_long_jobs_only_with_preemption(self, preemption):
+        """Two long batch jobs hold both slots when an SLO-critical request
+        arrives.  With preemption its first token comes before either job
+        finishes; without, it waits for a slot to free."""
+        service = _make_service(
+            seed=103, scheduler_policy="slo", preemption=preemption, max_inflight_requests=2
+        )
+        jobs = [
+            service.submit(f"long-running batch job {i}", max_new_tokens=24, slo=BATCH_SLO)
+            for i in range(2)
+        ]
+        for _ in range(3):
+            service.step()
+        critical = service.submit(
+            "urgent interactive question", max_new_tokens=2, slo=SLO(ttft_seconds=0.2)
+        )
+        while not service.generated_tokens(critical.request_id):
+            service.step()
+        assert any(job.is_done for job in jobs) == (not preemption)
+        service.drain()
+        assert service.stats.num_requests == 3  # the victims resumed and finished
+        stats = service.scheduler.stats
+        if preemption:
+            assert stats.preemptions >= 1 and stats.resumes >= 1
+        else:
+            assert stats.preemptions == 0
+
     def test_critical_arrival_preempts_and_victim_recovers(self, tmp_path):
         model = TransformerModel(ModelConfig.tiny(seed=79))
         config = AlayaDBConfig(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,10 +15,12 @@ from repro.core.service import InferenceService
 from repro.scheduler import SLO
 from repro.workloads import engine
 from repro.workloads.engine import (
+    HttpTransport,
+    InProcessTransport,
     TenantMixSpec,
     WorkloadEngineSpec,
     generate_replay_trace,
-    replay_scheduler,
+    replay,
     score_quality_gate,
     tenant_specs,
 )
@@ -46,6 +50,10 @@ def small_spec(**overrides) -> WorkloadEngineSpec:
     )
     defaults.update(overrides)
     return WorkloadEngineSpec(**defaults)
+
+
+def replay_in_process(trace, service):
+    return asyncio.run(replay(trace, InProcessTransport(service)))
 
 
 class TestSamplers:
@@ -226,7 +234,7 @@ class TestSchedulerReplay:
         service = InferenceService(
             tiny_model, AlayaDBConfig(tenants=tenant_specs(trace.spec))
         )
-        return replay_scheduler(trace, service)
+        return replay_in_process(trace, service)
 
     def test_replay_accounts_for_every_event(self, trace, tiny_model):
         report = self.replay(trace, tiny_model)
@@ -256,7 +264,7 @@ class TestSchedulerReplay:
             for event in trace.events
         ]
         service = InferenceService(tiny_model, AlayaDBConfig(tenants=tenant_specs(trace.spec)))
-        report = replay_scheduler(trace, service)
+        report = replay_in_process(trace, service)
         slo = service.slo_report()
         assert slo.num_requests == report.completed
         assert slo.attainment == report.slo_attainment
@@ -286,9 +294,76 @@ class TestSchedulerReplay:
             tiny_model,
             AlayaDBConfig(tenants=tenant_specs(spec), max_inflight_requests=1),
         )
-        report = replay_scheduler(trace, service)
+        report = replay_in_process(trace, service)
         assert report.throttled_429 > 0
         assert report.completed == report.submitted  # retries eventually landed
+
+
+class TestHttpReplay:
+    def service(self, trace, tiny_model):
+        return InferenceService(tiny_model, AlayaDBConfig(tenants=tenant_specs(trace.spec)))
+
+    def test_transports_agree_on_cancel_free_trace(self, tiny_model):
+        """One driver: greedy decoding and token-identical batching make the
+        seed-reproducible counts independent of the transport."""
+        trace = generate_replay_trace(small_spec(seed=7))
+        in_process = replay_in_process(trace, self.service(trace, tiny_model))
+        http = asyncio.run(replay(trace, HttpTransport(self.service(trace, tiny_model))))
+        assert (in_process.entrypoint, http.entrypoint) == ("scheduler", "http")
+        assert http.completed > 0
+        assert http.deterministic_summary() == in_process.deterministic_summary()
+
+    def test_backpressure_retries_land_over_http(self, tiny_model):
+        """A 429 carries its retry-after to the driver, which retries until
+        every flooded request is served."""
+        spec = small_spec(
+            duration_seconds=4.0,
+            base_rate=4.0,
+            burstiness=1.0,
+            tenants=(
+                TenantMixSpec(
+                    name="hot", chat_fraction=0.0, rag_fraction=0.6,
+                    agent_fraction=0.0, max_queued=1,
+                ),
+            ),
+            seed=5,
+        )
+        trace = generate_replay_trace(spec)
+        service = InferenceService(
+            tiny_model,
+            AlayaDBConfig(tenants=tenant_specs(spec), max_inflight_requests=1),
+        )
+        report = asyncio.run(replay(trace, HttpTransport(service)))
+        assert report.throttled_429 > 0
+        assert report.submitted == report.completed == trace.num_events
+
+    def test_cancel_sends_at_most_one_delete_per_request(self, tiny_model, monkeypatch):
+        """The cancel fires once: the driver stops reading a stream it has
+        cancelled instead of sending a DELETE for every later token."""
+        from repro.server import ServerClient
+
+        deletes: Counter[int] = Counter()
+        send_delete = ServerClient.cancel
+
+        async def counting_cancel(self, request_id):
+            deletes[request_id] += 1
+            return await send_delete(self, request_id)
+
+        monkeypatch.setattr(ServerClient, "cancel", counting_cancel)
+        trace = generate_replay_trace(
+            small_spec(
+                seed=11,
+                cancel_fraction=1.0,
+                disconnect_fraction=0.0,
+                chat_max_new_tokens=40,
+                agent_max_new_tokens=40,
+            )
+        )
+        report = asyncio.run(replay(trace, HttpTransport(self.service(trace, tiny_model))))
+        cancel_events = sum(e.cancel_after_tokens is not None for e in trace.events)
+        assert report.cancelled > 0
+        assert max(deletes.values()) == 1
+        assert sum(deletes.values()) <= cancel_events
 
 
 class TestQualityGate:
