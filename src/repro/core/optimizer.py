@@ -5,8 +5,10 @@ plan per layer:
 
 1. *Short contexts* are answered with full attention — retrieval overhead
    would dominate any savings.
-2. *Partial prefix reuse* attaches an attribute-filter predicate carrying the
-   reused prefix length.
+2. *Partial prefix reuse* — a session reusing a strict prefix of the stored
+   context — attaches an attribute-filter predicate carrying the reused
+   prefix length.  A session that reuses the whole stored context and adds
+   its own tokens gets no predicate: every stored token is visible to it.
 3. With a *large GPU memory budget* the whole context's blocks fit on the
    GPU, so the coarse block index with a top-k query (the InfLLM execution
    path) gives the lowest latency.
@@ -41,13 +43,14 @@ class QueryContext:
     num_kv_heads: int
     num_layers: int
     reused_prefix_length: int | None = None
+    """The reused prefix length when it is a strict prefix of the stored
+    context, else ``None``.  ``context_length`` cannot tell: it also counts
+    the session's local tokens."""
 
     @property
     def is_partial_reuse(self) -> bool:
-        return (
-            self.reused_prefix_length is not None
-            and 0 < self.reused_prefix_length < self.context_length
-        )
+        """True when the session reuses a strict prefix of the stored context."""
+        return self.reused_prefix_length is not None and self.reused_prefix_length > 0
 
 
 OptimizerRule = Callable[[QueryContext, AlayaDBConfig], ExecutionPlan | None]

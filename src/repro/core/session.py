@@ -219,6 +219,15 @@ class Session:
         return self.context is not None and self.reused_prefix_length > 0
 
     @property
+    def _reuses_strict_prefix(self) -> bool:
+        """True when the reused prefix stops short of the stored context's end.
+
+        Only then may the stored index return tokens the session must not
+        see, so only then does the plan carry a filter predicate.
+        """
+        return self.is_connected and self.reused_prefix_length < self.context.num_tokens
+
+    @property
     def reused_tokens(self) -> list[int]:
         """Token ids of the reused prefix (empty when nothing is reused)."""
         if self.context is None:
@@ -367,7 +376,7 @@ class Session:
             head_dim=dims.head_dim if dims else 1,
             num_kv_heads=dims.num_kv_heads if dims else 1,
             num_layers=max(self.num_layers, 1),
-            reused_prefix_length=self.reused_prefix_length if self.is_connected else None,
+            reused_prefix_length=self.reused_prefix_length if self._reuses_strict_prefix else None,
         )
         self._plans = self.optimizer.plan_all_layers(query_context)
         return self._plans

@@ -54,6 +54,23 @@ class NeighborGraph:
         """Neighbour ids of ``node`` (a zero-copy slice)."""
         return self.neighbor_ids[self.offsets[node] : self.offsets[node + 1]]
 
+    def neighbors_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbour lists of ``nodes``, concatenated in order.
+
+        Returns ``(ids, source)``: ``ids`` holds each node's neighbours in
+        adjacency order, one list after the other, and ``source[i]`` is the
+        position in ``nodes`` of the node ``ids[i]`` was read from.  One CSR
+        gather for a whole BFS level instead of one slice per node.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        starts = self.offsets[nodes]
+        lengths = self.offsets[nodes + 1] - starts
+        source = np.repeat(np.arange(nodes.shape[0]), lengths)
+        # element i of list j sits at offsets[node_j] + i in the CSR array
+        list_starts = np.cumsum(lengths) - lengths
+        positions = np.arange(int(lengths.sum())) + np.repeat(starts - list_starts, lengths)
+        return self.neighbor_ids[positions], source
+
     def degree(self, node: int) -> int:
         return int(self.offsets[node + 1] - self.offsets[node])
 

@@ -110,16 +110,20 @@ def append_hop_candidates_group(
     best_scores: np.ndarray,
     stats: list[DIPRSearchStats],
 ) -> np.ndarray:
-    """Append one hop's freshly scored nodes against each head's running threshold.
+    """Append freshly scored nodes against each head's running threshold.
 
-    ``scores`` is the ``(g, m)`` matrix of one hop's fused scoring.  Each row
-    is the vectorized form of Algorithm 1's per-node ``try_append`` in visit
-    order: element ``i`` is checked against the best-so-far score produced by
+    ``scores`` is the ``(g, m)`` score matrix of ``nodes`` in visit order —
+    one hop's, or a whole BFS level's hops back to back.  Each row is the
+    vectorized form of Algorithm 1's per-node ``try_append`` in visit order:
+    element ``i`` is checked against the best-so-far score produced by
     elements ``< i`` (a prefix cummax instead of a Python loop), and the
-    capacity grant covers exactly the slots that head had open when the hop
-    started.  Disallowed nodes are scored for connectivity but may neither
-    join a candidate list nor raise a best-so-far maximum — the DIPR maximum
-    is defined over the allowed tokens only.  ``best_scores`` (``(g,)``
+    capacity grant covers the first slots that head had open when the call
+    started.  Both compose over consecutive hops: a head below capacity
+    appends every allowed node, so its open slots at any hop's start are its
+    open slots at the call's start minus the allowed nodes before that hop.
+    Disallowed nodes are scored for connectivity but may neither join a
+    candidate list nor raise a best-so-far maximum — the DIPR maximum is
+    defined over the allowed tokens only.  ``best_scores`` (``(g,)``
     float64) is updated in place and ``stats`` receives each head's
     appended/pruned counts (the walk owns the shared ones).  Returns a boolean mask over ``nodes``
     marking the ones appended by at least one head, which is the frontier's
@@ -170,7 +174,7 @@ def group_frontier_search(
     beta: float,
     entry_points: np.ndarray | list[int],
     *,
-    expand: Callable[[int], np.ndarray],
+    expand: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     capacity_threshold: int = 32,
     window_max_scores: np.ndarray | None = None,
     allowed: np.ndarray | None = None,
@@ -196,10 +200,27 @@ def group_frontier_search(
     empirical (grid-pinned) property, not a theorem.  The ``max_tokens`` cap
     and the final threshold remain per-head.
 
-    ``expand`` maps an expanded node to its exploration neighbourhood (1-hop
-    for plain DIPRS, 2-hop for the filtered variant) and ``entry_fallback``
-    optionally supplies replacement seeds when no head appends any entry
-    point (the filtered search falls back to the first allowed positions).
+    The FIFO frontier is walked one BFS level per step, and the result is
+    the node-at-a-time walk's, bit for bit.  The nodes a level appends are
+    queued behind the whole level, so they form the next level, and which
+    nodes a hop scores depends only on the visited set, never on what
+    earlier hops appended.  A level therefore concatenates its nodes'
+    expansions, drops visited nodes and keeps each remaining node's first
+    occurrence in order: exactly its hops' fresh sets, back to back.  Each
+    hop's slice is scored with its own ``(g, d) @ (d, m)`` matmul (the
+    node-at-a-time shapes, so the same bits), and the append rule runs once
+    over the level, because its prefix cummax and its capacity grant both
+    compose across hops (see :func:`append_hop_candidates_group`).
+    ``num_hops`` still counts expanded nodes; the Python iteration count
+    drops to the graph depth.
+
+    ``expand`` maps one level (an array of nodes) to the concatenation of
+    their exploration neighbourhoods — 1-hop for plain DIPRS, 2-hop for the
+    filtered variant — with the level position each id came from (see
+    :meth:`NeighborGraph.neighbors_of`); neighbourhoods hold distinct ids.
+    ``entry_fallback`` optionally supplies replacement seeds when no head
+    appends any entry point (the filtered search falls back to the first
+    allowed positions).
     """
     vectors = np.asarray(vectors, dtype=np.float32)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
@@ -220,16 +241,29 @@ def group_frontier_search(
                 f"window_max_scores must provide one seed per head "
                 f"({num_heads}), got shape {np.shape(window_max_scores)}"
             )
-    frontier: list[int] = []
 
-    def score_fresh(fresh: np.ndarray) -> None:
-        # fused hop scoring: one (g, d) @ (d, m) matmul serves the whole group,
-        # and the gather from storage happens once — counted once per group
-        hop_scores = queries @ vectors[fresh].T
+    def visit(expansion: np.ndarray, source: np.ndarray) -> np.ndarray:
+        """Score one level's expansion in visit order; returns the next level."""
+        unseen = ~visited[expansion]
+        expansion, source = expansion[unseen], source[unseen]
+        first = np.sort(np.unique(expansion, return_index=True)[1])
+        fresh, source = expansion[first], source[first]
+        if fresh.shape[0] == 0:
+            return fresh
+        visited[fresh] = True
         stats.num_distance_computations += int(fresh.shape[0])
+        # one slice per hop that found fresh nodes
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(source)) + 1, [fresh.shape[0]])).tolist()
+        # fused hop scoring, counted once per group: one gather per level, and
+        # each hop keeps its own (g, d) @ (d, m) matmul, whose shape fixes the
+        # bits (one gemm per level would round differently)
+        gathered = vectors[fresh]
+        scores = np.concatenate(
+            [queries @ gathered[start:end].T for start, end in zip(bounds, bounds[1:])], axis=1
+        )
         appended = append_hop_candidates_group(
             fresh,
-            hop_scores,
+            scores,
             beta=beta,
             capacity_threshold=capacity_threshold,
             allowed=allowed,
@@ -238,35 +272,17 @@ def group_frontier_search(
             best_scores=best_scores,
             stats=stats.per_head,
         )
-        frontier.extend(fresh[appended].tolist())
+        return fresh[appended]
 
-    entry_points = np.atleast_1d(np.asarray(entry_points, dtype=np.int64))
-    fresh_entries = []
-    for entry in entry_points:
-        entry = int(entry)
-        if not visited[entry]:
-            visited[entry] = True
-            fresh_entries.append(entry)
-    if fresh_entries:
-        score_fresh(np.asarray(fresh_entries, dtype=np.int64))
-    if entry_fallback is not None and not frontier:
+    entries = np.atleast_1d(np.asarray(entry_points, dtype=np.int64))
+    frontier = visit(entries, np.zeros(entries.shape[0], dtype=np.int64))
+    if entry_fallback is not None and frontier.shape[0] == 0:
         seeds = np.asarray(entry_fallback(), dtype=np.int64)
-        seeds = seeds[~visited[seeds]]
-        if seeds.shape[0]:
-            visited[seeds] = True
-            score_fresh(seeds)
+        frontier = visit(seeds, np.zeros(seeds.shape[0], dtype=np.int64))
 
-    cursor = 0
-    while cursor < len(frontier):
-        node = frontier[cursor]
-        cursor += 1
-        stats.num_hops += 1
-        neighbors = expand(node)
-        fresh = neighbors[~visited[neighbors]]
-        if fresh.shape[0] == 0:
-            continue
-        visited[fresh] = True
-        score_fresh(fresh)
+    while frontier.shape[0]:
+        stats.num_hops += int(frontier.shape[0])
+        frontier = visit(*expand(frontier))
 
     results = []
     for head, head_stats in enumerate(stats.per_head):
@@ -330,7 +346,7 @@ def diprs_search_group(
         queries,
         beta,
         entry_points,
-        expand=lambda node: graph.neighbors(int(node)),
+        expand=graph.neighbors_of,
         capacity_threshold=capacity_threshold,
         window_max_scores=window_max_scores,
         allowed=allowed,

@@ -95,6 +95,10 @@ class ShardedSession(Session):
         return self.sharded_ref is not None and self.reused_prefix_length > 0
 
     @property
+    def _reuses_strict_prefix(self) -> bool:
+        return self.is_connected and self.reused_prefix_length < self.sharded_ref.num_tokens
+
+    @property
     def reused_tokens(self) -> list[int]:
         return self._fanout.context_tokens(self.sharded_ref)[: self.reused_prefix_length]
 

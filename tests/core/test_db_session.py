@@ -12,6 +12,7 @@ from repro.errors import SessionClosedError
 from repro.kvcache.cache import DynamicCache
 from repro.llm.generation import GenerationLoop
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.query.types import IndexKind
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,28 @@ class TestCreateSession:
             session.update_query(q, k, k, layer=0)
             plan = session.plan_for_layer(1)
             assert plan.predicate is not None
+
+    def test_full_prefix_reuse_walks_unfiltered(self, served_db, monkeypatch):
+        """Reusing the whole stored context plus a question is not partial reuse: every
+        stored token is visible, so no layer's plan filters and the fine walk is the plain one."""
+        from repro.core import planner
+
+        model, db, document, context = served_db
+        filtered_walks, plain_walks = [], []
+        real_filtered, real_plain = planner.filtered_diprs_search_group, planner.diprs_search_group
+
+        def spy(calls, real):
+            return lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "filtered_diprs_search_group", spy(filtered_walks, real_filtered))
+        monkeypatch.setattr(planner, "diprs_search_group", spy(plain_walks, real_plain))
+        session, truncated = db.create_session(document + "What is a database?")
+        assert session.reused_prefix_length == context.num_tokens
+        GenerationLoop(model).run_tokens(truncated, cache=session, max_new_tokens=2)
+        plans = [session.plan_for_layer(layer) for layer in range(session.num_layers)]
+        assert any(plan.index_kind == IndexKind.FINE for plan in plans)
+        assert all(plan.predicate is None for plan in plans)
+        assert plain_walks and not filtered_walks
 
 
 class TestSessionGeneration:

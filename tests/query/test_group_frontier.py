@@ -312,6 +312,73 @@ def test_group_frontier_properties(seed, gqa, beta, capacity, mask_kind, seeded)
     assert stats.num_heads == gqa
 
 
+@lru_cache(maxsize=1)
+def _bench_shape_data(n=2048, dim=16, group=4, seed=11):
+    """A RoarGraph over ``n`` keys at the serving benchmark's fine-layer shape (head_dim 16,
+    GQA group 4): keys with a weak shared direction, a query sample and one group of queries."""
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=dim)
+    direction /= np.linalg.norm(direction)
+    keys = (rng.normal(size=(n, dim)) + 0.5 * direction).astype(np.float32)
+    sample = (direction * 2.0 + rng.normal(size=(256, dim))).astype(np.float32)
+    index = RoarGraphIndex()
+    index.build(keys, query_sample=sample)
+    queries = (direction * 2.0 + rng.normal(size=(group, dim))).astype(np.float32)
+    return keys, index, queries
+
+
+class TestLevelStep:
+    """The walk expands its frontier one BFS level per step; these cases pin that it is still
+    the node-at-a-time oracle bit for bit where the level step has something to get wrong."""
+
+    @staticmethod
+    def _tree():
+        """Entry 0 -> level 1 {1..4}; each of those -> three private children (level 2, four
+        hops of three fresh nodes); each child -> one grandchild (level 3)."""
+        adjacency = [[1, 2, 3, 4]] + [[0] + [5 + 3 * i + j for j in range(3)] for i in range(4)]
+        adjacency += [[1 + i // 3, 17 + i] for i in range(12)] + [[5 + i] for i in range(12)]
+        rng = np.random.default_rng(4)
+        vectors = rng.normal(size=(len(adjacency), 8)).astype(np.float32)
+        queries = rng.normal(size=(2, 8)).astype(np.float32)
+        return vectors, NeighborGraph.from_lists(adjacency), queries
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["all-allowed", "masked"])
+    @pytest.mark.parametrize("capacity", [6, 7, 9, 10, 11, 13])
+    def test_capacity_fills_mid_level(self, capacity, masked):
+        """Level 2 starts with 5 candidates and scores four hops of 3: a threshold in 6..13
+        closes the heads' capacity inside a hop or on a hop boundary in the middle of the level,
+        after which a small beta prunes."""
+        vectors, graph, queries = self._tree()
+        allowed = None
+        if masked:
+            allowed = np.ones(graph.num_nodes, dtype=bool)
+            allowed[[6, 9, 14, 20]] = False  # shifts the grant inside level 2
+        args = (vectors, graph, queries, 0.5, [0])
+        limits = dict(capacity_threshold=capacity, allowed=allowed)
+        results, stats = diprs_search_group(*args, **limits)
+        _assert_walk_is_oracle(results, stats, reference_diprs(*args, **limits))
+        assert stats.num_hops > 5  # the walk reached level 2's nodes
+        assert any(head.num_pruned > (0 if allowed is None else 4) for head in stats.per_head)
+
+    @pytest.mark.parametrize("walk", ["plain", "filtered", "window-seeded"])
+    def test_roargraph_at_bench_shape(self, walk):
+        """Over 2k keys at d = 16, g = 4, beta = 10 * sqrt(16 / 128) and l0 = 32, where levels
+        hold dozens of hops: plain, filtered (2-hop expansion) and window-seeded walks."""
+        keys, index, queries = _bench_shape_data()
+        beta = 10.0 * (16 / 128) ** 0.5
+        args = (keys, index.graph, queries, beta, [index.entry_point])
+        seeds = _window_seeds(keys, queries, None, beta) if walk == "window-seeded" else None
+        if walk == "filtered":
+            predicate = FilterPredicate(max_position=1500)
+            results, stats = filtered_diprs_search_group(*args, predicate, 32)
+            oracle = reference_diprs(*args, 32, predicate=predicate)
+        else:
+            results, stats = diprs_search_group(*args, 32, seeds)
+            oracle = reference_diprs(*args, 32, window_max_scores=seeds)
+        _assert_walk_is_oracle(results, stats, oracle)
+        assert stats.num_hops > 32 and all(len(result) > 0 for result in results)
+
+
 class TestFilteredGroupFrontier:
     def test_matches_per_head_filtered_search(self):
         keys, index, queries = _group_data()

@@ -13,6 +13,7 @@ from repro.core.config import AlayaDBConfig
 from repro.core.service import InferenceService
 from repro.errors import AdmissionRejectedError, ContextNotFoundError
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.query.types import IndexKind
 from repro.scheduler import BATCH_SLO, SLO, RequestState
 from repro.server import AlayaDBServer, ServerClient, check_drained
 from repro.sharding import ShardedContextRouter, ShardedSession, WorkerGroup
@@ -287,6 +288,36 @@ class TestSchedulerLifecycle:
         assert victim.result()[0].generated_tokens == generate(solo, PROMPT, 10)
         assert critical.result()[0].generated_tokens == generate(solo, DOC + "urgent?", 2)
         assert service.scheduler.admission.committed_bytes == 0
+
+    def test_whole_context_reuse_walks_unfiltered(self, monkeypatch):
+        """A request reusing the whole sharded context plus a question plans no filter on
+        any layer, so no range runs the filtered walk."""
+        from repro.core import planner
+        from repro.core.optimizer import RuleBasedOptimizer
+
+        plans, filtered_walks, plain_walks = [], [], []
+        real_plan_all = RuleBasedOptimizer.plan_all_layers
+        real_filtered, real_plain = planner.filtered_diprs_search_group, planner.diprs_search_group
+
+        def plan_all_layers(optimizer, query_context):
+            layer_plans = real_plan_all(optimizer, query_context)
+            plans.extend(layer_plans.values())
+            return layer_plans
+
+        def spy(calls, real):
+            return lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+
+        monkeypatch.setattr(RuleBasedOptimizer, "plan_all_layers", plan_all_layers)
+        monkeypatch.setattr(planner, "filtered_diprs_search_group", spy(filtered_walks, real_filtered))
+        monkeypatch.setattr(planner, "diprs_search_group", spy(plain_walks, real_plain))
+        # a budget below the context's KV: DIPR plans, flat + fine layers
+        router = ShardedContextRouter(make_model(), num_workers=2, config=make_config(gpu_memory_budget_bytes=1024))
+        ref = router.ingest(DOC, context_id="ctx", num_shards=2)
+        _, record = router.service.submit(PROMPT, max_new_tokens=3).result()
+        assert record.reused_tokens == ref.num_tokens
+        assert any(plan.index_kind == IndexKind.FINE for plan in plans)
+        assert all(plan.predicate is None for plan in plans)
+        assert plain_walks and not filtered_walks
 
 
 class TestStore:
