@@ -8,8 +8,8 @@ context — only the question itself is prefilled.
 
 The example measures what the service cares about:
 * time-to-first-token with and without context reuse,
-* how many critical tokens per head each question actually needed (the DIPR
-  query adapts this per question), and
+* the retrieval plan each question runs and the decode time it spends
+  retrieving critical tokens, and
 * the GPU-resident footprint per concurrent session.
 
 Run with:  python examples/financial_document_analysis.py
@@ -18,10 +18,10 @@ Run with:  python examples/financial_document_analysis.py
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
-from repro import DB, AlayaDBConfig
-from repro.kvcache import DynamicCache
-from repro.llm import GenerationLoop, ModelConfig, TransformerModel
+from repro import AlayaDBConfig, InferenceService
+from repro.llm import ModelConfig, TransformerModel
 from repro.simulator import CostModel
 
 
@@ -47,19 +47,17 @@ def build_document_library() -> dict[str, str]:
 
 def main() -> None:
     model = TransformerModel(ModelConfig.tiny(seed=11))
-    loop = GenerationLoop(model)
     # max_retrieved_tokens bounds per-head retrieval: the toy substrate's
     # attention is much less sparse than a trained LLM's, and a production
     # deployment would cap worst-case retrieval the same way.
-    db = DB(
-        AlayaDBConfig(
-            window_initial_tokens=32,
-            window_last_tokens=64,
-            short_context_threshold=128,
-            gpu_memory_budget_bytes=1,
-            max_retrieved_tokens=512,
-        )
+    config = AlayaDBConfig(
+        window_initial_tokens=32,
+        window_last_tokens=64,
+        short_context_threshold=128,
+        gpu_memory_budget_bytes=1,
+        max_retrieved_tokens=512,
     )
+    service = InferenceService(model, config)
     cost = CostModel()
 
     # ------------------------------------------------------------------ ingest
@@ -67,7 +65,7 @@ def main() -> None:
     print("=== ingesting the document library (offline) ===")
     for name, text in library.items():
         start = time.perf_counter()
-        context = db.prefill_and_import(model, text, context_id=name)
+        context = service.db.get_context(service.ingest(text, context_id=name))
         print(f"  {name}: {context.num_tokens} tokens, indexes for {len(context.fine_indexes)} layers "
               f"({time.perf_counter() - start:.1f}s)")
 
@@ -78,37 +76,43 @@ def main() -> None:
         ("acme-2024-audit", "List the audit findings that need management action."),
         ("hk-market-2024-review", "What were the top drivers of the 2024 Hong Kong market?"),
     ]
+    last_layer = model.config.num_layers - 1
     print("\n=== answering analyst questions (online) ===")
     for document_name, question in questions:
         prompt = library[document_name] + "\nAnalyst question: " + question
 
+        retrieval_before = service.memory_report()["decode_retrieval_seconds"]
         reuse_start = time.perf_counter()
-        session, truncated = db.create_session(prompt)
-        result = loop.run_tokens(truncated, cache=session, max_new_tokens=6)
+        _, record = service.serve(prompt, max_new_tokens=6)
         reuse_seconds = time.perf_counter() - reuse_start
+        retrieval_seconds = service.memory_report()["decode_retrieval_seconds"] - retrieval_before
+        prefilled = record.prompt_tokens - record.reused_tokens
+
+        # the plan the optimizer picks for this prompt, from a session opened
+        # the way the service opens one
+        session, _ = service.db.create_session(prompt)
+        plan = session.plan_for_layer(last_layer)
+        session.close()
 
         print(f"- [{document_name}] {question}")
-        print(f"    reused {session.reused_prefix_length} tokens, prefilled {len(truncated)}; "
+        print(f"    reused {record.reused_tokens} tokens, prefilled {prefilled}; "
+              f"TTFT {record.ttft_seconds * 1000:.0f} ms, "
               f"wall-clock {reuse_seconds:.2f}s on the toy substrate")
-        print(f"    critical tokens/head retrieved: {session.last_decode_stats.mean_selected_per_head:.0f}; "
-              f"GPU-resident: {session.gpu_memory_bytes() / 1e6:.2f} MB")
-        # what this would cost at production scale (Llama-3-8B, paper's cost model)
-        per_head_distance = int(
-            session.last_decode_stats.num_distance_computations
-            / max(session.last_decode_stats.num_heads, 1)
-        )
-        modeled_tpot = cost.sparse_decode_seconds(
-            num_selected_tokens=min(int(session.last_decode_stats.mean_selected_per_head), 640) + 640,
-            num_distance_computations=min(per_head_distance, 4000),
-        )
-        print(f"    modelled TPOT at Llama-3-8B scale: {modeled_tpot * 1000:.0f} ms "
-              f"(SLO 240 ms: {'met' if modeled_tpot <= 0.24 else 'VIOLATED'})")
+        print(f"    layer {last_layer} plan: {plan.describe()}; "
+              f"{retrieval_seconds * 1000:.0f} ms of decode spent retrieving critical tokens; "
+              f"GPU-resident: {record.gpu_resident_bytes / 1e6:.2f} MB")
+        # what the prefill would cost at production scale (Llama-3-8B, paper's cost model)
+        print(f"    modelled prefill at Llama-3-8B scale: {cost.prefill_seconds(prefilled) * 1000:.0f} ms "
+              f"with reuse vs {cost.prefill_seconds(record.prompt_tokens) * 1000:.0f} ms without")
 
     # ------------------------------------------------------- no-reuse baseline
+    # a service with no stored context whose optimizer plans full attention
+    # everywhere: every token of the prompt is prefilled again
     document_name, question = questions[0]
     prompt = library[document_name] + "\nAnalyst question: " + question
+    dense = InferenceService(model, replace(config, short_context_threshold=1 << 30))
     start = time.perf_counter()
-    loop.run_tokens(db._tokenize(prompt), cache=DynamicCache(), max_new_tokens=6)
+    dense.serve(prompt, max_new_tokens=6)
     print(f"\nrecomputing the full prefill instead of reusing takes {time.perf_counter() - start:.2f}s "
           f"on the toy substrate (and O(n^2) at production scale)")
 

@@ -16,8 +16,8 @@ Run with:  python examples/legal_assistant_qa.py
 
 from __future__ import annotations
 
-from repro import DB, AlayaDBConfig
-from repro.llm import GenerationLoop, ModelConfig, TransformerModel
+from repro import AlayaDBConfig, InferenceService
+from repro.llm import ModelConfig, TransformerModel
 
 
 STATUTE = (
@@ -31,49 +31,58 @@ STATUTE = (
 
 def main() -> None:
     model = TransformerModel(ModelConfig.tiny(seed=23))
-    loop = GenerationLoop(model)
-    db = DB(
+    service = InferenceService(
+        model,
         AlayaDBConfig(
             window_initial_tokens=32,
             window_last_tokens=64,
             short_context_threshold=128,
             gpu_memory_budget_bytes=1,
             max_retrieved_tokens=512,
-        )
+        ),
     )
 
     # the statute corpus is imported once, offline
-    statute_context = db.prefill_and_import(model, STATUTE, context_id="data-protection-ordinance")
+    statute_context = service.db.get_context(service.ingest(STATUTE, context_id="data-protection-ordinance"))
     print(f"imported statute: {statute_context.num_tokens} tokens")
 
     # ---------------------------------------------------------------- client A
+    # the answered conversation is stored (late materialization) so that
+    # follow-ups reuse all of it
     question_a = "\nClient A asks: how long may personal data be retained?"
-    session_a, truncated_a = db.create_session(STATUTE + question_a)
-    answer_a = loop.run_tokens(truncated_a, cache=session_a, max_new_tokens=6)
-    print(f"client A: reused {session_a.reused_prefix_length} tokens "
-          f"({session_a.last_decode_stats.mean_selected_per_head:.0f} critical tokens/head per step)")
-    conversation_a = db.store(session_a, context_id="client-a-conversation")
+    _, record_a = service.submit(
+        STATUTE + question_a, max_new_tokens=6, store_context_id="client-a-conversation"
+    ).result()
+    print(f"client A: reused {record_a.reused_tokens} tokens, "
+          f"TPOT {record_a.tpot_seconds * 1000:.0f} ms, "
+          f"{record_a.gpu_resident_bytes / 1e6:.2f} MB GPU-resident")
+    conversation_a = service.db.get_context(record_a.stored_context_id)
     print(f"stored client A conversation: {conversation_a.num_tokens} tokens")
 
     # ---------------------------------------------------------------- client B
     # client B asks about the same statute: their prompt shares only the
     # statute prefix of the stored client-A conversation, so AlayaDB reuses
     # that prefix and filters retrieval to it (attribute-filtered DIPRS).
+    # The session the service opens for this prompt shows the plan.
     question_b = "\nClient B asks: can a data subject demand correction of errors?"
-    session_b, truncated_b = db.create_session(STATUTE + question_b)
+    session_b, _ = service.db.create_session(STATUTE + question_b)
     reused_context_id = session_b.context.context_id if session_b.context else None
-    print(f"client B: reuses {session_b.reused_prefix_length} tokens of stored context {reused_context_id!r}")
-    answer_b = loop.run_tokens(truncated_b, cache=session_b, max_new_tokens=6)
     plan = session_b.plan_for_layer(model.config.num_layers - 1)
+    session_b.close()
+    print(f"client B: reuses {session_b.reused_prefix_length} tokens of stored context {reused_context_id!r}")
     print(f"client B retrieval plan: {plan.describe()}")
     if plan.predicate is not None:
         print(f"  -> retrieval restricted to the first {plan.predicate.max_position} shared tokens")
+    _, record_b = service.serve(STATUTE + question_b, max_new_tokens=6)
+    print(f"client B: served {record_b.generated_tokens} tokens, TPOT {record_b.tpot_seconds * 1000:.0f} ms "
+          f"(its first decode builds the stored conversation's deferred fine index)")
 
     # ---------------------------------------------------------------- follow-up
-    follow_up_prompt = conversation_a.tokens  # client A returns with the full history
-    session_a2, truncated_a2 = db.create_session(follow_up_prompt)
+    # client A returns with the full history
+    _, record_a2 = service.serve(conversation_a.tokens, max_new_tokens=6)
     print(f"client A follow-up: reuses the whole stored conversation "
-          f"({session_a2.reused_prefix_length} tokens, {len(truncated_a2)} new)")
+          f"({record_a2.reused_tokens} tokens, "
+          f"{record_a2.prompt_tokens - record_a2.reused_tokens} new)")
 
     print("\nanswers are produced by a toy byte-level model; what matters here is the "
           "reuse accounting and the retrieval plans shown above")

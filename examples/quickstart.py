@@ -1,10 +1,11 @@
 """Quickstart: long-context inference with AlayaDB in a few lines.
 
 This mirrors Figure 4 of the paper: an application that previously managed a
-``DynamicCache`` itself switches to AlayaDB by (1) importing the long context
-once, (2) asking the DB for a session, and (3) letting the session answer the
-model's per-layer attention calls.  The model only ever prefills the part of
-the prompt that was not reused.
+``DynamicCache`` itself hands its model to an ``InferenceService`` instead.
+It (1) imports the long context once, (2) submits requests whose prompts
+start with it, and (3) the service's session answers the model's per-layer
+attention calls from the stored KV and its indexes.  The model only ever
+prefills the part of the prompt that was not reused.
 
 Run with:  python examples/quickstart.py
 """
@@ -12,16 +13,15 @@ Run with:  python examples/quickstart.py
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
-from repro import DB, AlayaDBConfig
-from repro.kvcache import DynamicCache
-from repro.llm import GenerationLoop, ModelConfig, TransformerModel
+from repro import AlayaDBConfig, InferenceService
+from repro.llm import ModelConfig, TransformerModel
 
 
 def main() -> None:
     # --- the "application" --------------------------------------------------
     model = TransformerModel(ModelConfig.tiny(seed=7))
-    loop = GenerationLoop(model)
 
     # a long document every user question refers to
     document = (
@@ -41,40 +41,46 @@ def main() -> None:
         gpu_memory_budget_bytes=1,  # tiny budget -> the optimizer picks DIPR
         max_retrieved_tokens=512,
     )
-    db = DB(config)
+    service = InferenceService(model, config)
 
     # import the document once (prefill + index construction, offline)
     start = time.perf_counter()
-    context = db.prefill_and_import(model, document)
+    context = service.db.get_context(service.ingest(document))
     print(f"imported context {context.context_id!r}: {context.num_tokens} tokens, "
           f"{len(context.fine_indexes)} indexed layers, "
           f"{context.kv_bytes / 1e6:.1f} MB of KV cache "
           f"({time.perf_counter() - start:.1f}s)")
 
-    # --- serve a request through AlayaDB ------------------------------------
-    session, truncated_prompt = db.create_session(document + question)
-    print(f"session reuses {session.reused_prefix_length} tokens; "
+    # --- what the service will run: the optimizer's plan per layer -----------
+    session, truncated_prompt = service.db.create_session(document + question)
+    print(f"a session reuses {session.reused_prefix_length} tokens; "
           f"only {len(truncated_prompt)} prompt tokens still need prefill")
     for layer in range(model.config.num_layers):
         print(f"  layer {layer} plan: {session.plan_for_layer(layer).describe()}")
+    session.close()
 
-    result = loop.run_tokens(truncated_prompt, cache=session, max_new_tokens=8)
-    print(f"AlayaDB decode: {result.num_generated} tokens, "
-          f"{session.last_decode_stats.mean_selected_per_head:.0f} critical tokens/head retrieved, "
-          f"{session.gpu_memory_bytes() / 1e6:.2f} MB resident (window + local KV)")
+    # --- serve a request through AlayaDB ------------------------------------
+    handle = service.submit(document + question, max_new_tokens=8, store_context_id="conversation-0")
+    result, record = handle.result()
+    print(f"AlayaDB decode: {result.num_generated} tokens after reusing {record.reused_tokens}, "
+          f"TPOT {record.tpot_seconds * 1000:.0f} ms, "
+          f"{record.gpu_resident_bytes / 1e6:.2f} MB resident (window + local KV)")
 
     # --- the coupled-architecture baseline for comparison --------------------
-    full_cache = DynamicCache()
-    baseline = loop.run_tokens(db._tokenize(document + question), cache=full_cache, max_new_tokens=8)
+    # a service with no stored context whose optimizer plans full attention
+    # everywhere: it prefills the whole prompt and keeps all of its KV
+    dense = InferenceService(model, replace(config, short_context_threshold=1 << 30))
+    baseline, baseline_record = dense.serve(document + question, max_new_tokens=8)
     print(f"full-attention baseline: {baseline.num_generated} tokens, "
-          f"{full_cache.nbytes / 1e6:.2f} MB of KV resident")
+          f"{baseline_record.gpu_resident_bytes / 1e6:.2f} MB of KV resident")
     print(f"first generated token identical: {result.generated_tokens[0] == baseline.generated_tokens[0]}")
 
-    # --- store the conversation so a follow-up request reuses everything -----
-    stored = db.store(session, context_id="conversation-0")
-    follow_up, remaining = db.create_session(stored.tokens)
+    # --- the stored conversation: a follow-up request reuses all of it -------
+    stored = service.db.get_context(record.stored_context_id)
+    _, follow_up = service.serve(stored.tokens, max_new_tokens=1)
     print(f"stored conversation {stored.context_id!r} ({stored.num_tokens} tokens); "
-          f"a follow-up session reuses all of it (remaining prompt: {len(remaining)} tokens)")
+          f"a follow-up request reuses {follow_up.reused_tokens} of them "
+          f"(prefilled: {follow_up.prompt_tokens - follow_up.reused_tokens} prompt tokens)")
 
 
 if __name__ == "__main__":

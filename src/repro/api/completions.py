@@ -116,7 +116,7 @@ class Completions:
         return f"cmpl-{handle.request_id:08d}"
 
     def _stream(self, handle: "RequestHandle") -> Iterator[CompletionChunk]:
-        tokenizer = self._service.loop.tokenizer
+        tokenizer = self._service.db.tokenizer
         completion_id = self._completion_id(handle)
         for index, token_id in enumerate(handle.tokens()):
             yield CompletionChunk(

@@ -1,7 +1,7 @@
 """The systems AlayaDB is compared against in the paper's evaluation."""
 
 from .alayadb_ttft import AlayaDBTTFTModel
-from .base import RetrievalCache, SelectionOutcome, SelectionStrategy
+from .base import SelectionOutcome, SelectionStrategy
 from .diprs import DIPRSStrategy
 from .full_attention import FullAttentionStrategy
 from .infllm import InfLLMStrategy
@@ -16,7 +16,6 @@ __all__ = [
     "InfLLMStrategy",
     "LMCacheStore",
     "NoReusePrefill",
-    "RetrievalCache",
     "SelectionOutcome",
     "SelectionStrategy",
     "StreamingLLMStrategy",

@@ -43,9 +43,9 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import RequestFailedError
-from ..llm.generation import GenerationLoop, GenerationResult
+from ..llm.generation import GenerationResult
 from ..llm.model import TransformerModel
-from ..llm.sampling import sample_token
+from ..llm.sampling import SamplingConfig, sample_token
 from ..scheduler import (
     DEFAULT_TENANT,
     AdmissionController,
@@ -67,6 +67,9 @@ from .decode_round import CrossRequestDecodeRound, StageTimings
 from .handles import ChatSession, RequestHandle
 
 __all__ = ["RequestRecord", "ServiceStats", "InferenceService"]
+
+SAMPLING = SamplingConfig()
+"""How every request picks its next token: greedy (temperature 0)."""
 
 
 @dataclass
@@ -219,7 +222,6 @@ class InferenceService:
         self.db = DB(
             self.config, storage_dir=storage_dir, backend=backend, shard_catalog=shard_catalog
         )
-        self.loop = GenerationLoop(model)
         self.store_conversations = store_conversations
         self.decode_timings = StageTimings()
         """Per-stage decode wall time (retrieval / merge / dense) across all
@@ -435,14 +437,14 @@ class InferenceService:
     def begin_request(self, request: Request) -> InFlightRequest:
         session, truncated = self.db.create_session(request.prompt_tokens)
         # an empty suffix (full prefix reuse) still needs one forward pass to
-        # produce first-token logits, exactly like GenerationLoop.run_tokens
-        pending = list(truncated) if truncated else [self.loop.tokenizer.bos_id]
+        # produce first-token logits: it prefills a lone BOS
+        pending = list(truncated) if truncated else [self.db.tokenizer.bos_id]
         inflight = InFlightRequest(
             request=request,
             session=session,
             pending_tokens=pending,
             truncated_tokens=list(truncated),
-            rng=self.loop.sampling.make_rng(),
+            rng=SAMPLING.make_rng(),
         )
         self._live[request.request_id] = inflight
         return inflight
@@ -501,7 +503,7 @@ class InferenceService:
                     continue
             else:
                 inflight.decode_seconds.append(per_row)
-            self._append_token(inflight, sample_token(row, self.loop.sampling, inflight.rng))
+            self._append_token(inflight, sample_token(row, SAMPLING, inflight.rng))
 
     def prefill_chunk(self, inflight: InFlightRequest) -> None:
         """One prefill chunk for one request: a :meth:`run_round` of one."""
@@ -519,7 +521,7 @@ class InferenceService:
         if inflight.first_token_seconds is None:
             inflight.first_token_seconds = time.monotonic() - inflight.admitted_at
         inflight.generated.append(token)
-        if token == self.loop.tokenizer.eos_id:
+        if token == self.db.tokenizer.eos_id:
             inflight.finished_by_eos = True
 
     def finish_request(self, inflight: InFlightRequest) -> None:
@@ -533,7 +535,7 @@ class InferenceService:
         result = GenerationResult(
             prompt_tokens=inflight.truncated_tokens,
             generated_tokens=inflight.generated,
-            text=self.loop.tokenizer.decode(inflight.generated),
+            text=self.db.tokenizer.decode(inflight.generated),
             ttft_seconds=ttft,
             decode_seconds=inflight.decode_seconds,
             finished_by_eos=inflight.finished_by_eos,
@@ -564,7 +566,7 @@ class InferenceService:
         session = inflight.session
         kv_tokens = session.sequence_length(0)
         fed = list(request.prompt_tokens[: session.reused_prefix_length])
-        fed += inflight.truncated_tokens if inflight.truncated_tokens else [self.loop.tokenizer.bos_id]
+        fed += inflight.truncated_tokens if inflight.truncated_tokens else [self.db.tokenizer.bos_id]
         fed += inflight.generated[: max(kv_tokens - len(fed), 0)]
         # fine indexes are deferred: rebuilding a graph index over the whole
         # transcript on *every* turn would dominate the turn; the lazy build

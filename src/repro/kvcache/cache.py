@@ -3,8 +3,8 @@
 ``NativeAttentionCache`` is the one contract the transformer substrate
 expects from a cache object: the model pushes each layer's Q/K/V into it and
 gets the attention output back (Figure 4 of the paper).  An AlayaDB
-``Session``, the baselines' ``RetrievalCache`` and ``DynamicCache`` all
-implement it, so swapping one for another is a one-line change.
+``Session`` and ``DynamicCache`` both implement it, so swapping one for the
+other is a one-line change.
 
 ``DynamicCache`` is the coupled-architecture cache: it concatenates new keys
 and values per layer and answers with exact causal attention over all of
@@ -22,8 +22,8 @@ __all__ = ["NativeAttentionCache", "LayerKVCache", "DynamicCache"]
 
 @runtime_checkable
 class NativeAttentionCache(Protocol):
-    """A cache that computes attention itself (AlayaDB Session, baselines,
-    the coupled ``DynamicCache``): the model never touches the KV tensors."""
+    """A cache that computes attention itself (AlayaDB Session, the coupled
+    ``DynamicCache``): the model never touches the KV tensors."""
 
     def update_query(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray, layer: int

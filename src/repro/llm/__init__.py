@@ -1,8 +1,9 @@
 """NumPy LLM inference substrate (Section 2 of the paper).
 
 Public surface: a decoder-only GQA transformer, exact attention kernels with
-flash-attention-style partial merging, a byte-level tokenizer and a two-phase
-(prefill/decode) generation loop.
+flash-attention-style partial merging, a byte-level tokenizer, token
+sampling and the result type of a generation.  The generation loop itself is
+:class:`~repro.core.service.InferenceService`.
 """
 
 from .attention import (
@@ -15,7 +16,7 @@ from .attention import (
     repeat_kv,
     softmax,
 )
-from .generation import GenerationLoop, GenerationResult, generate
+from .generation import GenerationResult
 from .layers import Embedding, Linear, RMSNorm, SwiGLU
 from .model import ModelConfig, TransformerLayer, TransformerModel
 from .rope import RotaryEmbedding, apply_rotary
@@ -25,7 +26,6 @@ from .tokenizer import ByteTokenizer, SpecialTokens
 __all__ = [
     "ByteTokenizer",
     "Embedding",
-    "GenerationLoop",
     "GenerationResult",
     "Linear",
     "ModelConfig",
@@ -42,7 +42,6 @@ __all__ = [
     "attention_weights",
     "decode_attention",
     "full_attention",
-    "generate",
     "greedy",
     "partial_attention",
     "repeat_kv",

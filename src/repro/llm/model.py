@@ -10,9 +10,8 @@ The model runs no attention kernel.  Every forward pass is
 :meth:`TransformerModel.forward_rows` over a ragged batch — a prefill chunk
 is many rows of one cache, a decode round one row of each — and each layer
 hands its Q/K/V to a :class:`~repro.kvcache.cache.NativeAttentionCache` (an
-AlayaDB ``Session``, a baseline's ``RetrievalCache``, or the coupled
-``DynamicCache``) or to a round hook, and receives the attention output
-back (Figure 4 of the paper).
+AlayaDB ``Session`` or the coupled ``DynamicCache``) or to a round hook, and
+receives the attention output back (Figure 4 of the paper).
 """
 
 from __future__ import annotations
@@ -260,24 +259,18 @@ class TransformerModel:
         hidden = self.final_norm(hidden)
         return self.lm_head(hidden)
 
-    def forward(
-        self, token_ids: np.ndarray | list[int], cache: NativeAttentionCache | None = None
-    ) -> np.ndarray:
-        """Logits ``(seq, vocab_size)`` of ``token_ids`` extending ``cache``
-        (a fresh :class:`DynamicCache` when omitted)."""
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        return self.forward_rows(token_ids, [cache if cache is not None else DynamicCache()], [token_ids.size])
-
+    # one-call views of forward_rows: DB.prefill_and_import drives prefill,
+    # and the serving benchmark's trace spans are attached to all three
     def prefill(
         self, token_ids: np.ndarray | list[int], cache: NativeAttentionCache | None = None
     ) -> tuple[np.ndarray, NativeAttentionCache]:
         """Process a prompt, filling ``cache``; returns (last-token logits, cache)."""
         cache = cache if cache is not None else DynamicCache()
-        return self.forward(token_ids, cache)[-1], cache
+        return self.forward_rows(token_ids, [cache], [len(token_ids)])[-1], cache
 
     def decode_step(self, token_id: int, cache: NativeAttentionCache) -> np.ndarray:
         """Logits for a single new token appended to ``cache``."""
-        return self.forward([token_id], cache)[-1]
+        return self.forward_rows([token_id], [cache], [1])[-1]
 
     def decode_batch(
         self,

@@ -534,7 +534,7 @@ class AlayaDBServer:
         self.stats.streams_started += 1
         writer.write(sse_headers({"X-Request-Id": str(request_id)}))
         emitted = 0
-        tokenizer = self.service.loop.tokenizer
+        tokenizer = self.service.db.tokenizer
         try:
             while True:
                 tokens = self.service.generated_tokens(request_id)

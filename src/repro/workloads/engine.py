@@ -740,7 +740,10 @@ async def replay(trace: ReplayTrace, transport) -> ReplayReport:
             previous_arrival = event.arrival_seconds
             await run_event(event)
 
-    await transport.run(asyncio.gather(*(run_chain(chain) for chain in chains.values())))
+    async def load() -> None:
+        await asyncio.gather(*(run_chain(chain) for chain in chains.values()))
+
+    await transport.run(load)
     return _build_service_report(
         transport.entrypoint,
         trace,
@@ -772,8 +775,10 @@ class InProcessTransport:
         self._stepped: asyncio.Future | None = None
 
     async def run(self, load) -> None:
+        """Run ``load()`` (a zero-argument coroutine function) to completion
+        beside the pump."""
         self._stepped = asyncio.get_running_loop().create_future()
-        await asyncio.gather(load, self._pump())
+        await asyncio.gather(load(), self._pump())
 
     async def _pump(self) -> None:
         loop = asyncio.get_running_loop()
@@ -844,13 +849,15 @@ class HttpTransport:
         self._client = None
 
     async def run(self, load) -> None:
+        """Start the server, then run ``load()`` against it: no submission
+        can run before the client exists."""
         from ..server import AlayaDBServer, ServerClient
 
         server = AlayaDBServer(self.service, port=0)
         await server.start()
         self._client = ServerClient(*server.address)
         try:
-            await load
+            await load()
         finally:
             await server.shutdown(drain=True, max_seconds=DRAIN_SECONDS)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.alayadb_ttft import AlayaDBTTFTModel
-from repro.baselines.base import RetrievalCache
 from repro.baselines.diprs import DIPRSStrategy
 from repro.baselines.full_attention import FullAttentionStrategy
 from repro.baselines.infllm import InfLLMStrategy
@@ -115,22 +114,6 @@ class TestTopKAndDIPRS:
         strategy = TopKRetrievalStrategy(k=10, reuse_context_indexes=True)
         strategy.prepare(context, 4)
         assert strategy._indexes[(0, 0)] is per_layer[0].index_for_kv_head(0)
-
-
-class TestRetrievalCache:
-    def test_drives_model_generation(self, tiny_model):
-        from repro.core.db import DB
-        from repro.core.config import AlayaDBConfig
-        from repro.llm.generation import GenerationLoop
-
-        db = DB(AlayaDBConfig(short_context_threshold=16))
-        document = "numbers and letters " * 40
-        context = db.prefill_and_import(tiny_model, document, build_fine_indexes=False)
-        cache = RetrievalCache(StreamingLLMStrategy(initial_tokens=16, recent_tokens=64), context, 4)
-        loop = GenerationLoop(tiny_model)
-        result = loop.run_tokens(db._tokenize("what?"), cache=cache, max_new_tokens=3)
-        assert result.num_generated == 3
-        assert cache.sequence_length(0) > context.num_tokens
 
 
 class TestLMCache:

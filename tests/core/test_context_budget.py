@@ -11,8 +11,8 @@ from repro.core.context_store import ContextStore, StoredContext
 from repro.core.db import DB
 from repro.errors import ConfigError, ContextEvictedError
 from repro.kvcache.serialization import KVSnapshot
-from repro.llm.generation import GenerationLoop
 from repro.llm.model import ModelConfig, TransformerModel
+from tests.reference_generation import reference_generate
 
 
 def _context(context_id, tokens, num_layers=1, num_kv_heads=1, head_dim=4, seed=0):
@@ -221,10 +221,9 @@ class TestDBBudgetIntegration:
         session, truncated = db.create_session(document_a + " question?")
         assert session.is_connected
         assert session.context.is_resident
-        loop = GenerationLoop(model)
-        result = loop.run_tokens(truncated, cache=session, max_new_tokens=2)
+        generated = reference_generate(model, truncated, cache=session, max_new_tokens=2)
         session.close()
-        assert result.num_generated == 2
+        assert len(generated) == 2
         # "a" was the cold context after "b" was ingested, so this was a reload
         assert db.store_registry.reload_count > reloads_before
 

@@ -10,9 +10,9 @@ from repro.core.db import DB
 from repro.core.session import Session
 from repro.errors import SessionClosedError
 from repro.kvcache.cache import DynamicCache
-from repro.llm.generation import GenerationLoop
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.query.types import IndexKind
+from tests.reference_generation import reference_generate
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ class TestCreateSession:
         monkeypatch.setattr(planner, "diprs_search_group", spy(plain_walks, real_plain))
         session, truncated = db.create_session(document + "What is a database?")
         assert session.reused_prefix_length == context.num_tokens
-        GenerationLoop(model).run_tokens(truncated, cache=session, max_new_tokens=2)
+        reference_generate(model, truncated, cache=session, max_new_tokens=2)
         plans = [session.plan_for_layer(layer) for layer in range(session.num_layers)]
         assert any(plan.index_kind == IndexKind.FINE for plan in plans)
         assert all(plan.predicate is None for plan in plans)
@@ -113,19 +113,17 @@ class TestSessionGeneration:
     def test_sparse_generation_first_token_matches_full(self, served_db):
         model, db, document, _ = served_db
         prompt = document + "What is stored?"
-        loop = GenerationLoop(model)
 
         session, truncated = db.create_session(prompt)
-        sparse = loop.run_tokens(truncated, cache=session, max_new_tokens=2)
+        sparse = reference_generate(model, truncated, cache=session, max_new_tokens=2)
 
-        full = loop.run_tokens(db._tokenize(prompt), cache=DynamicCache(), max_new_tokens=2)
-        assert sparse.generated_tokens[0] == full.generated_tokens[0]
+        full = reference_generate(model, db._tokenize(prompt), cache=DynamicCache(), max_new_tokens=2)
+        assert sparse[0] == full[0]
 
     def test_decode_uses_sparse_plan_and_tracks_stats(self, served_db):
         model, db, document, context = served_db
         session, truncated = db.create_session(document + " tail")
-        loop = GenerationLoop(model)
-        loop.run_tokens(truncated, cache=session, max_new_tokens=3)
+        reference_generate(model, truncated, cache=session, max_new_tokens=3)
         assert session.num_decode_steps >= 1
         assert session.last_decode_stats.num_heads > 0
         assert session.last_decode_stats.num_window_tokens > 0
@@ -135,17 +133,15 @@ class TestSessionGeneration:
     def test_gpu_memory_accounting(self, served_db):
         model, db, document, context = served_db
         session, truncated = db.create_session(document + " q")
-        loop = GenerationLoop(model)
-        loop.run_tokens(truncated, cache=session, max_new_tokens=2)
+        reference_generate(model, truncated, cache=session, max_new_tokens=2)
         gpu_bytes = session.gpu_memory_bytes()
         assert 0 < gpu_bytes < context.kv_bytes
 
     def test_sequence_length_accumulates(self, served_db):
         model, db, document, context = served_db
         session, truncated = db.create_session(document + " xy")
-        loop = GenerationLoop(model)
-        result = loop.run_tokens(truncated, cache=session, max_new_tokens=3)
-        expected = context.num_tokens + len(truncated) + result.num_generated - 1
+        generated = reference_generate(model, truncated, cache=session, max_new_tokens=3)
+        expected = context.num_tokens + len(truncated) + len(generated) - 1
         assert session.sequence_length(0) == expected
 
 
@@ -192,9 +188,8 @@ class TestDBStore:
         model, db, document, context = served_db
         prompt = document + "Explain."
         session, truncated = db.create_session(prompt)
-        loop = GenerationLoop(model)
-        result = loop.run_tokens(truncated, cache=session, max_new_tokens=2)
-        full_tokens = db._tokenize(prompt) + result.generated_tokens[:-0 or None]
+        generated = reference_generate(model, truncated, cache=session, max_new_tokens=2)
+        full_tokens = db._tokenize(prompt) + generated[:-0 or None]
         stored = db.store(session, tokens=None, context_id="stored-session")
         assert stored.num_tokens == session.sequence_length(0)
         assert stored.has_fine_indexes

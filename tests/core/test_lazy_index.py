@@ -8,8 +8,8 @@ from repro.core.config import AlayaDBConfig
 from repro.core.db import DB
 from repro.core.service import InferenceService
 from repro.index.builder import IndexBuildConfig
-from repro.llm.generation import GenerationLoop
 from repro.llm.model import ModelConfig, TransformerModel
+from tests.reference_generation import reference_generate
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +54,7 @@ class TestLazyImport:
         context = db.prefill_and_import(lazy_model, DOCUMENT, context_id="doc")
         session, truncated = db.create_session(DOCUMENT + " and a question")
         assert not context.has_fine_indexes  # still deferred after session setup
-        loop = GenerationLoop(lazy_model)
-        loop.run_tokens(truncated, cache=session, max_new_tokens=2)
+        reference_generate(lazy_model, truncated, cache=session, max_new_tokens=2)
         session.close()
         # the decode hit the sparse path, which built the pending indexes
         assert context.has_fine_indexes

@@ -22,7 +22,6 @@ from repro.core.config import AlayaDBConfig
 from repro.core.db import DB
 from repro.kvcache.cache import DynamicCache
 from repro.llm.attention import decode_attention
-from repro.llm.generation import GenerationLoop
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.query.types import beta_from_alpha
 from repro.scheduler import SLO
@@ -30,6 +29,7 @@ from repro.simulator.cost_model import CostModel
 from repro.workloads.evaluation import evaluate_strategy
 from repro.workloads.generator import WorkloadSpec, generate_workload
 from repro.workloads.infinite_bench import infinite_bench_task
+from tests.reference_generation import reference_generate
 
 
 @pytest.fixture(scope="module")
@@ -53,33 +53,30 @@ class TestDecoupledInference:
         """The decoupled sparse path approximates the coupled full path."""
         model, db, document, context = serving_stack
         prompt = document + "Question: why?"
-        loop = GenerationLoop(model)
 
         session, truncated = db.create_session(prompt)
-        sparse = loop.run_tokens(truncated, cache=session, max_new_tokens=4)
+        sparse = reference_generate(model, truncated, cache=session, max_new_tokens=4)
 
-        full = loop.run_tokens(db._tokenize(prompt), cache=DynamicCache(), max_new_tokens=4)
+        full = reference_generate(model, db._tokenize(prompt), cache=DynamicCache(), max_new_tokens=4)
         # greedy first token must match; later tokens may diverge slightly
-        assert sparse.generated_tokens[0] == full.generated_tokens[0]
+        assert sparse[0] == full[0]
 
     def test_memory_savings_vs_full_cache(self, serving_stack):
         model, db, document, context = serving_stack
         prompt = document + "Q"
         session, truncated = db.create_session(prompt)
-        loop = GenerationLoop(model)
-        loop.run_tokens(truncated, cache=session, max_new_tokens=2)
+        reference_generate(model, truncated, cache=session, max_new_tokens=2)
 
         full_cache = DynamicCache()
-        loop.run_tokens(db._tokenize(prompt), cache=full_cache, max_new_tokens=2)
+        reference_generate(model, db._tokenize(prompt), cache=full_cache, max_new_tokens=2)
 
         assert session.gpu_memory_bytes() < full_cache.nbytes
 
     def test_store_then_reuse_round_trip(self, serving_stack):
         model, db, document, _ = serving_stack
         prompt = document + "First question?"
-        loop = GenerationLoop(model)
         session, truncated = db.create_session(prompt)
-        loop.run_tokens(truncated, cache=session, max_new_tokens=2)
+        reference_generate(model, truncated, cache=session, max_new_tokens=2)
         stored = db.store(session, context_id="conversation-1")
 
         # a second session over the stored conversation reuses all of it

@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.kvcache.cache import DynamicCache
-from repro.llm.generation import GenerationLoop, generate
+from repro.core.service import InferenceService
+from repro.llm.generation import GenerationResult
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.llm.rope import RotaryEmbedding, apply_rotary
 from repro.llm.sampling import SamplingConfig, greedy, sample_token
@@ -130,12 +131,12 @@ class TestTransformerModel:
         np.testing.assert_array_equal(a.lm_head.weight, b.lm_head.weight)
 
     def test_forward_shape(self, tiny_model):
-        logits = tiny_model.forward([1, 2, 3])
+        logits = tiny_model.forward_rows([1, 2, 3], [DynamicCache()], [3])
         assert logits.shape == (3, tiny_model.config.vocab_size)
 
     def test_incremental_decode_matches_full_forward(self, tiny_model):
         tokens = [10, 20, 30, 40, 50]
-        full_logits = tiny_model.forward(np.asarray(tokens))
+        full_logits = tiny_model.forward_rows(np.asarray(tokens), [DynamicCache()], [len(tokens)])
         cache = DynamicCache()
         _, cache = tiny_model.prefill(tokens[:3], cache)
         l4 = tiny_model.decode_step(tokens[3], cache)
@@ -145,7 +146,7 @@ class TestTransformerModel:
 
     def test_rejects_2d_input(self, tiny_model):
         with pytest.raises(ValueError):
-            tiny_model.forward(np.zeros((2, 3), dtype=np.int64))
+            tiny_model.forward_rows(np.zeros((2, 3), dtype=np.int64), [DynamicCache()], [6])
 
     def test_kv_bytes_per_token(self, tiny_model):
         config = tiny_model.config
@@ -217,7 +218,10 @@ class TestBatchedDecode:
             return made
 
         solo_caches = caches()
-        solo = [tiny_model.forward(tokens, cache) for tokens, cache in zip(new_tokens, solo_caches)]
+        solo = [
+            tiny_model.forward_rows(tokens, [cache], [len(tokens)])
+            for tokens, cache in zip(new_tokens, solo_caches)
+        ]
         ragged_caches = caches()
         logits = tiny_model.forward_rows(
             sum(new_tokens, []), ragged_caches, [len(tokens) for tokens in new_tokens]
@@ -228,11 +232,14 @@ class TestBatchedDecode:
             assert ragged.sequence_length(0) == alone.sequence_length(0)
             np.testing.assert_allclose(ragged.keys(1), alone.keys(1), atol=1e-5)
 
-    def test_one_cache_is_forward(self, tiny_model):
-        """forward is forward_rows over one cache, bit for bit."""
+    def test_prefill_and_decode_step_are_one_cache_forward_rows(self, tiny_model):
+        """prefill and decode_step are forward_rows over one cache, bit for bit."""
         a, b = DynamicCache(), DynamicCache()
         np.testing.assert_array_equal(
-            tiny_model.forward_rows([5, 6, 7], [a], [3]), tiny_model.forward([5, 6, 7], b)
+            tiny_model.forward_rows([5, 6, 7], [a], [3])[-1], tiny_model.prefill([5, 6, 7], b)[0]
+        )
+        np.testing.assert_array_equal(
+            tiny_model.forward_rows([8], [a], [1])[-1], tiny_model.decode_step(8, b)
         )
 
     def test_rows_must_split_the_tokens(self, tiny_model):
@@ -255,43 +262,45 @@ class TestBatchedDecode:
 
 
 class TestGeneration:
+    """The one generation loop, ``InferenceService``, end to end."""
+
     def test_generates_requested_tokens(self, tiny_model):
-        result = generate(tiny_model, "hello", max_new_tokens=5)
+        result, _ = InferenceService(tiny_model).serve("hello", max_new_tokens=5)
         assert result.num_generated <= 5
         assert result.ttft_seconds > 0
 
     def test_generation_is_deterministic(self, tiny_model):
-        a = generate(tiny_model, "hello", max_new_tokens=5)
-        b = generate(tiny_model, "hello", max_new_tokens=5)
+        a, _ = InferenceService(tiny_model).serve("hello", max_new_tokens=5)
+        b, _ = InferenceService(tiny_model).serve("hello", max_new_tokens=5)
         assert a.generated_tokens == b.generated_tokens
 
-    def test_loop_with_pretokenised_prompt(self, tiny_model):
-        loop = GenerationLoop(tiny_model)
-        result = loop.run_tokens([1, 2, 3, 4], max_new_tokens=3)
+    def test_pretokenised_prompt(self, tiny_model):
+        result, _ = InferenceService(tiny_model).serve([1, 2, 3, 4], max_new_tokens=3)
         assert result.prompt_tokens == [1, 2, 3, 4]
         assert len(result.decode_seconds) <= 2
 
     def test_tpot_property(self, tiny_model):
-        result = generate(tiny_model, "abcdef", max_new_tokens=4)
-        if result.decode_seconds:
-            assert result.tpot_seconds == pytest.approx(float(np.mean(result.decode_seconds)))
+        result, _ = InferenceService(tiny_model).serve("abcdef", max_new_tokens=4)
+        assert result.decode_seconds
+        assert result.tpot_seconds == pytest.approx(float(np.mean(result.decode_seconds)))
+        assert GenerationResult([1], [2], "", 0.1).tpot_seconds == 0.0
 
     def test_zero_max_new_tokens_generates_nothing(self, tiny_model):
-        loop = GenerationLoop(tiny_model)
-        cache = DynamicCache()
-        result = loop.run_tokens([1, 2, 3], cache=cache, max_new_tokens=0)
+        service = InferenceService(tiny_model)
+        handle = service.submit([1, 2, 3], max_new_tokens=0, store_context_id="prefilled")
+        result, record = handle.result()
         assert result.generated_tokens == []
         assert result.text == ""
         assert not result.finished_by_eos
-        # the prefill still ran and filled the cache
-        assert cache.sequence_length(0) == 3
+        # the prefill still ran and filled the session's KV
+        assert service.db.get_context(record.stored_context_id).num_tokens == 3
         assert result.ttft_seconds > 0
 
     def test_one_max_new_token(self, tiny_model):
-        result = GenerationLoop(tiny_model).run_tokens([1, 2, 3], max_new_tokens=1)
+        result, _ = InferenceService(tiny_model).serve([1, 2, 3], max_new_tokens=1)
         assert result.num_generated == 1
         assert result.decode_seconds == []
 
     def test_negative_max_new_tokens_rejected(self, tiny_model):
         with pytest.raises(ValueError):
-            GenerationLoop(tiny_model).run_tokens([1, 2, 3], max_new_tokens=-1)
+            InferenceService(tiny_model).serve([1, 2, 3], max_new_tokens=-1)

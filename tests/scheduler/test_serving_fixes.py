@@ -98,7 +98,7 @@ class TestEOSThroughScheduler:
         assert len(tokens) == 4
 
         service = _make_service(seed=73)
-        service.loop.tokenizer = ByteTokenizer(special=SpecialTokens(eos=tokens[1]))
+        service.db.tokenizer = ByteTokenizer(special=SpecialTokens(eos=tokens[1]))
         request_id = service.submit("the same deterministic prompt", max_new_tokens=10)
         service.drain()
         result, record = service.result(request_id)

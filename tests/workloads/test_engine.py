@@ -313,6 +313,23 @@ class TestHttpReplay:
         assert http.completed > 0
         assert http.deterministic_summary() == in_process.deterministic_summary()
 
+    def test_load_waits_for_a_slow_server_start(self, tiny_model, monkeypatch):
+        """No chain submits before the transport's client exists, however
+        long the server takes to come up."""
+        from repro.server import AlayaDBServer
+
+        real_start = AlayaDBServer.start
+
+        async def slow_start(server):
+            await asyncio.sleep(0.05)
+            await real_start(server)
+
+        monkeypatch.setattr(AlayaDBServer, "start", slow_start)
+        trace = generate_replay_trace(small_spec(seed=7))
+        report = asyncio.run(replay(trace, HttpTransport(self.service(trace, tiny_model))))
+        assert report.submitted == trace.num_events
+        assert report.completed > 0
+
     def test_backpressure_retries_land_over_http(self, tiny_model):
         """A 429 carries its retry-after to the driver, which retries until
         every flooded request is served."""
