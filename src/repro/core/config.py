@@ -64,9 +64,9 @@ class AlayaDBConfig:
 
     lazy_index_build: bool = False
     """When set, ``DB.import_context`` / ``DB.store`` defer fine-index
-    construction off the ingest critical path: indexes are built on the first
-    sparse-attention use of the context (or explicitly via
-    ``DB.build_pending``)."""
+    construction off the ingest critical path: the first
+    ``DB.create_session`` whose plan reads the fine index builds it, before
+    the session is returned (so the build counts in that request's TTFT)."""
 
     # serving SLO
     slo: SLO = field(default_factory=SLO)
@@ -116,11 +116,6 @@ class AlayaDBConfig:
     """Reject requests naming a tenant absent from ``tenants``
     (``UnknownTenantError``; the HTTP 400 path) instead of auto-registering."""
 
-    tenant_quantum_tokens: int = 256
-    """Deficit-round-robin replenishment per weight unit: each full scan of
-    the tenant ring entitles a backlogged tenant to ``quantum x weight`` more
-    admitted tokens (prompt + budgeted generation)."""
-
     tenant_default_max_queued: int | None = None
     """Backpressure threshold applied to auto-registered tenants (and the
     implicit ``default`` tenant); ``None`` never throttles them."""
@@ -134,10 +129,6 @@ class AlayaDBConfig:
 
     http_max_body_bytes: int = 1 << 20
     """Largest accepted request body; beyond it the server answers 413."""
-
-    scheduler_drain_index_builds: bool = False
-    """When set, the scheduler drains one pending (lazy) fine-index build
-    after each step instead of leaving builds to first sparse use."""
 
     # context-store residency budget (Section 7.3 applied to whole contexts)
     context_store_budget_bytes: int | None = None
@@ -217,10 +208,6 @@ class AlayaDBConfig:
             )
         if self.context_store_budget_bytes is not None and self.context_store_budget_bytes <= 0:
             raise ConfigError("context_store_budget_bytes must be positive when set")
-        if self.tenant_quantum_tokens <= 0:
-            raise ConfigError(
-                f"tenant_quantum_tokens must be positive, got {self.tenant_quantum_tokens}"
-            )
         if self.tenant_default_max_queued is not None and self.tenant_default_max_queued <= 0:
             raise ConfigError(
                 f"tenant_default_max_queued must be positive when set, "

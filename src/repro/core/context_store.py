@@ -209,8 +209,8 @@ class ContextStore:
     ``kv_budget_bytes`` caps the total bytes of KV snapshots kept in memory;
     exceeding it spills the least-recently-used unpinned context through the
     store's backend (so a budget requires either ``storage_dir`` or
-    ``backend``).  ``on_spill`` / ``on_reload`` / ``on_remove`` let the
-    owning DB react to residency changes (re-scheduling index builds).
+    ``backend``).  ``on_reload`` lets the owning DB rebuild the coarse
+    indexes a reload did not bring back.
 
     Every :meth:`ensure_resident` call is one access: a hit (``hit_count``)
     when the context is resident, a miss (``reload_count``) when it reloads.
@@ -225,9 +225,7 @@ class ContextStore:
         self,
         storage_dir: str | Path | None = None,
         kv_budget_bytes: int | None = None,
-        on_spill: Callable[[StoredContext], None] | None = None,
         on_reload: Callable[[StoredContext], None] | None = None,
-        on_remove: Callable[[StoredContext], None] | None = None,
         backend: StorageBackend | None = None,
         durable: bool = False,
     ):
@@ -252,9 +250,7 @@ class ContextStore:
         self._pins: dict[str, int] = {}
         self._persisted: set[str] = set()
         self._indexed_on_disk: set[str] = set()
-        self._on_spill = on_spill
         self._on_reload = on_reload
-        self._on_remove = on_remove
         self.spill_count = 0
         self.hit_count = 0
         """Accesses (``ensure_resident`` calls) that found the context resident."""
@@ -401,8 +397,6 @@ class ContextStore:
             self.backend.delete(self._index_key(context_id))
         if self.durable and self._manifest.remove(context_id):
             self._manifest.save(self.backend)
-        if self._on_remove is not None:
-            self._on_remove(context)
 
     def list_ids(self) -> list[str]:
         return sorted(self._contexts)
@@ -644,8 +638,6 @@ class ContextStore:
         self._lru.pop(context_id, None)
         context.spill()
         self.spill_count += 1
-        if self._on_spill is not None:
-            self._on_spill(context)
 
     def _forget(self, context: StoredContext) -> None:
         """Drop all bookkeeping for a context being removed or overwritten."""

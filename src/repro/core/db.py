@@ -17,8 +17,8 @@ Memory governance belongs to the underlying :class:`ContextStore`, the one
 residency ledger: it counts hits and reloads per access and — when the
 config sets a ``context_store_budget_bytes`` — spills cold contexts to
 ``storage_dir`` and reloads them on prefix hits.  Fine index construction
-can be deferred (``lazy_index_build``) to the first sparse-attention use or
-drained explicitly through :meth:`build_pending`.
+can be deferred (``lazy_index_build``): the first ``create_session`` whose
+plan reads the fine index builds it before returning the session.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..index.builder import ContextIndexBuilder, IndexBuildConfig, LayerIndexes
+from ..index.builder import ContextIndexBuilder
 from ..index.coarse import CoarseBlockIndex
 from ..index.serialization import deserialize_context_indexes, serialize_context_indexes
 from ..kvcache.cache import DynamicCache
@@ -38,6 +38,7 @@ from ..kvcache.serialization import KVSnapshot, snapshot_from_bytes, snapshot_to
 from ..llm.model import TransformerModel
 from ..llm.tokenizer import ByteTokenizer
 from ..errors import ContextLoadError
+from ..query.types import IndexKind
 from ..storage.backend import FilesystemBackend, StorageBackend, make_backend
 from ..storage.manifest import ManifestEntry
 from ..sharding.plan import ShardPlan, shard_context_id, slice_snapshot
@@ -82,9 +83,7 @@ class DB:
         self.store_registry = ContextStore(
             storage_dir=effective_dir,
             kv_budget_bytes=budget,
-            on_spill=self._context_spilled,
             on_reload=self._context_reloaded,
-            on_remove=self._context_spilled,  # same cleanup: drop a pending build
             backend=backend,
             durable=durable,
         )
@@ -96,7 +95,6 @@ class DB:
             if match:
                 next_ordinal = max(next_ordinal, int(match.group(1)) + 1)
         self._context_counter = itertools.count(next_ordinal)
-        self._pending_fine: set[str] = set()
 
     # ------------------------------------------------------------------
     # helpers
@@ -122,27 +120,23 @@ class DB:
 
     @property
     def num_pending_index_builds(self) -> int:
-        return len(self._pending_fine)
-
-    # ------------------------------------------------------------------
-    # store callbacks: pending fine-index bookkeeping
-    # ------------------------------------------------------------------
-    def _context_spilled(self, context: StoredContext) -> None:
-        self._pending_fine.discard(context.context_id)
+        """Resident contexts that want fine indexes and have none: the next
+        session whose plan reads the fine index builds them."""
+        return sum(
+            context.is_resident and context.wants_fine_indexes and not context.has_fine_indexes
+            for _, context in self.store_registry.items()
+        )
 
     def _context_reloaded(self, context: StoredContext) -> None:
         # the store re-attached the persisted indexes during the reload
         # (bit-identical retrieval, nothing to do here); anything that did
         # *not* come back (no blob, or a torn one) is rebuilt — coarse
-        # immediately (cheap), fine lazily (first sparse use or
-        # build_pending).  Query samples travel inside the persisted
-        # snapshot, so a rebuild keeps the OOD query-sample benefit.
-        # Contexts that opted out of an index class at import time stay
-        # index-free.
+        # immediately (cheap), fine by the next session that plans it.
+        # Query samples travel inside the persisted snapshot, so a rebuild
+        # keeps the OOD query-sample benefit.  Contexts that opted out of an
+        # index class at import time stay index-free.
         if context.wants_coarse_indexes and not context.coarse_indexes:
             self._build_coarse_indexes(context)
-        if context.wants_fine_indexes and not context.has_fine_indexes:
-            self._pending_fine.add(context.context_id)
 
     # ------------------------------------------------------------------
     # Table 2: DB.create_session(prompts) -> Session, prompts
@@ -157,35 +151,45 @@ class DB:
         memory until the session is closed.  A matched context in the shard
         catalog is neither reloaded nor pinned here: the session that comes
         back reads it where it lives, on the shard owners.
+
+        The session's per-layer plans are decided here, once.  When one of
+        them reads the fine index and the matched context's build was
+        deferred (a lazy ingest or chat re-store, or a reload that did not
+        bring the index back), the build runs now — before the first token,
+        never inside a decode round.
         """
         tokens = self._tokenize(prompts)
         match = self.store_registry.find_longest_prefix(tokens)
         useful = match.is_hit and match.prefix_length >= self.config.min_reuse_tokens
         if useful and self.shard_catalog is not None:
-            sharded = self.shard_catalog.open_session(match.context.context_id, match.prefix_length)
+            sharded = self.shard_catalog.open_session(
+                match.context.context_id, match.prefix_length, len(tokens)
+            )
             if sharded is not None:
                 return sharded, tokens[match.prefix_length :]
         context: StoredContext | None = None
         reused = 0
-        index_provider = None
         on_close = None
         if useful:
             context_id = match.context.context_id
             context = self.store_registry.ensure_resident(context_id)
             reused = match.prefix_length
             self.store_registry.pin(context_id)
-            index_provider = lambda ctx=context: self._ensure_fine_indexes(ctx)
             on_close = lambda cid=context_id: self.store_registry.unpin(cid)
         session = Session(
             config=self.config,
             context=context,
             reused_prefix_length=reused,
-            num_layers=context.num_layers if context is not None else None,
-            index_provider=index_provider,
+            prompt_length=len(tokens),
             on_close=on_close,
         )
-        truncated = tokens[reused:]
-        return session, truncated
+        if session.plans_index(IndexKind.FINE):
+            try:
+                self._ensure_fine_indexes(context)
+            except BaseException:
+                session.close()  # releases the pin: nobody else holds the session
+                raise
+        return session, tokens[reused:]
 
     # ------------------------------------------------------------------
     # Table 2: DB.import(prompts, kv_cache)
@@ -203,9 +207,8 @@ class DB:
         """Import an already-computed context (prompt + KV cache) for reuse.
 
         ``lazy_fine_indexes`` (default: the config's ``lazy_index_build``)
-        defers fine-index construction off the ingest path; the indexes are
-        built on the context's first sparse-attention use or by
-        :meth:`build_pending`.
+        defers fine-index construction off the ingest path; the first
+        :meth:`create_session` whose plan reads the fine index builds it.
         """
         tokens = self._tokenize(prompts)
         if isinstance(kv_cache, KVSnapshot):
@@ -335,8 +338,6 @@ class DB:
         if build_coarse_indexes:
             self._build_coarse_indexes(context)
         self.store_registry.add(context, overwrite=overwrite)
-        if build_fine_indexes and lazy:
-            self._pending_fine.add(context.context_id)
 
     # ------------------------------------------------------------------
     # convenience: prefill a prompt with a model and import the result
@@ -431,8 +432,7 @@ class DB:
     # ------------------------------------------------------------------
     # index construction
     # ------------------------------------------------------------------
-    def _build_fine_indexes(self, context: StoredContext, builder: ContextIndexBuilder | None = None) -> None:
-        builder = builder or self._builder
+    def _build_fine_indexes(self, context: StoredContext) -> None:
         keys_per_layer = context.snapshot.keys
         queries_per_layer: dict[int, np.ndarray] = {}
         for layer, keys in keys_per_layer.items():
@@ -442,7 +442,7 @@ class DB:
                 # keeps the index functional)
                 sample = keys
             queries_per_layer[layer] = np.asarray(sample, dtype=np.float32)
-        layer_indexes, _ = builder.build_context(keys_per_layer, queries_per_layer)
+        layer_indexes, _ = self._builder.build_context(keys_per_layer, queries_per_layer)
         context.fine_indexes = layer_indexes
 
     def _build_coarse_indexes(self, context: StoredContext) -> None:
@@ -456,56 +456,16 @@ class DB:
             coarse[layer] = per_head
         context.coarse_indexes = coarse
 
-    def _ensure_fine_indexes(self, context: StoredContext) -> bool:
-        """Build a context's deferred fine indexes; True when indexes exist."""
-        context_id = context.context_id
-        if context_id not in self._pending_fine:
-            return context.has_fine_indexes
-        if not context.is_resident:
-            return False
+    def _ensure_fine_indexes(self, context: StoredContext) -> None:
+        """Build a resident context's deferred fine indexes (a no-op when it
+        has them or opted out of them)."""
+        if not context.wants_fine_indexes or context.has_fine_indexes:
+            return
         self._build_fine_indexes(context)
-        self._pending_fine.discard(context_id)
         # a durable store re-persists so the deferred build still reloads as
         # a deserialize, not another rebuild
         if self.store_registry.durable:
-            self.store_registry.persist_indexes(context_id)
-        return True
-
-    def build_pending(self, limit: int | None = None) -> int:
-        """Build deferred fine indexes for up to ``limit`` resident contexts.
-
-        The scheduler drains these between steps; spilled contexts are left
-        pending (reloading them just to index would defeat the budget).
-        Returns the number of contexts whose indexes were built.
-        """
-        built = 0
-        for context_id in sorted(self._pending_fine):
-            if limit is not None and built >= limit:
-                break
-            if context_id not in self.store_registry:
-                # removed since it was queued; drop the stale entry
-                self._pending_fine.discard(context_id)
-                continue
-            context = self.store_registry.get(context_id)
-            if not context.is_resident:
-                continue
-            if self._ensure_fine_indexes(context):
-                built += 1
-        return built
-
-    def rebuild_indexes(self, context_id: str, index_build: IndexBuildConfig | None = None) -> LayerIndexes | None:
-        """Rebuild a context's fine indexes (e.g. after changing build options).
-
-        A one-off ``index_build`` applies only to this rebuild; the DB's
-        configured builder is untouched.
-        """
-        context = self.store_registry.ensure_resident(context_id)
-        builder = self._builder if index_build is None else ContextIndexBuilder(index_build)
-        self._build_fine_indexes(context, builder=builder)
-        self._pending_fine.discard(context_id)
-        if self.store_registry.durable:
-            self.store_registry.persist_indexes(context_id)
-        return next(iter(context.fine_indexes.values()), None)
+            self.store_registry.persist_indexes(context.context_id)
 
     # ------------------------------------------------------------------
     # portable context bundles (export / import)
@@ -520,8 +480,7 @@ class DB:
         without re-prefilling or re-indexing.
         """
         context = self.store_registry.ensure_resident(context_id)
-        if context.wants_fine_indexes:
-            self._ensure_fine_indexes(context)
+        self._ensure_fine_indexes(context)
         dest = Path(dest_dir)
         bundle = FilesystemBackend(dest)
         snapshot_key = f"{context_id}.npz"
@@ -603,6 +562,4 @@ class DB:
         if context.wants_coarse_indexes and not context.coarse_indexes:
             self._build_coarse_indexes(context)
         self.store_registry.add(context, overwrite=overwrite)
-        if context.wants_fine_indexes and not context.has_fine_indexes:
-            self._pending_fine.add(context.context_id)
         return context

@@ -3,9 +3,10 @@
 The scheduler serves every in-flight request — its next prefill chunk or its
 next decode token — with one ragged forward pass; a
 :class:`CrossRequestDecodeRound` is that pass's attention hook.  Per layer it
-appends every session's KV, answers a session with several rows (a prefill
-chunk) with its causal :meth:`~repro.core.session.Session.attention`, groups
-the one-row sessions by compatibility key — stored context, reused prefix,
+appends every session's KV, answers a prefilling session's rows — however
+many, a lone row included — with its exact
+:meth:`~repro.core.session.Session.causal_attention`, groups the decoding
+sessions by compatibility key — stored context, reused prefix,
 plan and window geometry — and runs each group of ``S >= 1`` sessions
 through :func:`~repro.core.session.group_attention`: under a sparse plan flat/coarse
 scans stack into one gemm over the concatenated query heads and fine (DIPRS)
@@ -15,9 +16,10 @@ missing index — retrieval is skipped.  Either way the per-range and local
 partials merge with one stacked engine call.
 
 A session's output and integer :class:`~repro.core.session.DecodeStepStats`
-do not depend on what else is in the round.  The round makes no dense/sparse
-decision of its own: each session's optimizer plan (see
-:meth:`~repro.core.session.Session.decode_plan`) is the only one, and a plan
+do not depend on what else is in the round, nor on how its prompt was
+chunked.  The round makes no dense/sparse decision of its own: each
+session's optimizer plan, fixed when the session was created (see
+:meth:`~repro.core.session.Session.decode_plan`), is the only one, and a plan
 difference changes a session's group key, not the code path.
 """
 
@@ -60,11 +62,19 @@ class CrossRequestDecodeRound:
     Plugged into ``TransformerModel.forward_rows`` as the ``attention_round``
     hook: the model calls :meth:`layer_attention` once per layer with the
     projected Q/K/V of every row, and receives the attention rows back.
-    ``sessions`` must align with the ``caches`` the model passes.
+    ``sessions`` must align with the ``caches`` the model passes, and
+    ``prefilling[i]`` says whether session ``i``'s rows are a prefill chunk
+    (else one decode token).
     """
 
-    def __init__(self, sessions: list[Session], timings: StageTimings | None = None):
+    def __init__(
+        self,
+        sessions: list[Session],
+        prefilling: list[bool],
+        timings: StageTimings | None = None,
+    ):
         self.sessions = list(sessions)
+        self.prefilling = list(prefilling)
         self.timings = timings
 
     def layer_attention(
@@ -80,22 +90,23 @@ class CrossRequestDecodeRound:
 
         ``q``/``k``/``v`` are ``(heads, sum(rows), head_dim)``; ``rows[i]``
         consecutive rows belong to session ``i``.  Every session appends its
-        KV first; a session with several rows (a prefill chunk) answers them
-        with its own causal :meth:`Session.attention`, and the one-row
-        sessions run group by group (sessions are independent, so the order
-        leaves each one's view unchanged).
+        KV first; a prefilling session answers its rows with its own
+        :meth:`Session.causal_attention` whatever their count, and the
+        decoding sessions run group by group (sessions are independent, so
+        the order leaves each one's view unchanged).
         """
         num_heads, total, head_dim = q.shape
         attn = np.empty((total, num_heads * head_dim), dtype=np.float32)
         starts, singles = [], []
         start = 0
-        for i, (cache, n) in enumerate(zip(caches, rows)):
+        for i, (cache, n, prefill) in enumerate(zip(caches, rows, self.prefilling)):
             span = slice(start, start + n)
             cache.update_query(q[:, span], k[:, span], v[:, span], layer)
-            if n == 1:
-                singles.append(i)
+            if prefill:
+                output = cache.causal_attention(q[:, span], layer)
+                attn[span] = np.transpose(output, (1, 0, 2)).reshape(n, -1)
             else:
-                attn[span] = np.transpose(cache.attention(q[:, span], layer), (1, 0, 2)).reshape(n, -1)
+                singles.append(i)
             starts.append(start)
             start += n
 

@@ -229,7 +229,6 @@ class InferenceService:
         self.tenants = (
             TenantGovernor(
                 specs=self.config.tenants,
-                quantum_tokens=self.config.tenant_quantum_tokens,
                 strict=self.config.strict_tenants,
                 default_spec=TenantSpec(
                     name=DEFAULT_TENANT, max_queued=self.config.tenant_default_max_queued
@@ -248,7 +247,6 @@ class InferenceService:
             policy=make_policy(self.config.scheduler_policy),
             admission=AdmissionController(self.config.scheduler_gpu_budget_bytes),
             max_inflight=self.config.max_inflight_requests,
-            drain_index_builds=self.config.scheduler_drain_index_builds,
             preemption=self.config.preemption,
             preemption_slack_seconds=self.config.preemption_slack_seconds,
             tenants=self.tenants,
@@ -270,7 +268,8 @@ class InferenceService:
         The prefill is an unconnected session's, chunk by chunk, so the
         stored KV is what a request with the document as its prompt computes.
         With ``lazy_index_build`` configured, fine indexes are deferred to the
-        first sparse use, cutting ingest latency.  A service fronting a shard
+        first request whose plan reads them (built when its session is
+        created), cutting ingest latency.  A service fronting a shard
         catalog shards the document and places it on the shard owners.
         """
         if self.db.shard_catalog is not None:
@@ -456,9 +455,10 @@ class InferenceService:
         The dense work (embedding, projections, MLP, LM head) runs once over
         every row, and a
         :class:`~repro.core.decode_round.CrossRequestDecodeRound` runs each
-        layer's attention: a prefill chunk as its session's causal attention,
-        one-row sessions stacked per plan-compatible group.  The round's wall
-        time is split across the requests in proportion to their rows.
+        layer's attention: a prefill chunk, however short, as its session's
+        causal attention, decode tokens stacked per plan-compatible group.
+        The round's wall time is split across the requests in proportion to
+        their rows.
         """
         prefilling = [fl.needs_prefill for fl in inflights]
         num_decoding = prefilling.count(False)
@@ -482,7 +482,9 @@ class InferenceService:
             tokens,
             sessions,
             rows,
-            attention_round=CrossRequestDecodeRound(sessions, timings=self.decode_timings),
+            attention_round=CrossRequestDecodeRound(
+                sessions, prefilling, timings=self.decode_timings
+            ),
         )
         wall = time.perf_counter() - start
         per_row = wall / len(tokens)
@@ -569,8 +571,8 @@ class InferenceService:
         fed += inflight.truncated_tokens if inflight.truncated_tokens else [self.db.tokenizer.bos_id]
         fed += inflight.generated[: max(kv_tokens - len(fed), 0)]
         # fine indexes are deferred: rebuilding a graph index over the whole
-        # transcript on *every* turn would dominate the turn; the lazy build
-        # runs once, on the first decode that actually plans a fine retrieval
+        # transcript on *every* turn would dominate the turn; the next turn
+        # whose plan reads the fine index builds it when its session is created
         return self.db.store(
             session, tokens=fed[:kv_tokens], context_id=context_id, lazy_fine_indexes=True
         )
@@ -624,10 +626,6 @@ class InferenceService:
             self.db.store_registry.pin(context_id)
             session.attach_on_close(lambda: self.db.store_registry.unpin(context_id))
             session.invalidate_context_caches()
-
-    def between_steps(self) -> None:
-        """Slack work between scheduler steps: drain one deferred index build."""
-        self.db.build_pending(limit=1)
 
     # ------------------------------------------------------------------
     # accounting

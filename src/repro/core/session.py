@@ -10,7 +10,8 @@ and asks it for attention outputs.  Unlike ``DynamicCache`` the session
   into the index immediately (late materialization, Section 7.2),
 * answers every attention call with the data-centric engine — per-range
   partials plus a local partial, merged once — retrieving critical tokens
-  first when the optimizer's plan for the layer is a sparse one.
+  first when the optimizer's plan for the layer is a sparse one.  The plans
+  are decided once, when the session is created.
 """
 
 from __future__ import annotations
@@ -147,23 +148,21 @@ class Session:
         context: StoredContext | None = None,
         reused_prefix_length: int = 0,
         num_layers: int | None = None,
-        index_provider=None,
+        prompt_length: int | None = None,
         on_close=None,
     ):
         self.config = config or AlayaDBConfig()
         self.context = context
-        self.reused_prefix_length = int(reused_prefix_length) if context is not None else 0
+        self.reused_prefix_length = int(reused_prefix_length)
         if context is not None and self.reused_prefix_length <= 0:
             self.reused_prefix_length = context.num_tokens
         self._num_layers = num_layers or (context.num_layers if context is not None else None)
-        self._index_provider = index_provider
         self._on_close = on_close
 
         self._closed = False
         self._dims: _ModelDims | None = None
         self._local: dict[int, LayerKVCache] = {}
         self._query_samples: dict[int, list[np.ndarray]] = {}
-        self._plans: dict[int, ExecutionPlan] | None = None
         self._layer_data: dict[int, LayerIndexData] = {}
 
         self.window = WindowCache(self.config.window_initial_tokens, self.config.window_last_tokens)
@@ -173,6 +172,11 @@ class Session:
         self.last_decode_stats = DecodeStepStats()
         self.total_decode_stats = DecodeStepStats()
         self.num_decode_steps = 0
+        # ``prompt_length`` defaults to the reused prefix: a session stepped
+        # directly decodes right after it
+        self._plans = self._plan_layers(
+            self.reused_prefix_length if prompt_length is None else int(prompt_length)
+        )
 
     # ------------------------------------------------------------------
     # lifecycle and introspection
@@ -286,13 +290,11 @@ class Session:
         )
         local_bytes = sum(cache.nbytes for cache in self._local.values())
         coarse_bytes = 0
-        if self._plans:
-            uses_coarse = any(plan.index_kind == "coarse" for plan in self._plans.values())
-            if uses_coarse and self.context is not None:
-                coarse_bytes = sum(
-                    sum(index.memory_bytes for index in indexes)
-                    for indexes in self.context.coarse_indexes.values()
-                )
+        if self.plans_index(IndexKind.COARSE) and self.context is not None:
+            coarse_bytes = sum(
+                sum(index.memory_bytes for index in indexes)
+                for indexes in self.context.coarse_indexes.values()
+            )
         return window_bytes + local_bytes + coarse_bytes
 
     # ------------------------------------------------------------------
@@ -325,22 +327,31 @@ class Session:
         """Attention output for ``q`` at ``layer`` (Table 2: ``Session.attention``).
 
         ``q`` has shape ``(num_query_heads, seq, head_dim)``.  Multi-token
-        queries (the prefill of the non-reused suffix) run exact causal
-        attention; single-token queries (decode) run the layer's plan as a
-        group of one.  Either way the output is one merge of per-range
-        partials and a local partial.
+        queries (the prefill of the non-reused suffix) run
+        :meth:`causal_attention`; single-token queries (decode) run the
+        layer's plan, fixed when the session was created, as a group of one.
+        The scheduler's round knows which rows are prefill and sends them to
+        :meth:`causal_attention` whatever their count.  Either way the output
+        is one merge of per-range partials and a local partial.
         """
         self._require_open()
         q = np.asarray(q, dtype=np.float32)
         if q.ndim != 3:
             raise ValueError(f"expected q of shape (heads, seq, head_dim), got {q.shape}")
         if q.shape[1] > 1:
-            # no plan is consulted: the optimizer sizes its plans on the
-            # context length at the first decode step, after the whole suffix
-            slabs = _visible_slabs(self._stored_ranges(layer), self.reused_prefix_length)
-            return self.engine.causal_output(q, slabs, *self.local_snapshot(layer))
+            return self.causal_attention(q, layer)
         members = [(self, self.layer_inputs(layer))]
         return group_attention(layer, members, q[:, 0, :][None])[0][:, None, :]
+
+    def causal_attention(self, q: np.ndarray, layer: int) -> np.ndarray:
+        """Exact causal attention for prefill rows ``q``, whatever their count.
+
+        No plan is consulted: each row attends the visible stored prefix and
+        the local KV up to its own position.
+        """
+        self._require_open()
+        slabs = _visible_slabs(self._stored_ranges(layer), self.reused_prefix_length)
+        return self.engine.causal_output(q, slabs, *self.local_snapshot(layer))
 
     def materialized_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Full KV visible at ``layer``: stored prefix + locally appended.
@@ -366,40 +377,53 @@ class Session:
             return keys[0], values[0]
         return np.concatenate(keys, axis=1), np.concatenate(values, axis=1)
 
-    def _plans_for_context(self) -> dict[int, ExecutionPlan]:
-        if self._plans is not None:
-            return self._plans
-        dims = self._dims
+    def _plan_layers(self, prompt_length: int) -> dict[int, ExecutionPlan]:
+        """The optimizer's plan for every layer, decided once.
+
+        Everything the optimizer reads is known when the prompt is matched:
+        the context the first decode attends over (the prompt plus that
+        token) and the stored keys' shape.  A session that reuses nothing
+        plans nothing: it runs full attention.
+        """
+        if not self.is_connected:
+            return {}
+        num_kv_heads, _, head_dim = self._stored_ranges(0)[0].keys.shape
         query_context = QueryContext(
-            context_length=self.sequence_length(0),
+            context_length=prompt_length + 1,
             layer=0,
-            head_dim=dims.head_dim if dims else 1,
-            num_kv_heads=dims.num_kv_heads if dims else 1,
+            head_dim=head_dim,
+            num_kv_heads=num_kv_heads,
             num_layers=max(self.num_layers, 1),
             reused_prefix_length=self.reused_prefix_length if self._reuses_strict_prefix else None,
         )
-        self._plans = self.optimizer.plan_all_layers(query_context)
-        return self._plans
+        return self.optimizer.plan_all_layers(query_context)
 
     def plan_for_layer(self, layer: int) -> ExecutionPlan:
         """The optimizer's plan for ``layer`` (public for inspection/benchmarks)."""
-        return self._plans_for_context()[layer]
+        return self._plans.get(layer, FULL_ATTENTION_PLAN)
+
+    def plans_index(self, kind: str) -> bool:
+        """True when some layer's plan reads the ``kind`` index."""
+        return any(plan.index_kind == kind for plan in self._plans.values())
 
     def _layer_index_data(self, layer: int) -> LayerIndexData:
         context = self.context
         fine = context.fine_indexes.get(layer)
         data = self._layer_data.get(layer)
         if data is None:
-            dims = self._dims
-            # the query-head → index mapping must use the model's GQA group size;
-            # the builder's own group size can differ (e.g. indexes rebuilt after
-            # a reload fall back to key-vector query samples)
             data = self._layer_data[layer] = LayerIndexData(
-                keys=context.keys(layer),
-                values=context.values(layer),
-                gqa_group_size=(dims.gqa_group_size if dims is not None else (fine.gqa_group_size if fine is not None else 1)),
+                keys=context.keys(layer), values=context.values(layer)
             )
-        # a deferred build may add the indexes after the layer's first use
+        # the query-head → index mapping must use the model's GQA group size
+        # (known from the first forward on; planning reads only the keys);
+        # the builder's own group size can differ (e.g. indexes rebuilt after
+        # a reload fall back to key-vector query samples)
+        dims = self._dims
+        data.gqa_group_size = (
+            dims.gqa_group_size if dims is not None else (fine.gqa_group_size if fine is not None else 1)
+        )
+        # another session's creation may build the indexes after this
+        # layer's first use
         data.fine_indexes = fine.indexes if fine is not None else None
         data.shared = fine.shared if fine is not None else True
         data.coarse_indexes = context.coarse_indexes.get(layer)
@@ -432,14 +456,7 @@ class Session:
         The local snapshot reflects KV appended so far, so call this *after*
         ``update_query`` for the step's tokens.
         """
-        plan = FULL_ATTENTION_PLAN
-        if self.is_connected:
-            plan = self._plans_for_context()[layer]
-            if plan.index_kind == IndexKind.FINE and self._index_provider is not None:
-                # lazy build mode: the first fine-planned use pays for index
-                # construction instead of the ingest path
-                provider, self._index_provider = self._index_provider, None
-                provider()
+        plan = self.plan_for_layer(layer)
         ranges = self._stored_ranges(layer)
         if not ranges or not all(data.has_index(plan.index_kind) for data in ranges):
             plan = FULL_ATTENTION_PLAN

@@ -67,9 +67,6 @@ class SchedulerBackend(Protocol):
     def resume_request(self, inflight: InFlightRequest) -> None:
         """A paused request is back in flight; re-pin / reload its state."""
 
-    def between_steps(self) -> None:
-        """Optional slack work (deferred index builds) between steps."""
-
 
 @dataclass
 class SchedulerStats:
@@ -105,7 +102,6 @@ class RequestScheduler:
         policy: SchedulerPolicy | None = None,
         admission: AdmissionController | None = None,
         max_inflight: int = 8,
-        drain_index_builds: bool = False,
         preemption: bool = False,
         preemption_slack_seconds: float = 0.5,
         tenants: TenantGovernor | None = None,
@@ -121,7 +117,6 @@ class RequestScheduler:
         quota/fairness counters."""
         self.admission = admission or AdmissionController()
         self.max_inflight = max_inflight
-        self.drain_index_builds = drain_index_builds
         self.preemption = preemption
         self.preemption_slack_seconds = preemption_slack_seconds
         self._queue: list[Request] = []
@@ -376,8 +371,6 @@ class RequestScheduler:
             if self.tenants is not None:
                 self.tenants.on_finished(inflight)
             self.backend.finish_request(inflight)
-        if self.drain_index_builds:
-            self.backend.between_steps()
         return finished
 
     def drain(self, max_steps: int | None = None) -> list[InFlightRequest]:

@@ -286,9 +286,11 @@ class ShardedContextRouter:
         self,
         context_id: str,
         reused_prefix_length: int,
+        prompt_length: int,
     ) -> ShardedSession | None:
-        """A session over the catalogued context ``context_id``, or ``None``
-        when the context is not sharded (what ``DB.create_session`` asks)."""
+        """A session over the catalogued context ``context_id``, planned for
+        a ``prompt_length``-token prompt, or ``None`` when the context is not
+        sharded (what ``DB.create_session`` asks)."""
         ref = self._catalog.get(context_id)
         if ref is None:
             return None
@@ -297,6 +299,7 @@ class ShardedContextRouter:
             fanout=self,
             config=self.config,
             reused_prefix_length=reused_prefix_length,
+            prompt_length=prompt_length,
         )
 
     # ------------------------------------------------------------------

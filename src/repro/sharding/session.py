@@ -77,14 +77,16 @@ class ShardedSession(Session):
         fanout,
         config=None,
         reused_prefix_length: int | None = None,
+        prompt_length: int | None = None,
     ):
-        super().__init__(config=config, context=None, num_layers=ref.num_layers)
+        # set before Session.__init__, which plans through the fan-out
         self.sharded_ref = ref
         self._fanout = fanout
-        # Session.__init__ zeroes the reused prefix when no StoredContext is
-        # attached; the sharded prefix is reused through the fan-out instead
-        self.reused_prefix_length = (
-            ref.num_tokens if reused_prefix_length is None else int(reused_prefix_length)
+        super().__init__(
+            config=config,
+            reused_prefix_length=ref.num_tokens if reused_prefix_length is None else reused_prefix_length,
+            num_layers=ref.num_layers,
+            prompt_length=prompt_length,
         )
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.core.db import DB
 from repro.errors import ConfigError, ContextEvictedError
 from repro.kvcache.serialization import KVSnapshot
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.query.types import IndexKind
 from tests.reference_generation import reference_generate
 
 
@@ -150,8 +151,14 @@ class TestBudgetedResidency:
 
     def test_reload_respects_index_opt_out(self, tmp_path):
         """A context imported without fine indexes stays index-free across
-        a spill/reload cycle (no surprise rebuild)."""
-        config = AlayaDBConfig(context_store_budget_bytes=1)
+        a spill/reload cycle (no surprise rebuild), even when a session's
+        plan reads the fine index."""
+        config = AlayaDBConfig(
+            context_store_budget_bytes=1,
+            short_context_threshold=4,
+            gpu_memory_budget_bytes=1,
+            flat_index_layers=(),
+        )
         db = DB(config, storage_dir=tmp_path)
         snapshot_a = _context("plain", [1] * 24, seed=3).snapshot
         db.import_context([1] * 24, snapshot_a, context_id="plain", build_fine_indexes=False)
@@ -160,7 +167,10 @@ class TestBudgetedResidency:
         assert not db.get_context("plain").is_resident  # spilled by the budget
         db.store_registry.ensure_resident("plain")
         assert db.num_pending_index_builds == 0
-        assert db.build_pending() == 0
+        session, _ = db.create_session([1] * 24 + [7])
+        assert session.plans_index(IndexKind.FINE)
+        session.close()
+        assert db.num_pending_index_builds == 0
         assert not db.get_context("plain").has_fine_indexes
 
     def test_remove_spilled_context(self, tmp_path):
@@ -289,16 +299,23 @@ class TestQuerySamplePersistence:
         not the keys-only fallback.  (The spilled index blob is deleted, so
         the reload cannot deserialize and exercises the rebuild path.)"""
         model = TransformerModel(ModelConfig.tiny(seed=103))
-        db = DB(AlayaDBConfig(), storage_dir=tmp_path)
+        # a budget below the context's KV: the session plans fine layers
+        db = DB(
+            AlayaDBConfig(short_context_threshold=64, gpu_memory_budget_bytes=1),
+            storage_dir=tmp_path,
+        )
         document = "the ood benefit must survive reloads too. " * 12
         context = db.prefill_and_import(model, document, context_id="doc")
         db.store_registry.spill("doc")
         assert db.store_registry.backend.delete("doc.indexes.npz")
         db.store_registry.ensure_resident("doc")
-        # the reload queued a lazy fine rebuild; drain it
+        # the reload left the fine rebuild pending; the next session whose
+        # plan reads the fine index pays it
         assert db.store_registry.reload_rebuilt_count == 1
         assert db.num_pending_index_builds == 1
-        assert db.build_pending() == 1
+        session, _ = db.create_session(document + "why?")
+        session.close()
+        assert db.num_pending_index_builds == 0
         rebuilt = db.get_context("doc")
         assert rebuilt.has_fine_indexes
         # samples differ from keys, so a keys-fallback rebuild would see a

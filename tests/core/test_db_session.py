@@ -77,12 +77,7 @@ class TestCreateSession:
         session, truncated = db.create_session(tokens)
         if session.is_connected:
             assert 0 < session.reused_prefix_length < context.num_tokens
-            session._dims = None  # plans are computed lazily from dims; set below
-            # register dims by pushing a dummy update
-            rng = np.random.default_rng(0)
-            q = rng.normal(size=(4, 1, 8)).astype(np.float32)
-            k = rng.normal(size=(2, 1, 8)).astype(np.float32)
-            session.update_query(q, k, k, layer=0)
+            # plans are decided at creation: no forward is needed to read them
             plan = session.plan_for_layer(1)
             assert plan.predicate is not None
 

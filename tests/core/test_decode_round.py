@@ -212,7 +212,7 @@ class TestDecodeStepStatsHonesty:
         """Feed ``steps`` to ``solo`` one session at a time and to ``grouped``
         through one decode round; every row and every stat must agree."""
         dims = model.config
-        round_ = CrossRequestDecodeRound(grouped)
+        round_ = CrossRequestDecodeRound(grouped, [False] * len(grouped))
         for layer_step, (q, k, v) in enumerate(steps):
             layer = layer_step % dims.num_layers
             rows = round_.layer_attention(layer, q, k, v, grouped, [1] * len(grouped))

@@ -7,8 +7,8 @@ import pytest
 from repro.core.config import AlayaDBConfig
 from repro.core.db import DB
 from repro.core.service import InferenceService
-from repro.index.builder import IndexBuildConfig
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.query.types import IndexKind
 from tests.reference_generation import reference_generate
 
 
@@ -49,18 +49,78 @@ class TestLazyImport:
         assert not context.has_fine_indexes
         assert db.num_pending_index_builds == 1
 
-    def test_first_sparse_decode_triggers_build(self, lazy_model):
+    def test_fine_planned_session_creation_builds(self, lazy_model):
         db = DB(_lazy_config())
         context = db.prefill_and_import(lazy_model, DOCUMENT, context_id="doc")
         session, truncated = db.create_session(DOCUMENT + " and a question")
-        assert not context.has_fine_indexes  # still deferred after session setup
-        reference_generate(lazy_model, truncated, cache=session, max_new_tokens=2)
-        session.close()
-        # the decode hit the sparse path, which built the pending indexes
+        assert session.plans_index(IndexKind.FINE)
+        # the build ran before the session came back, not at its first decode
         assert context.has_fine_indexes
         assert db.num_pending_index_builds == 0
+        reference_generate(lazy_model, truncated, cache=session, max_new_tokens=2)
+        session.close()
         assert session.num_decode_steps >= 1
         assert session.last_decode_stats.num_heads > 0
+
+    @pytest.mark.parametrize(
+        "overrides, index_kind",
+        [
+            (dict(short_context_threshold=1 << 20), None),  # every layer FULL
+            (dict(gpu_memory_budget_bytes=1 << 40), IndexKind.COARSE),
+        ],
+    )
+    def test_full_or_coarse_plans_leave_the_build_deferred(self, lazy_model, overrides, index_kind):
+        db = DB(_lazy_config(**overrides))
+        context = db.prefill_and_import(lazy_model, DOCUMENT, context_id="doc")
+        session, truncated = db.create_session(DOCUMENT + " and a question")
+        plans = [session.plan_for_layer(layer) for layer in range(session.num_layers)]
+        if index_kind is None:
+            assert all(plan.is_full for plan in plans)
+        else:
+            assert all(plan.index_kind == index_kind for plan in plans)
+        reference_generate(lazy_model, truncated, cache=session, max_new_tokens=2)
+        session.close()
+        assert not context.has_fine_indexes
+        assert db.num_pending_index_builds == 1
+
+    def test_no_fine_build_inside_a_round(self, lazy_model, monkeypatch):
+        """A lazily ingested, fine-planned context served through the service
+        pays its build in ``begin_request`` (TTFT), never in ``run_round``."""
+        service = InferenceService(lazy_model, _lazy_config())
+        service.ingest(DOCUMENT, context_id="doc")
+        builds, in_round = [], []
+        real_build, real_round = DB._build_fine_indexes, InferenceService.run_round
+
+        def build(db, context):
+            builds.append(bool(in_round))
+            return real_build(db, context)
+
+        def run_round(svc, inflights):
+            in_round.append(1)
+            try:
+                return real_round(svc, inflights)
+            finally:
+                in_round.pop()
+
+        monkeypatch.setattr(DB, "_build_fine_indexes", build)
+        monkeypatch.setattr(InferenceService, "run_round", run_round)
+        result, record = service.submit(DOCUMENT + " a question?", max_new_tokens=3).result()
+        assert record.reused_tokens > 0 and len(result.generated_tokens) == 3
+        assert builds == [False]
+        assert service.db.get_context("doc").has_fine_indexes
+
+    def test_failed_build_releases_the_pin(self, lazy_model, monkeypatch):
+        db = DB(_lazy_config())
+        db.prefill_and_import(lazy_model, DOCUMENT, context_id="doc")
+
+        def explode(db, context):
+            raise MemoryError("no room for the graph")
+
+        monkeypatch.setattr(DB, "_build_fine_indexes", explode)
+        with pytest.raises(MemoryError):
+            db.create_session(DOCUMENT + " and a question")
+        assert db.store_registry.pin_count("doc") == 0
+        assert db.num_pending_index_builds == 1
 
     def test_only_queried_contexts_pay_for_index_builds(self, lazy_model):
         """Serving sparse requests over one of two lazily ingested documents
@@ -75,18 +135,6 @@ class TestLazyImport:
         assert not service.db.get_context("idle").has_fine_indexes
         assert service.db.num_pending_index_builds == 1
 
-    def test_build_pending_drains_explicitly(self, lazy_model):
-        db = DB(_lazy_config())
-        db.prefill_and_import(lazy_model, DOCUMENT, context_id="one")
-        db.prefill_and_import(lazy_model, DOCUMENT + " extra tail", context_id="two")
-        assert db.num_pending_index_builds == 2
-        assert db.build_pending(limit=1) == 1
-        assert db.num_pending_index_builds == 1
-        assert db.build_pending() == 1
-        assert db.num_pending_index_builds == 0
-        assert db.get_context("one").has_fine_indexes
-        assert db.get_context("two").has_fine_indexes
-
     def test_removed_context_dropped_from_pending(self, lazy_model):
         """Removing a context must not leave a stale pending-build entry."""
         db = DB(_lazy_config())
@@ -94,30 +142,4 @@ class TestLazyImport:
         assert db.num_pending_index_builds == 1
         db.store_registry.remove("doomed")
         assert db.num_pending_index_builds == 0
-        assert db.build_pending() == 0  # no ContextNotFoundError
         assert db.store_registry.resident_bytes == 0  # nothing left resident
-
-    def test_rebuild_indexes_uses_temporary_builder(self, lazy_model):
-        """A one-off IndexBuildConfig must not replace the DB's builder."""
-        db = DB(AlayaDBConfig())
-        db.prefill_and_import(lazy_model, DOCUMENT, context_id="doc")
-        original_builder = db._builder
-        rebuilt = db.rebuild_indexes("doc", IndexBuildConfig(gqa_share=False))
-        assert rebuilt is not None
-        assert not rebuilt.shared  # the one-off config applied to this rebuild
-        assert db._builder is original_builder  # ...without mutating the DB
-        # a follow-up rebuild with no override uses the configured builder
-        assert db.rebuild_indexes("doc").shared
-
-
-class TestSchedulerDrainsBuilds:
-    def test_between_steps_drains_pending(self, lazy_model):
-        config = _lazy_config(scheduler_drain_index_builds=True)
-        service = InferenceService(lazy_model, config)
-        service.ingest(DOCUMENT, context_id="doc")
-        assert service.db.num_pending_index_builds == 1
-        # an unrelated request never touches the sparse path, so the build is
-        # drained by the scheduler's between-step slack, not on demand
-        service.serve("completely unrelated prompt", max_new_tokens=2)
-        assert service.db.num_pending_index_builds == 0
-        assert service.db.get_context("doc").has_fine_indexes

@@ -62,7 +62,6 @@ def _make_service(tmp_path) -> InferenceService:
         scheduler_gpu_budget_bytes=220_000,
         context_store_budget_bytes=150_000,
         lazy_index_build=True,
-        scheduler_drain_index_builds=True,
     )
     return InferenceService(model, config, storage_dir=tmp_path)
 

@@ -48,7 +48,6 @@ class FakeBackend:
         """Request ids of every ``run_round`` call the scheduler issued."""
         self.batch_sizes: list[int] = []
         """Decode-ready requests in every round that had any."""
-        self.between_steps_calls = 0
 
     def estimate_request_bytes(self, request):
         return self.bytes_overrides.get(request.request_id, self.bytes_per_request)
@@ -91,9 +90,6 @@ class FakeBackend:
 
     def resume_request(self, inflight):
         self.resumed.append(inflight.request.request_id)
-
-    def between_steps(self):
-        self.between_steps_calls += 1
 
 
 def _request(request_id, num_tokens=4, **kwargs):
@@ -228,17 +224,6 @@ class TestRequestScheduler:
         assert scheduler.admission.stats.deferral_attempts >= 5
         scheduler.drain()
         assert sorted(backend.finished) == [1, 2]
-
-    def test_between_steps_drains_when_enabled(self):
-        backend = FakeBackend()
-        scheduler = RequestScheduler(backend, drain_index_builds=True)
-        scheduler.submit(_request(1, max_new_tokens=1))
-        scheduler.drain()
-        assert backend.between_steps_calls > 0
-
-        quiet = FakeBackend()
-        RequestScheduler(quiet, drain_index_builds=False).step()
-        assert quiet.between_steps_calls == 0
 
     def test_request_states_progress(self):
         backend = FakeBackend()
