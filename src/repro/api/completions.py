@@ -164,8 +164,8 @@ class Client:
         return self.service.chat(context_id=context_id, max_new_tokens=max_new_tokens)
 
     def export_context(self, context_id: str, dest_dir):
-        """Export one stored context (snapshot + indexes + catalog row) as a
-        portable bundle directory; returns the bundle path."""
+        """Export one stored context as a portable bundle directory (a
+        context database holding that one context); returns its path."""
         return self.service.db.export_context(context_id, dest_dir)
 
     def import_context(self, src_dir, context_id: str | None = None, overwrite: bool = False):

@@ -133,8 +133,9 @@ class AlayaDBConfig:
     # context-store residency budget (Section 7.3 applied to whole contexts)
     context_store_budget_bytes: int | None = None
     """Byte budget for KV snapshots resident in memory; colder contexts are
-    spilled to disk (requires the DB to be created with a ``storage_dir``)
-    and transparently reloaded on prefix hits.  ``None`` means unbounded."""
+    spilled to the store's backend (so it requires ``context_db_path`` or a
+    DB created with a ``backend``) and transparently reloaded on prefix
+    hits.  ``None`` means unbounded."""
 
     # durable context database
     context_db_path: str | None = None
@@ -142,10 +143,6 @@ class AlayaDBConfig:
     context is persisted (snapshot + indexes + manifest row) as it is added,
     and a DB/service constructed over the same path recovers the whole
     context population — restart-and-reuse without re-prefilling."""
-
-    storage_backend: str = "filesystem"
-    """Durable-tier backend: ``"filesystem"`` (one file per object under the
-    database directory) or ``"memory"`` (dict-backed; tests and scratch)."""
 
     # sharded context serving (context parallelism)
     num_shards: int = 1
@@ -223,14 +220,6 @@ class AlayaDBConfig:
         if self.http_max_body_bytes <= 0:
             raise ConfigError(
                 f"http_max_body_bytes must be positive, got {self.http_max_body_bytes}"
-            )
-        from ..storage.backend import available_backends
-
-        if self.storage_backend not in available_backends():
-            names = ", ".join(repr(name) for name in available_backends())
-            raise ConfigError(
-                f"storage_backend must be one of the registered backends "
-                f"({names}), got {self.storage_backend!r}"
             )
         if self.num_shards < 1:
             raise ConfigError(f"num_shards must be at least 1, got {self.num_shards}")

@@ -20,11 +20,13 @@ Serving-scale features:
 * spilled contexts round-trip their **fine and coarse indexes** too: reload
   is a deserialize, not a rebuild-from-keys (a missing or torn index blob
   degrades to the rebuild);
-* in **durable** mode the store is a real context database: every stored
-  context is persisted (snapshot + indexes) and cataloged in a crash-safe,
-  generation-stamped manifest, so :meth:`ContextStore.open` on the same
-  directory — after a restart, or from a second process — recovers the whole
-  population and serves contexts this process never prefilled.
+* a store with a backend **is** the context database: every stored context
+  is persisted (snapshot + indexes) as it is added and cataloged in a
+  crash-safe, generation-stamped manifest, so :meth:`ContextStore.open` on
+  the same directory — after a restart, or from a second process — recovers
+  the whole population and serves contexts this process never prefilled.
+  A portable bundle is such a database holding one context.  A store
+  without a backend keeps its contexts in memory only.
 """
 
 from __future__ import annotations
@@ -206,45 +208,34 @@ class _TrieNode:
 class ContextStore:
     """Registry of stored contexts with budgeted residency and disk spill.
 
+    With a ``backend`` the store is a context database over it: construction
+    recovers whatever population the manifest describes, and every added
+    context is persisted immediately and recorded in the manifest (see
+    :meth:`open`).  Without one, contexts live in memory only.
+
     ``kv_budget_bytes`` caps the total bytes of KV snapshots kept in memory;
-    exceeding it spills the least-recently-used unpinned context through the
-    store's backend (so a budget requires either ``storage_dir`` or
-    ``backend``).  ``on_reload`` lets the owning DB rebuild the coarse
-    indexes a reload did not bring back.
+    exceeding it spills the least-recently-used unpinned context to the
+    backend (so a budget requires one).  ``on_reload`` lets the owning DB
+    rebuild the coarse indexes a reload did not bring back.
 
     Every :meth:`ensure_resident` call is one access: a hit (``hit_count``)
     when the context is resident, a miss (``reload_count``) when it reloads.
-
-    ``durable=True`` turns the store into a context database over its
-    backend: every added context is persisted immediately and recorded in
-    the manifest; construction recovers whatever population the manifest
-    describes (see :meth:`open`).
     """
 
     def __init__(
         self,
-        storage_dir: str | Path | None = None,
         kv_budget_bytes: int | None = None,
         on_reload: Callable[[StoredContext], None] | None = None,
         backend: StorageBackend | None = None,
-        durable: bool = False,
     ):
-        if backend is None and storage_dir is not None:
-            backend = FilesystemBackend(storage_dir)
         if kv_budget_bytes is not None:
             if kv_budget_bytes <= 0:
                 raise ValueError(f"kv_budget_bytes must be positive, got {kv_budget_bytes}")
             if backend is None:
-                raise ValueError("a kv_budget_bytes cap requires a storage_dir (or backend) to spill to")
-        if durable and backend is None:
-            raise ValueError("a durable ContextStore requires a storage_dir or backend")
+                raise ValueError("a kv_budget_bytes cap requires a backend to spill to")
         self._contexts: dict[str, StoredContext] = {}
         self.backend = backend
-        self.storage_dir = Path(storage_dir) if storage_dir is not None else (
-            Path(backend.location) if backend is not None and backend.location else None
-        )
         self.kv_budget_bytes = kv_budget_bytes
-        self.durable = durable
         self._root = _TrieNode(holder="")  # the root's holder is never read
         self._lru: OrderedDict[str, None] = OrderedDict()  # resident ids, oldest first
         self._pins: dict[str, int] = {}
@@ -261,8 +252,8 @@ class ContextStore:
         self.reload_rebuilt_count = 0
         """Reloads that came back index-less (indexes rebuilt from keys)."""
         self._manifest = ContextManifest()
-        if durable:
-            self._manifest = ContextManifest.load_or_empty(self.backend)
+        if backend is not None:
+            self._manifest = ContextManifest.load_or_empty(backend)
             self._recover_from_manifest()
 
     @classmethod
@@ -271,7 +262,7 @@ class ContextStore:
         storage: str | Path | StorageBackend,
         **kwargs,
     ) -> "ContextStore":
-        """Open (or create) a durable context database at ``storage``.
+        """Open (or create) the context database at ``storage``.
 
         ``storage`` is a directory path (filesystem backend) or an existing
         :class:`StorageBackend`.  Contexts cataloged in the manifest are
@@ -279,9 +270,9 @@ class ContextStore:
         so a restarted service, or a second store sharing the directory, can
         serve contexts it never prefilled.
         """
-        if isinstance(storage, StorageBackend):
-            return cls(backend=storage, durable=True, **kwargs)
-        return cls(storage_dir=storage, durable=True, **kwargs)
+        if not isinstance(storage, StorageBackend):
+            storage = FilesystemBackend(storage)
+        return cls(backend=storage, **kwargs)
 
     def _recover_from_manifest(self) -> None:
         for entry in self._manifest.entries.values():
@@ -310,8 +301,8 @@ class ContextStore:
         them here would orphan live local contexts).  Returns the newly
         adopted context ids.
         """
-        if not self.durable:
-            raise ValueError("refresh_from_manifest requires a durable ContextStore")
+        if self.backend is None:
+            raise ValueError("refresh_from_manifest requires a ContextStore with a backend")
         loaded = ContextManifest.load_or_empty(self.backend)
         self._manifest.generation = max(self._manifest.generation, loaded.generation)
         adopted = []
@@ -336,7 +327,7 @@ class ContextStore:
 
     @property
     def manifest_generation(self) -> int:
-        """Generation stamp of the last manifest write (0 when non-durable)."""
+        """Generation stamp of the last manifest write (0 without a backend)."""
         return self._manifest.generation
 
     # ------------------------------------------------------------------
@@ -366,13 +357,16 @@ class ContextStore:
             self._trie_insert(context.tokens, context_id)
         if context.is_resident:
             self._lru[context_id] = None
-        if self.durable and context.is_resident:
+        if self.backend is not None and context.is_resident:
             # the database property: a stored context survives this process
             self._persist_snapshot(context)
             if context.fine_indexes or context.coarse_indexes:
                 self._persist_index_blob(context)
             self._manifest.upsert(self._manifest_entry(context))
             self._manifest.save(self.backend)
+            if existing is not None and context_id not in self._indexed_on_disk:
+                # the replaced version's blob is outside the catalog now
+                self.backend.delete(self._index_key(context_id))
         self._enforce_budget(protect=context_id)
 
     def get(self, context_id: str) -> StoredContext:
@@ -391,12 +385,10 @@ class ContextStore:
         self._forget(context)
         del self._contexts[context_id]
         if self.backend is not None:
-            # spill files of a non-durable store go too, or ingest/remove
-            # churn grows the disk tier without bound
             self.backend.delete(self._snapshot_key(context_id))
             self.backend.delete(self._index_key(context_id))
-        if self.durable and self._manifest.remove(context_id):
-            self._manifest.save(self.backend)
+            if self._manifest.remove(context_id):
+                self._manifest.save(self.backend)
 
     def list_ids(self) -> list[str]:
         return sorted(self._contexts)
@@ -574,7 +566,7 @@ class ContextStore:
             return context
         if self.backend is None:
             raise ContextEvictedError(
-                f"context {context_id!r} is spilled but the store has no storage_dir"
+                f"context {context_id!r} is spilled but the store has no backend"
             )
         snapshot = self._load_snapshot(context_id)
         context.restore(snapshot)
@@ -592,7 +584,7 @@ class ContextStore:
     def spill(self, context_id: str) -> None:
         """Explicitly spill one resident context to disk."""
         if self.backend is None:
-            raise ValueError("this ContextStore was created without a storage_dir")
+            raise ValueError("this ContextStore was created without a backend")
         context = self.get(context_id)
         if not context.is_resident:
             return
@@ -632,9 +624,8 @@ class ContextStore:
             context.fine_indexes or context.coarse_indexes
         ):
             self._persist_index_blob(context)
-            if self.durable:
-                self._manifest.upsert(self._manifest_entry(context))
-                self._manifest.save(self.backend)
+            self._manifest.upsert(self._manifest_entry(context))
+            self._manifest.save(self.backend)
         self._lru.pop(context_id, None)
         context.spill()
         self.spill_count += 1
@@ -711,21 +702,6 @@ class ContextStore:
             metadata=dict(context.snapshot.metadata) if context.snapshot is not None else {},
         )
 
-    def persist(self, context_id: str) -> Path | str:
-        """Write a context's snapshot (and indexes, if any) to the backend."""
-        if self.backend is None:
-            raise ValueError("this ContextStore was created without a storage_dir")
-        context = self.get(context_id)
-        context._require_resident()
-        self._persist_snapshot(context)
-        if context.fine_indexes or context.coarse_indexes:
-            self._persist_index_blob(context)
-        if self.durable:
-            self._manifest.upsert(self._manifest_entry(context))
-            self._manifest.save(self.backend)
-        key = self._snapshot_key(context_id)
-        return self.storage_dir / key if self.storage_dir is not None else key
-
     def persist_indexes(self, context_id: str) -> bool:
         """Serialize a context's current fine/coarse indexes to the backend.
 
@@ -742,25 +718,6 @@ class ContextStore:
         if not context.is_resident or not (context.fine_indexes or context.coarse_indexes):
             return False
         self._persist_index_blob(context)
-        if self.durable:
-            self._manifest.upsert(self._manifest_entry(context))
-            self._manifest.save(self.backend)
+        self._manifest.upsert(self._manifest_entry(context))
+        self._manifest.save(self.backend)
         return True
-
-    def load_persisted(self, context_id: str) -> StoredContext:
-        """Load a previously persisted snapshot back into the registry."""
-        if self.backend is None:
-            raise ValueError("this ContextStore was created without a storage_dir")
-        snapshot = self._load_snapshot(context_id)
-        entry = self._manifest.get(context_id)
-        context = StoredContext(
-            context_id=context_id,
-            snapshot=snapshot,
-            prefix_matchable=entry.prefix_matchable if entry is not None else True,
-        )
-        if self.backend.exists(self._index_key(context_id)):
-            self._indexed_on_disk.add(context_id)
-            self._attach_persisted_indexes(context)
-        self.add(context, overwrite=True)
-        self._persisted.add(context_id)
-        return context

@@ -15,16 +15,20 @@ with it through three calls:
 
 Memory governance belongs to the underlying :class:`ContextStore`, the one
 residency ledger: it counts hits and reloads per access and — when the
-config sets a ``context_store_budget_bytes`` — spills cold contexts to
-``storage_dir`` and reloads them on prefix hits.  Fine index construction
-can be deferred (``lazy_index_build``): the first ``create_session`` whose
-plan reads the fine index builds it before returning the session.
+config sets a ``context_store_budget_bytes`` — spills cold contexts to its
+backend and reloads them on prefix hits.  The backend is the one passed in,
+else a directory at ``config.context_db_path``; with one, the store is the
+durable context database (every context persisted as it is added, the
+population recovered on restart), and :meth:`DB.export_context` writes a
+one-context database of the same format.  Fine index construction can be
+deferred (``lazy_index_build``): the first ``create_session`` whose plan
+reads the fine index builds it before returning the session.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-import json
 import re
 from pathlib import Path
 
@@ -32,24 +36,19 @@ import numpy as np
 
 from ..index.builder import ContextIndexBuilder
 from ..index.coarse import CoarseBlockIndex
-from ..index.serialization import deserialize_context_indexes, serialize_context_indexes
 from ..kvcache.cache import DynamicCache
-from ..kvcache.serialization import KVSnapshot, snapshot_from_bytes, snapshot_to_bytes
+from ..kvcache.serialization import KVSnapshot
 from ..llm.model import TransformerModel
 from ..llm.tokenizer import ByteTokenizer
 from ..errors import ContextLoadError
 from ..query.types import IndexKind
-from ..storage.backend import FilesystemBackend, StorageBackend, make_backend
-from ..storage.manifest import ManifestEntry
+from ..storage.backend import FilesystemBackend, StorageBackend
 from ..sharding.plan import ShardPlan, shard_context_id, slice_snapshot
 from .config import AlayaDBConfig
 from .context_store import ContextStore, StoredContext
 from .session import Session
 
 __all__ = ["DB"]
-
-BUNDLE_FORMAT_VERSION = 1
-"""Format of the portable single-context bundle (``bundle.json``)."""
 
 
 class DB:
@@ -59,7 +58,6 @@ class DB:
         self,
         config: AlayaDBConfig | None = None,
         tokenizer: ByteTokenizer | None = None,
-        storage_dir: str | Path | None = None,
         backend: StorageBackend | None = None,
         shard_catalog=None,
     ):
@@ -70,22 +68,12 @@ class DB:
         :class:`~repro.sharding.router.ShardedContextRouter`) that
         :meth:`create_session` consults; ``None`` when every context has a
         single owner."""
-        budget = self.config.context_store_budget_bytes
-        effective_dir = storage_dir if storage_dir is not None else self.config.context_db_path
-        # ``context_db_path`` (or an explicit backend) makes the store a
-        # durable context database; a bare ``storage_dir`` keeps the historic
-        # spill-tier-only behavior
-        durable = backend is not None or self.config.context_db_path is not None
-        if backend is None and self.config.storage_backend != "filesystem" and (
-            effective_dir is not None or budget is not None
-        ):
-            backend = make_backend(self.config.storage_backend, effective_dir)
+        if backend is None and self.config.context_db_path is not None:
+            backend = FilesystemBackend(self.config.context_db_path)
         self.store_registry = ContextStore(
-            storage_dir=effective_dir,
-            kv_budget_bytes=budget,
+            kv_budget_bytes=self.config.context_store_budget_bytes,
             on_reload=self._context_reloaded,
             backend=backend,
-            durable=durable,
         )
         self._builder = ContextIndexBuilder(self.config.index_build)
         # recovered contexts keep their ids; continue the sequence after them
@@ -391,8 +379,8 @@ class DB:
         shards exist to be fanned out to, not lazily warmed).  Shards are not
         prefix-matchable: they hold mid-document slices and are addressed by
         id through a shard catalog, never matched against prompts.  In a
-        durable store every shard persists under its own keys plus a manifest
-        row, so any worker over the shared backend can cold-load it.
+        store with a backend every shard persists under its own keys plus a
+        manifest row, so any worker over the shared backend can cold-load it.
 
         Sizing: an explicit ``plan`` wins; else ``num_shards`` (argument,
         falling back to the config knob).
@@ -462,58 +450,28 @@ class DB:
         if not context.wants_fine_indexes or context.has_fine_indexes:
             return
         self._build_fine_indexes(context)
-        # a durable store re-persists so the deferred build still reloads as
-        # a deserialize, not another rebuild
-        if self.store_registry.durable:
-            self.store_registry.persist_indexes(context.context_id)
+        # re-persist so the deferred build still reloads as a deserialize,
+        # not another rebuild (a no-op without a backend)
+        self.store_registry.persist_indexes(context.context_id)
 
     # ------------------------------------------------------------------
     # portable context bundles (export / import)
     # ------------------------------------------------------------------
     def export_context(self, context_id: str, dest_dir: str | Path) -> Path:
-        """Export one context as a portable bundle directory.
+        """Export one context as a portable bundle: a context database at
+        ``dest_dir`` that holds this one context.
 
-        The bundle holds the context's snapshot, its serialized fine/coarse
-        indexes (deferred builds are completed first so the bundle is whole),
-        and a ``bundle.json`` catalog row — enough for
-        :meth:`import_context_bundle` on another DB to serve the context
-        without re-prefilling or re-indexing.
+        Deferred fine builds are completed first so the bundle is whole;
+        :meth:`import_context_bundle` on another DB (or
+        :meth:`ContextStore.open`) then serves the context without
+        re-prefilling or re-indexing.
         """
         context = self.store_registry.ensure_resident(context_id)
         self._ensure_fine_indexes(context)
-        dest = Path(dest_dir)
-        bundle = FilesystemBackend(dest)
-        snapshot_key = f"{context_id}.npz"
-        bundle.write_bytes(snapshot_key, snapshot_to_bytes(context.snapshot))
-        index_key = None
-        if context.fine_indexes or context.coarse_indexes:
-            index_key = f"{context_id}.indexes.npz"
-            bundle.write_bytes(
-                index_key,
-                serialize_context_indexes(
-                    context.fine_indexes, context.coarse_indexes, context.query_samples
-                ),
-            )
-        entry = ManifestEntry(
-            context_id=context_id,
-            tokens=list(context.tokens),
-            num_layers=context.num_layers,
-            kv_bytes=context.kv_bytes,
-            snapshot_key=snapshot_key,
-            index_key=index_key,
-            index_bytes=bundle.size_bytes(index_key) if index_key else 0,
-            wants_fine_indexes=context.wants_fine_indexes,
-            wants_coarse_indexes=context.wants_coarse_indexes,
-            metadata=dict(context.snapshot.metadata),
-        )
-        bundle.write_bytes(
-            "bundle.json",
-            json.dumps(
-                {"format_version": BUNDLE_FORMAT_VERSION, "context": entry.to_json()},
-                indent=1,
-            ).encode("utf-8"),
-        )
-        return dest
+        # a second StoredContext over the same snapshot and indexes, so the
+        # two stores never share residency state
+        ContextStore.open(dest_dir).add(dataclasses.replace(context), overwrite=True)
+        return Path(dest_dir)
 
     def import_context_bundle(
         self,
@@ -523,43 +481,19 @@ class DB:
     ) -> StoredContext:
         """Import a bundle exported by :meth:`export_context`.
 
-        The snapshot and indexes are deserialized as-is (retrieval over the
-        imported context is bit-identical to the exporter's); missing index
-        classes fall back to the usual rebuild paths.  ``context_id``
-        overrides the bundled id, e.g. to avoid a collision.
+        ``src_dir`` must be a context database holding exactly one context.
+        It loads the way a reload does: persisted indexes are deserialized
+        (retrieval over the imported context is bit-identical to the
+        exporter's), a missing or torn blob falls back to the rebuild path.
+        ``context_id`` overrides the bundled id, e.g. to avoid a collision.
         """
-        bundle = FilesystemBackend(src_dir)
-        try:
-            payload = json.loads(bundle.read_bytes("bundle.json").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ContextLoadError(f"corrupted bundle.json in {src_dir}: {exc}") from exc
-        version = payload.get("format_version")
-        if version != BUNDLE_FORMAT_VERSION:
+        bundle = ContextStore.open(src_dir, on_reload=self._context_reloaded)
+        ids = bundle.list_ids()
+        if len(ids) != 1:
             raise ContextLoadError(
-                f"bundle format version {version!r} is not supported "
-                f"(this build reads version {BUNDLE_FORMAT_VERSION})"
+                f"{src_dir} is not a context bundle: it holds {len(ids)} contexts, not one"
             )
-        entry = ManifestEntry.from_json(payload.get("context", {}))
-        snapshot = snapshot_from_bytes(
-            bundle.read_bytes(entry.snapshot_key), source=f"{src_dir}/{entry.snapshot_key}"
-        )
-        context = StoredContext(
-            context_id=context_id or entry.context_id,
-            snapshot=snapshot,
-            wants_fine_indexes=entry.wants_fine_indexes,
-            wants_coarse_indexes=entry.wants_coarse_indexes,
-        )
-        if entry.index_key and bundle.exists(entry.index_key):
-            fine, coarse, samples = deserialize_context_indexes(
-                bundle.read_bytes(entry.index_key)
-            )
-            if entry.wants_fine_indexes:
-                context.fine_indexes = fine
-            if entry.wants_coarse_indexes:
-                context.coarse_indexes = coarse
-            if samples and not context.query_samples:
-                context.query_samples = samples
-        if context.wants_coarse_indexes and not context.coarse_indexes:
-            self._build_coarse_indexes(context)
+        source = bundle.ensure_resident(ids[0])
+        context = dataclasses.replace(source, context_id=context_id or source.context_id)
         self.store_registry.add(context, overwrite=overwrite)
         return context

@@ -61,7 +61,6 @@ from ..scheduler import (
 from ..scheduler.slo import percentiles
 from ..storage.backend import StorageBackend
 from .config import AlayaDBConfig
-from .context_store import ContextStore
 from .db import DB
 from .decode_round import CrossRequestDecodeRound, StageTimings
 from .handles import ChatSession, RequestHandle
@@ -117,10 +116,6 @@ class ServiceStats:
     decode_timings: StageTimings | None = None
     """Live per-stage decode wall-time split (retrieval vs. partial-attention
     merge vs. dense model math) summed over every decode round served."""
-    store: ContextStore | None = None
-    """Live view of the context store: context hits and reloads, plus the
-    disk tier (spilled and on-disk byte totals, reloads split deserialize
-    vs. rebuild)."""
     tenants: TenantGovernor | None = None
     """Live view of the tenant governor (``None`` without tenant governance):
     per-tenant in-flight/queued/deferred/429/tokens-served counters."""
@@ -142,41 +137,6 @@ class ServiceStats:
     @property
     def total_generated_tokens(self) -> int:
         return sum(r.generated_tokens for r in self.records)
-
-    @property
-    def context_hits(self) -> int:
-        """Context accesses served without a reload."""
-        return self.store.hit_count if self.store is not None else 0
-
-    @property
-    def context_hit_ratio(self) -> float:
-        """Share of context accesses served without a reload."""
-        return self.store.hit_ratio if self.store is not None else 0.0
-
-    @property
-    def spilled_kv_bytes(self) -> int:
-        """KV bytes of contexts currently living only on the disk tier."""
-        return self.store.spilled_kv_bytes if self.store is not None else 0
-
-    @property
-    def disk_kv_bytes(self) -> int:
-        """On-disk bytes of persisted KV snapshots."""
-        return self.store.disk_kv_bytes if self.store is not None else 0
-
-    @property
-    def disk_index_bytes(self) -> int:
-        """On-disk bytes of serialized fine/coarse index blobs."""
-        return self.store.disk_index_bytes if self.store is not None else 0
-
-    @property
-    def context_reloads_deserialized(self) -> int:
-        """Reloads whose indexes came back by deserialization (no rebuild)."""
-        return self.store.reload_deserialized_count if self.store is not None else 0
-
-    @property
-    def context_reloads_rebuilt(self) -> int:
-        """Reloads that fell back to rebuilding indexes from the keys."""
-        return self.store.reload_rebuilt_count if self.store is not None else 0
 
     @property
     def throttled(self) -> int:
@@ -213,15 +173,12 @@ class InferenceService:
         model: TransformerModel,
         config: AlayaDBConfig | None = None,
         store_conversations: bool = False,
-        storage_dir=None,
         backend: StorageBackend | None = None,
         shard_catalog=None,
     ):
         self.model = model
         self.config = config or AlayaDBConfig()
-        self.db = DB(
-            self.config, storage_dir=storage_dir, backend=backend, shard_catalog=shard_catalog
-        )
+        self.db = DB(self.config, backend=backend, shard_catalog=shard_catalog)
         self.store_conversations = store_conversations
         self.decode_timings = StageTimings()
         """Per-stage decode wall time (retrieval / merge / dense) across all
@@ -239,7 +196,6 @@ class InferenceService:
         )
         self.stats = ServiceStats(
             decode_timings=self.decode_timings,
-            store=self.db.store_registry,
             tenants=self.tenants,
         )
         self.scheduler = RequestScheduler(

@@ -1,7 +1,7 @@
-"""The context database's file system: pluggable storage backends and the
+"""The context database's file system: storage backends and the
 generation-stamped manifest that catalogs what they hold."""
 
-from .backend import FilesystemBackend, InMemoryBackend, StorageBackend, make_backend
+from .backend import FilesystemBackend, InMemoryBackend, StorageBackend
 from .manifest import MANIFEST_FORMAT_VERSION, MANIFEST_KEY, ContextManifest, ManifestEntry
 
 __all__ = [
@@ -12,5 +12,4 @@ __all__ = [
     "MANIFEST_KEY",
     "ManifestEntry",
     "StorageBackend",
-    "make_backend",
 ]

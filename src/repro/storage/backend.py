@@ -1,10 +1,13 @@
-"""Pluggable storage backends for the durable context database.
+"""Storage backends for the context database.
 
 The context store persists three kinds of objects — KV snapshots, serialized
 vector indexes, and the manifest — as opaque byte blobs under string keys.
 :class:`StorageBackend` is the adapter interface that hides *where* those
 blobs live; the context store, the snapshot/index serializers, and the
-manifest never touch the filesystem directly.
+manifest never touch the filesystem directly.  A store is given its backend
+as an object (``ContextStore(backend=...)``, ``DB(backend=...)``); a
+directory path (``ContextStore.open(path)``, ``config.context_db_path``)
+means a :class:`FilesystemBackend` over it.
 
 Two implementations ship:
 
@@ -12,9 +15,9 @@ Two implementations ship:
   Writes are **atomic** (temp file + ``os.replace``), so a crash mid-write
   leaves either the old object or nothing, never a truncated blob the next
   process trips over.
-* :class:`InMemoryBackend` — a dict.  Used by tests and as a scratch store;
-  sharing one instance between two stores models two processes over shared
-  storage without touching disk.
+* :class:`InMemoryBackend` — a dict.  Used by tests and by a sharded
+  router's workers; sharing one instance between two stores models two
+  processes over shared storage without touching disk.
 """
 
 from __future__ import annotations
@@ -26,15 +29,7 @@ from pathlib import Path
 
 from ..errors import ContextLoadError, StorageError
 
-__all__ = [
-    "StorageBackend",
-    "FilesystemBackend",
-    "InMemoryBackend",
-    "make_backend",
-    "register_backend",
-    "unregister_backend",
-    "available_backends",
-]
+__all__ = ["StorageBackend", "FilesystemBackend", "InMemoryBackend"]
 
 
 class StorageBackend(abc.ABC):
@@ -78,11 +73,6 @@ class StorageBackend(abc.ABC):
     def size_bytes(self, key: str) -> int:
         """Size of the blob under ``key`` (0 when absent)."""
 
-    @property
-    def location(self) -> str | None:
-        """A human-readable location (directory path), if the backend has one."""
-        return None
-
     def total_bytes(self, prefix: str = "") -> int:
         """Combined size of every blob whose key starts with ``prefix``.
 
@@ -100,10 +90,6 @@ class FilesystemBackend(StorageBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"FilesystemBackend({str(self.root)!r})"
-
-    @property
-    def location(self) -> str | None:
-        return str(self.root)
 
     def _path(self, key: str) -> Path:
         path = (self.root / key).resolve()
@@ -203,68 +189,3 @@ class InMemoryBackend(StorageBackend):
     def size_bytes(self, key: str) -> int:
         blob = self._blobs.get(key)
         return len(blob) if blob is not None else 0
-
-
-def _make_filesystem_backend(path: str | Path | None) -> StorageBackend:
-    if path is None:
-        raise StorageError("the filesystem backend requires a directory path")
-    return FilesystemBackend(path)
-
-
-#: named backend factories; a factory takes the (optional) location path and
-#: returns a ready backend.  Extensible so a remote/object-store backend can
-#: plug in without touching core (`register_backend`).
-_BACKEND_FACTORIES: dict[str, "object"] = {
-    "filesystem": _make_filesystem_backend,
-    "memory": lambda path=None: InMemoryBackend(),
-}
-
-
-def register_backend(kind: str, factory, *, overwrite: bool = False) -> None:
-    """Register a named backend factory for :func:`make_backend`.
-
-    ``factory`` is called as ``factory(path)`` where ``path`` may be ``None``.
-    Re-registering an existing name raises unless ``overwrite=True`` — the
-    built-in names stay protected against accidental shadowing.
-    """
-    if not kind:
-        raise StorageError("backend kind must be a non-empty string")
-    if kind in _BACKEND_FACTORIES and not overwrite:
-        raise StorageError(
-            f"storage backend {kind!r} is already registered (pass overwrite=True to replace it)"
-        )
-    _BACKEND_FACTORIES[kind] = factory
-
-
-def unregister_backend(kind: str) -> bool:
-    """Remove a registered factory (tests clean up after themselves).
-
-    The built-in ``"filesystem"``/``"memory"`` factories cannot be removed.
-    """
-    if kind in ("filesystem", "memory"):
-        raise StorageError(f"the built-in backend {kind!r} cannot be unregistered")
-    return _BACKEND_FACTORIES.pop(kind, None) is not None
-
-
-def available_backends() -> tuple[str, ...]:
-    """The currently registered backend names, sorted."""
-    return tuple(sorted(_BACKEND_FACTORIES))
-
-
-def make_backend(kind: str, path: str | Path | None = None) -> StorageBackend:
-    """Construct a backend by registered name.
-
-    ``"filesystem"`` (requires ``path``) and ``"memory"`` are built in;
-    additional kinds come from :func:`register_backend`.
-    """
-    factory = _BACKEND_FACTORIES.get(kind)
-    if factory is None:
-        names = ", ".join(repr(name) for name in available_backends())
-        raise StorageError(f"unknown storage backend {kind!r} (registered: {names})")
-    backend = factory(path)
-    if not isinstance(backend, StorageBackend):
-        raise StorageError(
-            f"backend factory for {kind!r} returned {type(backend).__name__}, "
-            "expected a StorageBackend"
-        )
-    return backend

@@ -13,6 +13,7 @@ from repro.errors import ConfigError, ContextEvictedError
 from repro.kvcache.serialization import KVSnapshot
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.query.types import IndexKind
+from repro.storage.backend import FilesystemBackend
 from tests.reference_generation import reference_generate
 
 
@@ -79,7 +80,7 @@ class TestTrieMatching:
         """Pins are held by id (live sessions unpin on close); overwriting a
         context — as every chat turn does — must not zero them, or a later
         close would steal another session's pin and allow a spill."""
-        store = ContextStore(storage_dir=tmp_path)
+        store = ContextStore.open(tmp_path)
         store.add(_context("ctx", [1] * 8))
         store.pin("ctx")  # session A
         store.add(_context("ctx", [1] * 12, seed=2), overwrite=True)
@@ -104,7 +105,7 @@ class TestBudgetedResidency:
     def test_lru_spill_and_reload_roundtrip(self, tmp_path):
         context_a = _context("a", [1] * 32, seed=1)
         budget = context_a.kv_bytes + context_a.kv_bytes // 2
-        store = ContextStore(storage_dir=tmp_path, kv_budget_bytes=budget)
+        store = ContextStore.open(tmp_path, kv_budget_bytes=budget)
         original_keys = context_a.keys(0).copy()
         store.add(context_a)
         store.add(_context("b", [2] * 32, seed=2))
@@ -128,7 +129,7 @@ class TestBudgetedResidency:
 
     def test_pinned_context_not_spilled(self, tmp_path):
         context_a = _context("a", [1] * 32, seed=1)
-        store = ContextStore(storage_dir=tmp_path, kv_budget_bytes=context_a.kv_bytes)
+        store = ContextStore.open(tmp_path, kv_budget_bytes=context_a.kv_bytes)
         store.add(context_a)
         store.pin("a")
         store.add(_context("b", [2] * 32, seed=2))
@@ -140,7 +141,7 @@ class TestBudgetedResidency:
         assert not store.get("a").is_resident
 
     def test_explicit_spill_refuses_pinned_context(self, tmp_path):
-        store = ContextStore(storage_dir=tmp_path)
+        store = ContextStore.open(tmp_path)
         store.add(_context("live", [1, 2, 3]))
         store.pin("live")
         with pytest.raises(ValueError):
@@ -159,7 +160,7 @@ class TestBudgetedResidency:
             gpu_memory_budget_bytes=1,
             flat_index_layers=(),
         )
-        db = DB(config, storage_dir=tmp_path)
+        db = DB(config, backend=FilesystemBackend(tmp_path))
         snapshot_a = _context("plain", [1] * 24, seed=3).snapshot
         db.import_context([1] * 24, snapshot_a, context_id="plain", build_fine_indexes=False)
         snapshot_b = _context("other", [2] * 24, seed=4).snapshot
@@ -174,7 +175,7 @@ class TestBudgetedResidency:
         assert not db.get_context("plain").has_fine_indexes
 
     def test_remove_spilled_context(self, tmp_path):
-        store = ContextStore(storage_dir=tmp_path, kv_budget_bytes=1)
+        store = ContextStore.open(tmp_path, kv_budget_bytes=1)
         store.add(_context("a", [1, 2, 3]))
         store.add(_context("b", [4, 5, 6], seed=1))
         assert not store.get("a").is_resident
@@ -183,18 +184,17 @@ class TestBudgetedResidency:
         assert not store.find_longest_prefix([1, 2]).is_hit
 
     def test_remove_deletes_spill_files(self, tmp_path):
-        """Regression: a non-durable spill tier left ``<id>.npz`` and
+        """Regression: a spilled context left ``<id>.npz`` and
         ``<id>.indexes.npz`` behind on remove, so ingest/remove churn grew
-        the disk without bound."""
+        the disk without bound.  Only the (now empty) manifest stays."""
         model = TransformerModel(ModelConfig.tiny(seed=101))
-        db = DB(AlayaDBConfig(), storage_dir=tmp_path)
+        db = DB(AlayaDBConfig(), backend=FilesystemBackend(tmp_path))
         db.prefill_and_import(model, "leaky spill files " * 12, context_id="doc")
         store = db.store_registry
-        assert not store.durable
         store.spill("doc")
-        assert store.backend.list_keys() == ["doc.indexes.npz", "doc.npz"]
+        assert store.backend.list_keys() == ["doc.indexes.npz", "doc.npz", "manifest.json"]
         store.remove("doc")
-        assert store.backend.list_keys() == []
+        assert store.backend.list_keys() == ["manifest.json"]
 
 
 class TestDBBudgetIntegration:
@@ -213,7 +213,7 @@ class TestDBBudgetIntegration:
             max_retrieved_tokens=64,
             context_store_budget_bytes=budget,
         )
-        db = DB(config, storage_dir=tmp_path_factory.mktemp("spill"))
+        db = DB(config, backend=FilesystemBackend(tmp_path_factory.mktemp("spill")))
         document_b = "second corpus about vector search indexes!! " * 20
         db.prefill_and_import(model, document_a, context_id="a")
         db.prefill_and_import(model, document_b, context_id="b")
@@ -259,7 +259,7 @@ class TestResidentHitAccounting:
         document_1 = "second corpus about vector search indexes!! " * 20
         probe = DB(AlayaDBConfig()).prefill_and_import(model, document_0, context_id="probe")
         config = AlayaDBConfig(context_store_budget_bytes=int(probe.kv_bytes * 2.5))
-        db = DB(config, storage_dir=tmp_path)
+        db = DB(config, backend=FilesystemBackend(tmp_path))
         db.prefill_and_import(model, document_0, context_id="d0")
         db.prefill_and_import(model, document_1, context_id="d1")
         store = db.store_registry
@@ -280,7 +280,7 @@ class TestQuerySamplePersistence:
 
     def test_samples_survive_spill_and_reload(self, tmp_path):
         model = TransformerModel(ModelConfig.tiny(seed=101))
-        db = DB(AlayaDBConfig(), storage_dir=tmp_path)
+        db = DB(AlayaDBConfig(), backend=FilesystemBackend(tmp_path))
         document = "query samples should survive the round trip. " * 12
         context = db.prefill_and_import(model, document, context_id="doc")
         original = {layer: s.copy() for layer, s in context.query_samples.items()}
@@ -302,7 +302,7 @@ class TestQuerySamplePersistence:
         # a budget below the context's KV: the session plans fine layers
         db = DB(
             AlayaDBConfig(short_context_threshold=64, gpu_memory_budget_bytes=1),
-            storage_dir=tmp_path,
+            backend=FilesystemBackend(tmp_path),
         )
         document = "the ood benefit must survive reloads too. " * 12
         context = db.prefill_and_import(model, document, context_id="doc")
@@ -352,7 +352,7 @@ class TestQuerySamplePersistence:
         config = AlayaDBConfig(
             window_initial_tokens=8, window_last_tokens=16, short_context_threshold=1 << 20
         )
-        service = InferenceService(model, config, storage_dir=tmp_path)
+        service = InferenceService(model, config, backend=FilesystemBackend(tmp_path))
         chat = service.chat(max_new_tokens=3)
         chat.ask("the first turn writes history " * 6)
         first_len = {

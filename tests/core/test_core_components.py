@@ -66,7 +66,6 @@ class TestAlayaDBConfig:
             ("preemption_slack_seconds", -1.0),
             ("http_port", 65536),
             ("http_max_body_bytes", 0),
-            ("storage_backend", "no-such-backend"),
             ("num_shards", 0),
         ],
         ids=str,
@@ -220,19 +219,19 @@ class TestContextStore:
         assert match.is_full_reuse
 
     def test_persist_and_load(self, tmp_path):
-        store = ContextStore(storage_dir=tmp_path)
+        store = ContextStore.open(tmp_path)
         context = make_context(context_id="persisted")
-        store.add(context)
-        store.persist("persisted")
-        fresh_store = ContextStore(storage_dir=tmp_path)
-        loaded = fresh_store.load_persisted("persisted")
+        store.add(context)  # a store with a backend persists on add
+        fresh_store = ContextStore.open(tmp_path)
+        loaded = fresh_store.ensure_resident("persisted")
         assert loaded.num_tokens == context.num_tokens
+        np.testing.assert_array_equal(loaded.keys(0), context.keys(0))
 
-    def test_persist_without_dir_raises(self, random_context):
+    def test_spill_without_backend_raises(self, random_context):
         store = ContextStore()
         store.add(random_context)
         with pytest.raises(ValueError):
-            store.persist("ctx-test")
+            store.spill("ctx-test")
 
 
 class TestOptimizer:

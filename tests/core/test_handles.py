@@ -12,6 +12,7 @@ from repro.core.service import InferenceService
 from repro.errors import AdmissionRejectedError
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.scheduler import RequestState
+from repro.storage.backend import FilesystemBackend
 
 FULL_ATTENTION_CONFIG = dict(
     window_initial_tokens=8,
@@ -189,7 +190,7 @@ class TestChatSession:
         other requests reading the same context keep their pins."""
         model = TransformerModel(ModelConfig.tiny(seed=409))
         service = InferenceService(
-            model, AlayaDBConfig(**FULL_ATTENTION_CONFIG), storage_dir=tmp_path
+            model, AlayaDBConfig(**FULL_ATTENTION_CONFIG), backend=FilesystemBackend(tmp_path)
         )
         chat = service.chat(max_new_tokens=3)
         chat.ask("a shared conversation context " * 8)

@@ -15,7 +15,7 @@ from repro.core.config import AlayaDBConfig
 from repro.core.context_store import ContextStore
 from repro.core.db import DB
 from repro.core.service import InferenceService
-from repro.errors import ContextLoadError
+from repro.errors import ContextLoadError, DuplicateContextError
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.storage.backend import InMemoryBackend
 from repro.storage.manifest import MANIFEST_KEY
@@ -180,13 +180,11 @@ class TestDBRestart:
         assert db2.num_pending_index_builds == 1  # fine rebuild queued lazily
 
     def test_memory_backend_database(self, tmp_path):
-        """The ``storage_backend`` knob routes the database through the
-        in-memory backend (no files under the path)."""
+        """An injected backend wins over ``context_db_path``: the database
+        runs over the in-memory backend (no files under the path)."""
         model = TransformerModel(ModelConfig.tiny(seed=43))
-        config = AlayaDBConfig(
-            context_db_path=str(tmp_path / "db"), storage_backend="memory"
-        )
-        db = DB(config)
+        config = AlayaDBConfig(context_db_path=str(tmp_path / "db"))
+        db = DB(config, backend=InMemoryBackend())
         db.prefill_and_import(model, "ephemeral " * 20, context_id="doc")
         db.store_registry.spill("doc")
         assert not (tmp_path / "db").exists() or not any((tmp_path / "db").iterdir())
@@ -216,6 +214,8 @@ class TestExportImportBundle:
         # and the prompt prefix-matches through the imported context
         match = target.store_registry.find_longest_prefix(target.tokenize(DOC + "?"))
         assert match.context.context_id == "doc"
+        # a bundle is a context database holding one context
+        assert ContextStore.open(tmp_path / "bundle").list_ids() == ["doc"]
 
     def test_import_under_new_id(self, tmp_path):
         model = TransformerModel(ModelConfig.tiny(seed=53))
@@ -227,11 +227,62 @@ class TestExportImportBundle:
         assert imported.context_id == "copy"
         assert "copy" in target.store_registry
 
+    def test_import_over_an_existing_id_needs_overwrite(self, tmp_path):
+        model = TransformerModel(ModelConfig.tiny(seed=53))
+        source = DB(AlayaDBConfig())
+        exported = source.prefill_and_import(model, "imported twice " * 10, context_id="doc")
+        source.export_context("doc", tmp_path / "bundle")
+        target = DB(AlayaDBConfig())
+        target.prefill_and_import(model, "already here " * 10, context_id="doc")
+        with pytest.raises(DuplicateContextError):
+            target.import_context_bundle(tmp_path / "bundle")
+        imported = target.import_context_bundle(tmp_path / "bundle", overwrite=True)
+        assert target.store_registry.get("doc") is imported
+        assert imported.tokens == exported.tokens
+
+    def test_export_finishes_a_deferred_fine_build(self, tmp_path):
+        model = TransformerModel(ModelConfig.tiny(seed=59))
+        source = DB(AlayaDBConfig(lazy_index_build=True))
+        source.prefill_and_import(model, DOC, context_id="doc")
+        assert source.num_pending_index_builds == 1
+        source.export_context("doc", tmp_path / "bundle")
+        assert source.num_pending_index_builds == 0
+        bundle = ContextStore.open(tmp_path / "bundle")
+        assert bundle.ensure_resident("doc").has_fine_indexes
+        assert bundle.reload_rebuilt_count == 0
+
+    def test_torn_index_blob_in_bundle_falls_back_to_rebuild(self, tmp_path):
+        model = TransformerModel(ModelConfig.tiny(seed=61))
+        source = DB(AlayaDBConfig())
+        context = source.prefill_and_import(model, DOC, context_id="doc")
+        source.export_context("doc", tmp_path / "bundle")
+        (tmp_path / "bundle" / "doc.indexes.npz").write_bytes(b"garbage")
+        target = DB(AlayaDBConfig())
+        imported = target.import_context_bundle(tmp_path / "bundle")
+        np.testing.assert_array_equal(imported.keys(0), context.keys(0))
+        assert imported.coarse_indexes  # rebuilt by the reload hook
+        assert not imported.has_fine_indexes  # left to the next session's plan
+        assert target.num_pending_index_builds == 1
+
     def test_corrupted_bundle_raises_clean_error(self, tmp_path):
         (tmp_path / "bundle").mkdir()
-        (tmp_path / "bundle" / "bundle.json").write_bytes(b"{nope")
+        (tmp_path / "bundle" / MANIFEST_KEY).write_bytes(b"{nope")
         with pytest.raises(ContextLoadError):
             DB(AlayaDBConfig()).import_context_bundle(tmp_path / "bundle")
+
+    def test_old_format_bundle_raises_clean_error(self, tmp_path):
+        """A ``bundle.json``-only directory has no manifest: no context."""
+        (tmp_path / "bundle").mkdir()
+        (tmp_path / "bundle" / "bundle.json").write_bytes(b'{"format_version": 1}')
+        with pytest.raises(ContextLoadError, match="0 contexts"):
+            DB(AlayaDBConfig()).import_context_bundle(tmp_path / "bundle")
+
+    def test_multi_context_directory_is_not_a_bundle(self, tmp_path):
+        store = ContextStore.open(tmp_path / "db")
+        store.add(make_context(context_id="a", seed=1))
+        store.add(make_context(context_id="b", seed=2))
+        with pytest.raises(ContextLoadError, match="2 contexts"):
+            DB(AlayaDBConfig()).import_context_bundle(tmp_path / "db")
 
 
 class TestServiceRestart:
@@ -292,13 +343,10 @@ class TestServiceRestart:
         assert report["disk_index_bytes"] > 0
         assert report["spilled_kv_bytes"] > 0
         assert report["manifest_generation"] >= 1
-        assert service.stats.disk_kv_bytes == report["disk_kv_bytes"]
-        assert service.stats.spilled_kv_bytes == report["spilled_kv_bytes"]
         service.db.store_registry.ensure_resident("doc")
         service.db.store_registry.ensure_resident("doc")
-        assert service.stats.context_reloads_deserialized == 1
         report = service.memory_report()
+        assert report["context_reloads_deserialized"] == 1
         assert report["spilled_kv_bytes"] == 0
         assert (report["context_hits"], report["context_reloads"]) == (1, 1)
-        assert report["context_hit_ratio"] == service.stats.context_hit_ratio == 0.5
-        assert service.stats.context_hits == 1
+        assert report["context_hit_ratio"] == 0.5

@@ -2,7 +2,7 @@
 
 A random sequence of add, overwrite, pin/unpin, spill, ``ensure_resident``
 and remove runs over a byte-budgeted store (filesystem and in-memory
-backends, spill tier and durable database).  After every operation:
+backends).  After every operation:
 
 * ``resident_ids()`` (the LRU) lists exactly the ``is_resident`` contexts;
 * ``resident_kv_bytes`` / ``resident_bytes`` equal their KV (+ fine-index)
@@ -29,7 +29,7 @@ from repro.errors import DuplicateContextError
 from repro.index.builder import ContextIndexBuilder
 from repro.index.coarse import CoarseBlockIndex
 from repro.server import check_drained
-from repro.storage.backend import make_backend
+from repro.storage.backend import FilesystemBackend, InMemoryBackend
 from repro.storage.manifest import MANIFEST_KEY
 from tests.conftest import make_context
 
@@ -93,15 +93,13 @@ def _assert_ledger(store: ContextStore, accesses: int) -> None:
     assert store.hit_count + store.reload_count == accesses
 
 
-@pytest.mark.parametrize("durable", [False, True])
 @pytest.mark.parametrize("backend_kind", ["filesystem", "memory"])
 @settings(deadline=None, max_examples=50)
 @given(ops=ops, seed=st.integers(min_value=0, max_value=3))
-def test_store_is_one_exact_residency_ledger(backend_kind, durable, ops, seed):
+def test_store_is_one_exact_residency_ledger(backend_kind, ops, seed):
     with tempfile.TemporaryDirectory() as root:
-        store = ContextStore(
-            backend=make_backend(backend_kind, root), kv_budget_bytes=BUDGET, durable=durable
-        )
+        backend = FilesystemBackend(root) if backend_kind == "filesystem" else InMemoryBackend()
+        store = ContextStore(backend=backend, kv_budget_bytes=BUDGET)
         accesses = 0
         for op, context_id, *args in ops:
             known = context_id in store

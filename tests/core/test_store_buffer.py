@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.context_store import ContextStore, StoredContext
 from repro.errors import ContextEvictedError, ContextLoadError, ContextNotFoundError, StorageError
 from repro.index.builder import ContextIndexBuilder
-from repro.storage.backend import make_backend
+from repro.storage.backend import FilesystemBackend, InMemoryBackend
 from repro.storage.manifest import MANIFEST_KEY
 from tests.conftest import make_context
 
@@ -41,9 +41,13 @@ KV_BYTES = _context("probe").kv_bytes
 """KV bytes of one default-sized test context."""
 
 
-def _store(tmp_path, budget_contexts: float | None = None, kind="filesystem", **kwargs):
+def _backend(tmp_path, kind="filesystem"):
+    return FilesystemBackend(tmp_path) if kind == "filesystem" else InMemoryBackend()
+
+
+def _store(tmp_path, budget_contexts: float | None = None, kind="filesystem"):
     budget = int(KV_BYTES * budget_contexts) if budget_contexts is not None else None
-    return ContextStore(backend=make_backend(kind, tmp_path), kv_budget_bytes=budget, **kwargs)
+    return ContextStore(backend=_backend(tmp_path, kind), kv_budget_bytes=budget)
 
 
 def _recount(store: ContextStore) -> tuple[int, int]:
@@ -274,15 +278,16 @@ class TestBackendRoundTrip:
     def test_disk_bytes_follow_the_backend(self, tmp_path):
         store = _store(tmp_path)
         store.add(_indexed("a"))
-        assert (store.disk_kv_bytes, store.disk_index_bytes) == (0, 0)
-        store.spill("a")
         assert store.disk_kv_bytes == store.backend.size_bytes("a.npz") > 0
         assert store.disk_index_bytes == store.backend.size_bytes("a.indexes.npz") > 0
+        on_disk = (store.disk_kv_bytes, store.disk_index_bytes)
+        store.spill("a")  # on disk since the add: the spill writes nothing new
+        assert (store.disk_kv_bytes, store.disk_index_bytes) == on_disk
         store.remove("a")
         assert (store.disk_kv_bytes, store.disk_index_bytes) == (0, 0)
 
     def test_reopened_database_recovers_cold_and_counts_one_miss(self, tmp_path):
-        store = _store(tmp_path, durable=True)
+        store = _store(tmp_path)
         context = _context("a")
         store.add(context)
         reopened = ContextStore.open(tmp_path)
@@ -293,10 +298,50 @@ class TestBackendRoundTrip:
         assert (reopened.hit_count, reopened.reload_count) == (1, 1)
 
     def test_durable_remove_leaves_only_the_manifest(self, tmp_path):
-        store = _store(tmp_path, durable=True)
+        store = _store(tmp_path)
         store.add(_indexed("a"))
         store.add(_context("b", seed=1))
         store.remove("a")
         store.remove("b")
         assert store.backend.list_keys() == [MANIFEST_KEY]
         assert ContextStore.open(tmp_path).list_ids() == []
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_overwrite_without_indexes_deletes_the_old_blob(self, tmp_path, kind):
+        store = ContextStore.open(_backend(tmp_path, kind))
+        store.add(_indexed("a"))
+        assert store.backend.exists("a.indexes.npz")
+        store.add(_context("a", seed=1), overwrite=True)
+        assert store.backend.list_keys() == ["a.npz", MANIFEST_KEY]
+        assert store.disk_index_bytes == 0
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_add_writes_snapshot_index_blob_and_manifest_row(self, tmp_path, kind):
+        store = ContextStore.open(_backend(tmp_path, kind))
+        store.add(_indexed("a"))
+        assert store.backend.list_keys() == ["a.indexes.npz", "a.npz", MANIFEST_KEY]
+        recovered = ContextStore.open(store.backend)
+        assert recovered.list_ids() == ["a"]
+        assert recovered.ensure_resident("a").has_fine_indexes
+        assert recovered.reload_rebuilt_count == 0
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_overwrite_with_indexes_replaces_the_blob(self, tmp_path, kind):
+        store = ContextStore.open(_backend(tmp_path, kind))
+        store.add(_indexed("a", num_tokens=48, seed=0))
+        replacement = _indexed("a", num_tokens=48, seed=1)
+        query = np.random.default_rng(4).normal(size=8).astype(np.float32)
+        expected = replacement.fine_indexes[0].index_for_kv_head(0).search_topk(query, 5)
+        store.add(replacement, overwrite=True)
+        reloaded = ContextStore.open(store.backend).ensure_resident("a")
+        np.testing.assert_array_equal(reloaded.keys(0), replacement.keys(0))
+        found = reloaded.fine_indexes[0].index_for_kv_head(0).search_topk(query, 5)
+        np.testing.assert_array_equal(found.indices, expected.indices)
+
+    def test_store_without_backend_keeps_contexts_in_memory_only(self):
+        store = ContextStore()
+        store.add(_indexed("a"))
+        assert store.backend is None
+        assert store.get("a").is_resident
+        assert store.manifest_generation == 0
+        assert (store.disk_kv_bytes, store.disk_index_bytes) == (0, 0)

@@ -37,6 +37,7 @@ from repro.llm.model import ModelConfig, TransformerModel
 from repro.scheduler import SLO
 from repro.scheduler.request import RequestState
 from repro.server.app import check_drained
+from repro.storage.backend import FilesystemBackend
 
 pytestmark = pytest.mark.slow
 
@@ -63,7 +64,7 @@ def _make_service(tmp_path) -> InferenceService:
         context_store_budget_bytes=150_000,
         lazy_index_build=True,
     )
-    return InferenceService(model, config, storage_dir=tmp_path)
+    return InferenceService(model, config, backend=FilesystemBackend(tmp_path))
 
 
 def _random_prompt(rng, base_doc: str) -> str:
@@ -180,9 +181,9 @@ def test_soak_is_deterministic_per_seed(tmp_path):
     """Same seed, same terminal-state distribution (a guard against hidden
     wall-clock coupling in the soak harness itself, so failures reproduce)."""
 
-    def run(storage_dir):
+    def run(db_dir):
         rng = np.random.default_rng(7)
-        service = _make_service(storage_dir)
+        service = _make_service(db_dir)
         service.ingest("determinism " * 30)
         handles = [
             service.submit(

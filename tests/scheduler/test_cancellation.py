@@ -20,6 +20,7 @@ from repro.scheduler import (
     RequestState,
     SLOAwarePolicy,
 )
+from repro.storage.backend import FilesystemBackend
 
 
 class FakeBackend:
@@ -193,7 +194,7 @@ class TestServiceCancel:
             scheduler_gpu_budget_bytes=1 << 30,
             prefill_chunk_tokens=16,
         )
-        service = InferenceService(model, config, storage_dir=tmp_path)
+        service = InferenceService(model, config, backend=FilesystemBackend(tmp_path))
         service.ingest("a pinned reference document for the victim. " * 15, context_id="doc")
         prompt = service.db.tokenizer.decode(service.db.get_context("doc").tokens)
         handle = service.submit(prompt + " question", max_new_tokens=8)
@@ -214,7 +215,7 @@ class TestServiceCancel:
             preemption=True,
             max_inflight_requests=1,
         )
-        service = InferenceService(model, config, storage_dir=tmp_path)
+        service = InferenceService(model, config, backend=FilesystemBackend(tmp_path))
         service.ingest("a stored document the victim reuses. " * 15, context_id="doc")
         prompt = service.db.tokenizer.decode(service.db.get_context("doc").tokens)
         victim = service.submit(prompt + " victim", max_new_tokens=12, slo=BATCH_SLO)
@@ -245,7 +246,7 @@ class TestServiceCancel:
             preemption=True,
             max_inflight_requests=2,
         )
-        service = InferenceService(model, config, storage_dir=tmp_path)
+        service = InferenceService(model, config, backend=FilesystemBackend(tmp_path))
         service.ingest("one document shared by two requests. " * 15, context_id="doc")
         prompt = service.db.tokenizer.decode(service.db.get_context("doc").tokens)
         victim = service.submit(prompt + " victim", max_new_tokens=12, slo=BATCH_SLO)

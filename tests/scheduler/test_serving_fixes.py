@@ -12,6 +12,7 @@ from repro.errors import ConfigError, RequestFailedError
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.llm.tokenizer import ByteTokenizer, SpecialTokens
 from repro.scheduler import BATCH_SLO, SLO, RequestState
+from repro.storage.backend import FilesystemBackend
 
 SPARSE_CONFIG = dict(
     window_initial_tokens=8,
@@ -201,7 +202,7 @@ class TestPreemptionThroughService:
             max_inflight_requests=1,
             **SPARSE_CONFIG,
         )
-        service = InferenceService(model, config, storage_dir=tmp_path)
+        service = InferenceService(model, config, backend=FilesystemBackend(tmp_path))
         document = "a long stored reference the victim request reads from. " * 20
         service.ingest(document, context_id="doc")
         prompt = service.db.tokenizer.decode(service.db.get_context("doc").tokens)

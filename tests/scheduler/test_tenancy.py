@@ -26,6 +26,7 @@ from repro.scheduler import (
     TenantGovernor,
     TenantSpec,
 )
+from repro.storage.backend import FilesystemBackend
 
 from test_scheduler import FakeBackend
 
@@ -287,7 +288,7 @@ class TestSchedulerIntegration:
 def _service(tmp_path, **config_kwargs):
     model = TransformerModel(ModelConfig.tiny())
     config = AlayaDBConfig(**config_kwargs)
-    return InferenceService(model, config, storage_dir=tmp_path)
+    return InferenceService(model, config, backend=FilesystemBackend(tmp_path))
 
 
 class TestServiceIntegration:

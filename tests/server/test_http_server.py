@@ -20,12 +20,13 @@ from repro.core.service import InferenceService
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.scheduler import TenantSpec
 from repro.server import AlayaDBServer, ServerClient, check_drained
+from repro.storage.backend import FilesystemBackend
 
 
 def _service(tmp_path, **config_kwargs) -> InferenceService:
     model = TransformerModel(ModelConfig.tiny())
     config = AlayaDBConfig(http_port=0, **config_kwargs)
-    return InferenceService(model, config, storage_dir=tmp_path)
+    return InferenceService(model, config, backend=FilesystemBackend(tmp_path))
 
 
 def run(coro):

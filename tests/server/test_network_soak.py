@@ -30,6 +30,7 @@ from repro.core.service import InferenceService
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.scheduler import TenantSpec
 from repro.server import AlayaDBServer, ServerClient, check_drained
+from repro.storage.backend import FilesystemBackend
 
 pytestmark = [pytest.mark.slow, pytest.mark.server]
 
@@ -65,7 +66,7 @@ def _config(**kwargs) -> AlayaDBConfig:
 
 def _service(tmp_path, **kwargs) -> InferenceService:
     model = TransformerModel(ModelConfig.tiny())
-    return InferenceService(model, _config(**kwargs), storage_dir=tmp_path)
+    return InferenceService(model, _config(**kwargs), backend=FilesystemBackend(tmp_path))
 
 
 def _expected_streams(tmp_path) -> dict[str, list[int]]:

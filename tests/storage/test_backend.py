@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import ContextLoadError, StorageError
-from repro.storage.backend import FilesystemBackend, InMemoryBackend, make_backend
+from repro.storage.backend import FilesystemBackend, InMemoryBackend
 from repro.storage.manifest import (
     MANIFEST_FORMAT_VERSION,
     MANIFEST_KEY,
@@ -83,20 +83,49 @@ class TestFilesystemBackend:
         with pytest.raises(StorageError):
             backend.write_bytes("../escape", b"x")
 
-    def test_location_is_root(self, tmp_path):
-        assert FilesystemBackend(tmp_path).location == str(tmp_path)
 
+class TestListKeysPrefixContract:
+    """``prefix`` is a string prefix of the *key*, never a directory filter."""
 
-class TestMakeBackend:
-    def test_filesystem_requires_path(self):
+    def test_prefix_spans_directory_boundaries(self, backend):
+        backend.write_bytes("ctx-1.npz", b"a")
+        backend.write_bytes("ctx-1/part-0.npz", b"b")
+        backend.write_bytes("ctx-10.npz", b"c")
+        backend.write_bytes("ctx-2.npz", b"d")
+        assert backend.list_keys("ctx-1") == [
+            "ctx-1.npz",
+            "ctx-1/part-0.npz",
+            "ctx-10.npz",
+        ]
+        assert backend.total_bytes("ctx-1") == 3
+
+    def test_nested_keys_listed_with_posix_separators(self, backend):
+        backend.write_bytes("a/b/c.bin", b"xy")
+        backend.write_bytes("a/b.bin", b"z")
+        assert backend.list_keys("a/") == ["a/b.bin", "a/b/c.bin"]
+        assert backend.list_keys("a/b/") == ["a/b/c.bin"]
+        assert backend.total_bytes("a/") == 3
+
+    def test_key_merely_ending_in_tmp_stays_visible(self, backend):
+        # only the atomic-write temps (".<name>.*.tmp") are hidden
+        backend.write_bytes("snapshot.tmp", b"legit")
+        assert backend.list_keys() == ["snapshot.tmp"]
+        assert backend.total_bytes() == 5
+
+    def test_empty_prefix_lists_everything(self, backend):
+        backend.write_bytes("x", b"1")
+        backend.write_bytes("dir/y", b"2")
+        assert backend.list_keys() == ["dir/y", "x"]
+
+    def test_escaping_keys_rejected_not_listed(self, tmp_path):
+        backend = FilesystemBackend(tmp_path / "root")
+        (tmp_path / "outside.bin").write_bytes(b"secret")
         with pytest.raises(StorageError):
-            make_backend("filesystem")
-
-    def test_kinds(self, tmp_path):
-        assert isinstance(make_backend("filesystem", tmp_path), FilesystemBackend)
-        assert isinstance(make_backend("memory"), InMemoryBackend)
+            backend.write_bytes("../outside2.bin", b"x")
         with pytest.raises(StorageError):
-            make_backend("s3")
+            backend.read_bytes("../outside.bin")
+        backend.write_bytes("inside.bin", b"ok")
+        assert backend.list_keys() == ["inside.bin"]
 
 
 def _entry(cid="ctx-0000", tokens=(1, 2, 3)):
