@@ -5,7 +5,7 @@ from .builder import BuildReport, ContextIndexBuilder, IndexBuildConfig, LayerIn
 from .coarse import BlockSummary, CoarseBlockIndex
 from .flat import FlatIndex
 from .graph import BeamSearchStats, NeighborGraph, beam_search
-from .knn_graph import cross_knn, exact_knn, nn_descent_knn
+from .knn_graph import cross_knn, exact_knn
 from .roargraph import RoarGraphConfig, RoarGraphIndex
 from .serialization import (
     INDEX_FORMAT_VERSION,
@@ -38,7 +38,6 @@ __all__ = [
     "exact_knn",
     "load_coarse",
     "load_roargraph",
-    "nn_descent_knn",
     "save_coarse",
     "save_roargraph",
     "serialize_context_indexes",
