@@ -62,7 +62,6 @@ class StoredContext:
     snapshot: KVSnapshot | None
     fine_indexes: dict[int, LayerIndexes] = field(default_factory=dict)
     coarse_indexes: dict[int, list[CoarseBlockIndex]] = field(default_factory=dict)
-    query_samples: dict[int, np.ndarray] = field(default_factory=dict)
     wants_fine_indexes: bool = True
     wants_coarse_indexes: bool = True
     """Index policy chosen at import/store time; honoured when indexes are
@@ -77,8 +76,6 @@ class StoredContext:
         self._tokens: list[int] = self.snapshot.tokens if self.snapshot is not None else []
         self._spilled_kv_bytes = 0
         self._spilled_num_layers = 0
-        if not self.query_samples and self.snapshot is not None and self.snapshot.query_samples:
-            self.query_samples = dict(self.snapshot.query_samples)
 
     @classmethod
     def from_manifest_entry(cls, entry: ManifestEntry) -> "StoredContext":
@@ -118,6 +115,13 @@ class StoredContext:
         return self._spilled_num_layers
 
     @property
+    def query_samples(self) -> dict[int, np.ndarray]:
+        """The prefill query samples a fine-index build reads, per layer.
+
+        They live once, in the snapshot (empty while spilled)."""
+        return self.snapshot.query_samples if self.snapshot is not None else {}
+
+    @property
     def has_fine_indexes(self) -> bool:
         return bool(self.fine_indexes)
 
@@ -155,19 +159,17 @@ class StoredContext:
         self._spilled_num_layers = snapshot.num_layers
         self.snapshot = None
         # indexes reference the key arrays; dropping them is what frees the
-        # memory.  Query samples go too — they were persisted inside the
-        # snapshot on disk, so :meth:`restore` brings them back, and the
-        # indexes themselves come back as a deserialize of their persisted
-        # blob instead of a rebuild.
+        # memory.  The query samples leave with the snapshot, whose record
+        # on disk is their one copy: :meth:`restore` brings them back, and
+        # the indexes come back as views over their persisted blob — or,
+        # when that blob is missing or torn, a rebuild from those samples.
         self.fine_indexes = {}
         self.coarse_indexes = {}
-        self.query_samples = {}
 
     def restore(self, snapshot: KVSnapshot) -> None:
         """Re-attach a snapshot loaded back from disk."""
         self.snapshot = snapshot
         self._tokens = snapshot.tokens
-        self.query_samples = dict(snapshot.query_samples)
 
 
 @dataclass
@@ -315,7 +317,9 @@ class ContextStore:
         return adopted
 
     # ------------------------------------------------------------------
-    # backend keys
+    # backend keys (the ``.npz`` suffix predates the raw record format; a
+    # database written before it is found under the same keys and its blobs
+    # are rejected by format version rather than reported missing)
     # ------------------------------------------------------------------
     @staticmethod
     def _snapshot_key(context_id: str) -> str:
@@ -433,7 +437,7 @@ class ContextStore:
 
     @property
     def disk_kv_bytes(self) -> int:
-        """On-disk bytes of persisted KV snapshots (as stored, compressed)."""
+        """On-disk bytes of persisted KV snapshot records."""
         if self.backend is None:
             return 0
         return sum(self.backend.size_bytes(self._snapshot_key(cid)) for cid in self._persisted)
@@ -654,9 +658,7 @@ class ContextStore:
         return snapshot_from_bytes(self.backend.read_bytes(key), source=key)
 
     def _persist_index_blob(self, context: StoredContext) -> None:
-        blob = serialize_context_indexes(
-            context.fine_indexes, context.coarse_indexes, context.query_samples
-        )
+        blob = serialize_context_indexes(context.fine_indexes, context.coarse_indexes)
         self.backend.write_bytes(self._index_key(context.context_id), blob)
         self._indexed_on_disk.add(context.context_id)
 
@@ -670,10 +672,9 @@ class ContextStore:
         context_id = context.context_id
         if context_id not in self._indexed_on_disk:
             return False
+        key = self._index_key(context_id)
         try:
-            fine, coarse, samples = deserialize_context_indexes(
-                self.backend.read_bytes(self._index_key(context_id))
-            )
+            fine, coarse = deserialize_context_indexes(self.backend.read_bytes(key), source=key)
         except ContextLoadError:
             self._indexed_on_disk.discard(context_id)
             return False
@@ -681,8 +682,6 @@ class ContextStore:
             context.fine_indexes = fine
         if context.wants_coarse_indexes:
             context.coarse_indexes = coarse
-        if samples and not context.query_samples:
-            context.query_samples = samples
         return bool(context.fine_indexes or context.coarse_indexes)
 
     def _manifest_entry(self, context: StoredContext) -> ManifestEntry:

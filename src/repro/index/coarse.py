@@ -93,7 +93,7 @@ class CoarseBlockIndex(VectorIndex):
     # persistence (versioned save/load, see repro.index.serialization)
     # ------------------------------------------------------------------
     def save(self, path) -> "CoarseBlockIndex":
-        """Persist this built index to ``path`` (versioned ``.npz`` format)."""
+        """Persist this built index to ``path`` (a versioned raw record)."""
         from .serialization import save_coarse
 
         save_coarse(self, path)

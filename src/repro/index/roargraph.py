@@ -219,7 +219,7 @@ class RoarGraphIndex(VectorIndex):
     # persistence (versioned save/load, see repro.index.serialization)
     # ------------------------------------------------------------------
     def save(self, path) -> "RoarGraphIndex":
-        """Persist this built index to ``path`` (versioned ``.npz`` format)."""
+        """Persist this built index to ``path`` (a versioned raw record)."""
         from .serialization import save_roargraph
 
         save_roargraph(self, path)

@@ -11,25 +11,26 @@ format so reload is a deserialize:
   the index that was saved;
 * :class:`~repro.index.coarse.CoarseBlockIndex` round-trips as vectors +
   block boundaries + representative matrix;
-* a whole context's indexes (per-layer :class:`LayerIndexes`, per-layer
-  coarse lists, and the OOD query samples) pack into one ``.npz`` blob via
-  :func:`serialize_context_indexes` / :func:`deserialize_context_indexes`.
+* a whole context's indexes (per-layer :class:`LayerIndexes` and per-layer
+  coarse lists) pack into one blob via :func:`serialize_context_indexes` /
+  :func:`deserialize_context_indexes`.  The prefill query samples a rebuild
+  reads are not in it: they live once, in the KV snapshot.
 
-Every blob embeds ``INDEX_FORMAT_VERSION``; an unknown version raises a
-clean :class:`~repro.errors.ContextLoadError` instead of misparsing.
+Every blob is one raw, checksummed record (:mod:`repro.storage.record`)
+stamped with ``INDEX_FORMAT_VERSION``; loading returns read-only views over
+the blob, and a torn, corrupted or other-version blob raises a clean
+:class:`~repro.errors.ContextLoadError` instead of misparsing.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ContextLoadError
+from ..storage import record
 from .builder import LayerIndexes
 from .coarse import BlockSummary, CoarseBlockIndex
 from .graph import NeighborGraph
@@ -49,29 +50,23 @@ __all__ = [
     "deserialize_context_indexes",
 ]
 
-INDEX_FORMAT_VERSION = 1
-
-_META_KEY = "__meta__"
+INDEX_FORMAT_VERSION = 2
 
 
-def _meta_array(meta: dict) -> np.ndarray:
-    return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+def _save(kind: str, meta: dict, arrays: dict[str, np.ndarray], path: str | Path) -> Path:
+    path = Path(path)
+    path.write_bytes(record.pack(kind, INDEX_FORMAT_VERSION, meta, arrays))
+    return path
 
 
-def _parse_meta(archive) -> dict:
-    if _META_KEY not in archive.files:
-        raise ContextLoadError("index blob is missing its metadata record")
+def _load(kind: str, path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     try:
-        meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContextLoadError(f"corrupted index metadata: {exc}") from exc
-    version = meta.get("format_version")
-    if version != INDEX_FORMAT_VERSION:
-        raise ContextLoadError(
-            f"index format version {version!r} is not supported "
-            f"(this build reads version {INDEX_FORMAT_VERSION})"
-        )
-    return meta
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ContextLoadError(f"index file not found: {path}") from None
+    except OSError as exc:
+        raise ContextLoadError(f"unreadable index file {path}: {exc!r}") from exc
+    return record.unpack(data, f"index file {path}", kind, INDEX_FORMAT_VERSION)
 
 
 # ----------------------------------------------------------------------
@@ -115,55 +110,27 @@ def roargraph_from_arrays(arrays: dict[str, np.ndarray], meta: dict, prefix: str
 
 
 def save_roargraph(index: RoarGraphIndex, path: str | Path) -> Path:
-    """Persist one RoarGraph as a standalone versioned ``.npz`` file."""
+    """Persist one RoarGraph as a standalone versioned record file."""
     arrays, meta = roargraph_to_arrays(index)
-    payload = {"format_version": INDEX_FORMAT_VERSION, "kind": "roargraph", "index": meta}
-    path = Path(path)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays, **{_META_KEY: _meta_array(payload)})
-    path.write_bytes(buffer.getvalue())
-    return path
+    return _save("roargraph", meta, arrays, path)
 
 
 def load_roargraph(path: str | Path) -> RoarGraphIndex:
     """Load a RoarGraph saved by :func:`save_roargraph`."""
-    try:
-        with np.load(Path(path)) as archive:
-            meta = _parse_meta(archive)
-            if meta.get("kind") != "roargraph":
-                raise ContextLoadError(f"{path} does not hold a RoarGraph (kind={meta.get('kind')!r})")
-            arrays = {name: archive[name] for name in archive.files if name != _META_KEY}
-    except FileNotFoundError:
-        raise ContextLoadError(f"index file not found: {path}") from None
-    except (zipfile.BadZipFile, OSError, EOFError, ValueError) as exc:
-        raise ContextLoadError(f"corrupted index file {path}: {exc!r}") from exc
-    return roargraph_from_arrays(arrays, meta["index"])
+    meta, arrays = _load("roargraph", path)
+    return roargraph_from_arrays(arrays, meta)
 
 
 def save_coarse(index: CoarseBlockIndex, path: str | Path) -> Path:
-    """Persist one coarse block index as a standalone versioned ``.npz``."""
+    """Persist one coarse block index as a standalone versioned record file."""
     arrays, meta = coarse_to_arrays(index)
-    payload = {"format_version": INDEX_FORMAT_VERSION, "kind": "coarse", "index": meta}
-    path = Path(path)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays, **{_META_KEY: _meta_array(payload)})
-    path.write_bytes(buffer.getvalue())
-    return path
+    return _save("coarse", meta, arrays, path)
 
 
 def load_coarse(path: str | Path) -> CoarseBlockIndex:
     """Load a coarse index saved by :func:`save_coarse`."""
-    try:
-        with np.load(Path(path)) as archive:
-            meta = _parse_meta(archive)
-            if meta.get("kind") != "coarse":
-                raise ContextLoadError(f"{path} does not hold a coarse index (kind={meta.get('kind')!r})")
-            arrays = {name: archive[name] for name in archive.files if name != _META_KEY}
-    except FileNotFoundError:
-        raise ContextLoadError(f"index file not found: {path}") from None
-    except (zipfile.BadZipFile, OSError, EOFError, ValueError) as exc:
-        raise ContextLoadError(f"corrupted index file {path}: {exc!r}") from exc
-    return coarse_from_arrays(arrays, meta["index"])
+    meta, arrays = _load("coarse", path)
+    return coarse_from_arrays(arrays, meta)
 
 
 # ----------------------------------------------------------------------
@@ -226,11 +193,9 @@ def coarse_from_arrays(arrays: dict[str, np.ndarray], meta: dict, prefix: str = 
 def serialize_context_indexes(
     fine_indexes: dict[int, LayerIndexes],
     coarse_indexes: dict[int, list[CoarseBlockIndex]] | None = None,
-    query_samples: dict[int, np.ndarray] | None = None,
 ) -> bytes:
-    """Pack a context's per-layer indexes into one versioned ``.npz`` blob."""
+    """Pack a context's per-layer indexes into one versioned record."""
     arrays: dict[str, np.ndarray] = {}
-    meta: dict = {"format_version": INDEX_FORMAT_VERSION, "kind": "context-indexes"}
 
     fine_meta: dict[str, dict] = {}
     for layer, layer_indexes in fine_indexes.items():
@@ -244,7 +209,6 @@ def serialize_context_indexes(
             "gqa_group_size": layer_indexes.gqa_group_size,
             "indexes": per_index_meta,
         }
-    meta["fine"] = fine_meta
 
     coarse_meta: dict[str, dict] = {}
     for layer, per_head in (coarse_indexes or {}).items():
@@ -254,64 +218,45 @@ def serialize_context_indexes(
             arrays.update(sub_arrays)
             head_meta.append(sub_meta)
         coarse_meta[str(layer)] = {"indexes": head_meta}
-    meta["coarse"] = coarse_meta
 
-    sample_layers = []
-    for layer, sample in (query_samples or {}).items():
-        sample = np.asarray(sample, dtype=np.float32)
-        if sample.size:
-            arrays[f"q{layer}"] = sample
-            sample_layers.append(int(layer))
-    meta["query_sample_layers"] = sample_layers
-
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays, **{_META_KEY: _meta_array(meta)})
-    return buffer.getvalue()
+    meta = {"fine": fine_meta, "coarse": coarse_meta}
+    return record.pack("context-indexes", INDEX_FORMAT_VERSION, meta, arrays)
 
 
 def deserialize_context_indexes(
-    data: bytes,
-) -> tuple[dict[int, LayerIndexes], dict[int, list[CoarseBlockIndex]], dict[int, np.ndarray]]:
+    data: bytes, source: str = "<bytes>"
+) -> tuple[dict[int, LayerIndexes], dict[int, list[CoarseBlockIndex]]]:
     """Unpack :func:`serialize_context_indexes` output.
 
-    Returns ``(fine_indexes, coarse_indexes, query_samples)``; raises
-    :class:`ContextLoadError` on truncation, corruption, or an unknown
-    format version — never a raw numpy/zipfile traceback.
+    Returns ``(fine_indexes, coarse_indexes)``, whose arrays are read-only
+    views over ``data``; raises :class:`ContextLoadError` on truncation,
+    corruption, or an unknown format version — never a raw numpy traceback.
     """
+    meta, arrays = record.unpack(
+        data, f"index blob {source}", "context-indexes", INDEX_FORMAT_VERSION
+    )
     try:
-        with np.load(io.BytesIO(data)) as archive:
-            meta = _parse_meta(archive)
-            if meta.get("kind") != "context-indexes":
-                raise ContextLoadError(
-                    f"blob does not hold context indexes (kind={meta.get('kind')!r})"
-                )
-            arrays = {name: archive[name] for name in archive.files if name != _META_KEY}
-    except (zipfile.BadZipFile, OSError, EOFError, ValueError, KeyError) as exc:
-        raise ContextLoadError(f"corrupted context-index blob: {exc!r}") from exc
+        fine: dict[int, LayerIndexes] = {}
+        for layer_str, layer_meta in meta["fine"].items():
+            layer = int(layer_str)
+            indexes = [
+                roargraph_from_arrays(arrays, sub_meta, prefix=f"f{layer}_i{i}")
+                for i, sub_meta in enumerate(layer_meta["indexes"])
+            ]
+            fine[layer] = LayerIndexes(
+                layer=layer,
+                indexes=indexes,
+                shared=bool(layer_meta["shared"]),
+                gqa_group_size=int(layer_meta["gqa_group_size"]),
+            )
 
-    fine: dict[int, LayerIndexes] = {}
-    for layer_str, layer_meta in meta.get("fine", {}).items():
-        layer = int(layer_str)
-        indexes = [
-            roargraph_from_arrays(arrays, sub_meta, prefix=f"f{layer}_i{i}")
-            for i, sub_meta in enumerate(layer_meta["indexes"])
-        ]
-        fine[layer] = LayerIndexes(
-            layer=layer,
-            indexes=indexes,
-            shared=bool(layer_meta["shared"]),
-            gqa_group_size=int(layer_meta["gqa_group_size"]),
-        )
-
-    coarse: dict[int, list[CoarseBlockIndex]] = {}
-    for layer_str, layer_meta in meta.get("coarse", {}).items():
-        layer = int(layer_str)
-        coarse[layer] = [
-            coarse_from_arrays(arrays, sub_meta, prefix=f"c{layer}_h{head}")
-            for head, sub_meta in enumerate(layer_meta["indexes"])
-        ]
-
-    samples: dict[int, np.ndarray] = {}
-    for layer in meta.get("query_sample_layers", []):
-        samples[int(layer)] = np.asarray(arrays[f"q{layer}"], dtype=np.float32)
-    return fine, coarse, samples
+        coarse: dict[int, list[CoarseBlockIndex]] = {}
+        for layer_str, layer_meta in meta["coarse"].items():
+            layer = int(layer_str)
+            coarse[layer] = [
+                coarse_from_arrays(arrays, sub_meta, prefix=f"c{layer}_h{head}")
+                for head, sub_meta in enumerate(layer_meta["indexes"])
+            ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContextLoadError(f"index blob {source} is malformed: {exc!r}") from exc
+    return fine, coarse

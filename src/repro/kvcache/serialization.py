@@ -1,18 +1,21 @@
 """Serialisation of KV caches to and from disk.
 
 ``DB.import`` / ``DB.store`` persist contexts (prompt tokens + KV cache) so
-they can be reused across sessions and across process restarts.  The format is
-a single ``.npz`` archive per context (metadata embedded, plus a small JSON
-sidecar header for human inspection), which keeps loading dependency-free.
+they can be reused across sessions and across process restarts.  A snapshot
+is one raw, checksummed record (:mod:`repro.storage.record`): the tokens,
+each layer's keys and values, and the prefill query samples a fine-index
+rebuild reads, as contiguous arrays behind a JSON header.  Loading returns
+read-only ``np.frombuffer`` views over the blob — a stored context is
+immutable, and nothing is copied or decompressed.
 
 Two properties matter for the durable context database:
 
 * **crash safety** — :func:`save_snapshot` writes to a temp file and
   ``os.replace``\\ s it into place, so a crash mid-write leaves the previous
-  snapshot (or nothing), never a truncated archive;
-* **clean failure** — a truncated/corrupted/missing snapshot raises
-  :class:`~repro.errors.ContextLoadError` (a :class:`StorageError`), never a
-  raw numpy or zipfile traceback.
+  snapshot (or nothing), never a truncated record;
+* **clean failure** — a truncated, corrupted (CRC), missing or
+  other-version snapshot raises :class:`~repro.errors.ContextLoadError`
+  (a :class:`StorageError`), never a raw numpy traceback.
 
 :func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` are the in-memory
 core; storage backends persist those blobs wherever they like.
@@ -20,17 +23,16 @@ core; storage backends persist those blobs wherever they like.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import tempfile
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ContextLoadError, StorageError
+from ..storage import record
 from .cache import DynamicCache
 
 __all__ = [
@@ -42,9 +44,9 @@ __all__ = [
     "load_snapshot",
 ]
 
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
-_META_KEY = "__meta__"
+_KIND = "kv-snapshot"
 
 
 @dataclass
@@ -114,54 +116,37 @@ def _snapshot_arrays(snapshot: KVSnapshot) -> dict[str, np.ndarray]:
 
 
 def snapshot_to_bytes(snapshot: KVSnapshot) -> bytes:
-    """Serialize a validated snapshot into one self-describing ``.npz`` blob."""
+    """Serialize a validated snapshot into one self-describing record."""
     snapshot.validate()
-    arrays = _snapshot_arrays(snapshot)
     meta = {
-        "format_version": SNAPSHOT_FORMAT_VERSION,
         "num_tokens": snapshot.num_tokens,
         "num_layers": snapshot.num_layers,
         "metadata": snapshot.metadata,
     }
-    meta_array = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays, **{_META_KEY: meta_array})
-    return buffer.getvalue()
+    return record.pack(_KIND, SNAPSHOT_FORMAT_VERSION, meta, _snapshot_arrays(snapshot))
 
 
 def snapshot_from_bytes(data: bytes, source: str = "<bytes>") -> KVSnapshot:
     """Deserialize :func:`snapshot_to_bytes` output.
 
-    Raises :class:`ContextLoadError` on truncation, corruption, or an
-    unsupported format version.
+    The KV arrays are read-only views over ``data``.  Raises
+    :class:`ContextLoadError` on truncation, corruption, or an unsupported
+    format version.
     """
-    metadata: dict[str, str] = {}
+    meta, arrays = record.unpack(data, f"snapshot {source}", _KIND, SNAPSHOT_FORMAT_VERSION)
+    keys: dict[int, np.ndarray] = {}
+    values: dict[int, np.ndarray] = {}
+    query_samples: dict[int, np.ndarray] = {}
+    per_layer = {"key": keys, "value": values, "qsample": query_samples}
     try:
-        with np.load(io.BytesIO(data)) as archive:
-            if _META_KEY in archive.files:
-                meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
-                version = meta.get("format_version")
-                if version != SNAPSHOT_FORMAT_VERSION:
-                    raise ContextLoadError(
-                        f"snapshot {source}: format version {version!r} is not supported "
-                        f"(this build reads version {SNAPSHOT_FORMAT_VERSION})"
-                    )
-                metadata = dict(meta.get("metadata", {}))
-            tokens = [int(t) for t in archive["tokens"]]
-            keys: dict[int, np.ndarray] = {}
-            values: dict[int, np.ndarray] = {}
-            query_samples: dict[int, np.ndarray] = {}
-            for array_name in archive.files:
-                if array_name.startswith("key_"):
-                    keys[int(array_name[4:])] = archive[array_name]
-                elif array_name.startswith("value_"):
-                    values[int(array_name[6:])] = archive[array_name]
-                elif array_name.startswith("qsample_"):
-                    query_samples[int(array_name[8:])] = archive[array_name]
-    except ContextLoadError:
-        raise
-    except (zipfile.BadZipFile, OSError, EOFError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise ContextLoadError(f"snapshot {source} is truncated or corrupted: {exc!r}") from exc
+        tokens = arrays["tokens"].tolist()
+        metadata = dict(meta["metadata"])
+        for array_name, array in arrays.items():
+            if array_name != "tokens":
+                kind, _, layer = array_name.rpartition("_")
+                per_layer[kind][int(layer)] = array
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContextLoadError(f"snapshot {source} is malformed: {exc!r}") from exc
     snapshot = KVSnapshot(
         tokens=tokens, keys=keys, values=values, metadata=metadata, query_samples=query_samples
     )
@@ -192,9 +177,9 @@ def _atomic_write(path: Path, data: bytes) -> None:
 def save_snapshot(snapshot: KVSnapshot, directory: str | Path, name: str) -> Path:
     """Persist ``snapshot`` under ``directory/name`` and return the data path.
 
-    Both the archive and the JSON sidecar header are written atomically
+    Both the record and the JSON sidecar header are written atomically
     (temp file + ``os.replace``): a crash mid-save leaves the previous
-    snapshot intact rather than a truncated archive.
+    snapshot intact rather than a truncated record.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,5 @@
-"""The context database's file system: storage backends and the
+"""The context database's file system: storage backends, the raw record
+format every stored object is written in (:mod:`.record`), and the
 generation-stamped manifest that catalogs what they hold."""
 
 from .backend import FilesystemBackend, InMemoryBackend, StorageBackend

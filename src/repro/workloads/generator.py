@@ -243,9 +243,8 @@ def generate_workload(spec: WorkloadSpec) -> SyntheticWorkload:
         index_queries[layer] = per_layer
 
     tokens = list(rng.integers(0, 255, size=n).astype(int))
-    snapshot = KVSnapshot(tokens=tokens, keys=keys, values=values)
+    snapshot = KVSnapshot(tokens=tokens, keys=keys, values=values, query_samples=index_queries)
     context = StoredContext(context_id=f"workload-{spec.name}", snapshot=snapshot)
-    context.query_samples = index_queries
 
     return SyntheticWorkload(
         spec=spec,

@@ -20,6 +20,7 @@ from repro.llm.model import ModelConfig, TransformerModel
 from repro.storage.backend import InMemoryBackend
 from repro.storage.manifest import MANIFEST_KEY
 from tests.conftest import make_context
+from tests.record_corruption import CORRUPTIONS
 
 
 DOC = "the durable context database must survive a restart. " * 14
@@ -178,6 +179,63 @@ class TestDBRestart:
         db2.store_registry.ensure_resident("doc")
         assert db2.store_registry.reload_rebuilt_count == 1
         assert db2.num_pending_index_builds == 1  # fine rebuild queued lazily
+
+    def test_torn_index_blob_rebuilds_the_same_index(self, tmp_path):
+        """The snapshot's query samples are all a rebuild needs: a context
+        reloaded with a torn index blob rebuilds byte-identical CSR arrays
+        and the same entry points as the index built before the spill."""
+        model = TransformerModel(ModelConfig.tiny(seed=67))
+        db = DB(
+            AlayaDBConfig(short_context_threshold=64, gpu_memory_budget_bytes=1),
+            backend=InMemoryBackend(),
+        )
+        built = db.prefill_and_import(model, DOC, context_id="doc")
+        before = {
+            layer: [
+                (index.graph.neighbor_ids.tobytes(), index.graph.offsets.tobytes(), index.entry_point)
+                for index in layer_indexes.indexes
+            ]
+            for layer, layer_indexes in built.fine_indexes.items()
+        }
+        assert before
+        store = db.store_registry
+        store.spill("doc")
+        blob = store.backend.read_bytes("doc.indexes.npz")
+        store.backend.write_bytes("doc.indexes.npz", blob[: len(blob) // 2])
+        store.ensure_resident("doc")
+        assert store.reload_rebuilt_count == 1
+        session, _ = db.create_session(DOC + QUESTION)  # its plan reads the fine index
+        session.close()
+        rebuilt = db.get_context("doc")
+        after = {
+            layer: [
+                (index.graph.neighbor_ids.tobytes(), index.graph.offsets.tobytes(), index.entry_point)
+                for index in layer_indexes.indexes
+            ]
+            for layer, layer_indexes in rebuilt.fine_indexes.items()
+        }
+        assert after == before
+
+    @pytest.mark.parametrize("corrupt", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
+    def test_damaged_snapshot_fails_the_reload_cleanly(self, corrupt):
+        store = ContextStore.open(InMemoryBackend())
+        store.add(make_context(context_id="x", seed=9))
+        store.backend.write_bytes("x.npz", corrupt(store.backend.read_bytes("x.npz")))
+        reopened = ContextStore.open(store.backend)
+        with pytest.raises(ContextLoadError, match="x.npz"):
+            reopened.ensure_resident("x")
+
+    @pytest.mark.parametrize("corrupt", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
+    def test_damaged_index_blob_degrades_to_rebuild(self, corrupt):
+        model = TransformerModel(ModelConfig.tiny(seed=71))
+        backend = InMemoryBackend()
+        DB(AlayaDBConfig(), backend=backend).prefill_and_import(model, DOC, context_id="doc")
+        backend.write_bytes("doc.indexes.npz", corrupt(backend.read_bytes("doc.indexes.npz")))
+        db = DB(AlayaDBConfig(), backend=backend)
+        context = db.store_registry.ensure_resident("doc")
+        assert db.store_registry.reload_rebuilt_count == 1
+        assert context.coarse_indexes  # rebuilt by the reload hook
+        assert db.num_pending_index_builds == 1  # fine left to the next plan that reads it
 
     def test_memory_backend_database(self, tmp_path):
         """An injected backend wins over ``context_db_path``: the database

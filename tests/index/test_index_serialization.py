@@ -12,6 +12,7 @@ from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.roargraph import RoarGraphConfig, RoarGraphIndex
 from repro.index.serialization import (
+    INDEX_FORMAT_VERSION,
     deserialize_context_indexes,
     load_coarse,
     load_roargraph,
@@ -19,6 +20,7 @@ from repro.index.serialization import (
     save_roargraph,
     serialize_context_indexes,
 )
+from tests.record_corruption import CORRUPTIONS, split
 
 
 def _vectors(n, dim, seed):
@@ -102,7 +104,8 @@ class TestCoarseSerialization:
 
 
 class TestContextIndexBlob:
-    """A whole context's indexes (fine + coarse + query samples) in one blob."""
+    """A whole context's indexes (fine + coarse) in one blob; the query
+    samples a rebuild reads live in the KV snapshot, not here."""
 
     @pytest.fixture()
     def built(self):
@@ -126,13 +129,12 @@ class TestContextIndexBlob:
                 index.build(keys[layer][head])
                 per_head.append(index)
             coarse[layer] = per_head
-        samples = {layer: queries[layer] for layer in range(num_layers)}
-        return fine, coarse, samples, dim
+        return fine, coarse, dim
 
     def test_roundtrip(self, built):
-        fine, coarse, samples, dim = built
-        blob = serialize_context_indexes(fine, coarse, samples)
-        fine2, coarse2, samples2 = deserialize_context_indexes(blob)
+        fine, coarse, dim = built
+        blob = serialize_context_indexes(fine, coarse)
+        fine2, coarse2 = deserialize_context_indexes(blob)
 
         assert set(fine2) == set(fine)
         probes = _vectors(10, dim, 77)
@@ -153,21 +155,39 @@ class TestContextIndexBlob:
                     rb = b.search_topk(query, k=6)
                     np.testing.assert_array_equal(ra.indices, rb.indices)
 
-        assert set(samples2) == set(samples)
-        for layer, sample in samples.items():
-            np.testing.assert_array_equal(samples2[layer], sample)
+    def test_loaded_arrays_are_exact_read_only_views(self, built):
+        fine, coarse, _ = built
+        fine2, coarse2 = deserialize_context_indexes(serialize_context_indexes(fine, coarse))
+        for a, b in zip(fine[0].indexes, fine2[0].indexes):
+            for original, loaded in (
+                (a.vectors, b.vectors),
+                (a.graph.neighbor_ids, b.graph.neighbor_ids),
+                (a.graph.offsets, b.graph.offsets),
+            ):
+                assert loaded.dtype == original.dtype
+                assert loaded.tobytes() == original.tobytes()
+                assert loaded.flags.writeable is False
+            assert b.entry_point == a.entry_point
+
+    def test_blob_holds_no_query_samples(self, built):
+        fine, coarse, _ = built
+        header, _ = split(serialize_context_indexes(fine, coarse))
+        names = [entry["name"] for entry in header["arrays"]]
+        assert names and not [name for name in names if name.startswith("q")]
 
     def test_empty_context_roundtrips(self):
-        fine, coarse, samples = deserialize_context_indexes(
-            serialize_context_indexes({}, {}, {})
-        )
-        assert fine == {} and coarse == {} and samples == {}
+        fine, coarse = deserialize_context_indexes(serialize_context_indexes({}, {}))
+        assert fine == {} and coarse == {}
 
     def test_truncated_blob_raises_clean_error(self, built):
-        fine, coarse, samples, _ = built
-        blob = serialize_context_indexes(fine, coarse, samples)
-        with pytest.raises(ContextLoadError):
-            deserialize_context_indexes(blob[: len(blob) // 2])
+        fine, coarse, _ = built
+        blob = serialize_context_indexes(fine, coarse)
+        with pytest.raises(ContextLoadError, match="ctx.indexes"):
+            deserialize_context_indexes(blob[: len(blob) // 2], source="ctx.indexes")
+
+    def test_version_one_npz_is_named(self):
+        with pytest.raises(ContextLoadError, match=f"version-1 .*version {INDEX_FORMAT_VERSION}"):
+            deserialize_context_indexes(CORRUPTIONS["version_one_npz"](b""))
 
     def test_garbage_blob_raises_clean_error(self):
         with pytest.raises(ContextLoadError):

@@ -126,7 +126,7 @@ def test_set_ordered_graph_still_loads_and_searches_bit_identically():
     assert set_ordered != index.graph.to_lists()
     index._graph = NeighborGraph.from_lists(set_ordered)
     layer = LayerIndexes(layer=0, indexes=[index], shared=True, gqa_group_size=1)
-    fine, _, _ = deserialize_context_indexes(serialize_context_indexes({0: layer}, {}, {}))
+    fine, _ = deserialize_context_indexes(serialize_context_indexes({0: layer}, {}))
     loaded = fine[0].indexes[0]
     assert loaded.graph.to_lists() == set_ordered
     np.testing.assert_array_equal(loaded.graph.neighbor_ids, index.graph.neighbor_ids)

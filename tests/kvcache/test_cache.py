@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,7 @@ from repro.kvcache.cache import DynamicCache, LayerKVCache
 from repro.kvcache.compression import compress_kv, decompress_kv, dequantize_tensor, quantize_tensor
 from repro.llm.attention import full_attention
 from repro.kvcache.serialization import (
+    SNAPSHOT_FORMAT_VERSION,
     KVSnapshot,
     load_snapshot,
     save_snapshot,
@@ -19,6 +18,8 @@ from repro.kvcache.serialization import (
     snapshot_from_cache,
     snapshot_to_bytes,
 )
+from repro.storage import record
+from tests.record_corruption import CORRUPTIONS
 
 
 def _kv(num_heads=2, n=4, dim=8, seed=0):
@@ -175,8 +176,8 @@ class TestSerialization:
 
 
 class TestCrashSafety:
-    """A crash mid-save or a torn file must never surface as a raw numpy or
-    zipfile traceback — always a clean :class:`ContextLoadError`."""
+    """A crash mid-save or a torn file must never surface as a raw numpy
+    traceback — always a clean :class:`ContextLoadError`."""
 
     def _snapshot(self, n=6):
         k, v = _kv(n=n)
@@ -206,25 +207,34 @@ class TestCrashSafety:
             load_snapshot(tmp_path, "ctx")
 
     def test_unknown_format_version_raises(self):
-        import json
-
-        meta = {"format_version": 999, "num_tokens": 0, "num_layers": 0, "metadata": {}}
-        buffer = io.BytesIO()
-        np.savez_compressed(
-            buffer,
-            tokens=np.asarray([], dtype=np.int64),
-            __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        meta = {"num_tokens": 0, "num_layers": 0, "metadata": {}}
+        blob = record.pack(
+            "kv-snapshot", 999, meta, {"tokens": np.asarray([], dtype=np.int64)}
         )
-        with pytest.raises(ContextLoadError):
-            snapshot_from_bytes(buffer.getvalue())
+        with pytest.raises(ContextLoadError, match="version 999"):
+            snapshot_from_bytes(blob)
+
+    def test_version_one_npz_is_named(self):
+        blob = CORRUPTIONS["version_one_npz"](b"")
+        with pytest.raises(ContextLoadError, match=f"version-1 .*version {SNAPSHOT_FORMAT_VERSION}"):
+            snapshot_from_bytes(blob)
 
     def test_bytes_roundtrip(self):
         snapshot = self._snapshot()
         snapshot.metadata = {"origin": "unit-test"}
+        snapshot.query_samples = {0: np.ones((2, 3, 8), dtype=np.float32)}
         loaded = snapshot_from_bytes(snapshot_to_bytes(snapshot))
         assert loaded.tokens == snapshot.tokens
         assert loaded.metadata == {"origin": "unit-test"}
-        np.testing.assert_allclose(loaded.keys[0], snapshot.keys[0], atol=1e-7)
+        for original, restored in (
+            (snapshot.keys[0], loaded.keys[0]),
+            (snapshot.values[0], loaded.values[0]),
+            (snapshot.query_samples[0], loaded.query_samples[0]),
+        ):
+            assert restored.dtype == original.dtype
+            np.testing.assert_array_equal(restored, original)
+            # stored contexts are immutable: loads are read-only views
+            assert restored.flags.writeable is False
 
     def test_context_load_error_is_storage_error(self):
         # callers catching the historic StorageError keep working
