@@ -66,7 +66,7 @@ def main() -> None:
     for name, text in library.items():
         start = time.perf_counter()
         context = service.db.get_context(service.ingest(text, context_id=name))
-        print(f"  {name}: {context.num_tokens} tokens, indexes for {len(context.fine_indexes)} layers "
+        print(f"  {name}: {context.num_tokens} tokens, fine indexes on layers {sorted(context.fine_indexes)} "
               f"({time.perf_counter() - start:.1f}s)")
 
     # ------------------------------------------------------------------ serve

@@ -75,7 +75,7 @@ def main() -> None:
         print(f"  -> retrieval restricted to the first {plan.predicate.max_position} shared tokens")
     _, record_b = service.serve(STATUTE + question_b, max_new_tokens=6)
     print(f"client B: served {record_b.generated_tokens} tokens, TPOT {record_b.tpot_seconds * 1000:.0f} ms "
-          f"(its first decode builds the stored conversation's deferred fine index)")
+          f"(over the fine index built when client A's conversation was stored)")
 
     # ---------------------------------------------------------------- follow-up
     # client A returns with the full history

@@ -47,7 +47,7 @@ def main() -> None:
     start = time.perf_counter()
     context = service.db.get_context(service.ingest(document))
     print(f"imported context {context.context_id!r}: {context.num_tokens} tokens, "
-          f"{len(context.fine_indexes)} indexed layers, "
+          f"fine indexes on layers {sorted(context.fine_indexes)}, "
           f"{context.kv_bytes / 1e6:.1f} MB of KV cache "
           f"({time.perf_counter() - start:.1f}s)")
 

@@ -63,10 +63,10 @@ class AlayaDBConfig:
     index_build: IndexBuildConfig = field(default_factory=IndexBuildConfig)
 
     lazy_index_build: bool = False
-    """When set, ``DB.import_context`` / ``DB.store`` defer fine-index
-    construction off the ingest critical path: the first
-    ``DB.create_session`` whose plan reads the fine index builds it, before
-    the session is returned (so the build counts in that request's TTFT)."""
+    """When set, ``DB.import_context`` / ``DB.store`` build no index at
+    registration: the first ``DB.create_session`` whose plans read an index
+    the context lacks builds it, before the session is returned (so the
+    build counts in that request's TTFT).  Shards are always built eagerly."""
 
     # serving SLO
     slo: SLO = field(default_factory=SLO)

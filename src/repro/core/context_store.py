@@ -62,10 +62,6 @@ class StoredContext:
     snapshot: KVSnapshot | None
     fine_indexes: dict[int, LayerIndexes] = field(default_factory=dict)
     coarse_indexes: dict[int, list[CoarseBlockIndex]] = field(default_factory=dict)
-    wants_fine_indexes: bool = True
-    wants_coarse_indexes: bool = True
-    """Index policy chosen at import/store time; honoured when indexes are
-    rebuilt after a spill/reload cycle."""
     prefix_matchable: bool = True
     """Whether the context's tokens enter the prefix-matching trie.  A shard
     of a larger context holds a mid-document token slice that must never be
@@ -87,8 +83,6 @@ class StoredContext:
         context = cls(
             context_id=entry.context_id,
             snapshot=None,
-            wants_fine_indexes=entry.wants_fine_indexes,
-            wants_coarse_indexes=entry.wants_coarse_indexes,
             prefix_matchable=entry.prefix_matchable,
         )
         context._tokens = list(entry.tokens)
@@ -217,8 +211,9 @@ class ContextStore:
 
     ``kv_budget_bytes`` caps the total bytes of KV snapshots kept in memory;
     exceeding it spills the least-recently-used unpinned context to the
-    backend (so a budget requires one).  ``on_reload`` lets the owning DB
-    rebuild the coarse indexes a reload did not bring back.
+    backend (so a budget requires one).  ``on_index_lost`` is called after a
+    reload whose cataloged index blob did not load, so the owning DB can
+    rebuild what the reload lost.
 
     Every :meth:`ensure_resident` call is one access: a hit (``hit_count``)
     when the context is resident, a miss (``reload_count``) when it reloads.
@@ -227,7 +222,7 @@ class ContextStore:
     def __init__(
         self,
         kv_budget_bytes: int | None = None,
-        on_reload: Callable[[StoredContext], None] | None = None,
+        on_index_lost: Callable[[StoredContext], None] | None = None,
         backend: StorageBackend | None = None,
     ):
         if kv_budget_bytes is not None:
@@ -243,16 +238,20 @@ class ContextStore:
         self._pins: dict[str, int] = {}
         self._persisted: set[str] = set()
         self._indexed_on_disk: set[str] = set()
-        self._on_reload = on_reload
+        self._on_index_lost = on_index_lost
         self.spill_count = 0
         self.hit_count = 0
         """Accesses (``ensure_resident`` calls) that found the context resident."""
         self.reload_count = 0
         """Accesses that reloaded a spilled context: the misses."""
         self.reload_deserialized_count = 0
-        """Reloads whose fine/coarse indexes came back by deserialization."""
+        """Reloads that brought back every index the catalog names for the
+        context by deserialization — a context persisted with no index
+        included."""
         self.reload_rebuilt_count = 0
-        """Reloads that came back index-less (indexes rebuilt from keys)."""
+        """Reloads where the catalog names an index blob that did not load
+        (missing or torn); the owning DB rebuilds what it held from the
+        snapshot (see ``on_index_lost``)."""
         self._manifest = ContextManifest()
         if backend is not None:
             self._manifest = ContextManifest.load_or_empty(backend)
@@ -557,9 +556,9 @@ class ContextStore:
     def ensure_resident(self, context_id: str) -> StoredContext:
         """Reload a spilled context from disk (no-op when already resident).
 
-        When the context's indexes were persisted alongside its snapshot,
-        they are deserialized and re-attached here — retrieval over them is
-        bit-identical to the pre-spill index, and no rebuild is queued.
+        When the catalog names an index blob for the context, its indexes
+        are deserialized and re-attached here — retrieval over them is
+        bit-identical to the pre-spill index, and nothing is rebuilt.
         """
         context = self._contexts.get(context_id)
         if context is None:
@@ -574,14 +573,15 @@ class ContextStore:
             )
         snapshot = self._load_snapshot(context_id)
         context.restore(snapshot)
-        if self._attach_persisted_indexes(context):
-            self.reload_deserialized_count += 1
-        else:
+        lost = context_id in self._indexed_on_disk and not self._attach_persisted_indexes(context)
+        if lost:
             self.reload_rebuilt_count += 1
+        else:
+            self.reload_deserialized_count += 1
         self._lru[context_id] = None
         self.reload_count += 1
-        if self._on_reload is not None:
-            self._on_reload(context)
+        if lost and self._on_index_lost is not None:
+            self._on_index_lost(context)
         self._enforce_budget(protect=context_id)
         return context
 
@@ -663,26 +663,21 @@ class ContextStore:
         self._indexed_on_disk.add(context.context_id)
 
     def _attach_persisted_indexes(self, context: StoredContext) -> bool:
-        """Re-attach a reloaded context's serialized indexes, if any.
+        """Re-attach a reloaded context's cataloged index blob.
 
-        Returns True when at least one index class came back; a missing or
-        corrupted blob degrades to the rebuild path instead of failing the
-        reload.
+        Returns False when the blob is missing or corrupted: that degrades
+        to the rebuild path instead of failing the reload.
         """
         context_id = context.context_id
-        if context_id not in self._indexed_on_disk:
-            return False
         key = self._index_key(context_id)
         try:
-            fine, coarse = deserialize_context_indexes(self.backend.read_bytes(key), source=key)
+            context.fine_indexes, context.coarse_indexes = deserialize_context_indexes(
+                self.backend.read_bytes(key), source=key
+            )
         except ContextLoadError:
             self._indexed_on_disk.discard(context_id)
             return False
-        if context.wants_fine_indexes:
-            context.fine_indexes = fine
-        if context.wants_coarse_indexes:
-            context.coarse_indexes = coarse
-        return bool(context.fine_indexes or context.coarse_indexes)
+        return True
 
     def _manifest_entry(self, context: StoredContext) -> ManifestEntry:
         context_id = context.context_id
@@ -695,19 +690,17 @@ class ContextStore:
             snapshot_key=self._snapshot_key(context_id),
             index_key=index_key,
             index_bytes=self.backend.size_bytes(index_key) if index_key else 0,
-            wants_fine_indexes=context.wants_fine_indexes,
-            wants_coarse_indexes=context.wants_coarse_indexes,
             prefix_matchable=context.prefix_matchable,
             metadata=dict(context.snapshot.metadata) if context.snapshot is not None else {},
         )
 
     def persist_indexes(self, context_id: str) -> bool:
-        """Serialize a context's current fine/coarse indexes to the backend.
+        """Serialize a stored context's current fine/coarse indexes to the backend.
 
-        Called after deferred (lazy) index builds so contexts indexed *after*
-        their snapshot was persisted still reload as deserialize-not-rebuild.
-        Returns False (a no-op) when the store has no backend, the context is
-        not resident, or it has no indexes yet.
+        Called after indexes are built for a context already in the store
+        (a session's plans read one it lacked), so it reloads as a
+        deserialize, not a rebuild.  Returns False (a no-op) when the store
+        has no backend, the context is not resident, or it has no indexes.
         """
         if self.backend is None:
             return False

@@ -8,10 +8,20 @@ with it through three calls:
   reuse the longest common prefix, and return a :class:`Session` plus the
   *truncated* (non-reused) prompt suffix that still needs prefill;
 * ``import_context(...)`` — register an already-computed context (prompt +
-  KV cache) for future reuse, building its vector indexes;
+  KV cache) for future reuse, building the vector indexes its plans read;
 * ``store(session)`` — persist everything a session accumulated (reused
   prefix + locally generated KV) as a new reusable context; this is the late
   materialization point where the local KV finally enters a physical index.
+
+A context carries the indexes its plans read and nothing else.  At
+registration the optimizer plans a session that reuses the whole context
+and adds one token, and each layer gets the index its plan reads: a fine
+graph index for a DIPR layer outside ``flat_index_layers``, a coarse block
+index for a top-k layer, none for a full-attention or flat layer.  A session
+whose plans read an index the context lacks (a longer prompt crossing
+``short_context_threshold`` or ``gpu_memory_budget_bytes``, or a reload that
+lost a fine graph) builds it in :meth:`DB.create_session`, before the first
+token; a sharded session has each shard owner build it.
 
 Memory governance belongs to the underlying :class:`ContextStore`, the one
 residency ledger: it counts hits and reloads per access and — when the
@@ -20,9 +30,9 @@ backend and reloads them on prefix hits.  The backend is the one passed in,
 else a directory at ``config.context_db_path``; with one, the store is the
 durable context database (every context persisted as it is added, the
 population recovered on restart), and :meth:`DB.export_context` writes a
-one-context database of the same format.  Fine index construction can be
-deferred (``lazy_index_build``): the first ``create_session`` whose plan
-reads the fine index builds it before returning the session.
+one-context database of the same format.  ``lazy_index_build`` defers the
+registration-time builds to the first ``create_session`` whose plans read
+them.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from ..storage.backend import FilesystemBackend, StorageBackend
 from ..sharding.plan import ShardPlan, shard_context_id, slice_snapshot
 from .config import AlayaDBConfig
 from .context_store import ContextStore, StoredContext
+from .planner import ExecutionPlan
 from .session import Session
 
 __all__ = ["DB"]
@@ -72,7 +83,7 @@ class DB:
             backend = FilesystemBackend(self.config.context_db_path)
         self.store_registry = ContextStore(
             kv_budget_bytes=self.config.context_store_budget_bytes,
-            on_reload=self._context_reloaded,
+            on_index_lost=self._index_blob_lost,
             backend=backend,
         )
         self._builder = ContextIndexBuilder(self.config.index_build)
@@ -106,25 +117,15 @@ class DB:
     def get_context(self, context_id: str) -> StoredContext:
         return self.store_registry.get(context_id)
 
-    @property
-    def num_pending_index_builds(self) -> int:
-        """Resident contexts that want fine indexes and have none: the next
-        session whose plan reads the fine index builds them."""
-        return sum(
-            context.is_resident and context.wants_fine_indexes and not context.has_fine_indexes
-            for _, context in self.store_registry.items()
-        )
-
-    def _context_reloaded(self, context: StoredContext) -> None:
-        # the store re-attached the persisted indexes during the reload
-        # (bit-identical retrieval, nothing to do here); anything that did
-        # *not* come back (no blob, or a torn one) is rebuilt — coarse
-        # immediately (cheap), fine by the next session that plans it.
-        # Query samples travel inside the persisted snapshot, so a rebuild
-        # keeps the OOD query-sample benefit.  Contexts that opted out of an
-        # index class at import time stay index-free.
-        if context.wants_coarse_indexes and not context.coarse_indexes:
-            self._build_coarse_indexes(context)
+    def _index_blob_lost(self, context: StoredContext) -> None:
+        # a reload whose cataloged blob was missing or torn: the coarse
+        # layers the context plans are rebuilt now (cheap; the reload may sit
+        # inside a decode round, so nothing is written either); a fine graph
+        # is left to the next session whose plans read it, built from the
+        # snapshot's query samples, which keeps the OOD query-sample benefit
+        plans = self._registration_plans(context).items()
+        coarse = {layer: plan for layer, plan in plans if plan.index_kind == IndexKind.COARSE}
+        self._build_planned_indexes(context, coarse)
 
     # ------------------------------------------------------------------
     # Table 2: DB.create_session(prompts) -> Session, prompts
@@ -140,11 +141,11 @@ class DB:
         catalog is neither reloaded nor pinned here: the session that comes
         back reads it where it lives, on the shard owners.
 
-        The session's per-layer plans are decided here, once.  When one of
-        them reads the fine index and the matched context's build was
-        deferred (a lazy ingest or chat re-store, or a reload that did not
-        bring the index back), the build runs now — before the first token,
-        never inside a decode round.
+        The session's per-layer plans are decided here, once.  An index
+        they read that the matched context lacks (a prompt longer than the
+        one the context was planned for, or a ``lazy_index_build`` ingest) is
+        built and persisted now — before the first token, never inside a
+        decode round.
         """
         tokens = self._tokenize(prompts)
         match = self.store_registry.find_longest_prefix(tokens)
@@ -171,9 +172,10 @@ class DB:
             prompt_length=len(tokens),
             on_close=on_close,
         )
-        if session.plans_index(IndexKind.FINE):
+        if context is not None:
             try:
-                self._ensure_fine_indexes(context)
+                if self._build_planned_indexes(context, session.plans):
+                    self.store_registry.persist_indexes(context.context_id)
             except BaseException:
                 session.close()  # releases the pin: nobody else holds the session
                 raise
@@ -188,16 +190,9 @@ class DB:
         kv_cache: DynamicCache | KVSnapshot,
         query_samples: dict[int, np.ndarray] | None = None,
         context_id: str | None = None,
-        build_fine_indexes: bool = True,
-        build_coarse_indexes: bool = True,
-        lazy_fine_indexes: bool | None = None,
     ) -> StoredContext:
-        """Import an already-computed context (prompt + KV cache) for reuse.
-
-        ``lazy_fine_indexes`` (default: the config's ``lazy_index_build``)
-        defers fine-index construction off the ingest path; the first
-        :meth:`create_session` whose plan reads the fine index builds it.
-        """
+        """Import an already-computed context (prompt + KV cache) for reuse,
+        with the indexes its plans read (see the module docstring)."""
         tokens = self._tokenize(prompts)
         if isinstance(kv_cache, KVSnapshot):
             snapshot = kv_cache
@@ -214,13 +209,7 @@ class DB:
 
         context_id = context_id or self._next_context_id()
         context = StoredContext(context_id=context_id, snapshot=snapshot)
-        self._register_context(
-            context,
-            build_fine_indexes=build_fine_indexes,
-            build_coarse_indexes=build_coarse_indexes,
-            lazy_fine_indexes=lazy_fine_indexes,
-            overwrite=False,
-        )
+        self._register_context(context, overwrite=False, build=not self.config.lazy_index_build)
         return context
 
     # ------------------------------------------------------------------
@@ -231,15 +220,12 @@ class DB:
         session: Session,
         tokens: list[int] | None = None,
         context_id: str | None = None,
-        build_fine_indexes: bool = True,
-        build_coarse_indexes: bool = True,
-        lazy_fine_indexes: bool | None = None,
     ) -> StoredContext:
         """Persist all of a session's state as a new reusable context.
 
         This is where late materialization happens: the locally-cached KV the
-        session accumulated is merged with the reused prefix and a fresh set
-        of physical indexes is built over the merged keys.
+        session accumulated is merged with the reused prefix, and the indexes
+        the new context's plans read are built over the merged keys.
 
         ``tokens`` is the full token sequence the session now represents
         (reused prefix + prefilled suffix + generated tokens); when omitted,
@@ -249,13 +235,7 @@ class DB:
         snapshot = self._session_snapshot(session, tokens)
         context_id = context_id or self._next_context_id()
         context = StoredContext(context_id=context_id, snapshot=snapshot)
-        self._register_context(
-            context,
-            build_fine_indexes=build_fine_indexes,
-            build_coarse_indexes=build_coarse_indexes,
-            lazy_fine_indexes=lazy_fine_indexes,
-            overwrite=True,
-        )
+        self._register_context(context, overwrite=True, build=not self.config.lazy_index_build)
         return context
 
     def _session_snapshot(self, session: Session, tokens: list[int] | None) -> KVSnapshot:
@@ -310,21 +290,11 @@ class DB:
             merged[layer] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         return merged
 
-    def _register_context(
-        self,
-        context: StoredContext,
-        build_fine_indexes: bool,
-        build_coarse_indexes: bool,
-        lazy_fine_indexes: bool | None,
-        overwrite: bool,
-    ) -> None:
-        lazy = self.config.lazy_index_build if lazy_fine_indexes is None else lazy_fine_indexes
-        context.wants_fine_indexes = build_fine_indexes
-        context.wants_coarse_indexes = build_coarse_indexes
-        if build_fine_indexes and not lazy:
-            self._build_fine_indexes(context)
-        if build_coarse_indexes:
-            self._build_coarse_indexes(context)
+    def _register_context(self, context: StoredContext, overwrite: bool, build: bool) -> None:
+        """Add ``context`` to the store, first building the indexes its
+        registration plans read when ``build``; the add persists them."""
+        if build:
+            self._build_planned_indexes(context, self._registration_plans(context))
         self.store_registry.add(context, overwrite=overwrite)
 
     # ------------------------------------------------------------------
@@ -335,9 +305,6 @@ class DB:
         model: TransformerModel,
         prompts: str | list[int] | np.ndarray,
         context_id: str | None = None,
-        build_fine_indexes: bool = True,
-        build_coarse_indexes: bool = True,
-        lazy_fine_indexes: bool | None = None,
     ) -> StoredContext:
         """Prefill ``prompts`` and import the resulting context.
 
@@ -347,18 +314,22 @@ class DB:
         session's sampled queries become the RoarGraph's real (OOD) query
         samples.
         """
+        context = self._prefilled_context(model, prompts, context_id)
+        self._register_context(context, overwrite=False, build=not self.config.lazy_index_build)
+        return context
+
+    def _prefilled_context(
+        self, model: TransformerModel, prompts, context_id: str | None
+    ) -> StoredContext:
+        """The not yet registered context :meth:`prefill_and_import` adds."""
         tokens = self._tokenize(prompts)
         session = Session(self.config)
         chunk = self.config.prefill_chunk_tokens
         for start in range(0, len(tokens), chunk):
             model.prefill(np.asarray(tokens[start : start + chunk], dtype=np.int64), session)
-        return self.import_context(
-            tokens,
-            self._session_snapshot(session, tokens),
-            context_id=context_id,
-            build_fine_indexes=build_fine_indexes,
-            build_coarse_indexes=build_coarse_indexes,
-            lazy_fine_indexes=lazy_fine_indexes,
+        return StoredContext(
+            context_id=context_id or self._next_context_id(),
+            snapshot=self._session_snapshot(session, tokens),
         )
 
     # ------------------------------------------------------------------
@@ -374,9 +345,9 @@ class DB:
 
         Each shard is a full citizen of the store under its own id
         (``<context_id>--shardNNN``): a KV snapshot holding only its token
-        range, plus fine/coarse indexes **built over that range alone** (the
-        original context's index policy is inherited, builds are eager —
-        shards exist to be fanned out to, not lazily warmed).  Shards are not
+        range, plus the indexes the whole context's plans read, **built over
+        that range alone** (eagerly — shards exist to be fanned out to, not
+        lazily warmed).  Shards are not
         prefix-matchable: they hold mid-document slices and are addressed by
         id through a shard catalog, never matched against prompts.  In a
         store with a backend every shard persists under its own keys plus a
@@ -384,17 +355,14 @@ class DB:
 
         Sizing: an explicit ``plan`` wins; else ``num_shards`` (argument,
         falling back to the config knob).
-        Boundaries are aligned down to ``coarse_block_size`` whenever coarse
-        indexes are built, keeping shard-local blocks identical to the
-        full-context blocks so the router's cross-shard block merge is exact.
+        Boundaries are aligned down to ``coarse_block_size``, keeping
+        shard-local blocks identical to the full-context blocks so the
+        router's cross-shard block merge is exact.
         """
         context = self.store_registry.ensure_resident(context_id)
-        build_fine = context.wants_fine_indexes
-        build_coarse = context.wants_coarse_indexes
         if plan is None:
-            align = self.config.coarse_block_size if build_coarse else 1
             count = num_shards if num_shards is not None else self.config.num_shards
-            plan = ShardPlan.even(context.num_tokens, count, align=align)
+            plan = ShardPlan.even(context.num_tokens, count, align=self.config.coarse_block_size)
         elif plan.num_tokens != context.num_tokens:
             raise ContextLoadError(
                 f"shard plan covers {plan.num_tokens} tokens but context "
@@ -407,21 +375,43 @@ class DB:
                 snapshot=slice_snapshot(context.snapshot, rng, plan),
                 prefix_matchable=False,
             )
-            self._register_context(
-                shard,
-                build_fine_indexes=build_fine,
-                build_coarse_indexes=build_coarse,
-                lazy_fine_indexes=False,
-                overwrite=True,
-            )
+            self._register_context(shard, overwrite=True, build=True)
             shards.append(shard)
         return plan, shards
 
     # ------------------------------------------------------------------
-    # index construction
+    # index construction: a context carries the indexes its plans read
     # ------------------------------------------------------------------
-    def _build_fine_indexes(self, context: StoredContext) -> None:
-        keys_per_layer = context.snapshot.keys
+    def _registration_plans(self, context: StoredContext) -> dict[int, ExecutionPlan]:
+        """The plans of a session that reuses all of resident ``context`` and
+        adds one token.  A shard plans at the length of the whole context it
+        was cut from: its sessions attend over every shard."""
+        length = int(context.snapshot.metadata.get("shard_total_tokens", context.num_tokens))
+        return Session(self.config, context, prompt_length=length + 1).plans
+
+    def _build_planned_indexes(
+        self, context: StoredContext, plans: dict[int, ExecutionPlan]
+    ) -> bool:
+        """Build, for every layer, the index its plan reads when resident
+        ``context`` lacks it — fine or coarse.  Returns whether anything was
+        built: a caller whose context is already stored persists it then.
+        """
+        def missing(kind: str, built: dict) -> list[int]:
+            return [
+                layer for layer, plan in plans.items()
+                if plan.index_kind == kind and layer in context.snapshot.keys and layer not in built
+            ]
+
+        fine = missing(IndexKind.FINE, context.fine_indexes)
+        coarse = missing(IndexKind.COARSE, context.coarse_indexes)
+        if fine:
+            self._build_fine_layers(context, fine)
+        if coarse:
+            self._build_coarse_layers(context, coarse)
+        return bool(fine or coarse)
+
+    def _build_fine_layers(self, context: StoredContext, layers: list[int]) -> None:
+        keys_per_layer = {layer: context.snapshot.keys[layer] for layer in layers}
         queries_per_layer: dict[int, np.ndarray] = {}
         for layer, keys in keys_per_layer.items():
             sample = context.query_samples.get(layer)
@@ -430,12 +420,13 @@ class DB:
                 # keeps the index functional)
                 sample = keys
             queries_per_layer[layer] = np.asarray(sample, dtype=np.float32)
-        layer_indexes, _ = self._builder.build_context(keys_per_layer, queries_per_layer)
-        context.fine_indexes = layer_indexes
+        built, _ = self._builder.build_context(keys_per_layer, queries_per_layer)
+        context.fine_indexes = {**context.fine_indexes, **built}
 
-    def _build_coarse_indexes(self, context: StoredContext) -> None:
-        coarse: dict[int, list[CoarseBlockIndex]] = {}
-        for layer, keys in context.snapshot.keys.items():
+    def _build_coarse_layers(self, context: StoredContext, layers: list[int]) -> None:
+        coarse = dict(context.coarse_indexes)
+        for layer in layers:
+            keys = context.snapshot.keys[layer]
             per_head: list[CoarseBlockIndex] = []
             for kv_head in range(keys.shape[0]):
                 index = CoarseBlockIndex(block_size=self.config.coarse_block_size)
@@ -444,16 +435,6 @@ class DB:
             coarse[layer] = per_head
         context.coarse_indexes = coarse
 
-    def _ensure_fine_indexes(self, context: StoredContext) -> None:
-        """Build a resident context's deferred fine indexes (a no-op when it
-        has them or opted out of them)."""
-        if not context.wants_fine_indexes or context.has_fine_indexes:
-            return
-        self._build_fine_indexes(context)
-        # re-persist so the deferred build still reloads as a deserialize,
-        # not another rebuild (a no-op without a backend)
-        self.store_registry.persist_indexes(context.context_id)
-
     # ------------------------------------------------------------------
     # portable context bundles (export / import)
     # ------------------------------------------------------------------
@@ -461,13 +442,15 @@ class DB:
         """Export one context as a portable bundle: a context database at
         ``dest_dir`` that holds this one context.
 
-        Deferred fine builds are completed first so the bundle is whole;
+        Indexes the context's plans read and a ``lazy_index_build`` ingest
+        deferred are built first so the bundle is whole;
         :meth:`import_context_bundle` on another DB (or
         :meth:`ContextStore.open`) then serves the context without
         re-prefilling or re-indexing.
         """
         context = self.store_registry.ensure_resident(context_id)
-        self._ensure_fine_indexes(context)
+        if self._build_planned_indexes(context, self._registration_plans(context)):
+            self.store_registry.persist_indexes(context_id)
         # a second StoredContext over the same snapshot and indexes, so the
         # two stores never share residency state
         ContextStore.open(dest_dir).add(dataclasses.replace(context), overwrite=True)
@@ -484,10 +467,10 @@ class DB:
         ``src_dir`` must be a context database holding exactly one context.
         It loads the way a reload does: persisted indexes are deserialized
         (retrieval over the imported context is bit-identical to the
-        exporter's), a missing or torn blob falls back to the rebuild path.
+        exporter's), and a missing or torn blob degrades to the rebuild.
         ``context_id`` overrides the bundled id, e.g. to avoid a collision.
         """
-        bundle = ContextStore.open(src_dir, on_reload=self._context_reloaded)
+        bundle = ContextStore.open(src_dir, on_index_lost=self._index_blob_lost)
         ids = bundle.list_ids()
         if len(ids) != 1:
             raise ContextLoadError(

@@ -223,10 +223,11 @@ class InferenceService:
 
         The prefill is an unconnected session's, chunk by chunk, so the
         stored KV is what a request with the document as its prompt computes.
-        With ``lazy_index_build`` configured, fine indexes are deferred to the
-        first request whose plan reads them (built when its session is
-        created), cutting ingest latency.  A service fronting a shard
-        catalog shards the document and places it on the shard owners.
+        The document gets the indexes its plans read (see
+        :mod:`repro.core.db`); ``lazy_index_build`` defers them to the first
+        request whose plans read them (built when its session is created).
+        A service fronting a shard catalog shards the document and places it
+        on the shard owners.
         """
         if self.db.shard_catalog is not None:
             return self.db.shard_catalog.ingest(document, context_id=context_id).context_id
@@ -526,12 +527,7 @@ class InferenceService:
         fed = list(request.prompt_tokens[: session.reused_prefix_length])
         fed += inflight.truncated_tokens if inflight.truncated_tokens else [self.db.tokenizer.bos_id]
         fed += inflight.generated[: max(kv_tokens - len(fed), 0)]
-        # fine indexes are deferred: rebuilding a graph index over the whole
-        # transcript on *every* turn would dominate the turn; the next turn
-        # whose plan reads the fine index builds it when its session is created
-        return self.db.store(
-            session, tokens=fed[:kv_tokens], context_id=context_id, lazy_fine_indexes=True
-        )
+        return self.db.store(session, tokens=fed[:kv_tokens], context_id=context_id)
 
     def reject_request(self, request: Request) -> None:
         self.stats.rejected += 1
@@ -640,7 +636,6 @@ class InferenceService:
             "context_reloads_deserialized": store.reload_deserialized_count,
             "context_reloads_rebuilt": store.reload_rebuilt_count,
             "manifest_generation": store.manifest_generation,
-            "pending_index_builds": self.db.num_pending_index_builds,
             "admission_committed_bytes": self.scheduler.admission.committed_bytes,
             "decode_retrieval_seconds": self.decode_timings.retrieval_seconds,
             "decode_merge_seconds": self.decode_timings.merge_seconds,

@@ -402,6 +402,12 @@ class Session:
         """The optimizer's plan for ``layer`` (public for inspection/benchmarks)."""
         return self._plans.get(layer, FULL_ATTENTION_PLAN)
 
+    @property
+    def plans(self) -> dict[int, ExecutionPlan]:
+        """Every layer's plan, decided when the session was created (empty
+        for a session that reuses nothing)."""
+        return dict(self._plans)
+
     def plans_index(self, kind: str) -> bool:
         """True when some layer's plan reads the ``kind`` index."""
         return any(plan.index_kind == kind for plan in self._plans.values())

@@ -48,10 +48,11 @@ from __future__ import annotations
 
 from ..core.config import AlayaDBConfig
 from ..core.db import DB
-from ..core.planner import LayerIndexData
+from ..core.planner import ExecutionPlan, LayerIndexData
 from ..core.service import InferenceService
 from ..errors import ContextNotFoundError, ReproError
 from ..llm.model import TransformerModel
+from ..query.types import IndexKind
 from ..storage.backend import InMemoryBackend, StorageBackend
 from .plan import ShardRange, parse_shard_id
 from .session import ShardedContextRef, ShardedSession
@@ -127,6 +128,20 @@ class ShardWorker:
             self._drop_cache(shard_cid)
             self._cache_snapshots[shard_cid] = context.snapshot
         return context
+
+    def build_planned_indexes(self, shard_cid: str, plans: dict[int, ExecutionPlan]) -> None:
+        """Build the indexes ``plans`` read that the shard lacks (a prompt
+        longer than the one the shard was planned for), and persist them so
+        the next owner deserializes them."""
+        context = self.ensure_loaded(shard_cid)
+        if not self.db._build_planned_indexes(context, plans):
+            return
+        store = self.db.store_registry
+        # adopt the rows other writers added since this worker last looked,
+        # so its manifest write keeps them
+        store.refresh_from_manifest()
+        store.persist_indexes(shard_cid)
+        self._drop_cache(shard_cid)
 
     def layer_data(self, shard_cid: str, layer: int, gqa_group_size: int) -> LayerIndexData:
         context = self.ensure_loaded(shard_cid)
@@ -294,13 +309,20 @@ class ShardedContextRouter:
         ref = self._catalog.get(context_id)
         if ref is None:
             return None
-        return ShardedSession(
+        session = ShardedSession(
             ref=ref,
             fanout=self,
             config=self.config,
             reused_prefix_length=reused_prefix_length,
             prompt_length=prompt_length,
         )
+        # what a single owner's create_session does, on every shard owner:
+        # an index the session's plans read is there before the first token
+        if session.plans_index(IndexKind.FINE) or session.plans_index(IndexKind.COARSE):
+            for token_range in ref.plan.ranges:
+                shard_cid = ref.shard_id_of(token_range.shard_id)
+                self._owners[shard_cid].build_planned_indexes(shard_cid, session.plans)
+        return session
 
     # ------------------------------------------------------------------
     # ingest + placement
@@ -312,7 +334,10 @@ class ShardedContextRouter:
         num_shards: int | None = None,
     ) -> ShardedContextRef:
         """Prefill, shard, persist, place; returns the catalog entry."""
-        context = self.db.prefill_and_import(self.model, document, context_id=context_id)
+        context = self.db._prefilled_context(self.model, document, context_id)
+        # no index for the base: sessions over it read the shards' indexes,
+        # which shard_context builds over each range
+        self.db._register_context(context, overwrite=False, build=False)
         base_id = context.context_id
         plan, shards = self.db.shard_context(base_id, num_shards=num_shards)
         ref = ShardedContextRef(

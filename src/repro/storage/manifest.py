@@ -1,8 +1,10 @@
 """The persistent manifest of the durable context database.
 
 The manifest is the database's catalog: one JSON object recording, for every
-persisted context, its id, token sequence, snapshot/index object keys, byte
-sizes, and index policy.  A restarted :class:`~repro.core.service.InferenceService`
+persisted context, its id, token sequence, snapshot/index object keys and
+byte sizes.  It records whatever indexes a context has, not which it should
+have: that is the query optimizer's choice, made again when a torn index
+blob is rebuilt.  A restarted :class:`~repro.core.service.InferenceService`
 — or a second process sharing the directory — reads it on
 ``ContextStore.open`` and can prefix-match and serve contexts it never
 prefilled.
@@ -39,10 +41,8 @@ class ManifestEntry:
     snapshot_key: str
     index_key: str | None = None
     """Key of the serialized fine/coarse index bundle; ``None`` when the
-    context's indexes were never persisted (reload falls back to rebuild)."""
+    context was persisted with no index."""
     index_bytes: int = 0
-    wants_fine_indexes: bool = True
-    wants_coarse_indexes: bool = True
     prefix_matchable: bool = True
     """Whether the context participates in token-trie prefix matching.  A
     *shard* of a context stores an arbitrary mid-document token slice, which
@@ -63,8 +63,6 @@ class ManifestEntry:
             "snapshot_key": self.snapshot_key,
             "index_key": self.index_key,
             "index_bytes": self.index_bytes,
-            "wants_fine_indexes": self.wants_fine_indexes,
-            "wants_coarse_indexes": self.wants_coarse_indexes,
             "prefix_matchable": self.prefix_matchable,
             "metadata": self.metadata,
         }
@@ -80,8 +78,6 @@ class ManifestEntry:
                 snapshot_key=payload["snapshot_key"],
                 index_key=payload.get("index_key"),
                 index_bytes=int(payload.get("index_bytes", 0)),
-                wants_fine_indexes=bool(payload.get("wants_fine_indexes", True)),
-                wants_coarse_indexes=bool(payload.get("wants_coarse_indexes", True)),
                 prefix_matchable=bool(payload.get("prefix_matchable", True)),
                 metadata=dict(payload.get("metadata", {})),
             )

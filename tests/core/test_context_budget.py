@@ -150,29 +150,24 @@ class TestBudgetedResidency:
         store.spill("live")
         assert not store.get("live").is_resident
 
-    def test_reload_respects_index_opt_out(self, tmp_path):
-        """A context imported without fine indexes stays index-free across
-        a spill/reload cycle (no surprise rebuild), even when a session's
-        plan reads the fine index."""
-        config = AlayaDBConfig(
-            context_store_budget_bytes=1,
-            short_context_threshold=4,
-            gpu_memory_budget_bytes=1,
-            flat_index_layers=(),
-        )
+    def test_full_planned_context_reloads_index_free(self, tmp_path):
+        """A context whose plans read no index stays index-free across a
+        spill/reload cycle (no surprise rebuild), and the reload counts as
+        a deserialize: nothing the catalog named was lost."""
+        config = AlayaDBConfig(context_store_budget_bytes=1, short_context_threshold=64)
         db = DB(config, backend=FilesystemBackend(tmp_path))
         snapshot_a = _context("plain", [1] * 24, seed=3).snapshot
-        db.import_context([1] * 24, snapshot_a, context_id="plain", build_fine_indexes=False)
+        db.import_context([1] * 24, snapshot_a, context_id="plain")
         snapshot_b = _context("other", [2] * 24, seed=4).snapshot
-        db.import_context([2] * 24, snapshot_b, context_id="other", build_fine_indexes=False)
+        db.import_context([2] * 24, snapshot_b, context_id="other")
         assert not db.get_context("plain").is_resident  # spilled by the budget
-        db.store_registry.ensure_resident("plain")
-        assert db.num_pending_index_builds == 0
         session, _ = db.create_session([1] * 24 + [7])
-        assert session.plans_index(IndexKind.FINE)
+        assert not session.plans_index(IndexKind.FINE)
         session.close()
-        assert db.num_pending_index_builds == 0
-        assert not db.get_context("plain").has_fine_indexes
+        context = db.get_context("plain")
+        assert not context.has_fine_indexes and not context.coarse_indexes
+        store = db.store_registry
+        assert (store.reload_deserialized_count, store.reload_rebuilt_count) == (1, 0)
 
     def test_remove_spilled_context(self, tmp_path):
         store = ContextStore.open(tmp_path, kv_budget_bytes=1)
@@ -188,7 +183,9 @@ class TestBudgetedResidency:
         ``<id>.indexes.npz`` behind on remove, so ingest/remove churn grew
         the disk without bound.  Only the (now empty) manifest stays."""
         model = TransformerModel(ModelConfig.tiny(seed=101))
-        db = DB(AlayaDBConfig(), backend=FilesystemBackend(tmp_path))
+        # plans that read an index, so the context has an index blob
+        config = AlayaDBConfig(short_context_threshold=64, gpu_memory_budget_bytes=1)
+        db = DB(config, backend=FilesystemBackend(tmp_path))
         db.prefill_and_import(model, "leaky spill files " * 12, context_id="doc")
         store = db.store_registry
         store.spill("doc")
@@ -258,7 +255,11 @@ class TestResidentHitAccounting:
         document_0 = "first corpus about transactions and recovery. " * 20
         document_1 = "second corpus about vector search indexes!! " * 20
         probe = DB(AlayaDBConfig()).prefill_and_import(model, document_0, context_id="probe")
-        config = AlayaDBConfig(context_store_budget_bytes=int(probe.kv_bytes * 2.5))
+        config = AlayaDBConfig(
+            context_store_budget_bytes=int(probe.kv_bytes * 2.5),
+            short_context_threshold=64,
+            gpu_memory_budget_bytes=1,  # plans read the fine index
+        )
         db = DB(config, backend=FilesystemBackend(tmp_path))
         db.prefill_and_import(model, document_0, context_id="d0")
         db.prefill_and_import(model, document_1, context_id="d1")
@@ -294,7 +295,7 @@ class TestQuerySamplePersistence:
             np.testing.assert_allclose(reloaded.query_samples[layer], sample, atol=1e-7)
 
     def test_rebuild_after_reload_keeps_ood_sample(self, tmp_path):
-        """The post-reload lazy rebuild must index with the persisted query
+        """The post-reload rebuild must index with the persisted query
         sample: the rebuilt index equals a fresh build from those samples,
         not the keys-only fallback.  (The spilled index blob is deleted, so
         the reload cannot deserialize and exercises the rebuild path.)"""
@@ -309,15 +310,15 @@ class TestQuerySamplePersistence:
         db.store_registry.spill("doc")
         assert db.store_registry.backend.delete("doc.indexes.npz")
         db.store_registry.ensure_resident("doc")
-        # the reload left the fine rebuild pending; the next session whose
-        # plan reads the fine index pays it
+        # the reload left the fine rebuild to the next session whose plans
+        # read the fine index; that session pays it and re-persists it
         assert db.store_registry.reload_rebuilt_count == 1
-        assert db.num_pending_index_builds == 1
+        assert not db.get_context("doc").has_fine_indexes
         session, _ = db.create_session(document + "why?")
         session.close()
-        assert db.num_pending_index_builds == 0
         rebuilt = db.get_context("doc")
         assert rebuilt.has_fine_indexes
+        assert db.store_registry.backend.exists("doc.indexes.npz")
         # samples differ from keys, so a keys-fallback rebuild would see a
         # different query distribution; verify the sample really is distinct
         sample = rebuilt.query_samples[0]

@@ -36,8 +36,10 @@ class TestDBImport:
     def test_import_builds_indexes(self, served_db):
         _, db, _, context = served_db
         assert context.num_tokens > 800
-        assert set(context.fine_indexes) == {0, 1}
-        assert set(context.coarse_indexes) == {0, 1}
+        # DIPR plans: layer 0 is a flat layer, so only layer 1 reads a fine
+        # index, and no layer reads a coarse one
+        assert set(context.fine_indexes) == {1}
+        assert not context.coarse_indexes
         assert context.query_samples
 
     def test_import_from_dynamic_cache(self, served_db):
@@ -45,7 +47,7 @@ class TestDBImport:
         cache = DynamicCache()
         tokens = db._tokenize("short context for import")
         model.prefill(np.asarray(tokens), cache)
-        context = db.import_context(tokens, cache, build_fine_indexes=False)
+        context = db.import_context(tokens, cache)
         assert context.num_tokens == len(tokens)
         assert not context.has_fine_indexes
 

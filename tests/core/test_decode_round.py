@@ -52,9 +52,7 @@ def model():
 def _service(model, mix: str, **overrides) -> InferenceService:
     config = AlayaDBConfig(**{**BASE_CONFIG, **PLAN_MIXES[mix], **overrides})
     service = InferenceService(model, config)
-    service.db.prefill_and_import(
-        model, DOC, build_fine_indexes=(mix == "fine"), context_id="shared"
-    )
+    service.db.prefill_and_import(model, DOC, context_id="shared")
     return service
 
 
@@ -230,7 +228,7 @@ class TestDecodeStepStatsHonesty:
     def test_round_matches_per_session_outputs_and_stats(self, model):
         config = AlayaDBConfig(**BASE_CONFIG, **PLAN_MIXES["flat"])
         db = DB(config)
-        db.prefill_and_import(model, DOC, build_fine_indexes=False)
+        db.prefill_and_import(model, DOC)
         self._assert_round_equals_solo(
             model,
             self._random_steps(model, 3),

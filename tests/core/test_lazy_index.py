@@ -1,4 +1,6 @@
-"""Tests of the lazy fine-index build mode (ingest off the critical path)."""
+"""Tests of the lazy index build mode: registration builds nothing, and the
+first session whose plans read an index builds it (ingest off the critical
+path)."""
 
 from __future__ import annotations
 
@@ -34,20 +36,12 @@ DOCUMENT = "a long reference document describing lazy construction. " * 20
 
 
 class TestLazyImport:
-    def test_import_defers_fine_indexes(self, lazy_model):
-        db = DB(_lazy_config())
+    @pytest.mark.parametrize("budget", [1, 1 << 40])  # DIPR plans, coarse plans
+    def test_import_defers_every_build(self, lazy_model, budget):
+        db = DB(_lazy_config(gpu_memory_budget_bytes=budget))
         context = db.prefill_and_import(lazy_model, DOCUMENT, context_id="doc")
         assert not context.has_fine_indexes
-        assert context.coarse_indexes  # coarse stays eager (cheap)
-        assert db.num_pending_index_builds == 1
-
-    def test_explicit_override_beats_config(self, lazy_model):
-        db = DB(AlayaDBConfig())
-        context = db.prefill_and_import(
-            lazy_model, DOCUMENT, context_id="doc", lazy_fine_indexes=True
-        )
-        assert not context.has_fine_indexes
-        assert db.num_pending_index_builds == 1
+        assert not context.coarse_indexes
 
     def test_fine_planned_session_creation_builds(self, lazy_model):
         db = DB(_lazy_config())
@@ -55,8 +49,8 @@ class TestLazyImport:
         session, truncated = db.create_session(DOCUMENT + " and a question")
         assert session.plans_index(IndexKind.FINE)
         # the build ran before the session came back, not at its first decode
-        assert context.has_fine_indexes
-        assert db.num_pending_index_builds == 0
+        assert set(context.fine_indexes) == {1}  # layer 0 plans the flat index
+        assert not context.coarse_indexes
         reference_generate(lazy_model, truncated, cache=session, max_new_tokens=2)
         session.close()
         assert session.num_decode_steps >= 1
@@ -69,7 +63,7 @@ class TestLazyImport:
             (dict(gpu_memory_budget_bytes=1 << 40), IndexKind.COARSE),
         ],
     )
-    def test_full_or_coarse_plans_leave_the_build_deferred(self, lazy_model, overrides, index_kind):
+    def test_session_builds_only_the_kind_it_plans(self, lazy_model, overrides, index_kind):
         db = DB(_lazy_config(**overrides))
         context = db.prefill_and_import(lazy_model, DOCUMENT, context_id="doc")
         session, truncated = db.create_session(DOCUMENT + " and a question")
@@ -81,7 +75,7 @@ class TestLazyImport:
         reference_generate(lazy_model, truncated, cache=session, max_new_tokens=2)
         session.close()
         assert not context.has_fine_indexes
-        assert db.num_pending_index_builds == 1
+        assert bool(context.coarse_indexes) == (index_kind == IndexKind.COARSE)
 
     def test_no_fine_build_inside_a_round(self, lazy_model, monkeypatch):
         """A lazily ingested, fine-planned context served through the service
@@ -89,11 +83,11 @@ class TestLazyImport:
         service = InferenceService(lazy_model, _lazy_config())
         service.ingest(DOCUMENT, context_id="doc")
         builds, in_round = [], []
-        real_build, real_round = DB._build_fine_indexes, InferenceService.run_round
+        real_build, real_round = DB._build_fine_layers, InferenceService.run_round
 
-        def build(db, context):
+        def build(db, context, layers):
             builds.append(bool(in_round))
-            return real_build(db, context)
+            return real_build(db, context, layers)
 
         def run_round(svc, inflights):
             in_round.append(1)
@@ -102,7 +96,7 @@ class TestLazyImport:
             finally:
                 in_round.pop()
 
-        monkeypatch.setattr(DB, "_build_fine_indexes", build)
+        monkeypatch.setattr(DB, "_build_fine_layers", build)
         monkeypatch.setattr(InferenceService, "run_round", run_round)
         result, record = service.submit(DOCUMENT + " a question?", max_new_tokens=3).result()
         assert record.reused_tokens > 0 and len(result.generated_tokens) == 3
@@ -113,18 +107,18 @@ class TestLazyImport:
         db = DB(_lazy_config())
         db.prefill_and_import(lazy_model, DOCUMENT, context_id="doc")
 
-        def explode(db, context):
+        def explode(db, context, layers):
             raise MemoryError("no room for the graph")
 
-        monkeypatch.setattr(DB, "_build_fine_indexes", explode)
+        monkeypatch.setattr(DB, "_build_fine_layers", explode)
         with pytest.raises(MemoryError):
             db.create_session(DOCUMENT + " and a question")
         assert db.store_registry.pin_count("doc") == 0
-        assert db.num_pending_index_builds == 1
+        assert not db.get_context("doc").has_fine_indexes
 
     def test_only_queried_contexts_pay_for_index_builds(self, lazy_model):
         """Serving sparse requests over one of two lazily ingested documents
-        builds that document's fine indexes and leaves the other's pending."""
+        builds that document's fine indexes and leaves the other index-free."""
         service = InferenceService(lazy_model, _lazy_config(max_inflight_requests=4))
         service.ingest(DOCUMENT, context_id="queried")
         service.ingest("an unrelated document nobody asks about. " * 20, context_id="idle")
@@ -133,13 +127,3 @@ class TestLazyImport:
         service.drain()
         assert service.db.get_context("queried").has_fine_indexes
         assert not service.db.get_context("idle").has_fine_indexes
-        assert service.db.num_pending_index_builds == 1
-
-    def test_removed_context_dropped_from_pending(self, lazy_model):
-        """Removing a context must not leave a stale pending-build entry."""
-        db = DB(_lazy_config())
-        db.prefill_and_import(lazy_model, DOCUMENT, context_id="doomed")
-        assert db.num_pending_index_builds == 1
-        db.store_registry.remove("doomed")
-        assert db.num_pending_index_builds == 0
-        assert db.store_registry.resident_bytes == 0  # nothing left resident

@@ -162,9 +162,7 @@ def test_ingest_memory_is_linear_in_the_document():
     document = [3 + (i * 37) % 250 for i in range(4096)]
     tracemalloc.start()
     try:
-        context = db.prefill_and_import(
-            model, document, build_fine_indexes=False, build_coarse_indexes=False
-        )
+        context = db.prefill_and_import(model, document)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

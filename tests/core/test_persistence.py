@@ -8,6 +8,8 @@ reloaded indexes search bit-identically to the originals."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from repro.core.context_store import ContextStore
 from repro.core.db import DB
 from repro.core.service import InferenceService
 from repro.errors import ContextLoadError, DuplicateContextError
+from repro.kvcache.serialization import snapshot_to_bytes
 from repro.llm.model import ModelConfig, TransformerModel
-from repro.storage.backend import InMemoryBackend
+from repro.storage.backend import FilesystemBackend, InMemoryBackend
 from repro.storage.manifest import MANIFEST_KEY
 from tests.conftest import make_context
 from tests.record_corruption import CORRUPTIONS
@@ -25,6 +28,11 @@ from tests.record_corruption import CORRUPTIONS
 
 DOC = "the durable context database must survive a restart. " * 14
 QUESTION = " what survives a restart?"
+#: config knobs whose plans over DOC read a fine index (DIPR, every layer but
+#: the flat layer 0) or a coarse one; the default config plans DOC FULL and
+#: gives it no index at all
+FINE_PLANS = dict(short_context_threshold=64, gpu_memory_budget_bytes=1)
+COARSE_PLANS = dict(short_context_threshold=64)
 
 
 def _service(tmp_path, seed=113, **config_kwargs):
@@ -112,29 +120,31 @@ class TestDurableContextStore:
 
     def test_corrupted_index_blob_degrades_to_rebuild(self, tmp_path):
         """A torn index blob must not fail the reload — the context comes
-        back index-less and the rebuild path takes over."""
+        back without its fine index, which the next session rebuilds."""
         model = TransformerModel(ModelConfig.tiny(seed=31))
-        db = DB(AlayaDBConfig(context_db_path=str(tmp_path / "db")))
+        config = AlayaDBConfig(context_db_path=str(tmp_path / "db"), **FINE_PLANS)
+        db = DB(config)
         db.prefill_and_import(model, DOC, context_id="doc")
         db.store_registry.backend.write_bytes("doc.indexes.npz", b"garbage")
-        db2 = DB(AlayaDBConfig(context_db_path=str(tmp_path / "db")))
+        db2 = DB(config)
         context = db2.store_registry.ensure_resident("doc")
         assert context.is_resident
         assert db2.store_registry.reload_rebuilt_count == 1
-        assert not context.has_fine_indexes  # queued for lazy rebuild instead
-        assert db2.num_pending_index_builds == 1
+        assert not context.has_fine_indexes  # no graph build inside a reload
+        db2.create_session(DOC + QUESTION)[0].close()
+        assert context.has_fine_indexes  # the session whose plans read it built it
 
 
 class TestDBRestart:
     def test_restart_reuses_prefix_and_deserializes_indexes(self, tmp_path):
         model = TransformerModel(ModelConfig.tiny(seed=29))
-        config = AlayaDBConfig(context_db_path=str(tmp_path / "db"))
+        config = AlayaDBConfig(context_db_path=str(tmp_path / "db"), **FINE_PLANS)
         db = DB(config)
         original = db.prefill_and_import(model, DOC, context_id="doc")
         assert original.has_fine_indexes
         doc_tokens = db.tokenize(DOC)
 
-        db2 = DB(AlayaDBConfig(context_db_path=str(tmp_path / "db")))
+        db2 = DB(config)
         assert db2.num_contexts == 1
         session, truncated = db2.create_session(DOC + QUESTION)
         assert session.is_connected
@@ -145,7 +155,6 @@ class TestDBRestart:
         assert db2.store_registry.reload_rebuilt_count == 0
         reloaded = db2.get_context("doc")
         assert reloaded.has_fine_indexes
-        assert db2.num_pending_index_builds == 0
         session.close()
 
         # retrieval equivalence: the deserialized fine index searches
@@ -171,14 +180,16 @@ class TestDBRestart:
 
     def test_missing_index_blob_falls_back_to_rebuild(self, tmp_path):
         model = TransformerModel(ModelConfig.tiny(seed=41))
-        config = AlayaDBConfig(context_db_path=str(tmp_path / "db"))
+        config = AlayaDBConfig(context_db_path=str(tmp_path / "db"), **FINE_PLANS)
         db = DB(config)
         db.prefill_and_import(model, DOC, context_id="doc")
         assert db.store_registry.backend.delete("doc.indexes.npz")
         db2 = DB(config)
-        db2.store_registry.ensure_resident("doc")
+        context = db2.store_registry.ensure_resident("doc")
         assert db2.store_registry.reload_rebuilt_count == 1
-        assert db2.num_pending_index_builds == 1  # fine rebuild queued lazily
+        assert not context.has_fine_indexes  # left to the next session that plans it
+        db2.create_session(DOC + QUESTION)[0].close()
+        assert context.has_fine_indexes
 
     def test_torn_index_blob_rebuilds_the_same_index(self, tmp_path):
         """The snapshot's query samples are all a rebuild needs: a context
@@ -229,13 +240,14 @@ class TestDBRestart:
     def test_damaged_index_blob_degrades_to_rebuild(self, corrupt):
         model = TransformerModel(ModelConfig.tiny(seed=71))
         backend = InMemoryBackend()
-        DB(AlayaDBConfig(), backend=backend).prefill_and_import(model, DOC, context_id="doc")
+        config = AlayaDBConfig(**COARSE_PLANS)
+        DB(config, backend=backend).prefill_and_import(model, DOC, context_id="doc")
         backend.write_bytes("doc.indexes.npz", corrupt(backend.read_bytes("doc.indexes.npz")))
-        db = DB(AlayaDBConfig(), backend=backend)
+        db = DB(config, backend=backend)
         context = db.store_registry.ensure_resident("doc")
         assert db.store_registry.reload_rebuilt_count == 1
         assert context.coarse_indexes  # rebuilt by the reload hook
-        assert db.num_pending_index_builds == 1  # fine left to the next plan that reads it
+        assert not context.has_fine_indexes  # no plan reads one
 
     def test_memory_backend_database(self, tmp_path):
         """An injected backend wins over ``context_db_path``: the database
@@ -252,11 +264,11 @@ class TestDBRestart:
 class TestExportImportBundle:
     def test_bundle_moves_context_between_dbs(self, tmp_path):
         model = TransformerModel(ModelConfig.tiny(seed=47))
-        source = DB(AlayaDBConfig())
+        source = DB(AlayaDBConfig(**FINE_PLANS))
         context = source.prefill_and_import(model, DOC, context_id="doc")
         source.export_context("doc", tmp_path / "bundle")
 
-        target = DB(AlayaDBConfig())  # no shared storage at all
+        target = DB(AlayaDBConfig(**FINE_PLANS))  # no shared storage at all
         imported = target.import_context_bundle(tmp_path / "bundle")
         assert imported.context_id == "doc"
         assert imported.tokens == context.tokens
@@ -300,27 +312,26 @@ class TestExportImportBundle:
 
     def test_export_finishes_a_deferred_fine_build(self, tmp_path):
         model = TransformerModel(ModelConfig.tiny(seed=59))
-        source = DB(AlayaDBConfig(lazy_index_build=True))
-        source.prefill_and_import(model, DOC, context_id="doc")
-        assert source.num_pending_index_builds == 1
+        source = DB(AlayaDBConfig(lazy_index_build=True, **FINE_PLANS))
+        context = source.prefill_and_import(model, DOC, context_id="doc")
+        assert not context.has_fine_indexes
         source.export_context("doc", tmp_path / "bundle")
-        assert source.num_pending_index_builds == 0
+        assert context.has_fine_indexes
         bundle = ContextStore.open(tmp_path / "bundle")
         assert bundle.ensure_resident("doc").has_fine_indexes
         assert bundle.reload_rebuilt_count == 0
 
     def test_torn_index_blob_in_bundle_falls_back_to_rebuild(self, tmp_path):
         model = TransformerModel(ModelConfig.tiny(seed=61))
-        source = DB(AlayaDBConfig())
+        source = DB(AlayaDBConfig(**COARSE_PLANS))
         context = source.prefill_and_import(model, DOC, context_id="doc")
         source.export_context("doc", tmp_path / "bundle")
         (tmp_path / "bundle" / "doc.indexes.npz").write_bytes(b"garbage")
-        target = DB(AlayaDBConfig())
+        target = DB(AlayaDBConfig(**COARSE_PLANS))
         imported = target.import_context_bundle(tmp_path / "bundle")
         np.testing.assert_array_equal(imported.keys(0), context.keys(0))
         assert imported.coarse_indexes  # rebuilt by the reload hook
-        assert not imported.has_fine_indexes  # left to the next session's plan
-        assert target.num_pending_index_builds == 1
+        assert not imported.has_fine_indexes  # no plan reads one
 
     def test_corrupted_bundle_raises_clean_error(self, tmp_path):
         (tmp_path / "bundle").mkdir()
@@ -408,3 +419,53 @@ class TestServiceRestart:
         assert report["spilled_kv_bytes"] == 0
         assert (report["context_hits"], report["context_reloads"]) == (1, 1)
         assert report["context_hit_ratio"] == 0.5
+
+
+class TestDatabaseWithIndexPolicyRows:
+    """Manifests written before index construction followed the plans
+    carried a per-context index policy (``wants_fine_indexes`` /
+    ``wants_coarse_indexes``) on every row.  Such a database still opens:
+    the keys are ignored, and each context gets the indexes its plans read."""
+
+    @staticmethod
+    def _write_database(directory, context, wants: bool) -> None:
+        backend = FilesystemBackend(directory)
+        backend.write_bytes(f"{context.context_id}.npz", snapshot_to_bytes(context.snapshot))
+        row = {
+            "context_id": context.context_id,
+            "tokens": list(context.tokens),
+            "num_layers": context.num_layers,
+            "kv_bytes": context.kv_bytes,
+            "snapshot_key": f"{context.context_id}.npz",
+            "index_key": None,
+            "index_bytes": 0,
+            "wants_fine_indexes": wants,
+            "wants_coarse_indexes": wants,
+            "prefix_matchable": True,
+            "metadata": {},
+        }
+        payload = {"format_version": 1, "generation": 3, "contexts": [row]}
+        backend.write_bytes(MANIFEST_KEY, json.dumps(payload, indent=1).encode("utf-8"))
+
+    @pytest.mark.parametrize("wants", [True, False])
+    def test_policy_rows_open_and_serve_token_identical(self, tmp_path, wants):
+        fresh = _service(tmp_path / "fresh")
+        fresh.ingest(DOC, context_id="doc")
+        expected, expected_record = fresh.serve(DOC + QUESTION, max_new_tokens=6)
+
+        self._write_database(tmp_path / "old" / "ctxdb", fresh.db.get_context("doc"), wants)
+        store = ContextStore.open(tmp_path / "old" / "ctxdb")
+        assert store.list_ids() == ["doc"]
+        assert store.manifest_generation == 3
+        assert store.find_longest_prefix(fresh.db.tokenize(DOC)).context.context_id == "doc"
+
+        restarted = _service(tmp_path / "old")
+        result, record = restarted.serve(DOC + QUESTION, max_new_tokens=6)
+        assert record.reused_tokens == expected_record.reused_tokens > 0
+        assert result.generated_tokens == expected.generated_tokens
+        # the row named no index blob: the reload lost nothing, and the
+        # plans' fine indexes were built and persisted
+        report = restarted.memory_report()
+        assert (report["context_reloads_deserialized"], report["context_reloads_rebuilt"]) == (1, 0)
+        assert restarted.db.get_context("doc").has_fine_indexes
+        assert FilesystemBackend(tmp_path / "old" / "ctxdb").exists("doc.indexes.npz")

@@ -85,6 +85,9 @@ class TestAccessCounting:
         assert (store.hit_count, store.reload_count) == (0, 0)
 
     def test_reload_counts_deserialized_indexes(self, tmp_path):
+        """A reload is "rebuilt" only when the catalog names an index blob
+        that does not load: a context persisted with no index brings back
+        everything it had, so it counts as deserialized."""
         store = _store(tmp_path)
         store.add(_indexed("indexed"))
         store.add(_context("plain", seed=1))
@@ -92,8 +95,16 @@ class TestAccessCounting:
             store.spill(context_id)
             store.ensure_resident(context_id)
         assert store.reload_count == 2
-        assert store.reload_deserialized_count == 1
-        assert store.reload_rebuilt_count == 1
+        assert store.reload_deserialized_count == 2
+        assert store.reload_rebuilt_count == 0
+
+    def test_reload_counts_a_deleted_blob_as_rebuilt(self, tmp_path):
+        store = _store(tmp_path)
+        store.add(_indexed("indexed"))
+        store.spill("indexed")
+        assert store.backend.delete("indexed.indexes.npz")
+        assert not store.ensure_resident("indexed").has_fine_indexes
+        assert (store.reload_deserialized_count, store.reload_rebuilt_count) == (0, 1)
 
 
 class TestVictimChoice:

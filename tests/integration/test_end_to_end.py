@@ -132,7 +132,7 @@ class TestSessionAttentionCorrectness:
         db = DB(config)
         model = TransformerModel(ModelConfig.tiny())
         document = "abcdefgh " * 30
-        context = db.prefill_and_import(model, document, build_fine_indexes=False, build_coarse_indexes=False)
+        context = db.prefill_and_import(model, document)
         session, truncated = db.create_session(document + "tail")
         rng = np.random.default_rng(0)
         head_dim = model.config.head_dim

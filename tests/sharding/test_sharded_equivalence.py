@@ -18,6 +18,8 @@ converges to the same retained set on these contexts at 2/4 shards.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -176,4 +178,50 @@ def test_full_reuse_prompt_matches_service(num_shards):
     router = ShardedContextRouter(sharded_model, num_workers=2, config=make_config("coarse"))
     router.ingest(DOC, context_id="ctx", num_shards=num_shards)
     result, _ = router.service.submit(DOC, max_new_tokens=6).result()
+    assert result.generated_tokens == expected.generated_tokens
+
+
+@pytest.mark.parametrize("crossing", ["threshold", "budget"])
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_prompt_crossing_the_registration_plan_matches_service(num_shards, crossing):
+    """The shards were planned for a one-token question; a longer prompt
+    crosses ``short_context_threshold`` (FULL → coarse) or
+    ``gpu_memory_budget_bytes`` (coarse → DIPR), so its plans read an index
+    no shard was built with.  Each shard owner builds it when the session
+    is created, as the single owner does, and the tokens match."""
+    doc_length = len(DB(make_config("coarse")).tokenize(DOC))
+    bytes_per_token = 2 * 2 * 8 * 4 * 2  # K + V, 2 KV heads, head_dim 8, 2 layers
+    if crossing == "threshold":
+        overrides = dict(short_context_threshold=doc_length + 2)
+        planned, needed = "full", "coarse"
+    else:
+        overrides = dict(gpu_memory_budget_bytes=(doc_length + 2) * bytes_per_token)
+        planned, needed = "coarse", "fine"
+
+    def config():
+        return dataclasses.replace(make_config("coarse"), **overrides)
+
+    model = make_model((4, 2))
+    service = InferenceService(model, config())
+    context = service.db.prefill_and_import(model, DOC, context_id="ctx")
+    assert bool(context.coarse_indexes) == (planned == "coarse")
+    assert not context.has_fine_indexes
+    expected, _ = service.serve(PROMPT, max_new_tokens=8)
+    assert bool(context.coarse_indexes) == (planned == "coarse" or needed == "coarse")
+    assert context.has_fine_indexes == (needed == "fine")
+
+    router = ShardedContextRouter(make_model((4, 2)), num_workers=2, config=config())
+    ref = router.ingest(DOC, context_id="ctx", num_shards=num_shards)
+    session, _ = router.db.create_session(PROMPT)
+    assert isinstance(session, ShardedSession)
+    for layer, plan in session.plans.items():
+        assert session.decode_plan(layer) == plan  # no range falls back to FULL
+    assert {plan.index_kind for plan in session.plans.values()} >= {needed}
+    session.close()
+    for shard_id in range(ref.num_shards):
+        shard = router.shard_owner("ctx", shard_id).ensure_loaded(ref.shard_id_of(shard_id))
+        assert bool(shard.coarse_indexes) == bool(context.coarse_indexes)
+        assert shard.has_fine_indexes == context.has_fine_indexes
+    result, record = router.service.submit(PROMPT, max_new_tokens=8).result()
+    assert record.reused_tokens == ref.num_tokens
     assert result.generated_tokens == expected.generated_tokens

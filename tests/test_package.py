@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import re
 
 import pytest
 
@@ -18,6 +20,23 @@ def test_config_field_count():
         "deleting a knob as highly as a speedup, so justify the new one there (or delete "
         "another) before raising this bound"
     )
+
+
+def test_no_index_policy_on_the_ingest_surface():
+    """A ratchet on where index construction is decided: the query
+    optimizer's plans choose each context's indexes, so no ingest path takes
+    an index switch and no stored context or catalog row records a policy."""
+    from repro.core.context_store import StoredContext
+    from repro.core.db import DB
+    from repro.storage.manifest import ManifestEntry
+
+    names = [
+        f"DB.{method}({parameter})"
+        for method in ("import_context", "store", "prefill_and_import")
+        for parameter in inspect.signature(getattr(DB, method)).parameters
+    ]
+    names += [f"{cls.__name__}.{f.name}" for cls in (StoredContext, ManifestEntry) for f in dataclasses.fields(cls)]
+    assert [name for name in names if re.search(r"[.(](build|lazy|wants)_", name)] == []
 
 
 class TestPublicSurface:
