@@ -14,11 +14,13 @@ construction time at the paper's context lengths.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from benchmarks.common import emit, run_once
+from benchmarks.common import build_per_query_head, emit, run_once
 from repro.analysis.reporting import format_table
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
+from repro.index.builder import ContextIndexBuilder
 from repro.simulator.cost_model import CostModel
 
 EXPERIMENT = "Figure 11: index construction time and memory"
@@ -32,17 +34,14 @@ HEAD_DIM = 32
 
 def _build_variants():
     rng = np.random.default_rng(0)
-    variants = {
-        "per query head": IndexBuildConfig(gqa_share=False),
-        "shared": IndexBuildConfig(gqa_share=True),
-    }
+    builder = ContextIndexBuilder()
+    variants = {"per query head": partial(build_per_query_head, builder), "shared": builder.build_layer}
     measured = {name: [] for name in variants}
     for length in MEASURED_LENGTHS:
         keys = rng.normal(size=(NUM_KV_HEADS, length, HEAD_DIM)).astype(np.float32)
         queries = rng.normal(size=(NUM_QUERY_HEADS, max(64, length // 4), HEAD_DIM)).astype(np.float32)
-        for name, config in variants.items():
-            builder = ContextIndexBuilder(config)
-            _, report = builder.build_layer(0, keys, queries)
+        for name, build in variants.items():
+            _, report = build(0, keys, queries)
             measured[name].append(report)
 
     # paper-scale modelled construction times (one layer of Llama-3-8B: 32

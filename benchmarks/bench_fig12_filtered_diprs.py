@@ -52,7 +52,7 @@ def _run_micro_benchmark():
         workload = generate_workload(spec)
         context = workload.context
         fine, _ = builder.build_context(context.snapshot.keys, context.query_samples)
-        index = fine[0].index_for_kv_head(0)
+        index = fine[0][0]
         keys = context.keys(0)[0]
         predicate = FilterPredicate(max_position=PREFIX_LENGTH)
 

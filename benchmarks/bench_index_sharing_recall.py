@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import emit, run_once
+from benchmarks.common import build_per_query_head, emit, run_once
 from repro.analysis.reporting import format_table
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
+from repro.index.builder import ContextIndexBuilder
 from repro.workloads.generator import ScoringMode, WorkloadSpec, generate_workload
 
 EXPERIMENT = "GQA index sharing: recall cost"
@@ -40,12 +40,9 @@ def _measure_sharing_recall():
     keys = workload.context.snapshot.keys
     queries = workload.context.query_samples
 
-    shared_indexes, shared_report = ContextIndexBuilder(IndexBuildConfig(gqa_share=True)).build_layer(
-        0, keys[0], queries[0]
-    )
-    per_head_indexes, per_head_report = ContextIndexBuilder(IndexBuildConfig(gqa_share=False)).build_layer(
-        0, keys[0], queries[0]
-    )
+    builder = ContextIndexBuilder()
+    shared_indexes, shared_report = builder.build_layer(0, keys[0], queries[0])
+    per_head_indexes, per_head_report = build_per_query_head(builder, 0, keys[0], queries[0])
 
     group = spec.gqa_group_size
     recalls = {"shared": [], "per-head": []}
@@ -55,8 +52,8 @@ def _measure_sharing_recall():
         for step in range(NUM_EVAL_QUERIES):
             query = workload.query_for(step, 0, query_head)
             truth = set(np.argsort(-(head_keys @ query))[:TOP_K].tolist())
-            for label, layer_indexes in (("shared", shared_indexes), ("per-head", per_head_indexes)):
-                index = layer_indexes.index_for_query_head(query_head)
+            indexes = (("shared", shared_indexes[kv_head]), ("per-head", per_head_indexes[query_head]))
+            for label, index in indexes:
                 found = set(index.search_topk(query, TOP_K).indices.tolist())
                 recalls[label].append(len(truth & found) / TOP_K)
     return (

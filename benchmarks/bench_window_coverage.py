@@ -55,7 +55,7 @@ def _run():
         context.snapshot.keys, context.query_samples
     )
     beta = beta_from_alpha(0.012, spec.head_dim)
-    index = context.fine_indexes[0].index_for_kv_head(0)
+    index = context.fine_indexes[0][0]
     keys = context.keys(0)[0]
     window = np.concatenate([np.arange(0, 128), np.arange(spec.context_length - 512, spec.context_length)])
 

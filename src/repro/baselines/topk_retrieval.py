@@ -49,7 +49,7 @@ class TopKRetrievalStrategy(SelectionStrategy):
             stored = context.fine_indexes.get(layer) if self.reuse_context_indexes else None
             for kv_head in range(num_kv_heads):
                 if stored is not None:
-                    self._indexes[(layer, kv_head)] = stored.index_for_kv_head(kv_head)
+                    self._indexes[(layer, kv_head)] = stored[kv_head]
                     continue
                 sample = context.query_samples.get(layer)
                 query_sample = None

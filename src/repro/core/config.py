@@ -11,15 +11,18 @@ from ..scheduler.tenancy import TenantSpec
 
 __all__ = ["AlayaDBConfig"]
 
+BETA_REFERENCE_HEAD_DIM = 128
+"""Head dimension ``dipr_beta`` is calibrated for (Llama-3, the paper's model)."""
+
 
 @dataclass(frozen=True)
 class AlayaDBConfig:
     """Tunables of the database (user interface → storage engine).
 
     The defaults mirror the paper's evaluation setup: a [128 initial + 512
-    last] token window kept on the GPU, DIPR with ``beta = 50`` (scaled to the
-    substrate's head dimension at session creation when
-    ``scale_beta_to_head_dim`` is set), and the rule-based optimizer's
+    last] token window kept on the GPU, DIPR with ``beta = 50`` (calibrated
+    for 128-dim heads and scaled to the substrate's head dimension at session
+    creation, see :meth:`scaled_beta`), and the rule-based optimizer's
     thresholds.
     """
 
@@ -30,9 +33,6 @@ class AlayaDBConfig:
     # DIPR defaults (Section 6.1)
     dipr_beta: float = 50.0
     dipr_capacity_threshold: int = 128
-    scale_beta_to_head_dim: bool = True
-    reference_head_dim: int = 128
-    """Head dimension the default ``dipr_beta`` was calibrated for (Llama-3)."""
 
     # top-k defaults (used when the optimizer picks the coarse index)
     topk_k: int = 100
@@ -162,8 +162,6 @@ class AlayaDBConfig:
             raise ConfigError(
                 f"dipr_capacity_threshold must be positive, got {self.dipr_capacity_threshold}"
             )
-        if self.reference_head_dim <= 0:
-            raise ConfigError(f"reference_head_dim must be positive, got {self.reference_head_dim}")
         if self.max_retrieved_tokens is not None and self.max_retrieved_tokens <= 0:
             raise ConfigError(
                 f"max_retrieved_tokens must be positive when set, got {self.max_retrieved_tokens}"
@@ -241,9 +239,8 @@ class AlayaDBConfig:
     def scaled_beta(self, head_dim: int) -> float:
         """The DIPR ``beta`` adjusted for the substrate's head dimension.
 
-        ``beta`` is proportional to ``sqrt(d)`` (Theorem 1), so a value tuned
-        on Llama's 128-dim heads is rescaled to this model's head width.
+        ``beta`` is proportional to ``sqrt(d)`` (Theorem 1), so ``dipr_beta``,
+        read as a value tuned on Llama's 128-dim heads, is rescaled to this
+        model's head width.
         """
-        if not self.scale_beta_to_head_dim:
-            return self.dipr_beta
-        return self.dipr_beta * (head_dim / self.reference_head_dim) ** 0.5
+        return self.dipr_beta * (head_dim / BETA_REFERENCE_HEAD_DIM) ** 0.5

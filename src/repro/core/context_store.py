@@ -39,8 +39,8 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ContextEvictedError, ContextLoadError, ContextNotFoundError, DuplicateContextError
-from ..index.builder import LayerIndexes
 from ..index.coarse import CoarseBlockIndex
+from ..index.roargraph import RoarGraphIndex
 from ..index.serialization import deserialize_context_indexes, serialize_context_indexes
 from ..kvcache.serialization import KVSnapshot, snapshot_from_bytes, snapshot_to_bytes
 from ..storage.backend import FilesystemBackend, StorageBackend
@@ -55,12 +55,14 @@ class StoredContext:
 
     ``snapshot`` is ``None`` while the context is spilled to disk; the token
     sequence (and the byte sizes needed for accounting) stay in memory so the
-    context keeps participating in prefix matching.
+    context keeps participating in prefix matching.  Both index maps hold,
+    per layer, one index per KV head, built over (and viewing) that head's
+    keys.
     """
 
     context_id: str
     snapshot: KVSnapshot | None
-    fine_indexes: dict[int, LayerIndexes] = field(default_factory=dict)
+    fine_indexes: dict[int, list[RoarGraphIndex]] = field(default_factory=dict)
     coarse_indexes: dict[int, list[CoarseBlockIndex]] = field(default_factory=dict)
     prefix_matchable: bool = True
     """Whether the context's tokens enter the prefix-matching trie.  A shard
@@ -141,7 +143,11 @@ class StoredContext:
 
     @property
     def index_bytes(self) -> int:
-        return sum(indexes.memory_bytes for indexes in self.fine_indexes.values())
+        """Fine-graph bytes: a fine index's vectors are the snapshot's keys,
+        already counted in :attr:`kv_bytes`."""
+        return sum(
+            index.graph.memory_bytes for per_head in self.fine_indexes.values() for index in per_head
+        )
 
     # ------------------------------------------------------------------
     # residency transitions (driven by the ContextStore)
@@ -153,10 +159,11 @@ class StoredContext:
         self._spilled_num_layers = snapshot.num_layers
         self.snapshot = None
         # indexes reference the key arrays; dropping them is what frees the
-        # memory.  The query samples leave with the snapshot, whose record
-        # on disk is their one copy: :meth:`restore` brings them back, and
-        # the indexes come back as views over their persisted blob — or,
-        # when that blob is missing or torn, a rebuild from those samples.
+        # memory.  The keys and query samples leave with the snapshot, whose
+        # record on disk is their one copy: :meth:`restore` brings them back,
+        # and the indexes come back as their persisted blob re-attached to
+        # those keys — or, when that blob is missing, torn or disagrees with
+        # the keys, a rebuild from the snapshot.
         self.fine_indexes = {}
         self.coarse_indexes = {}
 
@@ -297,10 +304,9 @@ class ContextStore:
         the shared manifest is re-read and any context id this handle has
         never seen is adopted cold (loaded on first use).  Known ids are left
         untouched — local residency, pins and in-flight state stay valid —
-        and local entries missing from the loaded manifest are kept (the
-        entry content of concurrent writers is last-writer-wins; dropping
-        them here would orphan live local contexts).  Returns the newly
-        adopted context ids.
+        and local entries missing from the loaded manifest are kept
+        (dropping them here would orphan live local contexts).  Returns the
+        newly adopted context ids.
         """
         if self.backend is None:
             raise ValueError("refresh_from_manifest requires a ContextStore with a backend")
@@ -310,7 +316,9 @@ class ContextStore:
         for context_id, entry in loaded.entries.items():
             if context_id in self._contexts:
                 continue
-            self._manifest.upsert(entry)
+            # into this handle's view, not its changed rows: a save must not
+            # write this (possibly stale) copy back over the owner's
+            self._manifest.entries[context_id] = entry
             self._adopt_manifest_entry(entry)
             adopted.append(context_id)
         return adopted
@@ -416,7 +424,7 @@ class ContextStore:
 
     @property
     def resident_bytes(self) -> int:
-        """KV plus fine-index bytes currently held in memory."""
+        """KV plus fine-graph bytes currently held in memory."""
         return sum(
             self._contexts[cid].kv_bytes + self._contexts[cid].index_bytes for cid in self._lru
         )
@@ -665,14 +673,16 @@ class ContextStore:
     def _attach_persisted_indexes(self, context: StoredContext) -> bool:
         """Re-attach a reloaded context's cataloged index blob.
 
-        Returns False when the blob is missing or corrupted: that degrades
-        to the rebuild path instead of failing the reload.
+        Every index's vectors are re-attached as views of the reloaded
+        snapshot's keys.  Returns False when the blob is missing, corrupted,
+        of another format version or disagrees with those keys: that
+        degrades to the rebuild path instead of failing the reload.
         """
         context_id = context.context_id
         key = self._index_key(context_id)
         try:
             context.fine_indexes, context.coarse_indexes = deserialize_context_indexes(
-                self.backend.read_bytes(key), source=key
+                self.backend.read_bytes(key), context.snapshot.keys, source=key
             )
         except ContextLoadError:
             self._indexed_on_disk.discard(context_id)

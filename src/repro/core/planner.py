@@ -99,16 +99,13 @@ class LayerIndexData:
     retrieval callers may leave them out)."""
 
     fine_indexes: list[RoarGraphIndex] | None = None
-    """One RoarGraph per KV head (GQA-shared) or per query head."""
+    """One RoarGraph per KV head (GQA-shared)."""
 
     coarse_indexes: list[CoarseBlockIndex] | None = None
     """One coarse block index per KV head."""
 
     flat_indexes: list[FlatIndex] = field(default_factory=list)
     """Lazily-created flat indexes per KV head."""
-
-    shared: bool = True
-    gqa_group_size: int = 1
 
     position_offset: int = 0
     """Global position of this range's first token.  Every retrieval outcome
@@ -135,15 +132,10 @@ class LayerIndexData:
             return self.coarse_indexes is not None
         return True
 
-    def fine_index_for_query_head(self, query_head: int) -> RoarGraphIndex:
+    def fine_index_for_kv_head(self, kv_head: int) -> RoarGraphIndex:
         if not self.fine_indexes:
             raise PlanningError("fine-grained indexes are not available for this layer")
-        if self.shared:
-            return self.fine_indexes[query_head // self.gqa_group_size]
-        return self.fine_indexes[query_head]
-
-    def kv_head_for_query_head(self, query_head: int) -> int:
-        return query_head // self.gqa_group_size
+        return self.fine_indexes[kv_head]
 
     def flat_index_for_kv_head(self, kv_head: int) -> FlatIndex:
         while len(self.flat_indexes) <= kv_head:
@@ -184,18 +176,18 @@ class PlanExecutor:
         computes one ``(g, d) @ (d, n)`` score matrix per group instead of
         ``g`` separate scans, and the coarse path shares the
         query-to-representative matmul the same way.  Fine DIPR retrieval
-        groups the query heads by the RoarGraph they read — per KV head over
-        GQA-shared indexes, one head per group over per-query-head indexes or
-        1:1 groups — and walks each graph once with the group-frontier search:
-        one shared visited set and frontier, fused hop scoring, per-head
-        thresholds, shared distance computations counted once per group.  Fine
-        top-k is a different query (a fixed-size beam search) and runs once
-        per head.
+        walks each KV head's RoarGraph once for the query heads of its group
+        with the group-frontier search: one shared visited set and frontier,
+        fused hop scoring, per-head thresholds, shared distance computations
+        counted once per group.  Fine top-k is a different query (a
+        fixed-size beam search) and runs once per head.
 
-        ``kv_head_of_query`` is the multi-session entry point: when a decode
-        round stacks several sessions' query heads over one shared context,
-        it maps each stacked row to its KV head (the default ``row //
-        gqa_group_size`` only holds for a single session's heads).  All rows
+        Query head ``h`` reads KV head ``h // (num_query_heads //
+        num_kv_heads)``, the group size taken from ``queries`` and
+        ``data.keys``.  ``kv_head_of_query`` is the multi-session entry
+        point: when a decode round stacks several sessions' query heads over
+        one shared context, it maps each stacked row to its KV head (the
+        default only holds for a single session's heads).  All rows
         probing one KV head — across every stacked session — then share a
         single scan, which is the cross-request retrieval gemm.  Only the
         scan-based kinds accept the mapping; fine walks are data-dependent
@@ -330,23 +322,19 @@ class PlanExecutor:
     ) -> list[RetrievalOutcome]:
         num_heads = queries.shape[0]
         if isinstance(plan.query, TopKQuery):
+            group_size = _group_size(num_heads, data)
             return [
-                self._retrieve_fine(plan, data, head, queries[head], num_tokens)
+                self._retrieve_fine(plan, data, head // group_size, queries[head], num_tokens)
                 for head in range(num_heads)
             ]
         if not isinstance(plan.query, DIPRQuery):
             raise UnsupportedQueryError(f"fine index cannot process {plan.query!r}")
-        # one walk per index read: a GQA-shared index serves its KV head's
-        # query heads together, a per-query-head index serves one head
-        if data.shared:
-            groups = list(self._heads_by_kv_head(data, num_heads).values())
-        else:
-            groups = [[head] for head in range(num_heads)]
+        # one walk per KV head's index, serving its query heads together
         filtered = () if plan.predicate is None else (plan.predicate,)
         search = filtered_diprs_search_group if filtered else diprs_search_group
         outcomes: list[RetrievalOutcome | None] = [None] * num_heads
-        for heads in groups:
-            index = data.fine_index_for_query_head(heads[0])
+        for kv_head, heads in self._heads_by_kv_head(data, num_heads).items():
+            index = data.fine_index_for_kv_head(kv_head)
             seeds = None
             if plan.use_window_seed and window_max_scores is not None:
                 seeds = window_max_scores[heads]
@@ -381,12 +369,10 @@ class PlanExecutor:
         num_heads: int,
         kv_head_of_query: np.ndarray | None = None,
     ) -> dict[int, list[int]]:
+        if kv_head_of_query is None:
+            kv_head_of_query = np.arange(num_heads) // _group_size(num_heads, data)
         groups: dict[int, list[int]] = {}
-        for head in range(num_heads):
-            if kv_head_of_query is not None:
-                kv_head = int(kv_head_of_query[head])
-            else:
-                kv_head = data.kv_head_for_query_head(head)
+        for head, kv_head in enumerate(kv_head_of_query.tolist()):
             groups.setdefault(kv_head, []).append(head)
         return groups
 
@@ -472,12 +458,13 @@ class PlanExecutor:
         self,
         plan: ExecutionPlan,
         data: LayerIndexData,
-        query_head: int,
+        kv_head: int,
         query: np.ndarray,
         num_tokens: int,
     ) -> RetrievalOutcome:
-        """Top-k over one query head's RoarGraph (a fixed-size beam search)."""
-        index = data.fine_index_for_query_head(query_head)
+        """Top-k of one query head over its KV head's RoarGraph (a fixed-size
+        beam search)."""
+        index = data.fine_index_for_kv_head(kv_head)
         allowed = predicate_mask(num_tokens, plan.predicate)
         result = graph_topk_search(
             index.vectors,
@@ -491,6 +478,11 @@ class PlanExecutor:
         return RetrievalOutcome(
             data.to_global(result.indices), result.scores, result.num_distance_computations, len(result)
         )
+
+
+def _group_size(num_heads: int, data: LayerIndexData) -> int:
+    """Query heads per KV head: ``num_heads`` query rows over ``data``'s keys."""
+    return max(1, num_heads // data.keys.shape[0])
 
 
 def _plan_for_range(plan: ExecutionPlan, data: LayerIndexData) -> ExecutionPlan | None:

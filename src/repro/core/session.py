@@ -414,24 +414,14 @@ class Session:
 
     def _layer_index_data(self, layer: int) -> LayerIndexData:
         context = self.context
-        fine = context.fine_indexes.get(layer)
         data = self._layer_data.get(layer)
         if data is None:
             data = self._layer_data[layer] = LayerIndexData(
                 keys=context.keys(layer), values=context.values(layer)
             )
-        # the query-head → index mapping must use the model's GQA group size
-        # (known from the first forward on; planning reads only the keys);
-        # the builder's own group size can differ (e.g. indexes rebuilt after
-        # a reload fall back to key-vector query samples)
-        dims = self._dims
-        data.gqa_group_size = (
-            dims.gqa_group_size if dims is not None else (fine.gqa_group_size if fine is not None else 1)
-        )
         # another session's creation may build the indexes after this
         # layer's first use
-        data.fine_indexes = fine.indexes if fine is not None else None
-        data.shared = fine.shared if fine is not None else True
+        data.fine_indexes = context.fine_indexes.get(layer)
         data.coarse_indexes = context.coarse_indexes.get(layer)
         return data
 
@@ -558,9 +548,8 @@ def group_attention(
                     executor.retrieve_ranges(plan, ranges, session_queries, window_max_scores=seeds)
                 )
         else:
-            kv_head_of_query = np.tile(
-                np.arange(num_heads, dtype=np.int64) // ranges[0].gqa_group_size, num_sessions
-            )
+            group_size = num_heads // ranges[0].keys.shape[0]
+            kv_head_of_query = np.tile(np.arange(num_heads, dtype=np.int64) // group_size, num_sessions)
             outcomes = executor.retrieve_ranges(
                 plan,
                 ranges,

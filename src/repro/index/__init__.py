@@ -1,7 +1,7 @@
 """Vector index substrate: flat, fine-grained (graph) and coarse (block) indexes."""
 
 from .base import SearchResult, VectorIndex, validate_query
-from .builder import BuildReport, ContextIndexBuilder, IndexBuildConfig, LayerIndexes
+from .builder import BuildReport, ContextIndexBuilder, IndexBuildConfig
 from .coarse import BlockSummary, CoarseBlockIndex
 from .flat import FlatIndex
 from .graph import BeamSearchStats, NeighborGraph, beam_search
@@ -10,10 +10,6 @@ from .roargraph import RoarGraphConfig, RoarGraphIndex
 from .serialization import (
     INDEX_FORMAT_VERSION,
     deserialize_context_indexes,
-    load_coarse,
-    load_roargraph,
-    save_coarse,
-    save_roargraph,
     serialize_context_indexes,
 )
 
@@ -26,7 +22,6 @@ __all__ = [
     "FlatIndex",
     "INDEX_FORMAT_VERSION",
     "IndexBuildConfig",
-    "LayerIndexes",
     "NeighborGraph",
     "RoarGraphConfig",
     "RoarGraphIndex",
@@ -36,10 +31,6 @@ __all__ = [
     "cross_knn",
     "deserialize_context_indexes",
     "exact_knn",
-    "load_coarse",
-    "load_roargraph",
-    "save_coarse",
-    "save_roargraph",
     "serialize_context_indexes",
     "validate_query",
 ]

@@ -1,12 +1,13 @@
 """Context index construction (Section 7.2 of the paper).
 
-``ContextIndexBuilder`` turns the KV cache of a long context into the set of
+``ContextIndexBuilder`` turns the KV cache of a long context into the
 fine-grained RoarGraph indexes AlayaDB searches at decode time, with the
 paper's **GQA-based index sharing**: with grouped-query attention, the query
 heads in one group all attend to the same KV head, so one RoarGraph per *KV
-head* (built from query vectors sampled across the whole group) replaces one
-RoarGraph per *query head*, reducing both build time and index memory by
-``num_query_heads / num_kv_heads`` (4x for Llama-3-8B).
+head*, built from query vectors sampled across the whole group, serves every
+query head of that group.  That is the only layout: a layer's fine indexes
+are a list indexed by KV head, and a query head reads the index of its KV
+head.
 
 The paper's other construction optimization, the GPU (cuVS) kNN stage, is
 not executed here: the kNN stage runs on the CPU
@@ -24,15 +25,12 @@ import numpy as np
 
 from .roargraph import RoarGraphConfig, RoarGraphIndex
 
-__all__ = ["IndexBuildConfig", "BuildReport", "LayerIndexes", "ContextIndexBuilder"]
+__all__ = ["IndexBuildConfig", "BuildReport", "ContextIndexBuilder"]
 
 
 @dataclass(frozen=True)
 class IndexBuildConfig:
     """Options controlling index construction."""
-
-    gqa_share: bool = True
-    """Share one index per KV-head group instead of one per query head."""
 
     query_sample_ratio: float = 0.4
     """Fraction of query vectors (relative to the number of keys) sampled for
@@ -53,49 +51,17 @@ class BuildReport:
     num_indexes: int
     num_keys: int
     num_query_samples: int
-    gqa_share: bool
     wall_clock_seconds: float
     index_memory_bytes: int
 
 
-@dataclass
-class LayerIndexes:
-    """The per-head indexes of a single transformer layer.
-
-    With GQA sharing there is one index per KV head; without sharing there is
-    one per query head.  ``index_for_query_head`` hides the difference.
-    """
-
-    layer: int
-    indexes: list[RoarGraphIndex]
-    shared: bool
-    gqa_group_size: int
-
-    def index_for_query_head(self, query_head: int) -> RoarGraphIndex:
-        if self.shared:
-            return self.indexes[query_head // self.gqa_group_size]
-        return self.indexes[query_head]
-
-    def index_for_kv_head(self, kv_head: int) -> RoarGraphIndex:
-        if self.shared:
-            return self.indexes[kv_head]
-        return self.indexes[kv_head * self.gqa_group_size]
-
-    @property
-    def memory_bytes(self) -> int:
-        return sum(index.memory_bytes for index in self.indexes)
-
-
 class ContextIndexBuilder:
-    """Builds fine-grained indexes over the key vectors of a context."""
+    """Builds one RoarGraph per KV head over the key vectors of a context."""
 
     def __init__(self, config: IndexBuildConfig | None = None):
         self.config = config or IndexBuildConfig()
 
-    # ------------------------------------------------------------------
-    # sampling
-    # ------------------------------------------------------------------
-    def _sample_queries(self, queries: np.ndarray, num_keys: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_queries(self, queries: np.ndarray, num_keys: int, rng: np.random.Generator) -> np.ndarray:
         """Sample query vectors for the bipartite stage.
 
         ``queries`` is ``(num_heads_in_group, m, head_dim)``; samples are drawn
@@ -109,16 +75,13 @@ class ContextIndexBuilder:
         chosen = rng.choice(flat.shape[0], size=target, replace=False)
         return flat[chosen]
 
-    # ------------------------------------------------------------------
-    # building
-    # ------------------------------------------------------------------
     def build_layer(
         self,
         layer: int,
         keys: np.ndarray,
         queries: np.ndarray,
-    ) -> tuple[LayerIndexes, BuildReport]:
-        """Build the indexes of one layer.
+    ) -> tuple[list[RoarGraphIndex], BuildReport]:
+        """Build the indexes of one layer, one per KV head.
 
         ``keys``: ``(num_kv_heads, n, head_dim)`` — the cached key vectors.
         ``queries``: ``(num_query_heads, m, head_dim)`` — historical query
@@ -138,44 +101,33 @@ class ContextIndexBuilder:
         start = time.perf_counter()
         indexes: list[RoarGraphIndex] = []
         total_query_samples = 0
-        if self.config.gqa_share:
-            for kv_head in range(num_kv_heads):
-                group = queries[kv_head * group_size : (kv_head + 1) * group_size]
-                sample = self._sample_queries(group, num_keys, rng)
-                total_query_samples += sample.shape[0]
-                index = RoarGraphIndex(self.config.roargraph)
-                index.build(keys[kv_head], query_sample=sample)
-                indexes.append(index)
-        else:
-            for query_head in range(num_query_heads):
-                kv_head = query_head // group_size
-                sample = self._sample_queries(queries[query_head : query_head + 1], num_keys, rng)
-                total_query_samples += sample.shape[0]
-                index = RoarGraphIndex(self.config.roargraph)
-                index.build(keys[kv_head], query_sample=sample)
-                indexes.append(index)
+        for kv_head in range(num_kv_heads):
+            group = queries[kv_head * group_size : (kv_head + 1) * group_size]
+            sample = self.sample_queries(group, num_keys, rng)
+            total_query_samples += sample.shape[0]
+            index = RoarGraphIndex(self.config.roargraph)
+            index.build(keys[kv_head], query_sample=sample)
+            indexes.append(index)
         wall_clock = time.perf_counter() - start
 
-        layer_indexes = LayerIndexes(layer=layer, indexes=indexes, shared=self.config.gqa_share, gqa_group_size=group_size)
         report = BuildReport(
             num_indexes=len(indexes),
             num_keys=num_keys,
             num_query_samples=total_query_samples,
-            gqa_share=self.config.gqa_share,
             wall_clock_seconds=wall_clock,
-            index_memory_bytes=layer_indexes.memory_bytes,
+            index_memory_bytes=sum(index.memory_bytes for index in indexes),
         )
-        return layer_indexes, report
+        return indexes, report
 
     def build_context(
         self,
         keys_per_layer: dict[int, np.ndarray],
         queries_per_layer: dict[int, np.ndarray],
-    ) -> tuple[dict[int, LayerIndexes], BuildReport]:
+    ) -> tuple[dict[int, list[RoarGraphIndex]], BuildReport]:
         """Build indexes for every layer of a context; returns an aggregate report."""
         if set(keys_per_layer) != set(queries_per_layer):
             raise ValueError("keys and queries must cover the same layers")
-        layer_indexes: dict[int, LayerIndexes] = {}
+        layer_indexes: dict[int, list[RoarGraphIndex]] = {}
         reports: list[BuildReport] = []
         for layer in sorted(keys_per_layer):
             built, report = self.build_layer(layer, keys_per_layer[layer], queries_per_layer[layer])
@@ -185,7 +137,6 @@ class ContextIndexBuilder:
             num_indexes=sum(r.num_indexes for r in reports),
             num_keys=reports[0].num_keys if reports else 0,
             num_query_samples=sum(r.num_query_samples for r in reports),
-            gqa_share=self.config.gqa_share,
             wall_clock_seconds=sum(r.wall_clock_seconds for r in reports),
             index_memory_bytes=sum(r.index_memory_bytes for r in reports),
         )

@@ -90,23 +90,6 @@ class CoarseBlockIndex(VectorIndex):
         self._block_stops = np.asarray([block.stop for block in self._blocks], dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # persistence (versioned save/load, see repro.index.serialization)
-    # ------------------------------------------------------------------
-    def save(self, path) -> "CoarseBlockIndex":
-        """Persist this built index to ``path`` (a versioned raw record)."""
-        from .serialization import save_coarse
-
-        save_coarse(self, path)
-        return self
-
-    @classmethod
-    def load(cls, path) -> "CoarseBlockIndex":
-        """Load an index saved by :meth:`save` (no rebuild pass runs)."""
-        from .serialization import load_coarse
-
-        return load_coarse(path)
-
-    # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
     @property

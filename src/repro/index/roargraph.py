@@ -28,7 +28,7 @@ candidates by descending inner product, then the fill).  The DIPR walk
 expands neighbours in row order, so the order is part of what a build
 produces, and two builds of the same keys give byte-identical arrays.
 
-The GQA-based index sharing and the GPU-accelerated build path live in
+The per-KV-head build (GQA-based index sharing) lives in
 ``repro.index.builder``; this class is the single-index data structure.
 """
 
@@ -93,8 +93,8 @@ class RoarGraphIndex(VectorIndex):
     def build(self, vectors: np.ndarray, query_sample: np.ndarray | None = None, **kwargs) -> None:
         """Build the index over key ``vectors`` using ``query_sample``.
 
-        ``query_sample`` holds historical query vectors of the same head (or
-        head group, when GQA index sharing is enabled); when omitted, the key
+        ``query_sample`` holds historical query vectors of the query heads
+        that read this KV head (its GQA group); when omitted, the key
         vectors themselves are used, which degrades the OOD benefit but keeps
         the index functional.  The module docstring describes the array
         stages and the neighbour order they produce.
@@ -214,24 +214,6 @@ class RoarGraphIndex(VectorIndex):
             chosen = np.take_along_axis(order, np.argsort(fill_key, axis=1)[:, :max_degree], axis=1)
             pruned[chunk] = np.take_along_axis(candidates, chosen, axis=1)
         return pruned
-
-    # ------------------------------------------------------------------
-    # persistence (versioned save/load, see repro.index.serialization)
-    # ------------------------------------------------------------------
-    def save(self, path) -> "RoarGraphIndex":
-        """Persist this built index to ``path`` (a versioned raw record)."""
-        from .serialization import save_roargraph
-
-        save_roargraph(self, path)
-        return self
-
-    @classmethod
-    def load(cls, path) -> "RoarGraphIndex":
-        """Load an index saved by :meth:`save`; no rebuild pass runs —
-        searches over the loaded index are bit-identical to the original."""
-        from .serialization import load_roargraph
-
-        return load_roargraph(path)
 
     # ------------------------------------------------------------------
     # accessors

@@ -136,33 +136,25 @@ class ShardWorker:
         context = self.ensure_loaded(shard_cid)
         if not self.db._build_planned_indexes(context, plans):
             return
-        store = self.db.store_registry
-        # adopt the rows other writers added since this worker last looked,
-        # so its manifest write keeps them
-        store.refresh_from_manifest()
-        store.persist_indexes(shard_cid)
+        self.db.store_registry.persist_indexes(shard_cid)
         self._drop_cache(shard_cid)
 
-    def layer_data(self, shard_cid: str, layer: int, gqa_group_size: int) -> LayerIndexData:
+    def layer_data(self, shard_cid: str, layer: int) -> LayerIndexData:
         context = self.ensure_loaded(shard_cid)
         key = (shard_cid, layer)
         data = self._layer_cache.get(key)
         if data is None:
-            fine = context.fine_indexes.get(layer)
             data = LayerIndexData(
                 keys=context.keys(layer),
                 values=context.values(layer),
-                fine_indexes=fine.indexes if fine is not None else None,
+                fine_indexes=context.fine_indexes.get(layer),
                 coarse_indexes=context.coarse_indexes.get(layer),
-                shared=fine.shared if fine is not None else True,
-                gqa_group_size=gqa_group_size,
                 # outcomes come back in *global* token space: the shard's
                 # range start travels with its snapshot, so a cold-loaded
                 # shard needs no assignment bookkeeping to answer correctly
                 position_offset=int(context.snapshot.metadata.get("shard_start", 0)),
             )
             self._layer_cache[key] = data
-        data.gqa_group_size = gqa_group_size
         return data
 
     # ------------------------------------------------------------------
@@ -388,15 +380,13 @@ class ShardedContextRouter:
         """Token ids of a sharded context (kept by its spilled base context)."""
         return self.db.get_context(ref.context_id).tokens
 
-    def layer_ranges(
-        self, ref: ShardedContextRef, layer: int, gqa_group_size: int
-    ) -> list[LayerIndexData]:
+    def layer_ranges(self, ref: ShardedContextRef, layer: int) -> list[LayerIndexData]:
         """One layer's KV and range-local indexes of every shard, in token
         order, each resolved through the worker that owns the shard now."""
         ranges = []
         for token_range in ref.plan.ranges:
             shard_cid = ref.shard_id_of(token_range.shard_id)
-            ranges.append(self._owners[shard_cid].layer_data(shard_cid, layer, gqa_group_size))
+            ranges.append(self._owners[shard_cid].layer_data(shard_cid, layer))
         return ranges
 
     # ------------------------------------------------------------------

@@ -60,7 +60,7 @@ class ShardedSession(Session):
     ``fanout`` provides
 
     * ``context_tokens(ref) -> list[int]`` — the sharded context's token ids,
-    * ``layer_ranges(ref, layer, gqa_group_size) -> list[LayerIndexData]`` —
+    * ``layer_ranges(ref, layer) -> list[LayerIndexData]`` —
       the shard owners' KV and range-local indexes for one layer, in token
       order (what attention and late materialization read).
 
@@ -110,5 +110,4 @@ class ShardedSession(Session):
     def _stored_ranges(self, layer: int) -> list[LayerIndexData]:
         if not self.is_connected or layer not in self.sharded_ref.layers:
             return []
-        gqa_group_size = self._dims.gqa_group_size if self._dims is not None else 1
-        return self._fanout.layer_ranges(self.sharded_ref, layer, gqa_group_size)
+        return self._fanout.layer_ranges(self.sharded_ref, layer)

@@ -13,7 +13,10 @@ Crash safety comes from two sides: the backend's atomic write (temp +
 rename, so a reader never sees a torn manifest) and a monotonically
 increasing **generation** stamp, bumped on every write, so stale copies are
 detectable and a reopened store continues the sequence instead of resetting
-it.
+it.  Several handles may share one backend (a sharded router and its shard
+owners): a save merges per row, applying only the rows its handle upserted
+or removed since its last save on top of the persisted catalog, so one
+writer never reverts a row another wrote.
 """
 
 from __future__ import annotations
@@ -91,6 +94,8 @@ class ContextManifest:
     def __init__(self, entries: dict[str, ManifestEntry] | None = None, generation: int = 0):
         self.entries: dict[str, ManifestEntry] = dict(entries or {})
         self.generation = generation
+        # rows upserted (the entry) or removed (None) since the last save
+        self._changed: dict[str, ManifestEntry | None] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -103,8 +108,10 @@ class ContextManifest:
 
     def upsert(self, entry: ManifestEntry) -> None:
         self.entries[entry.context_id] = entry
+        self._changed[entry.context_id] = entry
 
     def remove(self, context_id: str) -> bool:
+        self._changed[context_id] = None
         return self.entries.pop(context_id, None) is not None
 
     # ------------------------------------------------------------------
@@ -113,37 +120,56 @@ class ContextManifest:
     def save(self, backend: StorageBackend, key: str = MANIFEST_KEY) -> int:
         """Atomically write the manifest, bumping its generation stamp.
 
-        The bump continues from the *persisted* generation when that is ahead
-        of this handle's: with two store handles interleaving writes over one
-        shared backend, every save still produces a strictly larger stamp than
-        whatever a reader last observed, so generations stay monotonic even
-        though entry content is last-writer-wins.
+        The write merges per row: the rows this handle upserted or removed
+        since its last save are applied on top of the *persisted* catalog,
+        so rows other handles wrote in between survive.  The bump continues
+        from the persisted generation when that is ahead of this handle's,
+        so every save produces a strictly larger stamp than whatever a
+        reader last observed.  A persisted manifest that does not parse is
+        no catalog to merge with: this handle's own rows replace it.
         """
-        self.generation = max(self.generation, self.persisted_generation(backend, key))
+        persisted = self._persisted_payload(backend, key)
+        if persisted is None:
+            rows = {cid: entry.to_json() for cid, entry in self.entries.items()}
+        else:
+            rows = {row["context_id"]: row for row in persisted["contexts"]}
+            for context_id, entry in self._changed.items():
+                if entry is None:
+                    rows.pop(context_id, None)
+                else:
+                    rows[context_id] = entry.to_json()
+            self.generation = max(self.generation, persisted["generation"])
         self.generation += 1
         payload = {
             "format_version": MANIFEST_FORMAT_VERSION,
             "generation": self.generation,
-            "contexts": [self.entries[cid].to_json() for cid in sorted(self.entries)],
+            "contexts": [rows[cid] for cid in sorted(rows)],
         }
         backend.write_bytes(key, json.dumps(payload, indent=1).encode("utf-8"))
+        self._changed.clear()
         return self.generation
 
     @staticmethod
-    def persisted_generation(backend: StorageBackend, key: str = MANIFEST_KEY) -> int:
-        """The generation stamp currently stored on ``backend`` (0 if none).
+    def _persisted_payload(backend: StorageBackend, key: str) -> dict | None:
+        """The manifest currently stored on ``backend`` as parsed JSON, or
+        ``None`` when there is none or it does not parse.
 
-        Corruption is treated as "no usable stamp" — :meth:`load` is where
-        corruption surfaces as an error; here it must not block a save that
-        would overwrite the corrupt blob with a good one.
+        Corruption is not raised here — :meth:`load` is where it surfaces as
+        an error; here it must not block a save that would overwrite the
+        corrupt blob with a good one.
         """
         if not backend.exists(key):
-            return 0
+            return None
         try:
             payload = json.loads(backend.read_bytes(key).decode("utf-8"))
-            return int(payload.get("generation", 0))
-        except (UnicodeDecodeError, json.JSONDecodeError, TypeError, ValueError, ContextLoadError):
-            return 0
+            if payload.get("format_version") != MANIFEST_FORMAT_VERSION:
+                return None
+            payload["generation"] = int(payload.get("generation", 0))
+            if not all(isinstance(row.get("context_id"), str) for row in payload["contexts"]):
+                return None
+        except (AttributeError, KeyError, TypeError, ValueError, ContextLoadError):
+            return None
+        return payload
 
     @classmethod
     def load(cls, backend: StorageBackend, key: str = MANIFEST_KEY) -> "ContextManifest":

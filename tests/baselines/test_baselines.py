@@ -113,7 +113,7 @@ class TestTopKAndDIPRS:
         context.fine_indexes = per_layer
         strategy = TopKRetrievalStrategy(k=10, reuse_context_indexes=True)
         strategy.prepare(context, 4)
-        assert strategy._indexes[(0, 0)] is per_layer[0].index_for_kv_head(0)
+        assert strategy._indexes[(0, 0)] is per_layer[0][0]
 
 
 class TestLMCache:

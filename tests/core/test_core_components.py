@@ -41,7 +41,6 @@ class TestAlayaDBConfig:
             ("max_retrieved_tokens", -1),
             ("max_retrieved_tokens", 0),
             ("dipr_capacity_threshold", 0),
-            ("reference_head_dim", 0),
             ("coarse_block_size", 0),
             ("coarse_num_blocks", 0),
             ("scheduler_gpu_budget_bytes", 0),
@@ -77,11 +76,11 @@ class TestAlayaDBConfig:
             AlayaDBConfig(**{field: value})
 
     def test_beta_scaling(self):
-        config = AlayaDBConfig(dipr_beta=50.0, reference_head_dim=128)
+        """``dipr_beta`` is read at the paper's 128-dim calibration."""
+        config = AlayaDBConfig(dipr_beta=50.0)
         assert config.scaled_beta(128) == pytest.approx(50.0)
         assert config.scaled_beta(32) == pytest.approx(25.0)
-        frozen = AlayaDBConfig(dipr_beta=50.0, scale_beta_to_head_dim=False)
-        assert frozen.scaled_beta(32) == pytest.approx(50.0)
+        assert AlayaDBConfig(dipr_beta=16.0).scaled_beta(8) == 4.0
 
 
 class TestWindowCache:
@@ -330,7 +329,7 @@ class TestPlanExecutor:
             block = CoarseBlockIndex(block_size=64)
             block.build(keys[kv_head])
             coarse.append(block)
-        return LayerIndexData(keys=keys, fine_indexes=fine, coarse_indexes=coarse, shared=True, gqa_group_size=2), keys
+        return LayerIndexData(keys=keys, fine_indexes=fine, coarse_indexes=coarse), keys
 
     def test_flat_dipr_path(self):
         data, keys = self._layer_data()
@@ -366,12 +365,6 @@ class TestPlanExecutor:
         plan = ExecutionPlan(QueryKind.DIPR, IndexKind.COARSE, query=DIPRQuery(beta=5.0))
         with pytest.raises(UnsupportedQueryError):
             executor.retrieve_heads(plan, data, np.zeros((4, 16), dtype=np.float32))
-
-    def test_query_head_maps_to_kv_head(self):
-        data, _ = self._layer_data()
-        assert data.kv_head_for_query_head(0) == 0
-        assert data.kv_head_for_query_head(3) == 1
-        assert data.fine_index_for_query_head(0) is data.fine_index_for_query_head(1)
 
     @pytest.mark.parametrize(
         "plan",

@@ -162,7 +162,7 @@ class TestDBRestart:
         rng = np.random.default_rng(17)
         for layer, layer_indexes in original.fine_indexes.items():
             restored = reloaded.fine_indexes[layer]
-            for a, b in zip(layer_indexes.indexes, restored.indexes):
+            for a, b in zip(layer_indexes, restored):
                 for _ in range(5):
                     query = rng.normal(size=a.vectors.shape[1]).astype(np.float32)
                     ra, rb = a.search_topk(query, k=8), b.search_topk(query, k=8)
@@ -204,7 +204,7 @@ class TestDBRestart:
         before = {
             layer: [
                 (index.graph.neighbor_ids.tobytes(), index.graph.offsets.tobytes(), index.entry_point)
-                for index in layer_indexes.indexes
+                for index in layer_indexes
             ]
             for layer, layer_indexes in built.fine_indexes.items()
         }
@@ -221,7 +221,7 @@ class TestDBRestart:
         after = {
             layer: [
                 (index.graph.neighbor_ids.tobytes(), index.graph.offsets.tobytes(), index.entry_point)
-                for index in layer_indexes.indexes
+                for index in layer_indexes
             ]
             for layer, layer_indexes in rebuilt.fine_indexes.items()
         }
@@ -277,7 +277,7 @@ class TestExportImportBundle:
         # imported indexes search bit-identically to the exporter's
         rng = np.random.default_rng(23)
         for layer, layer_indexes in context.fine_indexes.items():
-            for a, b in zip(layer_indexes.indexes, imported.fine_indexes[layer].indexes):
+            for a, b in zip(layer_indexes, imported.fine_indexes[layer]):
                 query = rng.normal(size=a.vectors.shape[1]).astype(np.float32)
                 ra, rb = a.search_topk(query, k=8), b.search_topk(query, k=8)
                 np.testing.assert_array_equal(ra.indices, rb.indices)

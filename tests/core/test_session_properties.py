@@ -18,7 +18,6 @@ from repro.core.attention_engine import DataCentricAttentionEngine
 from repro.core.config import AlayaDBConfig
 from repro.core.context_store import ContextStore, StoredContext
 from repro.core.session import DecodeStepStats, Session
-from repro.index.builder import LayerIndexes
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.roargraph import RoarGraphIndex
 from repro.kvcache.serialization import KVSnapshot
@@ -172,26 +171,21 @@ def test_stacked_rows_are_bitwise_independent_of_the_stack_at_serving_sizes(plan
 
 
 def _sparse_context(
-    rng, *, num_kv_heads, num_tokens, head_dim, group_size, kinds=("fine", "coarse"), shared=True
+    rng, *, num_kv_heads, num_tokens, head_dim, kinds=("fine", "coarse")
 ):
     """A stored context with fine + coarse indexes over random keys: one RoarGraph per KV head
-    (GQA-shared) or, unshared, one per query head, each built from its own query sample."""
+    (GQA-shared), each built from its own query sample."""
     keys = rng.normal(size=(num_kv_heads, num_tokens, head_dim)).astype(np.float32)
     values = rng.normal(size=(num_kv_heads, num_tokens, head_dim)).astype(np.float32)
     snapshot = KVSnapshot(tokens=list(range(num_tokens)), keys={0: keys}, values={0: values})
     context = StoredContext(context_id="sparse", snapshot=snapshot)
     if "fine" in kinds:
         indexes = []
-        for head in range(num_kv_heads if shared else num_kv_heads * group_size):
+        for kv_head in range(num_kv_heads):
             index = RoarGraphIndex()
-            index.build(
-                keys[head if shared else head // group_size],
-                query_sample=rng.normal(size=(64, head_dim)).astype(np.float32),
-            )
+            index.build(keys[kv_head], query_sample=rng.normal(size=(64, head_dim)).astype(np.float32))
             indexes.append(index)
-        context.fine_indexes[0] = LayerIndexes(
-            layer=0, indexes=indexes, shared=shared, gqa_group_size=group_size
-        )
+        context.fine_indexes[0] = indexes
     if "coarse" in kinds:
         coarse = []
         for kv_head in range(num_kv_heads):
@@ -217,8 +211,6 @@ _VARIANTS = {
     "plain": dict(),
     "gqa4": dict(group_size=4),
     "gqa1": dict(group_size=1),
-    # one RoarGraph per query head: every head walks its own index alone
-    "unshared": dict(shared=False),
     "empty-window": dict(window=(0, 0)),
     "no-local": dict(local_steps=0),
     "partial-reuse": dict(reuse_offset=40),
@@ -235,7 +227,6 @@ def test_session_decode_matches_reference(plan_kind, variant):
     window_initial, window_last = options.get("window", (4, 8))
     local_steps = options.get("local_steps", 2)
     reuse_offset = options.get("reuse_offset", 0)
-    shared = options.get("shared", True)
     num_kv_heads, head_dim, num_tokens = 2, 8, 160
     num_heads = num_kv_heads * group_size
 
@@ -253,8 +244,6 @@ def test_session_decode_matches_reference(plan_kind, variant):
         num_kv_heads=num_kv_heads,
         num_tokens=num_tokens,
         head_dim=head_dim,
-        group_size=group_size,
-        shared=shared,
     )
     session = Session(
         AlayaDBConfig(**config_kwargs),

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from repro.core.context_store import ContextStore, StoredContext
 from repro.errors import ContextEvictedError, ContextLoadError, ContextNotFoundError, StorageError
+from repro.core.planner import ExecutionPlan, LayerIndexData, PlanExecutor
 from repro.index.builder import ContextIndexBuilder
+from repro.index.coarse import CoarseBlockIndex
+from repro.index.serialization import serialize_context_indexes
+from repro.query.types import DIPRQuery, IndexKind, QueryKind, TopKQuery
+from repro.storage import record
 from repro.storage.backend import FilesystemBackend, InMemoryBackend
 from repro.storage.manifest import MANIFEST_KEY
 from tests.conftest import make_context
@@ -34,6 +39,22 @@ def _indexed(context_id: str, num_tokens: int = 32, seed: int = 0) -> StoredCont
     context = _context(context_id, num_tokens, seed)
     keys = context.keys(0)
     context.fine_indexes, _ = ContextIndexBuilder().build_context({0: keys}, {0: keys})
+    return context
+
+
+def _fully_indexed(context_id: str, num_tokens: int = 96, seed: int = 0) -> StoredContext:
+    """Two layers x two KV heads, each with a fine and a coarse index."""
+    context = make_context(
+        num_layers=2, num_kv_heads=2, num_tokens=num_tokens, seed=seed, context_id=context_id
+    )
+    keys = context.snapshot.keys
+    context.fine_indexes, _ = ContextIndexBuilder().build_context(keys, keys)
+    for layer, layer_keys in keys.items():
+        context.coarse_indexes[layer] = []
+        for head in range(layer_keys.shape[0]):
+            index = CoarseBlockIndex(block_size=16)
+            index.build(layer_keys[head])
+            context.coarse_indexes[layer].append(index)
     return context
 
 
@@ -255,7 +276,9 @@ class TestResidentBytes:
         store = _store(tmp_path)
         context = _indexed("a")
         store.add(context)
-        assert context.index_bytes > 0
+        # graph bytes only: a fine index's vectors are the keys kv_bytes counts
+        graphs = sum(index.graph.memory_bytes for index in context.fine_indexes[0])
+        assert context.index_bytes == graphs > 0
         assert store.resident_bytes == store.resident_kv_bytes + context.index_bytes
         store.spill("a")
         assert store.resident_bytes == 0
@@ -281,9 +304,9 @@ class TestBackendRoundTrip:
         store = _store(tmp_path, kind=kind)
         store.add(_indexed("a", num_tokens=48))
         query = np.random.default_rng(9).normal(size=8).astype(np.float32)
-        before = store.get("a").fine_indexes[0].index_for_kv_head(0).search_topk(query, 5)
+        before = store.get("a").fine_indexes[0][0].search_topk(query, 5)
         store.spill("a")
-        after = store.ensure_resident("a").fine_indexes[0].index_for_kv_head(0).search_topk(query, 5)
+        after = store.ensure_resident("a").fine_indexes[0][0].search_topk(query, 5)
         np.testing.assert_array_equal(after.indices, before.indices)
 
     def test_disk_bytes_follow_the_backend(self, tmp_path):
@@ -342,11 +365,11 @@ class TestBackendRoundTrip:
         store.add(_indexed("a", num_tokens=48, seed=0))
         replacement = _indexed("a", num_tokens=48, seed=1)
         query = np.random.default_rng(4).normal(size=8).astype(np.float32)
-        expected = replacement.fine_indexes[0].index_for_kv_head(0).search_topk(query, 5)
+        expected = replacement.fine_indexes[0][0].search_topk(query, 5)
         store.add(replacement, overwrite=True)
         reloaded = ContextStore.open(store.backend).ensure_resident("a")
         np.testing.assert_array_equal(reloaded.keys(0), replacement.keys(0))
-        found = reloaded.fine_indexes[0].index_for_kv_head(0).search_topk(query, 5)
+        found = reloaded.fine_indexes[0][0].search_topk(query, 5)
         np.testing.assert_array_equal(found.indices, expected.indices)
 
     def test_store_without_backend_keeps_contexts_in_memory_only(self):
@@ -356,3 +379,92 @@ class TestBackendRoundTrip:
         assert store.get("a").is_resident
         assert store.manifest_generation == 0
         assert (store.disk_kv_bytes, store.disk_index_bytes) == (0, 0)
+
+
+class TestIndexReattach:
+    """A persisted index blob holds no keys: a reload re-attaches every fine
+    and coarse index to the reloaded snapshot's keys, or, when the blob does
+    not fit those keys, counts the reload as rebuilt."""
+
+    PLANS = {
+        "fine-dipr": ExecutionPlan(QueryKind.DIPR, IndexKind.FINE, query=DIPRQuery(beta=2.0)),
+        "fine-topk": ExecutionPlan(QueryKind.TOP_K, IndexKind.FINE, query=TopKQuery(k=8)),
+        "coarse-topk": ExecutionPlan(QueryKind.TOP_K, IndexKind.COARSE, query=TopKQuery(k=8)),
+    }
+
+    @staticmethod
+    def _outcomes(context, queries):
+        executor = PlanExecutor(coarse_num_blocks=2)
+        found = []
+        for layer in (0, 1):
+            data = LayerIndexData(
+                keys=context.keys(layer),
+                fine_indexes=context.fine_indexes[layer],
+                coarse_indexes=context.coarse_indexes[layer],
+            )
+            for plan in TestIndexReattach.PLANS.values():
+                for outcome in executor.retrieve_heads(plan, data, queries):
+                    found.append((
+                        outcome.positions.tobytes(), outcome.scores.tobytes(),
+                        outcome.num_distance_computations, outcome.num_hops,
+                    ))
+        return found
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_reloaded_indexes_view_the_snapshot_keys(self, tmp_path, kind):
+        store = ContextStore.open(_backend(tmp_path, kind))
+        store.add(_fully_indexed("a"))
+        store.spill("a")
+        reloaded = store.ensure_resident("a")
+        assert store.reload_deserialized_count == 1
+        for per_layer in (reloaded.fine_indexes, reloaded.coarse_indexes):
+            assert set(per_layer) == {0, 1}
+            for layer, per_head in per_layer.items():
+                assert len(per_head) == 2
+                for head, index in enumerate(per_head):
+                    assert np.shares_memory(index.vectors, reloaded.keys(layer)[head])
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_retrieval_outcomes_are_bit_identical_after_reload(self, tmp_path, kind):
+        store = ContextStore.open(_backend(tmp_path, kind))
+        store.add(_fully_indexed("a"))
+        queries = np.random.default_rng(3).normal(size=(4, 8)).astype(np.float32)
+        before = self._outcomes(store.get("a"), queries)
+        store.spill("a")
+        after = self._outcomes(store.ensure_resident("a"), queries)
+        assert after == before
+
+    def test_blob_over_another_token_count_is_rebuilt(self, tmp_path):
+        store = _store(tmp_path)
+        store.add(_fully_indexed("a", num_tokens=96))
+        other = _fully_indexed("other", num_tokens=80)
+        store.spill("a")
+        store.backend.write_bytes(
+            "a.indexes.npz", serialize_context_indexes(other.fine_indexes, other.coarse_indexes)
+        )
+        reloaded = store.ensure_resident("a")
+        assert not reloaded.has_fine_indexes and not reloaded.coarse_indexes
+        assert (store.reload_deserialized_count, store.reload_rebuilt_count) == (0, 1)
+
+    def test_version_two_blob_is_rebuilt(self, tmp_path):
+        """The previous format stored every index's vectors; such a blob is refused
+        by its version stamp and the reload counts as rebuilt."""
+        store = _store(tmp_path)
+        context = _indexed("a")
+        store.add(context)
+        index = context.fine_indexes[0][0]
+        arrays = {
+            "f0_i0_vectors": index.vectors,
+            "f0_i0_neighbor_ids": index.graph.neighbor_ids,
+            "f0_i0_offsets": index.graph.offsets,
+        }
+        meta = {
+            "fine": {"0": {"shared": True, "gqa_group_size": 1, "indexes": [
+                {"entry_point": index.entry_point, "config": {}}
+            ]}},
+            "coarse": {},
+        }
+        store.spill("a")
+        store.backend.write_bytes("a.indexes.npz", record.pack("context-indexes", 2, meta, arrays))
+        assert not store.ensure_resident("a").has_fine_indexes
+        assert (store.reload_deserialized_count, store.reload_rebuilt_count) == (0, 1)

@@ -1,6 +1,7 @@
 """Tests of the versioned index serialization: a loaded index must be
 *bit-identical* under search to the index that was saved — deserialization
-reattaches the stored graph/vectors, it never re-runs a build."""
+re-attaches the stored graph to the snapshot's keys, it never re-runs a
+build, and the blob holds no copy of those keys."""
 
 from __future__ import annotations
 
@@ -10,27 +11,20 @@ import pytest
 from repro.errors import ContextLoadError, IndexNotBuiltError
 from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.index.coarse import CoarseBlockIndex
-from repro.index.roargraph import RoarGraphConfig, RoarGraphIndex
+from repro.index.roargraph import RoarGraphIndex
 from repro.index.serialization import (
     INDEX_FORMAT_VERSION,
     deserialize_context_indexes,
-    load_coarse,
-    load_roargraph,
-    save_coarse,
-    save_roargraph,
     serialize_context_indexes,
 )
+from repro.storage import record
 from tests.record_corruption import CORRUPTIONS, split
+
+NUM_LAYERS, NUM_KV_HEADS, NUM_TOKENS, DIM = 2, 2, 100, 8
 
 
 def _vectors(n, dim, seed):
     return np.random.default_rng(seed).normal(size=(n, dim)).astype(np.float32)
-
-
-def _built_roargraph(n=200, dim=16, seed=0):
-    index = RoarGraphIndex(RoarGraphConfig(num_query_links=4, max_degree=8))
-    index.build(_vectors(n, dim, seed), query_sample=_vectors(32, dim, seed + 1))
-    return index
 
 
 def _assert_search_identical(original, loaded, queries, k=10):
@@ -42,108 +36,57 @@ def _assert_search_identical(original, loaded, queries, k=10):
         np.testing.assert_array_equal(a.scores, b.scores)
 
 
-class TestRoarGraphSerialization:
-    def test_roundtrip_search_bit_identical(self, tmp_path):
-        index = _built_roargraph()
-        path = save_roargraph(index, tmp_path / "rg.npz")
-        loaded = load_roargraph(path)
-        # the graph itself round-trips exactly
-        np.testing.assert_array_equal(index.graph.neighbor_ids, loaded.graph.neighbor_ids)
-        np.testing.assert_array_equal(index.graph.offsets, loaded.graph.offsets)
-        np.testing.assert_array_equal(index.vectors, loaded.vectors)
-        assert index.entry_point == loaded.entry_point
-        assert index.config == loaded.config
-        _assert_search_identical(index, loaded, _vectors(25, 16, 99))
-
-    def test_index_save_load_methods(self, tmp_path):
-        index = _built_roargraph(seed=3)
-        index.save(tmp_path / "idx.npz")
-        loaded = RoarGraphIndex.load(tmp_path / "idx.npz")
-        _assert_search_identical(index, loaded, _vectors(10, 16, 42))
-
-    def test_unbuilt_index_refuses_save(self, tmp_path):
-        with pytest.raises(IndexNotBuiltError):
-            save_roargraph(RoarGraphIndex(), tmp_path / "x.npz")
-
-    def test_missing_file_raises_clean_error(self, tmp_path):
-        with pytest.raises(ContextLoadError):
-            load_roargraph(tmp_path / "nope.npz")
-
-    def test_truncated_file_raises_clean_error(self, tmp_path):
-        path = save_roargraph(_built_roargraph(n=80), tmp_path / "rg.npz")
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
-        with pytest.raises(ContextLoadError):
-            load_roargraph(path)
-
-    def test_kind_mismatch_raises(self, tmp_path):
-        coarse = CoarseBlockIndex(block_size=16)
-        coarse.build(_vectors(64, 8, 0))
-        path = save_coarse(coarse, tmp_path / "cb.npz")
-        with pytest.raises(ContextLoadError):
-            load_roargraph(path)
+def _coarse_layers(keys):
+    coarse = {}
+    for layer, layer_keys in keys.items():
+        per_head = []
+        for head in range(layer_keys.shape[0]):
+            # 100 tokens in blocks of 16: a ragged tail block on purpose
+            index = CoarseBlockIndex(block_size=16, num_representatives=3)
+            index.build(layer_keys[head])
+            per_head.append(index)
+        coarse[layer] = per_head
+    return coarse
 
 
-class TestCoarseSerialization:
-    def test_roundtrip_search_bit_identical(self, tmp_path):
-        index = CoarseBlockIndex(block_size=16, num_representatives=3)
-        index.build(_vectors(130, 8, 5))  # ragged tail block on purpose
-        loaded = load_coarse(save_coarse(index, tmp_path / "cb.npz"))
-        for query in _vectors(20, 8, 6):
-            a_blocks = [b.block_id for b in index.search_blocks(query, num_blocks=4)]
-            b_blocks = [b.block_id for b in loaded.search_blocks(query, num_blocks=4)]
-            assert a_blocks == b_blocks
-            a = index.search_topk(query, k=8)
-            b = loaded.search_topk(query, k=8)
-            np.testing.assert_array_equal(a.indices, b.indices)
-            np.testing.assert_array_equal(a.scores, b.scores)
-
-    def test_kind_mismatch_raises(self, tmp_path):
-        path = save_roargraph(_built_roargraph(n=60, dim=8), tmp_path / "rg.npz")
-        with pytest.raises(ContextLoadError):
-            load_coarse(path)
+def _keys(num_tokens=NUM_TOKENS, seed=11):
+    rng = np.random.default_rng(seed)
+    return {
+        layer: rng.normal(size=(NUM_KV_HEADS, num_tokens, DIM)).astype(np.float32)
+        for layer in range(NUM_LAYERS)
+    }
 
 
 class TestContextIndexBlob:
-    """A whole context's indexes (fine + coarse) in one blob; the query
-    samples a rebuild reads live in the KV snapshot, not here."""
+    """A whole context's indexes (fine + coarse, one per KV head) in one
+    blob; the keys they index and the query samples a rebuild reads live in
+    the KV snapshot, not here."""
 
     @pytest.fixture()
     def built(self):
-        rng = np.random.default_rng(11)
-        num_layers, num_kv_heads, n, dim = 2, 2, 96, 8
-        keys = {
-            layer: rng.normal(size=(num_kv_heads, n, dim)).astype(np.float32)
-            for layer in range(num_layers)
-        }
+        keys = _keys()
+        rng = np.random.default_rng(12)
         queries = {
-            layer: rng.normal(size=(4, 24, dim)).astype(np.float32)
-            for layer in range(num_layers)
+            layer: rng.normal(size=(4, 24, DIM)).astype(np.float32) for layer in range(NUM_LAYERS)
         }
-        builder = ContextIndexBuilder(IndexBuildConfig())
-        fine, _ = builder.build_context(keys, queries)
-        coarse = {}
-        for layer in range(num_layers):
-            per_head = []
-            for head in range(num_kv_heads):
-                index = CoarseBlockIndex(block_size=16)
-                index.build(keys[layer][head])
-                per_head.append(index)
-            coarse[layer] = per_head
-        return fine, coarse, dim
+        fine, _ = ContextIndexBuilder(IndexBuildConfig()).build_context(keys, queries)
+        return fine, _coarse_layers(keys), keys
+
+    @staticmethod
+    def _reloaded_keys(keys):
+        """The keys as a reload sees them: copies at other addresses."""
+        return {layer: layer_keys.copy() for layer, layer_keys in keys.items()}
 
     def test_roundtrip(self, built):
-        fine, coarse, dim = built
+        fine, coarse, keys = built
         blob = serialize_context_indexes(fine, coarse)
-        fine2, coarse2 = deserialize_context_indexes(blob)
+        fine2, coarse2 = deserialize_context_indexes(blob, self._reloaded_keys(keys))
 
         assert set(fine2) == set(fine)
-        probes = _vectors(10, dim, 77)
-        for layer, layer_indexes in fine.items():
-            restored = fine2[layer]
-            assert restored.shared == layer_indexes.shared
-            assert restored.gqa_group_size == layer_indexes.gqa_group_size
-            assert len(restored.indexes) == len(layer_indexes.indexes)
-            for a, b in zip(layer_indexes.indexes, restored.indexes):
+        probes = _vectors(10, DIM, 77)
+        for layer, per_head in fine.items():
+            assert len(fine2[layer]) == len(per_head) == NUM_KV_HEADS
+            for a, b in zip(per_head, fine2[layer]):
                 _assert_search_identical(a, b, probes, k=5)
 
         assert set(coarse2) == set(coarse)
@@ -151,16 +94,28 @@ class TestContextIndexBlob:
             assert len(coarse2[layer]) == len(coarse[layer])
             for a, b in zip(coarse[layer], coarse2[layer]):
                 for query in probes:
-                    ra = a.search_topk(query, k=6)
-                    rb = b.search_topk(query, k=6)
+                    a_blocks = [block.block_id for block in a.search_blocks(query, num_blocks=4)]
+                    b_blocks = [block.block_id for block in b.search_blocks(query, num_blocks=4)]
+                    assert a_blocks == b_blocks
+                    ra, rb = a.search_topk(query, k=6), b.search_topk(query, k=6)
                     np.testing.assert_array_equal(ra.indices, rb.indices)
+                    np.testing.assert_array_equal(ra.scores, rb.scores)
 
-    def test_loaded_arrays_are_exact_read_only_views(self, built):
-        fine, coarse, _ = built
-        fine2, coarse2 = deserialize_context_indexes(serialize_context_indexes(fine, coarse))
-        for a, b in zip(fine[0].indexes, fine2[0].indexes):
+    def test_loaded_indexes_view_the_given_keys(self, built):
+        fine, coarse, keys = built
+        reloaded = self._reloaded_keys(keys)
+        fine2, coarse2 = deserialize_context_indexes(serialize_context_indexes(fine, coarse), reloaded)
+        for per_layer in (fine2, coarse2):
+            for layer, per_head in per_layer.items():
+                for head, index in enumerate(per_head):
+                    assert np.shares_memory(index.vectors, reloaded[layer][head])
+                    np.testing.assert_array_equal(index.vectors, reloaded[layer][head])
+
+    def test_loaded_graph_arrays_are_exact_read_only_views(self, built):
+        fine, coarse, keys = built
+        fine2, _ = deserialize_context_indexes(serialize_context_indexes(fine, coarse), keys)
+        for a, b in zip(fine[0], fine2[0]):
             for original, loaded in (
-                (a.vectors, b.vectors),
                 (a.graph.neighbor_ids, b.graph.neighbor_ids),
                 (a.graph.offsets, b.graph.offsets),
             ):
@@ -169,26 +124,80 @@ class TestContextIndexBlob:
                 assert loaded.flags.writeable is False
             assert b.entry_point == a.entry_point
 
-    def test_blob_holds_no_query_samples(self, built):
+    def test_blob_holds_no_key_vectors_and_no_query_samples(self, built):
         fine, coarse, _ = built
         header, _ = split(serialize_context_indexes(fine, coarse))
-        names = [entry["name"] for entry in header["arrays"]]
-        assert names and not [name for name in names if name.startswith("q")]
+        arrays = header["arrays"]
+        assert arrays
+        assert not [entry for entry in arrays if entry["name"].startswith("q")]
+        key_shaped = [
+            entry["name"] for entry in arrays
+            if entry["shape"] == [NUM_TOKENS, DIM] and np.dtype(entry["dtype"]) == np.float32
+        ]
+        assert key_shaped == []
 
     def test_empty_context_roundtrips(self):
-        fine, coarse = deserialize_context_indexes(serialize_context_indexes({}, {}))
+        fine, coarse = deserialize_context_indexes(serialize_context_indexes({}, {}), {})
         assert fine == {} and coarse == {}
 
-    def test_truncated_blob_raises_clean_error(self, built):
+    def test_unbuilt_index_refuses_serialization(self):
+        with pytest.raises(IndexNotBuiltError):
+            serialize_context_indexes({0: [RoarGraphIndex()]})
+        with pytest.raises(IndexNotBuiltError):
+            serialize_context_indexes({}, {0: [CoarseBlockIndex()]})
+
+    @pytest.mark.parametrize("kind", ["fine", "coarse"])
+    def test_other_token_count_raises(self, built, kind):
         fine, coarse, _ = built
+        blob = serialize_context_indexes(fine, {}) if kind == "fine" else serialize_context_indexes({}, coarse)
+        with pytest.raises(ContextLoadError, match="snapshot"):
+            deserialize_context_indexes(blob, _keys(num_tokens=NUM_TOKENS - 20))
+
+    def test_other_head_count_raises(self, built):
+        fine, coarse, keys = built
+        blob = serialize_context_indexes(fine, coarse)
+        with pytest.raises(ContextLoadError, match="KV heads"):
+            deserialize_context_indexes(blob, {layer: k[:1] for layer, k in keys.items()})
+
+    def test_layer_missing_from_the_keys_raises(self, built):
+        fine, coarse, keys = built
+        with pytest.raises(ContextLoadError, match="layer 1"):
+            deserialize_context_indexes(serialize_context_indexes(fine, coarse), {0: keys[0]})
+
+    def test_version_two_blob_is_refused(self, built):
+        """A version-2 blob (it repeated the keys as ``*_vectors``) is refused by
+        its version stamp, so a reload rebuilds instead of misreading it."""
+        fine, _, keys = built
+        arrays = {}
+        for head, index in enumerate(fine[0]):
+            arrays[f"f0_i{head}_vectors"] = index.vectors
+            arrays[f"f0_i{head}_neighbor_ids"] = index.graph.neighbor_ids
+            arrays[f"f0_i{head}_offsets"] = index.graph.offsets
+        meta = {
+            "fine": {"0": {"shared": True, "gqa_group_size": 2, "indexes": [
+                {"entry_point": index.entry_point, "config": {}} for index in fine[0]
+            ]}},
+            "coarse": {},
+        }
+        blob = record.pack("context-indexes", 2, meta, arrays)
+        with pytest.raises(ContextLoadError, match=f"version {INDEX_FORMAT_VERSION}"):
+            deserialize_context_indexes(blob, keys)
+
+    def test_truncated_blob_raises_clean_error(self, built):
+        fine, coarse, keys = built
         blob = serialize_context_indexes(fine, coarse)
         with pytest.raises(ContextLoadError, match="ctx.indexes"):
-            deserialize_context_indexes(blob[: len(blob) // 2], source="ctx.indexes")
+            deserialize_context_indexes(blob[: len(blob) // 2], keys, source="ctx.indexes")
 
     def test_version_one_npz_is_named(self):
         with pytest.raises(ContextLoadError, match=f"version-1 .*version {INDEX_FORMAT_VERSION}"):
-            deserialize_context_indexes(CORRUPTIONS["version_one_npz"](b""))
+            deserialize_context_indexes(CORRUPTIONS["version_one_npz"](b""), {})
 
     def test_garbage_blob_raises_clean_error(self):
         with pytest.raises(ContextLoadError):
-            deserialize_context_indexes(b"definitely not an npz archive")
+            deserialize_context_indexes(b"definitely not an npz archive", {})
+
+    def test_other_record_kind_raises(self):
+        blob = record.pack("snapshot", INDEX_FORMAT_VERSION, {}, {})
+        with pytest.raises(ContextLoadError):
+            deserialize_context_indexes(blob, {})

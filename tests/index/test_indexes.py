@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import IndexNotBuiltError
 from repro.index.base import SearchResult
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
+from repro.index.builder import ContextIndexBuilder
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.flat import FlatIndex
 from repro.index.graph import NeighborGraph, beam_search
@@ -241,22 +241,20 @@ class TestContextIndexBuilder:
         queries = rng.normal(size=(num_q, 64, dim)).astype(np.float32)
         return keys, queries
 
-    def test_gqa_sharing_reduces_index_count(self):
+    def test_one_index_per_kv_head_over_its_keys(self):
+        """GQA sharing is the only layout: a layer's indexes are a list by KV
+        head, each built over (a view of) that head's keys."""
         keys, queries = self._layer_data()
-        shared_builder = ContextIndexBuilder(IndexBuildConfig(gqa_share=True))
-        per_head_builder = ContextIndexBuilder(IndexBuildConfig(gqa_share=False))
-        shared, shared_report = shared_builder.build_layer(0, keys, queries)
-        per_head, per_head_report = per_head_builder.build_layer(0, keys, queries)
-        assert shared_report.num_indexes == 2
-        assert per_head_report.num_indexes == 4
-        assert shared_report.index_memory_bytes < per_head_report.index_memory_bytes
+        indexes, report = ContextIndexBuilder().build_layer(0, keys, queries)
+        assert len(indexes) == report.num_indexes == 2
+        for kv_head, index in enumerate(indexes):
+            assert np.shares_memory(index.vectors, keys[kv_head])
+        assert report.index_memory_bytes == sum(index.memory_bytes for index in indexes)
 
-    def test_index_lookup_by_query_head(self):
-        keys, queries = self._layer_data()
-        builder = ContextIndexBuilder(IndexBuildConfig(gqa_share=True))
-        layer_indexes, _ = builder.build_layer(0, keys, queries)
-        assert layer_indexes.index_for_query_head(0) is layer_indexes.index_for_query_head(1)
-        assert layer_indexes.index_for_query_head(0) is not layer_indexes.index_for_query_head(2)
+    def test_query_heads_must_fill_whole_groups(self):
+        keys, queries = self._layer_data(num_q=3)
+        with pytest.raises(ValueError, match="multiple"):
+            ContextIndexBuilder().build_layer(0, keys, queries)
 
     def test_build_context_aggregates_layers(self):
         keys, queries = self._layer_data()

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.index import roargraph
-from repro.index.builder import LayerIndexes
 from repro.index.graph import NeighborGraph
 from repro.index.roargraph import RoarGraphConfig, RoarGraphIndex
 from repro.index.serialization import deserialize_context_indexes, serialize_context_indexes
@@ -125,9 +124,8 @@ def test_set_ordered_graph_still_loads_and_searches_bit_identically():
     set_ordered = [list(set(row)) for row in index.graph.to_lists()]
     assert set_ordered != index.graph.to_lists()
     index._graph = NeighborGraph.from_lists(set_ordered)
-    layer = LayerIndexes(layer=0, indexes=[index], shared=True, gqa_group_size=1)
-    fine, _ = deserialize_context_indexes(serialize_context_indexes({0: layer}, {}))
-    loaded = fine[0].indexes[0]
+    fine, _ = deserialize_context_indexes(serialize_context_indexes({0: [index]}, {}), {0: keys[None]})
+    loaded = fine[0][0]
     assert loaded.graph.to_lists() == set_ordered
     np.testing.assert_array_equal(loaded.graph.neighbor_ids, index.graph.neighbor_ids)
     assert loaded.entry_point == index.entry_point

@@ -51,8 +51,7 @@ def _make_service(tmp_path) -> InferenceService:
         short_context_threshold=8,
         window_initial_tokens=4,
         window_last_tokens=8,
-        dipr_beta=4.0,
-        scale_beta_to_head_dim=False,
+        dipr_beta=16.0,  # beta 4 at the tiny model's head_dim 8
         dipr_capacity_threshold=8,
         min_reuse_tokens=4,
         prefill_chunk_tokens=16,

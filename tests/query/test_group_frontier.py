@@ -33,7 +33,6 @@ from repro.core.config import AlayaDBConfig
 from repro.core.context_store import StoredContext
 from repro.core.planner import ExecutionPlan, LayerIndexData, PlanExecutor
 from repro.core.session import DecodeStepStats, Session
-from repro.index.builder import LayerIndexes
 from repro.index.graph import NeighborGraph
 from repro.index.roargraph import RoarGraphIndex
 from repro.kvcache.serialization import KVSnapshot
@@ -436,17 +435,15 @@ class TestExecutorGroupWiring:
                 queries[kv_head * group_size + slot] = (
                     direction * 4.0 + rng.normal(0, 0.4, 16)
                 ).astype(np.float32)
-        data = LayerIndexData(
-            keys=keys, fine_indexes=fine, shared=True, gqa_group_size=group_size
-        )
-        return data, queries
+        return LayerIndexData(keys=keys, fine_indexes=fine), queries
 
     @staticmethod
     def _per_head_walks(data, queries, beta=6.0):
         """The scalar oracle's walk per query head over its own index."""
         walks = []
+        group_size = len(queries) // data.keys.shape[0]
         for head, query in enumerate(queries):
-            index = data.fine_index_for_query_head(head)
+            index = data.fine_indexes[head // group_size]
             walks.append(_solo_oracle(index.vectors, index.graph, query, beta, [index.entry_point]))
         return walks
 
@@ -473,13 +470,10 @@ class TestExecutorGroupWiring:
         outcomes = executor.retrieve_heads(plan, data, queries, window_max_scores=huge)
         assert all(outcome.num_selected == 0 for outcome in outcomes)
 
-    def test_per_query_head_indexes_walk_one_head_per_group(self):
-        """Unshared indexes: each query head reads its own index, so each is a group of one
-        whose walk is that head's scalar Algorithm 1, its work counted on the head itself."""
-        data, queries = self._layer_data(num_kv_heads=1, group_size=2)
-        data.shared = False
-        data.gqa_group_size = 1
-        data.fine_indexes = [data.fine_indexes[0], data.fine_indexes[0]]
+    def test_group_of_one_is_the_scalar_walk(self):
+        """One query head per KV head: each walk is that head's scalar Algorithm 1,
+        its work counted on the head itself."""
+        data, queries = self._layer_data(num_kv_heads=2, group_size=1)
         plan = ExecutionPlan(QueryKind.DIPR, IndexKind.FINE, query=DIPRQuery(beta=6.0))
         outcomes = PlanExecutor().retrieve_heads(plan, data, queries)
         for outcome, (result, stats) in zip(outcomes, self._per_head_walks(data, queries)):
@@ -500,7 +494,7 @@ class TestExecutorGroupWiring:
 
 
 class TestSessionGroupFrontier:
-    def _context(self, rng, num_kv_heads=2, group_size=4, num_tokens=192, head_dim=8):
+    def _context(self, rng, num_kv_heads=2, num_tokens=192, head_dim=8):
         keys = rng.normal(0, 0.35, size=(num_kv_heads, num_tokens, head_dim)).astype(np.float32)
         values = rng.normal(size=(num_kv_heads, num_tokens, head_dim)).astype(np.float32)
         directions = []
@@ -519,9 +513,7 @@ class TestSessionGroupFrontier:
             indexes.append(index)
         snapshot = KVSnapshot(tokens=list(range(num_tokens)), keys={0: keys}, values={0: values})
         context = StoredContext(context_id="group-frontier", snapshot=snapshot)
-        context.fine_indexes[0] = LayerIndexes(
-            layer=0, indexes=indexes, shared=True, gqa_group_size=group_size
-        )
+        context.fine_indexes[0] = indexes
         return context, directions
 
     def test_session_outputs_match_per_head_walks(self):
@@ -529,13 +521,13 @@ class TestSessionGroupFrontier:
         rng = np.random.default_rng(17)
         group_size, num_kv_heads, head_dim = 4, 2, 8
         num_heads = group_size * num_kv_heads
-        context, directions = self._context(rng, num_kv_heads, group_size)
+        context, directions = self._context(rng, num_kv_heads)
         config = AlayaDBConfig(
             short_context_threshold=16,
             window_initial_tokens=4,
             window_last_tokens=8,
-            dipr_beta=5.0,
-            scale_beta_to_head_dim=False,
+            # beta 5 at head_dim 8: dipr_beta is read at the 128-dim calibration
+            dipr_beta=20.0,
             dipr_capacity_threshold=16,
             gpu_memory_budget_bytes=1,
             flat_index_layers=(),

@@ -136,9 +136,8 @@ def reference_retrieve(plan, keys, fine, coarse, queries, seeds, coarse_num_bloc
 
 def reference_sparse_attention(session, q, layer, shared_walk=True):
     """``(outputs (H, d), DecodeStepStats)`` a sparse decode of ``q`` (H, d) at ``layer`` must produce.
-    Reads the session (after ``update_query``) without changing it.  A GQA-shared fine index is walked
-    once for its KV head's query heads (or once per head without ``shared_walk``), a per-query-head
-    index once for its head."""
+    Reads the session (after ``update_query``) without changing it.  A KV head's fine index is walked
+    once for its query heads (or once per head without ``shared_walk``)."""
     plan, context, prefix = session.plan_for_layer(layer), session.context, session.reused_prefix_length
     keys, values, window = context.keys(layer), context.values(layer), session.window.positions(prefix)
     local_keys, local_values = session.local_snapshot(layer)
@@ -148,13 +147,10 @@ def reference_sparse_attention(session, q, layer, shared_walk=True):
         heads = list(range(kv_head * group, (kv_head + 1) * group))
         scores = [(keys[kv_head][window] @ q[h], local_keys[kv_head] @ q[h]) for h in heads]
         seeds = np.asarray([max((float(s.max()) for s in pair if s.size), default=-np.inf) for pair in scores])
-        found = []
-        for reads in [heads] if fine is None or fine.shared else [[h] for h in heads]:
-            found += reference_retrieve(
-                plan, keys[kv_head], fine.index_for_query_head(reads[0]) if fine else None,
-                coarse[kv_head] if coarse else None, q[reads], seeds[np.subtract(reads, heads[0])],
-                session.config.coarse_num_blocks, shared_walk,
-            )
+        found = reference_retrieve(
+            plan, keys[kv_head], fine[kv_head] if fine else None, coarse[kv_head] if coarse else None,
+            q[heads], seeds, session.config.coarse_num_blocks, shared_walk,
+        )
         for h, (positions, work, hops) in zip(heads, found):
             retrieved = np.setdiff1d(positions[positions < prefix], window)
             attended = np.concatenate([window, retrieved])

@@ -1,18 +1,18 @@
 """Two ContextStore handles interleaving writes over one shared manifest.
 
 The durable tier has no cross-process lock: each save atomically replaces
-the whole manifest (content is last-writer-wins at file granularity) with a
-generation stamp that every ``save`` floors against the persisted value
-before bumping.  These tests pin down the guarantees the sharded serving
-harness (one writing router + N refreshing workers over one backend)
-relies on:
+the manifest file, merging per row — the rows its handle upserted or removed
+since its last save go on top of the persisted catalog — with a generation
+stamp that every ``save`` floors against the persisted value before bumping.
+These tests pin down the guarantees the sharded serving harness (one writing
+router + N shard owners over one backend) relies on:
 
 * the persisted generation is strictly monotonic no matter how two writers
   interleave add/remove — a reader can always order observations;
-* a writer that lost an interleaving race reopens to a *consistent*
-  catalog: exactly the winner's manifest, never a torn mix;
-* a writer that refreshes before writing (the cooperative protocol) keeps
-  the other writer's entries, so refresh-then-write converges to the union;
+* interleaved writers converge to the union of their row changes, and a
+  writer reopens to exactly that catalog;
+* one writer's save never reverts a row another writer changed, such as the
+  ``index_key`` a shard owner wrote after building the shard's index;
 * ``refresh_from_manifest`` adopts the other writer's contexts cold without
   disturbing local residency.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.context_store import ContextStore
+from repro.index.builder import ContextIndexBuilder
 from repro.storage.backend import InMemoryBackend
 from repro.storage.manifest import ContextManifest
 
@@ -58,20 +59,41 @@ class TestConcurrentManifestWriters:
         beta.refresh_from_manifest()
 
         # interleave: alpha adds and removes without beta noticing; beta's
-        # later save wins the file. Content is last-writer-wins wholesale:
-        # beta never adopted alpha's interim entries, so they do not survive
+        # later save merges its one changed row into what alpha wrote, so
+        # alpha's add and remove both survive although beta adopted "shared"
         alpha.add(make_context(context_id="alpha-only", seed=2, num_tokens=16))
         alpha.remove("shared")
         beta.add(make_context(context_id="beta-only", seed=3, num_tokens=16))
 
         durable = ContextManifest.load(backend)
-        assert set(durable.entries) == {"shared", "beta-only"}
+        assert set(durable.entries) == {"alpha-only", "beta-only"}
 
-        # the losing writer (alpha) reopens to exactly the winning catalog —
-        # consistent with the durable state, not a torn mix of both histories
+        # a reopen sees exactly the durable catalog, not a torn mix
         reopened = ContextStore.open(backend)
-        assert {context_id for context_id, _ in reopened.items()} == {"shared", "beta-only"}
+        assert {context_id for context_id, _ in reopened.items()} == {"alpha-only", "beta-only"}
         assert reopened.manifest_generation == durable.generation
+
+    def test_a_save_keeps_the_index_row_another_writer_persisted(self, backend):
+        """Two shard owners each persist the index their shard gained: both
+        rows keep their ``index_key``, and both shards reload with it."""
+        alpha, beta = _open_two(backend)
+        for shard in ("doc--shard000", "doc--shard001"):
+            alpha.add(make_context(context_id=shard, seed=len(shard), num_tokens=32))
+        beta.refresh_from_manifest()
+
+        for owner, shard in ((alpha, "doc--shard000"), (beta, "doc--shard001")):
+            context = owner.ensure_resident(shard)
+            keys = context.keys(0)
+            context.fine_indexes, _ = ContextIndexBuilder().build_context({0: keys}, {0: keys})
+            assert owner.persist_indexes(shard)
+
+        durable = ContextManifest.load(backend)
+        assert durable.get("doc--shard000").index_key == "doc--shard000.indexes.npz"
+        assert durable.get("doc--shard001").index_key == "doc--shard001.indexes.npz"
+        reopened = ContextStore.open(backend)
+        for shard in ("doc--shard000", "doc--shard001"):
+            assert reopened.ensure_resident(shard).has_fine_indexes
+        assert reopened.reload_rebuilt_count == 0
 
     def test_refresh_before_write_converges_to_the_union(self, backend):
         alpha, beta = _open_two(backend)

@@ -15,8 +15,8 @@ from repro import AlayaDBConfig, errors
 def test_config_field_count():
     """A ratchet on the configuration surface: a new knob must show up in review."""
     count = len(dataclasses.fields(AlayaDBConfig))
-    assert count <= 33, (
-        f"AlayaDBConfig has {count} fields, above the ratchet of 33: ROADMAP aim 2 ranks "
+    assert count <= 31, (
+        f"AlayaDBConfig has {count} fields, above the ratchet of 31: ROADMAP aim 2 ranks "
         "deleting a knob as highly as a speedup, so justify the new one there (or delete "
         "another) before raising this bound"
     )
@@ -37,6 +37,33 @@ def test_no_index_policy_on_the_ingest_surface():
     ]
     names += [f"{cls.__name__}.{f.name}" for cls in (StoredContext, ManifestEntry) for f in dataclasses.fields(cls)]
     assert [name for name in names if re.search(r"[.(](build|lazy|wants)_", name)] == []
+
+
+def test_one_fine_index_layout_and_no_standalone_index_files():
+    """A ratchet on the index layout: a layer's fine indexes are one RoarGraph
+    per KV head, and a context's indexes persist only inside its index blob.
+    The per-query-head layout, the group size threaded next to it and the
+    one-index file format must not come back."""
+    import repro.index as index_package
+    from repro.core.planner import LayerIndexData
+    from repro.index import builder, serialization
+    from repro.index.builder import BuildReport, IndexBuildConfig
+    from repro.index.coarse import CoarseBlockIndex
+    from repro.index.roargraph import RoarGraphIndex
+
+    def field_names(cls) -> set[str]:
+        return {f.name for f in dataclasses.fields(cls)}
+
+    found = [f"{cls.__name__}.gqa_share" for cls in (IndexBuildConfig, BuildReport) if "gqa_share" in field_names(cls)]
+    found += [f"{module.__name__}.LayerIndexes" for module in (builder, index_package)
+              if hasattr(module, "LayerIndexes")]
+    found += [f"LayerIndexData.{name}" for name in ("shared", "gqa_group_size")
+              if hasattr(LayerIndexData, name) or name in field_names(LayerIndexData)]
+    found += [f"{cls.__name__}.{name}" for cls in (RoarGraphIndex, CoarseBlockIndex)
+              for name in ("save", "load") if hasattr(cls, name)]
+    found += [f"serialization.{name}" for name in ("save_roargraph", "load_roargraph", "save_coarse", "load_coarse")
+              if hasattr(serialization, name)]
+    assert found == []
 
 
 class TestPublicSurface:
