@@ -87,7 +87,7 @@ class StoredContext:
             snapshot=None,
             prefix_matchable=entry.prefix_matchable,
         )
-        context._tokens = list(entry.tokens)
+        context._tokens = entry.tokens
         context._spilled_kv_bytes = entry.kv_bytes
         context._spilled_num_layers = entry.num_layers
         return context
@@ -396,10 +396,12 @@ class ContextStore:
         self._forget(context)
         del self._contexts[context_id]
         if self.backend is not None:
-            self.backend.delete(self._snapshot_key(context_id))
-            self.backend.delete(self._index_key(context_id))
+            # uncatalog first: a failure past this point leaves an orphan
+            # object, never a row that names a deleted snapshot
             if self._manifest.remove(context_id):
                 self._manifest.save(self.backend)
+            self.backend.delete(self._snapshot_key(context_id))
+            self.backend.delete(self._index_key(context_id))
 
     def list_ids(self) -> list[str]:
         return sorted(self._contexts)

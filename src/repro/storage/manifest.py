@@ -9,6 +9,12 @@ blob is rebuilt.  A restarted :class:`~repro.core.service.InferenceService`
 ``ContextStore.open`` and can prefix-match and serve contexts it never
 prefilled.
 
+Format 2 stores a row's tokens as one string, base64 of little-endian
+int32, and writes the catalog as compact JSON, so a save encodes only the
+rows it changed and copies every other row's string through untouched.
+Format 1 catalogs (tokens as JSON lists) still load, and the first save
+over one rewrites every row packed.
+
 Crash safety comes from two sides: the backend's atomic write (temp +
 rename, so a reader never sees a torn manifest) and a monotonically
 increasing **generation** stamp, bumped on every write, so stale copies are
@@ -21,16 +27,36 @@ writer never reverts a row another wrote.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..errors import ContextLoadError
 from .backend import StorageBackend
 
 __all__ = ["MANIFEST_FORMAT_VERSION", "MANIFEST_KEY", "ManifestEntry", "ContextManifest"]
 
-MANIFEST_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 2
 MANIFEST_KEY = "manifest.json"
+_INT32 = np.iinfo(np.int32)
+
+
+def _pack_tokens(tokens) -> str:
+    """Token ids as base64 of little-endian int32; ``ValueError`` for an id
+    outside int32."""
+    ids = np.asarray(tokens)
+    if ids.size and (ids.min() < _INT32.min or ids.max() > _INT32.max):
+        raise ValueError(f"token id outside int32 in [{ids.min()}, {ids.max()}]")
+    return base64.b64encode(ids.astype("<i4").tobytes()).decode("ascii")
+
+
+def _unpack_tokens(packed: str) -> list[int]:
+    raw = base64.b64decode(packed, validate=True)
+    if len(raw) % 4:
+        raise ValueError(f"packed tokens hold {len(raw)} bytes, not a multiple of 4")
+    return np.frombuffer(raw, dtype="<i4").tolist()
 
 
 @dataclass
@@ -60,7 +86,7 @@ class ManifestEntry:
     def to_json(self) -> dict:
         return {
             "context_id": self.context_id,
-            "tokens": self.tokens,
+            "tokens": _pack_tokens(self.tokens),
             "num_layers": self.num_layers,
             "kv_bytes": self.kv_bytes,
             "snapshot_key": self.snapshot_key,
@@ -75,7 +101,7 @@ class ManifestEntry:
         try:
             return cls(
                 context_id=payload["context_id"],
-                tokens=[int(t) for t in payload["tokens"]],
+                tokens=_unpack_tokens(payload["tokens"]),
                 num_layers=int(payload["num_layers"]),
                 kv_bytes=int(payload["kv_bytes"]),
                 snapshot_key=payload["snapshot_key"],
@@ -122,11 +148,14 @@ class ContextManifest:
 
         The write merges per row: the rows this handle upserted or removed
         since its last save are applied on top of the *persisted* catalog,
-        so rows other handles wrote in between survive.  The bump continues
-        from the persisted generation when that is ahead of this handle's,
-        so every save produces a strictly larger stamp than whatever a
-        reader last observed.  A persisted manifest that does not parse is
-        no catalog to merge with: this handle's own rows replace it.
+        so rows other handles wrote in between survive.  Only those rows are
+        encoded; every other row is written back as the parsed dict it was
+        read as.  The bump continues from the persisted generation when that
+        is ahead of this handle's, so every save produces a strictly larger
+        stamp than whatever a reader last observed.  A persisted manifest
+        that does not parse is no catalog to merge with: this handle's own
+        rows replace it.  A token id outside int32 raises ``ValueError``
+        before anything is written.
         """
         persisted = self._persisted_payload(backend, key)
         if persisted is None:
@@ -145,14 +174,15 @@ class ContextManifest:
             "generation": self.generation,
             "contexts": [rows[cid] for cid in sorted(rows)],
         }
-        backend.write_bytes(key, json.dumps(payload, indent=1).encode("utf-8"))
+        backend.write_bytes(key, json.dumps(payload, separators=(",", ":")).encode("utf-8"))
         self._changed.clear()
         return self.generation
 
     @staticmethod
     def _persisted_payload(backend: StorageBackend, key: str) -> dict | None:
-        """The manifest currently stored on ``backend`` as parsed JSON, or
-        ``None`` when there is none or it does not parse.
+        """The manifest currently stored on ``backend`` as parsed by
+        :meth:`_read_payload`, or ``None`` when there is none or it does not
+        parse.
 
         Corruption is not raised here — :meth:`load` is where it surfaces as
         an error; here it must not block a save that would overwrite the
@@ -161,36 +191,47 @@ class ContextManifest:
         if not backend.exists(key):
             return None
         try:
-            payload = json.loads(backend.read_bytes(key).decode("utf-8"))
-            if payload.get("format_version") != MANIFEST_FORMAT_VERSION:
-                return None
-            payload["generation"] = int(payload.get("generation", 0))
-            if not all(isinstance(row.get("context_id"), str) for row in payload["contexts"]):
-                return None
-        except (AttributeError, KeyError, TypeError, ValueError, ContextLoadError):
+            return ContextManifest._read_payload(backend, key)
+        except ContextLoadError:
             return None
+
+    @staticmethod
+    def _read_payload(backend: StorageBackend, key: str) -> dict:
+        """The stored manifest as JSON in the current format: an integer
+        ``generation`` and rows that each carry a string ``context_id`` and
+        packed ``tokens`` (a format 1 row's token list is packed here).
+        Raises :class:`ContextLoadError` when the blob is corrupted or
+        written by an unknown format version."""
+        try:
+            payload = json.loads(backend.read_bytes(key).decode("utf-8"))
+            version = payload.get("format_version")
+            if version not in (1, MANIFEST_FORMAT_VERSION):
+                raise ContextLoadError(
+                    f"manifest format version {version!r} is not supported "
+                    f"(this build reads versions 1 and {MANIFEST_FORMAT_VERSION})"
+                )
+            payload["generation"] = int(payload.get("generation", 0))
+            rows = payload.setdefault("contexts", [])
+            for row in rows:
+                if not isinstance(row["context_id"], str):
+                    raise TypeError(f"context id {row['context_id']!r} is not a string")
+                if version == 1:
+                    row["tokens"] = _pack_tokens(row["tokens"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ContextLoadError(f"corrupted context manifest under {key!r}: {exc!r}") from exc
         return payload
 
     @classmethod
     def load(cls, backend: StorageBackend, key: str = MANIFEST_KEY) -> "ContextManifest":
-        """Read the manifest back; raises :class:`ContextLoadError` when the
-        blob is corrupted or written by an unknown format version."""
-        raw = backend.read_bytes(key)
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ContextLoadError(f"corrupted context manifest under {key!r}: {exc}") from exc
-        version = payload.get("format_version")
-        if version != MANIFEST_FORMAT_VERSION:
-            raise ContextLoadError(
-                f"manifest format version {version!r} is not supported "
-                f"(this build reads version {MANIFEST_FORMAT_VERSION})"
-            )
+        """Read the manifest back (format 1 or 2); raises
+        :class:`ContextLoadError` when the blob is corrupted or written by an
+        unknown format version."""
+        payload = cls._read_payload(backend, key)
         entries = {}
-        for row in payload.get("contexts", []):
+        for row in payload["contexts"]:
             entry = ManifestEntry.from_json(row)
             entries[entry.context_id] = entry
-        return cls(entries=entries, generation=int(payload.get("generation", 0)))
+        return cls(entries=entries, generation=payload["generation"])
 
     @classmethod
     def load_or_empty(cls, backend: StorageBackend, key: str = MANIFEST_KEY) -> "ContextManifest":

@@ -17,7 +17,7 @@ from repro.core.config import AlayaDBConfig
 from repro.core.context_store import ContextStore
 from repro.core.db import DB
 from repro.core.service import InferenceService
-from repro.errors import ContextLoadError, DuplicateContextError
+from repro.errors import ContextLoadError, DuplicateContextError, StorageError
 from repro.kvcache.serialization import snapshot_to_bytes
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.storage.backend import FilesystemBackend, InMemoryBackend
@@ -373,6 +373,46 @@ class TestServiceRestart:
         assert report["context_reloads_deserialized"] >= 1
         assert report["context_reloads_rebuilt"] == 0
 
+    def test_a_remove_that_fails_midway_leaves_no_dangling_row(self):
+        """``remove`` uncatalogs before it deletes: a delete that fails
+        leaves an orphan object, and a reopened service neither lists the
+        context nor fails on a prompt that prefix-matches it."""
+
+        class FailingDeleteBackend(InMemoryBackend):
+            fail_index_deletes = False
+
+            def delete(self, key):
+                if self.fail_index_deletes and key.endswith(".indexes.npz"):
+                    raise StorageError(f"injected failure deleting {key!r}")
+                return super().delete(key)
+
+        def service_over(backend):
+            model = TransformerModel(ModelConfig.tiny(seed=113))
+            config = AlayaDBConfig(
+                window_initial_tokens=8,
+                window_last_tokens=16,
+                max_retrieved_tokens=64,
+                **FINE_PLANS,
+            )
+            return InferenceService(model, config, backend=backend)
+
+        backend = FailingDeleteBackend()
+        service = service_over(backend)
+        service.ingest(DOC, context_id="doc")
+        service.ingest("an unrelated stored note. " * 10, context_id="note")
+        assert backend.exists("doc.indexes.npz")
+        backend.fail_index_deletes = True
+        with pytest.raises(StorageError):
+            service.db.store_registry.remove("doc")
+        backend.fail_index_deletes = False
+
+        restarted = service_over(backend)
+        assert restarted.db.store_registry.list_ids() == ["note"]
+        result, record = restarted.serve(DOC + QUESTION, max_new_tokens=4)
+        assert record.reused_tokens == 0
+        expected, _ = service_over(None).serve(DOC + QUESTION, max_new_tokens=4)
+        assert result.generated_tokens == expected.generated_tokens
+
     def test_restart_ttft_benefits_from_reuse(self, tmp_path):
         """The restarted service's prefill only covers the question suffix —
         the recovered context absorbs the document, like a warm service."""
@@ -424,27 +464,31 @@ class TestServiceRestart:
 class TestDatabaseWithIndexPolicyRows:
     """Manifests written before index construction followed the plans
     carried a per-context index policy (``wants_fine_indexes`` /
-    ``wants_coarse_indexes``) on every row.  Such a database still opens:
-    the keys are ignored, and each context gets the indexes its plans read."""
+    ``wants_coarse_indexes``) on every row, in manifest format 1: token ids
+    as JSON lists, indented.  Such a database still opens: the keys are
+    ignored, each context gets the indexes its plans read, and the first
+    save rewrites the catalog in format 2 without losing a row."""
 
     @staticmethod
-    def _write_database(directory, context, wants: bool) -> None:
+    def _write_database(directory, contexts, wants: bool) -> None:
         backend = FilesystemBackend(directory)
-        backend.write_bytes(f"{context.context_id}.npz", snapshot_to_bytes(context.snapshot))
-        row = {
-            "context_id": context.context_id,
-            "tokens": list(context.tokens),
-            "num_layers": context.num_layers,
-            "kv_bytes": context.kv_bytes,
-            "snapshot_key": f"{context.context_id}.npz",
-            "index_key": None,
-            "index_bytes": 0,
-            "wants_fine_indexes": wants,
-            "wants_coarse_indexes": wants,
-            "prefix_matchable": True,
-            "metadata": {},
-        }
-        payload = {"format_version": 1, "generation": 3, "contexts": [row]}
+        rows = []
+        for context in contexts:
+            backend.write_bytes(f"{context.context_id}.npz", snapshot_to_bytes(context.snapshot))
+            rows.append({
+                "context_id": context.context_id,
+                "tokens": list(context.tokens),
+                "num_layers": context.num_layers,
+                "kv_bytes": context.kv_bytes,
+                "snapshot_key": f"{context.context_id}.npz",
+                "index_key": None,
+                "index_bytes": 0,
+                "wants_fine_indexes": wants,
+                "wants_coarse_indexes": wants,
+                "prefix_matchable": True,
+                "metadata": {},
+            })
+        payload = {"format_version": 1, "generation": 3, "contexts": rows}
         backend.write_bytes(MANIFEST_KEY, json.dumps(payload, indent=1).encode("utf-8"))
 
     @pytest.mark.parametrize("wants", [True, False])
@@ -453,7 +497,7 @@ class TestDatabaseWithIndexPolicyRows:
         fresh.ingest(DOC, context_id="doc")
         expected, expected_record = fresh.serve(DOC + QUESTION, max_new_tokens=6)
 
-        self._write_database(tmp_path / "old" / "ctxdb", fresh.db.get_context("doc"), wants)
+        self._write_database(tmp_path / "old" / "ctxdb", [fresh.db.get_context("doc")], wants)
         store = ContextStore.open(tmp_path / "old" / "ctxdb")
         assert store.list_ids() == ["doc"]
         assert store.manifest_generation == 3
@@ -469,3 +513,31 @@ class TestDatabaseWithIndexPolicyRows:
         assert (report["context_reloads_deserialized"], report["context_reloads_rebuilt"]) == (1, 0)
         assert restarted.db.get_context("doc").has_fine_indexes
         assert FilesystemBackend(tmp_path / "old" / "ctxdb").exists("doc.indexes.npz")
+
+    def test_a_save_over_a_format_1_catalog_merges_and_packs_every_row(self, tmp_path):
+        fresh = _service(tmp_path / "fresh")
+        fresh.ingest(DOC, context_id="doc")
+        fresh.ingest("an unrelated stored note. " * 10, context_id="note")
+        expected, expected_record = fresh.serve(DOC + QUESTION, max_new_tokens=6)
+        originals = {cid: list(fresh.db.get_context(cid).tokens) for cid in ("doc", "note")}
+
+        directory = tmp_path / "old" / "ctxdb"
+        # a handle opened before the old catalog existed: it owns none of
+        # its rows, so a save that replaced the catalog would drop them
+        writer = ContextStore.open(directory)
+        self._write_database(directory, [fresh.db.get_context(cid) for cid in originals], False)
+        writer.add(make_context(context_id="new", seed=5))
+
+        payload = json.loads(FilesystemBackend(directory).read_bytes(MANIFEST_KEY))
+        assert payload["format_version"] == 2
+        assert payload["generation"] == 4
+        assert [row["context_id"] for row in payload["contexts"]] == ["doc", "new", "note"]
+        assert all(isinstance(row["tokens"], str) for row in payload["contexts"])
+        reopened = ContextStore.open(directory)
+        for context_id, tokens in originals.items():
+            assert reopened.get(context_id).tokens == tokens
+
+        restarted = _service(tmp_path / "old")
+        result, record = restarted.serve(DOC + QUESTION, max_new_tokens=6)
+        assert record.reused_tokens == expected_record.reused_tokens > 0
+        assert result.generated_tokens == expected.generated_tokens
