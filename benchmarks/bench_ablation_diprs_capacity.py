@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import emit, run_once
+from benchmarks.common import build_fine_indexes, emit, run_once
 from repro.analysis.reporting import format_table
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.query.dipr import diprs_search, exact_dipr
 from repro.query.types import beta_from_alpha
 from repro.workloads.generator import generate_workload
@@ -31,9 +30,7 @@ def _sweep_capacity():
     spec = infinite_bench_task("En.QA", context_length=4096, num_decode_steps=NUM_QUERIES, seed=401)
     workload = generate_workload(spec)
     context = workload.context
-    context.fine_indexes, _ = ContextIndexBuilder(IndexBuildConfig()).build_context(
-        context.snapshot.keys, context.query_samples
-    )
+    context.fine_indexes, _ = build_fine_indexes(context)
     beta = beta_from_alpha(0.012, spec.head_dim)
     index = context.fine_indexes[0][0]
     keys = context.keys(0)[0]

@@ -20,7 +20,7 @@ import numpy as np
 
 from benchmarks.common import build_per_query_head, emit, run_once
 from repro.analysis.reporting import format_table
-from repro.index.builder import ContextIndexBuilder
+from repro.index.builder import ContextIndexBuilder, draw_query_sample
 from repro.simulator.cost_model import CostModel
 
 EXPERIMENT = "Figure 11: index construction time and memory"
@@ -35,13 +35,18 @@ HEAD_DIM = 32
 def _build_variants():
     rng = np.random.default_rng(0)
     builder = ContextIndexBuilder()
-    variants = {"per query head": partial(build_per_query_head, builder), "shared": builder.build_layer}
+    # variant -> (build, query-sample groups: one per index)
+    variants = {
+        "per query head": (partial(build_per_query_head, builder), NUM_QUERY_HEADS),
+        "shared": (builder.build_layer, NUM_KV_HEADS),
+    }
     measured = {name: [] for name in variants}
     for length in MEASURED_LENGTHS:
         keys = rng.normal(size=(NUM_KV_HEADS, length, HEAD_DIM)).astype(np.float32)
         queries = rng.normal(size=(NUM_QUERY_HEADS, max(64, length // 4), HEAD_DIM)).astype(np.float32)
-        for name, build in variants.items():
-            _, report = build(0, keys, queries)
+        for name, (build, num_groups) in variants.items():
+            sample = draw_query_sample(queries, num_groups, length, builder.config, layer=0)
+            _, report = build(keys, sample)
             measured[name].append(report)
 
     # paper-scale modelled construction times (one layer of Llama-3-8B: 32

@@ -15,9 +15,8 @@ import time
 
 import numpy as np
 
-from benchmarks.common import emit, run_once
+from benchmarks.common import build_fine_indexes, emit, run_once
 from repro.analysis.reporting import format_table
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.query.dipr import exact_dipr
 from repro.query.filtered import filtered_diprs_search, naive_filtered_diprs_search
 from repro.query.types import FilterPredicate, beta_from_alpha
@@ -32,7 +31,6 @@ NUM_QUERIES = 8
 
 def _run_micro_benchmark():
     beta = beta_from_alpha(0.012, 32)
-    builder = ContextIndexBuilder(IndexBuildConfig())
     rows = []
     for ratio in REUSE_RATIOS:
         stored_length = int(round(PREFIX_LENGTH / ratio))
@@ -51,7 +49,7 @@ def _run_micro_benchmark():
         )
         workload = generate_workload(spec)
         context = workload.context
-        fine, _ = builder.build_context(context.snapshot.keys, context.query_samples)
+        fine, _ = build_fine_indexes(context)
         index = fine[0][0]
         keys = context.keys(0)[0]
         predicate = FilterPredicate(max_position=PREFIX_LENGTH)

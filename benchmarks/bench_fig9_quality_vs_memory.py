@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import emit, run_once
+from benchmarks.common import build_fine_indexes, emit, run_once
 from repro.analysis.reporting import format_series
 from repro.baselines import DIPRSStrategy, InfLLMStrategy, StreamingLLMStrategy, TopKRetrievalStrategy
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.query.types import beta_from_alpha
 from repro.simulator.cost_model import CostModel
 from repro.simulator.device import GIB
@@ -38,9 +37,7 @@ def _evaluate_task(task_name: str):
     spec = infinite_bench_task(task_name, context_length=CONTEXT_LENGTH, num_decode_steps=DECODE_STEPS)
     workload = generate_workload(spec)
     context = workload.context
-    context.fine_indexes, _ = ContextIndexBuilder(IndexBuildConfig()).build_context(
-        context.snapshot.keys, context.query_samples
-    )
+    context.fine_indexes, _ = build_fine_indexes(context)
     beta = beta_from_alpha(0.012, spec.head_dim)
     cost = CostModel()
     scale_to_paper = spec.paper_context_length / spec.context_length

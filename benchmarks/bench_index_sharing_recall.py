@@ -13,7 +13,7 @@ import numpy as np
 
 from benchmarks.common import build_per_query_head, emit, run_once
 from repro.analysis.reporting import format_table
-from repro.index.builder import ContextIndexBuilder
+from repro.index.builder import ContextIndexBuilder, draw_query_sample
 from repro.workloads.generator import ScoringMode, WorkloadSpec, generate_workload
 
 EXPERIMENT = "GQA index sharing: recall cost"
@@ -41,8 +41,11 @@ def _measure_sharing_recall():
     queries = workload.context.query_samples
 
     builder = ContextIndexBuilder()
-    shared_indexes, shared_report = builder.build_layer(0, keys[0], queries[0])
-    per_head_indexes, per_head_report = build_per_query_head(builder, 0, keys[0], queries[0])
+    n, config = spec.context_length, builder.config
+    shared_sample = draw_query_sample(queries[0], spec.num_kv_heads, n, config, layer=0)
+    per_head_sample = draw_query_sample(queries[0], spec.num_query_heads, n, config, layer=0)
+    shared_indexes, shared_report = builder.build_layer(keys[0], shared_sample)
+    per_head_indexes, per_head_report = build_per_query_head(builder, keys[0], per_head_sample)
 
     group = spec.gqa_group_size
     recalls = {"shared": [], "per-head": []}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import emit, run_once
+from benchmarks.common import build_fine_indexes, emit, run_once
 from repro.analysis.reporting import format_table
 from repro.baselines import (
     AlayaDBTTFTModel,
@@ -21,7 +21,6 @@ from repro.baselines import (
     LMCacheStore,
     TopKRetrievalStrategy,
 )
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.query.types import beta_from_alpha
 from repro.scheduler import SLO
 from repro.simulator.cost_model import CostModel
@@ -42,7 +41,6 @@ def _measure_matrix():
     # task (En.Sum with a dense critical structure): the static top-k of
     # category (3) loses exactly there, which is the paper's argument for its
     # "Medium/Bad" quality cell.
-    builder = ContextIndexBuilder(IndexBuildConfig())
     workloads = []
     for task_name, overrides in (
         ("En.QA", {}),
@@ -50,9 +48,7 @@ def _measure_matrix():
     ):
         spec = infinite_bench_task(task_name, context_length=4096, num_decode_steps=3, **overrides)
         workload = generate_workload(spec)
-        workload.context.fine_indexes, _ = builder.build_context(
-            workload.context.snapshot.keys, workload.context.query_samples
-        )
+        workload.context.fine_indexes, _ = build_fine_indexes(workload.context)
         workloads.append(workload)
     head_dim = workloads[0].spec.head_dim
     beta = beta_from_alpha(0.012, head_dim)

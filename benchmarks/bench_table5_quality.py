@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import emit, run_once
+from benchmarks.common import build_fine_indexes, emit, run_once
 from repro.analysis.reporting import format_table
 from repro.baselines import (
     DIPRSStrategy,
@@ -30,7 +30,6 @@ from repro.baselines import (
     TopKRetrievalStrategy,
 )
 from repro.baselines.base import SelectionOutcome, SelectionStrategy
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.query.types import beta_from_alpha
 from repro.scheduler import SLO
 from repro.simulator.cost_model import CostModel
@@ -116,16 +115,13 @@ def _methods(head_dim: int):
 def _evaluate_all_tasks():
     cost = CostModel()
     slo = SLO()
-    builder = ContextIndexBuilder(IndexBuildConfig())
     results: dict[str, dict[str, dict]] = {}
     for task_name in infinite_bench_names():
         spec = infinite_bench_task(task_name, context_length=CONTEXT_LENGTH, num_decode_steps=DECODE_STEPS)
         workload = generate_workload(spec)
         # build the fine-grained indexes once and share them across methods
         context = workload.context
-        context.fine_indexes, _ = builder.build_context(
-            context.snapshot.keys, context.query_samples
-        )
+        context.fine_indexes, _ = build_fine_indexes(context)
         results[task_name] = {}
         for method_name, strategy in _methods(spec.head_dim).items():
             evaluation = evaluate_strategy(strategy, workload)

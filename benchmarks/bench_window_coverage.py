@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import emit, run_once
+from benchmarks.common import build_fine_indexes, emit, run_once
 from repro.analysis.critical_tokens import window_max_coverage
 from repro.analysis.reporting import format_table
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.query.dipr import diprs_search
 from repro.query.types import beta_from_alpha
 from repro.workloads.generator import generate_workload
@@ -51,9 +50,7 @@ def _run():
     # ablation: DIPRS with and without the window seed
     spec = workload.spec
     context = workload.context
-    context.fine_indexes, _ = ContextIndexBuilder(IndexBuildConfig()).build_context(
-        context.snapshot.keys, context.query_samples
-    )
+    context.fine_indexes, _ = build_fine_indexes(context)
     beta = beta_from_alpha(0.012, spec.head_dim)
     index = context.fine_indexes[0][0]
     keys = context.keys(0)[0]

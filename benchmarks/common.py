@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.index.builder import BuildReport, ContextIndexBuilder
+from repro.core.context_store import StoredContext
+from repro.index.builder import BuildReport, ContextIndexBuilder, IndexBuildConfig, draw_query_sample
 from repro.index.roargraph import RoarGraphIndex
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -38,34 +39,42 @@ def run_once(benchmark, func, *args, **kwargs):
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
 
 
+def build_fine_indexes(context: StoredContext) -> tuple[dict[int, list[RoarGraphIndex]], BuildReport]:
+    """A context's fine indexes as ``DB`` builds them: each layer's
+    RoarGraphs over its keys, from the one query-sample draw over the
+    context's historical queries (default :class:`IndexBuildConfig`)."""
+    config = IndexBuildConfig()
+    keys = context.snapshot.keys
+    samples = {
+        layer: draw_query_sample(queries, keys[layer].shape[0], context.num_tokens, config, layer)
+        for layer, queries in context.query_samples.items()
+    }
+    return ContextIndexBuilder(config).build_context(keys, samples)
+
+
 def build_per_query_head(
-    builder: ContextIndexBuilder, layer: int, keys: np.ndarray, queries: np.ndarray
+    builder: ContextIndexBuilder, keys: np.ndarray, sample: np.ndarray
 ) -> tuple[list[RoarGraphIndex], BuildReport]:
     """The layout GQA-based index sharing replaces (Section 7.2): one
     RoarGraph per *query head*, over its KV head's keys and built from that
     head's own query sample — the baseline the sharing benches measure.
 
-    ``keys``/``queries`` are shaped as for ``builder.build_layer``; the
-    sampler and its per-layer seed are the builder's.  Returns the indexes
-    by query head and a report of the build.
+    ``sample`` is ``(num_query_heads, m, head_dim)``: the one draw with a
+    group per query head.  Returns the indexes by query head and a report of
+    the build.
     """
     keys = np.asarray(keys, dtype=np.float32)
-    queries = np.asarray(queries, dtype=np.float32)
-    num_keys = keys.shape[1]
-    group_size = queries.shape[0] // keys.shape[0]
-    rng = np.random.default_rng(builder.config.seed + layer)
+    group_size = sample.shape[0] // keys.shape[0]
     start = time.perf_counter()
-    indexes, num_samples = [], 0
-    for query_head in range(queries.shape[0]):
-        sample = builder.sample_queries(queries[query_head : query_head + 1], num_keys, rng)
-        num_samples += sample.shape[0]
+    indexes = []
+    for query_head, head_sample in enumerate(sample):
         index = RoarGraphIndex(builder.config.roargraph)
-        index.build(keys[query_head // group_size], query_sample=sample)
+        index.build(keys[query_head // group_size], query_sample=head_sample)
         indexes.append(index)
     report = BuildReport(
         num_indexes=len(indexes),
-        num_keys=num_keys,
-        num_query_samples=num_samples,
+        num_keys=keys.shape[1],
+        num_query_samples=sample.shape[0] * sample.shape[1],
         wall_clock_seconds=time.perf_counter() - start,
         index_memory_bytes=sum(index.memory_bytes for index in indexes),
     )

@@ -59,12 +59,8 @@ class DIPRSStrategy(SelectionStrategy):
                     self._indexes[(layer, kv_head)] = stored[kv_head]
                     continue
                 sample = context.query_samples.get(layer)
-                query_sample = None
-                if sample is not None and sample.size:
-                    group = sample[kv_head * self._gqa_group_size : (kv_head + 1) * self._gqa_group_size]
-                    query_sample = group.reshape(-1, group.shape[-1])
                 index = RoarGraphIndex(self.roargraph)
-                index.build(keys[kv_head], query_sample=query_sample)
+                index.build(keys[kv_head], query_sample=None if sample is None else sample[kv_head])
                 self._indexes[(layer, kv_head)] = index
 
     def _window(self, context_length: int) -> np.ndarray:

@@ -112,9 +112,10 @@ class StoredContext:
 
     @property
     def query_samples(self) -> dict[int, np.ndarray]:
-        """The prefill query samples a fine-index build reads, per layer.
+        """The query sample a fine-index build reads, per layer that can plan
+        FINE, ``(num_kv_heads, m, head_dim)``.
 
-        They live once, in the snapshot (empty while spilled)."""
+        It lives once, in the snapshot (empty while spilled)."""
         return self.snapshot.query_samples if self.snapshot is not None else {}
 
     @property

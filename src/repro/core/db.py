@@ -44,10 +44,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..index.builder import ContextIndexBuilder
+from ..index.builder import ContextIndexBuilder, draw_query_sample
 from ..index.coarse import CoarseBlockIndex
 from ..kvcache.cache import DynamicCache
-from ..kvcache.serialization import KVSnapshot
+from ..kvcache.serialization import KVSnapshot, snapshot_from_cache
 from ..llm.model import TransformerModel
 from ..llm.tokenizer import ByteTokenizer
 from ..errors import ContextLoadError
@@ -192,20 +192,21 @@ class DB:
         context_id: str | None = None,
     ) -> StoredContext:
         """Import an already-computed context (prompt + KV cache) for reuse,
-        with the indexes its plans read (see the module docstring)."""
+        with the indexes its plans read (see the module docstring).
+
+        ``query_samples`` are the prefill queries per layer, ``(num_query_heads,
+        m, head_dim)``; the snapshot keeps only the sample a fine build reads.
+        """
         tokens = self._tokenize(prompts)
         if isinstance(kv_cache, KVSnapshot):
             snapshot = kv_cache
         else:
-            keys = {layer: kv_cache.keys(layer).copy() for layer in range(kv_cache.num_layers)}
-            values = {layer: kv_cache.values(layer).copy() for layer in range(kv_cache.num_layers)}
-            snapshot = KVSnapshot(tokens=tokens, keys=keys, values=values)
-        snapshot.validate()
+            snapshot = snapshot_from_cache(tokens, kv_cache)
         if query_samples:
-            # attach to the snapshot so spill/reload round-trips the samples
-            snapshot.query_samples = {
-                layer: np.asarray(q, dtype=np.float32) for layer, q in query_samples.items()
-            }
+            snapshot.query_samples = self._draw_query_samples(
+                query_samples, snapshot.keys, snapshot.num_tokens
+            )
+        snapshot.validate()
 
         context_id = context_id or self._next_context_id()
         context = StoredContext(context_id=context_id, snapshot=snapshot)
@@ -255,39 +256,45 @@ class DB:
             tokens=list(tokens),
             keys=keys,
             values=values,
-            query_samples=self._merged_query_samples(session),
+            query_samples=self._session_query_samples(session, keys),
         )
         snapshot.validate()
         return snapshot
 
-    def _merged_query_samples(self, session: Session) -> dict[int, np.ndarray]:
-        """Query samples covering everything a stored session represents.
+    def _draw_query_samples(
+        self, queries: dict[int, np.ndarray], keys: dict[int, np.ndarray], num_keys: int
+    ) -> dict[int, np.ndarray]:
+        """The sample of each layer's ``queries`` that a fine build over
+        ``num_keys`` keys reads, for every layer that can plan FINE (one
+        outside ``flat_index_layers``)."""
+        return {
+            layer: draw_query_sample(
+                layer_queries, keys[layer].shape[0], num_keys, self.config.index_build, layer
+            )
+            for layer, layer_queries in queries.items()
+            if layer_queries.size and layer not in self.config.flat_index_layers
+        }
 
-        A connected session only captured queries for its *locally* computed
-        tokens; the reused prefix's queries live on the stored context it was
-        connected to.  Concatenating both keeps the sample representative of
-        the full transcript when a chat turn re-stores the grown context.
+    def _session_query_samples(
+        self, session: Session, keys: dict[int, np.ndarray]
+    ) -> dict[int, np.ndarray]:
+        """The query sample of everything a stored session represents.
+
+        A session captured queries only for its *locally* computed tokens;
+        they are drawn down to a sample sized to those tokens.  A connected
+        session's reused prefix already has its sample on the stored context:
+        its first ``query_sample_ratio · reused`` rows come first, then the
+        turn's own draw, so a chat turn that re-stores the grown context
+        keeps a full-transcript sample of about ``query_sample_ratio · n``
+        rows per KV head.
         """
-        local = {layer: s for layer, s in session.query_samples.items() if s.size}
-        prefix: dict[int, np.ndarray] = {}
-        if session.context is not None and session.reused_prefix_length > 0:
-            prefix = {
-                layer: s for layer, s in session.context.query_samples.items()
-                if s is not None and s.size
-            }
-        merged: dict[int, np.ndarray] = {}
-        for layer in set(prefix) | set(local):
-            parts = [
-                np.asarray(s, dtype=np.float32)
-                for s in (prefix.get(layer), local.get(layer))
-                if s is not None and s.size
-            ]
-            if len(parts) == 2 and (
-                parts[0].shape[0] != parts[1].shape[0]
-                or parts[0].shape[2] != parts[1].shape[2]
-            ):
-                parts = parts[1:]  # incompatible historic sample: keep the fresh one
-            merged[layer] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        drawn = self._draw_query_samples(session.query_samples, keys, session.local_length())
+        if session.context is None:  # unconnected, or reading a sharded prefix
+            return drawn
+        keep = int(self.config.index_build.query_sample_ratio * session.reused_prefix_length)
+        merged = {layer: sample[:, :keep] for layer, sample in session.context.query_samples.items()}
+        for layer, sample in drawn.items():
+            merged[layer] = np.concatenate([merged[layer], sample], axis=1) if layer in merged else sample
         return merged
 
     def _register_context(self, context: StoredContext, overwrite: bool, build: bool) -> None:
@@ -412,15 +419,18 @@ class DB:
 
     def _build_fine_layers(self, context: StoredContext, layers: list[int]) -> None:
         keys_per_layer = {layer: context.snapshot.keys[layer] for layer in layers}
-        queries_per_layer: dict[int, np.ndarray] = {}
+        samples: dict[int, np.ndarray] = {}
         for layer, keys in keys_per_layer.items():
             sample = context.query_samples.get(layer)
-            if sample is None or sample.size == 0:
-                # fall back to the keys themselves (loses the OOD benefit but
-                # keeps the index functional)
-                sample = keys
-            queries_per_layer[layer] = np.asarray(sample, dtype=np.float32)
-        built, _ = self._builder.build_context(keys_per_layer, queries_per_layer)
+            if sample is None:
+                # imported without prefill queries: index with a sample of the
+                # keys themselves (loses the OOD benefit but keeps the index
+                # functional)
+                sample = draw_query_sample(
+                    keys, keys.shape[0], keys.shape[1], self.config.index_build, layer
+                )
+            samples[layer] = sample
+        built, _ = self._builder.build_context(keys_per_layer, samples)
         context.fine_indexes = {**context.fine_indexes, **built}
 
     def _build_coarse_layers(self, context: StoredContext, layers: list[int]) -> None:

@@ -254,7 +254,8 @@ class Session:
 
     @property
     def query_samples(self) -> dict[int, np.ndarray]:
-        """Captured query vectors per layer, ``(num_query_heads, m, head_dim)``."""
+        """Captured query vectors per layer, ``(num_query_heads, m, head_dim)``
+        (a stored context keeps only the sample drawn from them)."""
         stacked: dict[int, np.ndarray] = {}
         for layer, samples in self._query_samples.items():
             stacked[layer] = np.concatenate(samples, axis=1) if samples else np.empty((0, 0, 0), dtype=np.float32)
@@ -304,8 +305,8 @@ class Session:
         """Register new Q/K/V for ``layer`` (Table 2: ``Session.update``).
 
         Keys/values are appended to the local cache (late materialization);
-        query vectors are sampled and kept so that ``DB.store`` can build the
-        OOD-aware RoarGraph indexes later.
+        query vectors are kept so that ``DB.store`` can draw from them the
+        sample the OOD-aware RoarGraph indexes are built from.
         """
         self._require_open()
         q = np.asarray(q, dtype=np.float32)

@@ -7,7 +7,8 @@ heads in one group all attend to the same KV head, so one RoarGraph per *KV
 head*, built from query vectors sampled across the whole group, serves every
 query head of that group.  That is the only layout: a layer's fine indexes
 are a list indexed by KV head, and a query head reads the index of its KV
-head.
+head.  The query sample is drawn once, by :func:`draw_query_sample`, when a
+snapshot is made; the builder reads the stored sample as it is.
 
 The paper's other construction optimization, the GPU (cuVS) kNN stage, is
 not executed here: the kNN stage runs on the CPU
@@ -25,7 +26,7 @@ import numpy as np
 
 from .roargraph import RoarGraphConfig, RoarGraphIndex
 
-__all__ = ["IndexBuildConfig", "BuildReport", "ContextIndexBuilder"]
+__all__ = ["IndexBuildConfig", "BuildReport", "ContextIndexBuilder", "draw_query_sample"]
 
 
 @dataclass(frozen=True)
@@ -55,65 +56,74 @@ class BuildReport:
     index_memory_bytes: int
 
 
+def draw_query_sample(
+    queries: np.ndarray, num_groups: int, num_keys: int, config: IndexBuildConfig, layer: int
+) -> np.ndarray:
+    """The query sample a fine build of ``layer`` reads — the one draw.
+
+    ``queries`` lists historical query vectors by head, ``(num_heads, m,
+    head_dim)``, in GQA order: the heads of one KV head are adjacent, or
+    already concatenated per KV head.  They are split into ``num_groups``
+    groups (the KV heads; the query heads for a per-query-head build), and
+    from each group ``query_sample_ratio · num_keys`` vectors are drawn
+    uniformly without replacement, all of them when the group has no more.
+    The draw is seeded by ``config.seed + layer``.  Returns ``(num_groups,
+    m', head_dim)`` float32.  Drawn rows come back in shuffled order, so a
+    prefix of a drawn group is itself a uniform sample.
+    """
+    queries = np.asarray(queries, dtype=np.float32)
+    num_heads = queries.shape[0]
+    if num_heads % num_groups and num_groups % num_heads:
+        raise ValueError(f"{num_heads} heads of queries do not form {num_groups} groups")
+    groups = queries.reshape(num_groups, -1, queries.shape[-1])
+    target = max(1, int(config.query_sample_ratio * num_keys))
+    if groups.shape[1] <= target:
+        return groups
+    rng = np.random.default_rng(config.seed + layer)
+    return np.stack(
+        [group[rng.choice(group.shape[0], size=target, replace=False)] for group in groups]
+    )
+
+
 class ContextIndexBuilder:
     """Builds one RoarGraph per KV head over the key vectors of a context."""
 
     def __init__(self, config: IndexBuildConfig | None = None):
         self.config = config or IndexBuildConfig()
 
-    def sample_queries(self, queries: np.ndarray, num_keys: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample query vectors for the bipartite stage.
-
-        ``queries`` is ``(num_heads_in_group, m, head_dim)``; samples are drawn
-        uniformly across the group so a shared index still captures every
-        query head's distribution.
-        """
-        flat = queries.reshape(-1, queries.shape[-1])
-        target = max(1, int(self.config.query_sample_ratio * num_keys))
-        if flat.shape[0] <= target:
-            return flat
-        chosen = rng.choice(flat.shape[0], size=target, replace=False)
-        return flat[chosen]
-
     def build_layer(
-        self,
-        layer: int,
-        keys: np.ndarray,
-        queries: np.ndarray,
+        self, keys: np.ndarray, sample: np.ndarray
     ) -> tuple[list[RoarGraphIndex], BuildReport]:
         """Build the indexes of one layer, one per KV head.
 
         ``keys``: ``(num_kv_heads, n, head_dim)`` — the cached key vectors.
-        ``queries``: ``(num_query_heads, m, head_dim)`` — historical query
-        vectors of the same layer (the prefill queries in practice).
+        ``sample``: ``(num_kv_heads, m, head_dim)`` — the layer's query
+        sample (:func:`draw_query_sample`).  KV head ``h`` is built from
+        ``sample[h][: max(1, int(query_sample_ratio · n))]``: all of a
+        context's own sample, a prefix of its parent's for a shard.
         """
         keys = np.asarray(keys, dtype=np.float32)
-        queries = np.asarray(queries, dtype=np.float32)
+        sample = np.asarray(sample, dtype=np.float32)
         num_kv_heads, num_keys, _ = keys.shape
-        num_query_heads = queries.shape[0]
-        if num_query_heads % num_kv_heads != 0:
+        if sample.ndim != 3 or sample.shape[0] != num_kv_heads:
             raise ValueError(
-                f"num_query_heads={num_query_heads} not a multiple of num_kv_heads={num_kv_heads}"
+                f"query sample of shape {sample.shape} is not one group per KV head "
+                f"(num_kv_heads={num_kv_heads})"
             )
-        group_size = num_query_heads // num_kv_heads
-        rng = np.random.default_rng(self.config.seed + layer)
+        rows = max(1, int(self.config.query_sample_ratio * num_keys))
 
         start = time.perf_counter()
         indexes: list[RoarGraphIndex] = []
-        total_query_samples = 0
         for kv_head in range(num_kv_heads):
-            group = queries[kv_head * group_size : (kv_head + 1) * group_size]
-            sample = self.sample_queries(group, num_keys, rng)
-            total_query_samples += sample.shape[0]
             index = RoarGraphIndex(self.config.roargraph)
-            index.build(keys[kv_head], query_sample=sample)
+            index.build(keys[kv_head], query_sample=sample[kv_head, :rows])
             indexes.append(index)
         wall_clock = time.perf_counter() - start
 
         report = BuildReport(
             num_indexes=len(indexes),
             num_keys=num_keys,
-            num_query_samples=total_query_samples,
+            num_query_samples=num_kv_heads * min(rows, sample.shape[1]),
             wall_clock_seconds=wall_clock,
             index_memory_bytes=sum(index.memory_bytes for index in indexes),
         )
@@ -122,15 +132,15 @@ class ContextIndexBuilder:
     def build_context(
         self,
         keys_per_layer: dict[int, np.ndarray],
-        queries_per_layer: dict[int, np.ndarray],
+        samples_per_layer: dict[int, np.ndarray],
     ) -> tuple[dict[int, list[RoarGraphIndex]], BuildReport]:
         """Build indexes for every layer of a context; returns an aggregate report."""
-        if set(keys_per_layer) != set(queries_per_layer):
-            raise ValueError("keys and queries must cover the same layers")
+        if set(keys_per_layer) != set(samples_per_layer):
+            raise ValueError("keys and query samples must cover the same layers")
         layer_indexes: dict[int, list[RoarGraphIndex]] = {}
         reports: list[BuildReport] = []
         for layer in sorted(keys_per_layer):
-            built, report = self.build_layer(layer, keys_per_layer[layer], queries_per_layer[layer])
+            built, report = self.build_layer(keys_per_layer[layer], samples_per_layer[layer])
             layer_indexes[layer] = built
             reports.append(report)
         aggregate = BuildReport(

@@ -3,8 +3,6 @@
 from .cache import DynamicCache, LayerKVCache, NativeAttentionCache
 from .serialization import (
     KVSnapshot,
-    load_snapshot,
-    save_snapshot,
     snapshot_from_bytes,
     snapshot_from_cache,
     snapshot_to_bytes,
@@ -15,8 +13,6 @@ __all__ = [
     "KVSnapshot",
     "LayerKVCache",
     "NativeAttentionCache",
-    "load_snapshot",
-    "save_snapshot",
     "snapshot_from_bytes",
     "snapshot_from_cache",
     "snapshot_to_bytes",

@@ -1,33 +1,24 @@
-"""Serialisation of KV caches to and from disk.
+"""Serialisation of KV snapshots to and from bytes.
 
 ``DB.import`` / ``DB.store`` persist contexts (prompt tokens + KV cache) so
 they can be reused across sessions and across process restarts.  A snapshot
 is one raw, checksummed record (:mod:`repro.storage.record`): the tokens,
-each layer's keys and values, and the prefill query samples a fine-index
-rebuild reads, as contiguous arrays behind a JSON header.  Loading returns
-read-only ``np.frombuffer`` views over the blob — a stored context is
-immutable, and nothing is copied or decompressed.
+each layer's keys and values, and the query sample a fine-index build reads
+(one group per KV head, only for layers that can plan a fine index), as
+contiguous arrays behind a JSON header.  Loading returns read-only
+``np.frombuffer`` views over the blob — a stored context is immutable, and
+nothing is copied or decompressed.
 
-Two properties matter for the durable context database:
-
-* **crash safety** — :func:`save_snapshot` writes to a temp file and
-  ``os.replace``\\ s it into place, so a crash mid-write leaves the previous
-  snapshot (or nothing), never a truncated record;
-* **clean failure** — a truncated, corrupted (CRC), missing or
-  other-version snapshot raises :class:`~repro.errors.ContextLoadError`
-  (a :class:`StorageError`), never a raw numpy traceback.
-
-:func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` are the in-memory
-core; storage backends persist those blobs wherever they like.
+A truncated, corrupted (CRC), other-version or internally inconsistent
+snapshot raises :class:`~repro.errors.ContextLoadError` (a
+:class:`StorageError`), never a raw numpy traceback.
+:func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` are the whole
+format: a storage backend persists the blobs, atomically, wherever it likes.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -40,11 +31,9 @@ __all__ = [
     "snapshot_from_cache",
     "snapshot_to_bytes",
     "snapshot_from_bytes",
-    "save_snapshot",
-    "load_snapshot",
 ]
 
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
 
 _KIND = "kv-snapshot"
 
@@ -53,12 +42,12 @@ _KIND = "kv-snapshot"
 class KVSnapshot:
     """An immutable picture of a context: tokens plus per-layer KV tensors.
 
-    ``query_samples`` optionally carries the per-layer query vectors captured
-    during the prefill that produced this KV (``(num_query_heads, m,
-    head_dim)`` per layer).  Persisting them alongside the KV lets a context
-    reloaded from disk rebuild its fine indexes with the same out-of-
-    distribution query sample the original build used, instead of falling
-    back to indexing with the keys themselves.
+    ``query_samples`` holds, per layer that can plan a fine index, the query
+    sample its build reads: ``(num_kv_heads, m, head_dim)``, drawn once from
+    the prefill queries (:func:`repro.index.builder.draw_query_sample`).
+    Persisting it alongside the KV lets a context reloaded from disk rebuild
+    byte-identical fine indexes, with the out-of-distribution sample the
+    original build used instead of the keys themselves.
     """
 
     tokens: list[int]
@@ -93,6 +82,15 @@ class KVSnapshot:
                 raise StorageError(
                     f"layer {layer}: {key_tensor.shape[1]} cached tokens but {self.num_tokens} prompt tokens"
                 )
+        for layer, sample in self.query_samples.items():
+            if layer not in self.keys:
+                raise StorageError(f"query sample for layer {layer}, which the snapshot does not hold")
+            num_kv_heads, _, head_dim = self.keys[layer].shape
+            if sample.ndim != 3 or (sample.shape[0], sample.shape[2]) != (num_kv_heads, head_dim):
+                raise StorageError(
+                    f"layer {layer}: query sample shape {sample.shape} is not "
+                    f"({num_kv_heads}, m, {head_dim})"
+                )
 
 
 def snapshot_from_cache(tokens: list[int], cache: DynamicCache) -> KVSnapshot:
@@ -110,8 +108,7 @@ def _snapshot_arrays(snapshot: KVSnapshot) -> dict[str, np.ndarray]:
         arrays[f"key_{layer}"] = key_tensor
         arrays[f"value_{layer}"] = snapshot.values[layer]
     for layer, sample in snapshot.query_samples.items():
-        if sample is not None and sample.size:
-            arrays[f"qsample_{layer}"] = np.asarray(sample, dtype=np.float32)
+        arrays[f"qsample_{layer}"] = np.asarray(sample, dtype=np.float32)
     return arrays
 
 
@@ -155,55 +152,3 @@ def snapshot_from_bytes(data: bytes, source: str = "<bytes>") -> KVSnapshot:
     except StorageError as exc:
         raise ContextLoadError(f"snapshot {source} is internally inconsistent: {exc}") from exc
     return snapshot
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write-temp-then-rename so a crash never leaves a truncated file."""
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-
-
-def save_snapshot(snapshot: KVSnapshot, directory: str | Path, name: str) -> Path:
-    """Persist ``snapshot`` under ``directory/name`` and return the data path.
-
-    Both the record and the JSON sidecar header are written atomically
-    (temp file + ``os.replace``): a crash mid-save leaves the previous
-    snapshot intact rather than a truncated record.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    data_path = directory / f"{name}.npz"
-    _atomic_write(data_path, snapshot_to_bytes(snapshot))
-    header = {
-        "name": name,
-        "format_version": SNAPSHOT_FORMAT_VERSION,
-        "num_tokens": snapshot.num_tokens,
-        "num_layers": snapshot.num_layers,
-        "metadata": snapshot.metadata,
-    }
-    _atomic_write(directory / f"{name}.json", json.dumps(header, indent=2).encode("utf-8"))
-    return data_path
-
-
-def load_snapshot(directory: str | Path, name: str) -> KVSnapshot:
-    """Load a snapshot persisted by :func:`save_snapshot`.
-
-    A missing, truncated, or corrupted snapshot raises a clean
-    :class:`ContextLoadError` naming the file.
-    """
-    directory = Path(directory)
-    data_path = directory / f"{name}.npz"
-    if not data_path.exists():
-        raise ContextLoadError(f"snapshot data not found: {data_path}")
-    return snapshot_from_bytes(data_path.read_bytes(), source=str(data_path))

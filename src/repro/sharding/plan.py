@@ -166,9 +166,10 @@ def slice_snapshot(snapshot: KVSnapshot, rng: ShardRange, plan: ShardPlan) -> KV
     """One shard's KV slice of a full-context snapshot.
 
     Tokens and per-layer K/V are sliced to ``[rng.start, rng.stop)``; the
-    query samples are kept whole — they describe the query distribution that
+    query sample is kept whole — it describes the query distribution that
     will probe the shard's indexes, which is the full request stream, not the
-    shard's own token range.  Shard provenance lands in the metadata so a
+    shard's own token range — and a shard's build reads a prefix of it sized
+    to the shard's tokens.  Shard provenance lands in the metadata so a
     recovered shard remains identifiable.
     """
     if rng.stop > snapshot.num_tokens:

@@ -226,7 +226,9 @@ def generate_workload(spec: WorkloadSpec) -> SyntheticWorkload:
     # historical (prefill-style) query vectors used for index construction:
     # drawn from the same distribution as the decode queries, with per-query
     # noise so different queries surface different critical tokens and the
-    # bipartite projection interconnects the whole critical set.
+    # bipartite projection interconnects the whole critical set.  They are
+    # emitted grouped by KV head, (num_kv_heads, group * m, d), the shape of a
+    # snapshot's query sample; a build draws its sample from them.
     queries_per_head = max(16, int(spec.index_query_fraction * n / max(group, 1)))
     index_queries: dict[int, np.ndarray] = {}
     for layer in range(num_layers):
@@ -240,7 +242,7 @@ def generate_workload(spec: WorkloadSpec) -> SyntheticWorkload:
             base = base / np.linalg.norm(base, axis=1, keepdims=True)
             noise = rng.normal(0.0, 0.3, size=(queries_per_head, d)).astype(np.float32)
             per_layer[query_head] = base * np.sqrt(d) + noise
-        index_queries[layer] = per_layer
+        index_queries[layer] = per_layer.reshape(num_kv, group * queries_per_head, d)
 
     tokens = list(rng.integers(0, 255, size=n).astype(int))
     snapshot = KVSnapshot(tokens=tokens, keys=keys, values=values, query_samples=index_queries)

@@ -10,7 +10,8 @@ from repro.core.config import AlayaDBConfig
 from repro.core.context_store import ContextStore, StoredContext
 from repro.core.db import DB
 from repro.errors import ConfigError, ContextEvictedError
-from repro.kvcache.serialization import KVSnapshot
+from repro.index.builder import ContextIndexBuilder, draw_query_sample
+from repro.kvcache.serialization import KVSnapshot, snapshot_from_bytes, snapshot_to_bytes
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.query.types import IndexKind
 from repro.storage.backend import FilesystemBackend
@@ -319,30 +320,38 @@ class TestQuerySamplePersistence:
         rebuilt = db.get_context("doc")
         assert rebuilt.has_fine_indexes
         assert db.store_registry.backend.exists("doc.indexes.npz")
-        # samples differ from keys, so a keys-fallback rebuild would see a
-        # different query distribution; verify the sample really is distinct
-        sample = rebuilt.query_samples[0]
-        keys = rebuilt.keys(0)
-        assert sample.shape[0] != keys.shape[0] or not np.allclose(
-            sample[: keys.shape[0]], keys
+        # layer 1 is the one fine layer (layer 0 is flat and keeps no sample);
+        # its graphs are exactly a build from the persisted sample, which is
+        # not what the keys-only fallback builds
+        config = db.config.index_build
+        keys = rebuilt.keys(1)
+        sample = rebuilt.query_samples[1]
+        assert sorted(rebuilt.query_samples) == [1]
+        assert sample.shape == (2, int(0.4 * rebuilt.num_tokens), 8)
+
+        def graphs(indexes):
+            return [(i.graph.neighbor_ids.tobytes(), i.entry_point) for i in indexes]
+
+        from_sample, _ = ContextIndexBuilder(config).build_layer(keys, sample)
+        from_keys, _ = ContextIndexBuilder(config).build_layer(
+            keys, draw_query_sample(keys, 2, rebuilt.num_tokens, config, 1)
         )
+        assert graphs(rebuilt.fine_indexes[1]) == graphs(from_sample)
+        assert graphs(from_sample) != graphs(from_keys)
 
     def test_snapshot_serialization_roundtrips_samples(self, tmp_path):
         rng = np.random.default_rng(5)
-        from repro.kvcache.serialization import load_snapshot, save_snapshot
-
+        backend = FilesystemBackend(tmp_path)
         snapshot = _context("x", [1, 2, 3, 4], num_layers=2, seed=9).snapshot
         snapshot.query_samples = {
-            0: rng.normal(size=(2, 3, 4)).astype(np.float32),
-            1: rng.normal(size=(2, 5, 4)).astype(np.float32),
+            0: rng.normal(size=(1, 3, 4)).astype(np.float32),
+            1: rng.normal(size=(1, 5, 4)).astype(np.float32),
         }
-        save_snapshot(snapshot, tmp_path, "x")
-        loaded = load_snapshot(tmp_path, "x")
+        backend.write_bytes("x.npz", snapshot_to_bytes(snapshot))
+        loaded = snapshot_from_bytes(backend.read_bytes("x.npz"))
         assert set(loaded.query_samples) == {0, 1}
         for layer in (0, 1):
-            np.testing.assert_allclose(
-                loaded.query_samples[layer], snapshot.query_samples[layer], atol=1e-7
-            )
+            np.testing.assert_array_equal(loaded.query_samples[layer], snapshot.query_samples[layer])
 
     def test_chat_restored_context_keeps_merged_samples(self, tmp_path):
         """A stored chat turn merges the reused prefix's samples with the
@@ -356,12 +365,15 @@ class TestQuerySamplePersistence:
         service = InferenceService(model, config, backend=FilesystemBackend(tmp_path))
         chat = service.chat(max_new_tokens=3)
         chat.ask("the first turn writes history " * 6)
-        first_len = {
-            layer: s.shape[1]
-            for layer, s in service.db.get_context(chat.context_id).query_samples.items()
-        }
+        first = service.db.get_context(chat.context_id)
+        first_samples = {layer: s.copy() for layer, s in first.query_samples.items()}
         chat.ask("the second turn extends it")
         context = service.db.get_context(chat.context_id)
-        assert context.query_samples
+        assert context.num_tokens > first.num_tokens
+        assert sorted(context.query_samples) == sorted(first_samples) == [1]
         for layer, sample in context.query_samples.items():
-            assert sample.shape[1] > first_len[layer]
+            # the prefix's sample, then a draw sized to the turn's own tokens
+            prefix = first_samples[layer]
+            assert prefix.shape[1] == int(0.4 * first.num_tokens)
+            assert prefix.shape[1] < sample.shape[1] <= int(0.4 * context.num_tokens)
+            np.testing.assert_array_equal(sample[:, : prefix.shape[1]], prefix)

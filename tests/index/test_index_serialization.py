@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ContextLoadError, IndexNotBuiltError
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
+from repro.index.builder import ContextIndexBuilder, IndexBuildConfig, draw_query_sample
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.roargraph import RoarGraphIndex
 from repro.index.serialization import (
@@ -66,10 +66,14 @@ class TestContextIndexBlob:
     def built(self):
         keys = _keys()
         rng = np.random.default_rng(12)
-        queries = {
-            layer: rng.normal(size=(4, 24, DIM)).astype(np.float32) for layer in range(NUM_LAYERS)
+        config = IndexBuildConfig()
+        samples = {
+            layer: draw_query_sample(
+                rng.normal(size=(4, 24, DIM)), NUM_KV_HEADS, NUM_TOKENS, config, layer
+            )
+            for layer in range(NUM_LAYERS)
         }
-        fine, _ = ContextIndexBuilder(IndexBuildConfig()).build_context(keys, queries)
+        fine, _ = ContextIndexBuilder(config).build_context(keys, samples)
         return fine, _coarse_layers(keys), keys
 
     @staticmethod

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import IndexNotBuiltError
 from repro.index.base import SearchResult
-from repro.index.builder import ContextIndexBuilder
+from repro.index.builder import ContextIndexBuilder, IndexBuildConfig, draw_query_sample
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.flat import FlatIndex
 from repro.index.graph import NeighborGraph, beam_search
@@ -241,11 +241,14 @@ class TestContextIndexBuilder:
         queries = rng.normal(size=(num_q, 64, dim)).astype(np.float32)
         return keys, queries
 
+    def _sample(self, queries, n=300, num_kv=2, **config):
+        return draw_query_sample(queries, num_kv, n, IndexBuildConfig(**config), layer=0)
+
     def test_one_index_per_kv_head_over_its_keys(self):
         """GQA sharing is the only layout: a layer's indexes are a list by KV
         head, each built over (a view of) that head's keys."""
         keys, queries = self._layer_data()
-        indexes, report = ContextIndexBuilder().build_layer(0, keys, queries)
+        indexes, report = ContextIndexBuilder().build_layer(keys, self._sample(queries))
         assert len(indexes) == report.num_indexes == 2
         for kv_head, index in enumerate(indexes):
             assert np.shares_memory(index.vectors, keys[kv_head])
@@ -253,13 +256,48 @@ class TestContextIndexBuilder:
 
     def test_query_heads_must_fill_whole_groups(self):
         keys, queries = self._layer_data(num_q=3)
-        with pytest.raises(ValueError, match="multiple"):
-            ContextIndexBuilder().build_layer(0, keys, queries)
+        with pytest.raises(ValueError, match="do not form 2 groups"):
+            self._sample(queries)
+        with pytest.raises(ValueError, match="one group per KV head"):
+            ContextIndexBuilder().build_layer(keys, self._sample(queries, num_kv=3))
+
+    def test_the_draw_is_per_kv_head_without_replacement(self):
+        """Each KV head gets ``query_sample_ratio · n`` distinct queries of its
+        own group, and the draw is seeded by ``seed + layer``."""
+        _, queries = self._layer_data()
+        sample = self._sample(queries)
+        assert sample.shape == (2, int(0.4 * 300), 16) and sample.dtype == np.float32
+        for kv_head in range(2):
+            group = queries[2 * kv_head : 2 * kv_head + 2].reshape(-1, 16)
+            rows = [int(np.flatnonzero((group == row).all(axis=1))[0]) for row in sample[kv_head]]
+            assert len(set(rows)) == len(rows)
+        np.testing.assert_array_equal(sample, self._sample(queries))
+        assert not np.array_equal(sample, self._sample(queries, seed=1))
+        # a group with no more rows than the target is kept whole
+        assert self._sample(queries, n=1000).shape == (2, 128, 16)
+
+    def test_the_builder_draws_nothing(self):
+        """A build reads ``sample[h][: max(1, int(ratio · n))]`` and nothing
+        else: its seed does not matter, and a build over fewer keys (a shard)
+        equals a build from that prefix of the sample."""
+        keys, queries = self._layer_data()
+        sample = self._sample(queries)
+
+        def graphs(indexes):
+            return [(i.graph.neighbor_ids.tobytes(), i.graph.offsets.tobytes(), i.entry_point) for i in indexes]
+
+        full = graphs(ContextIndexBuilder().build_layer(keys, sample)[0])
+        assert full == graphs(ContextIndexBuilder(IndexBuildConfig(seed=7)).build_layer(keys, sample)[0])
+        shard_keys = np.ascontiguousarray(keys[:, :100])
+        shard, report = ContextIndexBuilder().build_layer(shard_keys, sample)
+        assert report.num_query_samples == 2 * 40
+        assert graphs(shard) == graphs(ContextIndexBuilder().build_layer(shard_keys, sample[:, :40])[0])
 
     def test_build_context_aggregates_layers(self):
         keys, queries = self._layer_data()
         builder = ContextIndexBuilder()
-        layer_indexes, report = builder.build_context({0: keys, 1: keys}, {0: queries, 1: queries})
+        sample = self._sample(queries)
+        layer_indexes, report = builder.build_context({0: keys, 1: keys}, {0: sample, 1: sample})
         assert set(layer_indexes) == {0, 1}
         assert report.num_indexes == 4
 

@@ -12,13 +12,12 @@ from repro.llm.attention import full_attention
 from repro.kvcache.serialization import (
     SNAPSHOT_FORMAT_VERSION,
     KVSnapshot,
-    load_snapshot,
-    save_snapshot,
     snapshot_from_bytes,
     snapshot_from_cache,
     snapshot_to_bytes,
 )
 from repro.storage import record
+from repro.storage.backend import FilesystemBackend
 from tests.record_corruption import CORRUPTIONS
 
 
@@ -146,12 +145,23 @@ class TestCompression:
             compress_kv({0: k}, {1: v})
 
 
+def _save(backend: FilesystemBackend, snapshot: KVSnapshot, key: str = "ctx.npz") -> None:
+    backend.write_bytes(key, snapshot_to_bytes(snapshot))
+
+
+def _load(backend: FilesystemBackend, key: str = "ctx.npz") -> KVSnapshot:
+    return snapshot_from_bytes(backend.read_bytes(key), source=key)
+
+
 class TestSerialization:
+    """A snapshot on disk is its record under a backend key; the backend's
+    write is the atomic one (tests/storage/test_backend.py)."""
+
     def test_snapshot_roundtrip(self, tmp_path):
+        backend = FilesystemBackend(tmp_path)
         k, v = _kv(n=6)
-        snapshot = KVSnapshot(tokens=list(range(6)), keys={0: k}, values={0: v})
-        save_snapshot(snapshot, tmp_path, "ctx")
-        loaded = load_snapshot(tmp_path, "ctx")
+        _save(backend, KVSnapshot(tokens=list(range(6)), keys={0: k}, values={0: v}))
+        loaded = _load(backend)
         assert loaded.tokens == list(range(6))
         np.testing.assert_allclose(loaded.keys[0], k, atol=1e-6)
 
@@ -171,40 +181,36 @@ class TestSerialization:
         assert snapshot.num_tokens == 4
 
     def test_missing_snapshot_raises(self, tmp_path):
-        with pytest.raises(StorageError):
-            load_snapshot(tmp_path, "nope")
+        with pytest.raises(ContextLoadError):
+            _load(FilesystemBackend(tmp_path), "nope.npz")
 
 
 class TestCrashSafety:
-    """A crash mid-save or a torn file must never surface as a raw numpy
+    """A torn or garbage record must never surface as a raw numpy
     traceback — always a clean :class:`ContextLoadError`."""
 
     def _snapshot(self, n=6):
         k, v = _kv(n=n)
         return KVSnapshot(tokens=list(range(n)), keys={0: k}, values={0: v})
 
-    def test_save_leaves_no_temp_files(self, tmp_path):
-        for _ in range(3):
-            save_snapshot(self._snapshot(), tmp_path, "ctx")
-        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
-        assert (tmp_path / "ctx.npz").exists()
-        assert (tmp_path / "ctx.json").exists()  # human-readable sidecar
-
-    def test_overwrite_is_atomic_replacement(self, tmp_path):
-        save_snapshot(self._snapshot(n=4), tmp_path, "ctx")
-        save_snapshot(self._snapshot(n=8), tmp_path, "ctx")
-        assert load_snapshot(tmp_path, "ctx").num_tokens == 8
+    def test_overwrite_replaces_the_record(self, tmp_path):
+        backend = FilesystemBackend(tmp_path)
+        _save(backend, self._snapshot(n=4))
+        _save(backend, self._snapshot(n=8))
+        assert _load(backend).num_tokens == 8
 
     def test_truncated_snapshot_raises_context_load_error(self, tmp_path):
-        path = save_snapshot(self._snapshot(), tmp_path, "ctx")
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.raises(ContextLoadError):
-            load_snapshot(tmp_path, "ctx")
+        backend = FilesystemBackend(tmp_path)
+        blob = snapshot_to_bytes(self._snapshot())
+        backend.write_bytes("ctx.npz", blob[: len(blob) // 2])
+        with pytest.raises(ContextLoadError, match="ctx.npz"):
+            _load(backend)
 
     def test_garbage_snapshot_raises_context_load_error(self, tmp_path):
-        (tmp_path / "ctx.npz").write_bytes(b"not an npz archive at all")
+        backend = FilesystemBackend(tmp_path)
+        backend.write_bytes("ctx.npz", b"not an npz archive at all")
         with pytest.raises(ContextLoadError):
-            load_snapshot(tmp_path, "ctx")
+            _load(backend)
 
     def test_unknown_format_version_raises(self):
         meta = {"num_tokens": 0, "num_layers": 0, "metadata": {}}
@@ -235,6 +241,41 @@ class TestCrashSafety:
             np.testing.assert_array_equal(restored, original)
             # stored contexts are immutable: loads are read-only views
             assert restored.flags.writeable is False
+
+    def _record(self, version=SNAPSHOT_FORMAT_VERSION, **extra_arrays):
+        """A snapshot record packed by hand, past ``snapshot_to_bytes``'s
+        validation."""
+        snapshot = self._snapshot()
+        arrays = {
+            "tokens": np.asarray(snapshot.tokens, dtype=np.int64),
+            "key_0": snapshot.keys[0],
+            "value_0": snapshot.values[0],
+            **extra_arrays,
+        }
+        meta = {"num_tokens": snapshot.num_tokens, "num_layers": 1, "metadata": {}}
+        return record.pack("kv-snapshot", version, meta, arrays)
+
+    def test_version_two_record_raises(self):
+        # format 2 kept every prefill query of every query head, per layer
+        blob = self._record(version=2, qsample_0=np.ones((4, 6, 8), dtype=np.float32))
+        with pytest.raises(ContextLoadError, match="format version 2 is not supported"):
+            snapshot_from_bytes(blob)
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("qsample_1", (2, 3, 8)),  # a layer the snapshot does not hold
+            ("qsample_0", (4, 3, 8)),  # one group per query head, not per KV head
+            ("qsample_0", (2, 3, 4)),  # another head_dim
+            ("qsample_0", (2, 24)),  # not grouped at all
+        ],
+        ids=["unknown-layer", "query-heads", "head-dim", "flat"],
+    )
+    def test_a_malformed_query_sample_fails_the_load(self, name, shape):
+        blob = self._record(**{name: np.ones(shape, dtype=np.float32)})
+        with pytest.raises(ContextLoadError, match="query sample"):
+            snapshot_from_bytes(blob)
+        assert snapshot_from_bytes(self._record(qsample_0=np.ones((2, 3, 8), dtype=np.float32)))
 
     def test_context_load_error_is_storage_error(self):
         # callers catching the historic StorageError keep working

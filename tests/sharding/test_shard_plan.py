@@ -92,7 +92,7 @@ class TestSliceSnapshot:
         rng_np = np.random.default_rng(0)
         keys = {0: rng_np.normal(size=(2, 32, 4)).astype(np.float32)}
         values = {0: rng_np.normal(size=(2, 32, 4)).astype(np.float32)}
-        samples = {0: rng_np.normal(size=(4, 3, 4)).astype(np.float32)}
+        samples = {0: rng_np.normal(size=(2, 3, 4)).astype(np.float32)}
         snapshot = KVSnapshot(
             tokens=list(range(32)), keys=keys, values=values, query_samples=samples
         )
@@ -103,6 +103,7 @@ class TestSliceSnapshot:
         np.testing.assert_array_equal(shard.values[0], values[0][:, 16:32, :])
         # query samples describe the probing distribution — kept whole
         np.testing.assert_array_equal(shard.query_samples[0], samples[0])
+        shard.validate()
         assert shard.metadata["shard_id"] == "1"
         assert shard.metadata["shard_start"] == "16"
         assert shard.metadata["shard_stop"] == "32"

@@ -109,9 +109,13 @@ class TestGenerator:
         assert np.all(recovery_workload.critical_counts <= high)
 
     def test_query_samples_present_for_index_construction(self, small_workload):
+        # grouped by KV head, the shape of a snapshot's query sample
+        spec = small_workload.spec
         samples = small_workload.context.query_samples[0]
-        assert samples.shape[0] == small_workload.spec.num_query_heads
-        assert samples.shape[1] >= 16
+        assert samples.shape[0] == spec.num_kv_heads
+        assert samples.shape[1] >= 16 * spec.gqa_group_size
+        assert samples.shape[2] == spec.head_dim
+        small_workload.context.snapshot.validate()
 
 
 class TestTaskCatalogs:
