@@ -15,7 +15,8 @@ import numpy as np
 
 from benchmarks.common import build_fine_indexes, emit, run_once
 from repro.analysis.reporting import format_table
-from repro.query.dipr import diprs_search, exact_dipr
+from repro.index.flat import FlatIndex
+from repro.query.dipr import diprs_search_group
 from repro.query.types import beta_from_alpha
 from repro.workloads.generator import generate_workload
 from repro.workloads.infinite_bench import infinite_bench_task
@@ -34,14 +35,17 @@ def _sweep_capacity():
     beta = beta_from_alpha(0.012, spec.head_dim)
     index = context.fine_indexes[0][0]
     keys = context.keys(0)[0]
+    flat = FlatIndex()
+    flat.build(keys)
 
     rows = []
     for capacity in CAPACITY_VALUES:
         recalls, work, sizes = [], [], []
         for step in range(NUM_QUERIES):
-            query = workload.query_for(step, 0, 0)
-            truth = set(exact_dipr(keys, query, beta).indices.tolist())
-            result, stats = diprs_search(
+            query = np.asarray(workload.query_for(step, 0, 0), dtype=np.float32)[None, :]
+            (exact,) = flat.search_range_batch(query, beta)
+            truth = set(exact.indices.tolist())
+            (result,), stats = diprs_search_group(
                 keys, index.graph, query, beta, [index.entry_point], capacity_threshold=capacity
             )
             recalls.append(len(truth & set(result.indices.tolist())) / max(len(truth), 1))

@@ -17,8 +17,11 @@ import numpy as np
 
 from benchmarks.common import build_fine_indexes, emit, run_once
 from repro.analysis.reporting import format_table
-from repro.query.dipr import exact_dipr
-from repro.query.filtered import filtered_diprs_search, naive_filtered_diprs_search
+from repro.index.base import SearchResult
+from repro.index.flat import FlatIndex
+from repro.index.graph import NeighborGraph
+from repro.query.dipr import diprs_search_group
+from repro.query.filtered import filtered_diprs_search_group, predicate_mask
 from repro.query.types import FilterPredicate, beta_from_alpha
 from repro.workloads.generator import ScoringMode, WorkloadSpec, generate_workload
 
@@ -27,6 +30,41 @@ EXPERIMENT = "Figure 12: filter-based DIPRS micro-benchmark"
 PREFIX_LENGTH = 2048
 REUSE_RATIOS = [1.0, 0.8, 0.6, 0.4, 0.2]
 NUM_QUERIES = 8
+
+
+def naive_filtered_diprs_search(
+    vectors: np.ndarray,
+    graph: NeighborGraph,
+    query: np.ndarray,
+    beta: float,
+    entry_points: list[int],
+    predicate: FilterPredicate,
+    capacity_threshold: int = 32,
+) -> SearchResult:
+    """The naive baseline: prune filtered-out nodes from the traversal itself.
+
+    The ablation that shows why the 2-hop expansion is needed — pruning
+    nodes from the walk disconnects the graph and recall collapses as the
+    reuse ratio drops.
+    """
+    allowed = predicate_mask(graph.num_nodes, predicate)
+    # restrict the adjacency to allowed→allowed edges
+    lists = []
+    for node in range(graph.num_nodes):
+        if allowed[node]:
+            neighbors = graph.neighbors(node)
+            lists.append([int(n) for n in neighbors if allowed[n]])
+        else:
+            lists.append([])
+    pruned_graph = NeighborGraph.from_lists(lists)
+    entry_points = [int(e) for e in entry_points if allowed[int(e)]]
+    if not entry_points:
+        entry_points = [int(np.flatnonzero(allowed)[0])]
+    (result,), _ = diprs_search_group(
+        vectors, pruned_graph, query[None, :], beta, entry_points,
+        capacity_threshold=capacity_threshold, allowed=allowed,
+    )
+    return result
 
 
 def _run_micro_benchmark():
@@ -53,18 +91,21 @@ def _run_micro_benchmark():
         index = fine[0][0]
         keys = context.keys(0)[0]
         predicate = FilterPredicate(max_position=PREFIX_LENGTH)
+        prefix = FlatIndex()
+        prefix.build(keys[:PREFIX_LENGTH])
 
         recalls, naive_recalls, latencies = [], [], []
         for step in range(NUM_QUERIES):
-            query = workload.query_for(step, 0, 0)
-            truth = set(exact_dipr(keys[:PREFIX_LENGTH], query, beta).indices.tolist())
+            query = np.asarray(workload.query_for(step, 0, 0), dtype=np.float32)
+            (exact,) = prefix.search_range_batch(query[None, :], beta)
+            truth = set(exact.indices.tolist())
             start = time.perf_counter()
-            result, _ = filtered_diprs_search(
-                keys, index.graph, query, beta, [index.entry_point], predicate, capacity_threshold=128
+            (result,), _ = filtered_diprs_search_group(
+                keys, index.graph, query[None, :], beta, [index.entry_point], predicate, capacity_threshold=128
             )
             latencies.append((time.perf_counter() - start) * 1000)
             recalls.append(len(truth & set(result.indices.tolist())) / max(len(truth), 1))
-            naive, _ = naive_filtered_diprs_search(
+            naive = naive_filtered_diprs_search(
                 keys, index.graph, query, beta, [index.entry_point], predicate, capacity_threshold=128
             )
             naive_recalls.append(len(truth & set(naive.indices.tolist())) / max(len(truth), 1))

@@ -13,6 +13,7 @@ import numpy as np
 
 from benchmarks.common import build_per_query_head, emit, run_once
 from repro.analysis.reporting import format_table
+from repro.baselines.topk_retrieval import beam_search
 from repro.index.builder import ContextIndexBuilder, draw_query_sample
 from repro.workloads.generator import ScoringMode, WorkloadSpec, generate_workload
 
@@ -57,7 +58,8 @@ def _measure_sharing_recall():
             truth = set(np.argsort(-(head_keys @ query))[:TOP_K].tolist())
             indexes = (("shared", shared_indexes[kv_head]), ("per-head", per_head_indexes[query_head]))
             for label, index in indexes:
-                found = set(index.search_topk(query, TOP_K).indices.tolist())
+                indices, _, _ = beam_search(index.vectors, index.graph, query, 4 * TOP_K, [index.entry_point])
+                found = set(indices[:TOP_K].tolist())
                 recalls[label].append(len(truth & found) / TOP_K)
     return (
         float(np.mean(recalls["shared"])),

@@ -16,7 +16,7 @@ import numpy as np
 from benchmarks.common import build_fine_indexes, emit, run_once
 from repro.analysis.critical_tokens import window_max_coverage
 from repro.analysis.reporting import format_table
-from repro.query.dipr import diprs_search
+from repro.query.dipr import diprs_search_group
 from repro.query.types import beta_from_alpha
 from repro.workloads.generator import generate_workload
 from repro.workloads.infinite_bench import infinite_bench_task
@@ -60,14 +60,11 @@ def _run():
     for step in range(spec.num_decode_steps):
         query = workload.query_for(step, 0, 0)
         window_max = float((keys[window] @ query).max())
-        with_seed, seeded_stats = diprs_search(
-            keys, index.graph, query, beta, [index.entry_point], capacity_threshold=128, window_max_score=window_max
-        )
-        without_seed, unseeded_stats = diprs_search(
-            keys, index.graph, query, beta, [index.entry_point], capacity_threshold=128
-        )
-        seeded_work.append(seeded_stats.num_appended)
-        unseeded_work.append(unseeded_stats.num_appended)
+        walk = (keys, index.graph, np.asarray(query, dtype=np.float32)[None, :], beta, [index.entry_point])
+        (with_seed,), seeded_stats = diprs_search_group(*walk, capacity_threshold=128, window_max_scores=[window_max])
+        (without_seed,), unseeded_stats = diprs_search_group(*walk, capacity_threshold=128)
+        seeded_work.append(seeded_stats.per_head[0].num_appended)
+        unseeded_work.append(unseeded_stats.per_head[0].num_appended)
         size_diff.append(abs(len(with_seed) - len(without_seed)))
     return coverage, float(np.mean(seeded_work)), float(np.mean(unseeded_work)), float(np.mean(size_diff))
 

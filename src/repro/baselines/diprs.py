@@ -13,7 +13,7 @@ import numpy as np
 
 from ..core.context_store import StoredContext
 from ..index.roargraph import RoarGraphConfig, RoarGraphIndex
-from ..query.dipr import diprs_search
+from ..query.dipr import diprs_search_group
 from .base import SelectionOutcome, SelectionStrategy
 
 __all__ = ["DIPRSStrategy"]
@@ -74,20 +74,20 @@ class DIPRSStrategy(SelectionStrategy):
         index = self._indexes.get((layer, kv_head))
         if index is None:
             return SelectionOutcome(positions=np.empty(0, dtype=np.int64))
-        window_max = None
+        seeds = None
         if self.use_window_seed:
             window = self._window(context_length)
             keys = self._keys[layer][kv_head]
             if window.size:
-                window_max = float((keys[window] @ np.asarray(query, dtype=np.float32)).max())
-        result, stats = diprs_search(
+                seeds = [float((keys[window] @ np.asarray(query, dtype=np.float32)).max())]
+        (result,), stats = diprs_search_group(
             index.vectors,
             index.graph,
-            query,
+            np.asarray(query, dtype=np.float32)[None, :],
             self.beta,
             [index.entry_point],
             capacity_threshold=self.capacity_threshold,
-            window_max_score=window_max,
+            window_max_scores=seeds,
             max_tokens=self.max_tokens,
         )
         return SelectionOutcome(positions=result.indices, num_distance_computations=stats.num_distance_computations)

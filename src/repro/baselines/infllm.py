@@ -61,9 +61,12 @@ class InfLLMStrategy(SelectionStrategy):
         index = self._indexes.get((layer, kv_head))
         if index is None:
             return SelectionOutcome(positions=np.empty(0, dtype=np.int64))
-        positions = index.selected_positions(query, self.num_retrieved_blocks)
-        work = index.num_blocks * self.num_representatives
-        return SelectionOutcome(positions=positions, num_distance_computations=work)
+        block_scores = index.block_scores_batch(np.asarray(query, dtype=np.float32)[None, :])
+        (top,) = index.top_blocks_from_scores(block_scores, self.num_retrieved_blocks)
+        return SelectionOutcome(
+            positions=index.positions_of_blocks(top),
+            num_distance_computations=index.num_representative_vectors,
+        )
 
     def resident_positions(self, context_length: int) -> np.ndarray:
         return self._window(context_length)

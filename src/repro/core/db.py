@@ -283,7 +283,8 @@ class DB:
         A session captured queries only for its *locally* computed tokens;
         they are drawn down to a sample sized to those tokens.  A connected
         session's reused prefix already has its sample on the stored context:
-        its first ``query_sample_ratio · reused`` rows come first, then the
+        the ``sample_rows(reused)`` rows a build over the prefix reads come
+        first, then the
         turn's own draw, so a chat turn that re-stores the grown context
         keeps a full-transcript sample of about ``query_sample_ratio · n``
         rows per KV head.
@@ -291,7 +292,7 @@ class DB:
         drawn = self._draw_query_samples(session.query_samples, keys, session.local_length())
         if session.context is None:  # unconnected, or reading a sharded prefix
             return drawn
-        keep = int(self.config.index_build.query_sample_ratio * session.reused_prefix_length)
+        keep = self.config.index_build.sample_rows(session.reused_prefix_length)
         merged = {layer: sample[:, :keep] for layer, sample in session.context.query_samples.items()}
         for layer, sample in drawn.items():
             merged[layer] = np.concatenate([merged[layer], sample], axis=1) if layer in merged else sample
@@ -379,7 +380,7 @@ class DB:
         for rng in plan.ranges:
             shard = StoredContext(
                 context_id=shard_context_id(context_id, rng.shard_id),
-                snapshot=slice_snapshot(context.snapshot, rng, plan),
+                snapshot=slice_snapshot(context.snapshot, rng, plan, self.config.index_build),
                 prefix_matchable=False,
             )
             self._register_context(shard, overwrite=True, build=True)

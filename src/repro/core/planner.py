@@ -20,7 +20,6 @@ from ..index.flat import FlatIndex
 from ..index.roargraph import RoarGraphIndex
 from ..query.dipr import FrontierScratch, diprs_search_group
 from ..query.filtered import filtered_diprs_search_group, predicate_mask
-from ..query.topk import graph_topk_search
 from ..query.types import DIPRQuery, FilterPredicate, IndexKind, QueryKind, TopKQuery
 
 __all__ = ["ExecutionPlan", "FULL_ATTENTION_PLAN", "RetrievalOutcome", "LayerIndexData", "PlanExecutor"]
@@ -179,8 +178,9 @@ class PlanExecutor:
         walks each KV head's RoarGraph once for the query heads of its group
         with the group-frontier search: one shared visited set and frontier,
         fused hop scoring, per-head thresholds, shared distance computations
-        counted once per group.  Fine top-k is a different query (a
-        fixed-size beam search) and runs once per head.
+        counted once per group.  The fine index serves DIPR only: a top-k
+        plan over it raises :class:`UnsupportedQueryError`, as a DIPR plan
+        over the coarse index does.
 
         Query head ``h`` reads KV head ``h // (num_query_heads //
         num_kv_heads)``, the group size taken from ``queries`` and
@@ -225,7 +225,7 @@ class PlanExecutor:
                     "stacked fine retrieval is dispatched per session; "
                     "kv_head_of_query only applies to the scan-based index kinds"
                 )
-            return self._retrieve_fine_heads(plan, data, queries, window_max_scores, num_tokens)
+            return self._retrieve_fine_heads(plan, data, queries, window_max_scores)
         raise UnsupportedQueryError(f"unknown index kind {plan.index_kind!r}")
 
     def retrieve_ranges(
@@ -247,7 +247,7 @@ class PlanExecutor:
           *global* best — exact for the flat scan; for fine walks (a range's
           graph only connects its own tokens) the standard distributed-ANN
           merge;
-        * **top-k** (flat, fine) keeps the ``k`` best of the union;
+        * **top-k** (flat) keeps the ``k`` best of the union;
         * **coarse** concatenates the per-range block-score rows — ranges
           start on block boundaries, so range-local blocks are the global
           index's blocks — and reruns the shared top-block selection.
@@ -318,17 +318,10 @@ class PlanExecutor:
         data: LayerIndexData,
         queries: np.ndarray,
         window_max_scores: np.ndarray | None,
-        num_tokens: int,
     ) -> list[RetrievalOutcome]:
         num_heads = queries.shape[0]
-        if isinstance(plan.query, TopKQuery):
-            group_size = _group_size(num_heads, data)
-            return [
-                self._retrieve_fine(plan, data, head // group_size, queries[head], num_tokens)
-                for head in range(num_heads)
-            ]
         if not isinstance(plan.query, DIPRQuery):
-            raise UnsupportedQueryError(f"fine index cannot process {plan.query!r}")
+            raise UnsupportedQueryError(f"the fine index serves DIPR queries only, not {plan.query!r}")
         # one walk per KV head's index, serving its query heads together
         filtered = () if plan.predicate is None else (plan.predicate,)
         search = filtered_diprs_search_group if filtered else diprs_search_group
@@ -423,7 +416,7 @@ class PlanExecutor:
             block_scores = index.block_scores_batch(queries[heads])
             top_blocks = index.top_blocks_from_scores(block_scores, num_blocks)
             per_head_positions = [index.positions_of_blocks(row) for row in top_blocks]
-            distance_computations = index.num_blocks * index.num_representatives
+            distance_computations = index.num_representative_vectors
             if plan.predicate is not None:
                 # the predicate is global and filters *after* selection:
                 # hidden blocks still compete for the selection slots
@@ -453,31 +446,6 @@ class PlanExecutor:
                     block_scores=block_scores[slot],
                 )
         return outcomes
-
-    def _retrieve_fine(
-        self,
-        plan: ExecutionPlan,
-        data: LayerIndexData,
-        kv_head: int,
-        query: np.ndarray,
-        num_tokens: int,
-    ) -> RetrievalOutcome:
-        """Top-k of one query head over its KV head's RoarGraph (a fixed-size
-        beam search)."""
-        index = data.fine_index_for_kv_head(kv_head)
-        allowed = predicate_mask(num_tokens, plan.predicate)
-        result = graph_topk_search(
-            index.vectors,
-            index.graph,
-            query,
-            plan.query.k,
-            [index.entry_point],
-            ef=plan.query.ef,
-            allowed=allowed,
-        )
-        return RetrievalOutcome(
-            data.to_global(result.indices), result.scores, result.num_distance_computations, len(result)
-        )
 
 
 def _group_size(num_heads: int, data: LayerIndexData) -> int:

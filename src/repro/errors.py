@@ -100,10 +100,6 @@ class IndexNotBuiltError(IndexError_):
     """A search was issued against an index that has not been built yet."""
 
 
-class DimensionMismatchError(IndexError_):
-    """Vectors with an unexpected dimensionality were supplied."""
-
-
 class StorageError(ReproError):
     """Base class for storage-backend and persisted-format errors."""
 

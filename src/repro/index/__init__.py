@@ -1,10 +1,10 @@
 """Vector index substrate: flat, fine-grained (graph) and coarse (block) indexes."""
 
-from .base import SearchResult, VectorIndex, validate_query
+from .base import SearchResult, VectorIndex
 from .builder import BuildReport, ContextIndexBuilder, IndexBuildConfig
-from .coarse import BlockSummary, CoarseBlockIndex
+from .coarse import CoarseBlockIndex
 from .flat import FlatIndex
-from .graph import BeamSearchStats, NeighborGraph, beam_search
+from .graph import NeighborGraph
 from .knn_graph import cross_knn, exact_knn
 from .roargraph import RoarGraphConfig, RoarGraphIndex
 from .serialization import (
@@ -14,8 +14,6 @@ from .serialization import (
 )
 
 __all__ = [
-    "BeamSearchStats",
-    "BlockSummary",
     "BuildReport",
     "CoarseBlockIndex",
     "ContextIndexBuilder",
@@ -27,10 +25,8 @@ __all__ = [
     "RoarGraphIndex",
     "SearchResult",
     "VectorIndex",
-    "beam_search",
     "cross_knn",
     "deserialize_context_indexes",
     "exact_knn",
     "serialize_context_indexes",
-    "validate_query",
 ]

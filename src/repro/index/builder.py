@@ -44,6 +44,13 @@ class IndexBuildConfig:
         if not 0.0 < self.query_sample_ratio <= 1.0:
             raise ValueError(f"query_sample_ratio must be in (0, 1], got {self.query_sample_ratio}")
 
+    def sample_rows(self, num_keys: int) -> int:
+        """Query-sample rows per KV head that a fine build over ``num_keys``
+        keys reads: ``max(1, ⌊query_sample_ratio · num_keys⌋)``.  The one
+        rule the draw, the build and a shard's slice of its parent's sample
+        all follow."""
+        return max(1, int(self.query_sample_ratio * num_keys))
+
 
 @dataclass
 class BuildReport:
@@ -76,7 +83,7 @@ def draw_query_sample(
     if num_heads % num_groups and num_groups % num_heads:
         raise ValueError(f"{num_heads} heads of queries do not form {num_groups} groups")
     groups = queries.reshape(num_groups, -1, queries.shape[-1])
-    target = max(1, int(config.query_sample_ratio * num_keys))
+    target = config.sample_rows(num_keys)
     if groups.shape[1] <= target:
         return groups
     rng = np.random.default_rng(config.seed + layer)
@@ -99,8 +106,9 @@ class ContextIndexBuilder:
         ``keys``: ``(num_kv_heads, n, head_dim)`` — the cached key vectors.
         ``sample``: ``(num_kv_heads, m, head_dim)`` — the layer's query
         sample (:func:`draw_query_sample`).  KV head ``h`` is built from
-        ``sample[h][: max(1, int(query_sample_ratio · n))]``: all of a
-        context's own sample, a prefix of its parent's for a shard.
+        ``sample[h][: config.sample_rows(n)]``: all of a context's own
+        sample, and all of a shard's, which holds that prefix of its
+        parent's.
         """
         keys = np.asarray(keys, dtype=np.float32)
         sample = np.asarray(sample, dtype=np.float32)
@@ -110,7 +118,7 @@ class ContextIndexBuilder:
                 f"query sample of shape {sample.shape} is not one group per KV head "
                 f"(num_kv_heads={num_kv_heads})"
             )
-        rows = max(1, int(self.config.query_sample_ratio * num_keys))
+        rows = self.config.sample_rows(num_keys)
 
         start = time.perf_counter()
         indexes: list[RoarGraphIndex] = []

@@ -11,31 +11,11 @@ large (Figure 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .base import SearchResult, VectorIndex, validate_query
+from .base import VectorIndex
 
-__all__ = ["BlockSummary", "CoarseBlockIndex"]
-
-
-@dataclass
-class BlockSummary:
-    """Representative vectors of one token block."""
-
-    block_id: int
-    start: int
-    stop: int
-    representatives: np.ndarray  # (num_representatives, dim)
-
-    @property
-    def num_tokens(self) -> int:
-        return self.stop - self.start
-
-    def score(self, query: np.ndarray) -> float:
-        """Block relevance = max inner product over its representatives."""
-        return float(np.max(self.representatives @ query))
+__all__ = ["CoarseBlockIndex"]
 
 
 class CoarseBlockIndex(VectorIndex):
@@ -53,9 +33,10 @@ class CoarseBlockIndex(VectorIndex):
             raise ValueError(f"block_size must be positive, got {block_size}")
         self.block_size = block_size
         self.num_representatives = max(1, num_representatives)
-        self._blocks: list[BlockSummary] = []
         self._representative_matrix: np.ndarray | None = None
         self._representative_block_ids: np.ndarray | None = None
+        self._block_starts = np.empty(0, dtype=np.int64)
+        self._block_stops = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # construction
@@ -65,11 +46,10 @@ class CoarseBlockIndex(VectorIndex):
         if vectors.ndim != 2:
             raise ValueError(f"expected (n, dim), got {vectors.shape}")
         self._vectors = vectors
-        self._blocks = []
+        starts = np.arange(0, vectors.shape[0], self.block_size, dtype=np.int64)
+        stops = np.minimum(starts + self.block_size, vectors.shape[0])
         representatives = []
-        block_ids = []
-        for block_id, start in enumerate(range(0, vectors.shape[0], self.block_size)):
-            stop = min(start + self.block_size, vectors.shape[0])
+        for start, stop in zip(starts.tolist(), stops.tolist()):
             block_vectors = vectors[start:stop]
             reps = [block_vectors.mean(axis=0)]
             norms = np.linalg.norm(block_vectors, axis=1)
@@ -77,28 +57,26 @@ class CoarseBlockIndex(VectorIndex):
             if num_extra > 0:
                 top = np.argsort(-norms)[:num_extra]
                 reps.extend(block_vectors[top])
-            rep_matrix = np.stack(reps).astype(np.float32)
-            summary = BlockSummary(block_id=block_id, start=start, stop=stop, representatives=rep_matrix)
-            self._blocks.append(summary)
-            representatives.append(rep_matrix)
-            block_ids.extend([block_id] * rep_matrix.shape[0])
-        self._representative_matrix = np.concatenate(representatives, axis=0)
-        self._representative_block_ids = np.asarray(block_ids, dtype=np.int64)
+            representatives.append(np.stack(reps).astype(np.float32))
         counts = np.asarray([rep.shape[0] for rep in representatives], dtype=np.int64)
+        self._representative_matrix = np.concatenate(representatives, axis=0)
+        self._representative_block_ids = np.repeat(np.arange(starts.shape[0], dtype=np.int64), counts)
         self._representative_offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        self._block_starts = np.asarray([block.start for block in self._blocks], dtype=np.int64)
-        self._block_stops = np.asarray([block.stop for block in self._blocks], dtype=np.int64)
+        self._block_starts = starts
+        self._block_stops = stops
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
     @property
     def num_blocks(self) -> int:
-        return len(self._blocks)
+        return int(self._block_starts.shape[0])
 
     @property
-    def blocks(self) -> list[BlockSummary]:
-        return self._blocks
+    def num_representative_vectors(self) -> int:
+        """Representatives one query scores: ``num_representatives`` per full
+        block, fewer in a tail block shorter than ``num_representatives - 1``."""
+        return 0 if self._representative_matrix is None else int(self._representative_matrix.shape[0])
 
     @property
     def memory_bytes(self) -> int:
@@ -111,28 +89,6 @@ class CoarseBlockIndex(VectorIndex):
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def search_blocks(self, query: np.ndarray, num_blocks: int) -> list[BlockSummary]:
-        """Return the ``num_blocks`` most relevant blocks for ``query``.
-
-        Delegates to the batched selection so the single-query and batched
-        paths share one top-k algorithm (identical tie-breaking included).
-        """
-        vectors = self._require_built()
-        query = validate_query(query, vectors.shape[1])
-        top = self._top_block_ids_batch(query[None, :], num_blocks)[0]
-        return [self._blocks[int(b)] for b in top]
-
-    def search_blocks_batch(self, queries: np.ndarray, num_blocks: int) -> list[list[BlockSummary]]:
-        """Top blocks for a batch of queries sharing one representative scan.
-
-        ``queries`` is ``(g, dim)``; the query-to-representative inner
-        products come from a single matmul instead of ``g`` separate scans,
-        and the per-block reduction/top-k runs once over the whole batch.
-        Row ``i`` of the result matches ``search_blocks`` on ``queries[i]``.
-        """
-        top = self._top_block_ids_batch(queries, num_blocks)
-        return [[self._blocks[int(b)] for b in row] for row in top]
-
     def block_scores_batch(self, queries: np.ndarray) -> np.ndarray:
         """Per-block relevance scores for a query batch, ``(g, num_blocks)``.
 
@@ -158,19 +114,15 @@ class CoarseBlockIndex(VectorIndex):
         self._require_built()
         return self._block_starts, self._block_stops
 
-    def _top_block_ids_batch(self, queries: np.ndarray, num_blocks: int) -> np.ndarray:
-        """Block ids of the top blocks per query, ``(g, num_blocks)``, batched."""
-        return self.top_blocks_from_scores(self.block_scores_batch(queries), num_blocks)
-
     @staticmethod
     def top_blocks_from_scores(block_scores: np.ndarray, num_blocks: int) -> np.ndarray:
         """Top-block selection over precomputed scores, ``(g, num_blocks)``.
 
         The selection algorithm (argpartition + ordering, tie-breaking
-        included) in one reusable place: the per-index search paths run it on
-        their own scores, and a shard router runs it on block-score rows
-        *concatenated* across shard-local indexes so the cross-shard selection
-        is exactly the selection a full-context index would make.
+        included) in one reusable place: the executor runs it on one index's
+        scores, and on block-score rows *concatenated* across shard-local
+        indexes so the cross-shard selection is exactly the selection a
+        full-context index would make.
         """
         total_blocks = block_scores.shape[1]
         num_blocks = min(num_blocks, total_blocks)
@@ -182,36 +134,6 @@ class CoarseBlockIndex(VectorIndex):
             top = np.take_along_axis(top, order, axis=1)
         return top[:, :num_blocks]
 
-    def search_topk(self, query: np.ndarray, k: int, **kwargs) -> SearchResult:
-        """Token-level top-k limited to the most relevant blocks.
-
-        The selected blocks jointly contain at least ``k`` tokens; tokens are
-        then ranked exactly within them.
-        """
-        vectors = self._require_built()
-        query = validate_query(query, vectors.shape[1])
-        num_blocks = max(1, int(np.ceil(k / self.block_size)))
-        blocks = self.search_blocks(query, num_blocks)
-        positions = np.concatenate([np.arange(b.start, b.stop) for b in blocks])
-        scores = vectors[positions] @ query
-        distance_computations = int(self._representative_matrix.shape[0] + positions.shape[0])
-        k = min(k, positions.shape[0])
-        order = np.argsort(-scores)[:k]
-        return SearchResult(
-            indices=positions[order].astype(np.int64),
-            scores=scores[order].astype(np.float32),
-            num_distance_computations=distance_computations,
-        )
-
-    def selected_positions(self, query: np.ndarray, num_blocks: int) -> np.ndarray:
-        """All token positions of the top ``num_blocks`` blocks (InfLLM's retrieval)."""
-        return self._block_positions(self.search_blocks(query, num_blocks))
-
-    def selected_positions_batch(self, queries: np.ndarray, num_blocks: int) -> list[np.ndarray]:
-        """Per-query selected positions with one shared representative scan."""
-        top = self._top_block_ids_batch(queries, num_blocks)
-        return [self.positions_of_blocks(row) for row in top]
-
     def positions_of_blocks(self, block_ids: np.ndarray) -> np.ndarray:
         """All token positions of the blocks ``block_ids``, in the given block order."""
         if block_ids.shape[0] == 0:
@@ -222,9 +144,3 @@ class CoarseBlockIndex(VectorIndex):
                 for b in block_ids
             ]
         ).astype(np.int64)
-
-    @staticmethod
-    def _block_positions(blocks: list[BlockSummary]) -> np.ndarray:
-        if not blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([np.arange(b.start, b.stop) for b in blocks]).astype(np.int64)

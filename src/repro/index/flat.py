@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, validate_query
+from .base import SearchResult, VectorIndex
 
 __all__ = ["FlatIndex"]
 
@@ -25,38 +25,13 @@ class FlatIndex(VectorIndex):
             raise ValueError(f"expected (n, dim) vectors, got shape {vectors.shape}")
         self._vectors = vectors
 
-    def append(self, vectors: np.ndarray) -> None:
-        """Append new rows (used by late materialization of fresh tokens)."""
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if self._vectors is None:
-            self.build(vectors)
-            return
-        self._vectors = np.concatenate([self._vectors, vectors], axis=0)
-
     def _topk_result(self, scores: np.ndarray, k: int) -> SearchResult:
-        """Top-k result from one query's (possibly masked) score vector."""
+        """Top-k result from one query's (possibly masked) score row."""
         k = min(k, scores.shape[0])
         order = np.argpartition(-scores, k - 1)[:k]
         order = order[np.argsort(-scores[order])]
         valid = np.isfinite(scores[order])
         order = order[valid]
-        return SearchResult(
-            indices=order.astype(np.int64),
-            scores=scores[order].astype(np.float32),
-            num_distance_computations=int(scores.shape[0]),
-        )
-
-    def _range_result(self, scores: np.ndarray, beta: float) -> SearchResult:
-        """DIPR result from one query's (possibly masked) score vector."""
-        if not np.isfinite(scores).any():
-            return SearchResult(
-                indices=np.empty(0, dtype=np.int64),
-                scores=np.empty(0, dtype=np.float32),
-                num_distance_computations=int(scores.shape[0]),
-            )
-        threshold = scores.max() - beta
-        selected = np.flatnonzero(scores >= threshold)
-        order = selected[np.argsort(-scores[selected])]
         return SearchResult(
             indices=order.astype(np.int64),
             scores=scores[order].astype(np.float32),
@@ -76,15 +51,6 @@ class FlatIndex(VectorIndex):
             scores = np.where(allowed[None, :], scores, -np.inf)
         return scores
 
-    def search_topk(self, query: np.ndarray, k: int, allowed: np.ndarray | None = None, **kwargs) -> SearchResult:
-        """Exact top-k by full scan.  ``allowed`` optionally masks positions."""
-        vectors = self._require_built()
-        query = validate_query(query, vectors.shape[1])
-        scores = vectors @ query
-        if allowed is not None:
-            scores = np.where(allowed, scores, -np.inf)
-        return self._topk_result(scores, k)
-
     def search_topk_batch(
         self, queries: np.ndarray, k: int, allowed: np.ndarray | None = None
     ) -> list[SearchResult]:
@@ -92,34 +58,21 @@ class FlatIndex(VectorIndex):
 
         ``queries`` is ``(g, dim)`` — e.g. the query heads of one GQA group —
         and the score matrix comes from one ``(g, d) @ (d, n)`` matmul instead
-        of ``g`` separate scans.  Result ``i`` matches ``search_topk`` on row
-        ``i``; ``num_distance_computations`` still counts the per-query scan.
+        of ``g`` separate scans; one query is a batch of one.  ``allowed``
+        optionally masks positions.  ``num_distance_computations`` still
+        counts the per-query scan.
         """
         scores = self._batch_scores(queries, allowed)
         return [self._topk_result(row, k) for row in scores]
 
-    def search_range(
-        self, query: np.ndarray, beta: float, allowed: np.ndarray | None = None
-    ) -> SearchResult:
-        """Exact DIPR: all keys with ``q·k >= max(q·k) - beta`` (full scan).
-
-        This is the ground-truth DIPR result the graph-based DIPRS algorithm
-        approximates; it is also the execution path the optimizer selects for
-        the flat index.
-        """
-        vectors = self._require_built()
-        query = validate_query(query, vectors.shape[1])
-        scores = vectors @ query
-        if allowed is not None:
-            scores = np.where(allowed, scores, -np.inf)
-        return self._range_result(scores, beta)
-
     def search_range_batch(
         self, queries: np.ndarray, beta: float, allowed: np.ndarray | None = None
     ) -> list[SearchResult]:
-        """Exact DIPR for a batch of queries sharing a single scan.
+        """Exact DIPR for a batch of queries sharing a single scan: per row,
+        all keys with ``q·k >= max(q·k) - beta``.
 
-        The batched sibling of :meth:`search_range` (see
+        This is the ground truth the graph-based DIPRS algorithm approximates
+        and the execution path the optimizer selects for the flat index (see
         :meth:`search_topk_batch` for the sharing scheme).  The per-row
         threshold/sort work is vectorized across the batch: one mask, one
         gather and one ``lexsort`` over all selected entries replace a

@@ -1,4 +1,4 @@
-"""Compact adjacency storage and beam search shared by the graph indexes.
+"""Compact adjacency storage of the graph indexes.
 
 The graph index (RoarGraph) and the DIPRS query algorithm both
 traverse a directed neighbour graph over the key vectors.  ``NeighborGraph``
@@ -9,11 +9,9 @@ is a couple of NumPy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["NeighborGraph", "beam_search", "BeamSearchStats"]
+__all__ = ["NeighborGraph"]
 
 
 class NeighborGraph:
@@ -80,85 +78,3 @@ class NeighborGraph:
     def to_lists(self) -> list[list[int]]:
         """Materialise back into per-node python lists (for tests/rewrites)."""
         return [list(self.neighbors(node)) for node in range(self.num_nodes)]
-
-
-@dataclass
-class BeamSearchStats:
-    """Work counters of one beam search."""
-
-    num_distance_computations: int = 0
-    num_hops: int = 0
-
-
-def beam_search(
-    vectors: np.ndarray,
-    graph: NeighborGraph,
-    query: np.ndarray,
-    ef: int,
-    entry_points: np.ndarray | list[int],
-    allowed: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, BeamSearchStats]:
-    """Best-first beam search under inner-product similarity.
-
-    Returns ``(indices, scores, stats)`` of up to ``ef`` candidates sorted by
-    descending inner product.  ``allowed`` is an optional boolean mask over
-    nodes; disallowed nodes are traversed (to keep the graph connected, as in
-    ACORN-style filtered search) but never returned.
-    """
-    vectors = np.asarray(vectors, dtype=np.float32)
-    query = np.asarray(query, dtype=np.float32)
-    num_nodes = graph.num_nodes
-    stats = BeamSearchStats()
-
-    entry_points = np.atleast_1d(np.asarray(entry_points, dtype=np.int64))
-    visited = np.zeros(num_nodes, dtype=bool)
-    visited[entry_points] = True
-    entry_scores = vectors[entry_points] @ query
-    stats.num_distance_computations += int(entry_points.shape[0])
-
-    # candidate frontier (max-heap emulated with negated scores in sorted lists)
-    frontier_ids = list(entry_points)
-    frontier_scores = list(entry_scores)
-    # result pool: keep the best `ef` seen so far
-    pool_ids = list(entry_points)
-    pool_scores = list(entry_scores)
-
-    def pool_worst() -> float:
-        if len(pool_scores) < ef:
-            return -np.inf
-        return min(pool_scores)
-
-    while frontier_ids:
-        best_pos = int(np.argmax(frontier_scores))
-        node = frontier_ids.pop(best_pos)
-        node_score = frontier_scores.pop(best_pos)
-        if node_score < pool_worst() and len(pool_scores) >= ef:
-            break
-        stats.num_hops += 1
-        neighbors = graph.neighbors(int(node))
-        fresh = neighbors[~visited[neighbors]]
-        if fresh.shape[0] == 0:
-            continue
-        visited[fresh] = True
-        scores = vectors[fresh] @ query
-        stats.num_distance_computations += int(fresh.shape[0])
-        threshold = pool_worst()
-        for neighbor, score in zip(fresh, scores):
-            if score > threshold or len(pool_scores) < ef:
-                frontier_ids.append(int(neighbor))
-                frontier_scores.append(float(score))
-                pool_ids.append(int(neighbor))
-                pool_scores.append(float(score))
-        if len(pool_scores) > 2 * ef:
-            order = np.argsort(pool_scores)[::-1][:ef]
-            pool_ids = [pool_ids[i] for i in order]
-            pool_scores = [pool_scores[i] for i in order]
-
-    pool_indices = np.asarray(pool_ids, dtype=np.int64)
-    pool_score_array = np.asarray(pool_scores, dtype=np.float32)
-    if allowed is not None:
-        keep = allowed[pool_indices]
-        pool_indices = pool_indices[keep]
-        pool_score_array = pool_score_array[keep]
-    order = np.argsort(-pool_score_array)[:ef]
-    return pool_indices[order], pool_score_array[order], stats

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, validate_query
-from .graph import NeighborGraph, beam_search
+from .base import VectorIndex
+from .graph import NeighborGraph
 from .knn_graph import cross_knn, exact_knn
 
 __all__ = ["RoarGraphConfig", "RoarGraphIndex"]
@@ -234,26 +234,3 @@ class RoarGraphIndex(VectorIndex):
         if self._graph is not None:
             base += self._graph.memory_bytes
         return base
-
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-    def search_topk(self, query: np.ndarray, k: int, ef: int | None = None, **kwargs) -> SearchResult:
-        vectors = self._require_built()
-        query = validate_query(query, vectors.shape[1])
-        ef = max(ef or k * 4, k)
-        indices, scores, stats = beam_search(vectors, self.graph, query, ef, [self._entry_point])
-        result = SearchResult(indices=indices, scores=scores, num_distance_computations=stats.num_distance_computations)
-        return result.top(k)
-
-    def recall_at_k(self, queries: np.ndarray, k: int, ef: int | None = None) -> float:
-        """Mean top-k recall of the graph search against brute force."""
-        queries = np.asarray(queries, dtype=np.float32)
-        hits = 0
-        total = 0
-        for query in queries:
-            truth = set(self.exact_topk(query, k).indices.tolist())
-            found = set(self.search_topk(query, k, ef=ef).indices.tolist())
-            hits += len(truth & found)
-            total += len(truth)
-        return hits / max(total, 1)

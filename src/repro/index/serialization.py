@@ -34,7 +34,7 @@ import numpy as np
 
 from ..errors import ContextLoadError
 from ..storage import record
-from .coarse import BlockSummary, CoarseBlockIndex
+from .coarse import CoarseBlockIndex
 from .graph import NeighborGraph
 from .roargraph import RoarGraphConfig, RoarGraphIndex
 
@@ -129,18 +129,6 @@ def _coarse_from_arrays(
     index._representative_offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     index._block_starts = starts
     index._block_stops = stops
-    index._blocks = []
-    for block_id in range(starts.shape[0]):
-        lo = int(index._representative_offsets[block_id])
-        hi = lo + int(counts[block_id])
-        index._blocks.append(
-            BlockSummary(
-                block_id=block_id,
-                start=int(starts[block_id]),
-                stop=int(stops[block_id]),
-                representatives=rep_matrix[lo:hi],
-            )
-        )
     return index
 
 

@@ -1,26 +1,12 @@
-"""Query processing: query types, DIPRS, top-k and filtered search."""
+"""Query processing: query types, DIPRS and filtered DIPRS."""
 
-from .dipr import (
-    DIPRSearchStats,
-    FrontierScratch,
-    GroupDIPRSearchStats,
-    diprs_search,
-    diprs_search_group,
-    exact_dipr,
-)
-from .filtered import (
-    filtered_diprs_search,
-    filtered_diprs_search_group,
-    naive_filtered_diprs_search,
-    predicate_mask,
-)
-from .topk import coarse_topk_search, flat_topk_search, graph_topk_search
+from .dipr import DIPRSearchStats, FrontierScratch, GroupDIPRSearchStats, diprs_search_group
+from .filtered import filtered_diprs_search_group, predicate_mask
 from .types import (
     DIPRQuery,
     FilterPredicate,
     IndexKind,
     QueryKind,
-    QuerySpec,
     TopKQuery,
     alpha_from_beta,
     beta_from_alpha,
@@ -34,18 +20,10 @@ __all__ = [
     "GroupDIPRSearchStats",
     "IndexKind",
     "QueryKind",
-    "QuerySpec",
     "TopKQuery",
     "alpha_from_beta",
     "beta_from_alpha",
-    "coarse_topk_search",
-    "diprs_search",
     "diprs_search_group",
-    "exact_dipr",
-    "filtered_diprs_search",
     "filtered_diprs_search_group",
-    "flat_topk_search",
-    "graph_topk_search",
-    "naive_filtered_diprs_search",
     "predicate_mask",
 ]

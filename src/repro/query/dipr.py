@@ -20,8 +20,11 @@ tightens the pruning bound from the first hop.
 One walk answers every graph DIPR query: :func:`group_frontier_search`
 serves the ``g`` query heads of a GQA group that read one RoarGraph (Section
 7.2) with a single traversal, and Algorithm 1 for one query is its ``g = 1``
-case.  :func:`diprs_search_group`, :func:`diprs_search` and the filtered
-variants in :mod:`repro.query.filtered` are views of it.
+case — a ``(1, d)`` batch.  It has two entry points, both called by the
+executor (:class:`repro.core.planner.PlanExecutor`): :func:`diprs_search_group`
+and the filtered :func:`repro.query.filtered.filtered_diprs_search_group`.
+The exact DIPR it approximates is the flat scan,
+:meth:`repro.index.flat.FlatIndex.search_range_batch`.
 """
 
 from __future__ import annotations
@@ -38,9 +41,7 @@ __all__ = [
     "DIPRSearchStats",
     "FrontierScratch",
     "GroupDIPRSearchStats",
-    "diprs_search",
     "diprs_search_group",
-    "exact_dipr",
 ]
 
 
@@ -353,47 +354,3 @@ def diprs_search_group(
         max_tokens=max_tokens,
         scratch=scratch,
     )
-
-
-def exact_dipr(vectors: np.ndarray, query: np.ndarray, beta: float, allowed: np.ndarray | None = None) -> SearchResult:
-    """Ground-truth DIPR by full scan (the flat-index execution path)."""
-    vectors = np.asarray(vectors, dtype=np.float32)
-    query = np.asarray(query, dtype=np.float32)
-    scores = vectors @ query
-    if allowed is not None:
-        scores = np.where(allowed, scores, -np.inf)
-    finite = np.isfinite(scores)
-    if not finite.any():
-        return SearchResult(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32), int(vectors.shape[0]))
-    threshold = scores[finite].max() - beta
-    selected = np.flatnonzero(scores >= threshold)
-    order = selected[np.argsort(-scores[selected])]
-    return SearchResult(
-        indices=order.astype(np.int64),
-        scores=scores[order].astype(np.float32),
-        num_distance_computations=int(vectors.shape[0]),
-    )
-
-
-def diprs_search(
-    vectors: np.ndarray,
-    graph: NeighborGraph,
-    query: np.ndarray,
-    beta: float,
-    entry_points: np.ndarray | list[int],
-    capacity_threshold: int = 32,
-    window_max_score: float | None = None,
-    allowed: np.ndarray | None = None,
-    max_tokens: int | None = None,
-) -> tuple[SearchResult, DIPRSearchStats]:
-    """Algorithm 1 of the paper for one ``(d,)`` query: the ``g = 1`` walk.
-
-    ``capacity_threshold`` is ``l0``, ``window_max_score`` the Section 7.1
-    window seed, ``allowed`` a mask of the tokens that may be returned (and
-    set the maximum) and ``max_tokens`` a hard cap on the result size.
-    """
-    seeds = None if window_max_score is None else [window_max_score]
-    results, stats = diprs_search_group(
-        vectors, graph, query, beta, entry_points, capacity_threshold, seeds, allowed, max_tokens
-    )
-    return results[0], stats.per_head[0]

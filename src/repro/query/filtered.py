@@ -15,21 +15,10 @@ import numpy as np
 
 from ..index.base import SearchResult
 from ..index.graph import NeighborGraph
-from .dipr import (
-    DIPRSearchStats,
-    FrontierScratch,
-    GroupDIPRSearchStats,
-    diprs_search,
-    group_frontier_search,
-)
+from .dipr import FrontierScratch, GroupDIPRSearchStats, group_frontier_search
 from .types import FilterPredicate
 
-__all__ = [
-    "predicate_mask",
-    "filtered_diprs_search",
-    "filtered_diprs_search_group",
-    "naive_filtered_diprs_search",
-]
+__all__ = ["predicate_mask", "filtered_diprs_search_group"]
 
 
 def predicate_mask(num_tokens: int, predicate: FilterPredicate | None) -> np.ndarray | None:
@@ -59,25 +48,6 @@ def _two_hop_neighbors(graph: NeighborGraph, nodes: np.ndarray) -> tuple[np.ndar
     first[1:] = keys[1:] != keys[:-1]
     keys = keys[first]
     return keys % graph.num_nodes, keys // graph.num_nodes
-
-
-def filtered_diprs_search(
-    vectors: np.ndarray,
-    graph: NeighborGraph,
-    query: np.ndarray,
-    beta: float,
-    entry_points: np.ndarray | list[int],
-    predicate: FilterPredicate,
-    capacity_threshold: int = 32,
-    window_max_score: float | None = None,
-    max_tokens: int | None = None,
-) -> tuple[SearchResult, DIPRSearchStats]:
-    """Filtered DIPRS for one ``(d,)`` query: the ``g = 1`` filtered walk."""
-    seeds = None if window_max_score is None else [window_max_score]
-    results, stats = filtered_diprs_search_group(
-        vectors, graph, query, beta, entry_points, predicate, capacity_threshold, seeds, max_tokens
-    )
-    return results[0], stats.per_head[0]
 
 
 def filtered_diprs_search_group(
@@ -122,45 +92,4 @@ def filtered_diprs_search_group(
         max_tokens=max_tokens,
         entry_fallback=first_allowed_seeds,
         scratch=scratch,
-    )
-
-
-def naive_filtered_diprs_search(
-    vectors: np.ndarray,
-    graph: NeighborGraph,
-    query: np.ndarray,
-    beta: float,
-    entry_points: np.ndarray | list[int],
-    predicate: FilterPredicate,
-    capacity_threshold: int = 32,
-    window_max_score: float | None = None,
-) -> tuple[SearchResult, DIPRSearchStats]:
-    """The naive baseline: prune filtered-out nodes from the traversal itself.
-
-    Used by the Figure 12 ablation to demonstrate why 2-hop expansion is
-    needed — pruning nodes from the walk disconnects the graph and recall
-    collapses as the reuse ratio drops.
-    """
-    allowed = predicate_mask(graph.num_nodes, predicate)
-    # restrict the adjacency to allowed→allowed edges
-    lists = []
-    for node in range(graph.num_nodes):
-        if allowed[node]:
-            neighbors = graph.neighbors(node)
-            lists.append([int(n) for n in neighbors if allowed[n]])
-        else:
-            lists.append([])
-    pruned_graph = NeighborGraph.from_lists(lists)
-    entry_points = [int(e) for e in np.atleast_1d(entry_points) if allowed[int(e)]]
-    if not entry_points:
-        entry_points = [int(np.flatnonzero(allowed)[0])]
-    return diprs_search(
-        vectors,
-        pruned_graph,
-        query,
-        beta,
-        entry_points,
-        capacity_threshold=capacity_threshold,
-        window_max_score=window_max_score,
-        allowed=allowed,
     )

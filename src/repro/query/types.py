@@ -27,7 +27,6 @@ __all__ = [
     "TopKQuery",
     "DIPRQuery",
     "FilterPredicate",
-    "QuerySpec",
     "beta_from_alpha",
     "alpha_from_beta",
 ]
@@ -73,7 +72,6 @@ class TopKQuery:
     """Retrieve a fixed number of critical tokens."""
 
     k: int
-    ef: int | None = None
 
     def __post_init__(self) -> None:
         if self.k <= 0:
@@ -123,22 +121,3 @@ class FilterPredicate:
     def __post_init__(self) -> None:
         if self.max_position <= 0:
             raise ValueError(f"max_position must be positive, got {self.max_position}")
-
-    def allows(self, position: int) -> bool:
-        return position < self.max_position
-
-
-@dataclass(frozen=True)
-class QuerySpec:
-    """A fully-specified retrieval request handed to an execution plan."""
-
-    query: TopKQuery | DIPRQuery
-    predicate: FilterPredicate | None = None
-
-    @property
-    def kind(self) -> str:
-        return self.query.kind
-
-    @property
-    def is_filtered(self) -> bool:
-        return self.predicate is not None

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ReproError
+from ..index.builder import IndexBuildConfig
 from ..kvcache.serialization import KVSnapshot
 
 __all__ = [
@@ -162,15 +163,20 @@ def parse_shard_id(context_id: str) -> tuple[str, int] | None:
     return base, int(suffix)
 
 
-def slice_snapshot(snapshot: KVSnapshot, rng: ShardRange, plan: ShardPlan) -> KVSnapshot:
+def slice_snapshot(
+    snapshot: KVSnapshot, rng: ShardRange, plan: ShardPlan, index_build: IndexBuildConfig
+) -> KVSnapshot:
     """One shard's KV slice of a full-context snapshot.
 
-    Tokens and per-layer K/V are sliced to ``[rng.start, rng.stop)``; the
-    query sample is kept whole — it describes the query distribution that
-    will probe the shard's indexes, which is the full request stream, not the
-    shard's own token range — and a shard's build reads a prefix of it sized
-    to the shard's tokens.  Shard provenance lands in the metadata so a
-    recovered shard remains identifiable.
+    Tokens and per-layer K/V are sliced to ``[rng.start, rng.stop)``.  The
+    query sample is not sliced by position — it describes the query
+    distribution that will probe the shard's indexes, which is the full
+    request stream, not the shard's own token range — but cut to the prefix
+    a build over the shard's tokens reads
+    (:meth:`~repro.index.builder.IndexBuildConfig.sample_rows` rows per KV
+    head; a prefix of a drawn sample is itself a uniform sample).  Shard
+    provenance lands in the metadata so a recovered shard remains
+    identifiable.
     """
     if rng.stop > snapshot.num_tokens:
         raise ReproError(
@@ -200,5 +206,8 @@ def slice_snapshot(snapshot: KVSnapshot, rng: ShardRange, plan: ShardPlan) -> KV
         keys=keys,
         values=values,
         metadata=metadata,
-        query_samples=dict(snapshot.query_samples),
+        query_samples={
+            layer: np.ascontiguousarray(sample[:, : index_build.sample_rows(rng.num_tokens)])
+            for layer, sample in snapshot.query_samples.items()
+        },
     )

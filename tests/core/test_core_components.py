@@ -341,13 +341,13 @@ class TestPlanExecutor:
             scores = keys[head // 2] @ queries[head]
             assert np.all(scores[outcome.positions] >= scores.max() - 5.0 - 1e-4)
 
-    def test_fine_topk_path(self):
+    def test_fine_rejects_topk(self):
+        """The fine index serves DIPR only: no rule emits TOP_K x FINE, and the executor
+        rejects it the way the coarse index rejects DIPR."""
         data, _ = self._layer_data()
-        executor = PlanExecutor()
         plan = ExecutionPlan(QueryKind.TOP_K, IndexKind.FINE, query=TopKQuery(k=10))
-        queries = np.random.default_rng(2).normal(size=(4, 16)).astype(np.float32)
-        outcomes = executor.retrieve_heads(plan, data, queries)
-        assert [outcome.num_selected for outcome in outcomes] == [10] * 4
+        with pytest.raises(UnsupportedQueryError):
+            PlanExecutor().retrieve_heads(plan, data, np.zeros((4, 16), dtype=np.float32))
 
     def test_coarse_topk_path(self):
         data, _ = self._layer_data()
@@ -358,6 +358,17 @@ class TestPlanExecutor:
         # 2 blocks of 64 tokens, or the 16-token tail block of the 400-token context plus a full one
         assert outcomes[0].num_selected == 128
         assert {outcome.num_selected for outcome in outcomes} <= {128, 80}
+
+    def test_coarse_counts_the_representatives_it_scores(self):
+        """At n = 129 with 128-token blocks the tail block's one token gives it the mean
+        plus one representative: a query scores 4 + 2 representatives, not 2 x 4."""
+        keys = np.random.default_rng(4).normal(size=(1, 129, 16)).astype(np.float32)
+        block = CoarseBlockIndex(block_size=128, num_representatives=4)
+        block.build(keys[0])
+        data = LayerIndexData(keys=keys, coarse_indexes=[block])
+        plan = ExecutionPlan(QueryKind.TOP_K, IndexKind.COARSE, query=TopKQuery(k=10))
+        (outcome,) = PlanExecutor().retrieve_heads(plan, data, np.ones((1, 16), dtype=np.float32))
+        assert outcome.num_distance_computations == 6
 
     def test_coarse_rejects_dipr(self):
         data, _ = self._layer_data()
@@ -372,14 +383,13 @@ class TestPlanExecutor:
             ExecutionPlan(QueryKind.DIPR, IndexKind.FLAT, query=DIPRQuery(beta=5.0)),
             ExecutionPlan(QueryKind.TOP_K, IndexKind.FLAT, query=TopKQuery(k=12)),
             ExecutionPlan(QueryKind.DIPR, IndexKind.FINE, query=DIPRQuery(beta=5.0)),
-            ExecutionPlan(QueryKind.TOP_K, IndexKind.FINE, query=TopKQuery(k=10)),
             ExecutionPlan(QueryKind.TOP_K, IndexKind.COARSE, query=TopKQuery(k=10)),
         ],
-        ids=["flat-dipr", "flat-topk", "fine-dipr", "fine-topk", "coarse-topk"],
+        ids=["flat-dipr", "flat-topk", "fine-dipr", "coarse-topk"],
     )
     def test_retrieve_heads_matches_reference(self, plan):
-        """The executor against the public index/query primitives called head by head
-        (one shared group walk per KV head for fine DIPR)."""
+        """The executor against the scalar references called head by head (one shared
+        group walk per KV head for fine DIPR)."""
         data, keys = self._layer_data()
         executor = PlanExecutor(coarse_num_blocks=2)
         rng = np.random.default_rng(7)

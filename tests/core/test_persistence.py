@@ -20,10 +20,17 @@ from repro.core.service import InferenceService
 from repro.errors import ContextLoadError, DuplicateContextError, StorageError
 from repro.kvcache.serialization import snapshot_to_bytes
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.query.dipr import diprs_search_group
 from repro.storage.backend import FilesystemBackend, InMemoryBackend
 from repro.storage.manifest import MANIFEST_KEY
 from tests.conftest import make_context
 from tests.record_corruption import CORRUPTIONS
+
+
+def _walk(index, query, beta=2.0):
+    """One query's DIPRS walk over a fine index (a batch of one)."""
+    (result,), _ = diprs_search_group(index.vectors, index.graph, query[None], beta, [index.entry_point])
+    return result
 
 
 DOC = "the durable context database must survive a restart. " * 14
@@ -165,7 +172,7 @@ class TestDBRestart:
             for a, b in zip(layer_indexes, restored):
                 for _ in range(5):
                     query = rng.normal(size=a.vectors.shape[1]).astype(np.float32)
-                    ra, rb = a.search_topk(query, k=8), b.search_topk(query, k=8)
+                    ra, rb = _walk(a, query), _walk(b, query)
                     np.testing.assert_array_equal(ra.indices, rb.indices)
                     np.testing.assert_array_equal(ra.scores, rb.scores)
 
@@ -279,7 +286,7 @@ class TestExportImportBundle:
         for layer, layer_indexes in context.fine_indexes.items():
             for a, b in zip(layer_indexes, imported.fine_indexes[layer]):
                 query = rng.normal(size=a.vectors.shape[1]).astype(np.float32)
-                ra, rb = a.search_topk(query, k=8), b.search_topk(query, k=8)
+                ra, rb = _walk(a, query), _walk(b, query)
                 np.testing.assert_array_equal(ra.indices, rb.indices)
         # and the prompt prefix-matches through the imported context
         match = target.store_registry.find_longest_prefix(target.tokenize(DOC + "?"))

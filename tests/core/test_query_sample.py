@@ -14,7 +14,7 @@ import pytest
 from repro.core.config import AlayaDBConfig
 from repro.core.db import DB
 from repro.core.session import Session
-from repro.index.builder import draw_query_sample
+from repro.index.builder import ContextIndexBuilder, draw_query_sample
 from repro.kvcache.cache import DynamicCache
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.storage.backend import InMemoryBackend
@@ -46,6 +46,33 @@ def test_a_fresh_record_is_about_its_kv_bytes(model, n):
         1: (2, int(0.4 * n), 16),
         2: (2, int(0.4 * n), 16),
     }
+
+
+@pytest.mark.parametrize("num_shards", [2, 4, 8])
+def test_a_shard_record_is_about_its_kv_bytes(model, num_shards):
+    """A shard keeps the prefix of its parent's sample that a build over its
+    own tokens reads, not the whole sample (1.28x / ~1.55x / ~2x its KV bytes
+    at 2 / 4 / 8 shards while it was copied whole), and builds the same
+    graphs it built from the whole sample."""
+    config = AlayaDBConfig(gpu_memory_budget_bytes=1)  # plans DIPR: shards build fine indexes
+    backend = InMemoryBackend()
+    db = DB(config, backend=backend)
+    context = db.prefill_and_import(model, _document(1600), context_id="doc")
+    _, shards = db.shard_context("doc", num_shards=num_shards)
+    assert len(shards) == num_shards
+    builder = ContextIndexBuilder(config.index_build)
+    for shard in shards:
+        assert len(backend.read_bytes(f"{shard.context_id}.npz")) <= 1.2 * shard.snapshot.nbytes
+        assert sorted(shard.query_samples) == sorted(context.query_samples) == [1, 2]
+        for layer, sample in shard.query_samples.items():
+            assert sample.shape[1] == config.index_build.sample_rows(shard.num_tokens)
+            keys = shard.snapshot.keys[layer]
+            whole, _ = builder.build_layer(keys, context.query_samples[layer])
+            for built in [shard.fine_indexes[layer], builder.build_layer(keys, sample)[0]]:
+                for a, b in zip(built, whole, strict=True):
+                    np.testing.assert_array_equal(a.graph.neighbor_ids, b.graph.neighbor_ids)
+                    np.testing.assert_array_equal(a.graph.offsets, b.graph.offsets)
+                    assert a.entry_point == b.entry_point
 
 
 def test_the_stored_sample_is_the_draw_over_the_prefill_queries(model):

@@ -20,11 +20,18 @@ from repro.core.planner import ExecutionPlan, LayerIndexData, PlanExecutor
 from repro.index.builder import ContextIndexBuilder
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.serialization import serialize_context_indexes
+from repro.query.dipr import diprs_search_group
 from repro.query.types import DIPRQuery, IndexKind, QueryKind, TopKQuery
 from repro.storage import record
 from repro.storage.backend import FilesystemBackend, InMemoryBackend
 from repro.storage.manifest import MANIFEST_KEY
 from tests.conftest import make_context
+
+
+def _walk(index, query, beta=2.0):
+    """One query's DIPRS walk over a fine index (a batch of one): ids and scores."""
+    (result,), _ = diprs_search_group(index.vectors, index.graph, query[None], beta, [index.entry_point])
+    return result
 
 BACKENDS = ["filesystem", "memory"]
 
@@ -304,10 +311,11 @@ class TestBackendRoundTrip:
         store = _store(tmp_path, kind=kind)
         store.add(_indexed("a", num_tokens=48))
         query = np.random.default_rng(9).normal(size=8).astype(np.float32)
-        before = store.get("a").fine_indexes[0][0].search_topk(query, 5)
+        before = _walk(store.get("a").fine_indexes[0][0], query)
         store.spill("a")
-        after = store.ensure_resident("a").fine_indexes[0][0].search_topk(query, 5)
+        after = _walk(store.ensure_resident("a").fine_indexes[0][0], query)
         np.testing.assert_array_equal(after.indices, before.indices)
+        np.testing.assert_array_equal(after.scores, before.scores)
 
     def test_disk_bytes_follow_the_backend(self, tmp_path):
         store = _store(tmp_path)
@@ -365,11 +373,11 @@ class TestBackendRoundTrip:
         store.add(_indexed("a", num_tokens=48, seed=0))
         replacement = _indexed("a", num_tokens=48, seed=1)
         query = np.random.default_rng(4).normal(size=8).astype(np.float32)
-        expected = replacement.fine_indexes[0][0].search_topk(query, 5)
+        expected = _walk(replacement.fine_indexes[0][0], query)
         store.add(replacement, overwrite=True)
         reloaded = ContextStore.open(store.backend).ensure_resident("a")
         np.testing.assert_array_equal(reloaded.keys(0), replacement.keys(0))
-        found = reloaded.fine_indexes[0][0].search_topk(query, 5)
+        found = _walk(reloaded.fine_indexes[0][0], query)
         np.testing.assert_array_equal(found.indices, expected.indices)
 
     def test_store_without_backend_keeps_contexts_in_memory_only(self):
@@ -388,7 +396,6 @@ class TestIndexReattach:
 
     PLANS = {
         "fine-dipr": ExecutionPlan(QueryKind.DIPR, IndexKind.FINE, query=DIPRQuery(beta=2.0)),
-        "fine-topk": ExecutionPlan(QueryKind.TOP_K, IndexKind.FINE, query=TopKQuery(k=8)),
         "coarse-topk": ExecutionPlan(QueryKind.TOP_K, IndexKind.COARSE, query=TopKQuery(k=8)),
     }
 

@@ -17,6 +17,7 @@ from repro.index.serialization import (
     deserialize_context_indexes,
     serialize_context_indexes,
 )
+from repro.query.dipr import diprs_search_group
 from repro.storage import record
 from tests.record_corruption import CORRUPTIONS, split
 
@@ -27,13 +28,16 @@ def _vectors(n, dim, seed):
     return np.random.default_rng(seed).normal(size=(n, dim)).astype(np.float32)
 
 
-def _assert_search_identical(original, loaded, queries, k=10):
-    """Exact (bitwise) agreement on ids *and* scores over a query grid."""
-    for query in queries:
-        a = original.search_topk(query, k=k)
-        b = loaded.search_topk(query, k=k)
+def _assert_search_identical(original, loaded, queries, beta=2.0):
+    """Exact (bitwise) agreement of a DIPRS walk over a query grid: ids, scores and work."""
+    (ra, sa), (rb, sb) = [
+        diprs_search_group(index.vectors, index.graph, queries, beta, [index.entry_point])
+        for index in (original, loaded)
+    ]
+    for a, b in zip(ra, rb):
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.scores, b.scores)
+    assert sa == sb
 
 
 def _coarse_layers(keys):
@@ -91,19 +95,19 @@ class TestContextIndexBlob:
         for layer, per_head in fine.items():
             assert len(fine2[layer]) == len(per_head) == NUM_KV_HEADS
             for a, b in zip(per_head, fine2[layer]):
-                _assert_search_identical(a, b, probes, k=5)
+                _assert_search_identical(a, b, probes)
 
         assert set(coarse2) == set(coarse)
         for layer in coarse:
             assert len(coarse2[layer]) == len(coarse[layer])
             for a, b in zip(coarse[layer], coarse2[layer]):
-                for query in probes:
-                    a_blocks = [block.block_id for block in a.search_blocks(query, num_blocks=4)]
-                    b_blocks = [block.block_id for block in b.search_blocks(query, num_blocks=4)]
-                    assert a_blocks == b_blocks
-                    ra, rb = a.search_topk(query, k=6), b.search_topk(query, k=6)
-                    np.testing.assert_array_equal(ra.indices, rb.indices)
-                    np.testing.assert_array_equal(ra.scores, rb.scores)
+                scores_a, scores_b = a.block_scores_batch(probes), b.block_scores_batch(probes)
+                np.testing.assert_array_equal(scores_a, scores_b)
+                top_a = a.top_blocks_from_scores(scores_a, 4)
+                np.testing.assert_array_equal(top_a, b.top_blocks_from_scores(scores_b, 4))
+                for row in top_a:
+                    np.testing.assert_array_equal(a.positions_of_blocks(row), b.positions_of_blocks(row))
+                assert (a.num_blocks, a.num_representative_vectors) == (b.num_blocks, b.num_representative_vectors)
 
     def test_loaded_indexes_view_the_given_keys(self, built):
         fine, coarse, keys = built

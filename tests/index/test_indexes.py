@@ -1,4 +1,6 @@
-"""Tests of the vector indexes: flat, graph, RoarGraph, coarse, builder."""
+"""Tests of the vector indexes: flat, graph, RoarGraph, coarse, builder.
+
+Index searches are batched; a single query runs as a ``(1, d)`` batch."""
 
 from __future__ import annotations
 
@@ -7,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.topk_retrieval import beam_search
 from repro.errors import IndexNotBuiltError
 from repro.index.base import SearchResult
 from repro.index.builder import ContextIndexBuilder, IndexBuildConfig, draw_query_sample
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.flat import FlatIndex
-from repro.index.graph import NeighborGraph, beam_search
+from repro.index.graph import NeighborGraph
 from repro.index.knn_graph import cross_knn, exact_knn
 from repro.index.roargraph import RoarGraphConfig, RoarGraphIndex
 
@@ -84,7 +87,7 @@ class TestFlatIndex:
         index = FlatIndex()
         index.build(vectors)
         query = np.random.default_rng(3).normal(size=16).astype(np.float32)
-        result = index.search_topk(query, 10)
+        (result,) = index.search_topk_batch(query[None], 10)
         expected = np.argsort(-(vectors @ query))[:10]
         np.testing.assert_array_equal(result.indices, expected)
 
@@ -94,12 +97,12 @@ class TestFlatIndex:
         index.build(vectors)
         query = np.random.default_rng(4).normal(size=16).astype(np.float32)
         beta = 2.0
-        result = index.search_range(query, beta)
+        (result,) = index.search_range_batch(query[None], beta)
         scores = vectors @ query
         expected = np.flatnonzero(scores >= scores.max() - beta)
         assert set(result.indices.tolist()) == set(expected.tolist())
 
-    def test_batch_searches_match_per_query(self):
+    def test_batch_rows_match_batches_of_one(self):
         vectors = _vectors()
         index = FlatIndex()
         index.build(vectors)
@@ -109,11 +112,11 @@ class TestFlatIndex:
         for masked in (None, allowed):
             range_results = index.search_range_batch(queries, 2.0, allowed=masked)
             topk_results = index.search_topk_batch(queries, 10, allowed=masked)
-            for i, query in enumerate(queries):
-                expected_range = index.search_range(query, 2.0, allowed=masked)
+            for i in range(queries.shape[0]):
+                (expected_range,) = index.search_range_batch(queries[i : i + 1], 2.0, allowed=masked)
                 np.testing.assert_array_equal(range_results[i].indices, expected_range.indices)
                 assert range_results[i].num_distance_computations == vectors.shape[0]
-                expected_topk = index.search_topk(query, 10, allowed=masked)
+                (expected_topk,) = index.search_topk_batch(queries[i : i + 1], 10, allowed=masked)
                 np.testing.assert_array_equal(topk_results[i].indices, expected_topk.indices)
 
     def test_batch_rejects_bad_shape(self):
@@ -129,18 +132,12 @@ class TestFlatIndex:
         query = np.random.default_rng(5).normal(size=16).astype(np.float32)
         allowed = np.zeros(100, dtype=bool)
         allowed[:30] = True
-        result = index.search_topk(query, 10, allowed=allowed)
+        (result,) = index.search_topk_batch(query[None], 10, allowed=allowed)
         assert (result.indices < 30).all()
-
-    def test_append(self):
-        index = FlatIndex()
-        index.build(_vectors(10))
-        index.append(_vectors(5, seed=9))
-        assert index.num_vectors == 15
 
     def test_unbuilt_raises(self):
         with pytest.raises(IndexNotBuiltError):
-            FlatIndex().search_topk(np.zeros(4, dtype=np.float32), 1)
+            FlatIndex().search_topk_batch(np.zeros((1, 4), dtype=np.float32), 1)
 
     @settings(deadline=None, max_examples=25)
     @given(beta=st.floats(min_value=0.0, max_value=10.0), seed=st.integers(0, 50))
@@ -149,7 +146,7 @@ class TestFlatIndex:
         index = FlatIndex()
         index.build(vectors)
         query = np.random.default_rng(seed + 1).normal(size=8).astype(np.float32)
-        result = index.search_range(query, beta)
+        (result,) = index.search_range_batch(query[None], beta)
         scores = vectors @ query
         assert len(result) >= 1
         assert np.all(result.scores >= scores.max() - beta - 1e-5)
@@ -166,14 +163,20 @@ class TestRoarGraph:
         queries = (rng.normal(size=(300, 16)) + 0.8).astype(np.float32)
         index = RoarGraphIndex()
         index.build(keys, query_sample=queries[:200])
-        assert index.recall_at_k(queries[200:220], 10) > 0.8
+        hits = 0
+        for query in queries[200:220]:
+            truth = set(np.argsort(-(keys @ query))[:10].tolist())
+            found, _, _ = beam_search(keys, index.graph, query, 40, [index.entry_point])
+            hits += len(truth & set(found[:10].tolist()))
+        assert hits / 200 > 0.8
 
     def test_builds_without_query_sample(self):
         index = RoarGraphIndex()
         index.build(_vectors(200))
         assert index.graph.num_nodes == 200
-        result = index.search_topk(np.random.default_rng(1).normal(size=16).astype(np.float32), 5)
-        assert len(result) == 5
+        query = np.random.default_rng(1).normal(size=16).astype(np.float32)
+        found, _, _ = beam_search(index.vectors, index.graph, query, 20, [index.entry_point])
+        assert len(found[:5]) == 5
 
     def test_max_degree_respected(self):
         config = RoarGraphConfig(max_degree=8)
@@ -201,33 +204,37 @@ class TestCoarseIndex:
         index = CoarseBlockIndex(block_size=32)
         index.build(_vectors(100))
         assert index.num_blocks == 4
-        assert index.blocks[-1].num_tokens == 4
+        starts, stops = index.block_bounds
+        assert stops[-1] - starts[-1] == 4
 
     def test_selected_positions_are_block_aligned(self):
         index = CoarseBlockIndex(block_size=25)
         index.build(_vectors(100))
         query = np.random.default_rng(6).normal(size=16).astype(np.float32)
-        positions = index.selected_positions(query, 2)
+        (top,) = index.top_blocks_from_scores(index.block_scores_batch(query[None]), 2)
+        positions = index.positions_of_blocks(top)
         assert positions.shape[0] == 50
+        np.testing.assert_array_equal(np.unique(positions // 25), np.sort(top))
 
-    def test_batch_selected_positions_match_per_query(self):
+    def test_batch_rows_match_batches_of_one(self):
         index = CoarseBlockIndex(block_size=25)
         index.build(_vectors(100))
         queries = np.random.default_rng(7).normal(size=(5, 16)).astype(np.float32)
-        batched = index.selected_positions_batch(queries, 2)
-        assert len(batched) == 5
-        for i, query in enumerate(queries):
-            np.testing.assert_array_equal(batched[i], index.selected_positions(query, 2))
+        batched = index.top_blocks_from_scores(index.block_scores_batch(queries), 2)
+        assert batched.shape == (5, 2)
+        for i in range(queries.shape[0]):
+            single = index.top_blocks_from_scores(index.block_scores_batch(queries[i : i + 1]), 2)
+            np.testing.assert_array_equal(batched[i], single[0])
 
-    def test_topk_covers_best_token_when_block_found(self):
+    def test_top_block_holds_the_planted_token(self):
         vectors = _vectors(256)
         query = np.random.default_rng(8).normal(size=16).astype(np.float32)
         # plant an extreme token so its block is certainly selected
         vectors[100] = query * 10
         index = CoarseBlockIndex(block_size=32, num_representatives=4)
         index.build(vectors)
-        result = index.search_topk(query, 5)
-        assert 100 in result.indices
+        (top,) = index.top_blocks_from_scores(index.block_scores_batch(query[None]), 1)
+        assert 100 in index.positions_of_blocks(top)
 
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):

@@ -36,8 +36,8 @@ from repro.core.session import DecodeStepStats, Session
 from repro.index.graph import NeighborGraph
 from repro.index.roargraph import RoarGraphIndex
 from repro.kvcache.serialization import KVSnapshot
-from repro.query.dipr import diprs_search, diprs_search_group
-from repro.query.filtered import filtered_diprs_search, filtered_diprs_search_group
+from repro.query.dipr import diprs_search_group
+from repro.query.filtered import filtered_diprs_search_group
 from repro.query.types import DIPRQuery, FilterPredicate, IndexKind, QueryKind
 from tests.reference_attention import reference_diprs, reference_sparse_attention
 
@@ -222,9 +222,9 @@ class TestGroupFrontierDegenerate:
     @pytest.mark.parametrize("seeded", [False, True], ids=["no-seed", "seed"])
     @pytest.mark.parametrize("walk", ["plain", "filtered", "filtered-fallback"])
     def test_one_to_one_group_is_the_scalar_walk(self, walk, seeded):
-        """g=1 shares nothing: the walk and its one-query views are the scalar Algorithm 1 —
-        ranked indices, scores and all four work counters (the fallback case filters its
-        entry point out, so the walk restarts from the first allowed positions)."""
+        """g=1 shares nothing: a (1, d) batch walks the scalar Algorithm 1 — ranked indices,
+        scores and all four work counters (the fallback case filters its entry point out, so
+        the walk restarts from the first allowed positions)."""
         keys, index, queries = _group_data()
         query, beta = queries[0], 8.0
         seed = float((keys @ query).max()) - beta / 2 if seeded else None
@@ -233,19 +233,13 @@ class TestGroupFrontierDegenerate:
         predicate = None if walk == "plain" else FilterPredicate(max_position=450 if walk == "filtered" else 50)
         if predicate is None:
             group = diprs_search_group(keys, index.graph, query[None], beta, entry, 16, seeds)
-            view = diprs_search(keys, index.graph, query, beta, entry, 16, seed)
         else:
             group = filtered_diprs_search_group(keys, index.graph, query[None], beta, entry, predicate, 16, seeds)
-            view = filtered_diprs_search(keys, index.graph, query, beta, entry, predicate, 16, seed)
         expected, expected_stats = _solo_oracle(
             keys, index.graph, query, beta, entry, seed, capacity_threshold=16, predicate=predicate
         )
         assert len(expected) > 0
         _assert_walk_is_oracle(*group, [(expected, expected_stats)])
-        result, stats = view
-        np.testing.assert_array_equal(result.indices, expected.indices)
-        np.testing.assert_array_equal(result.scores, expected.scores)
-        assert stats == expected_stats
 
     def test_rejects_mismatched_seed_count(self):
         keys, index, queries = _group_data()

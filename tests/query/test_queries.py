@@ -1,4 +1,6 @@
-"""Tests of the query types, DIPRS, top-k and filtered search."""
+"""Tests of the query types, DIPRS, top-k and filtered search.
+
+Every search is batched; a single query runs as a ``(1, d)`` batch."""
 
 from __future__ import annotations
 
@@ -9,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.bench_fig12_filtered_diprs import naive_filtered_diprs_search
+from repro.baselines.topk_retrieval import beam_search
 from repro.index.flat import FlatIndex
 from repro.index.roargraph import RoarGraphIndex
-from repro.query.dipr import diprs_search, exact_dipr
-from repro.query.filtered import filtered_diprs_search, naive_filtered_diprs_search, predicate_mask
-from repro.query.topk import flat_topk_search, graph_topk_search
+from repro.query.dipr import diprs_search_group
+from repro.query.filtered import filtered_diprs_search_group, predicate_mask
 from repro.query.types import (
     DIPRQuery,
     FilterPredicate,
-    QuerySpec,
     TopKQuery,
     alpha_from_beta,
     beta_from_alpha,
@@ -39,6 +41,13 @@ def _clustered_keys(n=1200, dim=16, num_critical=60, seed=0):
         + rng.normal(0, 0.8, size=(400, dim))
     ).astype(np.float32)
     return keys, query, queries, critical
+
+
+def _exact_dipr(keys, query, beta, allowed=None):
+    """Ground-truth DIPR of one query: the flat scan over a batch of one."""
+    index = FlatIndex()
+    index.build(keys)
+    return index.search_range_batch(query[None], beta, allowed=allowed)[0]
 
 
 class TestQueryTypes:
@@ -67,11 +76,6 @@ class TestQueryTypes:
         with pytest.raises(ValueError):
             FilterPredicate(max_position=0)
 
-    def test_query_spec(self):
-        spec = QuerySpec(query=DIPRQuery(beta=5.0), predicate=FilterPredicate(max_position=10))
-        assert spec.kind == "dipr"
-        assert spec.is_filtered
-
     def test_dipr_from_alpha(self):
         query = DIPRQuery.from_alpha(0.05, 64)
         assert query.beta == pytest.approx(beta_from_alpha(0.05, 64))
@@ -80,19 +84,19 @@ class TestQueryTypes:
 class TestExactDIPR:
     def test_always_contains_maximum(self):
         keys, query, _, _ = _clustered_keys()
-        result = exact_dipr(keys, query, beta=0.0)
+        result = _exact_dipr(keys, query, beta=0.0)
         assert len(result) >= 1
         assert result.indices[0] == int(np.argmax(keys @ query))
 
     def test_larger_beta_is_superset(self):
         keys, query, _, _ = _clustered_keys()
-        small = set(exact_dipr(keys, query, 5.0).indices.tolist())
-        large = set(exact_dipr(keys, query, 20.0).indices.tolist())
+        small = set(_exact_dipr(keys, query, 5.0).indices.tolist())
+        large = set(_exact_dipr(keys, query, 20.0).indices.tolist())
         assert small.issubset(large)
 
     def test_critical_cluster_selected(self):
         keys, query, _, critical = _clustered_keys()
-        result = exact_dipr(keys, query, beta=15.0)
+        result = _exact_dipr(keys, query, beta=15.0)
         assert set(critical.tolist()).issubset(set(result.indices.tolist()))
 
 
@@ -101,9 +105,9 @@ class TestDIPRS:
         keys, query, queries, _ = _clustered_keys()
         index = RoarGraphIndex()
         index.build(keys, query_sample=queries)
-        truth = exact_dipr(keys, query, 15.0)
-        approx, stats = diprs_search(
-            keys, index.graph, query, 15.0, [index.entry_point], capacity_threshold=128
+        truth = _exact_dipr(keys, query, 15.0)
+        (approx,), stats = diprs_search_group(
+            keys, index.graph, query[None], 15.0, [index.entry_point], capacity_threshold=128
         )
         recall = len(set(truth.indices.tolist()) & set(approx.indices.tolist())) / len(truth)
         assert recall > 0.85
@@ -113,7 +117,7 @@ class TestDIPRS:
         keys, query, queries, _ = _clustered_keys(seed=3)
         index = RoarGraphIndex()
         index.build(keys, query_sample=queries)
-        result, _ = diprs_search(keys, index.graph, query, 10.0, [index.entry_point])
+        (result,), _ = diprs_search_group(keys, index.graph, query[None], 10.0, [index.entry_point])
         assert np.all(result.scores >= result.scores.max() - 10.0 - 1e-4)
 
     def test_window_seed_tightens_pruning(self):
@@ -121,17 +125,17 @@ class TestDIPRS:
         index = RoarGraphIndex()
         index.build(keys, query_sample=queries)
         true_max = float((keys @ query).max())
-        _, without_seed = diprs_search(keys, index.graph, query, 12.0, [index.entry_point])
-        _, with_seed = diprs_search(
-            keys, index.graph, query, 12.0, [index.entry_point], window_max_score=true_max
+        _, without_seed = diprs_search_group(keys, index.graph, query[None], 12.0, [index.entry_point])
+        _, with_seed = diprs_search_group(
+            keys, index.graph, query[None], 12.0, [index.entry_point], window_max_scores=[true_max]
         )
-        assert with_seed.num_appended <= without_seed.num_appended
+        assert with_seed.per_head[0].num_appended <= without_seed.per_head[0].num_appended
 
     def test_max_tokens_cap(self):
         keys, query, queries, _ = _clustered_keys()
         index = RoarGraphIndex()
         index.build(keys, query_sample=queries)
-        result, _ = diprs_search(keys, index.graph, query, 30.0, [index.entry_point], max_tokens=5)
+        (result,), _ = diprs_search_group(keys, index.graph, query[None], 30.0, [index.entry_point], max_tokens=5)
         assert len(result) <= 5
 
     def test_dynamic_size_varies_with_cluster_size(self):
@@ -140,7 +144,9 @@ class TestDIPRS:
             keys, query, queries, _ = _clustered_keys(num_critical=num_critical, seed=5)
             index = RoarGraphIndex()
             index.build(keys, query_sample=queries)
-            result, _ = diprs_search(keys, index.graph, query, 15.0, [index.entry_point], capacity_threshold=128)
+            (result,), _ = diprs_search_group(
+                keys, index.graph, query[None], 15.0, [index.entry_point], capacity_threshold=128
+            )
             sizes.append(len(result))
         assert sizes[1] > sizes[0]
 
@@ -173,7 +179,7 @@ def _decoy_setup(seed=11, n=600, dim=16, beta=6.0):
 
 
 def _legacy_masked_diprs(vectors, graph, query, beta, entry_points, capacity_threshold, allowed):
-    """The pre-fix ``diprs_search`` masking semantics, kept as the regression foil.
+    """The pre-fix masked DIPRS semantics, kept as the regression foil.
 
     Disallowed nodes were skipped as candidates but still ran the
     ``best_score = max(best_score, score)`` update, tightening the final
@@ -220,18 +226,18 @@ def _legacy_masked_diprs(vectors, graph, query, beta, entry_points, capacity_thr
 class TestDIPRSMaskedThreshold:
     """Regression: disallowed nodes must not tighten the DIPRS prune threshold.
 
-    ``diprs_search`` used to run the ``best_score = max(...)`` update even for
+    The masked walk used to run the ``best_score = max(...)`` update even for
     nodes failing the ``allowed`` mask, so the final keep-threshold was defined
     over tokens that can never be returned and every valid candidate got
-    pruned.  ``filtered_diprs_search`` always had the correct semantics; these
-    tests pin ``diprs_search`` (and through it
+    pruned.  The filtered walk always had the correct semantics; these tests
+    pin ``diprs_search_group`` with an ``allowed`` mask (and through it
     ``naive_filtered_diprs_search``, the Figure 12 ablation baseline) to it.
     """
 
     def test_masked_search_recovers_results_the_old_threshold_pruned(self):
         keys, query, index, allowed, entries, beta = _decoy_setup()
-        result, _ = diprs_search(
-            keys, index.graph, query, beta, entries,
+        (result,), _ = diprs_search_group(
+            keys, index.graph, query[None], beta, entries,
             capacity_threshold=128, allowed=allowed,
         )
         # the pre-fix semantics prune every valid candidate on this data
@@ -247,14 +253,14 @@ class TestDIPRSMaskedThreshold:
         decoy_max = float((keys[~allowed] @ query).max())
         assert float(result.scores.max()) < decoy_max - beta
         # and they substantially agree with the ground-truth masked DIPR
-        truth = exact_dipr(keys, query, beta, allowed=allowed)
+        truth = _exact_dipr(keys, query, beta, allowed=allowed)
         recall = len(set(truth.indices.tolist()) & set(result.indices.tolist())) / len(truth)
         assert recall > 0.4
 
     def test_results_respect_threshold_over_allowed_tokens_only(self):
         keys, query, index, allowed, entries, beta = _decoy_setup(seed=12)
-        result, _ = diprs_search(
-            keys, index.graph, query, beta, entries,
+        (result,), _ = diprs_search_group(
+            keys, index.graph, query[None], beta, entries,
             capacity_threshold=128, allowed=allowed,
         )
         assert len(result) > 0
@@ -280,20 +286,23 @@ class TestDIPRSMaskedThreshold:
             allowed[: keys.shape[0] // 2] = True
         elif mask == "predicate":
             predicate = FilterPredicate(max_position=keys.shape[0] // 2)
-        window_max = float((keys @ query).max()) * 0.9 if seeded else None
-        walk = (keys, index.graph, query, beta, [index.entry_point])
+        seeds = [float((keys @ query).max()) * 0.9] if seeded else None
+        walk = (keys, index.graph, query[None], beta, [index.entry_point])
         if predicate is None:
-            result, stats = diprs_search(*walk, capacity, window_max, allowed)
+            (result,), stats = diprs_search_group(
+                *walk, capacity_threshold=capacity, window_max_scores=seeds, allowed=allowed
+            )
         else:
-            result, stats = filtered_diprs_search(*walk, predicate, capacity, window_max)
+            (result,), stats = filtered_diprs_search_group(
+                *walk, predicate, capacity_threshold=capacity, window_max_scores=seeds
+            )
         [(expected, expected_stats)] = reference_diprs(
             keys, index.graph, query[None], beta, [index.entry_point],
-            capacity_threshold=capacity, window_max_scores=None if window_max is None else [window_max],
-            allowed=allowed, predicate=predicate,
+            capacity_threshold=capacity, window_max_scores=seeds, allowed=allowed, predicate=predicate,
         )
         np.testing.assert_array_equal(result.indices, expected.indices)
         np.testing.assert_array_equal(result.scores, expected.scores)
-        assert stats == expected_stats
+        assert stats.per_head[0] == expected_stats
 
 
 class TestTopKSearch:
@@ -301,7 +310,7 @@ class TestTopKSearch:
         keys, query, _, _ = _clustered_keys()
         index = FlatIndex()
         index.build(keys)
-        result = flat_topk_search(index, query, 10)
+        (result,) = index.search_topk_batch(query[None], 10)
         expected = np.argsort(-(keys @ query))[:10]
         np.testing.assert_array_equal(result.indices, expected)
 
@@ -310,7 +319,8 @@ class TestTopKSearch:
         index = RoarGraphIndex()
         index.build(keys, query_sample=queries)
         truth = set(np.argsort(-(keys @ query))[:20].tolist())
-        found = set(graph_topk_search(keys, index.graph, query, 20, [index.entry_point]).indices.tolist())
+        indices, _, _ = beam_search(keys, index.graph, query, 80, [index.entry_point])
+        found = set(indices[:20].tolist())
         assert len(truth & found) / 20 > 0.8
 
 
@@ -325,8 +335,8 @@ class TestFilteredSearch:
         index = RoarGraphIndex()
         index.build(keys, query_sample=queries)
         predicate = FilterPredicate(max_position=600)
-        result, _ = filtered_diprs_search(
-            keys, index.graph, query, 15.0, [index.entry_point], predicate, capacity_threshold=128
+        (result,), _ = filtered_diprs_search_group(
+            keys, index.graph, query[None], 15.0, [index.entry_point], predicate, capacity_threshold=128
         )
         assert np.all(result.indices < 600)
 
@@ -335,11 +345,11 @@ class TestFilteredSearch:
         index = RoarGraphIndex()
         index.build(keys, query_sample=queries)
         predicate = FilterPredicate(max_position=500)
-        truth = set(exact_dipr(keys[:500], query, 15.0).indices.tolist())
-        two_hop, _ = filtered_diprs_search(
-            keys, index.graph, query, 15.0, [index.entry_point], predicate, capacity_threshold=128
+        truth = set(_exact_dipr(keys[:500], query, 15.0).indices.tolist())
+        (two_hop,), _ = filtered_diprs_search_group(
+            keys, index.graph, query[None], 15.0, [index.entry_point], predicate, capacity_threshold=128
         )
-        naive, _ = naive_filtered_diprs_search(
+        naive = naive_filtered_diprs_search(
             keys, index.graph, query, 15.0, [index.entry_point], predicate, capacity_threshold=128
         )
         recall_two_hop = len(truth & set(two_hop.indices.tolist())) / max(len(truth), 1)
@@ -352,9 +362,7 @@ class TestFilteredSearch:
         index.build(keys, query_sample=queries)
         predicate = FilterPredicate(max_position=50)
         entry = keys.shape[0] - 1  # definitely filtered out
-        result, _ = filtered_diprs_search(
-            keys, index.graph, query, 15.0, [entry], predicate
-        )
+        (result,), _ = filtered_diprs_search_group(keys, index.graph, query[None], 15.0, [entry], predicate)
         assert np.all(result.indices < 50)
 
     @settings(deadline=None, max_examples=15)
@@ -363,7 +371,7 @@ class TestFilteredSearch:
         keys, query, queries, _ = _clustered_keys(seed=seed)
         index = RoarGraphIndex()
         index.build(keys, query_sample=queries[:100])
-        result, _ = filtered_diprs_search(
-            keys, index.graph, query, 12.0, [index.entry_point], FilterPredicate(max_position=max_position)
+        (result,), _ = filtered_diprs_search_group(
+            keys, index.graph, query[None], 12.0, [index.entry_point], FilterPredicate(max_position=max_position)
         )
         assert np.all(result.indices < max_position)

@@ -1,9 +1,10 @@
 """Scalar references (test oracles).
 
 ``reference_diprs`` is Algorithm 1 node by node; ``reference_sparse_attention`` is one layer of
-single-token sparse attention head by head: a scalar window seed, retrieval through the scan-based
-index primitives or ``reference_diprs``, one exact softmax over window ∪ retrieved ∪ local.  Neither
-shares code with the DIPRS walk, the executor, the attention engine or the round."""
+single-token sparse attention head by head: a scalar window seed, retrieval by a per-query flat scan
+(``keys @ q``), the coarse index's block selection one query at a time or ``reference_diprs``, one
+exact softmax over window ∪ retrieved ∪ local.  Neither shares code with the flat index, the DIPRS
+walk, the executor, the attention engine or the round."""
 
 from __future__ import annotations
 
@@ -11,11 +12,9 @@ import numpy as np
 
 from repro.core.session import DecodeStepStats
 from repro.index.base import SearchResult
-from repro.index.flat import FlatIndex
 from repro.llm.attention import decode_attention
 from repro.query.dipr import DIPRSearchStats
 from repro.query.filtered import predicate_mask
-from repro.query.topk import graph_topk_search
 from repro.query.types import DIPRQuery, IndexKind
 
 
@@ -108,20 +107,26 @@ def reference_retrieve(plan, keys, fine, coarse, queries, seeds, coarse_num_bloc
     if plan.index_kind == IndexKind.COARSE:
         num_blocks = max(1, min(coarse_num_blocks, coarse.num_blocks))
         limit = keys.shape[0] if predicate is None else predicate.max_position
-        picked = [coarse.selected_positions(q, num_blocks) for q in queries]
-        return [(p[p < limit], coarse.num_blocks * coarse.num_representatives, 0) for p in picked]
+        top = [coarse.top_blocks_from_scores(coarse.block_scores_batch(q[None]), num_blocks)[0] for q in queries]
+        picked = [coarse.positions_of_blocks(blocks) for blocks in top]
+        # a block scores its mean and up to num_representatives - 1 of its tokens
+        starts, stops = coarse.block_bounds
+        scored = int(np.sum(1 + np.minimum(coarse.num_representatives - 1, stops - starts)))
+        return [(p[p < limit], scored, 0) for p in picked]
     if plan.index_kind == IndexKind.FLAT:
-        flat = FlatIndex()
-        flat.build(keys)
-        if isinstance(query, DIPRQuery):  # top(None) keeps everything
-            results = [flat.search_range(q, query.beta, allowed=allowed).top(query.max_tokens) for q in queries]
-        else:
-            results = [flat.search_topk(q, query.k, allowed=allowed) for q in queries]
-        return [(r.indices, r.num_distance_computations, 0) for r in results]
+        found = []
+        for q in queries:
+            scores = keys @ q
+            if allowed is not None:
+                scores = np.where(allowed, scores, -np.inf)
+            order = np.argsort(-scores, kind="stable")
+            if isinstance(query, DIPRQuery):
+                order = order[scores[order] >= scores.max() - query.beta][: query.max_tokens]
+            else:
+                order = order[: query.k][np.isfinite(scores[order[: query.k]])]
+            found.append((order, keys.shape[0], 0))
+        return found
     graph, entry = (fine.vectors, fine.graph), [fine.entry_point]
-    if not isinstance(query, DIPRQuery):
-        results = [graph_topk_search(*graph, q, query.k, entry, ef=query.ef, allowed=allowed) for q in queries]
-        return [(r.indices, r.num_distance_computations, 0) for r in results]
     seeds = np.asarray(seeds, dtype=np.float32) if plan.use_window_seed else None
     limits = dict(capacity_threshold=query.capacity_threshold, predicate=predicate, max_tokens=query.max_tokens)
     found = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
+from repro.index.builder import IndexBuildConfig
 from repro.kvcache.serialization import KVSnapshot
 from repro.sharding import (
     ShardPlan,
@@ -92,17 +93,18 @@ class TestSliceSnapshot:
         rng_np = np.random.default_rng(0)
         keys = {0: rng_np.normal(size=(2, 32, 4)).astype(np.float32)}
         values = {0: rng_np.normal(size=(2, 32, 4)).astype(np.float32)}
-        samples = {0: rng_np.normal(size=(2, 3, 4)).astype(np.float32)}
+        samples = {0: rng_np.normal(size=(2, 12, 4)).astype(np.float32)}
         snapshot = KVSnapshot(
             tokens=list(range(32)), keys=keys, values=values, query_samples=samples
         )
         plan = ShardPlan.even(32, 2)
-        shard = slice_snapshot(snapshot, plan.ranges[1], plan)
+        shard = slice_snapshot(snapshot, plan.ranges[1], plan, IndexBuildConfig())
         assert shard.tokens == list(range(16, 32))
         np.testing.assert_array_equal(shard.keys[0], keys[0][:, 16:32, :])
         np.testing.assert_array_equal(shard.values[0], values[0][:, 16:32, :])
-        # query samples describe the probing distribution — kept whole
-        np.testing.assert_array_equal(shard.query_samples[0], samples[0])
+        # query samples describe the probing distribution, not the token range:
+        # the shard keeps the prefix a build over its 16 tokens reads (⌊0.4 · 16⌋ rows)
+        np.testing.assert_array_equal(shard.query_samples[0], samples[0][:, :6])
         shard.validate()
         assert shard.metadata["shard_id"] == "1"
         assert shard.metadata["shard_start"] == "16"
@@ -114,4 +116,4 @@ class TestSliceSnapshot:
         snapshot = KVSnapshot(tokens=[1, 2], keys={}, values={})
         plan = ShardPlan.even(8, 2)
         with pytest.raises(ReproError):
-            slice_snapshot(snapshot, plan.ranges[1], plan)
+            slice_snapshot(snapshot, plan.ranges[1], plan, IndexBuildConfig())
