@@ -76,6 +76,6 @@ class InfLLMStrategy(SelectionStrategy):
         retrieved = self.num_retrieved_blocks * self.block_size
         representatives = 0
         if self._indexes:
-            representatives = sum(index.num_blocks * self.num_representatives for index in self._indexes.values())
+            representatives = sum(index.num_representative_vectors for index in self._indexes.values())
             representatives //= max(len(self._indexes), 1)
         return window + retrieved + representatives

@@ -40,6 +40,7 @@ class DataCentricAttentionEngine:
 
     def __init__(self, scale: float | None = None):
         self.scale = scale
+        self._causal_mask = np.ones((0, 0), dtype=bool)
 
     def layer_output(
         self,
@@ -59,7 +60,7 @@ class DataCentricAttentionEngine:
         ``(num_kv_heads, m, head_dim)`` unmaterialised KV or None.  Returns
         ``(num_query_heads, head_dim)`` outputs and one breakdown per head.
         """
-        outputs, breakdowns = self.stacked_layer_output(
+        outputs, counts = self.stacked_layer_output(
             np.asarray(queries, dtype=np.float32)[None],
             [(0, keys, values)],
             window_positions,
@@ -67,7 +68,7 @@ class DataCentricAttentionEngine:
             [local_keys],
             [local_values],
         )
-        return outputs[0], breakdowns
+        return outputs[0], [AttentionBreakdown(*row) for row in counts.T.tolist()]
 
     def stacked_layer_output(
         self,
@@ -77,7 +78,7 @@ class DataCentricAttentionEngine:
         retrieved_positions: list[np.ndarray] | None,
         local_keys: list[np.ndarray | None],
         local_values: list[np.ndarray | None],
-    ) -> tuple[np.ndarray, list[AttentionBreakdown]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One decode token's attention for ``S >= 1`` sessions over ``R >= 0``
         stored-KV ranges.
 
@@ -87,15 +88,19 @@ class DataCentricAttentionEngine:
         plan) or one over its slice of the window and one over its slice of
         the retrieved tokens (a sparse plan), per session one over its local
         KV — and merge with one log-sum-exp combine, which equals a single
-        softmax over everything attended.  Row ``(s, h)`` of the output (and
-        entry ``s * num_heads + h`` of the breakdown list) is bit-for-bit
+        softmax over everything attended.  Returns the ``(num_sessions,
+        num_query_heads, head_dim)`` outputs and the ``(3, num_sessions *
+        num_query_heads)`` integer counts of window, retrieved and local
+        tokens each stacked row attended (:class:`AttentionBreakdown`'s
+        fields, session-major).  Row ``(s, h)`` of both is bit-for-bit
         independent of which other sessions are stacked; heads that attend
         to nothing come back as zeros.
 
         Parameters
         ----------
         queries:
-            ``(num_sessions, num_query_heads, head_dim)`` decode queries.
+            ``(num_sessions, num_query_heads, head_dim)`` float32 decode
+            queries.
         ranges:
             ``(start, keys, values)`` per token range of the stored context:
             ``keys``/``values`` are ``(num_kv_heads, n_r, head_dim)`` and hold
@@ -119,15 +124,17 @@ class DataCentricAttentionEngine:
             partial is computed on its own arrays — padding them to a common
             length would change the summation order with the group.
         """
-        queries = np.asarray(queries, dtype=np.float32)
         num_sessions, num_heads, head_dim = queries.shape
         # window / retrieved / local tokens attended per stacked row
         counts = np.zeros((3, num_sessions * num_heads), dtype=np.int64)
         window_counts, retrieved_counts, local_counts = counts
-        slabs = [keys for _, keys, _ in ranges] + [lk for lk in local_keys if lk is not None]
-        if not slabs:
-            return np.zeros_like(queries), [AttentionBreakdown() for _ in counts.T]
-        num_kv_heads = slabs[0].shape[0]
+        if ranges:
+            num_kv_heads = ranges[0][1].shape[0]
+        else:
+            present = [lk for lk in local_keys if lk is not None]
+            if not present:
+                return np.zeros_like(queries), counts
+            num_kv_heads = present[0].shape[0]
         grouped_q = queries.reshape(num_sessions, num_kv_heads, num_heads // num_kv_heads, head_dim)
 
         partials: list[PartialAttention] = []
@@ -156,8 +163,7 @@ class DataCentricAttentionEngine:
             local.append(partial_attention(grouped_q[s], lk, lv, self.scale))
             local_counts[s * num_heads : (s + 1) * num_heads] = lk.shape[1]
         partials.append(PartialAttention.concatenate(local))
-        breakdowns = [AttentionBreakdown(*row) for row in counts.T.tolist()]
-        return combine_partial_attention(partials).output.reshape(queries.shape), breakdowns
+        return combine_partial_attention(partials).output.reshape(queries.shape), counts
 
     def causal_output(
         self,
@@ -169,20 +175,21 @@ class DataCentricAttentionEngine:
         """Exact causal attention for a multi-token chunk (prefill of a suffix).
 
         The same merge as a full-attention decode step with rows in place of
-        sessions: ``queries`` is ``(num_query_heads, seq, head_dim)``, the
+        sessions: ``queries`` is float32 ``(num_query_heads, seq, head_dim)``, the
         chunk's tokens are the last ``seq`` entries of ``local_keys``.  Every
         stored token precedes the chunk, so each of the ``ranges`` (as in
         :meth:`stacked_layer_output`) contributes one unmasked partial for
         all ``seq`` rows; causality only bites inside the local KV.
         """
-        queries = np.asarray(queries, dtype=np.float32)
         num_heads, seq, head_dim = queries.shape
         num_kv_heads, num_local, _ = local_keys.shape
-        group = num_heads // num_kv_heads
-        rows = queries.reshape(num_kv_heads, group * seq, head_dim)
+        rows = queries.reshape(num_kv_heads, num_heads // num_kv_heads * seq, head_dim)
         partials = [partial_attention(rows, keys, values, self.scale) for _, keys, values in ranges]
-        visible = np.tile(np.tri(seq, num_local, num_local - seq, dtype=bool), (group, 1))
-        partials.append(partial_attention(rows, local_keys, local_values, self.scale, mask=visible))
+        # every layer of a chunk reads the same (seq, num_local) mask, and
+        # partial_attention repeats it over the group's heads
+        if self._causal_mask.shape != (seq, num_local):
+            self._causal_mask = np.tri(seq, num_local, num_local - seq, dtype=bool)
+        partials.append(partial_attention(rows, local_keys, local_values, self.scale, mask=self._causal_mask))
         return combine_partial_attention(partials).output.reshape(queries.shape)
 
     def _sparse_range_partials(

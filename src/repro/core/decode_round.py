@@ -104,7 +104,7 @@ class CrossRequestDecodeRound:
             cache.update_query(q[:, span], k[:, span], v[:, span], layer)
             if prefill:
                 output = cache.causal_attention(q[:, span], layer)
-                attn[span] = np.transpose(output, (1, 0, 2)).reshape(n, -1)
+                attn[span] = output.transpose(1, 0, 2).reshape(n, -1)
             else:
                 singles.append(i)
             starts.append(start)

@@ -39,7 +39,6 @@ __all__ = [
     "DecodeStepStats",
     "LayerInputs",
     "Session",
-    "decode_stats_from",
     "group_attention",
 ]
 
@@ -110,20 +109,6 @@ def _visible_slabs(
         if visible > 0:
             slabs.append((data.position_offset, data.keys[:, :visible], data.values[:, :visible]))
     return slabs
-
-
-def decode_stats_from(outcomes, breakdowns) -> DecodeStepStats:
-    """Fold per-head attention breakdowns + retrieval outcomes (none under a
-    full-attention plan) into step stats."""
-    stats = DecodeStepStats(num_heads=len(breakdowns))
-    for breakdown in breakdowns:
-        stats.num_selected_tokens += breakdown.num_retrieved_tokens
-        stats.num_window_tokens += breakdown.num_window_tokens
-        stats.num_local_tokens += breakdown.num_local_tokens
-    for outcome in outcomes:
-        stats.num_distance_computations += outcome.num_distance_computations
-        stats.num_graph_hops += outcome.num_hops
-    return stats
 
 
 @dataclass
@@ -455,7 +440,9 @@ class Session:
         """
         plan = self.plan_for_layer(layer)
         ranges = self._stored_ranges(layer)
-        if not ranges or not all(data.has_index(plan.index_kind) for data in ranges):
+        if not ranges or (
+            plan.index_kind is not None and not all(data.has_index(plan.index_kind) for data in ranges)
+        ):
             plan = FULL_ATTENTION_PLAN
         local_keys, local_values = self.local_snapshot(layer)
         prefix = self.reused_prefix_length
@@ -563,7 +550,7 @@ def group_attention(
         timings.retrieval_seconds += now - started
         started = now
 
-    outputs, breakdowns = first_session.engine.stacked_layer_output(
+    outputs, counts = first_session.engine.stacked_layer_output(
         queries,
         _visible_slabs(ranges, shared.prefix),
         window_positions=shared.window_positions,
@@ -574,7 +561,16 @@ def group_attention(
     if timings is not None:
         timings.merge_seconds += time.perf_counter() - started
 
+    window, selected, local = np.add.reduce(counts.reshape(3, num_sessions, num_heads), axis=2).tolist()
     for s, (session, _inputs) in enumerate(members):
-        rows = slice(s * num_heads, (s + 1) * num_heads)
-        session.record_decode_stats(decode_stats_from(outcomes[rows], breakdowns[rows]), layer)
+        stats = DecodeStepStats(
+            num_selected_tokens=selected[s],
+            num_window_tokens=window[s],
+            num_local_tokens=local[s],
+            num_heads=num_heads,
+        )
+        for outcome in outcomes[s * num_heads : (s + 1) * num_heads]:
+            stats.num_distance_computations += outcome.num_distance_computations
+            stats.num_graph_hops += outcome.num_hops
+        session.record_decode_stats(stats, layer)
     return outputs

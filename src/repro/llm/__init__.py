@@ -17,7 +17,6 @@ from .attention import (
     softmax,
 )
 from .generation import GenerationResult
-from .layers import Embedding, Linear, RMSNorm, SwiGLU
 from .model import ModelConfig, TransformerLayer, TransformerModel
 from .rope import RotaryEmbedding, apply_rotary
 from .sampling import SamplingConfig, greedy, sample_token
@@ -25,16 +24,12 @@ from .tokenizer import ByteTokenizer, SpecialTokens
 
 __all__ = [
     "ByteTokenizer",
-    "Embedding",
     "GenerationResult",
-    "Linear",
     "ModelConfig",
     "PartialAttention",
-    "RMSNorm",
     "RotaryEmbedding",
     "SamplingConfig",
     "SpecialTokens",
-    "SwiGLU",
     "TransformerLayer",
     "TransformerModel",
     "apply_rotary",

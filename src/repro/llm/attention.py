@@ -18,6 +18,7 @@ All kernels operate on ``float32`` arrays.  Shapes follow the convention
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,39 +182,43 @@ def partial_attention(
 
     The one "attention over a contiguous KV array" primitive: a stored
     range's visible slice, the gathered window, a session's local KV and a
-    prefill chunk's causal block all go through it.  ``q`` is
+    prefill chunk's causal block all go through it.  ``q`` is the float32
     ``(..., num_kv_heads, rows, d)`` — the rows each KV head serves (a GQA
     group's query heads for one decode token; ``group * seq`` rows for a
     prefill chunk), any leading axes (stacked sessions) riding matmul's batch
     dimension; ``k``/``v`` are ``(num_kv_heads, m, d)``, never repeated per
-    query head.  ``mask`` is an optional boolean ``(rows, m)``: True where the
-    row may attend.  The result's rows are ``q``'s leading axes flattened; a
-    row that attends to nothing (``m == 0``, or masked out everywhere) is the
-    merge's neutral element.
+    query head.  ``mask`` is an optional boolean ``(r, m)`` with ``r``
+    dividing ``rows``: True where the row may attend, repeated over each
+    block of ``r`` rows (a prefill chunk passes its ``(seq, m)`` causal
+    mask once for every head of the group).  The result's rows are ``q``'s
+    leading axes flattened; a row that attends to nothing (``m == 0``, or
+    masked out everywhere) is the merge's neutral element.
 
     Each ``(..., kv_head)`` batch entry is its own gemm, so a row's bits do
     not depend on how many sessions are stacked ahead of it — a single
     ``(sessions * rows, m)`` gemm would not keep that promise.
     """
-    q = np.asarray(q, dtype=np.float32)
     head_dim = q.shape[-1]
     num_rows = q.size // head_dim
     if k.shape[1] == 0:
         return PartialAttention.empty(num_rows, head_dim)
     if scale is None:
-        scale = 1.0 / np.sqrt(head_dim)
-    logits = np.matmul(q, np.swapaxes(k, 1, 2))
+        scale = 1.0 / math.sqrt(head_dim)
+    logits = np.matmul(q, k.swapaxes(1, 2))
     logits *= np.float32(scale)
     if mask is not None:
-        np.copyto(logits, np.float32(-np.inf), where=~mask)
-    max_logit = logits.max(axis=-1)
+        # logits is a fresh C-ordered array, so the reshape is a view
+        np.copyto(logits.reshape(-1, *mask.shape), np.float32(-np.inf), where=~mask)
+    max_logit = np.maximum.reduce(logits, axis=-1)
     # a row masked out everywhere has max -inf: the finite floor makes its
-    # exps and sum 0 instead of nan and leaves every other row's bits alone
-    logits -= np.maximum(max_logit, _FLOAT32_MIN)[..., None]
+    # exps and sum 0 instead of nan and leaves every other row's bits alone.
+    # Unmasked, every row's max is finite and its sum at least 1, so the
+    # floors would change nothing and are skipped
+    logits -= (max_logit if mask is None else np.maximum(max_logit, _FLOAT32_MIN))[..., None]
     exps = np.exp(logits, out=logits)
-    sum_exp = exps.sum(axis=-1)
+    sum_exp = np.add.reduce(exps, axis=-1)
     output = np.matmul(exps, v)
-    output /= np.maximum(sum_exp, _FLOAT32_TINY)[..., None]
+    output /= (sum_exp if mask is None else np.maximum(sum_exp, _FLOAT32_TINY))[..., None]
     return PartialAttention(
         output=output.reshape(num_rows, head_dim),
         max_logit=max_logit.reshape(num_rows),
@@ -236,17 +241,20 @@ def combine_partial_attention(parts: list[PartialAttention]) -> PartialAttention
     """
     if not parts:
         raise ValueError("cannot combine an empty list of partial attentions")
-    global_max = np.maximum.reduce([part.max_logit for part in parts])
+    global_max = parts[0].max_logit
+    for part in parts[1:]:
+        global_max = np.maximum(global_max, part.max_logit)
     # a row empty in one partial has sum_exp == 0 and max_logit == -inf:
     # against the finite shift its weight is 0 * exp(-inf) == 0
     shift = np.maximum(global_max, _FLOAT32_MIN)
-    total_weight = accumulated = np.float32(0.0)
+    accumulated = total_weight = None
     for part in parts:
         weight = part.sum_exp * np.exp(part.max_logit - shift)
-        accumulated = accumulated + part.output * weight[:, None]
-        total_weight = total_weight + weight
-    return PartialAttention(
-        output=accumulated / np.maximum(total_weight, _FLOAT32_TINY)[:, None],
-        max_logit=global_max,
-        sum_exp=total_weight,
-    )
+        weighted = part.output * weight[:, None]
+        if accumulated is None:
+            accumulated, total_weight = weighted, weight
+        else:
+            accumulated += weighted
+            total_weight = total_weight + weight
+    accumulated /= np.maximum(total_weight, _FLOAT32_TINY)[:, None]
+    return PartialAttention(output=accumulated, max_logit=global_max, sum_exp=total_weight)

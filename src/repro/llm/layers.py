@@ -1,7 +1,13 @@
-"""Building blocks of the NumPy transformer: RMSNorm, Linear, SwiGLU MLP.
+"""Building blocks of the NumPy transformer: weight draws, RMSNorm, SiLU.
 
-Weights are initialised from a seeded :class:`numpy.random.Generator` so that
-every run of the substrate is deterministic — a requirement for reproducible
+A block holds plain weight matrices, fused where one input feeds several
+projections (see :class:`~repro.llm.model.TransformerLayer`), and runs its
+norms and activation as single NumPy expressions: at the 1–256 rows a serving
+round feeds it, each NumPy call costs more than its arithmetic, so the block
+is written to make as few calls as it can.
+
+Weights are drawn from a seeded :class:`numpy.random.Generator` so that every
+run of the substrate is deterministic — a requirement for reproducible
 quality measurements.
 """
 
@@ -9,100 +15,38 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Linear", "RMSNorm", "SwiGLU", "Embedding"]
+__all__ = ["draw_weight", "rms_norm", "silu"]
+
+RMS_NORM_EPS = 1e-6
 
 
-class Linear:
-    """A dense projection ``y = x @ W^T`` without bias (Llama convention)."""
-
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        self.in_features = in_features
-        self.out_features = out_features
-        scale = 1.0 / np.sqrt(in_features)
-        self.weight = rng.normal(0.0, scale, size=(out_features, in_features)).astype(np.float32)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float32) @ self.weight.T
-
-    @property
-    def num_parameters(self) -> int:
-        return int(self.weight.size)
-
-    @property
-    def num_bytes(self) -> int:
-        return int(self.weight.nbytes)
+def draw_weight(rng: np.random.Generator, in_features: int, out_features: int) -> np.ndarray:
+    """A bias-free projection weight, drawn as the Llama-style ``(out, in)``
+    matrix with std ``1/sqrt(in)`` and returned as its C-ordered ``(in,
+    out)`` transpose, so a projection is ``x @ w``.  OpenBLAS multiplies a
+    few rows by the C-ordered layout ~4x faster than by the transposed view
+    at ``dim`` 128."""
+    scale = 1.0 / np.sqrt(in_features)
+    drawn = rng.normal(0.0, scale, size=(out_features, in_features)).astype(np.float32)
+    return np.ascontiguousarray(drawn.T)
 
 
-class Embedding:
-    """Token-id to vector lookup table."""
+def rms_norm(x: np.ndarray) -> np.ndarray:
+    """Root-mean-square norm over the last axis (no mean subtraction).
 
-    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
-        self.vocab_size = vocab_size
-        self.dim = dim
-        self.weight = rng.normal(0.0, 0.02, size=(vocab_size, dim)).astype(np.float32)
-
-    def __call__(self, token_ids: np.ndarray) -> np.ndarray:
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        return self.weight[token_ids]
-
-    @property
-    def num_parameters(self) -> int:
-        return int(self.weight.size)
-
-    @property
-    def num_bytes(self) -> int:
-        return int(self.weight.nbytes)
+    The learned gain is all ones at initialisation, so the model folds it
+    into the weight that reads the norm's output.
+    """
+    return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + RMS_NORM_EPS)
 
 
-class RMSNorm:
-    """Root-mean-square layer norm (no mean subtraction, learned gain)."""
+def silu(x: np.ndarray) -> np.ndarray:
+    """``x * sigmoid(x)`` as ``h * (1 + tanh(h))`` with ``h = x / 2``.
 
-    def __init__(self, dim: int, eps: float = 1e-6):
-        self.dim = dim
-        self.eps = eps
-        self.weight = np.ones(dim, dtype=np.float32)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        variance = np.mean(x * x, axis=-1, keepdims=True)
-        return x / np.sqrt(variance + self.eps) * self.weight
-
-    @property
-    def num_parameters(self) -> int:
-        return int(self.weight.size)
-
-    @property
-    def num_bytes(self) -> int:
-        return int(self.weight.nbytes)
-
-
-def _silu(x: np.ndarray) -> np.ndarray:
-    # piecewise form keeps exp() arguments non-positive so large-magnitude
-    # activations (which batched decode stacks into one matmul) never overflow
-    positive = x >= 0
-    exp_neg = np.exp(np.where(positive, -x, x))
-    return np.where(positive, x / (1.0 + exp_neg), x * exp_neg / (1.0 + exp_neg))
-
-
-class SwiGLU:
-    """The gated feed-forward network used by Llama-family models."""
-
-    def __init__(self, dim: int, hidden_dim: int, rng: np.random.Generator):
-        self.gate_proj = Linear(dim, hidden_dim, rng)
-        self.up_proj = Linear(dim, hidden_dim, rng)
-        self.down_proj = Linear(hidden_dim, dim, rng)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.down_proj(_silu(self.gate_proj(x)) * self.up_proj(x))
-
-    @property
-    def num_parameters(self) -> int:
-        return (
-            self.gate_proj.num_parameters
-            + self.up_proj.num_parameters
-            + self.down_proj.num_parameters
-        )
-
-    @property
-    def num_bytes(self) -> int:
-        return self.gate_proj.num_bytes + self.up_proj.num_bytes + self.down_proj.num_bytes
+    tanh saturates instead of overflowing, so the large-magnitude
+    activations that batched rows stack into one matmul stay finite and
+    raise no floating-point warning; halving first keeps ``|result| <= |x|``
+    for float32 inputs up to the type's largest value.
+    """
+    half = 0.5 * x
+    return half * (1.0 + np.tanh(half))

@@ -22,8 +22,8 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..kvcache.cache import DynamicCache, NativeAttentionCache
-from .layers import Embedding, Linear, RMSNorm, SwiGLU
-from .rope import RotaryEmbedding
+from .layers import draw_weight, rms_norm, silu
+from .rope import RotaryEmbedding, apply_rotary
 
 __all__ = ["ModelConfig", "TransformerLayer", "TransformerModel"]
 
@@ -117,102 +117,86 @@ def cache_attention(
 
 
 class TransformerLayer:
-    """One decoder block: attention + feed-forward with pre-norm residuals."""
+    """One decoder block: attention + feed-forward with pre-norm residuals.
+
+    Four weights, one matmul each: ``w_qkv`` ``(dim, q + 2·kv)`` gives
+    Q|K|V, ``w_o`` projects the attention rows back, ``w_gate_up``
+    ``(dim, 2·hidden)`` gives the SwiGLU gate|up and ``w_down`` closes the
+    MLP.  They are drawn per projection in Llama's order — q, k, v, o, gate,
+    up, down — so a seed gives the same model as separate projections would.
+    Both RMSNorm gains are all ones, folded into ``w_qkv`` and
+    ``w_gate_up``; they still count as parameters.
+    """
 
     def __init__(self, config: ModelConfig, layer_index: int, rng: np.random.Generator):
         self.config = config
         self.layer_index = layer_index
-        dim, head_dim = config.dim, config.head_dim
-        self.input_norm = RMSNorm(dim)
-        self.post_attention_norm = RMSNorm(dim)
-        self.q_proj = Linear(dim, config.num_query_heads * head_dim, rng)
-        self.k_proj = Linear(dim, config.num_kv_heads * head_dim, rng)
-        self.v_proj = Linear(dim, config.num_kv_heads * head_dim, rng)
-        self.o_proj = Linear(config.num_query_heads * head_dim, dim, rng)
-        self.mlp = SwiGLU(dim, config.hidden_dim, rng)
-
-    def project_qkv(
-        self, hidden: np.ndarray, rope: RotaryEmbedding, positions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Project the (normalised) hidden states into rotated Q/K and V.
-
-        ``hidden``: ``(seq, dim)``.  Returns arrays shaped
-        ``(heads, seq, head_dim)``.
-        """
-        config = self.config
-        seq_len = hidden.shape[0]
-        head_dim = config.head_dim
-        q = self.q_proj(hidden).reshape(seq_len, config.num_query_heads, head_dim)
-        k = self.k_proj(hidden).reshape(seq_len, config.num_kv_heads, head_dim)
-        v = self.v_proj(hidden).reshape(seq_len, config.num_kv_heads, head_dim)
-        q = np.transpose(q, (1, 0, 2))
-        k = np.transpose(k, (1, 0, 2))
-        v = np.transpose(v, (1, 0, 2))
-        q = rope.rotate(q, positions)
-        k = rope.rotate(k, positions)
-        return q.astype(np.float32), k.astype(np.float32), v.astype(np.float32)
+        dim, hidden_dim = config.dim, config.hidden_dim
+        q_width = config.num_query_heads * config.head_dim
+        kv_width = config.num_kv_heads * config.head_dim
+        q, k, v = (draw_weight(rng, dim, width) for width in (q_width, kv_width, kv_width))
+        self.w_o = draw_weight(rng, q_width, dim)
+        gate, up = draw_weight(rng, dim, hidden_dim), draw_weight(rng, dim, hidden_dim)
+        self.w_down = draw_weight(rng, hidden_dim, dim)
+        self.w_qkv = np.concatenate([q, k, v], axis=1)
+        self.w_gate_up = np.concatenate([gate, up], axis=1)
+        self._qkv_shape = (config.num_query_heads + 2 * config.num_kv_heads, config.head_dim)
 
     def forward(
         self,
         hidden: np.ndarray,
         caches: list[NativeAttentionCache],
         rows: list[int],
-        rope: RotaryEmbedding,
-        positions: np.ndarray,
+        cos: np.ndarray,
+        sin: np.ndarray,
         attention_round=None,
     ) -> np.ndarray:
         """Run the block over a ragged batch of ``sum(rows)`` token rows.
 
         ``hidden`` is ``(sum(rows), dim)``: ``rows[i]`` consecutive rows
-        belong to ``caches[i]``, ``positions`` holds each row's cache
-        position.  Norms, Q/K/V/O projections and the MLP run once over every
-        row; attention goes to the ``attention_round`` hook
-        (``layer_attention(layer, q, k, v, caches, rows)``) when one is given,
+        belong to ``caches[i]``; ``cos``/``sin`` are the rotary tables at
+        each row's cache position (:meth:`RotaryEmbedding.tables`).  Norms,
+        projections and the MLP run once over every row, and one rotation
+        covers the query and key heads together.  Attention goes to the
+        ``attention_round`` hook (``layer_attention(layer, q, k, v, caches,
+        rows)``, each ``(heads, sum(rows), head_dim)``) when one is given,
         else to each cache's own ``update_query`` + ``attention``.
         """
-        normed = self.input_norm(hidden)
-        q, k, v = self.project_qkv(normed, rope, positions)
+        num_q, num_kv = self.config.num_query_heads, self.config.num_kv_heads
+        qkv = (rms_norm(hidden) @ self.w_qkv).reshape(hidden.shape[0], *self._qkv_shape).transpose(1, 0, 2)
+        qk = apply_rotary(qkv[: num_q + num_kv], cos, sin)
         attend = cache_attention if attention_round is None else attention_round.layer_attention
-        attn = attend(self.layer_index, q, k, v, caches, rows)
-        hidden = hidden + self.o_proj(attn)
-        hidden = hidden + self.mlp(self.post_attention_norm(hidden))
-        return hidden
+        attn = attend(self.layer_index, qk[:num_q], qk[num_q:], qkv[num_q + num_kv :], caches, rows)
+        hidden = hidden + attn @ self.w_o
+        gate_up = rms_norm(hidden) @ self.w_gate_up
+        hidden_dim = self.config.hidden_dim
+        return hidden + (silu(gate_up[:, :hidden_dim]) * gate_up[:, hidden_dim:]) @ self.w_down
 
     @property
     def num_parameters(self) -> int:
-        return (
-            self.q_proj.num_parameters
-            + self.k_proj.num_parameters
-            + self.v_proj.num_parameters
-            + self.o_proj.num_parameters
-            + self.mlp.num_parameters
-            + self.input_norm.num_parameters
-            + self.post_attention_norm.num_parameters
-        )
+        weights = self.w_qkv.size + self.w_o.size + self.w_gate_up.size + self.w_down.size
+        return int(weights) + 2 * self.config.dim
 
     @property
     def num_bytes(self) -> int:
-        return (
-            self.q_proj.num_bytes
-            + self.k_proj.num_bytes
-            + self.v_proj.num_bytes
-            + self.o_proj.num_bytes
-            + self.mlp.num_bytes
-            + self.input_norm.num_bytes
-            + self.post_attention_norm.num_bytes
-        )
+        """Bytes of the block's parameters (float32)."""
+        return 4 * self.num_parameters
 
 
 class TransformerModel:
-    """The decoder-only model: embeddings, a stack of layers, an LM head."""
+    """The decoder-only model: embeddings, a stack of layers, an LM head.
+
+    The embedding table is ``(vocab_size, dim)``, the LM head ``(dim,
+    vocab_size)``, and the final RMSNorm's all-ones gain is folded into the
+    head.
+    """
 
     def __init__(self, config: ModelConfig | None = None):
         self.config = config or ModelConfig()
         rng = np.random.default_rng(self.config.seed)
-        self.embedding = Embedding(self.config.vocab_size, self.config.dim, rng)
+        self.embedding = rng.normal(0.0, 0.02, size=(self.config.vocab_size, self.config.dim)).astype(np.float32)
         self.layers = [TransformerLayer(self.config, i, rng) for i in range(self.config.num_layers)]
-        self.final_norm = RMSNorm(self.config.dim)
-        self.lm_head = Linear(self.config.dim, self.config.vocab_size, rng)
+        self.lm_head = draw_weight(rng, self.config.dim, self.config.vocab_size)
         self.rope = RotaryEmbedding(self.config.head_dim, self.config.max_positions, self.config.rope_base)
 
     # ------------------------------------------------------------------
@@ -235,11 +219,14 @@ class TransformerModel:
         prefill chunk and a decode token are the same thing with a different
         row count.  Returns logits ``(sum(rows), vocab_size)``.
 
-        A row's logits equal those of the same tokens run alone up to the
-        float32 rounding of the dense matmuls, whose bits depend on how many
-        rows they multiply (numpy/OpenBLAS sgemm for up to ~9 rows): about
-        1e-5 absolute on this substrate, which leaves greedy tokens in
-        place.  Attention rows are bit-identical either way.
+        The cos/sin tables are gathered once, for every row, and shared by
+        all layers.  A row's logits equal those of the same tokens run alone
+        up to the float32 rounding of the four dense matmuls per layer.
+        Their bits depend on the row count: one row takes OpenBLAS's gemv
+        path, and up to 2-9 rows (by weight shape) its small-gemm kernels.
+        The difference is a few 1e-6 absolute on this substrate, which
+        leaves greedy tokens in place.  Attention rows are bit-identical
+        either way.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 1:
@@ -253,11 +240,11 @@ class TransformerModel:
         if not rows:
             return np.empty((0, self.config.vocab_size), dtype=np.float32)
         positions = np.concatenate([cache.sequence_length(0) + np.arange(n) for cache, n in zip(caches, rows)])
-        hidden = self.embedding(token_ids)
+        cos, sin = self.rope.tables(positions)
+        hidden = self.embedding[token_ids]
         for layer in self.layers:
-            hidden = layer.forward(hidden, caches, rows, self.rope, positions, attention_round)
-        hidden = self.final_norm(hidden)
-        return self.lm_head(hidden)
+            hidden = layer.forward(hidden, caches, rows, cos, sin, attention_round)
+        return rms_norm(hidden) @ self.lm_head
 
     # one-call views of forward_rows: DB.prefill_and_import drives prefill,
     # and the serving benchmark's trace spans are attached to all three
@@ -286,22 +273,14 @@ class TransformerModel:
     # ------------------------------------------------------------------
     @property
     def num_parameters(self) -> int:
-        return (
-            self.embedding.num_parameters
-            + sum(layer.num_parameters for layer in self.layers)
-            + self.final_norm.num_parameters
-            + self.lm_head.num_parameters
-        )
+        """Every weight plus the folded RMSNorm gains."""
+        layers = sum(layer.num_parameters for layer in self.layers)
+        return int(self.embedding.size + self.lm_head.size) + layers + self.config.dim
 
     @property
     def num_bytes(self) -> int:
         """Bytes of model weights (float32)."""
-        return (
-            self.embedding.num_bytes
-            + sum(layer.num_bytes for layer in self.layers)
-            + self.final_norm.num_bytes
-            + self.lm_head.num_bytes
-        )
+        return 4 * self.num_parameters
 
     def kv_bytes_per_token(self) -> int:
         """Bytes of KV cache stored per token across all layers (float32)."""

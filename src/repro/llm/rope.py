@@ -71,17 +71,15 @@ class RotaryEmbedding:
 
 
 def apply_rotary(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate interleaved channel pairs of ``x`` by the given cos/sin tables.
+    """Rotate channel pairs of the float32 array ``x`` by the given tables.
 
     ``x`` has shape ``(..., seq, head_dim)``; ``cos``/``sin`` have shape
-    ``(seq, head_dim // 2)``.  The first half of the head dimension is paired
-    with the second half (the "rotate_half" convention used by Llama).
+    ``(seq, head_dim // 2)`` and broadcast over the leading axes, so one
+    call rotates every head (the model rotates its query and key heads
+    together).  The first half of the head dimension is paired with the
+    second half (the "rotate_half" convention used by Llama).
     """
-    x = np.asarray(x, dtype=np.float32)
-    head_dim = x.shape[-1]
-    half = head_dim // 2
+    half = x.shape[-1] // 2
     x1 = x[..., :half]
     x2 = x[..., half:]
-    rotated_first = x1 * cos - x2 * sin
-    rotated_second = x2 * cos + x1 * sin
-    return np.concatenate([rotated_first, rotated_second], axis=-1)
+    return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)

@@ -53,6 +53,15 @@ class TestInfLLM:
         strategy = InfLLMStrategy(block_size=32, num_retrieved_blocks=4, initial_tokens=8, recent_tokens=16)
         assert strategy.gpu_token_equivalent(1024) >= 4 * 32
 
+    def test_gpu_tokens_count_the_representatives_a_tail_block_holds(self):
+        """A 1-token tail block holds its mean and one token, not
+        ``num_representatives`` vectors: 128 retrieved + 4 + 2."""
+        strategy = InfLLMStrategy(
+            block_size=128, num_retrieved_blocks=1, initial_tokens=0, recent_tokens=0, num_representatives=4
+        )
+        strategy.prepare(make_context(num_layers=1, num_kv_heads=1, num_tokens=129), 1)
+        assert strategy.gpu_token_equivalent(129) == 128 + 4 + 2
+
     def test_quality_beats_streaming_on_needles(self, small_workload):
         infllm = evaluate_strategy(
             InfLLMStrategy(block_size=32, num_retrieved_blocks=8, initial_tokens=8, recent_tokens=16),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.attention_engine import DataCentricAttentionEngine
+from repro.core.attention_engine import AttentionBreakdown, DataCentricAttentionEngine
 from repro.core.config import AlayaDBConfig
 from repro.core.context_store import ContextStore, StoredContext
 from repro.core.session import DecodeStepStats, Session
@@ -113,7 +113,7 @@ def test_stacked_rows_do_not_depend_on_the_rest_of_the_stack(
         for start, stop in zip(bounds[:-1], bounds[1:])
     ]
     engine = DataCentricAttentionEngine()
-    stacked, stacked_breakdowns = engine.stacked_layer_output(
+    stacked, stacked_counts = engine.stacked_layer_output(
         queries, ranges, window, retrieved, local_keys, local_values
     )
     assert stacked.shape == queries.shape
@@ -123,7 +123,7 @@ def test_stacked_rows_do_not_depend_on_the_rest_of_the_stack(
             queries[s], keys, values, window, retrieved[rows], local_keys[s], local_values[s]
         )
         np.testing.assert_allclose(stacked[s], alone, atol=1e-5)
-        assert stacked_breakdowns[rows] == alone_breakdowns
+        assert [AttentionBreakdown(*row) for row in stacked_counts[:, rows].T.tolist()] == alone_breakdowns
 
 
 @pytest.mark.parametrize("num_tokens", [600, 1250, 1600])

@@ -128,7 +128,7 @@ class TestTransformerModel:
     def test_deterministic_weights(self):
         a = TransformerModel(ModelConfig.tiny(seed=5))
         b = TransformerModel(ModelConfig.tiny(seed=5))
-        np.testing.assert_array_equal(a.lm_head.weight, b.lm_head.weight)
+        np.testing.assert_array_equal(a.lm_head, b.lm_head)
 
     def test_forward_shape(self, tiny_model):
         logits = tiny_model.forward_rows([1, 2, 3], [DynamicCache()], [3])
