@@ -97,8 +97,8 @@ class Completions:
         returns a :class:`Completion`.  With ``stream=True`` it returns an
         iterator of :class:`CompletionChunk` deltas backed by
         ``RequestHandle.tokens()`` — cancellation of the underlying request
-        simply ends the stream early.  ``tenant`` attributes the request for
-        fairness/quota accounting when the service runs tenant governance.
+        simply ends the stream early.  ``tenant`` bills the request for
+        fairness/quota accounting (an undeclared name goes to ``default``).
         """
         handle = self._service.submit(
             prompt,

@@ -99,26 +99,20 @@ class AlayaDBConfig:
     in-flight requests; ``None`` disables admission control."""
 
     # multi-tenant fairness and backpressure (the serving frontend's policy)
-    tenant_fairness: bool = False
-    """Route admission through a :class:`~repro.scheduler.tenancy.TenantGovernor`:
-    deficit-round-robin weighted fair queuing across tenants (the FCFS/SLO
-    policy still orders requests *within* each tenant), per-tenant in-flight
-    and reserved-byte quotas, and queue-depth backpressure — an over-limit
-    submission raises ``TenantThrottledError`` (HTTP 429) instead of queuing
-    without bound.  Implied on when ``tenants`` is non-empty."""
-
     tenants: tuple[TenantSpec, ...] = ()
     """Declared tenants (name, DRR weight, quotas, backpressure threshold).
-    Undeclared tenant ids are auto-registered with ``tenant_default_max_queued``
-    and weight 1 unless ``strict_tenants`` rejects them."""
+    Every service admits through a
+    :class:`~repro.scheduler.tenancy.TenantGovernor` over these plus a
+    ``default`` tenant with no limits (declare ``TenantSpec("default", ...)``
+    to give it some): deficit round robin across tenants, the FCFS/SLO
+    policy within each, per-tenant quotas, and queue-depth backpressure (an
+    over-limit submission raises ``TenantThrottledError``, HTTP 429).  A
+    request naming an undeclared tenant is billed to ``default``."""
 
     strict_tenants: bool = False
     """Reject requests naming a tenant absent from ``tenants``
-    (``UnknownTenantError``; the HTTP 400 path) instead of auto-registering."""
-
-    tenant_default_max_queued: int | None = None
-    """Backpressure threshold applied to auto-registered tenants (and the
-    implicit ``default`` tenant); ``None`` never throttles them."""
+    (``UnknownTenantError``; the HTTP 400 path) instead of billing them to
+    ``default``; no implicit ``default`` tenant is registered."""
 
     # async HTTP serving frontend
     http_host: str = "127.0.0.1"
@@ -203,11 +197,6 @@ class AlayaDBConfig:
             )
         if self.context_store_budget_bytes is not None and self.context_store_budget_bytes <= 0:
             raise ConfigError("context_store_budget_bytes must be positive when set")
-        if self.tenant_default_max_queued is not None and self.tenant_default_max_queued <= 0:
-            raise ConfigError(
-                f"tenant_default_max_queued must be positive when set, "
-                f"got {self.tenant_default_max_queued}"
-            )
         names = [spec.name for spec in self.tenants]
         if len(names) != len(set(names)):
             raise ConfigError(f"tenant names must be unique, got {names}")
@@ -225,16 +214,6 @@ class AlayaDBConfig:
     @property
     def window_total_tokens(self) -> int:
         return self.window_initial_tokens + self.window_last_tokens
-
-    @property
-    def tenant_governance_enabled(self) -> bool:
-        """Whether the service should construct a ``TenantGovernor``."""
-        return (
-            self.tenant_fairness
-            or bool(self.tenants)
-            or self.strict_tenants
-            or self.tenant_default_max_queued is not None
-        )
 
     def scaled_beta(self, head_dim: int) -> float:
         """The DIPR ``beta`` adjusted for the substrate's head dimension.

@@ -52,10 +52,10 @@ from ..scheduler import (
     InFlightRequest,
     Request,
     RequestScheduler,
+    SchedulerStats,
     SLO,
     SLOReport,
     TenantGovernor,
-    TenantSpec,
     make_policy,
 )
 from ..scheduler.slo import percentiles
@@ -107,18 +107,31 @@ class RequestRecord:
 class ServiceStats:
     """Aggregate statistics over every request served so far."""
 
-    records: list[RequestRecord] = field(default_factory=list)
-    rejected: int = 0
-    failed: int = 0
-    """Requests whose session setup raised (queryable via ``result()``)."""
-    cancelled: int = 0
-    """Requests the client cancelled before they finished."""
-    decode_timings: StageTimings | None = None
+    scheduler: SchedulerStats
+    """The scheduler's live counters, the one ledger of rejected, failed and
+    cancelled requests."""
+    tenants: TenantGovernor
+    """Live view of the tenant governor: per-tenant
+    in-flight/queued/deferred/429/tokens-served counters."""
+    decode_timings: StageTimings
     """Live per-stage decode wall-time split (retrieval vs. partial-attention
     merge vs. dense model math) summed over every decode round served."""
-    tenants: TenantGovernor | None = None
-    """Live view of the tenant governor (``None`` without tenant governance):
-    per-tenant in-flight/queued/deferred/429/tokens-served counters."""
+    records: list[RequestRecord] = field(default_factory=list)
+
+    @property
+    def rejected(self) -> int:
+        """Requests admission control rejected outright."""
+        return self.scheduler.rejected
+
+    @property
+    def failed(self) -> int:
+        """Requests whose session setup raised (queryable via ``result()``)."""
+        return self.scheduler.failed
+
+    @property
+    def cancelled(self) -> int:
+        """Requests the client cancelled before they finished."""
+        return self.scheduler.cancelled
 
     @property
     def num_requests(self) -> int:
@@ -141,16 +154,12 @@ class ServiceStats:
     @property
     def throttled(self) -> int:
         """Submissions refused by per-tenant backpressure (HTTP 429s)."""
-        if self.tenants is None:
-            return 0
         return sum(
             self.tenants.stats(name).throttled for name in self.tenants.known_tenants()
         )
 
     def tenant_rows(self, queued_by_tenant: dict[str, int] | None = None) -> dict[str, dict]:
-        """Per-tenant observability rows (empty without tenant governance)."""
-        if self.tenants is None:
-            return {}
+        """Per-tenant observability rows."""
         return self.tenants.snapshot(queued_by_tenant)
 
 
@@ -183,21 +192,6 @@ class InferenceService:
         self.decode_timings = StageTimings()
         """Per-stage decode wall time (retrieval / merge / dense) across all
         decode rounds served so far; surfaced through :meth:`memory_report`."""
-        self.tenants = (
-            TenantGovernor(
-                specs=self.config.tenants,
-                strict=self.config.strict_tenants,
-                default_spec=TenantSpec(
-                    name=DEFAULT_TENANT, max_queued=self.config.tenant_default_max_queued
-                ),
-            )
-            if self.config.tenant_governance_enabled
-            else None
-        )
-        self.stats = ServiceStats(
-            decode_timings=self.decode_timings,
-            tenants=self.tenants,
-        )
         self.scheduler = RequestScheduler(
             backend=self,
             policy=make_policy(self.config.scheduler_policy),
@@ -205,7 +199,12 @@ class InferenceService:
             max_inflight=self.config.max_inflight_requests,
             preemption=self.config.preemption,
             preemption_slack_seconds=self.config.preemption_slack_seconds,
-            tenants=self.tenants,
+            tenants=TenantGovernor(self.config.tenants, strict=self.config.strict_tenants),
+        )
+        self.stats = ServiceStats(
+            scheduler=self.scheduler.stats,
+            tenants=self.scheduler.tenants,
+            decode_timings=self.decode_timings,
         )
         self._results: OrderedDict[int, tuple[GenerationResult, RequestRecord]] = OrderedDict()
         self._failures: OrderedDict[int, str] = OrderedDict()
@@ -259,8 +258,8 @@ class InferenceService:
         non-positive ``prefill_chunk_tokens`` override — are rejected here
         with a ``ValueError`` instead of failing mid-round.
 
-        With tenant governance active, ``tenant`` attributes the request for
-        weighted fairness and quotas; an unknown tenant under
+        ``tenant`` bills the request for weighted fairness and quotas (an
+        undeclared name goes to ``default``); an unknown tenant under
         ``strict_tenants`` raises :class:`UnknownTenantError`, and a tenant
         at its queue-depth limit raises :class:`TenantThrottledError`
         (backpressure — the HTTP frontend's 429) *before* anything queues.
@@ -269,25 +268,18 @@ class InferenceService:
             # the byte tokenizer would still emit a BOS token; reject the
             # empty *text* explicitly so the error names the real problem
             raise ValueError("prompt must not be an empty string")
-        tenant_name = tenant or DEFAULT_TENANT
-        if self.tenants is not None:
-            spec = self.tenants.resolve(tenant_name)  # UnknownTenantError when strict
-            tenant_name = spec.name
-            self.tenants.check_backpressure(
-                tenant_name, self.scheduler.queued_by_tenant().get(tenant_name, 0)
-            )
-        self._request_counter += 1
         request = Request(
-            request_id=self._request_counter,
+            request_id=self._request_counter + 1,
             prompt_tokens=self.db.tokenize(prompt),
             max_new_tokens=max_new_tokens,
             priority=priority,
             slo=slo,
             prefill_chunk_tokens=prefill_chunk_tokens,
             store_context_id=store_context_id,
-            tenant=tenant_name,
+            tenant=tenant or DEFAULT_TENANT,
         )
         self.scheduler.submit(request)
+        self._request_counter += 1
         return RequestHandle(self, request)
 
     def chat(
@@ -314,10 +306,7 @@ class InferenceService:
         state ``CANCELLED``.  Returns ``False`` as an idempotent no-op when
         the request is already terminal or unknown.
         """
-        cancelled = self.scheduler.cancel(request_id)
-        if cancelled:
-            self.stats.cancelled += 1
-        return cancelled
+        return self.scheduler.cancel(request_id)
 
     def step(self) -> list[int]:
         """One scheduler round; returns ids of requests it finished."""
@@ -529,9 +518,6 @@ class InferenceService:
         fed += inflight.generated[: max(kv_tokens - len(fed), 0)]
         return self.db.store(session, tokens=fed[:kv_tokens], context_id=context_id)
 
-    def reject_request(self, request: Request) -> None:
-        self.stats.rejected += 1
-
     def cancel_request(self, inflight: InFlightRequest) -> None:
         """Tear down a cancelled request's session.
 
@@ -545,7 +531,6 @@ class InferenceService:
 
     def fail_request(self, request: Request, error: Exception) -> None:
         """Record a mid-round session-setup failure for ``result()`` lookup."""
-        self.stats.failed += 1
         # the scheduler already formatted the error onto the request
         self._failures[request.request_id] = request.error or repr(error)
         while len(self._failures) > self.MAX_RETAINED_RESULTS:
@@ -641,9 +626,8 @@ class InferenceService:
             "decode_merge_seconds": self.decode_timings.merge_seconds,
             "decode_dense_seconds": self.decode_timings.dense_seconds,
             "decode_rounds": self.decode_timings.rounds,
+            "tenants": self.stats.tenant_rows(self.scheduler.queued_by_tenant()),
         }
-        if self.tenants is not None:
-            report["tenants"] = self.tenants.snapshot(self.scheduler.queued_by_tenant())
         if per_context:
             report["contexts"] = {
                 context_id: {

@@ -9,10 +9,10 @@ step-driven, memory-governed pipeline:
   (FCFS or SLO-aware least-slack-first);
 * :class:`~repro.scheduler.admission.AdmissionController` — global
   GPU-memory admission control across all in-flight requests;
-* :class:`~repro.scheduler.tenancy.TenantGovernor` — multi-tenant weighted
-  fairness (deficit round robin across tenants, wrapping the FCFS/SLO
-  intra-tenant order), per-tenant in-flight/byte quotas, and queue-depth
-  backpressure (the HTTP 429 path);
+* :class:`~repro.scheduler.tenancy.TenantGovernor` — the admission order:
+  work-conserving deficit round robin across a fixed tenant registry,
+  wrapping the FCFS/SLO intra-tenant order, with per-tenant in-flight/byte
+  quotas and queue-depth backpressure (the HTTP 429 path);
 * :class:`~repro.scheduler.scheduler.RequestScheduler` — the step loop that
   interleaves chunked prefill and decode across in-flight sessions, batching
   all decode-ready requests into one shared forward pass (continuous
@@ -24,7 +24,7 @@ backend implementing the :class:`~repro.scheduler.scheduler.SchedulerBackend`
 protocol (``InferenceService`` is the production one).
 """
 
-from .admission import AdmissionController, AdmissionDecision, AdmissionStats
+from .admission import AdmissionController, AdmissionDecision
 from .policy import FCFSPolicy, SchedulerPolicy, SLOAwarePolicy, make_policy
 from .request import InFlightRequest, Request, RequestState
 from .scheduler import RequestScheduler, SchedulerBackend, SchedulerStats
@@ -34,7 +34,6 @@ from .tenancy import DEFAULT_TENANT, TenantGovernor, TenantSpec, TenantStats
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "AdmissionStats",
     "BATCH_SLO",
     "DEFAULT_TENANT",
     "FCFSPolicy",

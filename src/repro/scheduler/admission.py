@@ -9,9 +9,7 @@ finish and release their reservations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["AdmissionDecision", "AdmissionStats", "AdmissionController"]
+__all__ = ["AdmissionDecision", "AdmissionController"]
 
 
 class AdmissionDecision:
@@ -22,20 +20,6 @@ class AdmissionDecision:
     REJECT = "reject"
 
 
-@dataclass
-class AdmissionStats:
-    """Counters of admission outcomes.
-
-    ``deferral_attempts`` counts *attempts*, not requests — one request
-    waiting on budget is re-tried every scheduler step.  The scheduler's
-    ``SchedulerStats.deferrals`` counts unique deferred requests.
-    """
-
-    admitted: int = 0
-    deferral_attempts: int = 0
-    rejected: int = 0
-
-
 class AdmissionController:
     """Reserves slices of a global byte budget for in-flight requests."""
 
@@ -44,7 +28,6 @@ class AdmissionController:
             raise ValueError(f"budget_bytes must be positive when set, got {budget_bytes}")
         self.budget_bytes = budget_bytes
         self._committed_bytes = 0
-        self.stats = AdmissionStats()
 
     @property
     def committed_bytes(self) -> int:
@@ -60,22 +43,15 @@ class AdmissionController:
         """Admit (reserving the estimate), defer, or permanently reject."""
         if self.budget_bytes is not None:
             if estimated_bytes > self.budget_bytes:
-                self.stats.rejected += 1
                 return AdmissionDecision.REJECT
             if self._committed_bytes + estimated_bytes > self.budget_bytes:
-                self.stats.deferral_attempts += 1
                 return AdmissionDecision.DEFER
         self._committed_bytes += estimated_bytes
-        self.stats.admitted += 1
         return AdmissionDecision.ADMIT
 
     def try_reserve_more(self, additional_bytes: int) -> bool:
-        """Grow an existing reservation (a preempted request resuming).
-
-        Not counted in :attr:`AdmissionStats.admitted` — the request was
-        admitted once already; this only re-takes the slice of its
-        reservation that preemption released.
-        """
+        """Grow an existing reservation: a preempted request resuming
+        re-takes the slice of its reservation that preemption released."""
         if (
             self.budget_bytes is not None
             and self._committed_bytes + additional_bytes > self.budget_bytes

@@ -53,7 +53,9 @@ class Request:
     context (prompt + generated KV) under this id for cross-turn reuse."""
     tenant: str = "default"
     """The tenant this request is billed to; drives weighted fair queuing,
-    per-tenant quotas, and backpressure when a ``TenantGovernor`` is active."""
+    per-tenant quotas, and backpressure.  ``RequestScheduler.submit``
+    replaces an undeclared name with ``default`` (or refuses it under a
+    strict registry)."""
     submitted_at: float = 0.0
     arrival_order: int = 0
     state: str = RequestState.QUEUED

@@ -1,11 +1,13 @@
 """The step-driven request scheduler.
 
-Each :meth:`RequestScheduler.step` (1) preempts an in-flight request when an
-SLO-critical arrival is starving and every slot is taken, (2) admits queued
-requests while slots and the memory budget allow, (3) resumes preempted
-requests into leftover slots, (4) gives every in-flight request one unit of
-work — a prefill chunk or one decode token — in a single ``run_round`` call,
-and (5) retires finished requests, releasing their admission reservations.
+Each :meth:`RequestScheduler.step` (1) admits queued requests in the
+:class:`~repro.scheduler.tenancy.TenantGovernor`'s order while slots and the
+memory budget allow — when every slot is taken and the governor's pick is an
+SLO-critical arrival, first pausing one in-flight request to make room for
+it — (2) resumes preempted requests into leftover slots, (3) gives every
+in-flight request one unit of work — a prefill chunk or one decode token — in
+a single ``run_round`` call, and (4) retires finished requests, releasing
+their admission reservations.
 
 The scheduler knows nothing about models or databases: a
 :class:`SchedulerBackend` supplies the actual work.
@@ -26,12 +28,7 @@ __all__ = ["SchedulerBackend", "SchedulerStats", "RequestScheduler"]
 
 
 class SchedulerBackend(Protocol):
-    """What the scheduler needs from the serving layer.
-
-    ``fail_request``, ``cancel_request``, ``preempt_request`` and
-    ``resume_request`` are optional: the scheduler probes for them and falls
-    back to ``reject_request`` / no-ops when absent.
-    """
+    """What the scheduler needs from the serving layer; it calls every hook."""
 
     def estimate_request_bytes(self, request: Request) -> int:
         """Estimated GPU-resident bytes the request will pin while in flight."""
@@ -50,9 +47,6 @@ class SchedulerBackend(Protocol):
     def cancel_request(self, inflight: InFlightRequest) -> None:
         """A running or preempted request was cancelled; tear down its
         session (its admission reservation is already released)."""
-
-    def reject_request(self, request: Request) -> None:
-        """Note a request admission control rejected outright."""
 
     def fail_request(self, request: Request, error: Exception) -> None:
         """Note a request whose session setup (``begin_request``) raised."""
@@ -110,11 +104,11 @@ class RequestScheduler:
             raise ValueError(f"max_inflight must be positive, got {max_inflight}")
         self.backend = backend
         self.policy = policy or FCFSPolicy()
-        self.tenants = tenants
-        """Optional multi-tenant governor: when set, admission order across
-        tenants is deficit round robin (``tenants.select`` wrapping
-        ``policy``) and the governor's lifecycle hooks keep per-tenant
-        quota/fairness counters."""
+        self.tenants = tenants or TenantGovernor()
+        """The admission order: deficit round robin across tenants
+        (``tenants.select`` wrapping ``policy``), whose lifecycle hooks keep
+        the per-tenant quota/fairness counters.  The default bills every
+        request to one ``default`` tenant, which admits in ``policy`` order."""
         self.admission = admission or AdmissionController()
         self.max_inflight = max_inflight
         self.preemption = preemption
@@ -164,7 +158,17 @@ class RequestScheduler:
     # queueing
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:
-        """Enqueue a request; it runs once admission control lets it in."""
+        """Enqueue a request; it runs once admission control lets it in.
+
+        The request is billed to the tenant the governor resolves its name
+        to.  An unknown name under a strict registry raises
+        :class:`~repro.errors.UnknownTenantError`, and a tenant at its
+        ``max_queued`` raises :class:`~repro.errors.TenantThrottledError`
+        (backpressure, the HTTP 429) — both before anything queues.
+        """
+        tenant = self.tenants.resolve(request.tenant).name
+        self.tenants.check_backpressure(tenant, sum(r.tenant == tenant for r in self._queue))
+        request.tenant = tenant
         request.submitted_at = time.monotonic()
         request.arrival_order = self._arrival_counter
         self._arrival_counter += 1
@@ -192,8 +196,7 @@ class RequestScheduler:
                 self._queue.pop(index)
                 request.state = RequestState.CANCELLED
                 self.stats.cancelled += 1
-                if self.tenants is not None:
-                    self.tenants.on_cancelled_queued(request)
+                self.tenants.on_cancelled_queued(request)
                 return True
         for pool in (self._inflight, self._preempted):
             for index, inflight in enumerate(pool):
@@ -203,49 +206,35 @@ class RequestScheduler:
                     self.admission.release(inflight.reserved_bytes)
                     inflight.reserved_bytes = 0
                     self.stats.cancelled += 1
-                    if self.tenants is not None:
-                        self.tenants.on_cancelled_inflight(inflight)
-                    cancel = getattr(self.backend, "cancel_request", None)
-                    if cancel is not None:
-                        cancel(inflight)
+                    self.tenants.on_cancelled_inflight(inflight)
+                    self.backend.cancel_request(inflight)
                     return True
         return False
 
     # ------------------------------------------------------------------
     # the step loop
     # ------------------------------------------------------------------
-    def _preempted_retained_bytes(self, inflight: InFlightRequest) -> int:
-        """Bytes ``inflight`` would keep resident while paused (its session's
-        live KV is not freed by preemption, only its stored context becomes
-        spillable), capped at the current reservation."""
-        query = getattr(self.backend, "preempted_request_bytes", None)
-        if query is None:
-            return 0
-        return min(max(int(query(inflight)), 0), inflight.reserved_bytes)
+    def _preempt_for(self, critical: Request, now: float) -> bool:
+        """Pause one in-flight request so ``critical`` — the governor's next
+        admission — can take its slot; whether a victim was paused.
 
-    def _preempt_for_critical(self) -> None:
-        """Pause one in-flight request when a starving critical arrival needs
-        its slot (at most one victim per step, so preemption stays gradual)."""
-        if not self.preemption or not self._queue:
-            return
-        if len(self._inflight) < self.max_inflight:
-            return  # a slot is already free; plain admission will handle it
-        now = time.monotonic()
-        # the beneficiary must be whatever request the policy will admit next
-        # (not simply the min-slack one): if the policy would hand the freed
-        # slot to someone else — e.g. priority dominates slack under the SLO
-        # policy — preempting here would evict a victim per step without ever
-        # serving the critical request
-        critical = self._queue[self.policy.select(self._queue, now)]
+        Only a request inside its TTFT slack threshold is served this way,
+        only when the policy names a victim with slack to spare, and only
+        when pausing it frees enough budget to admit ``critical``.
+        """
         if critical.ttft_slack(now) > self.preemption_slack_seconds:
-            return
+            return False
         victim_index = self.policy.preemption_victim(
             self._inflight, critical, now, self.preemption_slack_seconds
         )
         if victim_index is None:
-            return
+            return False
         victim = self._inflight[victim_index]
-        retained = self._preempted_retained_bytes(victim)
+        # a paused session's live KV stays resident (only its stored context
+        # becomes spillable), so that part of the reservation stays booked
+        retained = min(
+            max(int(self.backend.preempted_request_bytes(victim)), 0), victim.reserved_bytes
+        )
         releasable = victim.reserved_bytes - retained
         if (
             self.admission.budget_bytes is not None
@@ -255,7 +244,7 @@ class RequestScheduler:
             # pausing this victim cannot free enough budget to admit the
             # critical request; preempting would only thrash (pause, fail to
             # admit, resume — possibly spilling and reloading KV every step)
-            return
+            return False
         self._inflight.pop(victim_index)
         victim.request.state = RequestState.PREEMPTED
         victim.preemptions += 1
@@ -263,30 +252,38 @@ class RequestScheduler:
         victim.reserved_bytes = retained
         self._preempted.append(victim)
         self.stats.preemptions += 1
-        preempt = getattr(self.backend, "preempt_request", None)
-        if preempt is not None:
-            preempt(victim)
+        self.backend.preempt_request(victim)
+        return True
 
     def _admit(self) -> None:
-        while self._queue and len(self._inflight) < self.max_inflight:
+        """Admit the governor's picks while slots and budget allow.
+
+        When the step starts with every slot taken, a pick that is
+        SLO-critical may pause one in-flight request (at most one victim per
+        step, so preemption stays gradual) and is admitted into the freed
+        slot in the same step.
+        """
+        may_preempt = self.preemption and len(self._inflight) >= self.max_inflight
+        while self._queue:
+            full = len(self._inflight) >= self.max_inflight
+            if full and not may_preempt:
+                break
             now = time.monotonic()
-            if self.tenants is not None:
-                selected = self.tenants.select(self._queue, self.policy, now)
-                if selected is None:
-                    break  # every backlogged tenant is at its quota/budget
-                index = selected
-            else:
-                index = self.policy.select(self._queue, now)
+            index = self.tenants.select(self._queue, self.policy, now)
+            if index is None:
+                break  # every backlogged tenant is at its quota/budget
             request = self._queue[index]
+            if full:
+                may_preempt = False
+                if not self._preempt_for(request, now):
+                    break
             estimate = self.backend.estimate_request_bytes(request)
             decision = self.admission.try_admit(estimate)
             if decision == AdmissionDecision.REJECT:
                 self._queue.pop(index)
                 request.state = RequestState.REJECTED
                 self.stats.rejected += 1
-                if self.tenants is not None:
-                    self.tenants.on_rejected(request)
-                self.backend.reject_request(request)
+                self.tenants.on_rejected(request)
                 continue
             if decision == AdmissionDecision.DEFER:
                 # not enough free budget until an in-flight request finishes;
@@ -294,8 +291,7 @@ class RequestScheduler:
                 if request.state != RequestState.DEFERRED:
                     request.state = RequestState.DEFERRED
                     self.stats.deferrals += 1
-                    if self.tenants is not None:
-                        self.tenants.on_deferred(request)
+                    self.tenants.on_deferred(request)
                 break
             self._queue.pop(index)
             try:
@@ -308,13 +304,8 @@ class RequestScheduler:
                 request.state = RequestState.FAILED
                 request.error = f"{type(exc).__name__}: {exc}"
                 self.stats.failed += 1
-                if self.tenants is not None:
-                    self.tenants.on_failed(request)
-                fail = getattr(self.backend, "fail_request", None)
-                if fail is not None:
-                    fail(request, exc)
-                else:
-                    self.backend.reject_request(request)
+                self.tenants.on_failed(request)
+                self.backend.fail_request(request, exc)
                 continue
             inflight.reserved_bytes = estimate
             inflight.estimated_bytes = estimate
@@ -322,8 +313,7 @@ class RequestScheduler:
             inflight.admitted_at = now
             request.state = RequestState.RUNNING
             self.stats.admitted += 1
-            if self.tenants is not None:
-                self.tenants.on_admitted(request, estimate)
+            self.tenants.on_admitted(request, estimate)
             self._inflight.append(inflight)
 
     def _resume_preempted(self) -> None:
@@ -344,14 +334,11 @@ class RequestScheduler:
             inflight.request.state = RequestState.RUNNING
             self._inflight.append(inflight)
             self.stats.resumes += 1
-            resume = getattr(self.backend, "resume_request", None)
-            if resume is not None:
-                resume(inflight)
+            self.backend.resume_request(inflight)
 
     def step(self) -> list[InFlightRequest]:
         """Run one scheduling round; returns the requests finished by it."""
         self.stats.steps += 1
-        self._preempt_for_critical()
         self._admit()
         self._resume_preempted()
         if self._inflight:
@@ -368,8 +355,7 @@ class RequestScheduler:
             inflight.request.state = RequestState.FINISHED
             self.admission.release(inflight.reserved_bytes)
             self.stats.completed += 1
-            if self.tenants is not None:
-                self.tenants.on_finished(inflight)
+            self.tenants.on_finished(inflight)
             self.backend.finish_request(inflight)
         return finished
 

@@ -1,7 +1,8 @@
 """Multi-tenant scheduling: weighted fairness, quotas, and backpressure.
 
-The serving frontend attributes every request to a *tenant*; this module is
-the policy layer that keeps tenants from starving each other:
+Every request is billed to a *tenant*; this module is the policy layer that
+keeps tenants from starving each other, and the scheduler's only admission
+order:
 
 * :class:`TenantSpec` declares a tenant — its deficit-round-robin ``weight``
   and three optional governors: ``max_inflight`` (concurrent admitted
@@ -10,14 +11,22 @@ the policy layer that keeps tenants from starving each other:
   beyond it is refused with :class:`~repro.errors.TenantThrottledError`, the
   HTTP 429 path, instead of queuing without bound);
 
-* :class:`TenantGovernor` plugs into :class:`RequestScheduler`: admission
-  *order across tenants* is deficit round robin (each visit a backlogged
-  tenant's deficit grows by ``quantum x weight``; a request is admitted when
-  the deficit covers its token cost and the cost is then deducted), while the
-  order *within* one tenant is still the wrapped FCFS/SLO policy — so SLO
-  urgency keeps working inside each tenant's share.  Tenants at their
-  in-flight quota or byte budget are skipped (their deficit neither grows nor
-  resets: they are self-limited, not starved);
+* :class:`TenantGovernor` orders :class:`RequestScheduler` admissions:
+  *across tenants* by deficit round robin (each fresh visit of a backlogged
+  tenant grows its deficit by ``quantum x weight``; a request is admitted
+  when the deficit covers its token cost, which is then deducted), *within*
+  one tenant by the wrapped FCFS/SLO policy — so SLO urgency keeps working
+  inside each tenant's share.  The round robin is work-conserving: it never
+  declines a free slot while a backlogged tenant is under quota, so a
+  governor serving one tenant admits exactly in the policy's order.  Tenants
+  at their in-flight quota or byte budget are skipped (their deficit neither
+  grows nor resets: they are self-limited, not starved);
+
+* the registry is fixed when the governor is built: the declared specs plus
+  ``default`` (unless ``strict``).  A request naming an undeclared tenant is
+  billed to ``default``, or refused with
+  :class:`~repro.errors.UnknownTenantError` under ``strict`` — client-chosen
+  names never grow the registry;
 
 * the governor also keeps the per-tenant counters (in flight, queued,
   deferred, throttled, tokens served, ...) that ``ServiceStats`` and
@@ -93,7 +102,7 @@ class TenantStats:
     """Admitted requests not yet terminal (running or preempted)."""
     reserved_bytes: int = 0
     """Sum of the in-flight requests' admission estimates."""
-    deficit_tokens: float = 0.0
+    deficit_tokens: int = 0
     """The DRR deficit counter (token-denominated service credit)."""
     admitted: int = 0
     completed: int = 0
@@ -114,11 +123,11 @@ class TenantStats:
 class TenantGovernor:
     """Deficit-round-robin admission across tenants, plus quota bookkeeping.
 
-    ``strict`` rejects unknown tenant names (``UnknownTenantError``); without
-    it, a first-seen tenant is auto-registered with ``default_spec``'s
-    limits.  ``quantum_tokens`` is the per-weight-unit deficit replenishment:
-    one full scheduling cycle entitles a tenant to ``quantum x weight`` more
-    admitted tokens, which is what makes long-run admitted-token throughput
+    The registry is ``specs`` plus a ``default`` tenant with no limits
+    (a declared ``default`` spec wins; ``strict`` registers none).
+    ``quantum_tokens`` is the per-weight-unit deficit replenishment: one full
+    scheduling cycle entitles a tenant to ``quantum x weight`` more admitted
+    tokens, which is what makes long-run admitted-token throughput
     proportional to the weights.
     """
 
@@ -127,68 +136,43 @@ class TenantGovernor:
         specs: Sequence[TenantSpec] = (),
         quantum_tokens: int = 256,
         strict: bool = False,
-        default_spec: TenantSpec | None = None,
     ):
         if quantum_tokens <= 0:
             raise ConfigError(f"quantum_tokens must be positive, got {quantum_tokens}")
         self.quantum_tokens = quantum_tokens
         self.strict = strict
-        self.default_spec = default_spec or TenantSpec(name=DEFAULT_TENANT)
         self._specs: dict[str, TenantSpec] = {}
-        self._stats: dict[str, TenantStats] = {}
-        self._ring: list[str] = []
-        """Round-robin visiting order (registration order)."""
-        self._current = 0
-        """Ring index the next DRR scan starts from."""
-        self._visiting = False
-        """True while ``_current``'s tenant is mid-burst (it was picked last
-        and keeps the turn until its deficit runs out).  A mid-burst tenant is
-        *not* replenished — replenishment happens once per rotation arrival,
-        which is what makes long-run shares proportional to the weights."""
         for spec in specs:
             if spec.name in self._specs:
                 raise ConfigError(f"duplicate tenant spec {spec.name!r}")
-            self._register(spec)
-        if not strict and DEFAULT_TENANT not in self._specs:
-            self._register(
-                TenantSpec(
-                    name=DEFAULT_TENANT,
-                    weight=self.default_spec.weight,
-                    max_inflight=self.default_spec.max_inflight,
-                    max_queued=self.default_spec.max_queued,
-                    reserved_bytes_budget=self.default_spec.reserved_bytes_budget,
-                )
-            )
+            self._specs[spec.name] = spec
+        if not strict:
+            self._specs.setdefault(DEFAULT_TENANT, TenantSpec(name=DEFAULT_TENANT))
+        self._stats = {name: TenantStats() for name in self._specs}
+        self._ring = list(self._specs)
+        """Round-robin visiting order (declaration order)."""
+        self._turn: int | None = None
+        """Ring index of the tenant holding the turn (``None`` before the
+        first pick): it was picked last and is mid-burst, keeping the turn
+        until its deficit runs out.  A mid-burst tenant is *not* replenished —
+        replenishment happens once per rotation arrival, which is what makes
+        long-run shares proportional to the weights."""
 
     # ------------------------------------------------------------------
     # registry
     # ------------------------------------------------------------------
-    def _register(self, spec: TenantSpec) -> TenantSpec:
-        self._specs[spec.name] = spec
-        self._stats[spec.name] = TenantStats()
-        self._ring.append(spec.name)
-        return spec
-
     def resolve(self, name: str | None) -> TenantSpec:
-        """The spec serving ``name`` (auto-registering when not strict)."""
-        name = name or DEFAULT_TENANT
-        spec = self._specs.get(name)
+        """The spec ``name`` is billed to: its own when declared, else
+        ``default`` (``UnknownTenantError`` when strict)."""
+        spec = self._specs.get(name or DEFAULT_TENANT)
         if spec is not None:
             return spec
         if self.strict:
-            known = ", ".join(repr(n) for n in self._ring) or "none"
+            known = ", ".join(repr(n) for n in self._ring)
             raise UnknownTenantError(
                 f"unknown tenant {name!r} (strict tenant registry; declared: {known})"
             )
-        return self._register(
-            TenantSpec(
-                name=name,
-                weight=self.default_spec.weight,
-                max_inflight=self.default_spec.max_inflight,
-                max_queued=self.default_spec.max_queued,
-                reserved_bytes_budget=self.default_spec.reserved_bytes_budget,
-            )
-        )
+        return self._specs[DEFAULT_TENANT]
 
     def known_tenants(self) -> list[str]:
         return list(self._ring)
@@ -253,89 +237,79 @@ class TenantGovernor:
     ) -> int | None:
         """Index into ``queue`` of the next request to try admitting.
 
-        One deficit-round-robin scan over the tenant ring: the first visited
-        tenant that is backlogged, under quota, and whose deficit (after at
-        most one ``quantum x weight`` replenishment) covers its head
-        request's cost wins; the head request *within* a tenant is whatever
-        the wrapped policy picks from that tenant's slice of the queue.
-        ``None`` means no tenant may admit right now (all backlogged tenants
-        are at quota).  A tenant whose backlog emptied has its deficit reset
-        — credit does not accumulate across idle periods.
+        Deficit round robin over the tenant ring from the tenant holding the
+        turn: each fresh visit of a backlogged, under-quota tenant adds
+        ``quantum x weight`` to its deficit (the turn holder's first visit is
+        mid-burst, not fresh), and the first tenant whose deficit covers its
+        head request's cost wins and keeps the turn.  The head *within* a
+        tenant is whatever the wrapped policy picks from that tenant's slice
+        of the queue.  The scan is work-conserving: it rotates until some
+        tenant can pay (the rotations in which none can are taken in one
+        stride), so ``None`` means every backlogged tenant is at its quota,
+        and with one tenant the pick is ``policy.select(queue, now)``.  A
+        tenant whose backlog emptied has its deficit reset — credit does not
+        accumulate across idle periods.
         """
         by_tenant: dict[str, list[int]] = {}
         for index, request in enumerate(queue):
             by_tenant.setdefault(request.tenant, []).append(index)
-        for name in self._ring:
-            if name not in by_tenant:
-                self._stats[name].deficit_tokens = 0.0
-        if not by_tenant:
-            return None
-        for name in by_tenant:
-            if name not in self._specs:
-                # a request was submitted around the governor (tests, direct
-                # scheduler use); adopt the tenant so it can be scheduled
-                self.resolve(name)
-        ring = self._ring
-        size = len(ring)
-        start = self._current
-        start_visiting = self._visiting
-        # when the scan starts mid-burst the start tenant gets no arrival
-        # replenishment at offset 0; one extra offset lets the rotation come
-        # back around to it as a *fresh* visit, so a lone tenant that just
-        # exhausted its burst is replenished in this call instead of stalling
-        for offset in range(size + (1 if start_visiting else 0)):
-            position = (start + offset) % size
-            name = ring[position]
-            fresh_visit = offset > 0 or not start_visiting
+        size = len(self._ring)
+        # (ring position, stats, head index, cost, quantum) of every tenant
+        # that may admit, in visiting order
+        visits = []
+        for offset in range(size):
+            position = ((self._turn or 0) + offset) % size
+            name = self._ring[position]
             indices = by_tenant.get(name)
-            if not indices:
-                continue
-            if not self._eligible(name):
-                continue  # self-limited: skip without replenishing or resetting
-            stats = self._stats[name]
-            subqueue = [queue[i] for i in indices]
-            head = indices[policy.select(subqueue, now)]
-            cost = self.request_cost(queue[head])
-            if fresh_visit and stats.deficit_tokens < cost:
-                stats.deficit_tokens += self.quantum_tokens * self._specs[name].weight
-            if stats.deficit_tokens >= cost:
-                self._current = position
-                self._visiting = True
-                return head
-            # cannot afford its head yet: keep the (replenished) deficit and
-            # give the turn to the next tenant; a large request saves up
-            # across rotations exactly like a large packet in classic DRR
-            self._current = (position + 1) % size
-            self._visiting = False
-        return None
+            if indices is None:
+                self._stats[name].deficit_tokens = 0
+            elif self._eligible(name):  # else self-limited: no credit, no reset
+                head = indices[policy.select([queue[i] for i in indices], now)]
+                quantum = self.quantum_tokens * self._specs[name].weight
+                cost = self.request_cost(queue[head])
+                visits.append((position, self._stats[name], head, cost, quantum))
+        if not visits:
+            return None
+        mid_burst = visits[0][0] == self._turn
+        while True:
+            for turn, (position, stats, head, cost, quantum) in enumerate(visits):
+                if stats.deficit_tokens < cost and (turn or not mid_burst):
+                    stats.deficit_tokens += quantum
+                if stats.deficit_tokens >= cost:
+                    self._turn = position
+                    return head
+            # nobody could pay in this rotation: skip to the one in which the
+            # first tenant can (a large request saves up across rotations
+            # exactly like a large packet in classic DRR)
+            rotations = min(-(-(c - s.deficit_tokens) // q) for _, s, _, c, q in visits)
+            for _, stats, _, _, quantum in visits:
+                stats.deficit_tokens += (rotations - 1) * quantum
+            mid_burst = False
 
     # ------------------------------------------------------------------
     # scheduler lifecycle hooks
     # ------------------------------------------------------------------
     def on_admitted(self, request: "Request", reserved_bytes: int) -> None:
-        stats = self._stats[self.resolve(request.tenant).name]
-        stats.deficit_tokens = max(stats.deficit_tokens - self.request_cost(request), 0.0)
+        stats = self._stats[request.tenant]
+        stats.deficit_tokens = max(stats.deficit_tokens - self.request_cost(request), 0)
         stats.inflight += 1
         stats.reserved_bytes += reserved_bytes
         stats.admitted += 1
 
     def on_deferred(self, request: "Request") -> None:
         """First time a request waits on the global memory budget."""
-        self._stats[self.resolve(request.tenant).name].deferred += 1
+        self._stats[request.tenant].deferred += 1
 
     def on_rejected(self, request: "Request") -> None:
-        self._stats[self.resolve(request.tenant).name].rejected += 1
+        self._stats[request.tenant].rejected += 1
 
     def on_failed(self, request: "Request") -> None:
         """Session setup raised after admission bookkeeping never started."""
-        self._stats[self.resolve(request.tenant).name].failed += 1
+        self._stats[request.tenant].failed += 1
 
     def on_finished(self, inflight: "InFlightRequest") -> None:
-        stats = self._stats[self.resolve(inflight.request.tenant).name]
-        stats.inflight = max(stats.inflight - 1, 0)
-        stats.reserved_bytes = max(stats.reserved_bytes - inflight.estimated_bytes, 0)
+        stats = self._release(inflight)
         stats.completed += 1
-        stats.tokens_served += inflight.num_generated
         compute = inflight.prefill_seconds + sum(inflight.decode_seconds)
         if compute > 0:
             alpha = 0.2
@@ -346,14 +320,18 @@ class TenantGovernor:
             )
 
     def on_cancelled_queued(self, request: "Request") -> None:
-        self._stats[self.resolve(request.tenant).name].cancelled += 1
+        self._stats[request.tenant].cancelled += 1
 
     def on_cancelled_inflight(self, inflight: "InFlightRequest") -> None:
-        stats = self._stats[self.resolve(inflight.request.tenant).name]
+        self._release(inflight).cancelled += 1
+
+    def _release(self, inflight: "InFlightRequest") -> TenantStats:
+        """Take a terminal admitted request off its tenant's books."""
+        stats = self._stats[inflight.request.tenant]
         stats.inflight = max(stats.inflight - 1, 0)
         stats.reserved_bytes = max(stats.reserved_bytes - inflight.estimated_bytes, 0)
-        stats.cancelled += 1
         stats.tokens_served += inflight.num_generated
+        return stats
 
     # ------------------------------------------------------------------
     # observability

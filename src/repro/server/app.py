@@ -86,8 +86,9 @@ def check_drained(service: InferenceService) -> None:
     """Assert the drain-time invariants the serving soak establishes.
 
     After a drain nothing may linger: no scheduler work, no non-terminal
-    request, zero admission reservations, zero pinned contexts, no live
-    execution state, and a consistent residency ledger: the store's LRU
+    request, zero admission reservations, no tenant with a request in flight
+    or bytes reserved, zero pinned contexts, no live execution state, and a
+    consistent residency ledger: the store's LRU
     lists exactly the resident contexts, and with nothing pinned the byte
     budget holds (unless a single context alone exceeds it).  Raises ``AssertionError`` naming every violated
     invariant (so a failing shutdown reports all of them, not just the
@@ -104,6 +105,14 @@ def check_drained(service: InferenceService) -> None:
         problems.append(
             f"admission reservations leaked: {scheduler.admission.committed_bytes} bytes"
         )
+    tenants = scheduler.tenants
+    for name in tenants.known_tenants():
+        stats = tenants.stats(name)
+        if stats.inflight or stats.reserved_bytes:
+            problems.append(
+                f"tenant {name!r} ledger leaked: inflight={stats.inflight} "
+                f"reserved_bytes={stats.reserved_bytes}"
+            )
     registry = service.db.store_registry
     if registry.num_pinned != 0:
         problems.append(f"pinned contexts leaked: {registry.pinned_ids()}")

@@ -20,11 +20,12 @@ from repro.scheduler import (
     RequestState,
     SLOAwarePolicy,
 )
+from repro.server.app import check_drained
 from repro.storage.backend import FilesystemBackend
 
 
 class FakeBackend:
-    """Model-free backend (mirrors test_scheduler.FakeBackend, plus cancel)."""
+    """Model-free backend (mirrors test_scheduler.FakeBackend, recording cancels)."""
 
     def __init__(self, chunk_tokens=4, bytes_per_request=100):
         self.chunk_tokens = chunk_tokens
@@ -60,7 +61,7 @@ class FakeBackend:
     def cancel_request(self, inflight):
         self.cancelled.append(inflight.request.request_id)
 
-    def reject_request(self, request):
+    def fail_request(self, request, error):
         pass
 
     def preempt_request(self, inflight):
@@ -206,6 +207,18 @@ class TestServiceCancel:
         # the stored context was unpinned by the session teardown: spillable
         service.db.store_registry.spill("doc")
         assert "doc" not in service.db.store_registry.resident_ids()
+        check_drained(service)
+
+    def test_drain_check_catches_a_leaked_tenant_ledger(self, monkeypatch):
+        """A cancel that skips the governor's hook leaves the tenant billed
+        for a request that is gone, and the drain invariants say so."""
+        service = self._service(max_inflight_requests=1)
+        handle = service.submit("a request cancelled mid-flight " * 3, max_new_tokens=4)
+        service.step()
+        monkeypatch.setattr(service.scheduler.tenants, "on_cancelled_inflight", lambda inflight: None)
+        assert handle.cancel()
+        with pytest.raises(AssertionError, match="tenant 'default' ledger leaked: inflight=1"):
+            check_drained(service)
 
     def test_cancel_preempted_through_service(self, tmp_path):
         model = TransformerModel(ModelConfig.tiny(seed=79))

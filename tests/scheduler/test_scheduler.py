@@ -38,8 +38,8 @@ class FakeBackend:
         """What ``preempted_request_bytes`` reports a paused request retains."""
         self.begun: list[int] = []
         self.finished: list[int] = []
-        self.rejected: list[int] = []
         self.failed: list[int] = []
+        self.cancelled: list[int] = []
         self.preempted: list[int] = []
         self.resumed: list[int] = []
         self.fail_request_ids: set[int] = set()
@@ -79,11 +79,11 @@ class FakeBackend:
     def finish_request(self, inflight):
         self.finished.append(inflight.request.request_id)
 
-    def reject_request(self, request):
-        self.rejected.append(request.request_id)
-
     def fail_request(self, request, error):
         self.failed.append(request.request_id)
+
+    def cancel_request(self, inflight):
+        self.cancelled.append(inflight.request.request_id)
 
     def preempt_request(self, inflight):
         self.preempted.append(inflight.request.request_id)
@@ -144,7 +144,7 @@ class TestAdmissionController:
         assert controller.try_admit(60) == AdmissionDecision.DEFER
         controller.release(60)
         assert controller.try_admit(60) == AdmissionDecision.ADMIT
-        assert controller.stats.deferral_attempts == 1
+        assert controller.committed_bytes == 60
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
@@ -198,13 +198,14 @@ class TestRequestScheduler:
         assert scheduler.stats.deferrals >= 1
         scheduler.drain()
         assert sorted(backend.finished) == [1, 2, 3]
-        assert backend.rejected == []
+        assert scheduler.stats.rejected == 0
 
         backend.bytes_per_request = 101  # can never fit
         rejected = _request(9)
         scheduler.submit(rejected)
         scheduler.drain()
-        assert backend.rejected == [9]
+        assert scheduler.stats.rejected == 1
+        assert scheduler.tenants.stats("default").rejected == 1
         assert rejected.state == RequestState.REJECTED
 
     def test_deferrals_count_unique_requests(self):
@@ -221,7 +222,7 @@ class TestRequestScheduler:
             scheduler.step()
         assert waiting.state == RequestState.DEFERRED
         assert scheduler.stats.deferrals == 1
-        assert scheduler.admission.stats.deferral_attempts >= 5
+        assert scheduler.tenants.stats("default").deferred == 1
         scheduler.drain()
         assert sorted(backend.finished) == [1, 2]
 
@@ -331,20 +332,6 @@ class TestBeginRequestFailure:
         scheduler.drain()
         assert scheduler.admission.committed_bytes == 0
 
-    def test_failure_without_fail_hook_falls_back_to_reject(self):
-        backend = FakeBackend()
-        backend.fail_request_ids = {1}
-        del FakeBackend.fail_request
-        try:
-            scheduler = RequestScheduler(backend)
-            request = _request(1, max_new_tokens=1)
-            scheduler.submit(request)
-            scheduler.drain()
-            assert backend.rejected == [1]
-            assert request.state == RequestState.FAILED
-        finally:
-            FakeBackend.fail_request = _FAKE_FAIL_REQUEST
-
 
 class TestPreemption:
     def _scheduler(self, backend, **kwargs):
@@ -448,7 +435,7 @@ class TestPreemption:
         scheduler.drain()
         assert scheduler.stats.resumes == 1
         # two unique requests were admitted; the resume is not a third
-        assert scheduler.admission.stats.admitted == 2
+        assert scheduler.stats.admitted == 2
 
     def test_no_preemption_when_budget_still_blocks_the_critical(self):
         """Pausing a victim that cannot free enough budget would only thrash
@@ -502,9 +489,6 @@ class TestPreemption:
         scheduler.drain()
         assert not scheduler.has_work
         assert sorted(backend.finished) == [1, 2]
-
-
-_FAKE_FAIL_REQUEST = FakeBackend.fail_request
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,15 @@ full :class:`InferenceService`.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import AlayaDBConfig
 from repro.core.service import InferenceService
 from repro.errors import ConfigError, TenantThrottledError, UnknownTenantError
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.scheduler import (
+    BATCH_SLO,
     DEFAULT_TENANT,
     SLO,
     AdmissionController,
@@ -68,14 +71,15 @@ class TestResolve:
         with pytest.raises(UnknownTenantError):
             governor.resolve("mystery")
 
-    def test_auto_registers_with_default_spec_limits(self):
-        governor = TenantGovernor(
-            default_spec=TenantSpec(name=DEFAULT_TENANT, max_queued=7)
-        )
-        spec = governor.resolve("new-tenant")
-        assert spec.name == "new-tenant"
-        assert spec.max_queued == 7
-        assert "new-tenant" in governor.known_tenants()
+    def test_undeclared_name_is_billed_to_default(self):
+        governor = TenantGovernor(specs=[TenantSpec(name="a")])
+        assert governor.resolve("new-tenant").name == DEFAULT_TENANT
+        assert governor.known_tenants() == ["a", DEFAULT_TENANT]
+
+    def test_declared_default_wins(self):
+        governor = TenantGovernor(specs=[TenantSpec(name=DEFAULT_TENANT, max_queued=7)])
+        assert governor.resolve("new-tenant").max_queued == 7
+        assert governor.known_tenants() == [DEFAULT_TENANT]
 
     def test_none_maps_to_default(self):
         governor = TenantGovernor()
@@ -192,12 +196,74 @@ class TestDeficitRoundRobin:
         index = governor.select(queue, SLOAwarePolicy(), now=0.1)
         assert queue[index] is urgent
 
-    def test_adopts_tenants_submitted_around_the_governor(self):
+    def test_lone_tenant_admits_on_the_first_call(self):
+        """Work-conserving: a free slot is never declined for want of credit,
+        whatever the request costs and whatever credit is left over."""
         governor = TenantGovernor()
-        queue = [_request(1, "stranger")]
-        index = governor.select(queue, FCFSPolicy(), now=0.0)
-        assert index == 0
-        assert "stranger" in governor.known_tenants()
+        for request_id, cost in enumerate((1616, 712, 20, 712, 5000)):
+            queue = [_request(request_id, DEFAULT_TENANT, num_tokens=cost - 16, max_new_tokens=16)]
+            assert governor.select(queue, FCFSPolicy(), now=0.0) == 0
+            governor.on_admitted(queue[0], reserved_bytes=0)
+
+    def test_saving_up_keeps_the_rotation_order(self):
+        """The rotations in which nobody can pay are skipped in one stride;
+        the deficits they would have added stay, and the first tenant in
+        ring order that can pay in the next rotation wins."""
+        governor = TenantGovernor(
+            specs=[TenantSpec(name="a"), TenantSpec(name="b", weight=2)], quantum_tokens=10
+        )
+        queue = [_request(1, "a", num_tokens=36), _request(2, "b", num_tokens=56)]
+        # a needs 4 visits (40 >= 40), b needs 3 (60 >= 60): b wins on its
+        # third visit, by which a has been credited three times
+        assert queue[governor.select(queue, FCFSPolicy(), now=0.0)].tenant == "b"
+        assert governor.stats("a").deficit_tokens == 30
+        assert governor.stats("b").deficit_tokens == 60
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    requests=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=3000),  # prompt tokens
+            st.integers(min_value=0, max_value=2000),  # max_new_tokens
+            st.integers(min_value=-2, max_value=2),  # priority
+            st.one_of(st.none(), st.floats(min_value=0.01, max_value=120.0)),  # TTFT SLO
+            st.floats(min_value=0.0, max_value=50.0),  # seconds waited so far
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    policy_name=st.sampled_from(["fcfs", "slo"]),
+    arrival=st.randoms(use_true_random=False),
+)
+def test_one_tenant_admits_in_policy_order(requests, policy_name, arrival):
+    """A governor holding only ``default`` admits exactly in the order that
+    repeated ``policy.select`` gives — the single-path scheduler relies on
+    it to behave as the bare policy for a service without declared tenants."""
+    policy = FCFSPolicy() if policy_name == "fcfs" else SLOAwarePolicy()
+    now = 100.0
+    queue = []
+    for request_id, (prompt, new, priority, ttft, waited) in enumerate(requests):
+        slo = SLO(ttft_seconds=ttft) if ttft is not None else None
+        request = _request(request_id, DEFAULT_TENANT, prompt, new, priority=priority, slo=slo)
+        request.submitted_at = now - waited
+        queue.append(request)
+    orders = list(range(len(queue)))
+    arrival.shuffle(orders)
+    for request, order in zip(queue, orders):
+        request.arrival_order = order
+    expected, remaining = [], list(queue)
+    while remaining:
+        expected.append(remaining.pop(policy.select(remaining, now)).request_id)
+    governor = TenantGovernor()
+    admitted, remaining = [], list(queue)
+    while remaining:
+        index = governor.select(remaining, policy, now)
+        assert index is not None
+        request = remaining.pop(index)
+        governor.on_admitted(request, reserved_bytes=0)
+        admitted.append(request.request_id)
+    assert admitted == expected
 
 
 class TestBackpressure:
@@ -270,7 +336,7 @@ class TestSchedulerIntegration:
         assert governor.stats("capped").completed == 4
 
     def test_cancel_updates_tenant_counters(self):
-        governor = TenantGovernor()
+        governor = TenantGovernor(specs=[TenantSpec(name="t")])
         backend, scheduler = self._scheduler(governor, max_inflight=1)
         running = _request(1, "t", num_tokens=32)
         queued = _request(2, "t", num_tokens=32)
@@ -284,6 +350,39 @@ class TestSchedulerIntegration:
         assert stats.inflight == 0
         assert stats.reserved_bytes == 0
 
+    def test_preemption_serves_the_request_it_was_made_for(self):
+        """Every preemption frees the slot for the governor's own pick, which
+        is admitted in the same step.  Gold holds the DRR turn with credit
+        for its three queued requests, so the critical std request must wait
+        for std's turn, then takes one victim's slot."""
+        governor = TenantGovernor(
+            specs=[TenantSpec(name="gold", weight=2), TenantSpec(name="std")], quantum_tokens=8
+        )
+        backend = FakeBackend(chunk_tokens=1)
+        scheduler = RequestScheduler(
+            backend,
+            policy=SLOAwarePolicy(),
+            max_inflight=1,
+            preemption=True,
+            preemption_slack_seconds=0.5,
+            tenants=governor,
+        )
+        scheduler.submit(_request(1, "gold", num_tokens=2, max_new_tokens=2, slo=BATCH_SLO))
+        scheduler.step()  # gold takes the turn with 16 - 4 tokens of credit left
+        for request_id in (2, 3, 4):
+            scheduler.submit(
+                _request(request_id, "gold", num_tokens=2, max_new_tokens=2, slo=BATCH_SLO)
+            )
+        critical = _request(5, "std", num_tokens=1, max_new_tokens=1, slo=SLO(ttft_seconds=0.1))
+        scheduler.submit(critical)
+        while scheduler.has_work:
+            preempted, begun = len(backend.preempted), len(backend.begun)
+            scheduler.step()
+            if len(backend.preempted) > preempted:
+                assert backend.begun[begun:] == [critical.request_id]
+        assert scheduler.stats.preemptions == 1
+        assert sorted(backend.finished) == [1, 2, 3, 4, 5]
+
 
 def _service(tmp_path, **config_kwargs):
     model = TransformerModel(ModelConfig.tiny())
@@ -292,13 +391,25 @@ def _service(tmp_path, **config_kwargs):
 
 
 class TestServiceIntegration:
-    def test_governance_off_by_default(self, tmp_path):
+    def test_every_service_admits_through_the_governor(self, tmp_path):
         service = _service(tmp_path)
-        assert service.tenants is None
-        assert "tenants" not in service.memory_report()
+        assert service.scheduler.tenants.known_tenants() == [DEFAULT_TENANT]
+        service.submit("hello", max_new_tokens=2).result()
+        assert service.memory_report()["tenants"][DEFAULT_TENANT]["completed"] == 1
+
+    def test_undeclared_names_never_grow_the_registry(self, tmp_path):
+        """Client-chosen tenant names are billed to ``default``: thousands of
+        one-off names leave one row per declared tenant, not one per name."""
+        service = _service(tmp_path, tenants=(TenantSpec(name="gold"),))
+        for i in range(3000):
+            assert service.submit("x", max_new_tokens=1, tenant=f"one-off-{i}").cancel()
+        assert service.scheduler.tenants.known_tenants() == ["gold", DEFAULT_TENANT]
+        rows = service.memory_report()["tenants"]
+        assert sorted(rows) == [DEFAULT_TENANT, "gold"]
+        assert rows[DEFAULT_TENANT]["cancelled"] == 3000
 
     def test_memory_report_has_tenant_rows(self, tmp_path):
-        service = _service(tmp_path, tenant_fairness=True)
+        service = _service(tmp_path, tenants=(TenantSpec(name="alpha"),))
         service.submit("hello alpha", max_new_tokens=2, tenant="alpha").result()
         service.submit("hello default", max_new_tokens=2).result()
         rows = service.memory_report()["tenants"]
@@ -341,7 +452,11 @@ class TestServiceIntegration:
             assert handle.status == RequestState.FINISHED
 
     def test_default_tenant_queue_limit(self, tmp_path):
-        service = _service(tmp_path, tenant_default_max_queued=1, max_inflight_requests=1)
+        service = _service(
+            tmp_path,
+            tenants=(TenantSpec(name=DEFAULT_TENANT, max_queued=1),),
+            max_inflight_requests=1,
+        )
         service.submit("a", max_new_tokens=2)  # queue depth 0 at submit: fine
         with pytest.raises(TenantThrottledError):
             service.submit("b", max_new_tokens=2)  # depth 1 == limit: throttled

@@ -254,16 +254,15 @@ class TestErrorSurface:
             second = asyncio.create_task(
                 client.completion(prompt="queued", max_new_tokens=5000, tenant="busy")
             )
-            throttled = None
-            for _ in range(100):
-                response = await client.completion(
-                    prompt="one too many", max_new_tokens=1, tenant="busy"
-                )
-                if response.status == 429:
-                    throttled = response
+            for _ in range(500):
+                if service.scheduler.queue_depth:
                     break
                 await asyncio.sleep(0.01)
-            assert throttled is not None, "backpressure never engaged"
+            assert service.scheduler.queue_depth == 1
+            throttled = await client.completion(
+                prompt="one too many", max_new_tokens=1, tenant="busy"
+            )
+            assert throttled.status == 429
             assert throttled.json()["error"]["code"] == "tenant_throttled"
             assert int(throttled.headers["retry-after"]) >= 1
             assert int(throttled.headers["x-queue-position"]) == 2
@@ -283,7 +282,7 @@ class TestErrorSurface:
 class TestStatsAndLifecycle:
     def test_stats_endpoint_reports_tenants_and_counters(self, tmp_path):
         async def scenario():
-            service = _service(tmp_path, tenant_fairness=True)
+            service = _service(tmp_path, tenants=(TenantSpec(name="alpha"),))
             server, client = await _serving(service)
             await client.completion(prompt="alpha speaks", max_new_tokens=2, tenant="alpha")
             stats = await client.stats()
