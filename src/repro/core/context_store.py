@@ -337,6 +337,13 @@ class ContextStore:
     def _index_key(context_id: str) -> str:
         return f"{context_id}.indexes.npz"
 
+    def flush(self) -> None:
+        """Return once everything this store wrote is durable; raises
+        :class:`~repro.errors.StorageError` when landing some of it failed
+        (see :meth:`StorageBackend.flush`)."""
+        if self.backend is not None:
+            self.backend.flush()
+
     @property
     def manifest_generation(self) -> int:
         """Generation stamp of the last manifest write (0 without a backend)."""
@@ -371,14 +378,17 @@ class ContextStore:
             self._lru[context_id] = None
         if self.backend is not None and context.is_resident:
             # the database property: a stored context survives this process
+            replaced = self._manifest.get(context_id)
             self._persist_snapshot(context)
             if context.fine_indexes or context.coarse_indexes:
                 self._persist_index_blob(context)
             self._manifest.upsert(self._manifest_entry(context))
             self._manifest.save(self.backend)
-            if existing is not None and context_id not in self._indexed_on_disk:
-                # the replaced version's blob is outside the catalog now
-                self.backend.delete(self._index_key(context_id))
+            if replaced is not None and replaced.index_key and context_id not in self._indexed_on_disk:
+                # the replaced version's blob is outside the catalog now.  A
+                # key no row named is not deleted: looking up a missing key
+                # waits behind whatever the backend is unlinking
+                self.backend.delete(replaced.index_key)
         self._enforce_budget(protect=context_id)
 
     def get(self, context_id: str) -> StoredContext:
@@ -397,12 +407,14 @@ class ContextStore:
         self._forget(context)
         del self._contexts[context_id]
         if self.backend is not None:
+            row = self._manifest.get(context_id)
             # uncatalog first: a failure past this point leaves an orphan
             # object, never a row that names a deleted snapshot
             if self._manifest.remove(context_id):
                 self._manifest.save(self.backend)
             self.backend.delete(self._snapshot_key(context_id))
-            self.backend.delete(self._index_key(context_id))
+            if row is not None and row.index_key:
+                self.backend.delete(row.index_key)
 
     def list_ids(self) -> list[str]:
         return sorted(self._contexts)

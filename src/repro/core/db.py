@@ -464,7 +464,9 @@ class DB:
             self.store_registry.persist_indexes(context_id)
         # a second StoredContext over the same snapshot and indexes, so the
         # two stores never share residency state
-        ContextStore.open(dest_dir).add(dataclasses.replace(context), overwrite=True)
+        bundle = ContextStore.open(dest_dir)
+        bundle.add(dataclasses.replace(context), overwrite=True)
+        bundle.flush()  # a bundle leaves the process: it is complete on disk
         return Path(dest_dir)
 
     def import_context_bundle(

@@ -328,14 +328,14 @@ class InferenceService:
 
         Accepts a request id or the :class:`RequestHandle` ``submit``
         returned.  Raises :class:`RequestFailedError` when the request's
-        session setup raised mid-round (state FAILED) — the original error is
-        in the message.
+        session setup, or storing its finished context, raised mid-round
+        (state FAILED) — the original error is in the message.
         """
         if isinstance(request_id, RequestHandle):
             request_id = request_id.request_id
         if request_id in self._failures:
             raise RequestFailedError(
-                f"request {request_id} failed during session setup: "
+                f"request {request_id} failed: "
                 f"{self._failures[request_id]}"
             )
         return self._results.get(request_id)
@@ -489,13 +489,15 @@ class InferenceService:
             finished_by_eos=inflight.finished_by_eos,
         )
         record = self._record(inflight, result)
-        if request.store_context_id is not None:
-            stored = self._store_session_context(inflight, request.store_context_id)
-            record.stored_context_id = stored.context_id
-        elif self.store_conversations:
-            stored = self.db.store(inflight.session, context_id=f"conversation-{request.request_id:04d}")
-            record.stored_context_id = stored.context_id
-        inflight.session.close()
+        try:
+            if request.store_context_id is not None:
+                stored = self._store_session_context(inflight, request.store_context_id)
+                record.stored_context_id = stored.context_id
+            elif self.store_conversations:
+                stored = self.db.store(inflight.session, context_id=f"conversation-{request.request_id:04d}")
+                record.stored_context_id = stored.context_id
+        finally:
+            inflight.session.close()
         self.stats.records.append(record)
         self._results[request.request_id] = (result, record)
         while len(self._results) > self.MAX_RETAINED_RESULTS:
@@ -530,7 +532,8 @@ class InferenceService:
         inflight.session.close()
 
     def fail_request(self, request: Request, error: Exception) -> None:
-        """Record a mid-round session-setup failure for ``result()`` lookup."""
+        """Record a mid-round failure (session setup, or storing the
+        finished session's context) for ``result()`` lookup."""
         # the scheduler already formatted the error onto the request
         self._failures[request.request_id] = request.error or repr(error)
         while len(self._failures) > self.MAX_RETAINED_RESULTS:

@@ -43,8 +43,9 @@ class AdmissionRejectedError(DatabaseError):
 
 
 class RequestFailedError(DatabaseError):
-    """A scheduled request failed during session setup (``begin_request``
-    raised); the original error message is carried in ``args[0]``."""
+    """A scheduled request failed mid-round (``begin_request`` or
+    ``finish_request`` raised); the original error message is carried in
+    ``args[0]``."""
 
 
 class RequestCancelledError(DatabaseError):

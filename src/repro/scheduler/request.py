@@ -25,7 +25,8 @@ class RequestState:
     FINISHED = "finished"
     REJECTED = "rejected"
     FAILED = "failed"
-    """Session setup raised; the error is recorded on ``Request.error``."""
+    """Session setup, or storing the finished session's context, raised;
+    the error is recorded on ``Request.error``."""
     CANCELLED = "cancelled"
     """The client cancelled the request (queued, in flight, or preempted);
     its admission reservation was released and its session torn down."""
@@ -60,7 +61,8 @@ class Request:
     arrival_order: int = 0
     state: str = RequestState.QUEUED
     error: str | None = None
-    """Why the request FAILED (``begin_request`` raised); ``None`` otherwise."""
+    """Why the request FAILED (``begin_request`` or ``finish_request``
+    raised); ``None`` otherwise."""
 
     def __post_init__(self) -> None:
         if not self.prompt_tokens:

@@ -42,14 +42,16 @@ class SchedulerBackend(Protocol):
         — in one pass."""
 
     def finish_request(self, inflight: InFlightRequest) -> None:
-        """Record results and release per-request resources."""
+        """Record results and release per-request resources.  Raising fails
+        the request (see :meth:`fail_request`)."""
 
     def cancel_request(self, inflight: InFlightRequest) -> None:
         """A running or preempted request was cancelled; tear down its
         session (its admission reservation is already released)."""
 
     def fail_request(self, request: Request, error: Exception) -> None:
-        """Note a request whose session setup (``begin_request``) raised."""
+        """Note a request whose ``begin_request`` or ``finish_request``
+        raised."""
 
     def preempted_request_bytes(self, inflight: InFlightRequest) -> int:
         """Bytes a paused request keeps resident (its session's live KV);
@@ -77,7 +79,8 @@ class SchedulerStats:
     admitted: int = 0
     rejected: int = 0
     failed: int = 0
-    """Requests whose ``begin_request`` raised (state FAILED)."""
+    """Requests whose ``begin_request`` or ``finish_request`` raised (state
+    FAILED)."""
     deferrals: int = 0
     """Unique requests that waited on the memory budget at least once."""
     preemptions: int = 0
@@ -301,11 +304,8 @@ class RequestScheduler:
                 # gone from disk): release the reservation, record the error
                 # on the request, and keep the round going for everyone else
                 self.admission.release(estimate)
-                request.state = RequestState.FAILED
-                request.error = f"{type(exc).__name__}: {exc}"
-                self.stats.failed += 1
                 self.tenants.on_failed(request)
-                self.backend.fail_request(request, exc)
+                self._fail(request, exc)
                 continue
             inflight.reserved_bytes = estimate
             inflight.estimated_bytes = estimate
@@ -352,12 +352,25 @@ class RequestScheduler:
         finished = [fl for fl in self._inflight if fl.is_finished]
         for inflight in finished:
             self._inflight.remove(inflight)
-            inflight.request.state = RequestState.FINISHED
             self.admission.release(inflight.reserved_bytes)
+            try:
+                self.backend.finish_request(inflight)
+            except Exception as exc:
+                # keeping the outcome failed (a durable re-store raised): the
+                # request fails, the round's other requests finish as usual
+                self.tenants.on_failed(inflight.request, inflight)
+                self._fail(inflight.request, exc)
+                continue
+            inflight.request.state = RequestState.FINISHED
             self.stats.completed += 1
             self.tenants.on_finished(inflight)
-            self.backend.finish_request(inflight)
         return finished
+
+    def _fail(self, request: Request, exc: Exception) -> None:
+        request.state = RequestState.FAILED
+        request.error = f"{type(exc).__name__}: {exc}"
+        self.stats.failed += 1
+        self.backend.fail_request(request, exc)
 
     def drain(self, max_steps: int | None = None) -> list[InFlightRequest]:
         """Step until the queue and in-flight set are empty (or ``max_steps``)."""

@@ -303,9 +303,11 @@ class TenantGovernor:
     def on_rejected(self, request: "Request") -> None:
         self._stats[request.tenant].rejected += 1
 
-    def on_failed(self, request: "Request") -> None:
-        """Session setup raised after admission bookkeeping never started."""
-        self._stats[request.tenant].failed += 1
+    def on_failed(self, request: "Request", inflight: "InFlightRequest | None" = None) -> None:
+        """Session setup raised (``inflight`` is None: admission bookkeeping
+        never started), or keeping an admitted request's outcome did."""
+        stats = self._stats[request.tenant] if inflight is None else self._release(inflight)
+        stats.failed += 1
 
     def on_finished(self, inflight: "InFlightRequest") -> None:
         stats = self._release(inflight)

@@ -87,12 +87,13 @@ def check_drained(service: InferenceService) -> None:
 
     After a drain nothing may linger: no scheduler work, no non-terminal
     request, zero admission reservations, no tenant with a request in flight
-    or bytes reserved, zero pinned contexts, no live execution state, and a
-    consistent residency ledger: the store's LRU
-    lists exactly the resident contexts, and with nothing pinned the byte
-    budget holds (unless a single context alone exceeds it).  Raises ``AssertionError`` naming every violated
-    invariant (so a failing shutdown reports all of them, not just the
-    first).
+    or bytes reserved, zero pinned contexts, no live execution state, a
+    consistent residency ledger (the store's LRU lists exactly the resident
+    contexts, and with nothing pinned the byte budget holds unless a single
+    context alone exceeds it), and no storage write or delete still pending
+    (flush the store first).  Raises ``AssertionError`` naming every
+    violated invariant (so a failing shutdown reports all of them, not just
+    the first).
     """
     problems: list[str] = []
     scheduler = service.scheduler
@@ -130,6 +131,9 @@ def check_drained(service: InferenceService) -> None:
         problems.append(
             f"byte budget exceeded with nothing pinned: {registry.resident_kv_bytes} > {budget}"
         )
+    pending = registry.backend.pending_ops if registry.backend is not None else 0
+    if pending:
+        problems.append(f"storage operations still pending (not flushed): {pending}")
     if problems:
         raise AssertionError("drain invariants violated:\n  " + "\n  ".join(problems))
 
@@ -189,9 +193,10 @@ class AlayaDBServer:
         ``drain=True`` lets every in-flight stream finish (the pump keeps
         stepping); ``drain=False`` cancels every HTTP-submitted request so
         streams end with a ``cancelled`` finish reason.  Either way the
-        scheduler is then stepped dry and :func:`check_drained` asserts the
+        scheduler is then stepped dry, the context store flushed (every
+        stored context is durable), and :func:`check_drained` asserts the
         exit is clean — zero pinned contexts, zero reservations, no
-        non-terminal requests.
+        non-terminal requests, nothing pending in storage.
         """
         if self.state in ("stopped",):
             return
@@ -221,6 +226,8 @@ class AlayaDBServer:
                 pass
             self._pump_task = None
         self.state = "stopped"
+        # drain means durable: every stored context has landed on disk
+        await asyncio.to_thread(self.service.db.store_registry.flush)
         check_drained(self.service)
 
     # ------------------------------------------------------------------

@@ -16,7 +16,8 @@ Format 1 catalogs (tokens as JSON lists) still load, and the first save
 over one rewrites every row packed.
 
 Crash safety comes from two sides: the backend's atomic write (temp +
-rename, so a reader never sees a torn manifest) and a monotonically
+rename, so a reader never sees a torn manifest; the filesystem backend
+lands the manifest after the objects it names) and a monotonically
 increasing **generation** stamp, bumped on every write, so stale copies are
 detectable and a reopened store continues the sequence instead of resetting
 it.  Several handles may share one backend (a sharded router and its shard
@@ -34,12 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ContextLoadError
-from .backend import StorageBackend
+from .backend import CATALOG_KEY, StorageBackend
 
 __all__ = ["MANIFEST_FORMAT_VERSION", "MANIFEST_KEY", "ManifestEntry", "ContextManifest"]
 
 MANIFEST_FORMAT_VERSION = 2
-MANIFEST_KEY = "manifest.json"
+MANIFEST_KEY = CATALOG_KEY  # the backend lands it after the objects it names
 _INT32 = np.iinfo(np.int32)
 
 

@@ -8,7 +8,18 @@ import pytest
 from repro.core.context_store import StoredContext
 from repro.kvcache.serialization import KVSnapshot
 from repro.llm.model import ModelConfig, TransformerModel
+from repro.storage.backend import FilesystemBackend
 from repro.workloads.generator import ScoringMode, WorkloadSpec, generate_workload
+
+
+@pytest.fixture(autouse=True)
+def _land_every_write():
+    """Each test ends with every directory write it issued landed; a
+    directory that still cannot land fails the test."""
+    yield
+    errors = FilesystemBackend.land_all()
+    if errors:
+        pytest.fail(f"writes that cannot land: {errors}")
 
 
 @pytest.fixture(scope="session")

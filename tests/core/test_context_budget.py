@@ -114,6 +114,7 @@ class TestBudgetedResidency:
         assert not store.get("a").is_resident
         assert store.get("b").is_resident
         assert store.spill_count == 1
+        store.flush()  # the directory is read directly below
         assert (tmp_path / "a.npz").exists()
         assert store.resident_kv_bytes <= budget
         # tokens still matchable while spilled

@@ -133,6 +133,7 @@ def test_store_is_one_exact_residency_ledger(backend_kind, ops, seed):
         for context_id in store.list_ids():
             store.remove(context_id)
         assert set(store.backend.list_keys()) <= {MANIFEST_KEY}
+        store.flush()  # land everything before the directory is removed
 
 
 def test_check_drained_reports_ledger_drift(tiny_model):

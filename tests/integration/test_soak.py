@@ -163,7 +163,8 @@ def test_soak_drains_to_a_clean_state(tmp_path):
     assert service._live == {}
 
     # the residency ledger is exact, and nothing is pinned any more, so the
-    # budget must hold again
+    # budget must hold again; drained means durable, so the store is flushed
+    registry.flush()
     check_drained(service)
     assert registry.resident_kv_bytes <= registry.kv_budget_bytes
 

@@ -207,6 +207,7 @@ class TestServiceCancel:
         # the stored context was unpinned by the session teardown: spillable
         service.db.store_registry.spill("doc")
         assert "doc" not in service.db.store_registry.resident_ids()
+        service.db.store_registry.flush()  # drained means durable
         check_drained(service)
 
     def test_drain_check_catches_a_leaked_tenant_ledger(self, monkeypatch):

@@ -70,6 +70,7 @@ class TestFilesystemBackend:
         backend = FilesystemBackend(tmp_path)
         for i in range(5):
             backend.write_bytes("blob", b"v%d" % i)
+        backend.flush()  # the directory is read directly below
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
         assert backend.read_bytes("blob") == b"v4"

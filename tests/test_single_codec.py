@@ -4,7 +4,7 @@ KV snapshots and context-index blobs are raw, checksummed records
 (``repro.storage.record``).  A module that reaches for ``np.savez`` /
 ``np.savez_compressed`` / ``np.load`` instead brings back a second on-disk
 format — and the zlib pass the record format exists to avoid.  The one
-atomic write (temp file + ``os.replace``) is ``FilesystemBackend.write_bytes``;
+atomic write (temp file + ``os.replace``) is ``FilesystemBackend``'s lander;
 a module with its own ``os.replace`` / ``tempfile.mkstemp`` is a second
 on-disk path beside the storage backend.
 """
