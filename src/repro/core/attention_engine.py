@@ -12,12 +12,23 @@ stored token: it takes the same route as the sparse plans, minus retrieval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..llm.attention import PartialAttention, combine_partial_attention, partial_attention
 
 __all__ = ["AttentionBreakdown", "DataCentricAttentionEngine"]
+
+
+@lru_cache(maxsize=16)
+def _causal_triangle(rows: int) -> np.ndarray:
+    """A prefill chunk's read-only causal mask over its own ``r`` keys, the
+    last ``r`` of the local KV (``np.tri(r, m, m - r)`` minus its all-True
+    columns); every layer and every chunk of that length reads the same one."""
+    mask = np.tri(rows, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass
@@ -36,11 +47,7 @@ class AttentionBreakdown:
 
 
 class DataCentricAttentionEngine:
-    """Computes attention outputs by merging per-location partials."""
-
-    def __init__(self, scale: float | None = None):
-        self.scale = scale
-        self._causal_mask = np.ones((0, 0), dtype=bool)
+    """Computes attention outputs by merging per-location partials (stateless)."""
 
     def layer_output(
         self,
@@ -61,26 +68,26 @@ class DataCentricAttentionEngine:
         ``(num_query_heads, head_dim)`` outputs and one breakdown per head.
         """
         outputs, counts = self.stacked_layer_output(
-            np.asarray(queries, dtype=np.float32)[None],
+            np.asarray(queries, dtype=np.float32)[None, :, None],
             [(0, keys, values)],
             window_positions,
             retrieved_positions,
             [local_keys],
             [local_values],
         )
-        return outputs[0], [AttentionBreakdown(*row) for row in counts.T.tolist()]
+        return outputs[0, :, 0], [AttentionBreakdown(*row) for row in counts.T.tolist()]
 
     def stacked_layer_output(
         self,
         queries: np.ndarray,
         ranges: list[tuple[int, np.ndarray, np.ndarray]],
-        window_positions: np.ndarray,
+        window_positions: np.ndarray | None,
         retrieved_positions: list[np.ndarray] | None,
         local_keys: list[np.ndarray | None],
         local_values: list[np.ndarray | None],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One decode token's attention for ``S >= 1`` sessions over ``R >= 0``
-        stored-KV ranges.
+        """One layer's attention for ``S >= 1`` sessions of ``r >= 1`` query
+        rows each over ``R >= 0`` stored-KV ranges.
 
         Every session in a compatibility group reads the *same* stored
         context under the same plan.  Partials are computed where the data
@@ -88,19 +95,22 @@ class DataCentricAttentionEngine:
         plan) or one over its slice of the window and one over its slice of
         the retrieved tokens (a sparse plan), per session one over its local
         KV — and merge with one log-sum-exp combine, which equals a single
-        softmax over everything attended.  Returns the ``(num_sessions,
-        num_query_heads, head_dim)`` outputs and the ``(3, num_sessions *
-        num_query_heads)`` integer counts of window, retrieved and local
-        tokens each stacked row attended (:class:`AttentionBreakdown`'s
-        fields, session-major).  Row ``(s, h)`` of both is bit-for-bit
-        independent of which other sessions are stacked; heads that attend
-        to nothing come back as zeros.
+        softmax over everything attended.  A decode token is ``r = 1``; a
+        prefill chunk is its ``r`` rows, the last ``r`` entries of the local
+        KV, so only its local partial is masked (row ``t`` sees local tokens
+        ``[0, m - r + t]``) — every stored token precedes the chunk.
+        Returns the ``(num_sessions, num_query_heads, r, head_dim)`` outputs
+        and the ``(3, num_sessions * num_query_heads)`` integer counts of
+        window, retrieved and local tokens each stacked head's last row
+        attended (:class:`AttentionBreakdown`'s fields, session-major).  Row
+        ``(s, h, t)`` of the outputs is bit-for-bit independent of which
+        other sessions are stacked; heads that attend to nothing come back
+        as zeros.
 
         Parameters
         ----------
         queries:
-            ``(num_sessions, num_query_heads, head_dim)`` float32 decode
-            queries.
+            ``(num_sessions, num_query_heads, r, head_dim)`` float32 queries.
         ranges:
             ``(start, keys, values)`` per token range of the stored context:
             ``keys``/``values`` are ``(num_kv_heads, n_r, head_dim)`` and hold
@@ -114,20 +124,19 @@ class DataCentricAttentionEngine:
             full-attention plan.
         retrieved_positions:
             ``None`` for a full-attention plan: every token of every range is
-            attended, un-gathered.  Otherwise one global position array per
-            stacked head, session-major (``num_sessions * num_query_heads``
-            entries, each duplicate-free — retrieval outcomes are);
-            deduplication against the window happens here.
+            attended, un-gathered.  Otherwise (``r = 1`` only) one global
+            position array per stacked head, session-major (``num_sessions *
+            num_query_heads`` entries, each duplicate-free — retrieval
+            outcomes are); deduplication against the window happens here.
         local_keys / local_values:
             Per-session unmaterialised KV ``(num_kv_heads, m_s, head_dim)``
             or ``None``; lengths ``m_s`` may differ.  Each session's local
             partial is computed on its own arrays — padding them to a common
             length would change the summation order with the group.
         """
-        num_sessions, num_heads, head_dim = queries.shape
-        # window / retrieved / local tokens attended per stacked row
+        num_sessions, num_heads, num_rows, head_dim = queries.shape
+        # window / retrieved / local tokens attended per stacked head
         counts = np.zeros((3, num_sessions * num_heads), dtype=np.int64)
-        window_counts, retrieved_counts, local_counts = counts
         if ranges:
             num_kv_heads = ranges[0][1].shape[0]
         else:
@@ -135,13 +144,16 @@ class DataCentricAttentionEngine:
             if not present:
                 return np.zeros_like(queries), counts
             num_kv_heads = present[0].shape[0]
-        grouped_q = queries.reshape(num_sessions, num_kv_heads, num_heads // num_kv_heads, head_dim)
+        # the rows each KV head serves: its GQA group's heads, r rows apiece
+        grouped_q = queries.reshape(num_sessions, num_kv_heads, num_heads // num_kv_heads * num_rows, head_dim)
 
         partials: list[PartialAttention] = []
         if retrieved_positions is None:
+            attended = 0
             for _, keys, values in ranges:
-                partials.append(partial_attention(grouped_q, keys, values, self.scale))
-                retrieved_counts += keys.shape[1]
+                partials.append(partial_attention(grouped_q, keys, values))
+                attended += keys.shape[1]
+            counts[1] = attended
         elif ranges:
             window_positions = np.asarray(window_positions, dtype=np.int64)
             num_positions = max(start + keys.shape[1] for start, keys, _ in ranges)
@@ -151,46 +163,20 @@ class DataCentricAttentionEngine:
                 partials.extend(
                     self._sparse_range_partials(
                         grouped_q, start, keys, values, window_positions, in_window,
-                        retrieved_positions, window_counts, retrieved_counts,
+                        retrieved_positions, counts[0], counts[1],
                     )
                 )
 
+        mask = _causal_triangle(num_rows) if num_rows > 1 else None
         local = []
         for s, (lk, lv) in enumerate(zip(local_keys, local_values)):
             if lk is None:
-                local.append(PartialAttention.empty(num_heads, head_dim))
+                local.append(PartialAttention.empty(num_heads * num_rows, head_dim))
                 continue
-            local.append(partial_attention(grouped_q[s], lk, lv, self.scale))
-            local_counts[s * num_heads : (s + 1) * num_heads] = lk.shape[1]
-        partials.append(PartialAttention.concatenate(local))
+            local.append(partial_attention(grouped_q[s], lk, lv, mask=mask))
+            counts[2, s * num_heads : (s + 1) * num_heads] = lk.shape[1]
+        partials.append(local[0] if num_sessions == 1 else PartialAttention.concatenate(local))
         return combine_partial_attention(partials).output.reshape(queries.shape), counts
-
-    def causal_output(
-        self,
-        queries: np.ndarray,
-        ranges: list[tuple[int, np.ndarray, np.ndarray]],
-        local_keys: np.ndarray,
-        local_values: np.ndarray,
-    ) -> np.ndarray:
-        """Exact causal attention for a multi-token chunk (prefill of a suffix).
-
-        The same merge as a full-attention decode step with rows in place of
-        sessions: ``queries`` is float32 ``(num_query_heads, seq, head_dim)``, the
-        chunk's tokens are the last ``seq`` entries of ``local_keys``.  Every
-        stored token precedes the chunk, so each of the ``ranges`` (as in
-        :meth:`stacked_layer_output`) contributes one unmasked partial for
-        all ``seq`` rows; causality only bites inside the local KV.
-        """
-        num_heads, seq, head_dim = queries.shape
-        num_kv_heads, num_local, _ = local_keys.shape
-        rows = queries.reshape(num_kv_heads, num_heads // num_kv_heads * seq, head_dim)
-        partials = [partial_attention(rows, keys, values, self.scale) for _, keys, values in ranges]
-        # every layer of a chunk reads the same (seq, num_local) mask, and
-        # partial_attention repeats it over the group's heads
-        if self._causal_mask.shape != (seq, num_local):
-            self._causal_mask = np.tri(seq, num_local, num_local - seq, dtype=bool)
-        partials.append(partial_attention(rows, local_keys, local_values, self.scale, mask=self._causal_mask))
-        return combine_partial_attention(partials).output.reshape(queries.shape)
 
     def _sparse_range_partials(
         self,
@@ -224,9 +210,7 @@ class DataCentricAttentionEngine:
         window_local = window_positions[(window_positions >= start) & (window_positions < stop)] - start
         if window_local.size:
             partials.append(
-                partial_attention(
-                    grouped_q, keys[:, window_local, :], values[:, window_local, :], self.scale
-                )
+                partial_attention(grouped_q, keys[:, window_local, :], values[:, window_local, :])
             )
             window_counts += window_local.size
 
@@ -297,8 +281,8 @@ class DataCentricAttentionEngine:
         mask[row_ids, cols] = True
         return padded, mask, counts
 
+    @staticmethod
     def _masked_retrieved_partial(
-        self,
         queries: np.ndarray,
         keys: np.ndarray,
         values: np.ndarray,
@@ -316,8 +300,7 @@ class DataCentricAttentionEngine:
         num_heads, head_dim = queries.shape
         gathered_keys = keys[kv_of_head[:, None], padded, :]
         gathered_values = values[kv_of_head[:, None], padded, :]
-        scale = self.scale if self.scale is not None else 1.0 / np.sqrt(head_dim)
-        logits = np.matmul(gathered_keys, queries[:, :, None])[..., 0] * np.float32(scale)
+        logits = np.matmul(gathered_keys, queries[:, :, None])[..., 0] * np.float32(1.0 / np.sqrt(head_dim))
         logits = np.where(mask, logits, np.float32(-np.inf))
         max_logit = logits.max(axis=1)
         empty = np.isneginf(max_logit)

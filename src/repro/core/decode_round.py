@@ -3,16 +3,16 @@
 The scheduler serves every in-flight request — its next prefill chunk or its
 next decode token — with one ragged forward pass; a
 :class:`CrossRequestDecodeRound` is that pass's attention hook.  Per layer it
-appends every session's KV, answers a prefilling session's rows — however
-many, a lone row included — with its exact
-:meth:`~repro.core.session.Session.causal_attention`, groups the decoding
-sessions by compatibility key — stored context, reused prefix,
-plan and window geometry — and runs each group of ``S >= 1`` sessions
-through :func:`~repro.core.session.group_attention`: under a sparse plan flat/coarse
-scans stack into one gemm over the concatenated query heads and fine (DIPRS)
-walks stay per session (frontier expansion is data-dependent) but share one
-scratch; under a full-attention plan — nothing reused, a short context or a
-missing index — retrieval is skipped.  Either way the per-range and local
+appends every session's KV, groups the sessions by compatibility key —
+stored context, reused prefix, plan, window geometry, rows per session and
+whether they are a prefill chunk — and runs each group of ``S >= 1``
+sessions through :func:`~repro.core.session.group_attention`, the one
+attention entry: under a sparse plan (one decode token per session)
+flat/coarse scans stack into one gemm over the concatenated query heads and
+fine (DIPRS) walks stay per session (frontier expansion is data-dependent)
+but share one scratch; under a full-attention plan — nothing reused, a short
+context, a missing index, or a prefill chunk's rows, however many, a lone
+row included — retrieval is skipped.  Either way the per-range and local
 partials merge with one stacked engine call.
 
 A session's output and integer :class:`~repro.core.session.DecodeStepStats`
@@ -64,7 +64,8 @@ class CrossRequestDecodeRound:
     projected Q/K/V of every row, and receives the attention rows back.
     ``sessions`` must align with the ``caches`` the model passes, and
     ``prefilling[i]`` says whether session ``i``'s rows are a prefill chunk
-    (else one decode token).
+    (else one decode token).  Only decode tokens record
+    :class:`~repro.core.session.DecodeStepStats` and ``timings``.
     """
 
     def __init__(
@@ -90,54 +91,58 @@ class CrossRequestDecodeRound:
 
         ``q``/``k``/``v`` are ``(heads, sum(rows), head_dim)``; ``rows[i]``
         consecutive rows belong to session ``i``.  Every session appends its
-        KV first; a prefilling session answers its rows with its own
-        :meth:`Session.causal_attention` whatever their count, and the
-        decoding sessions run group by group (sessions are independent, so
-        the order leaves each one's view unchanged).
+        KV first; then each compatibility group — decode tokens or prefill
+        chunks alike — is one :func:`group_attention` call (sessions are
+        independent, so the order leaves each one's view unchanged).
         """
         num_heads, total, head_dim = q.shape
         attn = np.empty((total, num_heads * head_dim), dtype=np.float32)
-        starts, singles = [], []
+        starts = []
         start = 0
-        for i, (cache, n, prefill) in enumerate(zip(caches, rows, self.prefilling)):
+        for cache, n in zip(caches, rows):
             span = slice(start, start + n)
             cache.update_query(q[:, span], k[:, span], v[:, span], layer)
-            if prefill:
-                output = cache.causal_attention(q[:, span], layer)
-                attn[span] = output.transpose(1, 0, 2).reshape(n, -1)
-            else:
-                singles.append(i)
             starts.append(start)
             start += n
 
-        for indices, members in self._classify(layer, singles):
-            positions = [starts[i] for i in indices]
-            queries = q.transpose(1, 0, 2)[positions]  # (S, heads, head_dim), one copy
+        for n, indices, members in self._classify(layer, rows):
+            # the group's rows as (S, heads, n, head_dim) queries: a view
+            # for a group of one, one gather otherwise
+            size = len(indices)
+            if size == 1:
+                positions = slice(starts[indices[0]], starts[indices[0]] + n)
+            else:
+                positions = [row for i in indices for row in range(starts[i], starts[i] + n)]
+            queries = q[:, positions].reshape(num_heads, size, n, head_dim).transpose(1, 0, 2, 3)
             outputs = group_attention(layer, members, queries, self.timings)
-            attn[positions] = outputs.reshape(len(indices), -1)
+            attn[positions] = outputs.transpose(0, 2, 1, 3).reshape(size * n, -1)
         return attn
 
-    def _classify(self, layer: int, indices: list[int]):
-        """Split the sessions at ``indices`` into compatibility groups.
+    def _classify(self, layer: int, rows: list[int]):
+        """Split the round's sessions into compatibility groups.
 
         The compatibility key pins everything the stacked kernels assume is
         shared: the stored KV arrays of every range holding the context (by
         identity; none for a session that reuses nothing), the reused prefix,
-        the exact plan (frozen dataclass — hashable), and the window geometry.
-        Returns ``[(session indices, [(session, inputs), ...]), ...]``.
+        the exact plan (frozen dataclass — hashable), the window geometry,
+        and the row count and prefill flag — members with different row
+        counts never share a gemm, and a prefill chunk is never accounted as
+        a decode step.  Returns the groups as ``(rows per member, session
+        indices, [(session, inputs), ...])`` triples.
         """
-        by_key: dict[tuple, tuple[list, list]] = {}
-        for i in indices:
-            session = self.sessions[i]
-            inputs = session.layer_inputs(layer)
+        by_key: dict[tuple, tuple[int, list, list]] = {}
+        for i, (session, n, prefill) in enumerate(zip(self.sessions, rows, self.prefilling)):
+            inputs = session.layer_inputs(layer, prefill)
             key = (
-                inputs.kv_identity,
+                tuple([id(data.keys) for data in inputs.ranges]),
                 inputs.prefix,
                 inputs.plan,
                 session.config.window_initial_tokens,
                 session.config.window_last_tokens,
+                n,
+                prefill,
             )
-            indices, members = by_key.setdefault(key, ([], []))
+            _, indices, members = by_key.setdefault(key, (n, [], []))
             indices.append(i)
             members.append((session, inputs))
-        return list(by_key.values())
+        return by_key.values()

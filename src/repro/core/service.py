@@ -401,8 +401,9 @@ class InferenceService:
         The dense work (embedding, projections, MLP, LM head) runs once over
         every row, and a
         :class:`~repro.core.decode_round.CrossRequestDecodeRound` runs each
-        layer's attention: a prefill chunk, however short, as its session's
-        causal attention, decode tokens stacked per plan-compatible group.
+        layer's attention through one entry: prefill chunks, however short,
+        and decode tokens alike, stacked per compatible group (a chunk's rows
+        run causal full attention and count as no decode step).
         The round's wall time is split across the requests in proportion to
         their rows.
         """

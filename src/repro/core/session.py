@@ -42,6 +42,9 @@ __all__ = [
     "group_attention",
 ]
 
+_ENGINE = DataCentricAttentionEngine()
+"""The engine holds no state: one instance serves every session."""
+
 
 @dataclass
 class DecodeStepStats:
@@ -81,20 +84,17 @@ class LayerInputs:
     """
 
     plan: ExecutionPlan
-    """What a single-token step executes (see :meth:`Session.decode_plan`)."""
+    """What the step executes: the layer's decode plan (see
+    :meth:`Session.decode_plan`), or full attention for a prefill chunk."""
     ranges: list[LayerIndexData]
     """The ``R >= 0`` token ranges holding the stored context, in token
     order: none for an unconnected session, one for a single-owner context,
     one per shard for a sharded one."""
     prefix: int
-    window_positions: np.ndarray
     local_keys: np.ndarray
     local_values: np.ndarray
-
-    @property
-    def kv_identity(self) -> tuple[int, ...]:
-        """Identity of the stored KV arrays: sessions stack only over the same ones."""
-        return tuple(id(data.keys) for data in self.ranges)
+    prefill: bool = False
+    """The rows are a prefill chunk: no plan, no decode-step accounting."""
 
 
 def _visible_slabs(
@@ -151,7 +151,6 @@ class Session:
         self._layer_data: dict[int, LayerIndexData] = {}
 
         self.window = WindowCache(self.config.window_initial_tokens, self.config.window_last_tokens)
-        self.engine = DataCentricAttentionEngine()
         self.executor = PlanExecutor(coarse_num_blocks=self.config.coarse_num_blocks)
         self.optimizer = RuleBasedOptimizer(self.config)
         self.last_decode_stats = DecodeStepStats()
@@ -294,9 +293,8 @@ class Session:
         sample the OOD-aware RoarGraph indexes are built from.
         """
         self._require_open()
-        q = np.asarray(q, dtype=np.float32)
+        q = np.array(q, dtype=np.float32)  # kept: a copy, never a view of the caller's rows
         k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
         if self._dims is None:
             self._dims = _ModelDims(num_query_heads=q.shape[0], num_kv_heads=k.shape[0], head_dim=q.shape[2])
         cache = self._local.get(layer)
@@ -304,7 +302,7 @@ class Session:
             cache = LayerKVCache(k.shape[0], k.shape[2])
             self._local[layer] = cache
         cache.append(k, v)
-        self._query_samples.setdefault(layer, []).append(q.copy())
+        self._query_samples.setdefault(layer, []).append(q)
 
     # ------------------------------------------------------------------
     # attention
@@ -312,32 +310,19 @@ class Session:
     def attention(self, q: np.ndarray, layer: int) -> np.ndarray:
         """Attention output for ``q`` at ``layer`` (Table 2: ``Session.attention``).
 
-        ``q`` has shape ``(num_query_heads, seq, head_dim)``.  Multi-token
-        queries (the prefill of the non-reused suffix) run
-        :meth:`causal_attention`; single-token queries (decode) run the
-        layer's plan, fixed when the session was created, as a group of one.
-        The scheduler's round knows which rows are prefill and sends them to
-        :meth:`causal_attention` whatever their count.  Either way the output
-        is one merge of per-range partials and a local partial.
+        ``q`` has shape ``(num_query_heads, seq, head_dim)``: a multi-token
+        ``q`` is a prefill chunk (exact causal attention, no plan consulted),
+        a single token a decode step under the layer's plan, fixed when the
+        session was created.  Either way it is one :func:`group_attention`
+        call for a group of one — one merge of per-range partials and a
+        local partial.
         """
         self._require_open()
         q = np.asarray(q, dtype=np.float32)
         if q.ndim != 3:
             raise ValueError(f"expected q of shape (heads, seq, head_dim), got {q.shape}")
-        if q.shape[1] > 1:
-            return self.causal_attention(q, layer)
-        members = [(self, self.layer_inputs(layer))]
-        return group_attention(layer, members, q[:, 0, :][None])[0][:, None, :]
-
-    def causal_attention(self, q: np.ndarray, layer: int) -> np.ndarray:
-        """Exact causal attention for prefill rows ``q``, whatever their count.
-
-        No plan is consulted: each row attends the visible stored prefix and
-        the local KV up to its own position.
-        """
-        self._require_open()
-        slabs = _visible_slabs(self._stored_ranges(layer), self.reused_prefix_length)
-        return self.engine.causal_output(q, slabs, *self.local_snapshot(layer))
+        members = [(self, self.layer_inputs(layer, prefill=q.shape[1] > 1))]
+        return group_attention(layer, members, q[None])[0]
 
     def materialized_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Full KV visible at ``layer``: stored prefix + locally appended.
@@ -432,27 +417,27 @@ class Session:
         """
         return self.layer_inputs(layer).plan
 
-    def layer_inputs(self, layer: int) -> LayerInputs:
+    def layer_inputs(self, layer: int, prefill: bool = False) -> LayerInputs:
         """Resolve the state one attention call at ``layer`` reads.
 
+        A ``prefill`` chunk runs full attention whatever the layer's plan.
         The local snapshot reflects KV appended so far, so call this *after*
         ``update_query`` for the step's tokens.
         """
-        plan = self.plan_for_layer(layer)
+        plan = FULL_ATTENTION_PLAN if prefill else self.plan_for_layer(layer)
         ranges = self._stored_ranges(layer)
         if not ranges or (
             plan.index_kind is not None and not all(data.has_index(plan.index_kind) for data in ranges)
         ):
             plan = FULL_ATTENTION_PLAN
         local_keys, local_values = self.local_snapshot(layer)
-        prefix = self.reused_prefix_length
         return LayerInputs(
             plan=plan,
             ranges=ranges,
-            prefix=prefix,
-            window_positions=self.window.positions(prefix),
+            prefix=self.reused_prefix_length,
             local_keys=local_keys,
             local_values=local_values,
+            prefill=prefill,
         )
 
     def fine_window_seeds(self, inputs: LayerInputs, queries: np.ndarray) -> np.ndarray:
@@ -470,7 +455,7 @@ class Session:
             np.maximum(
                 window_max,
                 self.window.max_window_scores(
-                    queries, data.keys, data.to_local(inputs.window_positions)
+                    queries, data.keys, data.to_local(self.window.positions(inputs.prefix))
                 ),
                 out=window_max,
             )
@@ -500,36 +485,43 @@ def group_attention(
     queries: np.ndarray,
     timings: StageTimings | None = None,
 ) -> np.ndarray:
-    """One layer's single-token attention for ``S >= 1`` sessions over the
-    ``R >= 0`` token ranges holding their stored context.
+    """One layer's attention for ``S >= 1`` sessions of ``r >= 1`` query rows
+    each over the ``R >= 0`` token ranges holding their stored context.
 
-    The one execution of the paper's query-processing procedure: [window
-    seeds → ``PlanExecutor.retrieve_ranges`` (per-range ``retrieve_heads`` +
-    one cross-range re-selection), skipped by a full-attention plan] → one
-    stacked partial-attention merge → per-session :class:`DecodeStepStats`.
-    ``members`` share a stored context, reused prefix, plan and window
-    geometry (the decode round's compatibility key; a session stepped alone
-    is a group of one) and ``queries`` is ``(S, num_query_heads, head_dim)``
-    in member order.  Flat/coarse scans stack every member's query heads
-    into one gemm per KV head and range; fine (DIPRS) walks are
-    data-dependent, so they run per member — through the first member's
-    executor, sharing its frontier scratch.  ``timings`` accumulates the
-    retrieval / merge wall-time split.  Returns ``(S, num_query_heads,
-    head_dim)`` attention outputs.
+    The one execution of the paper's query-processing procedure, and the one
+    entry for every attention row — a decode token (``r = 1``) or a prefill
+    chunk's rows: [window seeds → ``PlanExecutor.retrieve_ranges``
+    (per-range ``retrieve_heads`` + one cross-range re-selection), skipped by
+    a full-attention plan] → one stacked partial-attention merge →
+    per-session :class:`DecodeStepStats`.  ``members`` share a stored
+    context, reused prefix, plan, window geometry, row count and prefill
+    flag (the decode round's compatibility key; a session stepped alone is a
+    group of one) and ``queries`` is ``(S, num_query_heads, r, head_dim)``
+    in member order.  A prefill group runs the full-attention plan with its
+    local partial causally masked, records no decode stats and adds nothing
+    to ``timings``; sparse plans have ``r = 1``.  Flat/coarse scans stack
+    every member's query heads into one gemm per KV head and range; fine
+    (DIPRS) walks are data-dependent, so they run per member — through the
+    first member's executor, sharing its frontier scratch.  ``timings``
+    accumulates the retrieval / merge wall-time split.  Returns ``(S,
+    num_query_heads, r, head_dim)`` attention outputs.
     """
     first_session, shared = members[0]
     plan = shared.plan
     ranges = shared.ranges
-    executor = first_session.executor
-    num_sessions, num_heads, head_dim = queries.shape
-
+    if shared.prefill:
+        timings = None
     started = time.perf_counter() if timings is not None else 0.0
     outcomes = []
     if plan.is_full:
-        retrieved = None  # every visible stored token is attended as it lies
+        # every visible stored token is attended as it lies: no window, no retrieval
+        window_positions = retrieved = None
     else:
+        window_positions = first_session.window.positions(shared.prefix)
+        executor = first_session.executor
+        num_sessions, num_heads, _, head_dim = queries.shape
         if plan.index_kind == IndexKind.FINE:
-            for (session, inputs), session_queries in zip(members, queries):
+            for (session, inputs), session_queries in zip(members, queries[:, :, 0]):
                 # retrieve_heads decides whether the plan consumes the seeds
                 seeds = session.fine_window_seeds(inputs, session_queries)
                 outcomes.extend(
@@ -550,17 +542,20 @@ def group_attention(
         timings.retrieval_seconds += now - started
         started = now
 
-    outputs, counts = first_session.engine.stacked_layer_output(
+    outputs, counts = _ENGINE.stacked_layer_output(
         queries,
         _visible_slabs(ranges, shared.prefix),
-        window_positions=shared.window_positions,
+        window_positions=window_positions,
         retrieved_positions=retrieved,
         local_keys=[inputs.local_keys for _, inputs in members],
         local_values=[inputs.local_values for _, inputs in members],
     )
     if timings is not None:
         timings.merge_seconds += time.perf_counter() - started
+    if shared.prefill:
+        return outputs
 
+    num_sessions, num_heads = queries.shape[:2]
     window, selected, local = np.add.reduce(counts.reshape(3, num_sessions, num_heads), axis=2).tolist()
     for s, (session, _inputs) in enumerate(members):
         stats = DecodeStepStats(

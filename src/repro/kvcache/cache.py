@@ -97,7 +97,8 @@ class LayerKVCache:
                 f"expected ({self.num_kv_heads}, n, {self.head_dim}), got {k.shape}"
             )
         n = k.shape[1]
-        self._grow(self._length + n)
+        if self._length + n > self._capacity:
+            self._grow(self._length + n)
         self._keys[:, self._length : self._length + n, :] = k
         self._values[:, self._length : self._length + n, :] = v
         self._length += n

@@ -181,18 +181,20 @@ def partial_attention(
     """Softmax statistics of GQA-grouped query rows over one KV slab.
 
     The one "attention over a contiguous KV array" primitive: a stored
-    range's visible slice, the gathered window, a session's local KV and a
-    prefill chunk's causal block all go through it.  ``q`` is the float32
-    ``(..., num_kv_heads, rows, d)`` — the rows each KV head serves (a GQA
-    group's query heads for one decode token; ``group * seq`` rows for a
-    prefill chunk), any leading axes (stacked sessions) riding matmul's batch
-    dimension; ``k``/``v`` are ``(num_kv_heads, m, d)``, never repeated per
-    query head.  ``mask`` is an optional boolean ``(r, m)`` with ``r``
-    dividing ``rows``: True where the row may attend, repeated over each
-    block of ``r`` rows (a prefill chunk passes its ``(seq, m)`` causal
-    mask once for every head of the group).  The result's rows are ``q``'s
-    leading axes flattened; a row that attends to nothing (``m == 0``, or
-    masked out everywhere) is the merge's neutral element.
+    range's visible slice, the gathered window and a session's local KV —
+    a prefill chunk's causally masked included — all go through it.  ``q``
+    is the float32 ``(..., num_kv_heads, rows, d)`` — the rows each KV head
+    serves (a GQA group's query heads for one decode token; ``group * seq``
+    rows for a prefill chunk), any leading axes (stacked sessions) riding
+    matmul's batch dimension; ``k``/``v`` are ``(num_kv_heads, m, d)``,
+    never repeated per query head.  ``mask`` is an optional boolean
+    ``(r, w)`` with ``r`` dividing ``rows`` and ``w <= m``: True where the
+    row may attend among the *last* ``w`` keys (every row attends the first
+    ``m - w``), repeated over each block of ``r`` rows: a prefill chunk's
+    local partial passes its ``(seq, seq)`` causal triangle once per group.
+    The result's rows are ``q``'s leading axes flattened; a row that attends
+    to nothing (``m == 0``, or masked out everywhere) is the merge's neutral
+    element.
 
     Each ``(..., kv_head)`` batch entry is its own gemm, so a row's bits do
     not depend on how many sessions are stacked ahead of it — a single
@@ -204,11 +206,15 @@ def partial_attention(
         return PartialAttention.empty(num_rows, head_dim)
     if scale is None:
         scale = 1.0 / math.sqrt(head_dim)
-    logits = np.matmul(q, k.swapaxes(1, 2))
+    logits = np.matmul(q, k.mT)
     logits *= np.float32(scale)
     if mask is not None:
         # logits is a fresh C-ordered array, so the reshape is a view
-        np.copyto(logits.reshape(-1, *mask.shape), np.float32(-np.inf), where=~mask)
+        rows, width = mask.shape
+        num_keys = k.shape[1]
+        np.copyto(
+            logits.reshape(-1, rows, num_keys)[..., num_keys - width :], np.float32(-np.inf), where=~mask
+        )
     max_logit = np.maximum.reduce(logits, axis=-1)
     # a row masked out everywhere has max -inf: the finite floor makes its
     # exps and sum 0 instead of nan and leaves every other row's bits alone.

@@ -13,9 +13,8 @@ front :attr:`~ShardedContextRouter.service` like any other request, and
 match lands on a catalogued context — from there the one scheduler admits,
 prefills, batches, preempts, cancels and stores it.
 
-Attention is the one execution (:func:`~repro.core.session.group_attention`
-for a decode token, the same partials with rows in place of sessions for a
-prefill chunk) iterated over the ranges
+Attention is the one execution (:func:`~repro.core.session.group_attention`,
+for a decode token and for a prefill chunk's rows alike) iterated over the ranges
 :meth:`ShardedContextRouter.layer_ranges` returns — no KV is gathered at the
 router.  Under a sparse plan:
 
@@ -36,7 +35,7 @@ router.  Under a sparse plan:
    (:func:`~repro.llm.attention.combine_partial_attention`), which equals
    the unsharded softmax exactly.
 
-Under a full-attention plan, and for every prefill chunk, steps 1–2 drop out
+Under a full-attention plan — which every prefill chunk runs — steps 1–2 drop out
 and each range contributes one partial over its slice of the reused prefix.
 
 A worker that owns no replica of a shard cold-loads it from the shared

@@ -19,7 +19,7 @@ from repro.core.config import AlayaDBConfig
 from repro.core.db import DB
 from repro.core.decode_round import CrossRequestDecodeRound, StageTimings
 from repro.core.service import InferenceService
-from repro.core.session import Session
+from repro.core.session import DecodeStepStats, Session
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.scheduler import BATCH_SLO, SLO
 from repro.sharding import ShardedContextRouter, ShardedSession
@@ -316,6 +316,28 @@ class TestStageTimings:
         assert service.scheduler.stats.batched_decode_calls == 0
         assert service.decode_timings.retrieval_seconds > 0.0
         assert service.decode_timings.merge_seconds > 0.0
+
+    @pytest.mark.parametrize("mix", ["flat", "full"])
+    def test_prefill_rows_are_no_decode_step(self, model, mix):
+        """A request served by prefill alone (``max_new_tokens=0``) over a
+        stored context: its chunk rows go through the one attention entry,
+        under a sparse-plan config too, yet record no decode step and add
+        nothing to the decode timings."""
+        service = _service(model, mix, prefill_chunk_tokens=4)
+        prompt = DOC + [210 + i for i in range(10)]
+        session, suffix = service.db.create_session(prompt)
+        assert len(suffix) == 10
+        assert session.plan_for_layer(1).is_full == (mix == "full")
+        session.close()
+
+        work = _drain_outputs(service, [prompt], [0])
+        (generated, _, (steps, total, last)), = work.values()
+        assert generated == []
+        assert steps == 0
+        assert total == asdict(DecodeStepStats()) and last == asdict(DecodeStepStats())
+        assert service.decode_timings.rounds == 0
+        assert service.decode_timings.merge_seconds == 0.0
+        assert service.decode_timings.retrieval_seconds == 0.0
 
     def test_stage_timings_dataclass(self):
         timings = StageTimings(retrieval_seconds=1.0, merge_seconds=2.0, dense_seconds=3.0)

@@ -114,15 +114,15 @@ def test_stacked_rows_do_not_depend_on_the_rest_of_the_stack(
     ]
     engine = DataCentricAttentionEngine()
     stacked, stacked_counts = engine.stacked_layer_output(
-        queries, ranges, window, retrieved, local_keys, local_values
+        queries[:, :, None], ranges, window, retrieved, local_keys, local_values
     )
-    assert stacked.shape == queries.shape
+    assert stacked.shape == (num_sessions, num_heads, 1, dim)
     for s in range(num_sessions):
         rows = slice(s * num_heads, (s + 1) * num_heads)
         alone, alone_breakdowns = engine.layer_output(
             queries[s], keys, values, window, retrieved[rows], local_keys[s], local_values[s]
         )
-        np.testing.assert_allclose(stacked[s], alone, atol=1e-5)
+        np.testing.assert_allclose(stacked[s, :, 0], alone, atol=1e-5)
         assert [AttentionBreakdown(*row) for row in stacked_counts[:, rows].T.tolist()] == alone_breakdowns
 
 
@@ -155,7 +155,7 @@ def test_stacked_rows_are_bitwise_independent_of_the_stack_at_serving_sizes(plan
     def stack(first, stop):
         rows = slice(first * num_heads, stop * num_heads)
         return engine.stacked_layer_output(
-            queries[first:stop],
+            queries[first:stop, :, None],
             [(0, keys, values)],
             window,
             None if retrieved is None else retrieved[rows],

@@ -261,6 +261,22 @@ class TestSlabPrimitive:
             part.output.reshape(4, seq, 8), full_attention(q, k, v, causal=True), atol=1e-5
         )
 
+    @pytest.mark.parametrize("cached", [0, 6])
+    def test_mask_narrower_than_the_keys_covers_the_last_ones(self, cached):
+        """A ``(seq, seq)`` triangle over the chunk's own keys is bitwise the
+        ``(seq, cached + seq)`` causal mask: the keys before it are attended by every row."""
+        rng = np.random.default_rng(16)
+        seq, total = 5, cached + 5
+        q = rng.normal(size=(2, 2 * seq, 8)).astype(np.float32)
+        k = rng.normal(size=(2, total, 8)).astype(np.float32)
+        v = rng.normal(size=(2, total, 8)).astype(np.float32)
+        narrow = partial_attention(q, k, v, mask=np.tri(seq, dtype=bool))
+        wide = partial_attention(q, k, v, mask=np.tri(seq, total, cached, dtype=bool))
+        for got, want in zip(
+            (narrow.output, narrow.max_logit, narrow.sum_exp), (wide.output, wide.max_logit, wide.sum_exp)
+        ):
+            np.testing.assert_array_equal(got, want)
+
     def test_fully_masked_row_is_neutral_not_nan(self):
         q, k, v = _random_qkv(num_heads=2, num_kv_heads=2, seq=6, seed=15)
         mask = np.ones((1, 6), dtype=bool)
