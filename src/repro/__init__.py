@@ -14,7 +14,8 @@ package re-exports the pieces most applications need:
 * :class:`repro.llm.TransformerModel` — the NumPy LLM substrate the examples
   and benchmarks run against,
 * :mod:`repro.baselines` — the systems AlayaDB is compared with,
-* :mod:`repro.workloads` — synthetic ∞-Bench / LongBench-style tasks.
+* :mod:`repro.workloads` — synthetic ∞-Bench / LongBench-style tasks, the
+  evaluation harness and the sparse-vs-dense quality gate.
 
 See ARCHITECTURE.md for the module → paper-component map and the full
 serving stack.

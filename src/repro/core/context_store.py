@@ -364,13 +364,7 @@ class ContextStore:
         if existing is not None:
             if not overwrite:
                 raise DuplicateContextError(f"context {context_id!r} already stored")
-            # pins are held by id (live sessions unpin on close), so they must
-            # survive the overwrite: dropping them would let a later close()
-            # zero another session's pin and spill a context still in use
-            preserved_pins = self._pins.get(context_id, 0)
             self._forget(existing)
-            if preserved_pins:
-                self._pins[context_id] = preserved_pins
         self._contexts[context_id] = context
         if context.prefix_matchable:
             self._trie_insert(context.tokens, context_id)
@@ -658,12 +652,17 @@ class ContextStore:
         self.spill_count += 1
 
     def _forget(self, context: StoredContext) -> None:
-        """Drop all bookkeeping for a context being removed or overwritten."""
+        """Drop the bookkeeping of a context being removed or overwritten.
+
+        Its pins stay: they are held by id, and the live sessions holding
+        them unpin on close.  Dropping them would let a later close() zero
+        the pin of a session on the id's next version and spill a context
+        still in use.
+        """
         context_id = context.context_id
         if context.prefix_matchable:
             self._trie_remove(context.tokens, context_id)
         self._lru.pop(context_id, None)
-        self._pins.pop(context_id, None)
         self._persisted.discard(context_id)
         self._indexed_on_disk.discard(context_id)
 

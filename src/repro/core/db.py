@@ -377,14 +377,20 @@ class DB:
                 f"{context_id!r} has {context.num_tokens}"
             )
         shards: list[StoredContext] = []
-        for rng in plan.ranges:
-            shard = StoredContext(
-                context_id=shard_context_id(context_id, rng.shard_id),
-                snapshot=slice_snapshot(context.snapshot, rng, plan, self.config.index_build),
-                prefix_matchable=False,
-            )
-            self._register_context(shard, overwrite=True, build=True)
-            shards.append(shard)
+        # a shard's add may push the store over its byte budget: the pin keeps
+        # the base, which the next shard is sliced from, resident
+        self.store_registry.pin(context_id)
+        try:
+            for rng in plan.ranges:
+                shard = StoredContext(
+                    context_id=shard_context_id(context_id, rng.shard_id),
+                    snapshot=slice_snapshot(context.snapshot, rng, plan, self.config.index_build),
+                    prefix_matchable=False,
+                )
+                self._register_context(shard, overwrite=True, build=True)
+                shards.append(shard)
+        finally:
+            self.store_registry.unpin(context_id)
         return plan, shards
 
     # ------------------------------------------------------------------

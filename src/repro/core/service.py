@@ -40,9 +40,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from ..errors import RequestFailedError
+from ..errors import ContextEvictedError, RequestFailedError
 from ..llm.generation import GenerationResult
 from ..llm.model import TransformerModel
 from ..llm.sampling import SamplingConfig, sample_token
@@ -138,18 +136,8 @@ class ServiceStats:
         return len(self.records)
 
     @property
-    def mean_reuse_ratio(self) -> float:
-        if not self.records:
-            return 0.0
-        return float(np.mean([r.reuse_ratio for r in self.records]))
-
-    @property
     def peak_gpu_resident_bytes(self) -> int:
         return max((r.gpu_resident_bytes for r in self.records), default=0)
-
-    @property
-    def total_generated_tokens(self) -> int:
-        return sum(r.generated_tokens for r in self.records)
 
     @property
     def throttled(self) -> int:
@@ -522,7 +510,7 @@ class InferenceService:
         return self.db.store(session, tokens=fed[:kv_tokens], context_id=context_id)
 
     def cancel_request(self, inflight: InFlightRequest) -> None:
-        """Tear down a cancelled request's session.
+        """Tear down a cancelled request's session (or one whose resume failed).
 
         The scheduler already released the admission reservation; closing the
         session unpins its stored context so the context store may spill it
@@ -559,14 +547,36 @@ class InferenceService:
             self.db.store_registry.unpin(session.context.context_id)
 
     def resume_request(self, inflight: InFlightRequest) -> None:
-        """Re-pin (reloading if spilled) the resumed session's stored context."""
+        """Re-pin (reloading if spilled) the resumed session's stored context.
+
+        A context removed or replaced while the request was paused is not
+        reloaded: the session reads the version it was created on, as a
+        running session does, which is possible only while that version's
+        KV is still in memory.  Otherwise this tears the session down and
+        raises :class:`ContextEvictedError`, and the scheduler fails the
+        request.
+        """
         session = inflight.session
-        if session.context is not None:
-            context_id = session.context.context_id
-            self.db.store_registry.ensure_resident(context_id)
-            self.db.store_registry.pin(context_id)
-            session.attach_on_close(lambda: self.db.store_registry.unpin(context_id))
-            session.invalidate_context_caches()
+        context = session.context
+        if context is None:
+            return
+        store = self.db.store_registry
+        context_id = context.context_id
+        try:
+            if context_id in store and store.get(context_id) is context:
+                store.ensure_resident(context_id)
+            elif not context.is_resident:
+                raise ContextEvictedError(
+                    f"context {context_id!r} was removed or replaced while request "
+                    f"{inflight.request.request_id} was paused, and its KV is gone"
+                )
+        except Exception:
+            self.cancel_request(inflight)
+            raise
+        if context_id in store:
+            store.pin(context_id)
+            session.attach_on_close(lambda: store.unpin(context_id))
+        session.invalidate_context_caches()
 
     # ------------------------------------------------------------------
     # accounting

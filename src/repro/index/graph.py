@@ -72,9 +72,6 @@ class NeighborGraph:
     def degree(self, node: int) -> int:
         return int(self.offsets[node + 1] - self.offsets[node])
 
-    def mean_degree(self) -> float:
-        return self.num_edges / max(self.num_nodes, 1)
-
     def to_lists(self) -> list[list[int]]:
         """Materialise back into per-node python lists (for tests/rewrites)."""
         return [list(self.neighbors(node)) for node in range(self.num_nodes)]

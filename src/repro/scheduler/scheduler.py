@@ -61,7 +61,9 @@ class SchedulerBackend(Protocol):
         """A request was paused; its session's pinned state may be spilled."""
 
     def resume_request(self, inflight: InFlightRequest) -> None:
-        """A paused request is back in flight; re-pin / reload its state."""
+        """A paused request is back in flight; re-pin / reload its state.
+        Raising fails the request (the backend tears its session down
+        first)."""
 
 
 @dataclass
@@ -331,10 +333,20 @@ class RequestScheduler:
                 break
             self._preempted.pop(0)
             inflight.reserved_bytes += delta
+            try:
+                self.backend.resume_request(inflight)
+            except Exception as exc:
+                # its stored prefix is gone (removed or replaced while it was
+                # paused, and no longer in memory): the request fails, and the
+                # others resume as usual
+                self.admission.release(inflight.reserved_bytes)
+                inflight.reserved_bytes = 0
+                self.tenants.on_failed(inflight.request, inflight)
+                self._fail(inflight.request, exc)
+                continue
             inflight.request.state = RequestState.RUNNING
             self._inflight.append(inflight)
             self.stats.resumes += 1
-            self.backend.resume_request(inflight)
 
     def step(self) -> list[InFlightRequest]:
         """Run one scheduling round; returns the requests finished by it."""

@@ -330,12 +330,13 @@ class ShardedContextRouter:
         # which shard_context builds over each range
         self.db._register_context(context, overwrite=False, build=False)
         base_id = context.context_id
+        layers = frozenset(context.snapshot.keys)  # sharding may spill the base
         plan, shards = self.db.shard_context(base_id, num_shards=num_shards)
         ref = ShardedContextRef(
             context_id=base_id,
             plan=plan,
             num_layers=context.num_layers,
-            layers=frozenset(context.snapshot.keys),
+            layers=layers,
         )
         self._catalog[base_id] = ref
         # persist-then-free on the ingest side: spill keeps the durable

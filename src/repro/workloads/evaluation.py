@@ -9,22 +9,39 @@ retrieved), and aggregates
 * the retrieval work (selected tokens, distance computations) needed by the
   latency model, and
 * the GPU-resident token count needed by the memory model.
+
+:func:`score_quality_gate` is the ≥ 0.95 quality gate: the sparse path
+(DIPRS) scored against the dense path (full attention) on a set of
+LongBench / ∞-Bench task specs, so a speedup can never silently trade away
+generation quality.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from ..baselines.base import SelectionStrategy
+from ..baselines.diprs import DIPRSStrategy
+from ..baselines.full_attention import FullAttentionStrategy
+from ..query.types import beta_from_alpha
 from ..simulator.cost_model import CostModel
 from ..scheduler.slo import SLO
-from .generator import ScoringMode, SyntheticWorkload
+from .generator import ScoringMode, SyntheticWorkload, generate_workload
+from .infinite_bench import INFINITE_BENCH_TASKS
+from .longbench import LONGBENCH_TASKS
 from .scoring import needle_hit, recovery_ratio
 
-__all__ = ["MethodEvaluation", "evaluate_strategy"]
+__all__ = [
+    "GATE_TASKS",
+    "MethodEvaluation",
+    "QualityGateResult",
+    "evaluate_strategy",
+    "score_quality_gate",
+]
 
 
 @dataclass
@@ -153,3 +170,90 @@ def evaluate_strategy(
         num_steps=spec.num_decode_steps,
         per_step_quality=per_step_quality,
     )
+
+
+# ----------------------------------------------------------------------
+# the quality gate
+# ----------------------------------------------------------------------
+GATE_TASKS: tuple[str, ...] = ("Qasper", "HotpotQA", "QMSum", "En.MC", "Retr.KV", "LCC", "TriviaQA")
+"""The gate's default task set: document QA, summarisation and multiple
+choice over history, exact retrieval and code completion, and few-shot
+recall."""
+
+
+@dataclass
+class QualityGateResult:
+    """Sparse-vs-dense quality scores on a set of tasks."""
+
+    per_task: dict[str, dict] = field(default_factory=dict)
+    """task name → {sparse, dense, ratio}."""
+
+    @property
+    def min_ratio(self) -> float:
+        if not self.per_task:
+            return 0.0
+        return min(row["ratio"] for row in self.per_task.values())
+
+    @property
+    def mean_ratio(self) -> float:
+        if not self.per_task:
+            return 0.0
+        return float(np.mean([row["ratio"] for row in self.per_task.values()]))
+
+    def passes(self, threshold: float = 0.95) -> bool:
+        """True when the sparse path keeps at least ``threshold`` of the dense
+        path's quality on every task."""
+        return bool(self.per_task) and self.min_ratio >= threshold
+
+    def to_dict(self) -> dict:
+        return {
+            "per_task": self.per_task,
+            "min_ratio": self.min_ratio,
+            "mean_ratio": self.mean_ratio,
+        }
+
+
+def _task_spec(name: str):
+    if name in LONGBENCH_TASKS:
+        return LONGBENCH_TASKS[name].spec
+    return INFINITE_BENCH_TASKS[name]
+
+
+def score_quality_gate(
+    tasks: Sequence[str] = GATE_TASKS,
+    *,
+    context_length: int = 2048,
+    decode_steps: int = 2,
+    sparse_strategy: SelectionStrategy | None = None,
+    dense_strategy: SelectionStrategy | None = None,
+) -> QualityGateResult:
+    """Score the sparse path against the dense path on ``tasks``.
+
+    Each LongBench/∞-Bench spec (shrunk to ``context_length`` for
+    tractability) is generated and both strategies replayed through
+    :func:`evaluate_strategy`; the gate ratio per task is ``sparse_quality /
+    dense_quality``.  Deterministic: the synthetic workloads are seeded and
+    both strategies are seed-free.
+    """
+    result = QualityGateResult()
+    for task_name in tasks:
+        spec = replace(
+            _task_spec(task_name),
+            context_length=context_length,
+            num_decode_steps=decode_steps,
+        )
+        workload = generate_workload(spec)
+        dense = dense_strategy or FullAttentionStrategy()
+        # scale beta to the task's head_dim as the Table 5 harness does —
+        # a fixed beta under-selects at longer contexts
+        sparse = sparse_strategy or DIPRSStrategy(
+            beta=beta_from_alpha(0.012, spec.head_dim), capacity_threshold=256
+        )
+        dense_eval = evaluate_strategy(dense, workload)
+        sparse_eval = evaluate_strategy(sparse, workload)
+        result.per_task[task_name] = {
+            "sparse": sparse_eval.quality,
+            "dense": dense_eval.quality,
+            "ratio": sparse_eval.quality / max(dense_eval.quality, 1e-9),
+        }
+    return result

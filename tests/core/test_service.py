@@ -1,4 +1,4 @@
-"""Tests of the serving layer (InferenceService) and the request-trace generator."""
+"""Tests of the serving layer (InferenceService)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.core.config import AlayaDBConfig
 from repro.core.service import InferenceService
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.scheduler import SLO
-from repro.workloads.trace import RequestTrace, TraceSpec, generate_trace
 
 
 @pytest.fixture(scope="module")
@@ -27,34 +26,6 @@ def service():
     svc = InferenceService(model, config)
     svc.ingest("shared reference document about databases. " * 30, context_id="doc-shared")
     return svc
-
-
-class TestTraceGeneration:
-    def test_trace_is_deterministic(self):
-        a = generate_trace(TraceSpec(seed=5))
-        b = generate_trace(TraceSpec(seed=5))
-        assert [r.prompt for r in a.requests] == [r.prompt for r in b.requests]
-
-    def test_trace_shape(self):
-        trace = generate_trace(TraceSpec(num_documents=2, num_requests=10, seed=1))
-        assert trace.num_requests == 10
-        assert len(trace.documents) == 2
-        assert 0.0 <= trace.reuse_opportunity() <= 1.0
-
-    def test_fresh_fraction_zero_means_all_library(self):
-        trace = generate_trace(TraceSpec(fresh_request_fraction=0.0, num_requests=8, seed=2))
-        assert trace.reuse_opportunity() == 1.0
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            TraceSpec(num_documents=0)
-        with pytest.raises(ValueError):
-            TraceSpec(fresh_request_fraction=1.5)
-
-    def test_library_prompts_embed_the_document(self):
-        trace = generate_trace(TraceSpec(num_requests=6, fresh_request_fraction=0.0, seed=3))
-        for request in trace.requests:
-            assert trace.documents[request.document_id] in request.prompt
 
 
 class TestInferenceService:
@@ -135,18 +106,23 @@ class TestInferenceService:
                 max_retrieved_tokens=64,
             ),
         )
-        trace = generate_trace(TraceSpec(num_documents=2, document_repeats=10, num_requests=4, fresh_request_fraction=0.25, seed=9))
-        for document_id, text in trace.documents.items():
+        documents = {
+            "doc-a": "a stored reference about vector databases. " * 6,
+            "doc-b": "a stored manual for the inference engine. " * 6,
+        }
+        for document_id, text in documents.items():
             svc.ingest(text, context_id=document_id)
-        for request in trace.requests:
-            svc.serve(request.prompt, max_new_tokens=2)
-        assert svc.stats.num_requests == trace.num_requests
-        library_records = [
-            record
-            for record, request in zip(svc.stats.records, trace.requests)
-            if request.uses_library_document
+        prompts = [
+            (documents["doc-a"] + " What does it store?", True),
+            ("Q: a fresh question with no document behind it", False),
+            (documents["doc-b"] + " How is it tuned?", True),
+            (documents["doc-a"] + " Summarise it.", True),
         ]
-        assert all(record.reused_tokens > 0 for record in library_records)
+        for prompt, _ in prompts:
+            svc.serve(prompt, max_new_tokens=2)
+        assert svc.stats.num_requests == len(prompts)
+        for record, (_, uses_library) in zip(svc.stats.records, prompts):
+            assert (record.reused_tokens > 0) == uses_library
 
 
 class TestMeasuredSLO:

@@ -12,6 +12,7 @@ from repro.errors import ConfigError, RequestFailedError
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.llm.tokenizer import ByteTokenizer, SpecialTokens
 from repro.scheduler import BATCH_SLO, SLO, RequestState
+from repro.server import check_drained
 from repro.storage.backend import FilesystemBackend
 
 SPARSE_CONFIG = dict(
@@ -232,3 +233,32 @@ class TestPreemptionThroughService:
         assert service.scheduler.stats.preemptions == 1
         assert service.scheduler.stats.resumes == 1
         assert "doc" in service.db.store_registry.resident_ids()
+
+    def test_victim_whose_context_was_replaced_while_spilled_fails_cleanly(self, tmp_path):
+        """Regression: a paused request whose stored context was spilled and
+        then overwritten under the same id resumed onto the new version's id
+        while reading the old, spilled object, and the next round raised out
+        of ``step()``.  Its KV is gone, so the request fails and the service
+        drains clean."""
+        model = TransformerModel(ModelConfig.tiny(seed=79))
+        config = AlayaDBConfig(
+            scheduler_policy="slo", preemption=True, max_inflight_requests=1, min_reuse_tokens=4
+        )
+        service = InferenceService(model, config, backend=FilesystemBackend(tmp_path))
+        service.chat(context_id="conv", max_new_tokens=2).ask("the first turn of a conversation")
+        store = service.db.store_registry
+        victim = service.submit(store.get("conv").tokens + [32, 63], max_new_tokens=3)
+        service.step()
+        service.submit("urgent", max_new_tokens=1, slo=SLO(ttft_seconds=1e-4))
+        service.step()
+        assert victim.status == RequestState.PREEMPTED
+        store.spill("conv")
+        writer = service.submit("an unrelated turn", max_new_tokens=1, store_context_id="conv")
+        service.drain()  # the writer is admitted first and replaces "conv"
+
+        assert writer.status == RequestState.FINISHED
+        assert victim.status == RequestState.FAILED
+        with pytest.raises(RequestFailedError, match="replaced while request"):
+            victim.result()
+        store.flush()
+        check_drained(service)

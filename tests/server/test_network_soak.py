@@ -1,7 +1,7 @@
 """Network soak: hundreds of concurrent mixed-tenant streams over real TCP.
 
-The HTTP counterpart of ``tests/integration/test_soak.py``: one server, one
-event loop, and three phases —
+The HTTP counterpart of ``tests/core/test_lifecycle_machine.py``: one
+server, one event loop, and three phases —
 
 1. **parity at scale**: 220 concurrent SSE streams across three tenants;
    every stream's token sequence must be byte-identical to what the
@@ -12,7 +12,7 @@ event loop, and three phases —
    (TCP aborts, not clean closes) while others cancel via DELETE;
 3. **drain**: a graceful shutdown must settle with zero pinned contexts,
    zero admission reservations, and no request in a non-terminal state —
-   the same invariants the in-process soak asserts, re-checked here through
+   the invariants the lifecycle machine asserts, re-checked here through
    :func:`repro.server.check_drained`.
 
 Marked ``slow`` (out of tier-1) and ``server`` (the CI server job runs it).

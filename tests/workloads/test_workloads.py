@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from repro.analysis.critical_tokens import count_critical_tokens, window_max_coverage
 from repro.analysis.recovery import dipr_selection_count, head_recovery_profile, required_k_for_accuracy
 from repro.analysis.reporting import format_series, format_table
-from repro.workloads.evaluation import evaluate_strategy
+from repro.workloads.evaluation import GATE_TASKS, evaluate_strategy, score_quality_gate
 from repro.workloads.generator import ScoringMode, WorkloadSpec, generate_workload
 from repro.workloads.infinite_bench import INFINITE_BENCH_TASKS, infinite_bench_task
 from repro.workloads.longbench import LONGBENCH_TASKS
@@ -244,3 +246,27 @@ class TestAnalysis:
         assert "T" in table and "a" in table and "x" in table
         series = format_series("curve", [1, 2], [3.0, 4.0])
         assert "curve" in series and "(1, 3)" in series
+
+
+class TestQualityGate:
+    def test_gate_passes_for_sparse_path(self):
+        gate = score_quality_gate(["Qasper", "Retr.KV"], context_length=1024, decode_steps=2)
+        assert set(gate.per_task) == {"Qasper", "Retr.KV"}
+        for row in gate.per_task.values():
+            assert row["dense"] == pytest.approx(100.0)
+            assert 0.0 <= row["sparse"] <= 100.0 + 1e-9
+        assert gate.passes(threshold=0.95)
+        assert gate.min_ratio <= gate.mean_ratio + 1e-12
+        json.dumps(gate.to_dict())
+
+    def test_gate_is_deterministic(self):
+        a = score_quality_gate(["QMSum"], context_length=1024, decode_steps=2)
+        b = score_quality_gate(["QMSum"], context_length=1024, decode_steps=2)
+        assert a.to_dict() == b.to_dict()
+
+    def test_empty_gate_fails(self):
+        gate = score_quality_gate([])
+        assert not gate.passes()
+        assert len(GATE_TASKS) == 7 and all(
+            name in LONGBENCH_TASKS or name in INFINITE_BENCH_TASKS for name in GATE_TASKS
+        )
