@@ -18,9 +18,9 @@ from functools import partial
 
 import numpy as np
 
-from benchmarks.common import build_per_query_head, emit, run_once
+from benchmarks.common import build_per_query_head, emit, run_once, sample_planted
 from repro.analysis.reporting import format_table
-from repro.index.builder import ContextIndexBuilder, draw_query_sample
+from repro.index.builder import ContextIndexBuilder
 from repro.simulator.cost_model import CostModel
 
 EXPERIMENT = "Figure 11: index construction time and memory"
@@ -45,7 +45,7 @@ def _build_variants():
         keys = rng.normal(size=(NUM_KV_HEADS, length, HEAD_DIM)).astype(np.float32)
         queries = rng.normal(size=(NUM_QUERY_HEADS, max(64, length // 4), HEAD_DIM)).astype(np.float32)
         for name, (build, num_groups) in variants.items():
-            sample = draw_query_sample(queries, num_groups, length, builder.config, layer=0)
+            sample = sample_planted(queries, num_groups, length)
             _, report = build(keys, sample)
             measured[name].append(report)
 

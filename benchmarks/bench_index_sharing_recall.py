@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import build_per_query_head, emit, run_once
+from benchmarks.common import build_per_query_head, emit, run_once, sample_planted
 from repro.analysis.reporting import format_table
 from repro.baselines.topk_retrieval import beam_search
-from repro.index.builder import ContextIndexBuilder, draw_query_sample
+from repro.index.builder import ContextIndexBuilder
 from repro.workloads.generator import ScoringMode, WorkloadSpec, generate_workload
 
 EXPERIMENT = "GQA index sharing: recall cost"
@@ -42,9 +42,9 @@ def _measure_sharing_recall():
     queries = workload.context.query_samples
 
     builder = ContextIndexBuilder()
-    n, config = spec.context_length, builder.config
-    shared_sample = draw_query_sample(queries[0], spec.num_kv_heads, n, config, layer=0)
-    per_head_sample = draw_query_sample(queries[0], spec.num_query_heads, n, config, layer=0)
+    n = spec.context_length
+    shared_sample = sample_planted(queries[0], spec.num_kv_heads, n)
+    per_head_sample = sample_planted(queries[0], spec.num_query_heads, n)
     shared_indexes, shared_report = builder.build_layer(keys[0], shared_sample)
     per_head_indexes, per_head_report = build_per_query_head(builder, keys[0], per_head_sample)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.context_store import StoredContext
-from repro.index.builder import BuildReport, ContextIndexBuilder, IndexBuildConfig, draw_query_sample
+from repro.index.builder import BuildReport, ContextIndexBuilder, IndexBuildConfig
 from repro.index.roargraph import RoarGraphIndex
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -39,17 +39,31 @@ def run_once(benchmark, func, *args, **kwargs):
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
 
 
+def sample_planted(queries: np.ndarray, num_groups: int, num_keys: int, layer: int = 0) -> np.ndarray:
+    """The sampling rule over planted query rows, at the row count a context
+    of ``num_keys`` tokens samples.
+
+    ``queries`` is regrouped into ``num_groups`` groups of ``m`` rows (the
+    KV heads, or the query heads for a per-query-head build), and the rows
+    are sampled as positions ``[0, m)`` at rate ``min(1, ratio · num_keys /
+    m)``: about ``ratio · num_keys`` rows per group, all of them when the
+    group holds fewer.  Returns ``(num_groups, m', head_dim)``.
+    """
+    groups = np.asarray(queries, dtype=np.float32).reshape(num_groups, -1, queries.shape[-1])
+    rate = min(1.0, IndexBuildConfig().query_sample_ratio * num_keys / groups.shape[1])
+    return IndexBuildConfig(query_sample_ratio=rate).sample_queries(groups, num_groups, layer, 0)
+
+
 def build_fine_indexes(context: StoredContext) -> tuple[dict[int, list[RoarGraphIndex]], BuildReport]:
     """A context's fine indexes as ``DB`` builds them: each layer's
-    RoarGraphs over its keys, from the one query-sample draw over the
-    context's historical queries (default :class:`IndexBuildConfig`)."""
-    config = IndexBuildConfig()
+    RoarGraphs over its keys, from the sampling rule over the context's
+    planted historical queries (default :class:`IndexBuildConfig`)."""
     keys = context.snapshot.keys
     samples = {
-        layer: draw_query_sample(queries, keys[layer].shape[0], context.num_tokens, config, layer)
+        layer: sample_planted(queries, keys[layer].shape[0], context.num_tokens, layer)
         for layer, queries in context.query_samples.items()
     }
-    return ContextIndexBuilder(config).build_context(keys, samples)
+    return ContextIndexBuilder().build_context(keys, samples)
 
 
 def build_per_query_head(
@@ -59,8 +73,8 @@ def build_per_query_head(
     RoarGraph per *query head*, over its KV head's keys and built from that
     head's own query sample — the baseline the sharing benches measure.
 
-    ``sample`` is ``(num_query_heads, m, head_dim)``: the one draw with a
-    group per query head.  Returns the indexes by query head and a report of
+    ``sample`` is ``(num_query_heads, m, head_dim)``: :func:`sample_planted`
+    with a group per query head.  Returns the indexes by query head and a report of
     the build.
     """
     keys = np.asarray(keys, dtype=np.float32)

@@ -19,6 +19,7 @@ from .completions import (
     CompletionChunk,
     Completions,
     CompletionUsage,
+    completion_id,
 )
 
 __all__ = [
@@ -31,4 +32,5 @@ __all__ = [
     "Completions",
     "CompletionUsage",
     "RequestHandle",
+    "completion_id",
 ]

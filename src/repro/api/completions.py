@@ -19,7 +19,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.service import InferenceService
     from ..scheduler.slo import SLO
 
-__all__ = ["CompletionUsage", "CompletionChoice", "Completion", "CompletionChunk", "Completions"]
+__all__ = ["CompletionUsage", "CompletionChoice", "Completion", "CompletionChunk", "Completions", "completion_id"]
+
+
+def completion_id(request_id: int) -> str:
+    """The completion id of a request, on every surface that reports one."""
+    return f"cmpl-{request_id:08d}"
 
 
 @dataclass
@@ -112,15 +117,12 @@ class Completions:
             return self._stream(handle)
         return self._complete(handle)
 
-    def _completion_id(self, handle: "RequestHandle") -> str:
-        return f"cmpl-{handle.request_id:08d}"
-
     def _stream(self, handle: "RequestHandle") -> Iterator[CompletionChunk]:
         tokenizer = self._service.db.tokenizer
-        completion_id = self._completion_id(handle)
+        chunk_id = completion_id(handle.request_id)
         for index, token_id in enumerate(handle.tokens()):
             yield CompletionChunk(
-                id=completion_id,
+                id=chunk_id,
                 index=index,
                 token_id=token_id,
                 text=tokenizer.decode([token_id]),
@@ -140,7 +142,7 @@ class Completions:
             reused_tokens=record.reused_tokens,
         )
         return Completion(
-            id=self._completion_id(handle),
+            id=completion_id(handle.request_id),
             choices=[choice],
             usage=usage,
             ttft_seconds=record.ttft_seconds,

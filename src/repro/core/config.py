@@ -215,6 +215,19 @@ class AlayaDBConfig:
     def window_total_tokens(self) -> int:
         return self.window_initial_tokens + self.window_last_tokens
 
+    def records_queries(self, layer: int) -> bool:
+        """Whether a session records ``layer``'s sampled query rows: only off
+        the flat layers, whose builds never read them."""
+        return layer not in self.flat_index_layers
+
+    def recorded_query_bytes(self, num_layers: int, num_kv_heads: int, head_dim: int, start: int, stop: int) -> int:
+        """Bytes of the query rows a session records for positions ``[start,
+        stop)``: a float32 row per KV head and sampled position, on each
+        layer that :meth:`records_queries`."""
+        layers = [layer for layer in range(num_layers) if self.records_queries(layer)]
+        rows = sum(self.index_build.sampled_positions(layer, start, stop).size for layer in layers)
+        return rows * num_kv_heads * head_dim * 4
+
     def scaled_beta(self, head_dim: int) -> float:
         """The DIPR ``beta`` adjusted for the substrate's head dimension.
 

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..index.builder import ContextIndexBuilder, draw_query_sample
+from ..index.builder import ContextIndexBuilder
 from ..index.coarse import CoarseBlockIndex
 from ..kvcache.cache import DynamicCache
 from ..kvcache.serialization import KVSnapshot, snapshot_from_cache
@@ -195,7 +195,10 @@ class DB:
         with the indexes its plans read (see the module docstring).
 
         ``query_samples`` are the prefill queries per layer, ``(num_query_heads,
-        m, head_dim)``; the snapshot keeps only the sample a fine build reads.
+        n, head_dim)``, one row per token; the snapshot keeps the rows the
+        sampling rule picks
+        (:meth:`~repro.index.builder.IndexBuildConfig.sample_queries`) on the
+        layers that can plan a fine index.
         """
         tokens = self._tokenize(prompts)
         if isinstance(kv_cache, KVSnapshot):
@@ -203,9 +206,13 @@ class DB:
         else:
             snapshot = snapshot_from_cache(tokens, kv_cache)
         if query_samples:
-            snapshot.query_samples = self._draw_query_samples(
-                query_samples, snapshot.keys, snapshot.num_tokens
-            )
+            if any(queries.shape[1] != snapshot.num_tokens for queries in query_samples.values()):
+                raise ValueError(f"query_samples must hold one row per token ({snapshot.num_tokens})")
+            snapshot.query_samples = {
+                layer: self.config.index_build.sample_queries(queries, snapshot.keys[layer].shape[0], layer, 0)
+                for layer, queries in query_samples.items()
+                if self.config.records_queries(layer)
+            }
         snapshot.validate()
 
         context_id = context_id or self._next_context_id()
@@ -256,47 +263,12 @@ class DB:
             tokens=list(tokens),
             keys=keys,
             values=values,
-            query_samples=self._session_query_samples(session, keys),
+            query_samples={
+                layer: sample for layer in keys if (sample := session.query_sample(layer)) is not None
+            },
         )
         snapshot.validate()
         return snapshot
-
-    def _draw_query_samples(
-        self, queries: dict[int, np.ndarray], keys: dict[int, np.ndarray], num_keys: int
-    ) -> dict[int, np.ndarray]:
-        """The sample of each layer's ``queries`` that a fine build over
-        ``num_keys`` keys reads, for every layer that can plan FINE (one
-        outside ``flat_index_layers``)."""
-        return {
-            layer: draw_query_sample(
-                layer_queries, keys[layer].shape[0], num_keys, self.config.index_build, layer
-            )
-            for layer, layer_queries in queries.items()
-            if layer_queries.size and layer not in self.config.flat_index_layers
-        }
-
-    def _session_query_samples(
-        self, session: Session, keys: dict[int, np.ndarray]
-    ) -> dict[int, np.ndarray]:
-        """The query sample of everything a stored session represents.
-
-        A session captured queries only for its *locally* computed tokens;
-        they are drawn down to a sample sized to those tokens.  A connected
-        session's reused prefix already has its sample on the stored context:
-        the ``sample_rows(reused)`` rows a build over the prefix reads come
-        first, then the
-        turn's own draw, so a chat turn that re-stores the grown context
-        keeps a full-transcript sample of about ``query_sample_ratio · n``
-        rows per KV head.
-        """
-        drawn = self._draw_query_samples(session.query_samples, keys, session.local_length())
-        if session.context is None:  # unconnected, or reading a sharded prefix
-            return drawn
-        keep = self.config.index_build.sample_rows(session.reused_prefix_length)
-        merged = {layer: sample[:, :keep] for layer, sample in session.context.query_samples.items()}
-        for layer, sample in drawn.items():
-            merged[layer] = np.concatenate([merged[layer], sample], axis=1) if layer in merged else sample
-        return merged
 
     def _register_context(self, context: StoredContext, overwrite: bool, build: bool) -> None:
         """Add ``context`` to the store, first building the indexes its
@@ -430,12 +402,10 @@ class DB:
         for layer, keys in keys_per_layer.items():
             sample = context.query_samples.get(layer)
             if sample is None:
-                # imported without prefill queries: index with a sample of the
-                # keys themselves (loses the OOD benefit but keeps the index
-                # functional)
-                sample = draw_query_sample(
-                    keys, keys.shape[0], keys.shape[1], self.config.index_build, layer
-                )
+                # imported without prefill queries: index with the keys the
+                # sampling rule picks (loses the OOD benefit but keeps the
+                # index functional)
+                sample = self.config.index_build.sample_queries(keys, keys.shape[0], layer, 0)
             samples[layer] = sample
         built, _ = self._builder.build_context(keys_per_layer, samples)
         context.fine_indexes = {**context.fine_indexes, **built}

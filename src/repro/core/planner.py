@@ -106,6 +106,10 @@ class LayerIndexData:
     flat_indexes: list[FlatIndex] = field(default_factory=list)
     """Lazily-created flat indexes per KV head."""
 
+    query_sample: np.ndarray | None = None
+    """The range's stored query sample (``None`` when it holds none): not
+    read by retrieval, but by ``DB.store`` of a session over the range."""
+
     position_offset: int = 0
     """Global position of this range's first token.  Every retrieval outcome
     reports positions in the *global* token space of the full context; window

@@ -355,7 +355,9 @@ class InferenceService:
     # scheduler backend protocol
     # ------------------------------------------------------------------
     def estimate_request_bytes(self, request: Request) -> int:
-        """Estimated GPU-resident footprint: window + KV appended in flight."""
+        """Estimated GPU-resident footprint: window + KV appended in flight +
+        the query rows the session samples of those tokens (what
+        :meth:`Session.gpu_memory_bytes` counts, at most)."""
         match = self.db.store_registry.find_longest_prefix(request.prompt_tokens)
         reused = (
             match.prefix_length
@@ -365,7 +367,11 @@ class InferenceService:
         per_token = self.model.kv_bytes_per_token()
         appended_tokens = len(request.prompt_tokens) - reused + request.max_new_tokens
         window_tokens = min(self.config.window_total_tokens, reused)
-        return (appended_tokens + window_tokens) * per_token
+        model = self.model.config
+        query_bytes = self.config.recorded_query_bytes(
+            model.num_layers, model.num_kv_heads, model.head_dim, reused, reused + appended_tokens
+        )
+        return (appended_tokens + window_tokens) * per_token + query_bytes
 
     def begin_request(self, request: Request) -> InFlightRequest:
         session, truncated = self.db.create_session(request.prompt_tokens)

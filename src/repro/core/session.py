@@ -111,6 +111,28 @@ def _visible_slabs(
     return slabs
 
 
+class _SampledRows:
+    """The query rows a session sampled at one layer, ``(num_kv_heads, m,
+    head_dim)`` in position order, over a buffer that doubles when full."""
+
+    def __init__(self, num_kv_heads: int, head_dim: int):
+        self._buffer = np.zeros((num_kv_heads, 128, head_dim), dtype=np.float32)
+        self.length = 0
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buffer[:, : self.length]
+
+    def append(self, rows: np.ndarray) -> None:
+        end = self.length + rows.shape[1]
+        if end > self._buffer.shape[1]:
+            grown = np.zeros((rows.shape[0], 2 * end, rows.shape[2]), dtype=np.float32)
+            grown[:, : self.length] = self.rows
+            self._buffer = grown
+        self._buffer[:, self.length : end] = rows
+        self.length = end
+
+
 @dataclass
 class _ModelDims:
     """Model shape inferred from the tensors flowing through the session."""
@@ -147,7 +169,7 @@ class Session:
         self._closed = False
         self._dims: _ModelDims | None = None
         self._local: dict[int, LayerKVCache] = {}
-        self._query_samples: dict[int, list[np.ndarray]] = {}
+        self._sampled: dict[int, _SampledRows] = {}
         self._layer_data: dict[int, LayerIndexData] = {}
 
         self.window = WindowCache(self.config.window_initial_tokens, self.config.window_last_tokens)
@@ -236,14 +258,33 @@ class Session:
         """Total visible context length: reused prefix + locally appended tokens."""
         return self.reused_prefix_length + self.local_length(layer)
 
-    @property
-    def query_samples(self) -> dict[int, np.ndarray]:
-        """Captured query vectors per layer, ``(num_query_heads, m, head_dim)``
-        (a stored context keeps only the sample drawn from them)."""
-        stacked: dict[int, np.ndarray] = {}
-        for layer, samples in self._query_samples.items():
-            stacked[layer] = np.concatenate(samples, axis=1) if samples else np.empty((0, 0, 0), dtype=np.float32)
-        return stacked
+    def recorded_queries(self, layer: int) -> np.ndarray | None:
+        """The query rows this session sampled at ``layer`` as they arrived,
+        ``(num_kv_heads, m, head_dim)``; ``None`` on a layer that records
+        none (a flat layer, or one no row reached)."""
+        sampled = self._sampled.get(layer)
+        return sampled.rows if sampled is not None else None
+
+    def query_sample(self, layer: int) -> np.ndarray | None:
+        """The query sample of everything the session represents at ``layer``:
+        the sampled rows of positions ``[0, sequence_length)`` — the stored
+        ranges' rows of the reused prefix, then the rows recorded here.
+        ``None`` where a fine build must read the keys instead: a layer that
+        records nothing, or a reused range whose sample is missing or not
+        the rule's under this config."""
+        ranges = self._stored_ranges(layer)
+        if not self.config.records_queries(layer) or any(data.query_sample is None for data in ranges):
+            return None
+        parts = []
+        if ranges:
+            stored = np.concatenate([data.query_sample for data in ranges], axis=1)
+            num_tokens = sum(data.keys.shape[1] for data in ranges)
+            parts.append(self.config.index_build.cut_sample(stored, layer, num_tokens, 0, self.reused_prefix_length))
+        if (recorded := self.recorded_queries(layer)) is not None:
+            parts.append(recorded)
+        if not parts or parts[0] is None:
+            return None
+        return np.concatenate(parts, axis=1)
 
     def local_snapshot(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Keys/values appended locally for ``layer`` (may be empty arrays)."""
@@ -262,9 +303,9 @@ class Session:
     def gpu_memory_bytes(self) -> int:
         """Bytes this session pins in (simulated) GPU memory.
 
-        The window cache and the local (unmaterialised) KV stay on the GPU;
-        the stored context's KV and indexes stay on CPU/disk, and only
-        attention outputs cross the boundary.
+        The window cache, the local (unmaterialised) KV and the recorded
+        query rows stay on the GPU; the stored context's KV and indexes stay
+        on CPU/disk, and only attention outputs cross the boundary.
         """
         if self._dims is None:
             return 0
@@ -274,6 +315,7 @@ class Session:
             self.reused_prefix_length, dims.num_kv_heads, dims.head_dim, layers
         )
         local_bytes = sum(cache.nbytes for cache in self._local.values())
+        local_bytes += sum(sampled.rows.nbytes for sampled in self._sampled.values())
         coarse_bytes = 0
         if self.plans_index(IndexKind.COARSE) and self.context is not None:
             coarse_bytes = sum(
@@ -289,20 +331,23 @@ class Session:
         """Register new Q/K/V for ``layer`` (Table 2: ``Session.update``).
 
         Keys/values are appended to the local cache (late materialization);
-        query vectors are kept so that ``DB.store`` can draw from them the
-        sample the OOD-aware RoarGraph indexes are built from.
+        on a layer that records queries, the rows the sampling rule picks
+        (:meth:`~repro.index.builder.IndexBuildConfig.sample_queries`) are
+        copied out for the OOD-aware RoarGraph build.  Nothing else of ``q``
+        is kept.
         """
         self._require_open()
-        q = np.array(q, dtype=np.float32)  # kept: a copy, never a view of the caller's rows
-        k = np.asarray(k, dtype=np.float32)
         if self._dims is None:
             self._dims = _ModelDims(num_query_heads=q.shape[0], num_kv_heads=k.shape[0], head_dim=q.shape[2])
         cache = self._local.get(layer)
         if cache is None:
-            cache = LayerKVCache(k.shape[0], k.shape[2])
-            self._local[layer] = cache
-        cache.append(k, v)
-        self._query_samples.setdefault(layer, []).append(q)
+            cache = self._local[layer] = LayerKVCache(k.shape[0], k.shape[2])
+            if self.config.records_queries(layer):
+                self._sampled[layer] = _SampledRows(k.shape[0], k.shape[2])
+        start = self.reused_prefix_length + cache.append(k, v)
+        if layer in self._sampled:
+            rule = self.config.index_build
+            self._sampled[layer].append(rule.sample_queries(q, k.shape[0], layer, start))
 
     # ------------------------------------------------------------------
     # attention
@@ -388,7 +433,9 @@ class Session:
         data = self._layer_data.get(layer)
         if data is None:
             data = self._layer_data[layer] = LayerIndexData(
-                keys=context.keys(layer), values=context.values(layer)
+                keys=context.keys(layer),
+                values=context.values(layer),
+                query_sample=context.query_samples.get(layer),
             )
         # another session's creation may build the indexes after this
         # layer's first use

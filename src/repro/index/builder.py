@@ -7,8 +7,10 @@ heads in one group all attend to the same KV head, so one RoarGraph per *KV
 head*, built from query vectors sampled across the whole group, serves every
 query head of that group.  That is the only layout: a layer's fine indexes
 are a list indexed by KV head, and a query head reads the index of its KV
-head.  The query sample is drawn once, by :func:`draw_query_sample`, when a
-snapshot is made; the builder reads the stored sample as it is.
+head.  Which historical queries form the sample is one rule, applied as
+query rows arrive (:meth:`IndexBuildConfig.sampled_positions`): a stored
+context keeps the sampled rows of its positions, and the builder reads that
+sample whole.
 
 The paper's other construction optimization, the GPU (cuVS) kNN stage, is
 not executed here: the kNN stage runs on the CPU
@@ -26,30 +28,64 @@ import numpy as np
 
 from .roargraph import RoarGraphConfig, RoarGraphIndex
 
-__all__ = ["IndexBuildConfig", "BuildReport", "ContextIndexBuilder", "draw_query_sample"]
+__all__ = ["IndexBuildConfig", "BuildReport", "ContextIndexBuilder"]
+
+
+_WEYL_STEP = np.uint64(0x9E3779B9)
+"""``⌊2³² / φ⌋``: position ``x`` maps to ``frac(x / φ)`` in 32-bit fixed point."""
+_LOW_32_BITS = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
 class IndexBuildConfig:
-    """Options controlling index construction."""
+    """Options controlling index construction, and the one query-sample rule
+    at their ratio."""
 
     query_sample_ratio: float = 0.4
     """Fraction of query vectors (relative to the number of keys) sampled for
     the bipartite stage — the paper uses 40%."""
 
     roargraph: RoarGraphConfig = field(default_factory=RoarGraphConfig)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.query_sample_ratio <= 1.0:
             raise ValueError(f"query_sample_ratio must be in (0, 1], got {self.query_sample_ratio}")
 
-    def sample_rows(self, num_keys: int) -> int:
-        """Query-sample rows per KV head that a fine build over ``num_keys``
-        keys reads: ``max(1, ⌊query_sample_ratio · num_keys⌋)``.  The one
-        rule the draw, the build and a shard's slice of its parent's sample
-        all follow."""
-        return max(1, int(self.query_sample_ratio * num_keys))
+    def sampled_positions(self, layer: int, start: int, stop: int) -> np.ndarray:
+        """The sorted positions in ``[start, stop)`` whose query ``layer``
+        samples — the one membership rule: ``i`` is sampled iff
+        ``frac((i + 1 + 7919·layer) / φ) < query_sample_ratio``.  A pure
+        function of ``(layer, i)``, so a row's membership is known when it
+        arrives; the Weyl sequence has low discrepancy, so every window of
+        ``w`` positions holds ``ratio · w`` of them to within a few."""
+        offset = 1 + 7919 * layer
+        codes = np.arange(start + offset, stop + offset, dtype=np.uint64) * _WEYL_STEP
+        return ((codes & _LOW_32_BITS) < int(self.query_sample_ratio * 2**32)).nonzero()[0] + start
+
+    def sample_queries(self, queries: np.ndarray, num_groups: int, layer: int, start: int) -> np.ndarray:
+        """The rule's rows of ``queries``, ``(num_heads, r, head_dim)`` of
+        positions ``[start, start + r)`` in GQA order (a group's heads
+        adjacent): each sampled position gives one row per group, from
+        in-group head ``position mod group_size``.  Returns ``(num_groups,
+        m, head_dim)`` in position order."""
+        num_heads, rows, head_dim = queries.shape
+        group_size = num_heads // num_groups
+        positions = self.sampled_positions(layer, start, start + rows)
+        grouped = queries.reshape(num_groups, group_size, rows, head_dim)
+        return grouped[:, positions % group_size, positions - start]
+
+    def cut_sample(
+        self, sample: np.ndarray, layer: int, num_tokens: int, start: int, stop: int
+    ) -> np.ndarray | None:
+        """The rows of ``sample`` — the rule's rows of positions ``[0,
+        num_tokens)`` — whose positions fall in ``[start, stop)``.  A sample
+        whose row count says it is not (stored under another ratio, or
+        planted) has no positions to cut by: ``None``, and a build over the
+        cut reads the keys."""
+        if sample.shape[1] != self.sampled_positions(layer, 0, num_tokens).size:
+            return None
+        first = self.sampled_positions(layer, 0, start).size
+        return sample[:, first : first + self.sampled_positions(layer, start, stop).size]
 
 
 @dataclass
@@ -61,35 +97,6 @@ class BuildReport:
     num_query_samples: int
     wall_clock_seconds: float
     index_memory_bytes: int
-
-
-def draw_query_sample(
-    queries: np.ndarray, num_groups: int, num_keys: int, config: IndexBuildConfig, layer: int
-) -> np.ndarray:
-    """The query sample a fine build of ``layer`` reads — the one draw.
-
-    ``queries`` lists historical query vectors by head, ``(num_heads, m,
-    head_dim)``, in GQA order: the heads of one KV head are adjacent, or
-    already concatenated per KV head.  They are split into ``num_groups``
-    groups (the KV heads; the query heads for a per-query-head build), and
-    from each group ``query_sample_ratio · num_keys`` vectors are drawn
-    uniformly without replacement, all of them when the group has no more.
-    The draw is seeded by ``config.seed + layer``.  Returns ``(num_groups,
-    m', head_dim)`` float32.  Drawn rows come back in shuffled order, so a
-    prefix of a drawn group is itself a uniform sample.
-    """
-    queries = np.asarray(queries, dtype=np.float32)
-    num_heads = queries.shape[0]
-    if num_heads % num_groups and num_groups % num_heads:
-        raise ValueError(f"{num_heads} heads of queries do not form {num_groups} groups")
-    groups = queries.reshape(num_groups, -1, queries.shape[-1])
-    target = config.sample_rows(num_keys)
-    if groups.shape[1] <= target:
-        return groups
-    rng = np.random.default_rng(config.seed + layer)
-    return np.stack(
-        [group[rng.choice(group.shape[0], size=target, replace=False)] for group in groups]
-    )
 
 
 class ContextIndexBuilder:
@@ -105,10 +112,8 @@ class ContextIndexBuilder:
 
         ``keys``: ``(num_kv_heads, n, head_dim)`` — the cached key vectors.
         ``sample``: ``(num_kv_heads, m, head_dim)`` — the layer's query
-        sample (:func:`draw_query_sample`).  KV head ``h`` is built from
-        ``sample[h][: config.sample_rows(n)]``: all of a context's own
-        sample, and all of a shard's, which holds that prefix of its
-        parent's.
+        sample (:meth:`IndexBuildConfig.sample_queries`), read whole: KV
+        head ``h`` is built from ``sample[h]``.
         """
         keys = np.asarray(keys, dtype=np.float32)
         sample = np.asarray(sample, dtype=np.float32)
@@ -118,20 +123,19 @@ class ContextIndexBuilder:
                 f"query sample of shape {sample.shape} is not one group per KV head "
                 f"(num_kv_heads={num_kv_heads})"
             )
-        rows = self.config.sample_rows(num_keys)
 
         start = time.perf_counter()
         indexes: list[RoarGraphIndex] = []
         for kv_head in range(num_kv_heads):
             index = RoarGraphIndex(self.config.roargraph)
-            index.build(keys[kv_head], query_sample=sample[kv_head, :rows])
+            index.build(keys[kv_head], query_sample=sample[kv_head])
             indexes.append(index)
         wall_clock = time.perf_counter() - start
 
         report = BuildReport(
             num_indexes=len(indexes),
             num_keys=num_keys,
-            num_query_samples=num_kv_heads * min(rows, sample.shape[1]),
+            num_query_samples=num_kv_heads * sample.shape[1],
             wall_clock_seconds=wall_clock,
             index_memory_bytes=sum(index.memory_bytes for index in indexes),
         )

@@ -86,10 +86,10 @@ class LayerKVCache:
         self._keys, self._values = grown_keys, grown_values
         self._capacity = new_capacity
 
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append new tokens; ``k``/``v`` shape ``(num_kv_heads, n, head_dim)``."""
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
+    def append(self, k: np.ndarray, v: np.ndarray) -> int:
+        """Append new tokens; ``k``/``v`` shape ``(num_kv_heads, n, head_dim)``.
+        Returns the index of the first appended token.  The buffers are
+        float32: other dtypes are cast as they are copied in."""
         if k.shape != v.shape:
             raise ValueError(f"key shape {k.shape} != value shape {v.shape}")
         if k.shape[0] != self.num_kv_heads or k.shape[2] != self.head_dim:
@@ -102,6 +102,7 @@ class LayerKVCache:
         self._keys[:, self._length : self._length + n, :] = k
         self._values[:, self._length : self._length + n, :] = v
         self._length += n
+        return self._length - n
 
     def slice(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (keys, values) views for positions ``[start, stop)``."""

@@ -33,7 +33,7 @@ __all__ = [
     "snapshot_from_bytes",
 ]
 
-SNAPSHOT_FORMAT_VERSION = 3
+SNAPSHOT_FORMAT_VERSION = 4
 
 _KIND = "kv-snapshot"
 
@@ -43,9 +43,12 @@ class KVSnapshot:
     """An immutable picture of a context: tokens plus per-layer KV tensors.
 
     ``query_samples`` holds, per layer that can plan a fine index, the query
-    sample its build reads: ``(num_kv_heads, m, head_dim)``, drawn once from
-    the prefill queries (:func:`repro.index.builder.draw_query_sample`).
-    Persisting it alongside the KV lets a context reloaded from disk rebuild
+    sample its build reads: ``(num_kv_heads, m, head_dim)``, the rows of the
+    positions ``[0, n)`` that the one rule samples
+    (:meth:`~repro.index.builder.IndexBuildConfig.sampled_positions`), in
+    position order — so it depends on the tokens alone, and a token range's
+    sample is a contiguous run of rows.  Persisting it
+    alongside the KV lets a context reloaded from disk rebuild
     byte-identical fine indexes, with the out-of-distribution sample the
     original build used instead of the keys themselves.
     """

@@ -35,6 +35,7 @@ import asyncio
 import math
 from dataclasses import asdict, dataclass
 
+from ..api import completion_id
 from ..core.service import InferenceService
 from ..errors import TenantThrottledError, UnknownTenantError
 from ..scheduler.request import RequestState
@@ -488,15 +489,12 @@ class AlayaDBServer:
             self.stats.disconnect_cancels += 1
             self._kick()
 
-    def _completion_id(self, request_id: int) -> str:
-        return f"cmpl-{request_id:08d}"
-
     def _finish_payload(self, handle) -> dict:
         """The terminal-state summary shared by both response shapes."""
         request_id = handle.request_id
         state = handle.status
         payload: dict = {
-            "id": self._completion_id(request_id),
+            "id": completion_id(request_id),
             "request_id": request_id,
             "status": state,
         }
@@ -546,44 +544,28 @@ class AlayaDBServer:
 
     async def _stream_completion(self, handle, writer, watcher: asyncio.Task) -> None:
         request_id = handle.request_id
-        completion_id = self._completion_id(request_id)
+        chunk_id = completion_id(request_id)
         self.stats.streams_started += 1
         writer.write(sse_headers({"X-Request-Id": str(request_id)}))
         emitted = 0
         tokenizer = self.service.db.tokenizer
+
+        def write_new_tokens() -> int:
+            """Write an SSE event per token generated since the last call."""
+            tokens = self.service.generated_tokens(request_id)
+            for index in range(emitted, len(tokens)):
+                token_id = int(tokens[index])
+                event = {"id": chunk_id, "index": index, "token_id": token_id, "text": tokenizer.decode([token_id])}
+                writer.write(sse_event(event))
+            return len(tokens)
+
         try:
             while True:
-                tokens = self.service.generated_tokens(request_id)
-                while emitted < len(tokens):
-                    token_id = tokens[emitted]
-                    writer.write(
-                        sse_event(
-                            {
-                                "id": completion_id,
-                                "index": emitted,
-                                "token_id": int(token_id),
-                                "text": tokenizer.decode([token_id]),
-                            }
-                        )
-                    )
-                    emitted += 1
+                emitted = write_new_tokens()
                 await writer.drain()  # raises once the client is gone
                 if handle.is_done:
                     # flush tokens recorded between the snapshot and finish
-                    tokens = self.service.generated_tokens(request_id)
-                    while emitted < len(tokens):
-                        token_id = tokens[emitted]
-                        writer.write(
-                            sse_event(
-                                {
-                                    "id": completion_id,
-                                    "index": emitted,
-                                    "token_id": int(token_id),
-                                    "text": tokenizer.decode([token_id]),
-                                }
-                            )
-                        )
-                        emitted += 1
+                    emitted = write_new_tokens()
                     final = self._finish_payload(handle)
                     final["done"] = True
                     writer.write(sse_event(final))

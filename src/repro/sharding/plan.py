@@ -168,13 +168,12 @@ def slice_snapshot(
 ) -> KVSnapshot:
     """One shard's KV slice of a full-context snapshot.
 
-    Tokens and per-layer K/V are sliced to ``[rng.start, rng.stop)``.  The
-    query sample is not sliced by position — it describes the query
-    distribution that will probe the shard's indexes, which is the full
-    request stream, not the shard's own token range — but cut to the prefix
-    a build over the shard's tokens reads
-    (:meth:`~repro.index.builder.IndexBuildConfig.sample_rows` rows per KV
-    head; a prefix of a drawn sample is itself a uniform sample).  Shard
+    Tokens, per-layer K/V and the query sample are sliced to ``[rng.start,
+    rng.stop)``: a sample holds the rows of its sampled positions in order
+    (:meth:`~repro.index.builder.IndexBuildConfig.sampled_positions`), so
+    the shard's are the run of rows whose positions fall in its range, and
+    the shards' samples concatenated in order are the parent's.  A sample
+    that is not the rule's under ``index_build`` is not carried.  Shard
     provenance lands in the metadata so a recovered shard remains
     identifiable.
     """
@@ -207,7 +206,9 @@ def slice_snapshot(
         values=values,
         metadata=metadata,
         query_samples={
-            layer: np.ascontiguousarray(sample[:, : index_build.sample_rows(rng.num_tokens)])
+            layer: np.ascontiguousarray(cut)
             for layer, sample in snapshot.query_samples.items()
+            if (cut := index_build.cut_sample(sample, layer, snapshot.num_tokens, rng.start, rng.stop))
+            is not None
         },
     )

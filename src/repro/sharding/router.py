@@ -148,6 +148,7 @@ class ShardWorker:
                 values=context.values(layer),
                 fine_indexes=context.fine_indexes.get(layer),
                 coarse_indexes=context.coarse_indexes.get(layer),
+                query_sample=context.query_samples.get(layer),
                 # outcomes come back in *global* token space: the shard's
                 # range start travels with its snapshot, so a cold-loaded
                 # shard needs no assignment bookkeeping to answer correctly

@@ -228,7 +228,8 @@ def generate_workload(spec: WorkloadSpec) -> SyntheticWorkload:
     # noise so different queries surface different critical tokens and the
     # bipartite projection interconnects the whole critical set.  They are
     # emitted grouped by KV head, (num_kv_heads, group * m, d), the shape of a
-    # snapshot's query sample; a build draws its sample from them.
+    # snapshot's query sample; a build reads them whole, or the sampling rule
+    # thins them first (repro.index.builder.sample_queries).
     queries_per_head = max(16, int(spec.index_query_fraction * n / max(group, 1)))
     index_queries: dict[int, np.ndarray] = {}
     for layer in range(num_layers):

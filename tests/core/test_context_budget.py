@@ -10,7 +10,7 @@ from repro.core.config import AlayaDBConfig
 from repro.core.context_store import ContextStore, StoredContext
 from repro.core.db import DB
 from repro.errors import ConfigError, ContextEvictedError
-from repro.index.builder import ContextIndexBuilder, draw_query_sample
+from repro.index.builder import ContextIndexBuilder
 from repro.kvcache.serialization import KVSnapshot, snapshot_from_bytes, snapshot_to_bytes
 from repro.llm.model import ModelConfig, TransformerModel
 from repro.query.types import IndexKind
@@ -328,14 +328,14 @@ class TestQuerySamplePersistence:
         keys = rebuilt.keys(1)
         sample = rebuilt.query_samples[1]
         assert sorted(rebuilt.query_samples) == [1]
-        assert sample.shape == (2, int(0.4 * rebuilt.num_tokens), 8)
+        assert sample.shape == (2, config.sampled_positions(1, 0, rebuilt.num_tokens).size, 8)
 
         def graphs(indexes):
             return [(i.graph.neighbor_ids.tobytes(), i.entry_point) for i in indexes]
 
         from_sample, _ = ContextIndexBuilder(config).build_layer(keys, sample)
         from_keys, _ = ContextIndexBuilder(config).build_layer(
-            keys, draw_query_sample(keys, 2, rebuilt.num_tokens, config, 1)
+            keys, config.sample_queries(keys, 2, 1, 0)
         )
         assert graphs(rebuilt.fine_indexes[1]) == graphs(from_sample)
         assert graphs(from_sample) != graphs(from_keys)
@@ -355,8 +355,9 @@ class TestQuerySamplePersistence:
             np.testing.assert_array_equal(loaded.query_samples[layer], snapshot.query_samples[layer])
 
     def test_chat_restored_context_keeps_merged_samples(self, tmp_path):
-        """A stored chat turn merges the reused prefix's samples with the
-        session's own, so the grown context keeps a full-transcript sample."""
+        """A stored chat turn keeps the reused prefix's sampled rows and adds
+        the session's own, so the grown context holds the sample of its
+        whole transcript."""
         from repro.core.service import InferenceService
 
         model = TransformerModel(ModelConfig.tiny(seed=107))
@@ -372,9 +373,10 @@ class TestQuerySamplePersistence:
         context = service.db.get_context(chat.context_id)
         assert context.num_tokens > first.num_tokens
         assert sorted(context.query_samples) == sorted(first_samples) == [1]
+        rule = config.index_build
         for layer, sample in context.query_samples.items():
-            # the prefix's sample, then a draw sized to the turn's own tokens
+            # the prefix's rows, then the rows of the turn's own positions
             prefix = first_samples[layer]
-            assert prefix.shape[1] == int(0.4 * first.num_tokens)
-            assert prefix.shape[1] < sample.shape[1] <= int(0.4 * context.num_tokens)
+            assert prefix.shape[1] == rule.sampled_positions(layer, 0, first.num_tokens).size
+            assert sample.shape[1] == rule.sampled_positions(layer, 0, context.num_tokens).size
             np.testing.assert_array_equal(sample[:, : prefix.shape[1]], prefix)

@@ -177,7 +177,8 @@ class TestSessionLifecycle:
         keys, values = session.materialized_kv(0)
         assert keys.shape == (2, 8, 8)
         np.testing.assert_array_equal(values, np.concatenate([v, v], axis=1))
-        assert session.query_samples[0].shape == (4, 8, 8)
+        # layer 0 is in the default flat_index_layers: no query row is kept
+        assert session.recorded_queries(0) is None
 
 
 class TestDBStore:

@@ -150,7 +150,7 @@ def test_ingest_stores_what_serving_the_document_stores():
     for layer in range(model.config.num_layers):
         np.testing.assert_array_equal(a.keys(layer), b.keys(layer))
         np.testing.assert_array_equal(a.values(layer), b.values(layer))
-    # the same drawn query sample, for the layers outside flat_index_layers
+    # the same query sample, for the layers outside flat_index_layers
     fine_capable = [l for l in range(model.config.num_layers) if l not in config.flat_index_layers]
     assert sorted(a.query_samples) == sorted(b.query_samples) == fine_capable
     for layer in fine_capable:

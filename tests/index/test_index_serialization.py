@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ContextLoadError, IndexNotBuiltError
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig, draw_query_sample
+from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.roargraph import RoarGraphIndex
 from repro.index.serialization import (
@@ -72,9 +72,7 @@ class TestContextIndexBlob:
         rng = np.random.default_rng(12)
         config = IndexBuildConfig()
         samples = {
-            layer: draw_query_sample(
-                rng.normal(size=(4, 24, DIM)), NUM_KV_HEADS, NUM_TOKENS, config, layer
-            )
+            layer: config.sample_queries(rng.normal(size=(4, 24, DIM)), NUM_KV_HEADS, layer, 0)
             for layer in range(NUM_LAYERS)
         }
         fine, _ = ContextIndexBuilder(config).build_context(keys, samples)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.baselines.topk_retrieval import beam_search
 from repro.errors import IndexNotBuiltError
 from repro.index.base import SearchResult
-from repro.index.builder import ContextIndexBuilder, IndexBuildConfig, draw_query_sample
+from repro.index.builder import ContextIndexBuilder, IndexBuildConfig
 from repro.index.coarse import CoarseBlockIndex
 from repro.index.flat import FlatIndex
 from repro.index.graph import NeighborGraph
@@ -248,8 +248,10 @@ class TestContextIndexBuilder:
         queries = rng.normal(size=(num_q, 64, dim)).astype(np.float32)
         return keys, queries
 
-    def _sample(self, queries, n=300, num_kv=2, **config):
-        return draw_query_sample(queries, num_kv, n, IndexBuildConfig(**config), layer=0)
+    def _sample(self, queries, num_kv=2):
+        """The rule over the 64 query rows, at a rate that keeps about 40 %
+        of the 300 keys' worth (all of them)."""
+        return IndexBuildConfig(query_sample_ratio=1.0).sample_queries(queries, num_kv, 0, 0)
 
     def test_one_index_per_kv_head_over_its_keys(self):
         """GQA sharing is the only layout: a layer's indexes are a list by KV
@@ -261,44 +263,31 @@ class TestContextIndexBuilder:
             assert np.shares_memory(index.vectors, keys[kv_head])
         assert report.index_memory_bytes == sum(index.memory_bytes for index in indexes)
 
-    def test_query_heads_must_fill_whole_groups(self):
-        keys, queries = self._layer_data(num_q=3)
-        with pytest.raises(ValueError, match="do not form 2 groups"):
-            self._sample(queries)
-        with pytest.raises(ValueError, match="one group per KV head"):
-            ContextIndexBuilder().build_layer(keys, self._sample(queries, num_kv=3))
-
-    def test_the_draw_is_per_kv_head_without_replacement(self):
-        """Each KV head gets ``query_sample_ratio · n`` distinct queries of its
-        own group, and the draw is seeded by ``seed + layer``."""
-        _, queries = self._layer_data()
-        sample = self._sample(queries)
-        assert sample.shape == (2, int(0.4 * 300), 16) and sample.dtype == np.float32
-        for kv_head in range(2):
-            group = queries[2 * kv_head : 2 * kv_head + 2].reshape(-1, 16)
-            rows = [int(np.flatnonzero((group == row).all(axis=1))[0]) for row in sample[kv_head]]
-            assert len(set(rows)) == len(rows)
-        np.testing.assert_array_equal(sample, self._sample(queries))
-        assert not np.array_equal(sample, self._sample(queries, seed=1))
-        # a group with no more rows than the target is kept whole
-        assert self._sample(queries, n=1000).shape == (2, 128, 16)
-
-    def test_the_builder_draws_nothing(self):
-        """A build reads ``sample[h][: max(1, int(ratio · n))]`` and nothing
-        else: its seed does not matter, and a build over fewer keys (a shard)
-        equals a build from that prefix of the sample."""
+    def test_the_sample_must_hold_one_group_per_kv_head(self):
         keys, queries = self._layer_data()
-        sample = self._sample(queries)
+        with pytest.raises(ValueError, match="one group per KV head"):
+            ContextIndexBuilder().build_layer(keys, self._sample(queries, num_kv=4))
+
+    def test_the_builder_reads_the_sample_whole(self):
+        """A build over any number of keys reads every row of the sample it
+        is handed: KV head ``h`` is exactly a RoarGraph over its keys built
+        from ``sample[h]``."""
+        keys, queries = self._layer_data()
+        sample = IndexBuildConfig().sample_queries(queries, 2, 0, 0)
 
         def graphs(indexes):
             return [(i.graph.neighbor_ids.tobytes(), i.graph.offsets.tobytes(), i.entry_point) for i in indexes]
 
-        full = graphs(ContextIndexBuilder().build_layer(keys, sample)[0])
-        assert full == graphs(ContextIndexBuilder(IndexBuildConfig(seed=7)).build_layer(keys, sample)[0])
         shard_keys = np.ascontiguousarray(keys[:, :100])
-        shard, report = ContextIndexBuilder().build_layer(shard_keys, sample)
-        assert report.num_query_samples == 2 * 40
-        assert graphs(shard) == graphs(ContextIndexBuilder().build_layer(shard_keys, sample[:, :40])[0])
+        for layer_keys in (keys, shard_keys):
+            built, report = ContextIndexBuilder().build_layer(layer_keys, sample)
+            assert report.num_query_samples == 2 * sample.shape[1]
+            direct = []
+            for kv_head in range(2):
+                index = RoarGraphIndex(IndexBuildConfig().roargraph)
+                index.build(layer_keys[kv_head], query_sample=sample[kv_head])
+                direct.append(index)
+            assert graphs(built) == graphs(direct)
 
     def test_build_context_aggregates_layers(self):
         keys, queries = self._layer_data()

@@ -261,6 +261,13 @@ class TestCrashSafety:
         with pytest.raises(ContextLoadError, match="format version 2 is not supported"):
             snapshot_from_bytes(blob)
 
+    def test_version_three_record_raises(self):
+        # format 3 held a seeded random draw of rows, not the rows of the
+        # sampled positions in order
+        blob = self._record(version=3, qsample_0=np.ones((2, 3, 8), dtype=np.float32))
+        with pytest.raises(ContextLoadError, match="format version 3 is not supported"):
+            snapshot_from_bytes(blob)
+
     @pytest.mark.parametrize(
         "name, shape",
         [

@@ -93,7 +93,9 @@ class TestSliceSnapshot:
         rng_np = np.random.default_rng(0)
         keys = {0: rng_np.normal(size=(2, 32, 4)).astype(np.float32)}
         values = {0: rng_np.normal(size=(2, 32, 4)).astype(np.float32)}
-        samples = {0: rng_np.normal(size=(2, 12, 4)).astype(np.float32)}
+        first_half = IndexBuildConfig().sampled_positions(0, 0, 16).size
+        sampled = IndexBuildConfig().sampled_positions(0, 0, 32).size
+        samples = {0: rng_np.normal(size=(2, sampled, 4)).astype(np.float32)}
         snapshot = KVSnapshot(
             tokens=list(range(32)), keys=keys, values=values, query_samples=samples
         )
@@ -102,9 +104,9 @@ class TestSliceSnapshot:
         assert shard.tokens == list(range(16, 32))
         np.testing.assert_array_equal(shard.keys[0], keys[0][:, 16:32, :])
         np.testing.assert_array_equal(shard.values[0], values[0][:, 16:32, :])
-        # query samples describe the probing distribution, not the token range:
-        # the shard keeps the prefix a build over its 16 tokens reads (⌊0.4 · 16⌋ rows)
-        np.testing.assert_array_equal(shard.query_samples[0], samples[0][:, :6])
+        # a sample's rows are its sampled positions in order: the shard keeps
+        # the run of rows whose positions fall in [16, 32)
+        np.testing.assert_array_equal(shard.query_samples[0], samples[0][:, first_half:])
         shard.validate()
         assert shard.metadata["shard_id"] == "1"
         assert shard.metadata["shard_start"] == "16"

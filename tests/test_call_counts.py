@@ -16,6 +16,7 @@ import gc
 import sys
 
 import numpy as np
+import pytest
 
 from repro.core.config import AlayaDBConfig
 from repro.core.decode_round import CrossRequestDecodeRound
@@ -30,6 +31,7 @@ BLOCK_EVENTS = 13
 GROUP_ATTENTION_EVENTS = 44
 PREFILL_CHUNK_EVENTS = 74
 MIXED_ROUND_EVENTS = 149
+UPDATE_QUERY_EVENTS = 12
 
 
 def _profile_events(run) -> int:
@@ -144,4 +146,19 @@ def test_mixed_round_layer():
     assert count <= MIXED_ROUND_EVENTS, (
         f"a round-layer of a prefill chunk and a decode token makes {count} profile events, "
         f"above the ratchet of {MIXED_ROUND_EVENTS}"
+    )
+
+
+@pytest.mark.parametrize("num_rows", [1, 16])
+def test_update_query_on_a_fine_layer(num_rows):
+    """``Session.update_query`` at layer 1, outside ``flat_index_layers``:
+    the local KV append plus the query rows the sampling rule picks, the
+    same calls whether one row arrives or a chunk of sixteen."""
+    rng = np.random.default_rng(4)
+    session = _connected_session(_bench_context(), rng)
+    q, k, v = _round_rows(rng, num_rows)
+    count = _profile_events(lambda: session.update_query(q, k, v, 1))
+    assert count <= UPDATE_QUERY_EVENTS, (
+        f"recording {num_rows} row(s) makes {count} profile events, above the ratchet of "
+        f"{UPDATE_QUERY_EVENTS}: every prefill chunk and decode token pays them per layer"
     )
